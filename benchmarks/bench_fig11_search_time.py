@@ -3,21 +3,15 @@
 The paper shows search time growing with the number of mesh axes (more
 decisions), and search cost dominated by cheap cost-model evaluations.  We
 time the MCTS on one and two axes for UNet and GNS with a fixed simulation
-budget across three evaluator configurations:
-
-* ``scratch``   — worklist engine, caches and streaming all off: full sweep
-  per action, every prefix replayed, every evaluation materializes and
-  fuses a device-local function (identical per-action semantics, so its
-  best-found cost is comparable action-for-action),
-* ``incremental`` — PR 1's layers on (worklist propagation, transposition
-  table, prefix-env reuse) but the materializing cost pipeline,
-* ``streaming``  — additionally the streaming cost evaluator: lower +
-  fuse + estimate fused into one pass with per-op plan memoization.
-
-The best-found actions/cost must be identical in all three modes, the
-propagation work must drop >= 2x (incremental vs scratch), and the
-per-evaluation cost-model wall-clock must drop >= 2x (streaming vs the
-materializing pipeline at identical evaluation counts).
+budget, and check the search's one evaluation path (undo-log env +
+propagation-delta replay + journal-driven differential estimator) against
+the from-scratch reference (``tests/oracle.py::reference_cost``: fresh
+env, one full-sweep ``propagate`` per action, ``lower`` +
+``fuse_collectives`` + ``costmodel.estimate``): every cost the search
+stored in its transposition table must equal the reference's bit for bit
+(purity), and the search's per-evaluation evaluator wall-clock must be
+>= 2x lower than the reference's per-key wall-clock (speed; aggregated
+across the cases).
 
 A second section exercises the **backend axis** on a transformer training
 step: the same fixed-seed search through the ``serial``, ``batched`` and
@@ -31,18 +25,7 @@ sibling already published the entry).  Backends and the worker count are
 overridable via ``BENCH_SEARCH_BACKENDS`` (comma list) and
 ``BENCH_SEARCH_WORKERS`` for CI matrix legs.
 
-A third section exercises the **rollout-env axis** (PR 4): the same
-fixed-seed serial search through the classic ``fork`` engine (one overlay
-env per canonical prefix, full streaming walk per evaluation) and the
-``undo`` engine (one mutable env with checkpoint/rollback, propagation-
-delta replay and journal-driven incremental re-estimation).  Both must
-report identical best actions/cost, and the undo engine must cut the
-per-rollout evaluator wall-clock — the (apply+propagate) + estimate time
-per computed evaluation — by >= 1.5x at this budget (measured ~1.6-1.7x;
-the search budget is sized so the one-time plan/segment warmup both
-engines share amortizes out).
-
-A fourth section exercises the **action-space axis** (PR 5): the same
+A third section exercises the **action-space axis** (PR 5): the same
 fixed-seed search over the input-tilings-only space (``action_space=
 "inputs"``) and the widened space (``"tagged"``: mid-function
 ``TileTagged``/``SumTagged`` actions at the tracer's auto-emitted tag
@@ -52,12 +35,12 @@ on *no* function input, so input tilings either replicate the member
 compute or pay mid-function ``[B, K, *]`` collectives.  The widened
 search must reach a **strictly lower** best cost, with a mid-function
 action in the winning set, identical best actions/cost across all
-schedulers and both rollout envs, and a warm second call (``cache_dir``)
+schedulers, and a warm second call (``cache_dir``)
 must show ``tree_prior_hits > 0`` — the persisted action-group
 statistics actually steering the reused tree — at a best cost no worse
 than the cold call's.
 
-A fifth section exercises the **pruning/prior axis** (PR 8) on the same
+A fourth section exercises the **pruning/prior axis** (PR 8) on the same
 ensemble: (a) the *identity leg* — at a budget large enough for both
 spaces to locate the optimum, the equivalence condenser must cut the
 candidate actions by >= 30% while leaving the fixed-seed best
@@ -84,6 +67,7 @@ import time
 
 import pytest
 
+from repro.auto.cache import table_for
 from repro.auto.search import mcts_search
 from repro.core.sharding import ShardingEnv
 from repro.mesh import Mesh
@@ -94,15 +78,9 @@ from repro.models import unet as unet_mod
 from repro.sim import TPU_V3
 from benchmarks.common import (gns_paper, print_table, search_backend_matrix,
                                unet_paper, write_bench_json)
+from tests.oracle import reference_cost
 
 MESH = Mesh({"batch": 8, "model": 4})
-
-# (incremental+memoize, streaming) per mode; see module docstring.
-MODES = {
-    "scratch": (False, False),
-    "incremental": (True, False),
-    "streaming": (True, True),
-}
 
 BACKENDS, WORKERS = search_backend_matrix()
 
@@ -117,7 +95,7 @@ def _usable_cores() -> int:
 def test_fig11(benchmark):
     rows = []
     records = []
-    estimate_totals = {"incremental": 0.0, "streaming": 0.0}
+    evaluation_totals = {"fast": 0.0, "reference": 0.0}
 
     def run_all():
         cases = [
@@ -129,59 +107,53 @@ def test_fig11(benchmark):
         for label, traced in cases:
             timings = {}
             for axes in (["batch"], ["batch", "model"]):
-                results = {}
-                for mode, (incremental, streaming) in MODES.items():
-                    env = ShardingEnv(MESH)
+                with tempfile.TemporaryDirectory() as cache_dir:
                     t0 = time.perf_counter()
                     result = mcts_search(
-                        traced.function, env, axes, device=TPU_V3,
-                        budget=8, rollout_depth=2, max_inputs=12,
-                        incremental=incremental, memoize=incremental,
-                        streaming=streaming,
+                        traced.function, ShardingEnv(MESH), axes,
+                        device=TPU_V3, budget=8, rollout_depth=2,
+                        max_inputs=12, cache_dir=cache_dir,
                     )
                     elapsed = time.perf_counter() - t0
-                    results[mode] = (result, elapsed)
-                    per_eval_est = result.estimate_time_s / max(
-                        result.evaluations, 1)
-                    rows.append((
-                        label, "+".join(axes), mode, f"{elapsed:.2f}s",
-                        f"{result.propagate_time_s:.2f}s",
-                        f"{result.estimate_time_s:.2f}s",
-                        result.evaluations, result.cache_hits,
-                        result.lower_calls, result.estimate_ops_reused,
-                        result.ops_processed, len(result.actions),
-                    ))
-                    records.append({
-                        "model": label, "axes": axes, "mode": mode,
-                        "wall_clock_s": elapsed,
-                        "propagate_time_s": result.propagate_time_s,
-                        "estimate_time_s": result.estimate_time_s,
-                        "per_evaluation_estimate_s": per_eval_est,
-                        "evaluations": result.evaluations,
-                        "cache_hits": result.cache_hits,
-                        "lower_calls": result.lower_calls,
-                        "estimate_ops_reused": result.estimate_ops_reused,
-                        "propagate_calls": result.propagate_calls,
-                        "ops_processed": result.ops_processed,
-                        "best_cost": result.cost,
-                        "best_actions": [list(a) for a in result.actions],
-                    })
-                scratch, _ = results["scratch"]
-                incr, _ = results["incremental"]
-                stream, stream_time = results["streaming"]
-                timings[len(axes)] = stream_time
-                # Every speed layer is pure: the fixed-seed search outcome
-                # is unchanged across all three configurations...
-                assert incr.actions == scratch.actions == stream.actions
-                assert incr.cost == scratch.cost == stream.cost
-                # ...the propagation work drops by at least 2x...
-                assert incr.ops_processed * 2 <= scratch.ops_processed
-                # ...and the streaming evaluator runs the same evaluations
-                # without ever materializing a lowering.
-                assert stream.evaluations == incr.evaluations
-                assert stream.lower_calls == 0
-                estimate_totals["incremental"] += incr.estimate_time_s
-                estimate_totals["streaming"] += stream.estimate_time_s
+                    scored = dict(table_for(
+                        cache_dir, traced.function, MESH, TPU_V3,
+                        ShardingEnv(MESH))._costs)
+                timings[len(axes)] = elapsed
+                # Purity: everything the fast path scored is what the
+                # from-scratch reference pipeline prices.
+                assert scored[tuple(result.actions)] == result.cost
+                t0 = time.perf_counter()
+                for key, cost in scored.items():
+                    assert cost == reference_cost(
+                        traced.function, MESH, key, TPU_V3), (label, key)
+                reference_s = time.perf_counter() - t0
+                fast_s = result.propagate_time_s + result.estimate_time_s
+                evaluation_totals["fast"] += fast_s / result.evaluations
+                evaluation_totals["reference"] += reference_s / len(scored)
+                rows.append((
+                    label, "+".join(axes), "search", f"{elapsed:.2f}s",
+                    f"{result.propagate_time_s:.2f}s",
+                    f"{result.estimate_time_s:.2f}s",
+                    result.evaluations, result.cache_hits,
+                    result.estimate_ops_reused, result.ops_processed,
+                    len(result.actions),
+                ))
+                records.append({
+                    "model": label, "axes": axes,
+                    "wall_clock_s": elapsed,
+                    "propagate_time_s": result.propagate_time_s,
+                    "estimate_time_s": result.estimate_time_s,
+                    "per_evaluation_s": fast_s / result.evaluations,
+                    "reference_per_key_s": reference_s / len(scored),
+                    "keys_checked": len(scored),
+                    "evaluations": result.evaluations,
+                    "cache_hits": result.cache_hits,
+                    "estimate_ops_reused": result.estimate_ops_reused,
+                    "propagate_calls": result.propagate_calls,
+                    "ops_processed": result.ops_processed,
+                    "best_cost": result.cost,
+                    "best_actions": [list(a) for a in result.actions],
+                })
             # More axes should not be cheaper to search than one axis.
             assert timings[2] >= 0.5 * timings[1]
 
@@ -209,13 +181,13 @@ def test_fig11(benchmark):
                 "T8", "batch+model", f"backend:{backend}",
                 f"{elapsed:.2f}s", f"{result.propagate_time_s:.2f}s",
                 f"{result.estimate_time_s:.2f}s", result.evaluations,
-                result.cache_hits, result.lower_calls,
+                result.cache_hits,
                 result.estimate_ops_reused, result.ops_processed,
                 len(result.actions),
             ))
             records.append({
                 "model": "T8", "axes": ["batch", "model"],
-                "mode": "streaming", "backend": backend,
+                "backend": backend,
                 "workers": WORKERS if backend == "process" else 1,
                 "wall_clock_s": elapsed,
                 "propagate_time_s": result.propagate_time_s,
@@ -262,74 +234,6 @@ def test_fig11(benchmark):
                     f"process backend {process_s:.2f}s not faster than "
                     f"serial {serial_s:.2f}s on {_usable_cores()} cores"
                 )
-        # -- rollout-env axis: fork vs undo-log prefix-state engines --
-        rollout_runs = {}
-        for rollout_env in ("fork", "undo"):
-            env = ShardingEnv(MESH)
-            t0 = time.perf_counter()
-            # Budget sized so the shared one-time warmup (plan memos,
-            # resolved segments — the first ~50 evaluations are dominated
-            # by _plan_op misses both engines pay identically) amortizes:
-            # the steady-state per-rollout gap is what the gate below
-            # pins.  This gate runs on the *widened* (tagged) action
-            # space — the broader exploration shortens shared prefixes,
-            # which used to narrow the undo engine's LCP-reuse edge to
-            # ~1.4x; the O(dirty) differential estimator (subtract-old/
-            # add-new over the write journal, with a compiled whole-
-            # function replay for majority-dirty evaluations) restores
-            # the >=1.5x per-rollout edge there.
-            result = mcts_search(
-                ttraced.function, env, ["batch", "model"], device=TPU_V3,
-                budget=256, rollout_depth=2, max_inputs=12, seed=0,
-                backend="serial", rollout_env=rollout_env,
-                action_space="tagged",
-            )
-            elapsed = time.perf_counter() - t0
-            per_rollout = (result.propagate_time_s + result.estimate_time_s
-                           ) / max(result.evaluations, 1)
-            rollout_runs[rollout_env] = (result, per_rollout)
-            rows.append((
-                "T8", "batch+model", f"rollout_env:{rollout_env}",
-                f"{elapsed:.2f}s", f"{result.propagate_time_s:.2f}s",
-                f"{result.estimate_time_s:.2f}s", result.evaluations,
-                result.cache_hits, result.lower_calls,
-                result.estimate_ops_reused, result.ops_processed,
-                len(result.actions),
-            ))
-            records.append({
-                "model": "T8", "axes": ["batch", "model"],
-                "mode": "streaming", "backend": "serial",
-                "rollout_env": rollout_env,
-                "wall_clock_s": elapsed,
-                "propagate_time_s": result.propagate_time_s,
-                "estimate_time_s": result.estimate_time_s,
-                "per_rollout_evaluator_s": per_rollout,
-                "evaluations": result.evaluations,
-                "prefix_reuse_ratio": result.prefix_reuse_ratio,
-                "best_cost": result.cost,
-                "best_actions": [list(a) for a in result.actions],
-            })
-        fork_result, fork_per_rollout = rollout_runs["fork"]
-        undo_result, undo_per_rollout = rollout_runs["undo"]
-        # Exactness: the undo engine's rollback/replay/incremental-estimate
-        # machinery is invisible in the results.
-        assert undo_result.actions == fork_result.actions
-        assert undo_result.cost == fork_result.cost
-        assert undo_result.evaluations == fork_result.evaluations
-        # Speed: >= 1.5x lower per-rollout evaluator wall-clock (the env
-        # extension + cost estimate per computed evaluation).
-        ratio = fork_per_rollout / max(undo_per_rollout, 1e-12)
-        records.append({
-            "model": "T8", "comparison": "undo_vs_fork",
-            "fork_per_rollout_s": fork_per_rollout,
-            "undo_per_rollout_s": undo_per_rollout,
-            "speedup": ratio,
-        })
-        assert ratio >= 1.5, (
-            f"undo rollouts {undo_per_rollout * 1e3:.1f}ms/rollout not "
-            f">=1.5x faster than fork {fork_per_rollout * 1e3:.1f}ms"
-        )
-
         # -- action-space axis: input tilings vs mid-function tag points --
         bcfg = bottleneck_mod.ensemble(batch=2, width=64, d_model=1024,
                                        ffw_dim=4096)
@@ -348,13 +252,13 @@ def test_fig11(benchmark):
                 "Ensemble", "batch+model", f"space:{action_space}",
                 f"{elapsed:.2f}s", f"{result.propagate_time_s:.2f}s",
                 f"{result.estimate_time_s:.2f}s", result.evaluations,
-                result.cache_hits, result.lower_calls,
+                result.cache_hits,
                 result.estimate_ops_reused, result.ops_processed,
                 len(result.actions),
             ))
             records.append({
                 "model": "Ensemble", "axes": ["batch", "model"],
-                "mode": "streaming", "action_space": action_space,
+                "action_space": action_space,
                 "wall_clock_s": elapsed,
                 "evaluations": result.evaluations,
                 "best_cost": result.cost,
@@ -379,10 +283,9 @@ def test_fig11(benchmark):
             "tagged_best_cost": tagged_run.cost,
             "cost_ratio": inputs_run.cost / tagged_run.cost,
         })
-        # The widened space rides every fast path unchanged: identical
-        # best actions/cost across all schedulers and both rollout envs.
-        # (tagged_run already IS the serial/undo leg — only the
-        # non-default legs need recomputing.)
+        # The widened space rides every backend unchanged: identical best
+        # actions/cost across all schedulers.  (tagged_run already IS the
+        # serial leg — only the other legs need recomputing.)
         for backend in BACKENDS:
             if backend == "serial":
                 continue
@@ -392,11 +295,6 @@ def test_fig11(benchmark):
                                  **space_kwargs)
             assert result.actions == tagged_run.actions, backend
             assert result.cost == tagged_run.cost, backend
-        env = ShardingEnv(MESH)
-        result = mcts_search(btraced.function, env, ["batch", "model"],
-                             rollout_env="fork", **space_kwargs)
-        assert result.actions == tagged_run.actions, "fork"
-        assert result.cost == tagged_run.cost, "fork"
         # Cross-call tree reuse: a warm second call loads the persisted
         # per-action-group statistics, steers its expansion with them
         # (tree_prior_hits), and can never report a worse schedule.
@@ -443,7 +341,7 @@ def test_fig11(benchmark):
                     f"prune:{'on' if prune else 'off'} s{seed}",
                     f"{elapsed:.2f}s", f"{result.propagate_time_s:.2f}s",
                     f"{result.estimate_time_s:.2f}s", result.evaluations,
-                    result.cache_hits, result.lower_calls,
+                    result.cache_hits,
                     result.estimate_ops_reused, result.ops_processed,
                     len(result.actions),
                 ))
@@ -564,33 +462,29 @@ def test_fig11(benchmark):
             "exact_wall_clock_s": oracle_s,
         })
 
-        # The streaming evaluator cuts per-evaluation cost-model wall-clock
-        # by at least 2x vs the materializing pipeline.  Asserted on the
-        # aggregate across all cases (identical evaluation counts per case,
-        # so the ratio of totals is a per-evaluation ratio): individual
-        # cases measure ~2.4-3.5x locally, and aggregating keeps a noisy
+        # The search's evaluation path costs at least 2x less wall-clock
+        # per evaluation than the from-scratch reference per key.  Asserted
+        # on the aggregate across all cases: aggregating keeps a noisy
         # shared CI runner from flaking the gate on the weakest case.
-        assert (estimate_totals["incremental"]
-                >= 2.0 * estimate_totals["streaming"]), (
-            f"streaming estimate total {estimate_totals['streaming']:.3f}s "
-            f"not 2x faster than materialized "
-            f"{estimate_totals['incremental']:.3f}s"
+        assert (evaluation_totals["reference"]
+                >= 2.0 * evaluation_totals["fast"]), (
+            f"fast path {evaluation_totals['fast']:.3f}s per evaluation "
+            f"not 2x faster than the reference pipeline's "
+            f"{evaluation_totals['reference']:.3f}s"
         )
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     print_table(
         "Figure 11: automatic partitioning search time grows with #axes "
         "(paper: up to ~1250s at full scale; budget-scaled here); "
-        "incremental+memoized search matches scratch results with >=2x "
-        "less propagation work, the streaming cost evaluator cuts "
-        "per-evaluation lower/estimate time >=2x more, the "
+        "every cost the search stored equals the from-scratch reference "
+        "pipeline's at >=2x lower per-evaluation wall-clock, the "
         "serial/batched/process rollout backends agree on the best "
         "schedule (process beating serial wall-clock given >=2 cores, "
-        "with shared plan-memo hits), undo-log rollouts match the "
-        "fork engine exactly at >=1.5x lower per-rollout evaluator time, "
+        "with shared plan-memo hits), "
         "and the widened tag-point action space reaches a strictly lower "
         "best cost than input tilings on the interior-bottleneck ensemble "
-        "(identical across backends/rollout envs; a warm second call "
+        "(identical across backends; a warm second call "
         "steers its tree with persisted action-group statistics); the "
         "equivalence condenser cuts >=30% of candidate actions with "
         "byte-identical fixed-seed results, teacher-persisted "
@@ -600,7 +494,7 @@ def test_fig11(benchmark):
         "probes re-run), and default-budget MCTS matches the "
         "branch-and-bound oracle's certified optimum",
         ["model", "axes", "mode", "search", "propagate", "estimate",
-         "evals", "tt hits", "lowers", "plans reused", "ops processed",
+         "evals", "tt hits", "plans reused", "ops processed",
          "actions"],
         rows,
     )

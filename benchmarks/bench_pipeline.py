@@ -9,13 +9,14 @@ over all D devices.  Three gates:
   estimated runtime is *strictly below* pure tensor's — tensor-parallel
   all_reduces grow with the model group while the pipeline's bubble
   ``(K-1)/(T+K-1)`` amortizes away with enough microbatches.
-* **Bit-identity**: on the hybrid lowering, the materializing
-  ``lower -> fuse -> estimate`` pipeline, the one-pass streaming walk, and
-  the O(dirty) differential engine agree field-exactly on every
+* **Bit-identity**: on the hybrid lowering, the O(dirty) differential
+  engine agrees with the materializing ``lower -> fuse -> estimate``
+  reference field-exactly on every
   :class:`~repro.sim.costmodel.CostEstimate` field.
 * **Determinism**: a fixed-seed automatic search over the pipelined model
-  returns identical best actions and cost on every scheduler backend and
-  on both rollout environments (undo vs fork).
+  returns identical best actions and cost on every scheduler backend, and
+  that cost is the from-scratch reference's
+  (``tests/oracle.py::reference_cost``).
 
 ``--smoke`` shrinks the model and the search budget — the CI pipeline
 leg's fast regression gate.
@@ -55,6 +56,7 @@ from benchmarks.common import (  # noqa: E402
     search_backend_matrix,
     write_bench_json,
 )
+from tests.oracle import reference_cost, reference_estimate  # noqa: E402
 
 DEVICES = 8
 FIELDS = ("runtime_s", "compute_s", "comm_s", "local_flops", "comm_bytes",
@@ -142,8 +144,8 @@ def check_crossover(pure, stages):
 
 
 def check_bit_identity(cfg):
-    """materialized == streaming == differential, field-exact, on the
-    hybrid lowering."""
+    """differential == materialized, field-exact, on the hybrid
+    lowering."""
     mesh = Mesh({"stage": 4, "model": DEVICES // 4})
     traced = pm.trace_pipeline_transformer(cfg)
     env = ShardingEnv(mesh)
@@ -151,52 +153,45 @@ def check_bit_identity(cfg):
     env.enable_journal()
     differential = costmodel.StreamingEstimator(traced.function, mesh,
                                                 TPU_V3)
-    streaming = costmodel.StreamingEstimator(traced.function, mesh, TPU_V3)
     for tactic in (sched.pp("stage"), tensor_tactic("model")):
         tactic.apply(traced.function, env, incremental=True)
     fast = differential.estimate_incremental(env, env.drain_journal())
-    streamed = streaming.estimate(env)
-    lowered = lower(traced.function, env)
-    lowered = dataclasses.replace(
-        lowered, function=fuse_collectives(lowered.function)
-    )
-    materialized = costmodel.estimate(lowered, TPU_V3)
+    materialized = reference_estimate(traced.function, env, TPU_V3)
     for field in FIELDS:
-        value = getattr(fast, field)
-        assert value == getattr(streamed, field), field
-        assert value == getattr(materialized, field), field
+        assert getattr(fast, field) == getattr(materialized, field), field
     return {field: repr(getattr(fast, field)) for field in FIELDS}
 
 
 def check_backend_identity(smoke: bool, budget: int):
     """Fixed-seed search over the pipelined model: identical best actions
-    and cost on every backend and both rollout envs."""
+    and cost on every backend, equal to the reference pipeline's price."""
     cfg = pm.tiny()
+    mesh = Mesh({"stage": 2, "model": 2})
     backends, workers = search_backend_matrix()
     if smoke:
         backends = tuple(b for b in backends if b != "process")
-    legs = [(backend, "undo") for backend in backends]
-    legs.append((backends[0], "fork"))
     reference = None
     results = {}
-    for backend, rollout_env in legs:
+    for backend in backends:
         traced = pm.trace_pipeline_transformer(cfg)
-        env = ShardingEnv(Mesh({"stage": 2, "model": 2}))
         result = mcts_search(
-            traced.function, env, ["stage", "model"], device=TPU_V3,
-            budget=budget, seed=7, backend=backend, workers=workers,
-            rollout_env=rollout_env,
+            traced.function, ShardingEnv(mesh), ["stage", "model"],
+            device=TPU_V3, budget=budget, seed=7, backend=backend,
+            workers=workers,
         )
-        key = f"{backend}/{rollout_env}"
-        results[key] = {"actions": [list(a) for a in result.actions],
-                        "cost": result.cost}
+        results[backend] = {"actions": [list(a) for a in result.actions],
+                            "cost": result.cost}
         if reference is None:
             reference = (result.actions, result.cost)
+            assert result.cost == reference_cost(
+                traced.function, mesh, result.actions, TPU_V3
+            ), f"{backend}: best cost is not the reference pipeline's"
         else:
             assert result.actions == reference[0], (
-                f"{key}: best actions diverged"
+                f"{backend}: best actions diverged"
             )
-            assert result.cost == reference[1], f"{key}: best cost diverged"
+            assert result.cost == reference[1], (
+                f"{backend}: best cost diverged")
     return results
 
 
@@ -246,7 +241,7 @@ def main(argv=None):
             )
 
     payload["bit_identity"] = check_bit_identity(cfg)
-    print("  bit-identity: materialized == streaming == differential")
+    print("  bit-identity: differential == materialized")
 
     budget = 8 if args.smoke else 24
     payload["backend_identity"] = check_backend_identity(args.smoke, budget)

@@ -241,56 +241,22 @@ class AutomaticPartition(Tactic):
     Wraps :mod:`repro.auto`'s Monte-Carlo tree search; any optimisation
     algorithm with the same action interface can be substituted.
 
+    ``options`` holds :class:`repro.auto.SearchConfig` fields — what each
+    one means is documented there, once — plus an optional ``"device"`` to
+    price on; ``search_backend`` (the ``backend`` field) and the other
+    keyword arguments are shorthands for the common ones.  All of it is
+    validated here, at construction: a misspelled or ill-typed option
+    raises ``TypeError`` / ``ValueError`` naming the valid fields instead
+    of silently searching with a default.
+
     Candidate shardings are scored through the streaming cost evaluator
     (``lower + fuse_collectives + estimate`` fused into one pass that never
-    materializes device-local IR); pass ``options={"streaming": False}`` to
-    score through the materializing pipeline instead — the results are
-    bit-identical either way.  ``partir_jit`` itself always materializes
-    the final lowering, since the executor needs real IR.
-
-    ``action_space`` selects what the search may decide: ``"tagged"``
-    (default) widens the classic input tilings with mid-function
-    ``TileTagged``/``SumTagged`` actions at the traced function's tag
-    points (auto-emitted at matmul/scan/reduce outputs; see
-    :mod:`repro.ir.tagpoints`), ``"inputs"`` restricts to input tilings.
-    ``prune`` (default True) runs the action-space condenser before the
-    first rollout — one propagation probe per candidate collapses
-    propagation-equivalent actions to a single representative
-    (:mod:`repro.auto.prune`; ``last_search.candidates_total`` vs
-    ``candidates_kept`` reports the cut) — and ``prior`` picks the
-    warm-expansion scorer: ``"learned"`` (default — the deterministic
-    feature-hashed model of :mod:`repro.auto.prior`), ``"group"`` (flat
-    per-group means) or ``"none"``.
-
-    ``search_backend`` picks the rollout scheduler (``"serial"``,
-    ``"batched"`` or ``"process"`` — see :mod:`repro.auto.scheduler`);
-    ``rollout_env`` picks the engine maintaining per-prefix env state
-    inside the search: ``"undo"`` (default) extends/retracts one mutable
-    env through a checkpoint/rollback undo log with journal-driven
-    incremental re-estimation, ``"fork"`` is the classic env-per-prefix
-    overlay fork — results are bit-identical either way.  ``cache_dir``
-    persists the search's transposition table **and per-action-group tree
-    statistics** on disk (append-only with load-time compaction, keyed by
-    the traced function's fingerprint) so repeated ``partir_jit`` calls
-    warm-start from earlier scores and steer their tree with the
-    accumulated statistics (``last_search.tree_prior_hits``).  On the
-    ``process`` backend, workers additionally pool their lowering-plan and
-    reconcile-chain memos through a shared-memory store (see
-    :mod:`repro.auto.sharedmemo`; ``last_search.shared_memo_full`` reports
-    a filled-up segment).  After ``apply``, ``last_search`` holds the full
-    :class:`repro.auto.SearchResult` (evaluations, cache/warm-start/
-    shared-memo/prior hit counters, timing split).
-
-    The parallel backends **self-heal**: a worker that dies or goes
-    silent mid-wave is re-forked (``process``) or reconnected
-    (``"remote"``) within ``options={"restart_budget": N}`` (default 1),
-    its unfinished rollouts re-routed to survivors, and past the budget
-    the search degrades to in-process serial evaluation — the returned
-    actions/cost are bit-identical in every case, because each rollout is
-    a pure function of its canonical action set.  ``wave_timeout_s`` and
-    ``rpc_timeout_s`` bound the detection latency;
-    ``last_search.workers_restarted`` / ``waves_retried`` /
-    ``degraded_to`` report what recovery actually ran.
+    materializes device-local IR), bit-identical to the materializing
+    pipeline ``partir_jit`` itself runs for the final lowering, since the
+    executor needs real IR.  After ``apply``, ``last_search`` holds the
+    full :class:`repro.auto.SearchResult` (evaluations, cache/warm-start/
+    shared-memo/prior hit counters, timing split, and what the
+    self-healing backends had to recover from).
 
     >>> from repro import Mesh, ShapeDtype, partir_jit, trace
     >>> from repro.trace import ops
@@ -300,8 +266,8 @@ class AutomaticPartition(Tactic):
     >>> _, meta = partir_jit(traced, Mesh({"d": 2}), [tactic],
     ...                      estimate_per_tactic=False)
     >>> result = tactic.last_search
-    >>> result.action_space, result.backend, result.rollout_env
-    ('tagged', 'serial', 'undo')
+    >>> result.action_space, result.backend
+    ('tagged', 'serial')
     >>> result.evaluations + result.cache_hits >= 4  # one per rollout
     True
     """
@@ -310,40 +276,43 @@ class AutomaticPartition(Tactic):
                  options: Optional[Dict[str, Any]] = None,
                  search_backend: Optional[str] = None,
                  cache_dir: Optional[str] = None,
-                 rollout_env: Optional[str] = None,
                  action_space: Optional[str] = None,
                  plan_server: Optional[str] = None,
                  prune: Optional[bool] = None,
                  prior: Optional[str] = None):
         self.axes = list(axes)
         self.options = dict(options or {})
-        if search_backend is not None:
-            self.options["backend"] = search_backend
-        if cache_dir is not None:
-            self.options["cache_dir"] = cache_dir
-        if rollout_env is not None:
-            self.options["rollout_env"] = rollout_env
-        if action_space is not None:
-            self.options["action_space"] = action_space
-        if plan_server is not None:
-            self.options["plan_server"] = plan_server
-        if prune is not None:
-            self.options["prune"] = prune
-        if prior is not None:
-            self.options["prior"] = prior
+        shorthands = {"backend": search_backend, "cache_dir": cache_dir,
+                      "action_space": action_space,
+                      "plan_server": plan_server, "prune": prune,
+                      "prior": prior}
+        self.options.update(
+            (key, value) for key, value in shorthands.items()
+            if value is not None)
+        self._search_arguments()  # fail on a bad option now, not mid-schedule
         self.name = f"auto<{','.join(self.axes)}>"
         #: The SearchResult of the most recent apply() (None before).
         self.last_search = None
 
+    def _search_arguments(self) -> Dict[str, Any]:
+        """``options`` as validated ``run_automatic_partition`` keywords."""
+        from repro.auto.search import SearchConfig
+
+        fields = dict(self.options)
+        device = fields.pop("device", TPU_V3)
+        return {"device": device, "config": SearchConfig.of(**fields)}
+
     def apply(self, function: Function, env: ShardingEnv,
               incremental: bool = False) -> int:
+        """Search, then replay the winner; the search always propagates
+        with the worklist engine, whatever ``incremental`` says (the fixed
+        points are byte-identical)."""
         from repro.auto.search import run_automatic_partition
 
-        options = dict(self.options)
-        options.setdefault("incremental", incremental)
         results: list = []
         applied = run_automatic_partition(
-            function, env, self.axes, result_sink=results, **options
+            function, env, self.axes, result_sink=results,
+            **self._search_arguments()
         )
         self.last_search = results[-1] if results else None
         return applied

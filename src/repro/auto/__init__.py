@@ -3,7 +3,7 @@
 Package map:
 
 * :mod:`repro.auto.search` — public entry points (``mcts_search``,
-  ``run_automatic_partition``) and ``SearchResult``.
+  ``run_automatic_partition``), ``SearchConfig`` and ``SearchResult``.
 * :mod:`repro.auto.tree` — UCT tree policy, virtual loss, rollout RNG.
 * :mod:`repro.auto.evaluator` — canonical-action-set scoring pipeline.
 * :mod:`repro.auto.scheduler` — serial / batched / process / remote
@@ -28,7 +28,6 @@ Package map:
 from repro.auto.cache import TranspositionTable, function_fingerprint
 from repro.auto.evaluator import (
     ACTION_SPACES,
-    ROLLOUT_ENVS,
     Evaluator,
     action_group_key,
     candidate_actions,
@@ -48,7 +47,12 @@ from repro.auto.scheduler import (
     SchedulerUnavailable,
     make_scheduler,
 )
-from repro.auto.search import SearchResult, mcts_search, run_automatic_partition
+from repro.auto.search import (
+    SearchConfig,
+    SearchResult,
+    mcts_search,
+    run_automatic_partition,
+)
 from repro.auto.tree import TreePolicy, canonical_key
 
 __all__ = [
@@ -65,9 +69,9 @@ __all__ = [
     "PlanRecord",
     "PlanStore",
     "PruneReport",
-    "ROLLOUT_ENVS",
     "RolloutScheduler",
     "SchedulerUnavailable",
+    "SearchConfig",
     "SearchResult",
     "TranspositionTable",
     "TreePolicy",

@@ -1,4 +1,5 @@
-"""Scoring canonical action sets: the prefix-env + streaming-estimator pipeline.
+"""Scoring canonical action sets: the undo-log env + differential-estimator
+pipeline.
 
 The evaluator is the purity boundary the whole search subsystem leans on:
 ``evaluate(actions)`` is a pure function of the canonical action set (given
@@ -17,17 +18,19 @@ what the lost worker would have returned.  That is why the degradation
 contract ("any fault schedule, same best actions/cost as the fault-free
 serial run") holds by construction rather than by careful replication.
 
-Speed layers, all exact:
+There is one evaluation path, checked against one reference:
 
-* a **prefix env cache**: the propagated :class:`ShardingEnv` for each
-  canonical prefix is memoized, so scoring a set extends its longest cached
-  prefix with one incremental-propagation fixed point per new action rather
-  than replaying the prefix from scratch, and
-* a **streaming cost evaluator** (``streaming=True``):
-  :class:`repro.sim.costmodel.StreamingEstimator` prices the lowering
-  stream directly — per-op lowering plans and whole reconcile-chain costs
-  are memoized on sharding signatures, so an evaluation re-plans only what
-  changed since any previous evaluation.
+* **env**: one mutable :class:`ShardingEnv` moved by checkpoint/rollback.
+  Scoring a set retracts to the longest common prefix with the previous
+  set and extends in place, one worklist-propagation fixed point per new
+  action — or a replay of that prefix's memoized write delta.
+* **pricing**: ``StreamingEstimator.estimate_incremental``
+  (:mod:`repro.sim.costmodel`), driven by the env's write journal,
+  re-resolves only the ops adjacent to a value that moved.
+* **reference**: a fresh env, one full-sweep ``propagate`` per canonical
+  action, then ``lower -> fuse_collectives -> costmodel.estimate`` — the
+  materializing pipeline ``partir_jit`` runs for the executor.  The tests'
+  ``reference_cost`` oracle pins ``evaluate(key)`` bit-identical to it.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ from repro.ir.function import Function
 from repro.ir.tagpoints import tag_points
 from repro.sim import costmodel
 from repro.sim.devices import DeviceSpec
-from repro.spmd.fusion import fuse_collectives
-from repro.spmd.lower import lower
 
 from repro.auto.cache import TranspositionTable
 from repro.auto.tree import ActionKey, canonical_key
@@ -60,12 +61,6 @@ from repro.auto.tree import ActionKey, canonical_key
 #: space; ``"tagged"`` (default) additionally enumerates mid-function
 #: ``TileTagged``/``SumTagged`` actions at the function's tag points.
 ACTION_SPACES = ("inputs", "tagged")
-
-
-def action_legal(env: ShardingEnv, value, dim: int, axis: str) -> bool:
-    """May ``value``'s ``dim`` still be tiled along ``axis`` under ``env``?
-    (Alias of :func:`repro.core.actions.tile_legal`.)"""
-    return tile_legal(env, value, dim, axis)
 
 
 def candidate_actions(function: Function, env: ShardingEnv,
@@ -252,57 +247,35 @@ def try_apply_action(function: Function, env: ShardingEnv,
     return True
 
 
-#: Valid rollout env engines (see :class:`Evaluator`).
-ROLLOUT_ENVS = ("undo", "fork")
-
-
 class Evaluator:
     """Scores canonical action sets; owns the memoization layers.
 
-    ``table`` is the transposition table consulted when ``memoize`` is on;
+    ``table`` is the transposition table :meth:`evaluate` consults;
     passing a shared (possibly disk-backed) table lets the scheduler and
     repeated searches pool their scores.  The evaluator itself stays cheap
     to construct in a worker process: everything it needs travels as
-    ``(function, mesh, portable env state, device, flags)``.
+    ``(function, mesh, portable env state, device)``.
 
-    ``rollout_env`` picks the engine that maintains per-prefix env state:
-
-    * ``"undo"`` (default) — one mutable env plus an undo log
-      (:meth:`~repro.core.sharding.ShardingEnv.checkpoint` /
-      ``rollback``).  Scoring a set retracts to the longest common prefix
-      with the previous set and extends in place — zero env allocation per
-      rollout.  Re-extending a previously-propagated prefix replays its
-      memoized write delta instead of re-running the propagation fixed
-      point, and the streaming estimator re-prices only ops adjacent to
-      the env's write journal
-      (:meth:`~repro.sim.costmodel.StreamingEstimator.estimate_incremental`).
-    * ``"fork"`` — the classic PR 3 engine: each canonical prefix gets its
-      own propagated env, forked from its parent with the O(delta) overlay
-      ``copy()``, and every evaluation runs a full streaming walk.
-
-    Both engines produce bit-identical costs (property-tested): prefix env
-    state is a pure function of the canonical prefix either way.
+    Prefix state lives in one mutable env plus an undo log
+    (:meth:`~repro.core.sharding.ShardingEnv.checkpoint` / ``rollback``).
+    Scoring a set retracts to the longest common prefix with the previous
+    set and extends in place — zero env allocation per rollout.
+    Re-extending a previously-propagated prefix replays its memoized write
+    delta instead of re-running the propagation fixed point, and the
+    streaming estimator re-prices only ops adjacent to the env's write
+    journal
+    (:meth:`~repro.sim.costmodel.StreamingEstimator.estimate_incremental`).
+    Prefix env state is a pure function of the canonical prefix, so costs
+    are bit-identical to the from-scratch reference pipeline (see the
+    module docstring).
     """
 
     def __init__(self, function: Function, env: ShardingEnv,
-                 device: DeviceSpec, incremental: bool = True,
-                 memoize: bool = True, streaming: bool = True,
-                 reconcile_cache: bool = True,
-                 table: Optional[TranspositionTable] = None,
-                 rollout_env: str = "undo"):
-        if rollout_env not in ROLLOUT_ENVS:
-            raise ValueError(
-                f"unknown rollout_env {rollout_env!r}; "
-                f"expected one of {ROLLOUT_ENVS}"
-            )
+                 device: DeviceSpec,
+                 table: Optional[TranspositionTable] = None):
         self.function = function
         self.device = device
-        self.incremental = incremental
-        self.memoize = memoize
-        self.streaming = streaming
-        self.rollout_env = rollout_env
         self.evaluations = 0
-        self.lower_calls = 0
         self.propagate_time_s = 0.0
         self.estimate_time_s = 0.0
         #: Work done by remote workers on this evaluator's behalf (the
@@ -314,9 +287,9 @@ class Evaluator:
         self.remote_reconcile_hits = 0
         self.remote_shared_plan_hits = 0
         self.remote_shared_full = False
-        #: Undo-engine prefix accounting: of all the actions the rollouts
-        #: asked to stand applied (summed |key| over ``_env_for_undo``
-        #: calls), how many were already in place on the action stack and
+        #: Prefix accounting: of all the actions the rollouts asked to
+        #: stand applied (summed |key| over ``_env_for`` calls), how many
+        #: were already in place on the action stack and
         #: survived (no rollback, no re-apply)?  The ratio is the
         #: schedulers' prefix-aware wave ordering's figure of merit —
         #: surfaced as ``SearchResult.prefix_reuse_ratio``.
@@ -330,28 +303,25 @@ class Evaluator:
         #: (:mod:`repro.auto.exact`) reads its compute/peak-memory terms
         #: for admissible subtree bounds; the search itself never does.
         self.last_estimate = None
-        self._env_cache: Dict[ActionKey, ShardingEnv] = {}
         # One streaming estimator for the whole search: its per-op plan and
         # reconcile-chain memos are what let an evaluation reuse the
         # lowering decisions of every previously-scored env that agrees on
         # an op's neighborhood.
         self._estimator = costmodel.StreamingEstimator(
-            function, env.mesh, device, reconcile_cache=reconcile_cache
-        ) if streaming else None
+            function, env.mesh, device
+        )
         # Root fixed point: search never mutates the caller's env.  The
-        # event log is dropped — evaluation envs never read it, and every
-        # cached prefix env would otherwise re-copy the whole history.
+        # event log is dropped — the evaluation env never reads it.
         self.root = env.copy(with_events=False)
-        propagate(function, self.root, incremental=incremental)
-        # Undo-engine state: the action stack mirrors the env's applied
-        # prefix (one checkpoint per level), and the propagation-delta memo
-        # replays previously-computed fixed points on re-extension.
+        propagate(function, self.root, incremental=True)
+        # The action stack mirrors the env's applied prefix (one checkpoint
+        # per level), and the propagation-delta memo replays
+        # previously-computed fixed points on re-extension.
         self._stack: List[Tuple[Tuple[int, int, int, str], object]] = []
         self._prop_memo: Dict[ActionKey, Tuple] = {}
-        if rollout_env == "undo" and streaming:
-            # The journal's only consumer is the incremental streaming
-            # estimator; the materializing path must not accumulate one.
-            self.root.enable_journal()
+        # The journal tells the estimator which values moved between two
+        # evaluations of this one mutable env.
+        self.root.enable_journal()
 
     @property
     def cache_hits(self) -> int:
@@ -359,18 +329,16 @@ class Evaluator:
 
     @property
     def estimate_ops_reused(self) -> int:
-        local = self._estimator.ops_reused if self._estimator else 0
-        return local + self.remote_ops_reused
+        return self._estimator.ops_reused + self.remote_ops_reused
 
     @property
     def reconcile_chain_hits(self) -> int:
-        local = self._estimator.reconcile_hits if self._estimator else 0
-        return local + self.remote_reconcile_hits
+        return self._estimator.reconcile_hits + self.remote_reconcile_hits
 
     @property
     def shared_plan_hits(self) -> int:
         """Plans/chains this process served from the cross-worker store."""
-        return self._estimator.shared_plan_hits if self._estimator else 0
+        return self._estimator.shared_plan_hits
 
     @property
     def shared_memo_full(self) -> bool:
@@ -378,46 +346,22 @@ class Evaluator:
         here or (``remote_shared_full``) in any worker?  Once full, cold
         plans computed after the fill are no longer pooled across
         processes; correctness is unaffected."""
-        estimator = self._estimator
-        if (estimator is not None and estimator._shared is not None
-                and estimator._shared.full):
+        shared = self._estimator._shared
+        if shared is not None and shared.full:
             return True
         return self.remote_shared_full
 
     @property
     def prefix_reuse_ratio(self) -> float:
-        """Fraction of requested prefix actions the undo engine kept in
-        place across consecutive evaluations (workers included); 0.0 when
-        nothing was evaluated or on the fork engine."""
+        """Fraction of requested prefix actions kept in place across
+        consecutive evaluations (workers included); 0.0 when nothing was
+        evaluated."""
         total = self.prefix_actions_total + self.remote_prefix_actions_total
         reused = (self.prefix_actions_reused
                   + self.remote_prefix_actions_reused)
         return reused / total if total else 0.0
 
     def _env_for(self, key: ActionKey) -> ShardingEnv:
-        """Propagated env for a canonical action prefix.
-
-        Fork engine: recursively extends the env of ``key[:-1]`` by one
-        action + one propagation fixed point, reusing cached prefixes when
-        memoizing.  Undo engine: retracts/extends the single mutable env
-        (:meth:`_env_for_undo`).
-        """
-        if self.rollout_env == "undo":
-            return self._env_for_undo(key)
-        if not key:
-            return self.root
-        if self.memoize:
-            cached = self._env_cache.get(key)
-            if cached is not None:
-                return cached
-        env = self._env_for(key[:-1]).copy()
-        try_apply_action(self.function, env, key[-1])
-        propagate(self.function, env, incremental=self.incremental)
-        if self.memoize:
-            self._env_cache[key] = env
-        return env
-
-    def _env_for_undo(self, key: ActionKey) -> ShardingEnv:
         """Move the single mutable env to the state of canonical prefix
         ``key``: roll back to the longest common prefix with the current
         action stack, then extend one action at a time.
@@ -425,17 +369,14 @@ class Evaluator:
         Each extension replays the prefix's memoized propagation delta
         when available (O(writes), no rule evaluation) and otherwise runs
         the real apply + propagation fixed point, memoizing the resulting
-        write delta.  With ``memoize=False`` the env retracts all the way
-        to the root first and nothing is replayed — every evaluation pays
-        its full prefix, mirroring the fork engine's uncached behavior.
+        write delta.
         """
         env = self.root
         stack = self._stack
         lcp = 0
-        if self.memoize:
-            limit = min(len(stack), len(key))
-            while lcp < limit and stack[lcp][0] == key[lcp]:
-                lcp += 1
+        limit = min(len(stack), len(key))
+        while lcp < limit and stack[lcp][0] == key[lcp]:
+            lcp += 1
         self.prefix_actions_total += len(key)
         self.prefix_actions_reused += lcp
         if lcp < len(stack):
@@ -444,7 +385,7 @@ class Evaluator:
         for action in key[lcp:]:
             prefix = key[:len(stack) + 1]
             token = env.checkpoint()
-            delta = self._prop_memo.get(prefix) if self.memoize else None
+            delta = self._prop_memo.get(prefix)
             if delta is not None:
                 set_sharding = env.set_sharding
                 for value, sharding in delta:
@@ -452,34 +393,30 @@ class Evaluator:
                 env.drain_dirty()
             else:
                 try_apply_action(self.function, env, action)
-                propagate(self.function, env, incremental=self.incremental)
-                if self.memoize:
-                    self._prop_memo[prefix] = tuple(env.writes_since(token))
+                propagate(self.function, env, incremental=True)
+                self._prop_memo[prefix] = tuple(env.writes_since(token))
             stack.append((action, token))
         return env
 
     def last_extension_writes(self) -> Optional[int]:
         """Env writes the most recently applied action (top of the undo
         stack) contributed, propagation included; None when nothing is
-        applied or on the fork engine.  Zero means the last action was a
-        no-op at its position — the branch-and-bound solver uses this to
-        drop subtrees whose every set is cost-identical to a sibling's
+        applied.  Zero means the last action was a no-op at its position —
+        the branch-and-bound solver uses this to drop subtrees whose every set is cost-identical to a sibling's
         (actions apply in canonical sorted order, so an action that
         no-ops after a given prefix no-ops after every extension of it
         too)."""
-        if self.rollout_env != "undo" or not self._stack:
+        if not self._stack:
             return None
         return len(self.root.writes_since(self._stack[-1][1]))
 
     def evaluate(self, actions: Sequence[Tuple[int, int, int, str]]) -> float:
         key = canonical_key(actions)
-        if self.memoize:
-            cached = self.table.lookup(key)
-            if cached is not None:
-                return cached
+        cached = self.table.lookup(key)
+        if cached is not None:
+            return cached
         cost = self.compute(key)
-        if self.memoize:
-            self.table.store(key, cost)
+        self.table.store(key, cost)
         return cost
 
     def compute(self, key: ActionKey) -> float:
@@ -488,21 +425,11 @@ class Evaluator:
         env = self._env_for(key)
         t1 = time.perf_counter()
         self.propagate_time_s += t1 - t0
-        if self.streaming:
-            changed = env.drain_journal() if self.rollout_env == "undo" \
-                else None
-            if self.rollout_env == "undo" and self.memoize:
-                # The env's write journal bounds what moved since the last
-                # evaluation of this same mutable env, so the estimator
-                # refreshes only the adjacent ops' segments.
-                estimate = self._estimator.estimate_incremental(env, changed)
-            else:
-                estimate = self._estimator.estimate(env)
-        else:
-            lowered = lower(self.function, env)
-            lowered.function = fuse_collectives(lowered.function)
-            estimate = costmodel.estimate(lowered, self.device)
-            self.lower_calls += 1
+        # The env's write journal bounds what moved since the last
+        # evaluation of this same mutable env, so the estimator refreshes
+        # only the adjacent ops' segments.
+        estimate = self._estimator.estimate_incremental(
+            env, env.drain_journal())
         cost = costmodel.search_objective(estimate, self.device)
         self.last_estimate = estimate
         self.estimate_time_s += time.perf_counter() - t1

@@ -44,6 +44,7 @@ from repro.sim.devices import TPU_V3, DeviceSpec
 from repro.auto import prune as prune_mod
 from repro.auto.cache import table_for
 from repro.auto.evaluator import Evaluator, candidate_actions
+from repro.auto.search import SearchConfig
 
 ActionTuple = Tuple[int, int, int, str]
 
@@ -78,14 +79,9 @@ def exact_search(
     env: ShardingEnv,
     axes: Sequence[str],
     device: DeviceSpec = TPU_V3,
-    prune: bool = True,
-    incremental: bool = True,
-    streaming: bool = True,
-    max_inputs: int = 48,
-    action_space: str = "tagged",
-    max_tag_points: int = 16,
     max_nodes: int = 200_000,
-    cache_dir: Optional[str] = None,
+    config: Optional[SearchConfig] = None,
+    **fields,
 ) -> ExactResult:
     """Certify the optimum canonical action set by branch and bound.
 
@@ -95,21 +91,23 @@ def exact_search(
     reports.  Ties between equal-cost optima resolve to the
     lexicographically smallest set — the same incumbent rule the MCTS
     uses, so `mcts best == exact best` is a meaningful equality.
+
+    The candidate space is described by the same :class:`SearchConfig`
+    fields the MCTS reads (``prune``, ``max_inputs``, ``action_space``,
+    ``max_tag_points``; pass a ``config`` or keyword overrides);
     ``cache_dir`` reuses persisted condenser probe signatures and
     contributes every scored subset back to the transposition log.
     """
-    table = table_for(cache_dir, function, env.mesh, device, env)
-    evaluator = Evaluator(
-        function, env, device, incremental=incremental, memoize=True,
-        streaming=streaming, table=table, rollout_env="undo",
-    )
-    candidates = candidate_actions(function, env, axes, max_inputs,
-                                   action_space=action_space,
-                                   max_tag_points=max_tag_points)
+    config = SearchConfig.of(config, **fields)
+    table = table_for(config.cache_dir, function, env.mesh, device, env)
+    evaluator = Evaluator(function, env, device, table=table)
+    candidates = candidate_actions(function, env, axes, config.max_inputs,
+                                   action_space=config.action_space,
+                                   max_tag_points=config.max_tag_points)
     prune_classes = 0
-    if prune and candidates:
+    if config.prune and candidates:
         report = prune_mod.condense(
-            function, evaluator.root, candidates, incremental=incremental,
+            function, evaluator.root, candidates,
             known_signatures=table.warm_probes(),
         )
         candidates = report.kept

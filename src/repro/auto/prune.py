@@ -97,8 +97,7 @@ def footprint_digest(delta: Sequence[Tuple[int, Tuple]]) -> str:
 
 
 def probe_action(function: Function, env: ShardingEnv, action: ActionTuple,
-                 *, incremental: bool = True,
-                 value_index: Optional[Dict] = None) -> str:
+                 *, value_index: Optional[Dict] = None) -> str:
     """One propagation probe: the action's fixed-point footprint digest.
 
     Checkpoints ``env``, applies the action, propagates to the fixed
@@ -118,7 +117,7 @@ def probe_action(function: Function, env: ShardingEnv, action: ActionTuple,
     token = env.checkpoint()
     try:
         if try_apply_action(function, env, action):
-            propagate(function, env, incremental=incremental)
+            propagate(function, env, incremental=True)
         delta = [
             (value_index[value], sharding.to_portable())
             for value, sharding in env.writes_since(token)
@@ -130,7 +129,6 @@ def probe_action(function: Function, env: ShardingEnv, action: ActionTuple,
 
 def condense(function: Function, env: ShardingEnv,
              candidates: Sequence[ActionTuple], *,
-             incremental: bool = True,
              known_signatures: Optional[Dict[ActionTuple, str]] = None
              ) -> PruneReport:
     """Condense ``candidates`` to one representative per equivalence class.
@@ -159,7 +157,6 @@ def condense(function: Function, env: ShardingEnv,
             report.probes_reused += 1
         else:
             signature = probe_action(function, env, action,
-                                     incremental=incremental,
                                      value_index=value_index)
             report.probes_run += 1
         signatures[action] = signature

@@ -23,7 +23,7 @@ scores them; the scheduler decides *how many are in flight at once* and
   ``process``, but the workers are **evaluator sessions on a plan
   server** (:mod:`repro.auto.server`): one socket connection per worker,
   primed once with the same ``(function, mesh, portable env state,
-  device, flags)`` payload, then streamed canonical action keys — one
+  device)`` payload, then streamed canonical action keys — one
   search fanning rollout waves across machines.  An unreachable server
   raises :class:`SchedulerUnavailable` at start, which ``mcts_search``
   catches to fall back to the serial backend.
@@ -43,7 +43,7 @@ scores them; the scheduler decides *how many are in flight at once* and
   decides placement).
 
 Workers are primed once per search with ``(function, mesh, portable env
-state, device, flags)``; under the default ``fork`` start method that
+state, device)``; under the default ``fork`` start method that
 transfer is free, and everything in the payload is picklable for ``spawn``
 platforms (see ``ShardingEnv.portable_state`` and
 ``StreamingEstimator.__getstate__``).
@@ -139,12 +139,18 @@ class RolloutScheduler:
 
     def __init__(self, wave_size: Optional[int] = None,
                  workers: Optional[int] = None,
+                 plan_server=None,
                  restart_budget: Optional[int] = None,
                  wave_timeout_s: Optional[float] = None,
+                 rpc_timeout_s: Optional[float] = None,
                  seed: int = 0):
         self.wave_size = wave_size
         self.workers = workers
         self.seed = seed
+        #: Only the ``remote`` backend reads these two.
+        self.plan_server = plan_server
+        self.rpc_timeout_s = (rpc_timeout_s if rpc_timeout_s is not None
+                              else DEFAULT_RPC_TIMEOUT_S)
         self.restart_budget = int(
             restart_budget if restart_budget is not None
             else _env_positive(ENV_RESTART_BUDGET, DEFAULT_RESTART_BUDGET)
@@ -312,9 +318,8 @@ class BatchedScheduler(RolloutScheduler):
 _WORKER_EVALUATOR: Optional[Evaluator] = None
 
 
-def _worker_init(function, mesh, portable_env, device, incremental,
-                 memoize, streaming, reconcile_cache,
-                 rollout_env="undo", shared_handle=None) -> None:
+def _worker_init(function, mesh, portable_env, device,
+                 shared_handle=None) -> None:
     global _WORKER_EVALUATOR
     # Re-arm the fault plan from PARTIR_FAULT_PLAN with *fresh* per-site
     # counters: a forked worker otherwise inherits the parent plan object
@@ -324,12 +329,8 @@ def _worker_init(function, mesh, portable_env, device, incremental,
     faults.reload_from_env()
     env = ShardingEnv(mesh)
     env.apply_portable_state(function, portable_env)
-    _WORKER_EVALUATOR = Evaluator(
-        function, env, device, incremental=incremental, memoize=memoize,
-        streaming=streaming, reconcile_cache=reconcile_cache,
-        rollout_env=rollout_env,
-    )
-    if shared_handle is not None and _WORKER_EVALUATOR._estimator is not None:
+    _WORKER_EVALUATOR = Evaluator(function, env, device)
+    if shared_handle is not None:
         store = sharedmemo.attach_store(shared_handle)
         _WORKER_EVALUATOR._estimator.attach_shared_store(store)
     # Prime the worker's per-op plan and reconcile-chain memos with the
@@ -354,7 +355,8 @@ def evaluate_with_deltas(evaluator: Evaluator, key: ActionKey):
     the main evaluator's observability (and the benchmark JSONs) reflect
     worker-side cache behavior, not just the main process's.  Shared by
     the process pool workers and the plan server's evaluator sessions —
-    both speak the same 13-tuple."""
+    both speak the same 13-tuple (slot 8, once the materializing path's
+    ``lower_calls``, is always 0: peers of either age unpack 13)."""
     stats = evaluator.root.stats
     before = (
         evaluator.propagate_time_s,
@@ -363,7 +365,6 @@ def evaluate_with_deltas(evaluator: Evaluator, key: ActionKey):
         stats.propagate_calls,
         evaluator.estimate_ops_reused,
         evaluator.reconcile_chain_hits,
-        evaluator.lower_calls,
         evaluator.shared_plan_hits,
         evaluator.prefix_actions_total,
         evaluator.prefix_actions_reused,
@@ -378,11 +379,11 @@ def evaluate_with_deltas(evaluator: Evaluator, key: ActionKey):
         stats.propagate_calls - before[3],
         evaluator.estimate_ops_reused - before[4],
         evaluator.reconcile_chain_hits - before[5],
-        evaluator.lower_calls - before[6],
-        evaluator.shared_plan_hits - before[7],
+        0,
+        evaluator.shared_plan_hits - before[6],
         evaluator.shared_memo_full,
-        evaluator.prefix_actions_total - before[8],
-        evaluator.prefix_actions_reused - before[9],
+        evaluator.prefix_actions_total - before[7],
+        evaluator.prefix_actions_reused - before[8],
     )
 
 
@@ -390,7 +391,7 @@ def _fold_delta(evaluator: Evaluator, result, store=None) -> None:
     """Fold one worker 13-tuple's counter deltas into the main evaluator
     (shared by the process and remote backends) and memoize its cost."""
     (key, cost, prop_dt, est_dt, ops, prop_calls, ops_reused,
-     chain_hits, lower_calls, shared_hits, shared_full,
+     chain_hits, _, shared_hits, shared_full,
      prefix_total, prefix_reused) = result
     evaluator.evaluations += 1
     evaluator.propagate_time_s += prop_dt
@@ -399,7 +400,6 @@ def _fold_delta(evaluator: Evaluator, result, store=None) -> None:
     evaluator.remote_propagate_calls += prop_calls
     evaluator.remote_ops_reused += ops_reused
     evaluator.remote_reconcile_hits += chain_hits
-    evaluator.lower_calls += lower_calls
     evaluator.remote_shared_plan_hits += shared_hits
     evaluator.remote_shared_full |= shared_full
     if shared_full and store is not None:
@@ -408,8 +408,7 @@ def _fold_delta(evaluator: Evaluator, result, store=None) -> None:
         store.note_remote_full()
     evaluator.remote_prefix_actions_total += prefix_total
     evaluator.remote_prefix_actions_reused += prefix_reused
-    if evaluator.memoize:
-        evaluator.table.store(tuple(map(tuple, key)), cost)
+    evaluator.table.store(tuple(map(tuple, key)), cost)
 
 
 class _AffinityScheduler(RolloutScheduler):
@@ -432,8 +431,7 @@ class _AffinityScheduler(RolloutScheduler):
         # engine extends with short rollbacks.
         for key in sorted(set(keys),
                           key=lambda key: (tours.get(key, ()), key)):
-            cached = evaluator.table.lookup(key) if evaluator.memoize \
-                else None
+            cached = evaluator.table.lookup(key)
             if cached is not None:
                 costs[key] = cached
             else:
@@ -512,30 +510,21 @@ class ProcessScheduler(_AffinityScheduler):
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        if evaluator.rollout_env == "undo":
-            # The undo engine's single env must be at the root (empty
-            # prefix) state before its shardings are snapshotted for the
-            # workers' baselines.
-            evaluator._env_for(())
+        # The evaluator's single env must be at the root (empty prefix)
+        # state before its shardings are snapshotted for the workers'
+        # baselines.
+        evaluator._env_for(())
         # Cross-worker shared plan memo: one shared-memory append log for
         # the whole search; the main evaluator joins too, so its baseline
         # evaluation seeds the store while the pools fork.
-        self._store = None
-        if evaluator._estimator is not None:
-            self._store = sharedmemo.create_store(context)
-            evaluator._estimator.attach_shared_store(self._store)
+        self._store = sharedmemo.create_store(context)
+        evaluator._estimator.attach_shared_store(self._store)
         root = evaluator.root
         initargs = (
             evaluator.function,
             root.mesh,
             root.portable_state(evaluator.function),
             evaluator.device,
-            evaluator.incremental,
-            evaluator.memoize,
-            evaluator.streaming,
-            evaluator._estimator._chains is not None
-            if evaluator._estimator else True,
-            evaluator.rollout_env,
             self._store.handle() if self._store is not None else None,
         )
         pools = []
@@ -691,32 +680,20 @@ class RemoteScheduler(_AffinityScheduler):
 
     name = "remote"
 
-    def __init__(self, wave_size: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 plan_server=None,
-                 restart_budget: Optional[int] = None,
-                 wave_timeout_s: Optional[float] = None,
-                 rpc_timeout_s: Optional[float] = None,
-                 seed: int = 0):
-        super().__init__(wave_size=wave_size, workers=workers,
-                         restart_budget=restart_budget,
-                         wave_timeout_s=wave_timeout_s, seed=seed)
-        if plan_server is None:
+    def __init__(self, **knobs):
+        super().__init__(**knobs)
+        if self.plan_server is None:
             raise ValueError(
                 "backend='remote' requires plan_server='host:port'"
             )
-        self.plan_server = plan_server
-        self.rpc_timeout_s = (rpc_timeout_s if rpc_timeout_s is not None
-                              else DEFAULT_RPC_TIMEOUT_S)
 
     def _start(self, evaluator: Evaluator) -> None:
         from repro.auto import rpc
 
         workers = self.workers or DEFAULT_WORKERS
-        if evaluator.rollout_env == "undo":
-            # Same discipline as the process backend: snapshot the root
-            # (empty prefix) state for the sessions' baselines.
-            evaluator._env_for(())
+        # Same discipline as the process backend: snapshot the root
+        # (empty prefix) state for the sessions' baselines.
+        evaluator._env_for(())
         root = evaluator.root
         init = {
             "kind": "eval_init",
@@ -724,12 +701,6 @@ class RemoteScheduler(_AffinityScheduler):
             "mesh": root.mesh,
             "env": root.portable_state(evaluator.function),
             "device": evaluator.device,
-            "incremental": evaluator.incremental,
-            "memoize": evaluator.memoize,
-            "streaming": evaluator.streaming,
-            "reconcile_cache": evaluator._estimator._chains is not None
-            if evaluator._estimator else True,
-            "rollout_env": evaluator.rollout_env,
         }
         self._init = init  # replayed verbatim by _reconnect
         connections = []
@@ -865,25 +836,13 @@ _SCHEDULERS = {
 }
 
 
-def make_scheduler(backend: str, wave_size: Optional[int] = None,
-                   workers: Optional[int] = None,
-                   plan_server=None,
-                   restart_budget: Optional[int] = None,
-                   wave_timeout_s: Optional[float] = None,
-                   rpc_timeout_s: Optional[float] = None,
-                   seed: int = 0) -> RolloutScheduler:
+def make_scheduler(backend: str, **knobs) -> RolloutScheduler:
+    """The ``backend`` scheduler; ``knobs`` are :class:`RolloutScheduler`'s
+    constructor keywords."""
     try:
         cls = _SCHEDULERS[backend]
     except KeyError:
         raise ValueError(
             f"unknown search backend {backend!r}; expected one of {BACKENDS}"
         )
-    if cls is RemoteScheduler:
-        return cls(wave_size=wave_size, workers=workers,
-                   plan_server=plan_server,
-                   restart_budget=restart_budget,
-                   wave_timeout_s=wave_timeout_s,
-                   rpc_timeout_s=rpc_timeout_s, seed=seed)
-    return cls(wave_size=wave_size, workers=workers,
-               restart_budget=restart_budget,
-               wave_timeout_s=wave_timeout_s, seed=seed)
+    return cls(**knobs)

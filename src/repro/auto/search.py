@@ -12,7 +12,7 @@ subsystem behind it has four seams:
 * :mod:`repro.auto.tree` — UCT node/selection policy with virtual loss (so
   several leaves can be in flight) and per-rollout RNG streams derived from
   ``(seed, node id)`` rather than one shared generator,
-* :mod:`repro.auto.evaluator` — the prefix-env + streaming-estimator
+* :mod:`repro.auto.evaluator` — the undo-log env + differential-estimator
   evaluation pipeline; ``evaluate`` is a pure function of the canonical
   (sorted, deduped) action set,
 * :mod:`repro.auto.scheduler` — the rollout backends: ``serial`` (the
@@ -24,9 +24,8 @@ subsystem behind it has four seams:
   ``partir_jit``/``AutomaticPartition`` calls warm-start from prior scores
   (``cache_dir=``).
 
-``memoize=False`` / ``incremental=False`` / ``streaming=False`` disable the
-caches / the worklist engine / the streaming evaluator without changing any
-result.  The backends agree on the best actions/cost across the fixed-seed
+Every search parameter is a field of :class:`SearchConfig`, declared and
+validated once.  The backends agree on the best actions/cost across the fixed-seed
 regression suite and the Fig 11 configs: evaluation purity makes every
 scored set backend-independent and the incumbent rule breaks exact cost
 ties deterministically, though a parallel wave does explore a different
@@ -37,6 +36,7 @@ property of these configs rather than a theorem.
 from __future__ import annotations
 
 import dataclasses
+import typing
 import warnings
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,21 +50,151 @@ from repro.auto import faults
 from repro.auto import prune as prune_mod
 from repro.auto.cache import table_for
 from repro.auto.evaluator import (
+    ACTION_SPACES,
     Evaluator,
     action_group_key,
-    action_legal,
     candidate_actions,
     try_apply_action,
 )
-from repro.auto.scheduler import SchedulerUnavailable, make_scheduler
+from repro.auto.prior import PRIOR_MODES
+from repro.auto.scheduler import (
+    BACKENDS,
+    SchedulerUnavailable,
+    make_scheduler,
+)
 from repro.auto.tree import ActionKey, TreePolicy, canonical_key
 
-# Backwards-compatible aliases (the pre-package module exposed these).
-_canonical = canonical_key
-_action_legal = action_legal
-_candidate_actions = candidate_actions
-_try_apply_action = try_apply_action
-_Evaluator = Evaluator
+
+@dataclasses.dataclass(frozen=True)
+class SearchConfig:
+    """Every parameter of one search, declared and validated once.
+
+    The first nine fields are the **plan identity**: two requests agreeing
+    on all of them (and on the function) are the same search, so they are
+    what the plan server keys its store on (:meth:`plan_identity`) and all
+    a plan request ships.  The remaining eight only decide *how* the
+    search executes and never change the returned actions or cost.
+
+    * ``budget`` rollouts of at most ``rollout_depth`` actions each, UCT
+      constant ``exploration``, per-rollout RNG streams from ``seed``.
+    * ``action_space``: ``"tagged"`` — input tilings of the ``max_inputs``
+      largest parameters plus mid-function ``TileTagged``/``SumTagged``
+      actions at up to ``max_tag_points`` tag points (auto-emitted at
+      matmul/scan/reduce outputs; :mod:`repro.ir.tagpoints`) and PIPELINE
+      actions — or ``"inputs"``, the classic input-tilings-only space.
+    * ``prune`` runs the action-space condenser (:mod:`repro.auto.prune`)
+      before the first rollout: one propagation probe per candidate keeps
+      one representative per propagation-equivalence class
+      (``SearchResult.candidates_total`` vs ``candidates_kept``).  Probe
+      signatures persist with ``cache_dir``.
+    * ``prior`` picks the warm-expansion scorer: ``"learned"`` (the
+      deterministic feature-hashed model of :mod:`repro.auto.prior`),
+      ``"group"`` (flat per-group warm means) or ``"none"``.
+    * ``backend`` selects the rollout scheduler (``serial`` / ``batched``
+      / ``process`` / ``remote``; :mod:`repro.auto.scheduler`), tuned by
+      ``workers`` and ``wave_size``.  On ``process``, workers pool their
+      lowering-plan and reconcile-chain memos through shared memory
+      (:mod:`repro.auto.sharedmemo`).
+    * ``cache_dir`` persists the transposition table **and the
+      per-action-group tree statistics** across calls (append-only, keyed
+      by the traced function's fingerprint): a warm search replays known
+      costs, seeds its UCT expansion from the persisted statistics
+      (``tree_prior_hits``) and its incumbent from the best known entry.
+    * ``plan_server="host:port"`` asks a :mod:`repro.auto.server` daemon
+      for the plan first: a store hit skips the local search and
+      ``plan_source`` records the tier; an unreachable server warns and
+      falls back to the local search.  With ``backend="remote"`` the
+      search runs *here* but fans its waves across the server's evaluator
+      sessions (falling back to ``serial`` if unreachable).
+    * ``restart_budget`` (worker re-forks / session reconnects per
+      search; default 1, env ``PARTIR_RESTART_BUDGET``),
+      ``wave_timeout_s`` (silent-worker deadline; default 300, env
+      ``PARTIR_WAVE_TIMEOUT_S``) and ``rpc_timeout_s`` (remote per-call
+      socket deadline; default 60) bound *recovery*, never results:
+      whatever fails, the search completes with the same best
+      actions/cost as the fault-free serial run at the same seed,
+      degrading to in-process evaluation in the limit
+      (``SearchResult.degraded_to``).
+
+    >>> SearchConfig.of(budget=8).plan_identity()["budget"]
+    8
+    >>> SearchConfig.of(bugdet=8)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+        ...
+    TypeError: unknown search option(s) ['bugdet']; valid fields: budget, ...
+    """
+
+    budget: int = 24
+    rollout_depth: int = 3
+    exploration: float = 0.5
+    seed: int = 0
+    max_inputs: int = 48
+    action_space: str = "tagged"
+    max_tag_points: int = 16
+    prune: bool = True
+    prior: str = "learned"
+    # -- execution only: everything below leaves the plan unchanged --------
+    backend: str = "serial"
+    workers: Optional[int] = None
+    wave_size: Optional[int] = None
+    cache_dir: Optional[str] = None
+    plan_server: Optional[str] = None
+    restart_budget: Optional[int] = None
+    wave_timeout_s: Optional[float] = None
+    rpc_timeout_s: Optional[float] = None
+
+    def __post_init__(self):
+        for name, allowed in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            # bool is an int: budget=True is a typo, not a budget of one.
+            if not isinstance(value, allowed) or (
+                    isinstance(value, bool) and bool not in allowed):
+                raise TypeError(
+                    f"search option {name}={value!r} must be "
+                    f"{' or '.join(t.__name__ for t in allowed)}")
+            if value is not None and not isinstance(value, str) \
+                    and value < 0:
+                raise ValueError(
+                    f"search option {name}={value!r} must not be negative")
+        for name, valid in (("action_space", ACTION_SPACES),
+                            ("prior", PRIOR_MODES), ("backend", BACKENDS)):
+            if getattr(self, name) not in valid:
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r}; "
+                    f"expected one of {valid}")
+
+    @classmethod
+    def of(cls, config: Optional["SearchConfig"] = None,
+           **fields) -> "SearchConfig":
+        """``config`` (default: the defaults) with ``fields`` overridden;
+        an unknown field name raises ``TypeError`` naming the valid ones."""
+        unknown = sorted(fields.keys() - _FIELD_TYPES.keys())
+        if unknown:
+            raise TypeError(
+                f"unknown search option(s) {unknown}; valid fields: "
+                f"{', '.join(_FIELD_TYPES)}")
+        config = config or cls()
+        return dataclasses.replace(config, **fields) if fields else config
+
+    def plan_identity(self) -> dict:
+        """The plan-identity fields, in declaration order (the ``"search"``
+        dict of a plan request; its values are the server's store key)."""
+        return {name: getattr(self, name) for name in _PLAN_IDENTITY}
+
+
+def _field_types() -> dict:
+    """``{field: accepted types}`` in declaration order, resolved once (a
+    config is built several times per served request)."""
+    types = {}
+    for name, hint in typing.get_type_hints(SearchConfig).items():
+        allowed = typing.get_args(hint) or (hint,)  # Optional[X] -> X, None
+        types[name] = allowed + (int,) if float in allowed else allowed
+    return types
+
+
+_FIELD_TYPES = _field_types()
+#: The leading fields that are a plan's identity (the rest only execute).
+_PLAN_IDENTITY = tuple(_FIELD_TYPES)[:9]
 
 
 @dataclasses.dataclass
@@ -89,12 +219,10 @@ class SearchResult:
     cache_hits: int = 0  # transposition-table hits
     propagate_calls: int = 0
     ops_processed: int = 0
-    #: Materializing lower() pipeline runs (0 on the streaming path).
-    lower_calls: int = 0
     #: Per-op lowering plans reused from the streaming evaluator's memo.
     estimate_ops_reused: int = 0
     #: Wall-clock split: env extension (apply + propagate) vs cost
-    #: evaluation (lower/fuse/estimate, streaming or materialized).
+    #: evaluation (the differential estimator).
     propagate_time_s: float = 0.0
     estimate_time_s: float = 0.0
     #: Which rollout scheduler ran the search.
@@ -104,8 +232,6 @@ class SearchResult:
     warm_cache_hits: int = 0
     #: Whole reconcile-chain costs reused by the streaming evaluator.
     reconcile_chain_hits: int = 0
-    #: Which rollout env engine maintained prefix state ("undo" | "fork").
-    rollout_env: str = "undo"
     #: Plans/chains served from the cross-worker shared memo (process
     #: backend; 0 elsewhere or when the shared store is unavailable).
     shared_plan_hits: int = 0
@@ -121,8 +247,7 @@ class SearchResult:
     #: at search start.
     prior_groups: int = 0
     #: Fraction of requested prefix actions the undo engine kept in place
-    #: instead of rolling back and re-applying (workers included; 0.0 for
-    #: the fork engine, which has no undo stack to reuse).
+    #: instead of rolling back and re-applying (workers included).
     prefix_reuse_ratio: float = 0.0
     #: Evaluation waves the scheduler formed (each rollout is its own wave
     #: on the serial backend).
@@ -203,7 +328,7 @@ def _warn_truncation(truncation: dict, max_inputs: int,
 
 def _request_plan(function: Function, env: ShardingEnv,
                   axes: Sequence[str], device: DeviceSpec,
-                  plan_server: str, **search_params):
+                  config: SearchConfig):
     """Ask the plan server for this function's plan.
 
     Returns ``(plan, circuit_open)``; ``plan=None`` means "search
@@ -215,6 +340,7 @@ def _request_plan(function: Function, env: ShardingEnv,
     counts as breaker success."""
     from repro.auto import rpc
 
+    plan_server = config.plan_server
     try:
         breaker = rpc.breaker_for(plan_server)
     except ValueError as exc:
@@ -251,7 +377,7 @@ def _request_plan(function: Function, env: ShardingEnv,
             "env": env.portable_state(function),
             "device": device,
             "axes": list(axes),
-            "search": dict(search_params),
+            "search": config.plan_identity(),
         })
     except rpc.RemoteError as exc:
         # The server processed the request (it is alive): breaker-wise a
@@ -283,64 +409,18 @@ def mcts_search(
     env: ShardingEnv,
     axes: Sequence[str],
     device: DeviceSpec = TPU_V3,
-    budget: int = 24,
-    rollout_depth: int = 3,
-    exploration: float = 0.5,
-    seed: int = 0,
-    max_inputs: int = 48,
-    incremental: bool = True,
-    memoize: bool = True,
-    streaming: bool = True,
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    wave_size: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    reconcile_cache: bool = True,
-    rollout_env: str = "undo",
-    action_space: str = "tagged",
-    max_tag_points: int = 16,
-    plan_server: Optional[str] = None,
-    prune: bool = True,
-    prior: str = "learned",
-    restart_budget: Optional[int] = None,
-    wave_timeout_s: Optional[float] = None,
-    rpc_timeout_s: Optional[float] = None,
+    config: Optional[SearchConfig] = None,
+    **fields,
 ) -> SearchResult:
     """UCT search; returns the best action sequence found.
 
-    ``incremental``/``memoize``/``streaming`` toggle the worklist
-    propagation engine, the transposition/prefix-env caches, and the
-    streaming cost evaluator; none of them changes the returned actions or
-    cost for a fixed seed (the streaming evaluator is bit-identical to the
-    materializing pipeline).  ``backend`` selects the rollout scheduler
-    (``serial``/``batched``/``process``; see :mod:`repro.auto.scheduler`),
-    ``workers``/``wave_size`` tune it, and ``cache_dir`` persists the
-    transposition table **and the per-action-group tree statistics**
-    across calls (append-only, keyed by the traced function's
-    fingerprint): a warm search replays known costs, seeds its UCT
-    expansion from the persisted statistics (``tree_prior_hits``), and
-    seeds its incumbent from the best entry the table already knows.
-    ``rollout_env`` picks the prefix-state engine: ``"undo"`` (default)
-    extends/retracts one mutable env through an undo log with incremental
-    re-estimation; ``"fork"`` is the classic env-per-prefix overlay fork.
-    Results are bit-identical either way.  ``action_space`` selects
-    ``"tagged"`` (default: input tilings plus mid-function
-    ``TileTagged``/``SumTagged`` actions at up to ``max_tag_points`` tag
-    points) or ``"inputs"`` (the classic input-tilings-only space).
-
-    ``prune=True`` (default) runs the action-space condenser
-    (:mod:`repro.auto.prune`) before the first rollout: one propagation
-    probe per candidate buckets actions by their fixed point and keeps
-    only one representative per equivalence class, so the rollout budget
-    never re-scores propagation-identical decisions.  Probe signatures
-    persist with ``cache_dir`` — warm runs bucket from the log without
-    probing.  ``prior`` selects the warm-expansion scorer: ``"learned"``
-    (default — the deterministic feature-hashed model of
-    :mod:`repro.auto.prior`), ``"group"`` (flat per-group warm means) or
-    ``"none"``.  Both knobs are semantic (they change which candidates
-    rollouts see / how warm runs expand) but backend-independent: the
-    probe pass and the model fit happen once, before scheduling, from
-    inputs every backend shares.
+    The search's parameters are the fields of :class:`SearchConfig`
+    (documented there); pass a ``config``, keyword overrides of it, or
+    both — an unknown keyword is a ``TypeError``.  Candidates are scored
+    by one evaluation pipeline (:class:`~repro.auto.evaluator.Evaluator`:
+    one mutable env moved by checkpoint/rollback, priced by the
+    journal-driven differential estimator), bit-identical to the
+    materializing reference pipeline.
 
     >>> from repro import Mesh, ShapeDtype, trace
     >>> from repro.core.sharding import ShardingEnv
@@ -351,40 +431,18 @@ def mcts_search(
     ...                      ["d"], budget=4, seed=0)
     >>> result.actions == sorted(set(result.actions))  # canonical form
     True
-    >>> (result.backend, result.rollout_env, result.action_space)
-    ('serial', 'undo', 'tagged')
+    >>> (result.backend, result.action_space)
+    ('serial', 'tagged')
     >>> result.tree_prior_hits  # no cache_dir: nothing warm to reuse
     0
-
-    ``plan_server="host:port"`` asks a :mod:`repro.auto.server` daemon for
-    the plan first: a store hit (exact or relaxed fingerprint tier) skips
-    the local search entirely and ``plan_source`` records the tier; an
-    unreachable server warns once and falls back to the local search.
-    With ``backend="remote"`` the search instead runs *here* but fans its
-    rollout waves across the server's evaluator sessions (falling back to
-    ``serial`` if the server is unreachable).
-
-    The fault-tolerance knobs — ``restart_budget`` (worker re-forks /
-    session reconnects per search; default 1, env
-    ``PARTIR_RESTART_BUDGET``), ``wave_timeout_s`` (silent-worker
-    deadline; default 300, env ``PARTIR_WAVE_TIMEOUT_S``) and
-    ``rpc_timeout_s`` (remote per-call socket deadline; default 60) —
-    bound *recovery*, never results: whatever fails, the search completes
-    with the same best actions/cost as the fault-free serial run at the
-    same seed, degrading to in-process evaluation in the limit (see
-    ``SearchResult.degraded_to``).
     """
+    config = SearchConfig.of(config, **fields)
+    backend = config.backend
     fired_before = faults.fired_count()
     server_circuit_open = False
-    if plan_server is not None and backend != "remote":
+    if config.plan_server is not None and backend != "remote":
         served, server_circuit_open = _request_plan(
-            function, env, axes, device, plan_server,
-            budget=budget, rollout_depth=rollout_depth,
-            exploration=exploration, seed=seed,
-            max_inputs=max_inputs,
-            action_space=action_space,
-            max_tag_points=max_tag_points,
-            prune=prune, prior=prior)
+            function, env, axes, device, config)
         if served is not None:
             reply_actions = canonical_key(
                 tuple(tuple(action) for action in served["actions"])
@@ -394,30 +452,25 @@ def mcts_search(
                 cost=float(served["cost"]),
                 evaluations=0,
                 backend=backend,
-                rollout_env=rollout_env,
-                action_space=action_space,
+                action_space=config.action_space,
                 plan_source=f"server:{served['tier']}",
-                prior_mode=prior,
+                prior_mode=config.prior,
                 faults_injected=faults.fired_count() - fired_before,
             )
     truncation: dict = {}
-    candidates = candidate_actions(function, env, axes, max_inputs,
-                                   action_space=action_space,
-                                   max_tag_points=max_tag_points,
+    candidates = candidate_actions(function, env, axes, config.max_inputs,
+                                   action_space=config.action_space,
+                                   max_tag_points=config.max_tag_points,
                                    truncation=truncation)
-    actions_truncated = _warn_truncation(truncation, max_inputs,
-                                         max_tag_points)
+    actions_truncated = _warn_truncation(truncation, config.max_inputs,
+                                         config.max_tag_points)
     candidates_total = len(candidates)
     # Snapshot before Evaluator.__init__: its root fixed point counts too.
     stats_before = env.stats.snapshot()
-    table = table_for(cache_dir, function, env.mesh, device, env)
-    evaluator = Evaluator(
-        function, env, device, incremental=incremental, memoize=memoize,
-        streaming=streaming, reconcile_cache=reconcile_cache, table=table,
-        rollout_env=rollout_env,
-    )
+    table = table_for(config.cache_dir, function, env.mesh, device, env)
+    evaluator = Evaluator(function, env, device, table=table)
     prune_report = None
-    if prune and candidates:
+    if config.prune and candidates:
         # Condense on the evaluator's root (the search's propagation fixed
         # point): each probe checkpoints, applies + propagates, reads the
         # write delta and rolls back — bit-identical env afterwards, so
@@ -425,21 +478,26 @@ def mcts_search(
         # probe signatures from the transposition log skip the probes; the
         # result never depends on which signatures were warm.
         prune_report = prune_mod.condense(
-            function, evaluator.root, candidates, incremental=incremental,
-            known_signatures=table.warm_probes() if memoize else None,
+            function, evaluator.root, candidates,
+            known_signatures=table.warm_probes(),
         )
         candidates = prune_report.kept
-        if memoize:
-            table.store_probes(prune_report.signatures)
+        table.store_probes(prune_report.signatures)
     groups = {
         action: action_group_key(function, env, action)
         for action in candidates
     }
-    scheduler = make_scheduler(backend, wave_size=wave_size,
-                               workers=workers, plan_server=plan_server,
-                               restart_budget=restart_budget,
-                               wave_timeout_s=wave_timeout_s,
-                               rpc_timeout_s=rpc_timeout_s, seed=seed)
+
+    def scheduler_for(name: str):
+        return make_scheduler(name, wave_size=config.wave_size,
+                              workers=config.workers,
+                              plan_server=config.plan_server,
+                              restart_budget=config.restart_budget,
+                              wave_timeout_s=config.wave_timeout_s,
+                              rpc_timeout_s=config.rpc_timeout_s,
+                              seed=config.seed)
+
+    scheduler = scheduler_for(backend)
     # Fork worker pools (a no-op for in-process backends) before the
     # baseline evaluation: worker cache-priming overlaps it.
     try:
@@ -449,8 +507,7 @@ def mcts_search(
             f"remote backend unavailable, falling back to serial: {exc}",
             RuntimeWarning,
         )
-        scheduler = make_scheduler("serial", wave_size=wave_size,
-                                   workers=workers, seed=seed)
+        scheduler = scheduler_for("serial")
         backend = scheduler.name
         scheduler.prepare(evaluator)
     try:
@@ -460,33 +517,32 @@ def mcts_search(
         raise
     best_key: ActionKey = ()
     best_cost = baseline
-    if memoize:
-        # Cross-call incumbent reuse: a warm table already knows the best
-        # schedule earlier searches scored, so a repeated call can never
-        # report worse than what is already on disk — even if this run's
-        # (prior-steered) rollouts explore elsewhere.  The log is shared
-        # per fingerprint across action spaces and axis subsets, so the
-        # incumbent is restricted to what THIS call may propose: no
-        # tagged actions for an inputs-only search, no actions on axes
-        # outside the caller's list.  (Enumeration caps — max_inputs /
-        # max_tag_points — are efficiency knobs, not semantic
-        # restrictions, so entries beyond them stay adoptable.)
-        axes_set = set(axes)
+    # Cross-call incumbent reuse: a warm table already knows the best
+    # schedule earlier searches scored, so a repeated call can never
+    # report worse than what is already on disk — even if this run's
+    # (prior-steered) rollouts explore elsewhere.  The log is shared per
+    # fingerprint across action spaces and axis subsets, so the incumbent
+    # is restricted to what THIS call may propose: no tagged actions for
+    # an inputs-only search, no actions on axes outside the caller's
+    # list.  (Enumeration caps — max_inputs / max_tag_points — are
+    # efficiency knobs, not semantic restrictions, so entries beyond them
+    # stay adoptable.)
+    axes_set = set(axes)
+    inputs_only = config.action_space == "inputs"
 
-        def proposable(key: ActionKey) -> bool:
-            return all(
-                action[3] in axes_set
-                and (action_space != "inputs"
-                     or action[0] == core_actions.TILE_INPUT)
-                for action in key
-            )
+    def proposable(key: ActionKey) -> bool:
+        return all(
+            action[3] in axes_set
+            and (not inputs_only or action[0] == core_actions.TILE_INPUT)
+            for action in key
+        )
 
-        warm_best = table.best_entry(key_filter=proposable)
-        if warm_best is not None and (
-            warm_best[1] < best_cost
-            or (warm_best[1] == best_cost and warm_best[0] < best_key)
-        ):
-            best_key, best_cost = warm_best
+    warm_best = table.best_entry(key_filter=proposable)
+    if warm_best is not None and (
+        warm_best[1] < best_cost
+        or (warm_best[1] == best_cost and warm_best[0] < best_key)
+    ):
+        best_key, best_cost = warm_best
 
     def on_result(key: ActionKey, cost: float) -> None:
         nonlocal best_key, best_cost
@@ -498,12 +554,11 @@ def mcts_search(
             best_cost = cost
             best_key = key
 
-    policy = TreePolicy(candidates, seed, exploration, rollout_depth,
-                        group_keys=groups,
-                        warm_priors=table.warm_priors() if memoize else None,
-                        prior=prior)
+    policy = TreePolicy(candidates, config.seed, config.exploration,
+                        config.rollout_depth, group_keys=groups,
+                        warm_priors=table.warm_priors(), prior=config.prior)
     try:
-        scheduler.run(policy, evaluator, budget, baseline, on_result)
+        scheduler.run(policy, evaluator, config.budget, baseline, on_result)
         # Witness minimization: random rollout completions often decorate
         # the true winner with actions that no-op in its context, and the
         # padded superset is what the incumbent saw first.  Greedily drop
@@ -521,8 +576,7 @@ def mcts_search(
         # worker OOM-kill): the append-only log makes partial progress
         # durable, so the next run warm-starts past it.  The tree
         # statistics ride along: each search appends its own delta.
-        if memoize:
-            table.store_priors(policy.live_stats)
+        table.store_priors(policy.live_stats)
         table.flush()
 
     stats_after = evaluator.root.stats.snapshot()
@@ -535,18 +589,16 @@ def mcts_search(
                          + evaluator.remote_propagate_calls),
         ops_processed=(stats_after[2] - stats_before[2]
                        + evaluator.remote_ops_processed),
-        lower_calls=evaluator.lower_calls,
         estimate_ops_reused=evaluator.estimate_ops_reused,
         propagate_time_s=evaluator.propagate_time_s,
         estimate_time_s=evaluator.estimate_time_s,
         backend=backend,
         warm_cache_hits=table.warm_hits,
         reconcile_chain_hits=evaluator.reconcile_chain_hits,
-        rollout_env=rollout_env,
         shared_plan_hits=(evaluator.shared_plan_hits
                           + evaluator.remote_shared_plan_hits),
         shared_memo_full=evaluator.shared_memo_full,
-        action_space=action_space,
+        action_space=config.action_space,
         tree_prior_hits=policy.tree_prior_hits,
         prior_groups=policy.prior_groups,
         prefix_reuse_ratio=evaluator.prefix_reuse_ratio,
@@ -561,7 +613,7 @@ def mcts_search(
         prune_probes_reused=(prune_report.probes_reused
                              if prune_report else 0),
         prune_time_s=prune_report.prune_time_s if prune_report else 0.0,
-        prior_mode=prior,
+        prior_mode=config.prior,
         faults_injected=faults.fired_count() - fired_before,
         workers_restarted=scheduler.workers_restarted,
         waves_retried=scheduler.waves_retried,
@@ -575,29 +627,9 @@ def run_automatic_partition(
     env: ShardingEnv,
     axes: Sequence[str],
     device: DeviceSpec = TPU_V3,
-    budget: int = 24,
-    rollout_depth: int = 3,
-    seed: int = 0,
-    max_inputs: int = 48,
-    incremental: bool = True,
-    memoize: bool = True,
-    streaming: bool = True,
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    wave_size: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    reconcile_cache: bool = True,
-    rollout_env: str = "undo",
-    action_space: str = "tagged",
-    max_tag_points: int = 16,
-    plan_server: Optional[str] = None,
-    prune: bool = True,
-    prior: str = "learned",
-    restart_budget: Optional[int] = None,
-    wave_timeout_s: Optional[float] = None,
-    rpc_timeout_s: Optional[float] = None,
+    config: Optional[SearchConfig] = None,
     result_sink: Optional[list] = None,
-    **_ignored,
+    **fields,
 ) -> int:
     """Entry point used by :class:`repro.api.AutomaticPartition`.
 
@@ -610,21 +642,8 @@ def run_automatic_partition(
     is a list, the full :class:`SearchResult` is appended to it (the API
     layer surfaces it as ``AutomaticPartition.last_search``).
     """
-    result = mcts_search(function, env, axes, device=device, budget=budget,
-                         rollout_depth=rollout_depth, seed=seed,
-                         max_inputs=max_inputs, incremental=incremental,
-                         memoize=memoize, streaming=streaming,
-                         backend=backend, workers=workers,
-                         wave_size=wave_size, cache_dir=cache_dir,
-                         reconcile_cache=reconcile_cache,
-                         rollout_env=rollout_env,
-                         action_space=action_space,
-                         max_tag_points=max_tag_points,
-                         plan_server=plan_server,
-                         prune=prune, prior=prior,
-                         restart_budget=restart_budget,
-                         wave_timeout_s=wave_timeout_s,
-                         rpc_timeout_s=rpc_timeout_s)
+    result = mcts_search(function, env, axes, device=device, config=config,
+                         **fields)
     if result_sink is not None:
         result_sink.append(result)
     # Replay the winner exactly the way the evaluator scored it: one
@@ -633,7 +652,7 @@ def run_automatic_partition(
     # later action's legality check would no longer see the propagated
     # state it was evaluated under), so the env would not realize
     # ``result.cost``.
-    propagate(function, env, incremental=incremental)
+    propagate(function, env, incremental=True)
     applied = 0
     for action in canonical_key(result.actions):
         if try_apply_action(function, env, action):
@@ -643,5 +662,5 @@ def run_automatic_partition(
             # A skipped action needs no re-propagation: the env is already
             # at a fixed point and the evaluator's sweep after a skipped
             # apply provably changes nothing.
-            propagate(function, env, incremental=incremental)
+            propagate(function, env, incremental=True)
     return applied

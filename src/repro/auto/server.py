@@ -47,23 +47,16 @@ from repro.auto.cache import TranspositionTable, function_fingerprint, \
 from repro.auto.evaluator import Evaluator
 from repro.auto.fingerprint import CanonicalForm, canonicalize
 from repro.auto.planstore import PlanRecord, PlanStore
-from repro.auto.search import mcts_search
-
-#: Search parameters that define a plan's identity: requests agreeing on
-#: all of these (and on the relaxed fingerprint) are "the same search" and
-#: may share a cache entry / an in-flight future.  Everything else —
-#: backend, rollout env, cache and streaming toggles — is bit-identical by
-#: the regression-pinned purity properties and deliberately excluded.
-SEMANTIC_PARAMS = ("budget", "rollout_depth", "exploration", "seed",
-                   "max_inputs", "action_space", "max_tag_points",
-                   "prune", "prior")
+from repro.auto.search import SearchConfig, mcts_search
 
 
-def params_key(axes, search_params: dict) -> Tuple:
-    key = [tuple(axes)]
-    for name in SEMANTIC_PARAMS:
-        key.append(search_params.get(name))
-    return tuple(key)
+def params_key(axes, config: SearchConfig) -> Tuple:
+    """A plan's identity: requests agreeing on the axes and on the config's
+    plan-identity fields (and on the relaxed fingerprint) are "the same
+    search" and may share a cache entry / an in-flight future.  The
+    execution-only fields are bit-identical by the regression-pinned
+    purity properties and deliberately excluded."""
+    return (tuple(axes),) + tuple(config.plan_identity().values())
 
 
 class _Inflight:
@@ -115,14 +108,7 @@ class _ConnectionHandler:
         function = message["function"]
         env = ShardingEnv(message["mesh"])
         env.apply_portable_state(function, message["env"])
-        self._evaluator = Evaluator(
-            function, env, message["device"],
-            incremental=message.get("incremental", True),
-            memoize=message.get("memoize", True),
-            streaming=message.get("streaming", True),
-            reconcile_cache=message.get("reconcile_cache", True),
-            rollout_env=message.get("rollout_env", "undo"),
-        )
+        self._evaluator = Evaluator(function, env, message["device"])
         self._server.note_eval_session()
         # Prime the plan/chain memos exactly like a process-pool worker.
         return self._evaluator.evaluate(())
@@ -147,7 +133,7 @@ class PlanServer:
     warm-start each other, and completed plans carry their search's
     per-action-group priors in the store record.  ``search_fn`` is an
     injection point for tests (defaults to :func:`mcts_search`);
-    ``search_defaults`` overrides the search's keyword defaults (e.g.
+    ``search_defaults`` overrides :class:`SearchConfig`'s defaults (e.g.
     ``{"backend": "process", "workers": 4}``).
 
     Hardening (passed through to the underlying
@@ -172,7 +158,8 @@ class PlanServer:
         self.cache_dir = cache_dir
         self.search_timeout = search_timeout
         self._search_fn = search_fn if search_fn is not None else mcts_search
-        self._search_defaults = dict(search_defaults or {})
+        self._search_defaults = SearchConfig.of(
+            **{"cache_dir": cache_dir, **(search_defaults or {})})
         self._inflight: Dict[Tuple, _Inflight] = {}
         self._lock = threading.Lock()
         self.searches_run = 0
@@ -242,8 +229,14 @@ class PlanServer:
         (function, mesh, device, env, canon,
          exact_fp) = self._request_context(message)
         axes = list(message["axes"])
-        search_params = dict(message.get("search", {}))
-        pkey = params_key(axes, search_params)
+        # Only the plan identity is the client's to choose; how the search
+        # executes here is the server's business.
+        search = message.get("search", {})
+        config = SearchConfig.of(self._search_defaults, **{
+            name: search[name]
+            for name in self._search_defaults.plan_identity()
+            if search.get(name) is not None})
+        pkey = params_key(axes, config)
         with self._lock:
             self.plan_requests += 1
         found = self.store.lookup(exact_fp, canon.digest, pkey)
@@ -272,7 +265,7 @@ class PlanServer:
             return self._reply(flight.record, "dedup", canon)
         try:
             record = self._run_search(function, env, axes, device,
-                                      search_params, canon, exact_fp, key)
+                                      config, canon, exact_fp, key)
             flight.record = record
         except BaseException as exc:
             flight.error = f"{type(exc).__name__}: {exc}"
@@ -283,21 +276,17 @@ class PlanServer:
             flight.event.set()
         return self._reply(record, "search", canon)
 
-    def _run_search(self, function, env, axes, device, search_params,
+    def _run_search(self, function, env, axes, device,
+                    config: SearchConfig,
                     canon: CanonicalForm, exact_fp: str,
                     key: Tuple) -> PlanRecord:
-        kwargs = dict(self._search_defaults)
-        for name in SEMANTIC_PARAMS:
-            if search_params.get(name) is not None:
-                kwargs[name] = search_params[name]
-        kwargs.setdefault("cache_dir", self.cache_dir)
         if faults.should_fire("server.search"):
             # Simulates the daemon's search crashing/timing out: the
             # client sees a RemoteError reply and falls back to a local
             # search (the degradation ladder's serving rung).
             raise RuntimeError("injected fault: server.search")
         result = self._search_fn(function, env, axes, device=device,
-                                 **kwargs)
+                                 config=config)
         priors: dict = {}
         if self.cache_dir is not None:
             # Reload the search's spool table: its accumulated per-group

@@ -25,9 +25,9 @@ Two memory-model properties carry the automatic-partitioning search:
   per *distinct* sharding rather than once per call.
 * **Undo-log checkpoints** (:meth:`ShardingEnv.checkpoint` /
   ``rollback`` / ``release``): O(writes) snapshot/rollback of the
-  mutable env — the zero-copy dual of :meth:`ShardingEnv.copy`'s overlay
-  fork — plus a write journal (:meth:`ShardingEnv.enable_journal`) that
-  tells incremental consumers exactly which values moved.
+  mutable env — the zero-copy alternative to :meth:`ShardingEnv.copy` —
+  plus a write journal (:meth:`ShardingEnv.enable_journal`) that tells
+  incremental consumers exactly which values moved.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class Sharding:
     def replicated(rank: int) -> "Sharding":
         # Interned: fully-replicated shardings are requested for every value
         # an env has never seen, so sharing one immutable instance per rank
-        # keeps overlay envs allocation-free on the default path.
+        # keeps the default path allocation-free.
         cached = _REPLICATED.get(rank)
         if cached is None:
             cached = _REPLICATED[rank] = intern_sharding(
@@ -327,9 +327,9 @@ class PropagationStats:
     """Observability counters for the propagation engine.
 
     The stats object is *shared* between an env and its :meth:`ShardingEnv.copy`
-    clones, so a pipeline that forks envs (e.g. the MCTS evaluating many
-    candidate schedules) accumulates one global tally.  Counters never feed
-    back into propagation decisions.
+    clones, so a pipeline that copies envs (e.g. the search's evaluation
+    root) accumulates one global tally.  Counters never feed back into
+    propagation decisions.
     """
 
     propagate_calls: int = 0
@@ -364,27 +364,16 @@ class ShardingEnv:
     bumped on every effective sharding update.  Incremental propagation seeds
     its worklist from the dirty set instead of sweeping the whole function.
 
-    Storage is a parent-chain overlay: :meth:`copy` freezes the env's own
-    writes into a shared immutable base map and hands the clone the same
-    chain, so forking a prefix-cache env costs O(delta written since the
-    last fork), not O(all values) — the search's per-tree-node copies were
-    previously a full-dict copy each.  Lookups probe the local delta then
-    the frozen bases newest-first; once the chain grows past
-    ``_FLATTEN_DEPTH`` it is squashed into one map to bound probe cost.
-    Frozen bases are never mutated, so parents and clones may diverge
-    freely after a fork.
+    Storage is one flat dict of the non-default shardings (an absent value
+    is replicated): a lookup is a single probe and :meth:`copy` is one
+    ``dict.copy()``.  The search copies an env once (the evaluator's root)
+    and moves it with :meth:`checkpoint`/:meth:`rollback` from there on.
     """
-
-    #: Squash the base chain into one dict once it grows past this depth.
-    _FLATTEN_DEPTH = 8
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        #: Frozen ancestor write-sets, oldest first.  Shared across copies;
-        #: never mutated after freezing.
-        self._bases: Tuple[Dict[Value, Sharding], ...] = ()
-        #: This env's own writes since the last fork.
-        self._delta: Dict[Value, Sharding] = {}
+        #: Every sharding ever written (absent = replicated).
+        self._shardings: Dict[Value, Sharding] = {}
         self.events: List[Event] = []
         #: Monotone counter: bumped once per sharding change.
         self.version: int = 0
@@ -413,13 +402,9 @@ class ShardingEnv:
         self._last_drain: Optional[Tuple[int, int]] = None
 
     def sharding(self, value: Value) -> Sharding:
-        existing = self._delta.get(value)
+        existing = self._shardings.get(value)
         if existing is not None:
             return existing
-        for base in reversed(self._bases):
-            existing = base.get(value)
-            if existing is not None:
-                return existing
         return Sharding.replicated(len(value.type.shape))
 
     def set_sharding(self, value: Value, sharding: Sharding) -> None:
@@ -443,7 +428,7 @@ class ShardingEnv:
             self._undo.append((value, previous))
         if self._journal is not None:
             self._journal.append(value)
-        self._delta[value] = sharding
+        self._shardings[value] = sharding
         self.version += 1
         self._write_serial += 1
         self._dirty.add(value)
@@ -457,7 +442,7 @@ class ShardingEnv:
         everything after it, including un-rolled-back inner checkpoints.
         Recording costs O(1) per checkpoint plus one ``(value, previous)``
         log entry per effective write while any checkpoint is outstanding —
-        the zero-copy dual of :meth:`copy`'s overlay fork.  All mutation
+        the zero-copy alternative to :meth:`copy`.  All mutation
         paths (``Tactic.apply``, ``propagate(..., incremental=True)``, the
         raw actions) funnel through :meth:`set_sharding`, so they append to
         the active log transparently.
@@ -487,10 +472,7 @@ class ShardingEnv:
         journal = self._journal
         for index in range(len(undo) - 1, token.undo_length - 1, -1):
             value, previous = undo[index]
-            # Restore by shadowing: writing the previous sharding into the
-            # live delta is exact whether the overwritten entry lived in
-            # the delta or in a frozen base (copy() may have run since).
-            self._delta[value] = previous
+            self._shardings[value] = previous
             self._write_serial += 1
             if journal is not None:
                 journal.append(value)
@@ -622,30 +604,21 @@ class ShardingEnv:
         self._dirty.clear()
 
     def copy(self, with_events: bool = True) -> "ShardingEnv":
-        """Clone the env in O(writes since the last fork).
+        """An independent clone: later writes on either side are invisible
+        to the other.
 
-        The env's own delta is frozen into the shared base chain (both the
-        parent and the clone keep reading it; neither ever mutates it), and
-        both sides continue with fresh empty deltas.  ``with_events=False``
-        starts the clone with an empty event log — for throwaway evaluation
-        envs (e.g. the search's prefix cache) that never read the caller's
-        history, so hundreds of cached copies don't each duplicate it.
+        The shardings are snapshotted with one ``dict.copy()`` — atomic
+        under the GIL, so another thread may copy an env that is being
+        written and still see a consistent map.  ``with_events=False``
+        starts the clone with an empty event log — for the search's
+        evaluation env, which never reads the caller's history.
 
         Clones never inherit undo state: outstanding checkpoints, the undo
         log and the write journal stay with ``self`` (a clone starts with
-        none of the three).  Forking while checkpoints are outstanding is
-        allowed — rollback restores by shadowing the frozen bases, so a
-        fork between checkpoint and rollback changes nothing."""
-        if self._delta:
-            self._bases = self._bases + (self._delta,)
-            self._delta = {}
-        if len(self._bases) > self._FLATTEN_DEPTH:
-            merged: Dict[Value, Sharding] = {}
-            for base in self._bases:
-                merged.update(base)
-            self._bases = (merged,)
+        none of the three), so copying between a checkpoint and its
+        rollback changes nothing."""
         clone = ShardingEnv(self.mesh)
-        clone._bases = self._bases
+        clone._shardings = self._shardings.copy()
         if with_events:
             clone.events = list(self.events)
         clone.version = self.version

@@ -11,17 +11,21 @@ transfers" — this module does exactly that over device-local programs:
   launch latencies),
 * peak memory from live-range analysis (:mod:`repro.sim.memory`).
 
-Two evaluation paths produce identical numbers:
+One reference and one fast path produce identical numbers:
 
-* :func:`estimate` walks a materialized, fused device-local
-  :class:`~repro.ir.function.Function` (the classic
-  ``lower -> fuse_collectives -> estimate`` pipeline), and
-* :class:`CostSink` + :class:`StreamingEstimator` price the lowering
-  *stream* directly — fusing collectives peephole-style as they are emitted
-  and accumulating the same :class:`CostEstimate` without ever allocating
-  IR.  The automatic-partitioning search uses this path; per-op lowering
-  plans are memoized on sharding signatures so an evaluation that extends a
-  cached prefix re-plans only the ops whose neighborhood changed.
+* :func:`estimate` — the reference — walks a materialized, fused
+  device-local :class:`~repro.ir.function.Function` (the
+  ``lower -> fuse_collectives -> estimate`` pipeline ``partir_jit`` runs
+  anyway, since the executor needs real IR), and
+* :meth:`StreamingEstimator.estimate_incremental` — the fast path the
+  automatic-partitioning search uses — prices the lowering *stream*
+  without ever allocating IR: per-op lowering plans and whole
+  reconcile-chain costs are memoized on sharding signatures, and an
+  evaluation of a mutated env re-resolves only the ops whose neighborhood
+  changed.  A fresh estimator (or ``changed_values=None``) rebuilds the
+  whole function, which is what :func:`estimate_streaming` does.
+  :class:`CostSink` prices loop bodies and records reconcile chains for it,
+  fusing collectives peephole-style as they are emitted.
 
 Absolute numbers are not calibrated against real hardware (the paper makes
 the same disclaimer); *relative* comparisons between schedules are the
@@ -64,16 +68,6 @@ class CostEstimate:
     comm_bytes: float
     peak_memory_bytes: float
     collective_time_s: Dict[str, float]
-
-    def merge_scaled(self, other: "CostEstimate", times: float) -> None:
-        self.compute_s += other.compute_s * times
-        self.comm_s += other.comm_s * times
-        self.local_flops += other.local_flops * times
-        self.comm_bytes += other.comm_bytes * times
-        for key, value in other.collective_time_s.items():
-            self.collective_time_s[key] = (
-                self.collective_time_s.get(key, 0.0) + value * times
-            )
 
 
 class ExactSum:
@@ -162,20 +156,6 @@ class _CostAcc:
             cell = self.coll[opcode] = [ExactSum(), 0]
         cell[0].add(seconds)
         cell[1] += 1
-
-    def add_scaled(self, other: "CostEstimate", times: float) -> None:
-        """A scan body's finalized estimate, scaled by its trip count: one
-        term per field (same shape in every path)."""
-        self.flops.add(other.local_flops * times)
-        self.compute_s.add(other.compute_s * times)
-        self.comm_bytes.add(other.comm_bytes * times)
-        self.comm_s.add(other.comm_s * times)
-        for opcode, seconds in other.collective_time_s.items():
-            cell = self.coll.get(opcode)
-            if cell is None:
-                cell = self.coll[opcode] = [ExactSum(), 0]
-            cell[0].add(seconds * times)
-            cell[1] += 1
 
     def apply(self, terms, sign: float, isign: int) -> None:
         """Apply a flattened cost bundle (the differential path's per-unit
@@ -711,10 +691,6 @@ class _MemoLowerer(Lowerer):
         math on the remaining per-evaluation hot path.
         """
         estimator = self._estimator
-        chains = estimator._chains
-        if chains is None or not isinstance(sink, CostSink):
-            return super()._reconcile(sink, value, actual, required,
-                                      allowed_pending)
         rank = actual.rank
         required_t = tuple(
             tuple(required.get(d, ())) for d in range(rank)
@@ -735,7 +711,7 @@ class _MemoLowerer(Lowerer):
         # guarantees one id per distinct layout, so the key hashes a few
         # ints instead of nested axis-string tuples.
         chain_key = (value.type, actual.iid, required_t, ar_axes)
-        entry = chains.get(chain_key)
+        entry = estimator._chains.get(chain_key)
         if entry is None:
             entry = estimator._miss_chain(
                 chain_key,
@@ -807,7 +783,7 @@ class _MemoLowerer(Lowerer):
 
 
 class StreamingEstimator:
-    """Fused lower + fuse_collectives + estimate in one incremental pass.
+    """Fused lower + fuse_collectives + estimate, without materializing IR.
 
     Reusable across many envs over the *same* function (the MCTS evaluates
     thousands): per-op lowering plans are memoized on the cached sharding
@@ -817,8 +793,7 @@ class StreamingEstimator:
     misses across the estimator's lifetime.
     """
 
-    def __init__(self, function: Function, mesh: Mesh, device: DeviceSpec,
-                 reconcile_cache: bool = True):
+    def __init__(self, function: Function, mesh: Mesh, device: DeviceSpec):
         self.function = function
         self.mesh = mesh
         self.device = device
@@ -833,11 +808,8 @@ class StreamingEstimator:
         # id() is safe: self.function keeps every op (and region op) alive.
         self._plans: Dict[int, Dict[tuple, object]] = {}
         # (value type, source layout iid, target layout, reduced axes) ->
-        # _ChainEntry.  None disables whole-chain reconcile caching (the
-        # equivalence tests exercise both paths).
-        self._chains: Optional[Dict[tuple, _ChainEntry]] = (
-            {} if reconcile_cache else None
-        )
+        # _ChainEntry: whole reconcile-chain costs.
+        self._chains: Dict[tuple, _ChainEntry] = {}
         #: Incremental re-estimation state bound to one mutable env (the
         #: undo-log rollout evaluator's); see :meth:`estimate_incremental`.
         self._inc: Optional["_IncrementalEstimate"] = None
@@ -868,8 +840,7 @@ class StreamingEstimator:
         state["_staged_chains"] = {}
         state["_ops_walk"] = None
         state["_op_pos"] = None
-        if state["_chains"] is not None:
-            state["_chains"] = {}
+        state["_chains"] = {}
         return state
 
     # -- cross-worker shared memo -------------------------------------------
@@ -918,7 +889,7 @@ class StreamingEstimator:
                     Sharding(ds, frozenset(ss), frozenset(ps))
                 )._iid
                 key = (value_type, iid, required_t, ar_axes)
-                if self._chains is not None and key not in self._chains:
+                if key not in self._chains:
                     self._staged_chains[key] = entry
 
     def _shared_flush(self) -> None:
@@ -942,7 +913,7 @@ class StreamingEstimator:
         """Resolve a local plan-memo miss: adopt a staged shared-store
         entry if one exists, else compute via ``plan_fn`` (counting the
         cold plan) and queue it for publication.  The one place the
-        adoption/counting semantics live — both the classic walk and the
+        adoption/counting semantics live — both the loop-body walk and the
         incremental resolver call through here."""
         plan = self._take_staged_plan(op, sig) \
             if self._shared is not None else None
@@ -992,14 +963,13 @@ class StreamingEstimator:
         Only ops adjacent to a changed value refresh their cached
         *resolved segment* (plan + reconcile-chain entries + live-range
         records, keyed by the interned ids of the adjacent shardings);
-        every op then *replays* its current segment into fresh
-        accumulators, which is bit-identical to the full streaming walk —
-        same floating-point additions in the same order, same live-range
-        log — at a fraction of the per-op cost.
+        the changed units' cost terms and live-range profiles are then
+        swapped into exact running totals, which is bit-identical to the
+        materializing ``lower -> fuse_collectives -> estimate`` pipeline on
+        every field.
 
         ``changed_values=None`` forces a full rebuild (always the case on
-        the first call for an env).  Requires the reconcile-chain cache;
-        falls back to :meth:`estimate` when it is disabled.
+        the first call for an env).
 
         A non-None ``changed_values`` is only trusted when the env's
         journal actually covers every write since this estimator last
@@ -1010,8 +980,6 @@ class StreamingEstimator:
         writes would reuse stale segments — so the call falls back to the
         exact full-rebuild path instead.
         """
-        if self._chains is None:
-            return self.estimate(env, overlap=overlap)
         inc = self._inc
         if inc is None or inc.env is not env:
             inc = self._inc = _IncrementalEstimate(self, env)
@@ -1026,21 +994,6 @@ class StreamingEstimator:
         result = inc.run(changed_values, overlap)
         inc.synced_serial = env.write_serial
         self._shared_flush()
-        return result
-
-    def estimate(self, env, overlap: bool = True) -> CostEstimate:
-        if self._shared is not None:
-            self._shared_sync()
-        lowerer = _MemoLowerer(env, self)
-        sink = CostSink(self.mesh, self.device)
-        stream = lowerer.lower_function(self.function, sink)
-        self._shared_flush()
-        result = stream.estimate
-        if overlap:
-            result.runtime_s = max(result.compute_s, result.comm_s)
-        else:
-            result.runtime_s = result.compute_s + result.comm_s
-        result.peak_memory_bytes = stream.peak_bytes
         return result
 
 
@@ -1064,11 +1017,11 @@ class _UnitState:
 class _IncrementalEstimate:
     """Segment-cached replay of the streaming estimate for one mutable env.
 
-    The full streaming walk (:meth:`StreamingEstimator.estimate`) spends
-    its time *resolving*: rebuilding per-op signature keys, fetching plans,
-    recomputing reconcile targets and re-pricing chains.  For a single env
-    mutated in place between evaluations, almost none of that changes —
-    so this class splits evaluation into:
+    A whole-function lowering walk spends its time *resolving*: rebuilding
+    per-op signature keys, fetching plans, recomputing reconcile targets
+    and re-pricing chains.  For a single env mutated in place between
+    evaluations, almost none of that changes — so this class splits
+    evaluation into:
 
     * **refresh** (dirty ops only): recompute the op's interned-signature
       key and look up / build its *resolved segment* — the operand
@@ -1230,11 +1183,11 @@ class _IncrementalEstimate:
     def run(self, changed_values, overlap: bool) -> CostEstimate:
         units = self._units
         sharding = self.env.sharding
-        # Direct delta probe with sharding() as the overlay-chain fallback:
-        # this loop touches tens of thousands of values per evaluation and
-        # the undo engine's env stores (nearly) every value in its own
-        # delta, so the method-call frame is pure overhead on the hit path.
-        delta_get = self.env._delta.get
+        # Direct probe of the env's store, with sharding() supplying the
+        # replicated default on a miss: this loop touches tens of thousands
+        # of values per evaluation, so the method-call frame is pure
+        # overhead on the hit path.
+        stored_get = self.env._shardings.get
         force = not self._primed or changed_values is None
         if force:
             self._primed = True
@@ -1249,7 +1202,7 @@ class _IncrementalEstimate:
             adjacent = self._adjacent
             seen = self._seen_iids
             for value in changed_values:
-                s = delta_get(value)
+                s = stored_get(value)
                 iid = s._iid if s is not None else sharding(value)._iid
                 if seen.get(value) == iid:
                     # Round-trip write: the value is back on the sharding
@@ -1282,7 +1235,7 @@ class _IncrementalEstimate:
                 continue
             unit = units[index]
             sig = tuple([
-                s._iid if (s := delta_get(v)) is not None
+                s._iid if (s := stored_get(v)) is not None
                 else sharding(v)._iid
                 for v in unit.sig_values
             ])
@@ -1365,7 +1318,7 @@ class _IncrementalEstimate:
         The cost terms feed ``math.fsum`` — the correctly-rounded true
         sum of the term multiset, i.e. the very float the differential
         path's ``ExactSum.value()`` reports — so the result stays
-        bit-identical to the streaming and materializing pipelines.  The
+        bit-identical to the materializing pipeline.  The
         integrated differential state is deliberately left stale; ``run``
         carries the debt in ``_stale_units``.
         """
@@ -1790,8 +1743,8 @@ class _IncrementalEstimate:
                                             required, set()))
         param_shardings = [Sharding.replicated(0)] + operand_shardings
         body_sink = CostSink(self.mesh, self.device)
-        # Fresh dedup scope for the body lowering, exactly like the classic
-        # walk's per-evaluation lowerer (stale id()-keyed entries from an
+        # Fresh dedup scope for the body lowering, as in a materializing
+        # lowering's per-call lowerer (stale id()-keyed entries from an
         # earlier resolve must never alias a new sink).
         self._lowerer._reduce_cache = {}
         body_result: _StreamResult = self._lowerer.lower_function(
@@ -2415,14 +2368,15 @@ class _IncrementalEstimate:
 
 def estimate_streaming(function: Function, env, device: DeviceSpec,
                        overlap: bool = True) -> CostEstimate:
-    """One-shot streaming estimate of ``function`` under ``env``.
+    """One-shot streaming estimate of ``function`` under ``env``: a fresh
+    estimator's whole-function rebuild.
 
     Numerically identical — bit-for-bit, including the per-collective time
     breakdown and peak memory — to
     ``estimate(fuse_collectives(lower(function, env)), device)``, without
     materializing the device-local IR.
     """
-    return StreamingEstimator(function, env.mesh, device).estimate(
+    return StreamingEstimator(function, env.mesh, device).estimate_incremental(
         env, overlap=overlap
     )
 

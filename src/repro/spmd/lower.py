@@ -358,12 +358,24 @@ class Lowerer:
             for d, axes in enumerate(result_sharding.dim_axes):
                 for axis in axes:
                     fid = rule.factor_of("out", r, d) if rule else None
-                    if fid is None:
+                    entries = [] if fid is None else [
+                        (i, dd) for side, i, dd in rule.factors[fid].entries
+                        if side == "in"
+                    ]
+                    # An operand dim the accumulated axes do not divide
+                    # (reshape (2,2)->(4,) tiled 4-way) cannot carry the
+                    # tiling: compute un-tiled, slice the result after —
+                    # and so must every inner axis of that result dim, or
+                    # the trailing slice would nest outside-in.
+                    if fid is None or d in unexplained[r] or any(
+                        op.operands[i].type.shape[dd] % self.mesh.group_size(
+                            set(required[i].get(dd, ())) | {axis})
+                        for i, dd in entries
+                    ):
                         unexplained[r].setdefault(d, []).append(axis)
                         continue
-                    for side, i, dd in rule.factors[fid].entries:
-                        if side == "in":
-                            require(i, dd, axis, result_sharding, d)
+                    for i, dd in entries:
+                        require(i, dd, axis, result_sharding, d)
             # Explain result pendings: deferred from operands, or introduced
             # by a contracting factor whose operands are tiled.
             for axis in result_sharding.sum_axes:

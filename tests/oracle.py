@@ -1,0 +1,50 @@
+"""The reference the search's fast evaluation path is checked against.
+
+``reference_cost`` prices a canonical action set from scratch through the
+materializing pipeline — fresh env, one full-sweep ``propagate`` per
+action, ``lower``, ``fuse_collectives``, ``costmodel.estimate`` — sharing
+no state, cache or code path with ``Evaluator`` beyond the action
+vocabulary.  ``Evaluator.evaluate(key) == reference_cost(key)``, bit for
+bit, is the one purity contract the suites and figure scripts pin.
+"""
+
+from repro.auto.evaluator import try_apply_action
+from repro.auto.tree import canonical_key
+from repro.core.propagate import propagate
+from repro.core.sharding import ShardingEnv
+from repro.sim import costmodel
+from repro.spmd import fuse_collectives, lower
+
+
+def reference_env(function, mesh, actions):
+    """A fresh env with ``actions`` applied in canonical order, one
+    full-sweep propagation fixed point per action."""
+    env = ShardingEnv(mesh)
+    propagate(function, env)
+    for action in canonical_key(actions):
+        try_apply_action(function, env, action)
+        propagate(function, env)
+    return env
+
+
+def reference_estimate(function, env, device, memo=None):
+    """The materializing ``lower -> fuse_collectives -> estimate``.
+
+    The estimate is a pure function of the env's shardings, so a caller
+    walking one function through checkpoint/rollback chains may pass a
+    dict as ``memo``: a revisited env state (every rollback lands on one)
+    reuses its estimate instead of re-lowering the whole function."""
+    memo = {} if memo is None else memo
+    key = env.portable_state(function)
+    if key not in memo:
+        lowered = lower(function, env)
+        lowered.function = fuse_collectives(lowered.function)
+        memo[key] = costmodel.estimate(lowered, device)
+    return memo[key]
+
+
+def reference_cost(function, mesh, actions, device):
+    """The search objective of ``actions``, priced from scratch."""
+    env = reference_env(function, mesh, actions)
+    return costmodel.search_objective(
+        reference_estimate(function, env, device), device)

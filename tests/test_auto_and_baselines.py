@@ -5,7 +5,8 @@ import pytest
 
 from repro import AutomaticPartition, ManualPartition, Mesh, ShapeDtype, trace
 from repro.core import ShardingEnv
-from repro.auto.search import _candidate_actions, mcts_search
+from repro.auto.evaluator import candidate_actions
+from repro.auto.search import mcts_search
 from repro.baselines import SingleTactic, gspmd_partition
 from repro.sim import TPU_V3, DeviceSpec, estimate
 from repro.spmd import count_collectives, fuse_collectives, lower
@@ -33,7 +34,7 @@ class TestAutomaticPartition:
     def test_candidate_actions_respect_divisibility(self):
         tf = _mlp_traced(batch=30)  # 30 % 4 != 0 on batch axis
         env = ShardingEnv(Mesh({"batch": 4}))
-        actions = _candidate_actions(tf.function, env, ["batch"])
+        actions = candidate_actions(tf.function, env, ["batch"])
         assert all(
             tf.function.params[i].type.shape[d] % 4 == 0
             for kind, i, d, _ in actions if kind == 0

@@ -1,17 +1,17 @@
-"""Differential-vs-streaming-vs-materialized bit-identity (PR 6 pin).
+"""Differential-vs-materialized bit-identity (PR 6 pin).
 
 The O(dirty) differential engine (`estimate_incremental`: subtract-old /
 add-new accounting over per-op cost contributions, exact-compensated
 running totals, segment-tree peak memory) must stay **field-exact** with
-both the one-pass streaming walk (`StreamingEstimator.estimate`) and the
-classic materializing ``lower -> fuse_collectives -> estimate`` pipeline —
-not approximately, bit for bit, on every :class:`CostEstimate` field.
+the materializing ``lower -> fuse_collectives -> estimate`` reference
+pipeline — not approximately, bit for bit, on every :class:`CostEstimate`
+field.
 
-60+ seeded rollout chains (13 seeds x 5 models: transformer, GNS, UNet,
+65 seeded rollout chains (13 seeds x 5 models: transformer, GNS, UNet,
 the interior-bottleneck ensemble and the microbatched pipeline stack —
 whose chains draw PIPELINE actions) drive checkpoint/apply/rollback
 trajectories with a *rollback-heavy* mix (~40% of steps unwind), checking
-the three-way equality after every step.  Rollbacks are where the
+the equality after every step.  Rollbacks are where the
 differential path earns its keep — and where stale segments, missed
 journal windows, or drifting compensation terms would show up first.
 """
@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from oracle import reference_estimate
 from repro.auto.evaluator import candidate_actions, try_apply_action
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
@@ -31,7 +32,6 @@ from repro.models import pipeline as pipeline_mod
 from repro.models import transformer
 from repro.models import unet as unet_mod
 from repro.sim import TPU_V3, costmodel
-from repro.spmd import fuse_collectives, lower
 
 MESH = Mesh({"batch": 4, "model": 2})
 
@@ -65,31 +65,27 @@ def _cases():
 CASES = _cases()
 
 
-def _materialized(function, env):
-    lowered = lower(function, env)
-    lowered.function = fuse_collectives(lowered.function)
-    return costmodel.estimate(lowered, TPU_V3)
-
-
 @pytest.mark.parametrize("case", range(len(CASES)),
                          ids=[name for name, _ in CASES])
 @pytest.mark.parametrize("seed", range(13))
 def test_differential_streaming_materialized_field_exact(case, seed):
-    """Three-way field-exact equality along rollback-heavy trajectories:
-    52 seeded chains, every step compared on every estimate field."""
+    """Differential == materialized along rollback-heavy trajectories: 65
+    seeded chains, every step compared on every estimate field.  The
+    streaming corner — the forced whole-function rebuild == materialized —
+    is ``test_streaming_equivalence.py``'s."""
     _, traced = CASES[case]
     function = traced.function
     env = ShardingEnv(MESH)
     propagate(function, env)
     env.enable_journal()
     differential = costmodel.StreamingEstimator(function, MESH, TPU_V3)
-    streaming = costmodel.StreamingEstimator(function, MESH, TPU_V3)
     candidates = candidate_actions(function, env, ["batch", "model"], 6)
     if not candidates:
         pytest.skip("no candidate actions for this trace")
 
     rng = random.Random(9000 * case + seed)
     tokens = []
+    reference = {}  # env state -> materialized estimate (rollbacks revisit)
     for step in range(12):
         # Rollback-heavy mix: ~40% of steps unwind part of the stack.
         if tokens and rng.random() < 0.4:
@@ -102,11 +98,10 @@ def test_differential_streaming_materialized_field_exact(case, seed):
             propagate(function, env, incremental=True)
             tokens.append(token)
         fast = differential.estimate_incremental(env, env.drain_journal())
-        streamed = streaming.estimate(env)
-        materialized = _materialized(function, env)
+        materialized = reference_estimate(function, env, TPU_V3, reference)
         for field in _FIELDS:
-            value = getattr(fast, field)
-            assert value == getattr(streamed, field), (step, field)
-            assert value == getattr(materialized, field), (step, field)
+            assert getattr(fast, field) == getattr(materialized, field), \
+                (step, field)
         # Field-exact implies dict-exact (collective breakdown included).
-        assert dataclasses.asdict(fast) == dataclasses.asdict(streamed), step
+        assert dataclasses.asdict(fast) == dataclasses.asdict(materialized), \
+            step

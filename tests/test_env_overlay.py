@@ -1,12 +1,10 @@
-"""ShardingEnv's overlay storage vs plain-dict copies (the copy() contract).
+"""ShardingEnv.copy() vs plain-dict copies (the copy() contract).
 
-``ShardingEnv.copy`` used to deep-copy the whole shardings dict per search
-tree node; it now freezes the env's delta into a shared base chain and
-forks in O(delta).  These tests drive random interleavings of writes,
-forks and reads over a tree of envs against a reference model backed by
-plain dict copies, and assert every env observes exactly the reference
-shardings — including writes made to a parent *after* it was forked (which
-must never leak into the child, and vice versa).
+These tests drive random interleavings of writes, copies and reads over a
+tree of envs against a reference model backed by plain dict copies, and
+assert every env observes exactly the reference shardings — including
+writes made to a parent *after* it was copied (which must never leak into
+the child, and vice versa), also with readers on other threads.
 """
 
 import random
@@ -27,7 +25,7 @@ def _values(n=24):
 
 
 class _ReferenceEnv:
-    """The old behavior: a full dict copy per fork."""
+    """The specification: a full dict copy per fork."""
 
     def __init__(self, shardings=None):
         self.shardings = dict(shardings or {})
@@ -89,61 +87,11 @@ def test_parent_writes_after_fork_stay_invisible():
     assert parent.sharding(values[1]).dim_axes == ((), ("b",))
 
 
-def test_deep_fork_chains_flatten():
-    """Chains deeper than the flatten threshold are squashed, keeping
-    lookups bounded while preserving every layer's writes."""
-    values = _values(ShardingEnv._FLATTEN_DEPTH * 3)
-    env = ShardingEnv(MESH)
-    expected = {}
-    for i, value in enumerate(values):
-        sharding = Sharding.replicated(2).with_tile(i % 2, AXES[i % 3])
-        env.set_sharding(value, sharding)
-        expected[value] = sharding
-        env = env.copy()  # one overlay layer per write
-    assert len(env._bases) <= ShardingEnv._FLATTEN_DEPTH + 1
-    for value, sharding in expected.items():
-        assert env.sharding(value) == sharding
-
-
-def test_fork_then_flatten_while_child_iterates():
-    """A child iterating its shardings must be immune to the parent
-    forking — and flattening its base chain — mid-iteration.  copy()
-    rebinds the parent's ``_bases``/``_delta`` to fresh objects; the
-    child's references (and any in-flight reader's) stay valid."""
-    values = _values(ShardingEnv._FLATTEN_DEPTH * 4)
-    parent = ShardingEnv(MESH)
-    expected = {}
-    for i, value in enumerate(values):
-        sharding = Sharding.replicated(2).with_tile(i % 2, AXES[i % 3])
-        parent.set_sharding(value, sharding)
-        expected[value] = sharding
-        parent = parent.copy()  # deep chain: next copies keep flattening
-    child = parent.copy()
-
-    reader = ((value, child.sharding(value)) for value in values)
-    seen = []
-    for step, (value, sharding) in enumerate(reader):
-        seen.append((value, sharding))
-        # Interleave: the parent keeps writing, forking and (past the
-        # depth threshold) squashing its chain while the child iterates.
-        parent.set_sharding(
-            values[step], Sharding.replicated(2).with_tile(0, "a")
-            if not expected[values[step]].uses("a")
-            else Sharding.replicated(2).with_tile(0, "b"))
-        parent.copy()
-    assert seen == [(value, expected[value]) for value in values]
-    # The child still observes only pre-fork state.
-    for value in values:
-        assert child.sharding(value) == expected[value]
-
-
 def test_concurrent_reads_during_forks_and_writes():
-    """Threaded readers hammering a child env while the parent writes,
-    forks and flattens never observe a torn or stale sharding.
-
-    ``sharding()`` probes the local delta before the frozen bases, and
-    ``copy()`` publishes the frozen delta *before* emptying it, so every
-    interleaving observes each value in exactly one layer."""
+    """Threaded readers hammering a child env while the parent writes and
+    copies never observe a torn or stale sharding: ``copy()`` snapshots
+    the store with one ``dict.copy()`` (atomic under the GIL) and the
+    child owns its snapshot outright."""
     import threading
 
     values = _values(32)
@@ -169,8 +117,7 @@ def test_concurrent_reads_during_forks_and_writes():
     readers = [threading.Thread(target=read_loop) for _ in range(4)]
     for thread in readers:
         thread.start()
-    # Parent churn: writes + forks force repeated freeze/flatten cycles of
-    # the base chain the child shares.
+    # Parent churn: writes + copies after the child took its snapshot.
     for round_index in range(200):
         scratch = _values(4)
         for value in scratch:
@@ -181,39 +128,3 @@ def test_concurrent_reads_during_forks_and_writes():
     for thread in readers:
         thread.join()
     assert not errors
-
-
-def test_child_fork_during_parent_flatten_preserves_all_layers():
-    """Forking a child exactly when the parent's chain squashes keeps
-    every layer's writes visible in both."""
-    values = _values(ShardingEnv._FLATTEN_DEPTH + 3)
-    env = ShardingEnv(MESH)
-    expected = {}
-    forks = []
-    for i, value in enumerate(values):
-        sharding = Sharding.replicated(2).with_tile(i % 2, AXES[i % 3])
-        env.set_sharding(value, sharding)
-        expected[value] = sharding
-        forks.append(env.copy())
-    # The last forks happened across the flatten threshold; every fork
-    # must see exactly the prefix of writes made before it.
-    for count, fork in enumerate(forks, start=1):
-        for value in values[:count]:
-            assert fork.sharding(value) == expected[value]
-        for value in values[count:]:
-            assert fork.sharding(value).is_fully_replicated()
-
-
-def test_copy_is_o_delta_not_o_total():
-    """A fork after a fixed point only snapshots the delta: the shared base
-    maps are reused by reference, not copied."""
-    values = _values(100)
-    env = ShardingEnv(MESH)
-    for i, value in enumerate(values):
-        env.set_sharding(value, Sharding.replicated(2).with_tile(0, "a"))
-    first = env.copy()
-    second = env.copy()
-    # Both copies share the frozen base maps with the parent.
-    assert first._bases is env._bases
-    assert second._bases is env._bases
-    assert not first._delta and not second._delta

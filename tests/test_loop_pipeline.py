@@ -27,8 +27,19 @@ import re
 import numpy as np
 import pytest
 
-from repro.api import ManualPartition, PipelinePartition, UNKNOWN
-from repro.auto.evaluator import candidate_actions, try_apply_action
+from oracle import reference_cost, reference_env, reference_estimate
+from repro.api import (
+    UNKNOWN,
+    AutomaticPartition,
+    ManualPartition,
+    PipelinePartition,
+    partir_jit,
+)
+from repro.auto.evaluator import (
+    Evaluator,
+    candidate_actions,
+    try_apply_action,
+)
 from repro.auto.search import mcts_search
 from repro.core import propagate, tile
 from repro.core.actions import PIPELINE, decode_action
@@ -49,7 +60,7 @@ from repro.models import schedules as sched
 from repro.runtime import MeshExecutor
 from repro.sim import TPU_V3, costmodel
 from repro.spmd import count_collectives, fuse_collectives, lower
-from repro.trace import ShapeDtype, ops, trace
+from repro.trace import ShapeDtype, ops, pytree, trace
 
 FIELDS = ("runtime_s", "compute_s", "comm_s", "local_flops", "comm_bytes",
           "peak_memory_bytes", "collective_time_s")
@@ -86,14 +97,6 @@ def trace_while(trip=3):
         return ops.while_loop(cond, body, (x,), trip_count_hint=trip)[0]
 
     return trace(f, ShapeDtype((8, 4)), ShapeDtype((4, 4))).function
-
-
-def materialized(function, env):
-    lowered = lower(function, env)
-    lowered = dataclasses.replace(
-        lowered, function=fuse_collectives(lowered.function)
-    )
-    return costmodel.estimate(lowered, TPU_V3)
 
 
 class TestLoopCarryPropagation:
@@ -292,39 +295,40 @@ class TestGoldenCollectives:
         fn = pm.trace_pipeline_transformer(pm.tiny()).function
         env = ShardingEnv(Mesh({"stage": 2}))
         sched.pp("stage").apply(fn, env)
-        estimate = materialized(fn, env)
+        estimate = reference_estimate(fn, env, TPU_V3)
         assert "pipeline_p2p" in estimate.collective_time_s
         assert estimate.collective_time_s["pipeline_p2p"] > 0
 
 
 class TestCrossBackendPins:
-    """Fixed-seed search determinism across schedulers and rollout envs."""
+    """Fixed-seed search determinism across schedulers, and against the
+    from-scratch reference, over the loop + PIPELINE action space."""
 
-    def run(self, backend, rollout_env):
+    MESH = Mesh({"stage": 2, "model": 2})
+
+    def run(self, backend):
         traced = pm.trace_pipeline_transformer(pm.tiny())
-        env = ShardingEnv(Mesh({"stage": 2, "model": 2}))
-        return mcts_search(
-            traced.function, env, ["stage", "model"], device=TPU_V3,
-            budget=8, seed=11, backend=backend, workers=2,
-            rollout_env=rollout_env,
+        return traced, mcts_search(
+            traced.function, ShardingEnv(self.MESH), ["stage", "model"],
+            device=TPU_V3, budget=8, seed=11, backend=backend, workers=2,
         )
 
-    def test_undo_equals_fork(self):
-        undo = self.run("serial", "undo")
-        fork = self.run("serial", "fork")
-        assert undo.actions == fork.actions
-        assert undo.cost == fork.cost
+    def test_search_matches_reference(self):
+        traced, serial = self.run("serial")
+        assert serial.cost == reference_cost(traced.function, self.MESH,
+                                             serial.actions, TPU_V3)
 
     def test_serial_equals_batched_equals_process(self):
-        serial = self.run("serial", "undo")
-        batched = self.run("batched", "undo")
-        process = self.run("process", "undo")
+        _, serial = self.run("serial")
+        _, batched = self.run("batched")
+        _, process = self.run("process")
         assert serial.actions == batched.actions == process.actions
         assert serial.cost == batched.cost == process.cost
 
 
 class TestEstimatePathIdentity:
-    """Three estimate paths bit-identical on pipelined programs."""
+    """Differential, forced-rebuild streaming and materialized estimates
+    bit-identical on pipelined programs."""
 
     @pytest.mark.parametrize("tracer", [
         pm.trace_pipeline_transformer, pm.trace_pipeline_moe,
@@ -336,14 +340,13 @@ class TestEstimatePathIdentity:
         propagate(fn, env)
         env.enable_journal()
         differential = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
-        streaming = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
         for tactic in (sched.pp("stage"), mp_tactic("model")):
             tactic.apply(fn, env, incremental=True)
             fast = differential.estimate_incremental(
                 env, env.drain_journal()
             )
-            streamed = streaming.estimate(env)
-            full = materialized(fn, env)
+            streamed = costmodel.estimate_streaming(fn, env, TPU_V3)
+            full = reference_estimate(fn, env, TPU_V3)
             for field in FIELDS:
                 value = getattr(fast, field)
                 assert value == getattr(streamed, field), field
@@ -389,3 +392,50 @@ class TestExecutionEquivalence:
         tile(env, fn.params[0], 0, "d")
         propagate(fn, env)
         self.check(fn, env)
+
+
+class TestIndivisibleOperandDim:
+    """The 2-expert MoE on a 4x2 mesh: a result tiling whose factor lands
+    on an operand dim the axis does not divide (``reshape (2,2) -> (4,)``
+    tiled 4-way over a replicated operand) lowers as compute-untiled +
+    trailing ``all_slice`` — it used to raise ``ShardingError: dim of size
+    2 not divisible by axes ('batch',)`` on 15 of the 138 candidates and
+    so on every search that drew one."""
+
+    MESH = Mesh({"batch": 4, "model": 2})
+
+    @staticmethod
+    def inputs(fn):
+        rng = np.random.RandomState(0)
+        return [np.abs(rng.randn(*p.type.shape)).astype(np.float32)
+                for p in fn.params]
+
+    def test_search_returns_and_executes(self):
+        traced = pm.trace_pipeline_moe(pm.tiny())
+        partitioned, _ = partir_jit(traced, self.MESH, [AutomaticPartition(
+            ["batch", "model"], {"budget": 8, "seed": 0})])
+        args = self.inputs(traced.function)
+        got, _ = pytree.flatten(
+            partitioned(*pytree.unflatten(traced.in_treedef, args)))
+        for have, want in zip(got, evaluate_function(traced.function, args)):
+            np.testing.assert_allclose(have, want, atol=1e-3)
+
+    def test_every_single_candidate_prices_and_executes(self):
+        fn = pm.trace_pipeline_moe(pm.tiny()).function
+        evaluator = Evaluator(fn, ShardingEnv(self.MESH), TPU_V3)
+        candidates = candidate_actions(fn, evaluator.root,
+                                       ["batch", "model"])
+        assert len(candidates) == 138
+        for action in candidates:
+            assert evaluator.evaluate((action,)) == reference_cost(
+                fn, self.MESH, (action,), TPU_V3), action
+        args = self.inputs(fn)
+        expected = evaluate_function(fn, args)
+        # The mid-function batch tilings are the ones that used to raise.
+        for action in candidates:
+            if action[0] != 1 or action[3] != "batch":
+                continue
+            lowered = lower(fn, reference_env(fn, self.MESH, (action,)))
+            lowered.function = fuse_collectives(lowered.function)
+            for got, want in zip(MeshExecutor(lowered)(*args), expected):
+                np.testing.assert_allclose(got, want, atol=1e-3)

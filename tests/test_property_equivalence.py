@@ -149,14 +149,13 @@ def random_loop_program(draw):
 @settings(max_examples=25, deadline=None)
 def test_loop_pipeline_partitioned_equals_unpartitioned(program, seed):
     """Random loop programs under random tile+pipeline schedules: the
-    partitioned run equals the reference, and the three estimate paths
-    (materializing, streaming, differential) stay field-exact."""
+    partitioned run equals the reference, and the differential estimate
+    stays field-exact with the materializing pipeline."""
     function, tiles, pipeline = program
     mesh = Mesh({"a": 2, "b": 2})
     env = ShardingEnv(mesh)
     env.enable_journal()
     differential = costmodel.StreamingEstimator(function, mesh, TPU_V3)
-    streaming = costmodel.StreamingEstimator(function, mesh, TPU_V3)
     if pipeline is not None:
         axis, schedule = pipeline
         (loop,) = [op for op in function.ops if op.opcode == "scan"]
@@ -170,16 +169,13 @@ def test_loop_pipeline_partitioned_equals_unpartitioned(program, seed):
         propagate(function, env)
     propagate(function, env)
     fast = differential.estimate_incremental(env, env.drain_journal())
-    streamed = streaming.estimate(env)
     lowered = lower(function, env)
     lowered = dataclasses.replace(
         lowered, function=fuse_collectives(lowered.function)
     )
     materialized = costmodel.estimate(lowered, TPU_V3)
     for field in _ESTIMATE_FIELDS:
-        value = getattr(fast, field)
-        assert value == getattr(streamed, field), field
-        assert value == getattr(materialized, field), field
+        assert getattr(fast, field) == getattr(materialized, field), field
     rng = np.random.RandomState(seed % (2 ** 31))
     args = [rng.randn(*p.type.shape).astype(np.float32) * 0.5
             for p in function.params]

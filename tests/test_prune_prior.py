@@ -187,14 +187,13 @@ class TestTruncationSurfacing:
 
 
 class TestPriorDeterminism:
-    def test_warm_runs_agree_across_backends_and_engines(self, tmp_path):
+    def test_warm_runs_agree_across_backends(self, tmp_path):
         function, _ = build_matmul_chain()
         cold = _search(function, cache_dir=str(tmp_path))
         assert cold.tree_prior_hits == 0  # nothing warm on a cold run
         outcomes = set()
         for kwargs in ({"backend": "serial"}, {"backend": "batched"},
-                       {"backend": "process", "workers": 2},
-                       {"rollout_env": "undo"}, {"rollout_env": "fork"}):
+                       {"backend": "process", "workers": 2}):
             warm = _search(function, cache_dir=str(tmp_path), **kwargs)
             assert warm.prior_mode == "learned"
             assert warm.tree_prior_hits > 0, kwargs

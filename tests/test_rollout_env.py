@@ -1,23 +1,26 @@
-"""Undo-log rollouts vs the classic fork engine (PR 4's tentpole contract).
+"""The search's one evaluation path vs the from-scratch reference.
 
-The two rollout env engines — ``"undo"`` (one mutable env + checkpoint/
-rollback + propagation-delta replay + journal-driven incremental
-re-estimation) and ``"fork"`` (env-per-prefix overlay copies + full
-streaming walks) — must be observationally identical: same best actions,
-same best cost, same evaluation/cache/propagation counters, on every
-backend and model, scan loops included.  The incremental estimator is
-additionally pinned field-exact (every ``CostEstimate`` component,
-floating point bit-for-bit) against the classic walk over randomized
-checkpoint/rollback chains.
+``Evaluator`` (one mutable env + checkpoint/rollback + propagation-delta
+replay + journal-driven differential re-estimation) must price every
+canonical action set bit-identically to ``oracle.reference_cost`` (fresh
+env, full-sweep propagation, the materializing lower/fuse/estimate
+pipeline): over rollback-heavy random chains and over every key a
+fixed-seed search stored, on every model, scan loops included.  The
+incremental estimator is additionally pinned field-exact (every
+``CostEstimate`` component, floating point bit-for-bit) against the
+materializing pipeline over randomized checkpoint/rollback chains.
 """
 
 import dataclasses
+import functools
 import random
 
 import pytest
 
+from oracle import reference_cost, reference_estimate
 from repro.auto.evaluator import Evaluator, candidate_actions, \
     try_apply_action
+from repro.auto.cache import table_for
 from repro.auto.search import mcts_search
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
@@ -53,90 +56,87 @@ def _cases():
 CASES = _cases()
 
 
+SEARCH = dict(device=TPU_V3, budget=10, rollout_depth=2, max_inputs=6,
+              seed=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _transformer_search(backend):
+    """One fixed-seed transformer search per backend, shared by the pins."""
+    return mcts_search(CASES[0][1].function, ShardingEnv(MESH),
+                       ["batch", "model"], backend=backend, workers=2,
+                       **SEARCH)
+
+
 @pytest.mark.parametrize("case", range(len(CASES)),
                          ids=[name for name, _ in CASES])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_undo_and_fork_search_results_identical(case, seed):
-    name, traced = CASES[case]
-    results = {}
-    for rollout_env in ("fork", "undo"):
-        env = ShardingEnv(MESH)
-        results[rollout_env] = mcts_search(
-            traced.function, env, ["batch", "model"], device=TPU_V3,
-            budget=10, rollout_depth=2, max_inputs=6, seed=seed,
-            rollout_env=rollout_env,
-        )
-    fork, undo = results["fork"], results["undo"]
-    for field in ("actions", "cost", "evaluations", "cache_hits",
-                  "propagate_calls", "ops_processed"):
-        assert getattr(fork, field) == getattr(undo, field), (name, field)
-    assert fork.rollout_env == "fork"
-    assert undo.rollout_env == "undo"
+def test_search_table_matches_reference(case, tmp_path):
+    """Every cost a fixed-seed search stored in its transposition table —
+    the reported best included — is the reference pipeline's."""
+    _, traced = CASES[case]
+    result = mcts_search(traced.function, ShardingEnv(MESH),
+                         ["batch", "model"], cache_dir=str(tmp_path),
+                         **SEARCH)
+    table = table_for(str(tmp_path), traced.function, MESH, TPU_V3,
+                      ShardingEnv(MESH))
+    assert len(table._costs) >= result.evaluations > 1
+    assert table._costs[tuple(result.actions)] == result.cost
+    for key, cost in table._costs.items():
+        assert cost == reference_cost(traced.function, MESH, key, TPU_V3), key
+
+
+@pytest.mark.parametrize("case", range(len(CASES)),
+                         ids=[name for name, _ in CASES])
+def test_evaluator_matches_reference_on_rollback_heavy_chains(case):
+    """Seeded key sequences that share, extend and abandon prefixes drive
+    the undo stack, the propagation-delta memo and the journal through
+    rollbacks; every ``compute`` equals the from-scratch reference."""
+    _, traced = CASES[case]
+    function = traced.function
+    evaluator = Evaluator(function, ShardingEnv(MESH), TPU_V3)
+    candidates = sorted(candidate_actions(function, evaluator.root,
+                                          ["batch", "model"], 6))
+    rng = random.Random(100 + case)
+    key = ()
+    for _ in range(10):
+        if key and rng.random() < 0.4:
+            key = key[:rng.randrange(len(key))]  # abandon a suffix
+        else:
+            key = tuple(sorted(set(key) | {rng.choice(candidates)}))
+        assert evaluator.compute(key) == reference_cost(
+            function, MESH, key, TPU_V3), key
 
 
 @pytest.mark.parametrize("backend", ["serial", "batched", "process"])
 def test_undo_identical_across_backends(backend):
     _, traced = CASES[0]
-    reference = None
-    env = ShardingEnv(MESH)
-    result = mcts_search(
-        traced.function, env, ["batch", "model"], device=TPU_V3,
-        budget=10, rollout_depth=2, max_inputs=6, seed=0,
-        backend=backend, workers=2, rollout_env="undo",
-    )
-    env = ShardingEnv(MESH)
-    reference = mcts_search(
-        traced.function, env, ["batch", "model"], device=TPU_V3,
-        budget=10, rollout_depth=2, max_inputs=6, seed=0,
-        backend="serial", rollout_env="fork",
-    )
+    result = _transformer_search(backend)
+    reference = _transformer_search("serial")
     assert result.actions == reference.actions
     assert result.cost == reference.cost
-
-
-@pytest.mark.parametrize("flags", [
-    {"memoize": False},
-    {"incremental": False},
-    {"streaming": False},
-    {"reconcile_cache": False},
-    {"memoize": False, "incremental": False, "streaming": False},
-])
-def test_undo_matches_fork_with_speed_layers_disabled(flags):
-    """The undo engine composes with every existing kill switch: disabling
-    memoization (no prop-delta replay, retract-to-root per rollout),
-    incremental propagation, streaming, or the chain cache (no incremental
-    estimation) never changes the fixed-seed outcome."""
-    _, traced = CASES[0]
-    results = {}
-    for rollout_env in ("fork", "undo"):
-        env = ShardingEnv(MESH)
-        results[rollout_env] = mcts_search(
-            traced.function, env, ["batch", "model"], device=TPU_V3,
-            budget=8, rollout_depth=2, max_inputs=6, seed=1,
-            rollout_env=rollout_env, **flags,
-        )
-    assert results["fork"].actions == results["undo"].actions
-    assert results["fork"].cost == results["undo"].cost
+    assert result.cost == reference_cost(traced.function, MESH,
+                                         result.actions, TPU_V3)
 
 
 @pytest.mark.parametrize("case", range(len(CASES)),
                          ids=[name for name, _ in CASES])
 def test_incremental_estimate_field_exact(case):
-    """estimate_incremental == estimate on every CostEstimate field (bit-
-    identical floats) over a randomized checkpoint/rollback chain."""
+    """estimate_incremental == the materializing pipeline on every
+    CostEstimate field (bit-identical floats) over a randomized
+    checkpoint/rollback chain."""
     _, traced = CASES[case]
     function = traced.function
     env = ShardingEnv(MESH)
     propagate(function, env)
     env.enable_journal()
     incremental = costmodel.StreamingEstimator(function, MESH, TPU_V3)
-    reference = costmodel.StreamingEstimator(function, MESH, TPU_V3)
     candidates = candidate_actions(function, env, ["batch", "model"], 6)
     if not candidates:
         pytest.skip("no candidates")
     rng = random.Random(case)
     tokens = []
-    for step in range(30):
+    reference = {}  # env state -> materialized estimate (rollbacks revisit)
+    for step in range(12):
         if rng.random() < 0.55 and len(tokens) < 4:
             token = env.checkpoint()
             try_apply_action(function, env, rng.choice(candidates))
@@ -147,7 +147,7 @@ def test_incremental_estimate_field_exact(case):
             env.rollback(tokens[index])
             del tokens[index:]
         fast = incremental.estimate_incremental(env, env.drain_journal())
-        slow = reference.estimate(env)
+        slow = reference_estimate(function, env, TPU_V3, reference)
         assert dataclasses.asdict(fast) == dataclasses.asdict(slow), step
 
 
@@ -162,7 +162,6 @@ def test_incremental_falls_back_on_unreliable_journal():
     env = ShardingEnv(MESH)
     propagate(function, env)
     inc = costmodel.StreamingEstimator(function, MESH, TPU_V3)
-    ref = costmodel.StreamingEstimator(function, MESH, TPU_V3)
     candidates = candidate_actions(function, env, ["batch", "model"], 8)
     assert len(candidates) >= 4
 
@@ -172,7 +171,7 @@ def test_incremental_falls_back_on_unreliable_journal():
 
     def check(fast):
         assert dataclasses.asdict(fast) == dataclasses.asdict(
-            ref.estimate(env))
+            reference_estimate(function, env, TPU_V3))
 
     # Journal disabled: an (empty) changed-values claim is unverifiable,
     # so it must not mask the writes that happened since the last run.
@@ -219,7 +218,7 @@ def test_undo_evaluator_reuses_propagation_deltas():
     _, traced = CASES[0]
     function = traced.function
     env = ShardingEnv(MESH)
-    evaluator = Evaluator(function, env, TPU_V3, rollout_env="undo")
+    evaluator = Evaluator(function, env, TPU_V3)
     candidates = candidate_actions(function, evaluator.root,
                                    ["batch", "model"], 6)
     key_a = (candidates[0],)
@@ -236,19 +235,8 @@ def test_process_backend_shared_memo_hits():
     """Workers must serve plans/chains from the cross-worker store: the
     shared-memo hit counter is positive and the result matches serial."""
     pytest.importorskip("multiprocessing.shared_memory")
-    _, traced = CASES[0]
-    env = ShardingEnv(MESH)
-    process = mcts_search(
-        traced.function, env, ["batch", "model"], device=TPU_V3,
-        budget=10, rollout_depth=2, max_inputs=6, seed=0,
-        backend="process", workers=2,
-    )
-    env = ShardingEnv(MESH)
-    serial = mcts_search(
-        traced.function, env, ["batch", "model"], device=TPU_V3,
-        budget=10, rollout_depth=2, max_inputs=6, seed=0,
-        backend="serial",
-    )
+    process = _transformer_search("process")
+    serial = _transformer_search("serial")
     assert process.actions == serial.actions
     assert process.cost == serial.cost
     assert process.shared_plan_hits > 0

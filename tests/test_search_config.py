@@ -1,0 +1,107 @@
+"""The search's configuration surface: one ``SearchConfig``, nothing else.
+
+Guards the shape the consolidation left behind — the 17 fields and their
+order (the first nine are the plan server's store key, so reordering them
+would orphan every saved plan), the two constructors that used to carry
+path-selection flags, wire compatibility with clients that still send
+those flags — and pins that a misspelled or ill-typed option is an error
+where the tactic is built, not a silently ignored keyword.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro import AutomaticPartition, Mesh
+from repro.auto import SearchConfig, rpc, server as server_mod
+from repro.auto.evaluator import Evaluator
+from repro.auto.search import mcts_search
+from repro.core.sharding import ShardingEnv
+from repro.sim import TPU_V3, costmodel
+
+from conftest import build_matmul_chain
+
+PLAN_IDENTITY = ("budget", "rollout_depth", "exploration", "seed",
+                 "max_inputs", "action_space", "max_tag_points", "prune",
+                 "prior")
+EXECUTION = ("backend", "workers", "wave_size", "cache_dir", "plan_server",
+             "restart_budget", "wave_timeout_s", "rpc_timeout_s")
+
+
+class TestSurface:
+    def test_fields_and_order(self):
+        names = tuple(f.name for f in dataclasses.fields(SearchConfig))
+        assert names == PLAN_IDENTITY + EXECUTION
+        assert tuple(SearchConfig().plan_identity()) == PLAN_IDENTITY
+
+    def test_params_key_matches_stores_written_before_the_config(self):
+        """What ``params_key`` returned for a default search when it was a
+        hand-kept list of names: a ``--store`` file saved then still hits."""
+        assert server_mod.params_key(["B", "M"], SearchConfig()) == (
+            ("B", "M"), 24, 3, 0.5, 0, 48, "tagged", 16, True, "learned")
+        # Execution fields never enter the key.
+        assert server_mod.params_key(
+            ["B", "M"], SearchConfig(backend="process", workers=4,
+                                     cache_dir="/tmp/x")
+        ) == server_mod.params_key(["B", "M"], SearchConfig())
+
+    def test_constructors_carry_no_path_flags(self):
+        evaluator = inspect.signature(Evaluator.__init__).parameters
+        assert list(evaluator) == ["self", "function", "env", "device",
+                                   "table"]
+        assert evaluator["table"].default is None
+        assert list(inspect.signature(
+            costmodel.StreamingEstimator.__init__).parameters) == [
+                "self", "function", "mesh", "device"]
+        assert not hasattr(costmodel.StreamingEstimator, "estimate")
+
+    def test_eval_init_from_an_older_client_is_accepted(self):
+        """Older clients also send the five retired path flags; the
+        session ignores them and prices on the one path."""
+        function, _ = build_matmul_chain()
+        mesh = Mesh({"B": 4, "M": 2})
+        expected = Evaluator(function, ShardingEnv(mesh),
+                             TPU_V3).evaluate(())
+        with server_mod.PlanServer() as server:
+            with rpc.connect(rpc.format_address(server.address)) as conn:
+                baseline = conn.request({
+                    "kind": "eval_init", "function": function,
+                    "mesh": mesh, "env": (), "device": TPU_V3,
+                    "incremental": False, "memoize": False,
+                    "streaming": False, "reconcile_cache": False,
+                    "rollout_env": "fork",
+                })
+        assert baseline == expected
+
+
+class TestBadOptionsFailAtConstruction:
+    def test_misspelled_option_raises_naming_the_fields(self):
+        with pytest.raises(TypeError, match=r"bugdet.*valid fields: budget"):
+            AutomaticPartition(["d"], {"bugdet": 4})
+        function, _ = build_matmul_chain()
+        with pytest.raises(TypeError, match="bugdet"):
+            mcts_search(function, ShardingEnv(Mesh({"B": 4})), ["B"],
+                        bugdet=4)
+
+    @pytest.mark.parametrize("options", [
+        {"budget": "4"}, {"budget": True}, {"prune": 1},
+        {"cache_dir": 7}, {"exploration": "high"},
+    ])
+    def test_ill_typed_option_raises(self, options):
+        with pytest.raises(TypeError, match=next(iter(options))):
+            AutomaticPartition(["d"], options)
+
+    @pytest.mark.parametrize("keywords", [
+        {"search_backend": "threads"}, {"action_space": "outputs"},
+        {"prior": "bogus"}, {"options": {"workers": -1}},
+    ])
+    def test_bad_value_raises(self, keywords):
+        with pytest.raises(ValueError):
+            AutomaticPartition(["d"], **keywords)
+
+    def test_valid_options_still_build(self):
+        tactic = AutomaticPartition(
+            ["d"], {"budget": 4, "exploration": 1, "device": TPU_V3},
+            search_backend="batched", prune=False)
+        assert tactic.options["backend"] == "batched"
