@@ -81,7 +81,6 @@ def exact_search(
     device: DeviceSpec = TPU_V3,
     max_nodes: int = 200_000,
     config: Optional[SearchConfig] = None,
-    **fields,
 ) -> ExactResult:
     """Certify the optimum canonical action set by branch and bound.
 
@@ -92,13 +91,12 @@ def exact_search(
     lexicographically smallest set — the same incumbent rule the MCTS
     uses, so `mcts best == exact best` is a meaningful equality.
 
-    The candidate space is described by the same :class:`SearchConfig`
-    fields the MCTS reads (``prune``, ``max_inputs``, ``action_space``,
-    ``max_tag_points``; pass a ``config`` or keyword overrides);
-    ``cache_dir`` reuses persisted condenser probe signatures and
+    Of ``config`` only the fields describing the candidate space are read
+    (``prune``, ``max_inputs``, ``action_space``, ``max_tag_points``) and
+    ``cache_dir``, which reuses persisted condenser probe signatures and
     contributes every scored subset back to the transposition log.
     """
-    config = SearchConfig.of(config, **fields)
+    config = config or SearchConfig()
     table = table_for(config.cache_dir, function, env.mesh, device, env)
     evaluator = Evaluator(function, env, device, table=table)
     candidates = candidate_actions(function, env, axes, config.max_inputs,

@@ -36,6 +36,7 @@ property of these configs rather than a theorem.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing
 import warnings
 from typing import List, Optional, Sequence, Tuple
@@ -152,8 +153,16 @@ class SearchConfig:
                 raise TypeError(
                     f"search option {name}={value!r} must be "
                     f"{' or '.join(t.__name__ for t in allowed)}")
-            if value is not None and not isinstance(value, str) \
-                    and value < 0:
+            if isinstance(value, numbers.Real) and not isinstance(
+                    value, (bool, int, float)):
+                # A numpy scalar: keep the builtin, so the seed hashes and
+                # the plan key pickles/serializes like the plain number.
+                value = (int if isinstance(value, numbers.Integral)
+                         else float)(value)
+                object.__setattr__(self, name, value)
+            # Counts and timeouts; ``seed``/``exploration`` may be negative.
+            if (isinstance(value, numbers.Real) and value < 0
+                    and name not in ("seed", "exploration")):
                 raise ValueError(
                     f"search option {name}={value!r} must not be negative")
         for name, valid in (("action_space", ACTION_SPACES),
@@ -185,11 +194,12 @@ class SearchConfig:
 def _field_types() -> dict:
     """``{field: accepted types}`` in declaration order, resolved once (a
     config is built several times per served request)."""
-    types = {}
-    for name, hint in typing.get_type_hints(SearchConfig).items():
-        allowed = typing.get_args(hint) or (hint,)  # Optional[X] -> X, None
-        types[name] = allowed + (int,) if float in allowed else allowed
-    return types
+    abstract = {int: numbers.Integral, float: numbers.Real}
+    return {
+        name: tuple(abstract.get(kind, kind)  # Optional[X] -> X, None
+                    for kind in typing.get_args(hint) or (hint,))
+        for name, hint in typing.get_type_hints(SearchConfig).items()
+    }
 
 
 _FIELD_TYPES = _field_types()

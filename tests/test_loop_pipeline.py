@@ -28,18 +28,10 @@ import numpy as np
 import pytest
 
 from oracle import reference_cost, reference_env, reference_estimate
-from repro.api import (
-    UNKNOWN,
-    AutomaticPartition,
-    ManualPartition,
-    PipelinePartition,
-    partir_jit,
-)
-from repro.auto.evaluator import (
-    Evaluator,
-    candidate_actions,
-    try_apply_action,
-)
+from repro.api import UNKNOWN, AutomaticPartition, ManualPartition, \
+    PipelinePartition, partir_jit
+from repro.auto.evaluator import Evaluator, candidate_actions, \
+    try_apply_action
 from repro.auto.search import mcts_search
 from repro.core import propagate, tile
 from repro.core.actions import PIPELINE, decode_action

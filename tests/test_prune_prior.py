@@ -30,7 +30,7 @@ from repro.auto.evaluator import candidate_actions
 from repro.auto.exact import ExactBudgetExceeded, exact_search
 from repro.auto.prior import LinearPrior
 from repro.auto.prune import NOOP_SIGNATURE, condense, probe_action
-from repro.auto.search import mcts_search
+from repro.auto.search import SearchConfig, mcts_search
 from repro.sim import DeviceSpec
 from repro.trace import ops
 
@@ -273,10 +273,10 @@ class TestExactOracle:
         and without the equivalence pre-pass (the pruned tree is just
         smaller)."""
         function, _ = build_matmul_chain()
-        pruned = exact_search(function, ShardingEnv(MESH), AXES,
-                              device=TINY_DEVICE, prune=True)
-        full = exact_search(function, ShardingEnv(MESH), AXES,
-                            device=TINY_DEVICE, prune=False)
+        pruned, full = (
+            exact_search(function, ShardingEnv(MESH), AXES,
+                         device=TINY_DEVICE, config=SearchConfig(prune=prune))
+            for prune in (True, False))
         assert pruned.cost == full.cost
         assert pruned.candidates < full.candidates
         assert pruned.prune_classes > 0 and full.prune_classes == 0
@@ -290,7 +290,8 @@ class TestExactOracle:
     def test_exact_contributes_to_the_transposition_log(self, tmp_path):
         function, _ = build_matmul_chain()
         oracle = exact_search(function, ShardingEnv(MESH), AXES,
-                              device=TINY_DEVICE, cache_dir=str(tmp_path))
+                              device=TINY_DEVICE,
+                              config=SearchConfig(cache_dir=str(tmp_path)))
         log_files = os.listdir(tmp_path)
         assert len(log_files) == 1
         records = [json.loads(line) for line in

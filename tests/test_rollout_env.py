@@ -136,7 +136,7 @@ def test_incremental_estimate_field_exact(case):
     rng = random.Random(case)
     tokens = []
     reference = {}  # env state -> materialized estimate (rollbacks revisit)
-    for step in range(12):
+    for step in range(30):
         if rng.random() < 0.55 and len(tokens) < 4:
             token = env.checkpoint()
             try_apply_action(function, env, rng.choice(candidates))

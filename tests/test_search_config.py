@@ -11,6 +11,7 @@ where the tactic is built, not a silently ignored keyword.
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro import AutomaticPartition, Mesh
@@ -105,3 +106,10 @@ class TestBadOptionsFailAtConstruction:
             ["d"], {"budget": 4, "exploration": 1, "device": TPU_V3},
             search_backend="batched", prune=False)
         assert tactic.options["backend"] == "batched"
+        # Only counts and timeouts must be non-negative, and numpy scalars
+        # are the numbers they hold (same seed stream, same store key).
+        config = SearchConfig(seed=-1, exploration=np.float32(0.5),
+                              budget=np.int64(3))
+        assert config == SearchConfig(seed=-1, budget=3)
+        assert type(config.budget) is int
+        assert type(config.exploration) is float
