@@ -9,8 +9,8 @@ over all D devices.  Three gates:
   estimated runtime is *strictly below* pure tensor's — tensor-parallel
   all_reduces grow with the model group while the pipeline's bubble
   ``(K-1)/(T+K-1)`` amortizes away with enough microbatches.
-* **Bit-identity**: on the hybrid lowering, the O(dirty) differential
-  engine agrees with the materializing ``lower -> fuse -> estimate``
+* **Bit-identity**: on the hybrid lowering, the search's journal-driven
+  estimate agrees with the materializing ``lower -> fuse -> estimate``
   reference field-exactly on every
   :class:`~repro.sim.costmodel.CostEstimate` field.
 * **Determinism**: a fixed-seed automatic search over the pipelined model
@@ -144,18 +144,17 @@ def check_crossover(pure, stages):
 
 
 def check_bit_identity(cfg):
-    """differential == materialized, field-exact, on the hybrid
+    """search estimate == materialized, field-exact, on the hybrid
     lowering."""
     mesh = Mesh({"stage": 4, "model": DEVICES // 4})
     traced = pm.trace_pipeline_transformer(cfg)
     env = ShardingEnv(mesh)
     propagate(traced.function, env)
     env.enable_journal()
-    differential = costmodel.StreamingEstimator(traced.function, mesh,
-                                                TPU_V3)
+    estimator = costmodel.StreamingEstimator(traced.function, mesh, TPU_V3)
     for tactic in (sched.pp("stage"), tensor_tactic("model")):
         tactic.apply(traced.function, env, incremental=True)
-    fast = differential.estimate_incremental(env, env.drain_journal())
+    fast = estimator.estimate_incremental(env, env.drain_journal())
     materialized = reference_estimate(traced.function, env, TPU_V3)
     for field in FIELDS:
         assert getattr(fast, field) == getattr(materialized, field), field
@@ -241,7 +240,7 @@ def main(argv=None):
             )
 
     payload["bit_identity"] = check_bit_identity(cfg)
-    print("  bit-identity: differential == materialized")
+    print("  bit-identity: search estimate == materialized")
 
     budget = 8 if args.smoke else 24
     payload["backend_identity"] = check_backend_identity(args.smoke, budget)

@@ -1,5 +1,5 @@
-"""Scoring canonical action sets: the undo-log env + differential-estimator
-pipeline.
+"""Scoring canonical action sets: the undo-log env + journal-driven
+estimator pipeline.
 
 The evaluator is the purity boundary the whole search subsystem leans on:
 ``evaluate(actions)`` is a pure function of the canonical action set (given
@@ -26,7 +26,9 @@ There is one evaluation path, checked against one reference:
   action — or a replay of that prefix's memoized write delta.
 * **pricing**: ``StreamingEstimator.estimate_incremental``
   (:mod:`repro.sim.costmodel`), driven by the env's write journal,
-  re-resolves only the ops adjacent to a value that moved.
+  refreshes only the ops adjacent to a value that moved (O(dirty)) and
+  then sums in one fold: an ``fsum`` over every op's precompiled segment
+  plan, with the pricing formulas in :mod:`repro.sim.terms`.
 * **reference**: a fresh env, one full-sweep ``propagate`` per canonical
   action, then ``lower -> fuse_collectives -> costmodel.estimate`` — the
   materializing pipeline ``partir_jit`` runs for the executor.  The tests'

@@ -12,8 +12,8 @@ subsystem behind it has four seams:
 * :mod:`repro.auto.tree` — UCT node/selection policy with virtual loss (so
   several leaves can be in flight) and per-rollout RNG streams derived from
   ``(seed, node id)`` rather than one shared generator,
-* :mod:`repro.auto.evaluator` — the undo-log env + differential-estimator
-  evaluation pipeline; ``evaluate`` is a pure function of the canonical
+* :mod:`repro.auto.evaluator` — the undo-log env + journal-driven
+  estimator evaluation pipeline; ``evaluate`` is a pure function of the canonical
   (sorted, deduped) action set,
 * :mod:`repro.auto.scheduler` — the rollout backends: ``serial`` (the
   classic loop, bit-identical), ``batched`` (waves scored through shared
@@ -232,7 +232,9 @@ class SearchResult:
     #: Per-op lowering plans reused from the streaming evaluator's memo.
     estimate_ops_reused: int = 0
     #: Wall-clock split: env extension (apply + propagate) vs cost
-    #: evaluation (the differential estimator).
+    #: evaluation (``estimate_incremental``: the O(dirty) segment refresh,
+    #: cold plan/chain resolution included, plus the one whole-function
+    #: fold over the segments' cost terms).
     propagate_time_s: float = 0.0
     estimate_time_s: float = 0.0
     #: Which rollout scheduler ran the search.
@@ -429,7 +431,7 @@ def mcts_search(
     both — an unknown keyword is a ``TypeError``.  Candidates are scored
     by one evaluation pipeline (:class:`~repro.auto.evaluator.Evaluator`:
     one mutable env moved by checkpoint/rollback, priced by the
-    journal-driven differential estimator), bit-identical to the
+    journal-driven streaming estimator), bit-identical to the
     materializing reference pipeline.
 
     >>> from repro import Mesh, ShapeDtype, trace

@@ -24,9 +24,9 @@ another action kind.
 Pricing inputs (stage split, bubble fraction, point-to-point bytes) are
 static functions of the body region, computed here and cached on the body
 :class:`~repro.ir.function.Function`; the lowering injects them as
-``pipeline_*`` attrs so every cost path (materialized, streaming,
-differential) prices the same numbers.  See
-:func:`repro.sim.costmodel.loop_cost_terms` for the cost formula.
+``pipeline_*`` attrs so both cost paths (the materializing reference
+and the search's streaming estimator) price the same numbers.  See
+:func:`repro.sim.terms.loop_cost_terms` for the cost formula.
 """
 
 from __future__ import annotations
@@ -290,9 +290,9 @@ def pipeline_schedule_attrs(op: Operation, env: ShardingEnv,
     """The ``pipeline_*`` attrs the lowering injects into a pipelined loop
     (empty when the loop carries no marker).
 
-    These are what every cost path prices from — computing them in exactly
-    one place is what keeps the materialized, streaming and differential
-    estimates bit-identical on pipelined programs.
+    These are what both cost paths price from — computing them in exactly
+    one place is what keeps the materialized and streaming estimates
+    bit-identical on pipelined programs.
     """
     marker = pipeline_marker(env, op)
     if marker is None:

@@ -10,9 +10,11 @@ The analysis runs over a :class:`LiveRangeLog` — a compact stream of
 ``(operand uids, result (uid, nbytes) pairs, alias flag, transient extra)``
 records.  :func:`peak_live_bytes` builds the log by walking a materialized
 :class:`~repro.ir.function.Function`; the streaming cost evaluator
-(:class:`repro.sim.costmodel.CostSink`) appends the identical records as it
-prices the lowered stream, so both paths share one peak-memory algorithm
-without the streaming path ever allocating IR objects.
+(:class:`repro.sim.costmodel.CostSink`, and the search estimator's
+per-evaluation segment replay) appends the identical records as it prices
+the lowered stream, so both paths share one peak-memory algorithm —
+:meth:`LiveRangeLog.peak_bytes`, a linear walk — without the streaming
+path ever allocating IR objects.
 """
 
 from __future__ import annotations
@@ -127,52 +129,6 @@ class LiveRangeLog:
                     if uid not in last_use and uid not in out_roots:
                         live -= size
         return peak
-
-
-class PeakSegmentTree:
-    """Max-prefix-sum segment tree over per-unit live-byte profiles.
-
-    Each leaf summarizes one contiguous run of live-range records (a
-    *unit*) as ``(net, pre)``: the unit's net change to the number of live
-    bytes, and the maximum prefix sum (peak candidate) reached inside it,
-    relative to the unit's entry.  The combine rule
-
-    ``net = l.net + r.net``  and  ``pre = max(l.pre, l.net + r.pre)``
-
-    makes the root's ``pre`` the global peak over the whole record stream.
-    All values are integers, so the result is exactly the peak the full
-    :meth:`LiveRangeLog.peak_bytes` walk would compute — updating one
-    leaf is O(log n) instead of re-walking every record.
-
-    An identity leaf ``(0, 0)`` stands for an empty unit: it contributes a
-    harmless peak candidate equal to the running live total at its
-    boundary, which is never above the true peak (live bytes are
-    non-negative and every real candidate is checked by its own unit).
-    """
-
-    __slots__ = ("_size", "_net", "_pre")
-
-    def __init__(self, leaves: int):
-        size = 1
-        while size < max(leaves, 1):
-            size *= 2
-        self._size = size
-        self._net = [0] * (2 * size)
-        self._pre = [0] * (2 * size)
-
-    def update(self, index: int, net: int, pre: int) -> None:
-        i = index + self._size
-        nets, pres = self._net, self._pre
-        nets[i], pres[i] = net, pre
-        i >>= 1
-        while i:
-            left, right = 2 * i, 2 * i + 1
-            nets[i] = nets[left] + nets[right]
-            pres[i] = max(pres[left], nets[left] + pres[right])
-            i >>= 1
-
-    def peak(self) -> int:
-        return self._pre[1]
 
 
 def peak_live_bytes(function: Function) -> int:

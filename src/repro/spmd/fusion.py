@@ -19,7 +19,8 @@ once up front rather than re-walked inside every rebuild.
 
 The same peepholes are applied in-stream — without materializing the
 function at all — by :class:`repro.sim.costmodel.CostSink` on the search's
-streaming cost-evaluation path.
+streaming cost-evaluation path (fused chains are recorded once, as cost
+terms, and replayed from the estimator's chain memo).
 """
 
 from __future__ import annotations

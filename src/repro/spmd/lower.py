@@ -20,9 +20,10 @@ emission target is a pluggable sink:
   :func:`lower` (and therefore ``partir_jit`` and the executor) use.
 * :class:`repro.sim.costmodel.CostSink` prices the same emission stream
   directly — applying the collective-fusion peepholes in-stream and
-  accumulating a :class:`~repro.sim.costmodel.CostEstimate` — without
+  accumulating the cost terms of :mod:`repro.sim.terms` — without
   allocating a single :class:`Operation`/:class:`Value`.  The automatic-
-  partitioning search evaluates thousands of candidate shardings through it.
+  partitioning search prices loop bodies and records reconcile chains
+  through it.
 
 **Plan/execute split.**  Per-op lowering is two phases: :meth:`Lowerer.
 _plan_op` computes the op's reconciliation *plan* (required per-operand
@@ -31,7 +32,8 @@ trailing slices) purely from the adjacent shardings, and :meth:`Lowerer.
 _execute_plan` replays a plan into a sink.  A plan is a pure function of
 ``(op, operand shardings, result shardings)`` — the streaming cost
 evaluator memoizes plans on the shardings' cached signatures and only
-re-plans ops whose neighborhood changed, mirroring incremental propagation.
+re-plans ops whose neighborhood changed, mirroring incremental propagation
+(its per-evaluation sum is one fold over every op's memoized segment).
 
 The sink protocol (duck-typed):
 

@@ -1,9 +1,9 @@
-"""Differential-vs-materialized bit-identity (PR 6 pin).
+"""Search-estimate-vs-materialized bit-identity (PR 6 pin).
 
-The O(dirty) differential engine (`estimate_incremental`: subtract-old /
-add-new accounting over per-op cost contributions, exact-compensated
-running totals, segment-tree peak memory) must stay **field-exact** with
-the materializing ``lower -> fuse_collectives -> estimate`` reference
+The search's estimator (`estimate_incremental`: an O(dirty) refresh of
+per-op segments from the env's write journal, then one fold over every
+segment's cost terms and live-range records) must stay **field-exact**
+with the materializing ``lower -> fuse_collectives -> estimate`` reference
 pipeline — not approximately, bit for bit, on every :class:`CostEstimate`
 field.
 
@@ -11,9 +11,11 @@ field.
 the interior-bottleneck ensemble and the microbatched pipeline stack —
 whose chains draw PIPELINE actions) drive checkpoint/apply/rollback
 trajectories with a *rollback-heavy* mix (~40% of steps unwind), checking
-the equality after every step.  Rollbacks are where the
-differential path earns its keep — and where stale segments, missed
-journal windows, or drifting compensation terms would show up first.
+the equality after every step.  Rollbacks are where the journal-driven
+refresh earns its keep — and where stale segments or missed journal
+windows would show up first.  Each chain ends by pricing its final env
+with a fresh estimator: the long-lived one's answer must not depend on
+the history it was driven through.
 """
 
 import dataclasses
@@ -69,8 +71,8 @@ CASES = _cases()
                          ids=[name for name, _ in CASES])
 @pytest.mark.parametrize("seed", range(13))
 def test_differential_streaming_materialized_field_exact(case, seed):
-    """Differential == materialized along rollback-heavy trajectories: 65
-    seeded chains, every step compared on every estimate field.  The
+    """Search estimate == materialized along rollback-heavy trajectories:
+    65 seeded chains, every step compared on every estimate field.  The
     streaming corner — the forced whole-function rebuild == materialized —
     is ``test_streaming_equivalence.py``'s."""
     _, traced = CASES[case]
@@ -105,3 +107,8 @@ def test_differential_streaming_materialized_field_exact(case, seed):
         # Field-exact implies dict-exact (collective breakdown included).
         assert dataclasses.asdict(fast) == dataclasses.asdict(materialized), \
             step
+    # The fold is order- and history-free: a fresh estimator's whole-function
+    # refresh of the chain's final env lands on the long-lived one's answer.
+    fresh = costmodel.StreamingEstimator(function, MESH, TPU_V3)
+    assert dataclasses.asdict(fresh.estimate_incremental(env)) \
+        == dataclasses.asdict(fast)
