@@ -41,10 +41,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.propagate import propagate
-from repro.core.sharding import ShardingEnv, enumerate_function_values
+from repro.core.sharding import (
+    Sharding,
+    ShardingEnv,
+    enumerate_function_values,
+)
 from repro.ir.function import Function
 
 #: An action wire tuple ``(kind, index, dim, axis)``.
@@ -89,11 +94,30 @@ def footprint_digest(delta: Sequence[Tuple[int, Tuple]]) -> str:
     """
     if not delta:
         return NOOP_SIGNATURE
-    hasher = hashlib.blake2b(digest_size=12)
-    for index, portable in sorted(delta):
-        hasher.update(repr((index, portable)).encode())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
+    return _hash_lines(repr(pair) for pair in sorted(delta))
+
+
+def delta_digest(delta: Sequence[Tuple[int, Sharding]]) -> str:
+    """:func:`footprint_digest` of ``[(i, s.to_portable()), ...]`` for
+    *canonical* shardings at distinct value indices (what a probe's
+    :meth:`ShardingEnv.writes_since` yields), without building or
+    formatting a portable tuple per write: ``repr((i, portable))`` is
+    ``"(i, " + repr(portable) + ")"``, and every canonical sharding
+    carries ``repr(portable)`` as :attr:`Sharding.portable_repr`.  The
+    bytes hashed are the same, so the digests are — they have to be:
+    digests persist as ``"pa"`` records in transposition logs.
+    """
+    if not delta:
+        return NOOP_SIGNATURE
+    return _hash_lines(
+        f"({index}, {sharding.portable_repr})"
+        for index, sharding in sorted(delta, key=itemgetter(0)))
+
+
+def _hash_lines(lines: Iterable[str]) -> str:
+    # Each line is followed by a NUL (which encodes to the one byte).
+    data = "".join(f"{line}\x00" for line in lines).encode()
+    return hashlib.blake2b(data, digest_size=12).hexdigest()
 
 
 def probe_action(function: Function, env: ShardingEnv, action: ActionTuple,
@@ -119,12 +143,12 @@ def probe_action(function: Function, env: ShardingEnv, action: ActionTuple,
         if try_apply_action(function, env, action):
             propagate(function, env, incremental=True)
         delta = [
-            (value_index[value], sharding.to_portable())
+            (value_index[value], sharding)
             for value, sharding in env.writes_since(token)
         ]
     finally:
         env.rollback(token)
-    return footprint_digest(delta)
+    return delta_digest(delta)
 
 
 def condense(function: Function, env: ShardingEnv,

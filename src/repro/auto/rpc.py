@@ -360,6 +360,14 @@ class RpcServer:
 
     def stop(self) -> None:
         self._stopping.set()
+        # close() alone does not wake a thread blocked in accept(): the
+        # kernel keeps the listener alive for that call, and the "stopped"
+        # server then accepts (and instantly drops) one more connection
+        # on its old port.  shutdown() makes the accept return.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

@@ -15,10 +15,9 @@ GSPMD differs from PartIR in two ways the paper's evaluation isolates:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import actions as core_actions
-from repro.core import rules as rules_mod
 from repro.core.propagate import Propagator
 from repro.core.sharding import ShardingEnv
 from repro.ir.function import Function
@@ -37,38 +36,14 @@ class _GspmdPropagator(Propagator):
     (cf. the paper's discussion of openxla/xla#13875).
     """
 
-    def _match_axis(self, op: Operation, op_rule, axis: str,
-                    operand_shardings, result_shardings) -> bool:
-        evidence: Set[int] = set()
-        for i, sharding in enumerate(operand_shardings):
-            dim = sharding.tile_dim_of(axis)
-            if dim is not None:
-                fid = op_rule.factor_of("in", i, dim)
-                if fid is not None:
-                    evidence.add(fid)
-        for r, sharding in enumerate(result_shardings):
-            dim = sharding.tile_dim_of(axis)
-            if dim is not None:
-                fid = op_rule.factor_of("out", r, dim)
-                if fid is not None:
-                    evidence.add(fid)
-        if not evidence:
-            return False
-        extendable = [
-            fid for fid in evidence
-            if self._factor_status(op, op_rule.factors[fid], axis,
-                                   operand_shardings, result_shardings)
-            == "extendable"
-        ]
-        if not extendable:
-            return False
+    def _choose(self, op: Operation, axis: str,
+                extendable: List[int]) -> Optional[int]:
         if len(extendable) > 1:
             self._report_once(
                 op, axis, "conflict",
-                f"{op.opcode}: resolved greedily among {sorted(extendable)}",
-            )
-        chosen = max(extendable)  # fixed tie-break (see class docstring)
-        return self._apply_factor(op, op_rule.factors[chosen], axis)
+                "{}: resolved greedily among {}",
+                op.opcode, sorted(extendable))
+        return max(extendable)  # fixed tie-break (see class docstring)
 
 
 def gspmd_partition(

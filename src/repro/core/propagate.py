@@ -39,6 +39,14 @@ conflict that persists from an earlier tactic (a duplicate event), while
 the worklist does not revisit ops whose neighborhood is unchanged.  The
 property `tests/test_incremental_equivalence.py` checks all of this
 end-to-end.
+
+**One kernel.**  Both modes run the same per-op transfer function
+(:meth:`Propagator._visit`), compiled per function into shared records
+(:class:`_Transfer`, :class:`_FunctionIndex`) so a visit indexes tuples
+and reads attributes of canonical shardings instead of calling into the
+rule registry.  Mode-vs-mode equivalence therefore cannot catch a kernel
+bug; `tests/test_propagation_golden.py` pins fixed points, event lists
+and visit counts to values generated before the kernel was compiled.
 """
 
 from __future__ import annotations
@@ -82,15 +90,79 @@ def may_defer(env: ShardingEnv, op: Operation, axis: str,
     return False
 
 
-class _FunctionIndex:
-    """Walk order + value->op adjacency for one function (cached on it)."""
+class _Transfer:
+    """What a visit needs to know about an op besides its values: shared
+    by every op with the same sharding rule and operand/result ranks.
 
-    __slots__ = ("num_ops", "top_level_ops", "ops", "adjacency")
+    Adjacent values are numbered operands first, then results; ``k``
+    below is that number.
+    """
+
+    __slots__ = ("loop", "single_result", "num_operands", "defaults",
+                 "dim_factors", "factors")
+
+    def __init__(self, rule, operand_ranks: Tuple[int, ...],
+                 result_ranks: Tuple[int, ...], loop: bool):
+        #: Loop ops unify carries (``_process_loop``); nothing below applies.
+        self.loop = loop
+        self.single_result = len(result_ranks) == 1
+        self.num_operands = n = len(operand_ranks)
+        #: The replicated sharding an absent env entry stands for, per k.
+        self.defaults = tuple(Sharding.replicated(rank)
+                              for rank in operand_ranks + result_ranks)
+        #: ``dim_factors[k][dim]`` -> factor id or None (None: no rule).
+        self.dim_factors = None
+        #: Per factor id: ``(((k, dim, is_operand), ...), reduce)``.
+        self.factors = ()
+        if rule is None or loop:
+            return
+        sides = [("in", i, rank) for i, rank in enumerate(operand_ranks)]
+        sides += [("out", r, rank) for r, rank in enumerate(result_ranks)]
+        self.dim_factors = tuple(
+            tuple(rule.by_position.get((side, index, dim))
+                  for dim in range(rank))
+            for side, index, rank in sides
+        )
+        self.factors = tuple(
+            (tuple((index if side == "in" else n + index, dim, side == "in")
+                   for side, index, dim in factor.entries),
+             factor.reduce)
+            for factor in rule.factors
+        )
+
+
+#: (rule, operand ranks, result ranks, is loop) -> the shared record.
+#: Process-local (records hold canonical shardings): never pickled.
+_TRANSFERS: Dict[tuple, _Transfer] = {}
+
+
+def _transfer_for(op: Operation) -> _Transfer:
+    loop = op.opcode in opdefs.LOOP_OPS
+    key = (None if loop else rules_mod.rule_for(op),
+           tuple(len(v.type.shape) for v in op.operands),
+           tuple(len(v.type.shape) for v in op.results),
+           loop)
+    transfer = _TRANSFERS.get(key)
+    if transfer is None:
+        transfer = _TRANSFERS.setdefault(key, _Transfer(*key))
+    return transfer
+
+
+class _FunctionIndex:
+    """Walk order, per-op transfer records and value->op adjacency for one
+    function (cached on it; dropped when the function is pickled)."""
+
+    __slots__ = ("num_ops", "top_level_ops", "ops", "transfers",
+                 "adjacency")
 
     def __init__(self, function: Function):
         self.ops: List[Operation] = list(function.walk())
         self.num_ops = len(self.ops)
         self.top_level_ops = len(function.ops)
+        #: Parallel to ``ops``: one reference into the shared records.
+        self.transfers: List[_Transfer] = [
+            _transfer_for(op) for op in self.ops
+        ]
         # adjacency[value] = sorted walk indices of ops whose transfer reads
         # that value's sharding.
         adjacency: Dict[Value, List[int]] = {}
@@ -116,7 +188,9 @@ class _FunctionIndex:
                 if op.opcode == "while_loop":
                     for value in op.regions[1].params:
                         link(value, index)
-        self.adjacency = adjacency
+        self.adjacency: Dict[Value, Tuple[int, ...]] = {
+            value: tuple(indices) for value, indices in adjacency.items()
+        }
 
 
 def _function_index(function: Function) -> _FunctionIndex:
@@ -136,12 +210,22 @@ def _function_index(function: Function) -> _FunctionIndex:
 
 
 class Propagator:
-    """Runs tiling/pending propagation over one function (and regions)."""
+    """Runs tiling/pending propagation over one function (and regions).
+
+    A visit (:meth:`_visit`) touches no rule object and calls no sharding
+    method: it reads each adjacent value's canonical sharding straight
+    out of the env's dict (an absent entry is the transfer record's
+    replicated default), finds the factor a tiled dim belongs to by
+    indexing the record's ``dim -> factor id`` tuples, and reads
+    ``used`` / ``tile_dims`` / ``sum_axes`` / ``pinned`` as attributes.
+    Events carry unformatted payloads (:class:`repro.core.sharding.Event`).
+    """
 
     def __init__(self, function: Function, env: ShardingEnv):
         self.function = function
         self.env = env
         self.mesh = env.mesh
+        self._axis_names = env.mesh.axis_names
         self._reported: Set[Tuple[int, str, str]] = set()
         self._index = _function_index(function)
 
@@ -179,8 +263,12 @@ class Propagator:
 
     def _fixed_point(self, seeds: Set[int], max_rounds: int) -> None:
         ops = self._index.ops
+        transfers = self._index.transfers
         adjacency = self._index.adjacency
-        stats = self.env.stats
+        env = self.env
+        stats = env.stats
+        visit = self._visit
+        heappop, heappush = heapq.heappop, heapq.heappush
         # An ascending sorted list already satisfies the min-heap invariant,
         # so heappush/heappop work on it directly — no heapify needed.
         current = sorted(seeds)
@@ -195,25 +283,25 @@ class Propagator:
                 next_round = set()
             stats.rounds += 1
             while current:
-                i = heapq.heappop(current)
+                i = heappop(current)
                 in_current.discard(i)
-                op = ops[i]
                 stats.ops_processed += 1
-                before = self.env.version
-                if op.opcode in opdefs.LOOP_OPS:
-                    self._process_loop(op)
+                before = env.version
+                transfer = transfers[i]
+                if transfer.loop:
+                    self._process_loop(ops[i])
                 else:
-                    self._process_op(op)
-                if self.env.version == before:
+                    visit(ops[i], transfer)
+                if env.version == before:
                     continue
                 # Re-enqueue every op adjacent to a value we just changed:
                 # later ops join this round (program order), earlier-or-
                 # equal ones wait for the next round — sweep semantics.
-                for value in self.env.drain_dirty():
+                for value in env.drain_dirty():
                     for j in adjacency.get(value, ()):
                         if j > i:
                             if j not in in_current:
-                                heapq.heappush(current, j)
+                                heappush(current, j)
                                 in_current.add(j)
                         else:
                             next_round.add(j)
@@ -223,171 +311,191 @@ class Propagator:
 
     # -- helpers ------------------------------------------------------------
 
-    def _value_at(self, op: Operation, side: str, index: int) -> Value:
-        return op.operands[index] if side == "in" else op.results[index]
-
-    def _divisible(self, value: Value, dim: int, axis: str,
-                   sharding: Optional[Sharding] = None) -> bool:
-        if sharding is None:
-            sharding = self.env.sharding(value)
-        denom = self.mesh.group_size(sharding.dim_axes[dim]) * self.mesh.size(axis)
-        return value.type.shape[dim] % denom == 0
-
-    def _report_once(self, op: Operation, axis: str, kind: str, detail: str):
+    def _report_once(self, op: Operation, axis: str, kind: str,
+                     *detail) -> None:
+        """Record ``kind`` for ``(op, axis)`` once per run; ``detail`` is
+        a lazy ``(format, *args)`` payload."""
         key = (id(op), axis, kind)
         if key not in self._reported:
             self._reported.add(key)
             self.env.record(kind, op, axis, detail)
 
-    # -- core per-op processing ----------------------------------------------
+    def _adjacent(self, values: List[Value],
+                  defaults: Tuple[Sharding, ...]) -> List[Sharding]:
+        """Current shardings of an op's ``values`` (operands, then
+        results)."""
+        return [
+            default if sharding is None else sharding
+            for sharding, default in zip(
+                map(self.env._shardings.get, values), defaults)
+        ]
 
-    def _process_op(self, op: Operation) -> bool:
-        changed = False
-        op_rule = rules_mod.rule_for(op)
-        env = self.env
-        # Adjacent shardings are hoisted out of the per-axis loop (they are
-        # by far the hottest reads); the version check refreshes them only
-        # when a factor application actually wrote something.
-        operand_shardings = [env.sharding(v) for v in op.operands]
-        result_shardings = [env.sharding(v) for v in op.results]
-        version = env.version
-        for axis in self.mesh.axis_names:
-            if env.version != version:
-                operand_shardings = [env.sharding(v) for v in op.operands]
-                result_shardings = [env.sharding(v) for v in op.results]
-                version = env.version
-            if op_rule is not None:
-                changed |= self._match_axis(op, op_rule, axis,
-                                            operand_shardings,
-                                            result_shardings)
-                if env.version != version:
-                    operand_shardings = [
-                        env.sharding(v) for v in op.operands
-                    ]
-                    result_shardings = [env.sharding(v) for v in op.results]
-                    version = env.version
-            changed |= self._defer_pending(op, axis, operand_shardings,
-                                           result_shardings)
-        return changed
+    # -- the per-op transfer function ------------------------------------------
 
-    def _match_axis(self, op: Operation, op_rule, axis: str,
-                    operand_shardings, result_shardings) -> bool:
-        evidence: Set[int] = set()
-        for i, sharding in enumerate(operand_shardings):
-            dim = sharding.tile_dim_of(axis)
-            if dim is not None:
-                fid = op_rule.factor_of("in", i, dim)
-                if fid is not None:
-                    evidence.add(fid)
-        for r, sharding in enumerate(result_shardings):
-            dim = sharding.tile_dim_of(axis)
-            if dim is not None:
-                fid = op_rule.factor_of("out", r, dim)
-                if fid is not None:
-                    evidence.add(fid)
-        if not evidence:
-            return False
+    def _visit(self, op: Operation, transfer: _Transfer) -> None:
+        """Match, extend and defer on every mesh axis, in mesh-axis order.
 
-        extendable: List[int] = []
+        Which factors have evidence on an axis (a value tiled on one of
+        the factor's positions) and which operands carry a pending sum
+        over it are read once, up front: a write made while handling one
+        axis only ever adds *that* axis to a sharding, so it cannot change
+        either answer for a later axis.  Everything a decision on the
+        current axis reads is re-read after each write.
+        """
+        values = op.operands + op.results
+        shardings = list(map(self.env._shardings.get, values))
+        if not any(shardings):  # (a Sharding is always truthy)
+            return  # every neighbour replicated: nothing to match or defer
+        dim_factors = transfer.dim_factors
+        num_operands = transfer.num_operands
+        defaults = transfer.defaults
+        evidence: Dict[str, Set[int]] = {}
+        pending: Dict[str, List[int]] = {}
+        for k, sharding in enumerate(shardings):
+            if sharding is None:
+                shardings[k] = defaults[k]
+                continue
+            if not sharding.used:
+                continue
+            if dim_factors is not None:
+                row = dim_factors[k]
+                for axis, dim in sharding.tile_dims.items():
+                    fid = row[dim]
+                    if fid is not None:
+                        fids = evidence.get(axis)
+                        if fids is None:
+                            evidence[axis] = {fid}
+                        else:
+                            fids.add(fid)
+            if k < num_operands and sharding.sum_axes:
+                for axis in sharding.sum_axes:
+                    pending.setdefault(axis, []).append(k)
+        if not evidence and not pending:
+            return
+        defer = bool(pending) and transfer.single_result
+        stale = False  # did a write outdate ``shardings``?
+        for axis in self._axis_names:
+            fids = evidence.get(axis)
+            if fids is not None:
+                if stale:
+                    shardings = self._adjacent(values, defaults)
+                stale = self._match_axis(op, transfer, axis, fids, values,
+                                         shardings)
+            if defer and axis in pending:
+                if stale:
+                    shardings = self._adjacent(values, defaults)
+                stale = self._defer_pending(op, axis, pending[axis],
+                                            shardings[num_operands])
+
+    def _match_axis(self, op: Operation, transfer: _Transfer, axis: str,
+                    evidence: Set[int], values: List[Value],
+                    shardings: List[Sharding]) -> bool:
+        factors = transfer.factors
+        extendable = []
         for fid in evidence:
-            status = self._factor_status(op, op_rule.factors[fid], axis,
-                                         operand_shardings,
-                                         result_shardings)
-            if status == "extendable":
+            if self._extendable(op, factors[fid], axis, values, shardings):
                 extendable.append(fid)
         if not extendable:
             return False
+        chosen = self._choose(op, axis, extendable)
+        if chosen is None:
+            return False
+        return self._apply_factor(op, factors[chosen], axis, values,
+                                  transfer.defaults)
+
+    def _choose(self, op: Operation, axis: str,
+                extendable: List[int]) -> Optional[int]:
+        """The conflict policy: which of the (one or more) extendable
+        factors with evidence on ``axis`` to apply, or None to leave the
+        op alone.  PartIR never guesses (Section 5.2.3): two candidates
+        are a conflict, recorded and left for tactic ordering to resolve.
+        """
         if len(extendable) > 1:
             self._report_once(
                 op, axis, "conflict",
-                f"{op.opcode}: factors {sorted(extendable)} both match on "
-                f"axis {axis!r}",
-            )
-            return False
-        return self._apply_factor(op, op_rule.factors[extendable[0]], axis)
+                "{}: factors {} both match on axis {!r}",
+                op.opcode, sorted(extendable), axis)
+            return None
+        return extendable[0]
 
-    def _factor_status(self, op: Operation, factor, axis: str,
-                       operand_shardings, result_shardings) -> str:
-        """'applied' | 'extendable' | 'blocked' for this factor on this axis."""
+    def _extendable(self, op: Operation, factor, axis: str,
+                    values: List[Value], shardings: List[Sharding]) -> bool:
+        """Would applying ``factor`` on ``axis`` tile or mark something
+        new, with nothing in the way?  (False both for a factor already
+        fully applied and for a blocked one.)"""
+        entries, reduce = factor
+        mesh = self.mesh
         missing = False
-        for side, index, dim in factor.entries:
-            if side == "in":
-                value = op.operands[index]
-                sharding = operand_shardings[index]
-            else:
-                value = op.results[index]
-                sharding = result_shardings[index]
-            if axis in sharding.dim_axes[dim]:
+        for k, dim, is_operand in entries:
+            sharding = shardings[k]
+            axes = sharding.dim_axes[dim]
+            if axis in axes:
                 continue
-            if axis in sharding.sum_axes and side == "in":
+            if is_operand and axis in sharding.sum_axes:
                 # A pending operand is reconciled at lowering (AR/RS);
                 # it neither blocks nor needs the tile.
                 continue
-            if sharding.uses(axis) or sharding.is_pinned(axis):
+            if axis in sharding.used or axis in sharding.pinned:
                 self._report_once(
                     op, axis, "blocked",
-                    f"{op.opcode}: value already uses axis {axis!r}",
-                )
-                return "blocked"
-            if not self._divisible(value, dim, axis, sharding):
+                    "{}: value already uses axis {!r}", op.opcode, axis)
+                return False
+            if values[k].type.shape[dim] % (mesh.group_size(axes)
+                                            * mesh.size(axis)):
                 self._report_once(
                     op, axis, "blocked",
-                    f"{op.opcode}: dim {dim} not divisible by axis {axis!r}",
-                )
-                return "blocked"
+                    "{}: dim {} not divisible by axis {!r}",
+                    op.opcode, dim, axis)
+                return False
             missing = True
-        if factor.reduce:
-            for sharding in result_shardings:
+        if reduce:
+            for sharding in shardings[len(op.operands):]:
                 if axis in sharding.sum_axes:
                     continue
-                if sharding.uses(axis) or sharding.is_pinned(axis):
-                    return "blocked"
+                if axis in sharding.used or axis in sharding.pinned:
+                    return False
                 missing = True
-        return "extendable" if missing else "applied"
+        return missing
 
-    def _apply_factor(self, op: Operation, factor, axis: str) -> bool:
+    def _apply_factor(self, op: Operation, factor, axis: str,
+                      values: List[Value],
+                      defaults: Tuple[Sharding, ...]) -> bool:
+        entries, reduce = factor
+        env = self.env
+        get = env._shardings.get
         changed = False
-        for side, index, dim in factor.entries:
-            value = self._value_at(op, side, index)
-            sharding = self.env.sharding(value)
+        for k, dim, _ in entries:
+            value = values[k]
+            # Re-read per write: one value may sit at two positions.
+            sharding = get(value) or defaults[k]
             if axis in sharding.dim_axes[dim] or axis in sharding.sum_axes:
                 continue
-            self.env.set_sharding(value, sharding.with_tile(dim, axis))
-            self.env.record("tile", op, axis, f"dim {dim} of {value!r}")
+            env.set_sharding(value, sharding.with_tile(dim, axis))
+            env.record("tile", op, axis, ("dim {} of {!r}", dim, value))
             changed = True
-        if factor.reduce:
-            for result in op.results:
-                sharding = self.env.sharding(result)
+        if reduce:
+            for k in range(len(op.operands), len(values)):
+                sharding = get(values[k]) or defaults[k]
                 if axis not in sharding.sum_axes:
-                    self.env.set_sharding(result, sharding.with_sum(axis))
-                    self.env.record("sum", op, axis, f"{op.opcode} result")
+                    env.set_sharding(values[k], sharding.with_sum(axis))
+                    env.record("sum", op, axis, ("{} result", op.opcode))
                     changed = True
         return changed
 
     # -- pending-sum deferral -------------------------------------------------
 
-    def _defer_pending(self, op: Operation, axis: str,
-                       operand_shardings, result_shardings) -> bool:
-        if len(op.results) != 1:
+    def _defer_pending(self, op: Operation, axis: str, pending: List[int],
+                       result_sharding: Sharding) -> bool:
+        """Pass a pending #sum over ``axis`` on the ``pending`` operands
+        through a single-result op that may defer it."""
+        if axis in result_sharding.used or axis in result_sharding.pinned:
             return False
-        result = op.results[0]
-        result_sharding = result_shardings[0]
-        if result_sharding.uses(axis) or result_sharding.is_pinned(axis):
+        if not may_defer(self.env, op, axis, pending):
             return False
-        pending = [
-            i for i, sharding in enumerate(operand_shardings)
-            if axis in sharding.sum_axes
-        ]
-        if not pending:
-            return False
-        if not self._may_defer(op, axis, pending):
-            return False
-        self.env.set_sharding(result, result_sharding.with_sum(axis))
-        self.env.record("sum", op, axis, f"deferred through {op.opcode}")
+        self.env.set_sharding(op.results[0], result_sharding.with_sum(axis))
+        self.env.record("sum", op, axis,
+                        ("deferred through {}", op.opcode))
         return True
-
-    def _may_defer(self, op: Operation, axis: str, pending: List[int]) -> bool:
-        return may_defer(self.env, op, axis, pending)
 
     # -- loops -------------------------------------------------------------------
 
@@ -406,7 +514,7 @@ class Propagator:
                 group += [body.results[i], op.results[i]]
                 if cond is not None:
                     group.append(cond.params[i + 1])
-            for axis in self.mesh.axis_names:
+            for axis in self._axis_names:
                 dims = set()
                 for value in group:
                     dim = self.env.sharding(value).tile_dim_of(axis)
@@ -416,9 +524,8 @@ class Propagator:
                     if len(dims) > 1:
                         self._report_once(
                             op, axis, "conflict",
-                            f"{op.opcode} carry {i} tiled on dims "
-                            f"{sorted(dims)}",
-                        )
+                            "{} carry {} tiled on dims {}",
+                            op.opcode, i, sorted(dims))
                     continue
                 (dim,) = dims
                 for value in group:
@@ -433,7 +540,8 @@ class Propagator:
                     ):
                         continue
                     self.env.set_sharding(value, sharding.with_tile(dim, axis))
-                    self.env.record("tile", op, axis, f"{op.opcode} carry {i}")
+                    self.env.record("tile", op, axis,
+                                    ("{} carry {}", op.opcode, i))
                     changed = True
         return changed
 

@@ -18,7 +18,7 @@ behaviour the paper describes for reshape/spatial limitations (Section 8).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.ir import opdefs
 from repro.ir.ops_linalg import dot_general_dims
@@ -40,11 +40,16 @@ class Factor:
         return [e for e in self.entries if e[0] == "out"]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class OpShardingRule:
-    factors: List[Factor]
+    """One factor table.  :func:`rule_for` hands out a single shared
+    instance per distinct table, so rules compare and hash by identity
+    and must never be mutated."""
+
+    factors: Tuple[Factor, ...]
 
     def __post_init__(self):
+        self.factors = tuple(self.factors)
         self.by_position: Dict[Position, int] = {}
         for fid, factor in enumerate(self.factors):
             for pos in factor.entries:
@@ -58,6 +63,9 @@ class OpShardingRule:
 
 RuleBuilder = Callable[[Operation], Optional[OpShardingRule]]
 _BUILDERS: Dict[str, RuleBuilder] = {}
+#: One shared rule per distinct factor table, process-wide: a model has
+#: thousands of ops and a few dozen tables.
+_SHARED: Dict[Tuple[Factor, ...], OpShardingRule] = {}
 
 
 def rule(opcode: str):
@@ -73,8 +81,10 @@ def rule_for(op: Operation) -> Optional[OpShardingRule]:
 
     Cached on the op (ops are structurally frozen after construction, so
     the rule — a pure function of opcode/attrs/operand types — never
-    changes): propagation revisits each op many times per fixed point and
-    the streaming evaluator re-plans across thousands of envs.
+    changes) as a reference to the one shared :class:`OpShardingRule` for
+    its factor table: structurally identical ops hold the same object.
+    The reference is dropped when an op is pickled and rebuilt — to the
+    receiving process's shared instance — on first use.
     """
     try:
         return op._sharding_rule
@@ -86,6 +96,8 @@ def rule_for(op: Operation) -> Optional[OpShardingRule]:
     else:
         opdef = opdefs.get(op.opcode)
         rule = _elementwise_rule(op) if opdef.elementwise else None
+    if rule is not None:
+        rule = _SHARED.setdefault(rule.factors, rule)
     op._sharding_rule = rule
     return rule
 

@@ -21,8 +21,11 @@ Two memory-model properties carry the automatic-partitioning search:
 * **Interning** (:func:`intern_sharding`): one canonical immutable
   :class:`Sharding` per signature, process-wide.  Env writes compare by
   pointer, memo keys hash small ints (:attr:`Sharding.iid`), and derived
-  data (``used_axes``, ``tile_dim_of``, ``with_tile``) is computed once
-  per *distinct* sharding rather than once per call.
+  data (``used``, ``tile_dims``, ``portable``, ``portable_repr``, the
+  ``with_tile``/``with_sum`` transitions) is computed once per *distinct*
+  sharding, when it is interned, and read afterwards as plain attributes
+  — the propagation kernel and the condenser's digest never call a
+  method or format a string for it.
 * **Undo-log checkpoints** (:meth:`ShardingEnv.checkpoint` /
   ``rollback`` / ``release``): O(writes) snapshot/rollback of the
   mutable env — the zero-copy alternative to :meth:`ShardingEnv.copy` —
@@ -68,7 +71,7 @@ def intern_sharding(sharding: "Sharding") -> "Sharding":
     streaming evaluator's plan-memo keys into tuples of small ints
     (:attr:`Sharding.iid`).  Idempotent; safe under concurrent readers.
     """
-    if getattr(sharding, "_iid", None) is not None:
+    if hasattr(sharding, "_iid"):
         return sharding  # already the canonical instance (never pickled)
     signature = sharding.signature()
     cached = _INTERN.get(signature)
@@ -77,7 +80,9 @@ def intern_sharding(sharding: "Sharding") -> "Sharding":
     with _INTERN_LOCK:
         cached = _INTERN.get(signature)
         if cached is None:
-            object.__setattr__(sharding, "_iid", len(_INTERN))
+            # Derived attributes first: lock-free readers must never see
+            # a published canonical instance without them.
+            sharding._make_canonical(len(_INTERN))
             _INTERN_BY_IID.append(sharding)
             _INTERN[signature] = cached = sharding
     return cached
@@ -90,6 +95,16 @@ class Sharding:
     dim_axes: Tuple[Tuple[str, ...], ...]
     sum_axes: FrozenSet[str] = frozenset()
     pinned: FrozenSet[str] = frozenset()
+
+    # Derived data lives in instance attributes outside the dataclass
+    # fields (so it is neither compared, hashed nor pickled).  A canonical
+    # interned instance carries all of it from the moment it is published
+    # — ``used`` (:meth:`used_axes`), ``tile_dims`` (``axis -> tiled dim``,
+    # :meth:`tile_dim_of`), ``portable`` (:meth:`to_portable`) and
+    # ``portable_repr`` (its ``repr``: what footprint digests hash) — so
+    # hot readers that only ever see canonical instances (everything
+    # stored in a ShardingEnv is one) read the attributes directly.  Any
+    # other instance has none of them until a method fills one in.
 
     @staticmethod
     def replicated(rank: int) -> "Sharding":
@@ -107,6 +122,15 @@ class Sharding:
         """Canonical shared instance (see :func:`intern_sharding`)."""
         return intern_sharding(self)
 
+    def _make_canonical(self, iid: int) -> None:
+        self.used_axes()  # fills ``used`` ...
+        self.tile_dim_of("")  # ... and ``tile_dims``
+        portable = self.to_portable()
+        object.__setattr__(self, "portable", portable)
+        object.__setattr__(self, "portable_repr", repr(portable))
+        object.__setattr__(self, "_derive_memo", {})
+        object.__setattr__(self, "_iid", iid)
+
     @property
     def iid(self) -> int:
         """Small-int identity of the canonical instance for this signature.
@@ -117,15 +141,16 @@ class Sharding:
         per-op plan memos on tuples of iids instead of nested signature
         tuples — hashing a few ints instead of re-hashing axis strings.
         """
-        own = getattr(self, "_iid", None)
-        if own is not None:
-            return own
-        return intern_sharding(self)._iid
+        try:
+            return self._iid
+        except AttributeError:
+            return intern_sharding(self)._iid
 
     def __getstate__(self):
-        # Derived caches (_iid, _signature, _used, _tile_dims) are process-
-        # local; shipping them would let a stale _iid masquerade as interned
-        # in the receiving process.  Pickle only the defining fields.
+        # Derived caches (_iid, _signature, used, tile_dims, ...) are
+        # process-local; shipping them would let a stale _iid masquerade as
+        # interned in the receiving process.  Pickle only the defining
+        # fields.
         return (self.dim_axes, self.sum_axes, self.pinned)
 
     def __setstate__(self, state):
@@ -165,25 +190,27 @@ class Sharding:
     def used_axes(self) -> FrozenSet[str]:
         """Axes this value's loop nest already involves (tile or sum).
 
-        Cached per instance: interning means one instance per signature, so
-        the cache is computed once per *distinct* sharding process-wide,
-        then amortized over the propagation engine's millions of reads.
+        Cached per instance (:attr:`used`): interning means one instance
+        per signature, so it is computed once per *distinct* sharding
+        process-wide.
         """
-        cached = getattr(self, "_used", None)
-        if cached is None:
-            cached = self.tiled_axes() | self.sum_axes
-            object.__setattr__(self, "_used", cached)
-        return cached
+        try:
+            return self.used
+        except AttributeError:
+            used = self.tiled_axes() | self.sum_axes
+            object.__setattr__(self, "used", used)
+            return used
 
     def tile_dim_of(self, axis: str) -> Optional[int]:
-        cached = getattr(self, "_tile_dims", None)
-        if cached is None:
-            cached = {
+        try:
+            return self.tile_dims.get(axis)
+        except AttributeError:
+            tile_dims = {
                 a: dim for dim, axes in enumerate(self.dim_axes)
                 for a in axes
             }
-            object.__setattr__(self, "_tile_dims", cached)
-        return cached.get(axis)
+            object.__setattr__(self, "tile_dims", tile_dims)
+            return tile_dims.get(axis)
 
     def uses(self, axis: str) -> bool:
         return axis in self.used_axes()
@@ -191,50 +218,35 @@ class Sharding:
     def is_pinned(self, axis: str) -> bool:
         return axis in self.pinned
 
-    def _derived(self, key: Tuple) -> Optional["Sharding"]:
-        cached = getattr(self, "_derive_memo", None)
-        return cached.get(key) if cached is not None else None
-
-    def _remember(self, key: Tuple, result: "Sharding") -> "Sharding":
-        # Derivation memo (only ever populated on canonical interned
-        # instances, so it is computed once per distinct transition
-        # process-wide).  Values are interned, keeping the "one object per
-        # signature" invariant for everything the memo hands out.
-        result = intern_sharding(result)
-        cached = getattr(self, "_derive_memo", None)
-        if cached is None:
-            cached = {}
-            object.__setattr__(self, "_derive_memo", cached)
-        cached[key] = result
+    def _derive(self, key, axis: str, **changes) -> "Sharding":
+        """The interned result of one ``with_tile``/``with_sum`` step,
+        remembered on canonical instances: each distinct transition is
+        computed (and checked) once process-wide."""
+        if self.uses(axis):
+            raise ShardingError(
+                f"axis {axis!r} already used by this value's loop nest"
+            )
+        result = intern_sharding(dataclasses.replace(self, **changes))
+        memo = getattr(self, "_derive_memo", None)
+        if memo is not None:
+            memo[key] = result
         return result
 
     def with_tile(self, dim: int, axis: str) -> "Sharding":
-        if self.uses(axis):
-            raise ShardingError(
-                f"axis {axis!r} already used by this value's loop nest"
-            )
-        cached = self._derived(("tile", dim, axis))
-        if cached is not None:
-            return cached
+        try:
+            return self._derive_memo[dim, axis]
+        except (AttributeError, KeyError):
+            pass
         new_dims = list(self.dim_axes)
         new_dims[dim] = new_dims[dim] + (axis,)
-        return self._remember(
-            ("tile", dim, axis),
-            dataclasses.replace(self, dim_axes=tuple(new_dims)),
-        )
+        return self._derive((dim, axis), axis, dim_axes=tuple(new_dims))
 
     def with_sum(self, axis: str) -> "Sharding":
-        if self.uses(axis):
-            raise ShardingError(
-                f"axis {axis!r} already used by this value's loop nest"
-            )
-        cached = self._derived(("sum", axis))
-        if cached is not None:
-            return cached
-        return self._remember(
-            ("sum", axis),
-            dataclasses.replace(self, sum_axes=self.sum_axes | {axis}),
-        )
+        try:
+            return self._derive_memo[axis]
+        except (AttributeError, KeyError):
+            pass
+        return self._derive(axis, axis, sum_axes=self.sum_axes | {axis})
 
     def without_sum(self, axes: FrozenSet[str]) -> "Sharding":
         return dataclasses.replace(self, sum_axes=self.sum_axes - axes)
@@ -248,11 +260,14 @@ class Sharding:
         Used for worker transport in the parallel search and as the
         canonical form hashed into persistent-cache fingerprints.  Equal
         shardings have equal portable forms (sets are sorted)."""
-        return (
-            tuple(tuple(axes) for axes in self.dim_axes),
-            tuple(sorted(self.sum_axes)),
-            tuple(sorted(self.pinned)),
-        )
+        try:
+            return self.portable
+        except AttributeError:
+            return (
+                tuple(tuple(axes) for axes in self.dim_axes),
+                tuple(sorted(self.sum_axes)),
+                tuple(sorted(self.pinned)),
+            )
 
     @staticmethod
     def from_portable(portable: Tuple) -> "Sharding":
@@ -312,14 +327,36 @@ def enumerate_function_values(function) -> List[Value]:
     return out
 
 
-@dataclasses.dataclass
 class Event:
-    """A propagation event, for the per-tactic debug metadata."""
+    """A propagation event, for the per-tactic debug metadata.
 
-    kind: str  # "tile" | "sum" | "conflict" | "blocked" | "pin"
-    op: Optional[object]
-    axis: str
-    detail: str = ""
+    ``detail`` is rendered on first read: the write path hands over a
+    ``(format, *args)`` payload (``("dim {} of {!r}", dim, value)``) and
+    never formats it — a probe records hundreds of events and rolls them
+    back unread.  Everything a payload references (values, ops, opcodes)
+    is immutable, so rendering late gives the string rendering early would
+    have.
+    """
+
+    __slots__ = ("kind", "op", "axis", "_detail")
+
+    def __init__(self, kind: str, op: Optional[object], axis: str,
+                 detail=""):
+        self.kind = kind  # "tile" | "sum" | "conflict" | "blocked" | "pin"
+        self.op = op
+        self.axis = axis
+        self._detail = detail
+
+    @property
+    def detail(self) -> str:
+        detail = self._detail
+        if isinstance(detail, tuple):
+            detail = self._detail = detail[0].format(*detail[1:])
+        return detail
+
+    def __repr__(self) -> str:
+        return (f"Event(kind={self.kind!r}, op={self.op!r}, "
+                f"axis={self.axis!r}, detail={self.detail!r})")
 
 
 @dataclasses.dataclass
@@ -412,7 +449,7 @@ class ShardingEnv:
         # the paper's deep-tiling nesting order: the first tactic to tile a
         # dim owns the outermost loop. Producers and consumers agree because
         # propagation derives both sides' orders from the same factor.
-        if sharding.rank != len(value.type.shape):
+        if len(sharding.dim_axes) != len(value.type.shape):
             raise ShardingError(
                 f"sharding rank {sharding.rank} != value rank "
                 f"{len(value.type.shape)}"
@@ -420,7 +457,8 @@ class ShardingEnv:
         # Every stored sharding is the canonical interned instance, so the
         # no-change test is a pointer comparison (writes of an equal-but-
         # distinct object intern to the same instance first).
-        sharding = intern_sharding(sharding)
+        if not hasattr(sharding, "_iid"):
+            sharding = intern_sharding(sharding)
         previous = self.sharding(value)
         if previous is sharding:
             return
@@ -469,13 +507,14 @@ class ShardingEnv:
         """
         self._pop_checkpoint(token)
         undo = self._undo
-        journal = self._journal
-        for index in range(len(undo) - 1, token.undo_length - 1, -1):
-            value, previous = undo[index]
-            self._shardings[value] = previous
-            self._write_serial += 1
-            if journal is not None:
-                journal.append(value)
+        shardings = self._shardings
+        restored = undo[token.undo_length:]
+        restored.reverse()  # newest first
+        for value, previous in restored:
+            shardings[value] = previous
+        self._write_serial += len(restored)
+        if self._journal is not None:
+            self._journal.extend(value for value, _ in restored)
         del undo[token.undo_length:]
         if not self._checkpoints:
             self._undo = []
@@ -536,13 +575,13 @@ class ShardingEnv:
             raise ShardingError(
                 "stale checkpoint token: already rolled back or released"
             )
-        seen: Set[Value] = set()
-        out: List[Tuple[Value, Sharding]] = []
-        for value, _ in self._undo[token.undo_length:]:
-            if value not in seen:
-                seen.add(value)
-                out.append((value, self.sharding(value)))
-        return out
+        # Every logged value was written, so it has an entry.
+        shardings = self._shardings
+        return [
+            (value, shardings[value])
+            for value in dict.fromkeys(
+                value for value, _ in self._undo[token.undo_length:])
+        ]
 
     # -- write journal ------------------------------------------------------
 
@@ -649,7 +688,9 @@ class ShardingEnv:
         for index, portable in state:
             self.set_sharding(values[index], Sharding.from_portable(portable))
 
-    def record(self, kind: str, op, axis: str, detail: str = "") -> None:
+    def record(self, kind: str, op, axis: str, detail="") -> None:
+        """Append an event; ``detail`` is a string or a lazy
+        ``(format, *args)`` payload (see :class:`Event`)."""
         self.events.append(Event(kind, op, axis, detail))
 
     def conflicts(self) -> List[Event]:

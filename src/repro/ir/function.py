@@ -26,6 +26,17 @@ class Function:
         self.input_names: List[str] = []
         self.output_names: List[str] = []
 
+    def __getstate__(self):
+        # Underscore attributes are caches some pass derived from the
+        # function and attached to it (``_propagation_index``,
+        # ``_tag_points``, ``_loop_ops``, ``_pipeline_split``,
+        # ``_pipeline_p2p``): rebuilt on demand, a quarter of the bytes of
+        # a propagated function, and in part process-local (the
+        # propagation index holds canonical interned shardings).  None of
+        # them rides a pickle to a search worker or the plan server.
+        return {key: value for key, value in self.__dict__.items()
+                if not key.startswith("_")}
+
     def add_param(self, type: TensorType, name: Optional[str] = None) -> Value:
         value = Value(type, producer=None, index=len(self.params), name=name)
         self.params.append(value)

@@ -76,9 +76,9 @@ class Operation:
         regions: nested function bodies (``scan`` has one).
     """
 
-    # _sharding_rule caches repro.core.rules.rule_for(op): the rule is a
-    # pure function of the op's opcode/attrs/types, all frozen after
-    # construction, and propagation + lowering ask for it millions of times.
+    # _sharding_rule caches repro.core.rules.rule_for(op): a reference to
+    # the process-wide shared rule for the op's factor table, a pure
+    # function of its opcode/attrs/types, all frozen after construction.
     __slots__ = ("opcode", "operands", "attrs", "results", "regions",
                  "_sharding_rule")
 
@@ -99,8 +99,8 @@ class Operation:
         ]
 
     def __getstate__(self):
-        # The cached sharding rule is derived state: recomputed on demand,
-        # and not worth shipping to search workers.
+        # The cached sharding rule is derived state: re-resolved on demand
+        # (to the receiving process's shared instance), never shipped.
         return (self.opcode, self.operands, self.attrs, self.results,
                 self.regions)
 

@@ -416,6 +416,23 @@ class TestMidStreamResets:
             rpc.reset_breakers()
 
 
+def test_stopped_server_refuses_connections():
+    """``stop()`` must wake the accept thread: a listener kept alive by a
+    blocked ``accept()`` takes (and drops) one more connection on the old
+    port, which a client then reports as a server *failure* instead of an
+    unreachable one — the breaker tests below reuse a stopped server's
+    port and depend on the difference."""
+    import socket
+
+    for _ in range(25):
+        server = PlanServer()
+        server.start()
+        host, port = server.address
+        server.stop()
+        with pytest.raises(OSError):
+            socket.create_connection((host, port), timeout=1.0).close()
+
+
 class TestCircuitBreaker:
     """The client-side circuit breaker around ``plan_server=``."""
 
