@@ -4,8 +4,8 @@ Runs the same MLP partition search through the fault-injection harness
 (:mod:`repro.auto.faults`) under escalating failure schedules and checks
 the two halves of the robustness contract:
 
-* **Degradation**: every leg — torn log/memo writes at a fixed fault
-  rate, worker kills healed by pool re-forks, restart-budget exhaustion
+* **Degradation**: every leg — torn log writes at a fixed fault
+  rate, worker kills healed by re-forks, restart-budget exhaustion
   degrading to in-process serial, remote connection resets — completes
   and returns best actions/cost **bit-identical** to the fault-free
   serial run at the same seed.
@@ -155,7 +155,7 @@ def main() -> int:
             f"[bench_chaos] recovery overhead {overhead:.1%} exceeds "
             f"{limit:.0%} at fault rate {FAULT_RATE}")
 
-    # Leg 2: every worker killed on its second evaluation, healed by pool
+    # Leg 2: every worker killed on its second evaluation, healed by
     # re-forks within the restart budget.
     healed, healed_s = run_leg(
         dict(base, backend="process", workers=2, wave_size=2,

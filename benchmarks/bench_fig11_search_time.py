@@ -18,12 +18,9 @@ step: the same fixed-seed search through the ``serial``, ``batched`` and
 ``process`` rollout schedulers.  All backends must report identical best
 actions/cost; on a machine with >= 2 usable cores the ``process`` backend
 (default 2 workers) must also beat ``serial`` wall-clock — evaluation
-purity makes the fan-out exact, so the speedup is free.  The process leg
-must additionally show cross-worker plan-memo traffic
-(``shared_plan_hits > 0``: cold plan computations avoided because a
-sibling already published the entry).  Backends and the worker count are
-overridable via ``BENCH_SEARCH_BACKENDS`` (comma list) and
-``BENCH_SEARCH_WORKERS`` for CI matrix legs.
+purity makes the fan-out exact, so the speedup is free.  Backends and the
+worker count are overridable via ``BENCH_SEARCH_BACKENDS`` (comma list)
+and ``BENCH_SEARCH_WORKERS`` for CI matrix legs.
 
 A third section exercises the **action-space axis** (PR 5): the same
 fixed-seed search over the input-tilings-only space (``action_space=
@@ -167,7 +164,7 @@ def test_fig11(benchmark):
             env = ShardingEnv(MESH)
             t0 = time.perf_counter()
             # Budget sized so per-wave evaluation work dwarfs the process
-            # backend's fixed costs (pool fork, per-worker cache priming,
+            # backend's fixed costs (worker fork, per-worker cache priming,
             # per-wave IPC) — keeps the wall-clock gate below well clear of
             # scheduling noise on small shared CI runners.
             result = mcts_search(
@@ -195,19 +192,9 @@ def test_fig11(benchmark):
                 "evaluations": result.evaluations,
                 "cache_hits": result.cache_hits,
                 "reconcile_chain_hits": result.reconcile_chain_hits,
-                "shared_plan_hits": result.shared_plan_hits,
                 "best_cost": result.cost,
                 "best_actions": [list(a) for a in result.actions],
             })
-            if backend == "process":
-                # The cross-worker shared plan memo must be live: workers
-                # adopt plans/chains a sibling (or the main process's
-                # baseline) already computed instead of re-planning cold.
-                from repro.auto import sharedmemo
-                if sharedmemo.available():
-                    assert result.shared_plan_hits > 0, (
-                        "process backend recorded no shared plan-memo hits"
-                    )
         reference = backend_runs[BACKENDS[0]][0]
         for backend, (result, _) in backend_runs.items():
             # Pinned regression property on this config: evaluation purity
@@ -480,8 +467,7 @@ def test_fig11(benchmark):
         "every cost the search stored equals the from-scratch reference "
         "pipeline's at >=2x lower per-evaluation wall-clock, the "
         "serial/batched/process rollout backends agree on the best "
-        "schedule (process beating serial wall-clock given >=2 cores, "
-        "with shared plan-memo hits), "
+        "schedule (process beating serial wall-clock given >=2 cores), "
         "and the widened tag-point action space reaches a strictly lower "
         "best cost than input tilings on the interior-bottleneck ensemble "
         "(identical across backends; a warm second call "

@@ -5,10 +5,10 @@ Package map:
 * :mod:`repro.auto.search` — public entry points (``mcts_search``,
   ``run_automatic_partition``), ``SearchConfig`` and ``SearchResult``.
 * :mod:`repro.auto.tree` — UCT tree policy, virtual loss, rollout RNG.
-* :mod:`repro.auto.evaluator` — canonical-action-set scoring pipeline.
-* :mod:`repro.auto.scheduler` — serial / batched / process / remote
-  backends.
-* :mod:`repro.auto.sharedmemo` — cross-worker shared plan memo.
+* :mod:`repro.auto.evaluator` — canonical-action-set scoring pipeline,
+  and the evaluator session a rollout worker serves.
+* :mod:`repro.auto.scheduler` — serial / batched (in-process waves) and
+  process / remote (waves fanned across worker sessions) backends.
 * :mod:`repro.auto.cache` — transposition table + on-disk persistence
   with load-time compaction.
 * :mod:`repro.auto.prune` — the action-space condenser: propagation

@@ -280,15 +280,13 @@ class Evaluator:
         self.evaluations = 0
         self.propagate_time_s = 0.0
         self.estimate_time_s = 0.0
-        #: Work done by remote workers on this evaluator's behalf (the
-        #: process scheduler aggregates each wave's counter deltas here,
-        #: so SearchResult reflects worker-side cache behavior too).
+        #: Work done by workers on this evaluator's behalf (the fan-out
+        #: scheduler folds each wave's counter deltas in here, so
+        #: SearchResult reflects worker-side cache behavior too).
         self.remote_ops_processed = 0
         self.remote_propagate_calls = 0
         self.remote_ops_reused = 0
         self.remote_reconcile_hits = 0
-        self.remote_shared_plan_hits = 0
-        self.remote_shared_full = False
         #: Prefix accounting: of all the actions the rollouts asked to
         #: stand applied (summed |key| over ``_env_for`` calls), how many
         #: were already in place on the action stack and
@@ -336,22 +334,6 @@ class Evaluator:
     @property
     def reconcile_chain_hits(self) -> int:
         return self._estimator.reconcile_hits + self.remote_reconcile_hits
-
-    @property
-    def shared_plan_hits(self) -> int:
-        """Plans/chains this process served from the cross-worker store."""
-        return self._estimator.shared_plan_hits
-
-    @property
-    def shared_memo_full(self) -> bool:
-        """Did the cross-worker shared memo's fixed-size segment fill —
-        here or (``remote_shared_full``) in any worker?  Once full, cold
-        plans computed after the fill are no longer pooled across
-        processes; correctness is unaffected."""
-        shared = self._estimator._shared
-        if shared is not None and shared.full:
-            return True
-        return self.remote_shared_full
 
     @property
     def prefix_reuse_ratio(self) -> float:
@@ -437,3 +419,69 @@ class Evaluator:
         self.estimate_time_s += time.perf_counter() - t1
         self.evaluations += 1
         return cost
+
+
+def _counters(evaluator: Evaluator) -> tuple:
+    stats = evaluator.root.stats
+    return (
+        evaluator.propagate_time_s,
+        evaluator.estimate_time_s,
+        stats.ops_processed,
+        stats.propagate_calls,
+        evaluator.estimate_ops_reused,
+        evaluator.reconcile_chain_hits,
+        evaluator.prefix_actions_total,
+        evaluator.prefix_actions_reused,
+    )
+
+
+def evaluate_with_deltas(evaluator: Evaluator, key: ActionKey) -> tuple:
+    """Score one key; return the cost plus this call's counter deltas so
+    the main evaluator's observability (and the benchmark JSONs) reflect
+    worker-side cache behavior, not just the main process's.  The
+    10-tuple is the worker reply of ``rpc.PROTOCOL`` 3:
+    ``(key, cost, propagate_dt, estimate_dt, ops_processed,
+    propagate_calls, ops_reused, chain_hits, prefix_total,
+    prefix_reused)``."""
+    before = _counters(evaluator)
+    cost = evaluator.evaluate(key)
+    return (key, cost) + tuple(
+        now - was for now, was in zip(_counters(evaluator), before))
+
+
+class EvaluatorSession:
+    """The far side of a rollout worker: one primed :class:`Evaluator`
+    behind the ``eval_init`` / ``eval`` / ``eval_close`` messages.
+
+    Both worker transports dispatch to this class — the plan daemon's
+    connection handler (``remote`` backend) and the forked child of the
+    ``process`` backend — so a worker behaves the same wherever it runs:
+    ``eval_init`` rebuilds the search's root env from ``(function, mesh,
+    portable env state, device)`` and primes the plan/chain memos with
+    the root evaluation; ``eval`` scores a slice of canonical keys and
+    answers one :func:`evaluate_with_deltas` tuple per key."""
+
+    def __init__(self):
+        self._evaluator: Optional[Evaluator] = None
+
+    def __call__(self, message: dict):
+        kind = message.get("kind")
+        if kind == "eval_init":
+            function = message["function"]
+            env = ShardingEnv(message["mesh"])
+            env.apply_portable_state(function, message["env"])
+            self._evaluator = Evaluator(function, env, message["device"])
+            return self._evaluator.evaluate(())
+        if kind == "eval":
+            if self._evaluator is None:
+                raise RuntimeError("eval before eval_init on this connection")
+            return [evaluate_with_deltas(self._evaluator,
+                                         tuple(map(tuple, key)))
+                    for key in message["keys"]]
+        if kind == "eval_close":
+            self.close()
+            return True
+        raise ValueError(f"unknown request kind {kind!r}")
+
+    def close(self) -> None:
+        self._evaluator = None

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the search fabric.
 
-Real fleets lose workers mid-wave, reset connections mid-frame, tear log
-writes and exhaust shared-memory segments.  The search survives all of
-those (see the degradation ladder in ``docs/ARCHITECTURE.md``) because
-every rollout is a pure function of the canonical action set — any lost
-work can be re-executed bit-identically by a survivor.  This module is
+Real fleets lose workers mid-wave, reset connections mid-frame and tear
+log writes.  The search survives all of those (see the degradation
+ladder in ``docs/ARCHITECTURE.md``) because every rollout is a pure
+function of the canonical action set — any lost work can be re-executed
+bit-identically by a survivor.  This module is
 how that claim is *tested*: a process-wide :class:`FaultPlan` scripts
 exact failure schedules against named **injection sites** compiled into
 the production code paths, so the chaos suite can replay the same
@@ -16,10 +16,9 @@ Sites (each is checked once per site *invocation*, counted per process):
 ``worker.exit``             a process-backend worker ``os._exit``\\ s instead of
                             evaluating (simulates an OOM-kill / segfault)
 ``rpc.send``                a framed socket send raises ``ConnectionResetError``
+                            (either worker transport, either end)
 ``rpc.recv``                a framed socket receive raises
                             ``ConnectionResetError``
-``sharedmemo.publish``      a shared-memo record is committed with corrupted
-                            payload bytes (simulates a torn write)
 ``cache.append``            a transposition-log append stops mid-line
                             (simulates a crash during ``flush``)
 ``server.search``           a server-side plan search raises (simulates a
@@ -60,7 +59,6 @@ SITES = (
     "worker.exit",
     "rpc.send",
     "rpc.recv",
-    "sharedmemo.publish",
     "cache.append",
     "server.search",
 )

@@ -1,24 +1,25 @@
 """Length-prefixed socket protocol for the plan server.
 
 Wire format (all little-endian): each message is ``[u32 length][u32
-crc32][pickle payload]`` — the framing discipline of the shared-memory
-memo's record log (:mod:`repro.auto.sharedmemo`), lifted onto a stream
-socket and hardened with a payload checksum.  The CRC catches silent
+crc32][pickle payload]`` on a stream socket.  The CRC catches silent
 truncation/corruption on flaky links; a mismatch (including a frame from
 a pre-CRC protocol-1 peer, whose "crc" field is really the first payload
 bytes) raises :class:`ProtocolError` instead of unpickling garbage.
 A request and its reply are both plain picklable objects (dicts by
-convention, with a ``"kind"`` discriminator); the server answers every
-request on the same connection, in order, so a connection is a simple
-synchronous request/reply channel and one client can hold several
-connections for parallelism (the ``remote`` rollout backend does).
+convention, with a ``"kind"`` discriminator); the peer answers every
+request on the same connection, in order (:func:`serve_connection`), so
+a connection is a request/reply channel — synchronous through
+:meth:`Connection.request`, pipelined through ``send`` then ``recv`` —
+and one client can hold several connections for parallelism.  Both
+worker transports of the rollout scheduler do: ``remote`` connects to
+the plan server over TCP, ``process`` forks a child on the other end of
+a ``socket.socketpair()``; the frames are the same.
 
 Payloads are **pickle**, which is what lets traced :class:`Function`
-objects, meshes and portable env states ride along unchanged — exactly
-the worker-transport contract of the ``process`` backend, across a socket
-instead of a fork.  Pickle is not safe against hostile peers: the plan
-server is a *trusted-cluster* daemon (bind it to localhost or a private
-network, as the paper's target deployment does), not an internet service.
+objects, meshes and portable env states ride along unchanged.  Pickle is
+not safe against hostile peers: the plan server is a *trusted-cluster*
+daemon (bind it to localhost or a private network, as the paper's target
+deployment does), not an internet service.
 
 Errors cross the wire as ``{"ok": False, "error": ...}`` replies and are
 re-raised client-side as :class:`RemoteError`; transport-level failures
@@ -56,8 +57,10 @@ _FRAME = struct.Struct("<II")
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: Protocol version, checked by the server on every request.
-#: 1 = ``[u32 len][payload]``; 2 = ``[u32 len][u32 crc32][payload]``.
-PROTOCOL = 2
+#: 1 = ``[u32 len][payload]``; 2 = ``[u32 len][u32 crc32][payload]``;
+#: 3 = the same frames, ``eval`` replies are 10-tuples (no shared-memo
+#: slots; see :func:`repro.auto.evaluator.evaluate_with_deltas`).
+PROTOCOL = 3
 
 
 class RemoteError(RuntimeError):
@@ -142,25 +145,35 @@ def recv_msg(sock: socket.socket):
 
 
 class Connection:
-    """One synchronous request/reply channel to the server."""
+    """One request/reply channel to a peer that answers in order."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
 
-    def request(self, payload: dict):
-        """Send one request; return the reply's ``"value"`` field.
-
-        Raises :class:`RemoteError` for server-reported failures and
-        ``ConnectionError``/``OSError`` for transport failures."""
+    def send(self, payload: dict) -> None:
+        """Send one request without waiting for its reply (a later
+        :meth:`recv` collects it; replies arrive in request order)."""
         message = dict(payload)
         message.setdefault("protocol", PROTOCOL)
         send_msg(self._sock, message)
+
+    def recv(self):
+        """The next reply's ``"value"`` field.
+
+        Raises :class:`RemoteError` for peer-reported failures and
+        ``ConnectionError``/``OSError`` for transport failures — a peer
+        that died is an EOF here, a silent one the socket's deadline."""
         reply = recv_msg(self._sock)
         if not isinstance(reply, dict) or not reply.get("ok"):
             error = reply.get("error") if isinstance(reply, dict) \
                 else repr(reply)
             raise RemoteError(str(error))
         return reply.get("value")
+
+    def request(self, payload: dict):
+        """Send one request; return its reply (see :meth:`recv`)."""
+        self.send(payload)
+        return self.recv()
 
     def settimeout(self, timeout: Optional[float]) -> None:
         """Adjust the per-call deadline on the underlying socket."""
@@ -306,6 +319,48 @@ def reset_breakers() -> None:
 # -- server loop -------------------------------------------------------------------
 
 
+def _answer(handler: Callable, message) -> dict:
+    try:
+        return {"ok": True, "value": handler(message)}
+    except Exception as exc:  # surface, never kill the serving loop
+        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def serve_connection(sock: socket.socket, handler: Callable,
+                     answer: Callable = _answer,
+                     stopping: Optional[threading.Event] = None,
+                     backlog: tuple = ()) -> bool:
+    """Answer framed requests on ``sock`` until the peer goes away.
+
+    Each message gets one reply, in order: ``answer(handler, message)``,
+    by default ``{"ok": True, "value": handler(message)}`` or, when the
+    handler raises, ``{"ok": False, "error": ...}``.  ``backlog`` holds
+    requests that reached this end by other means than the socket (the
+    ``eval_init`` a forked worker was handed at fork); they are answered
+    first.  The loop ends on EOF, on any transport error, after a reply
+    flagged ``"deadline"`` (its handler thread still owns the session
+    state) and once ``stopping`` is set; it returns True only when the
+    socket's own timeout ended it (an idle peer).  The plan daemon runs
+    this per accepted connection, a forked ``process`` worker on its end
+    of the socketpair."""
+    backlog = list(backlog)
+    while stopping is None or not stopping.is_set():
+        try:
+            message = backlog.pop(0) if backlog else recv_msg(sock)
+        except socket.timeout:
+            return True
+        except (ConnectionError, OSError, EOFError, pickle.UnpicklingError):
+            return False
+        reply = answer(handler, message)
+        try:
+            send_msg(sock, reply)
+        except (ConnectionError, OSError):
+            return False
+        if reply.get("deadline"):
+            return False
+    return False
+
+
 class RpcServer:
     """A thread-per-connection frame server.
 
@@ -403,19 +458,11 @@ class RpcServer:
         and report, leaving the wedged thread to die with the daemon."""
         deadline = self.request_deadline_s
         if deadline is None:
-            try:
-                return {"ok": True, "value": handler(message)}
-            except Exception as exc:  # surface, never kill the server
-                return {"ok": False,
-                        "error": f"{type(exc).__name__}: {exc}"}
+            return _answer(handler, message)
         box: dict = {}
 
         def run() -> None:
-            try:
-                box["reply"] = {"ok": True, "value": handler(message)}
-            except Exception as exc:
-                box["reply"] = {"ok": False,
-                                "error": f"{type(exc).__name__}: {exc}"}
+            box["reply"] = _answer(handler, message)
 
         worker = threading.Thread(target=run, name="partir-rpc-req",
                                   daemon=True)
@@ -436,25 +483,9 @@ class RpcServer:
             except OSError:
                 pass
         try:
-            while not self._stopping.is_set():
-                try:
-                    message = recv_msg(conn)
-                except socket.timeout:
-                    self.connections_reaped += 1
-                    return
-                except (ConnectionError, OSError, EOFError,
-                        pickle.UnpicklingError):
-                    return
-                reply = self._handle_with_deadline(handler, message)
-                try:
-                    send_msg(conn, reply)
-                except (ConnectionError, OSError):
-                    return
-                if reply.get("deadline"):
-                    # The handler thread is still wedged and owns the
-                    # connection's session state: retire the connection
-                    # rather than interleave another request behind it.
-                    return
+            if serve_connection(conn, handler, self._handle_with_deadline,
+                                self._stopping):
+                self.connections_reaped += 1
         finally:
             with self._active_lock:
                 self._active -= 1

@@ -1,76 +1,71 @@
-"""Rollout scheduling: serial, batched, and multiprocess search backends.
+"""Rollout scheduling: in-process waves, or waves fanned across workers.
 
 The tree policy proposes rollouts (canonical action sets); the evaluator
 scores them; the scheduler decides *how many are in flight at once* and
-*where they are scored*:
+*where they are scored*.  Four backend names, two scheduler classes:
 
-* ``serial`` — one rollout at a time, evaluate, back up: the classic
-  single-loop MCTS.  Virtual loss is applied and reverted around a wave of
-  size one, which provably changes no UCT score, so ``batched`` with
-  ``wave_size=1`` is bit-identical to ``serial``, counters included (the
-  regression suite pins this).  Note the rollout *randomness* is the
-  per-node streams of :mod:`repro.auto.tree` for every backend — a
-  deliberate change from the pre-package module's single shared
-  ``random.Random``, so that no backend's interleaving can perturb
-  another rollout's draw.
-* ``batched`` — collects a wave of leaves under virtual loss, then scores
-  the wave's distinct action sets in **Euler-tour order** (the leaves'
-  ``tour_path`` positions, ties by key) through the shared evaluator:
-  consecutive evaluations come from neighboring subtrees, so the undo
-  engine's rollback/extend distance tracks the true edit distance between
-  rollouts, before reverting the losses and backing up every leaf.
-* ``remote`` — same wave formation and LCP-affinity routing as
-  ``process``, but the workers are **evaluator sessions on a plan
-  server** (:mod:`repro.auto.server`): one socket connection per worker,
-  primed once with the same ``(function, mesh, portable env state,
-  device)`` payload, then streamed canonical action keys — one
-  search fanning rollout waves across machines.  An unreachable server
-  raises :class:`SchedulerUnavailable` at start, which ``mcts_search``
-  catches to fall back to the serial backend.
-* ``process`` — forms waves the same way, but fans the wave's
-  transposition-table misses across ``multiprocessing`` workers.  PR 1's
-  prefix-env cache made evaluations independent given their prefix: a
-  worker owns a full :class:`~repro.auto.evaluator.Evaluator` (its own
-  prefix envs, plan memos and local table), so the only bytes crossing the
-  process boundary are canonical action keys out and ``(key, cost,
-  counters)`` back.  Tour-ordered keys are routed by longest-common-prefix
-  affinity: each goes to the worker whose last routed key shares the
-  longest canonical prefix (ties to a stable hash of the leading action,
-  with a per-wave cap keeping the fan-out balanced), so every worker's
-  slice of the wave is a run of tree-neighboring sets its prefix-env and
-  lowering-plan caches stay warm for (each worker is its own
-  single-process pool precisely so the routing — not pool timing —
-  decides placement).
+* ``serial`` / ``batched`` — :class:`RolloutScheduler` itself: a wave of
+  leaves is collected under virtual loss, its distinct action sets are
+  scored on the main process's evaluator in **Euler-tour order** (the
+  leaves' ``tour_path`` positions, ties by key — consecutive evaluations
+  come from neighboring subtrees, so the undo engine's rollback/extend
+  distance tracks the true edit distance between rollouts), then the
+  losses are reverted and every leaf backed up in wave order.  ``serial``
+  is a wave of one — the classic single-loop MCTS: virtual loss applied
+  and reverted around one selection provably changes no UCT score, so
+  ``batched`` with ``wave_size=1`` is bit-identical to it, counters
+  included (the regression suite pins this); ``batched`` defaults to a
+  wave of eight.  Note the rollout *randomness* is the per-node streams
+  of :mod:`repro.auto.tree` for every backend, so no backend's
+  interleaving can perturb another rollout's draw.
+* ``process`` / ``remote`` — :class:`_AffinityScheduler`: waves are formed
+  the same way, but the wave's transposition-table misses are fanned
+  across evaluator-owning **workers**.  A worker is an
+  :class:`~repro.auto.evaluator.EvaluatorSession` on the far end of a
+  :class:`repro.auto.rpc.Connection`: primed once with ``eval_init``
+  (``function, mesh, portable env state, device`` — see
+  ``ShardingEnv.portable_state``), then streamed slices of canonical
+  action keys (``eval``) and answering one ``(key, cost, counter
+  deltas)`` tuple per key.  Tour-ordered keys are routed by
+  longest-common-prefix affinity: each goes to the worker whose last
+  routed key shares the longest canonical prefix (ties to a stable hash
+  of the leading action, with a per-wave cap keeping the fan-out
+  balanced), so every worker's slice of the wave is a run of
+  tree-neighboring sets its prefix env and lowering-plan memos stay warm
+  for — placement is a function of wave content and routing history,
+  never of timing.  The two backends differ only in how a worker's
+  connection is opened: ``process`` forks a child that serves the
+  session on one end of a ``socket.socketpair()`` (handing it the
+  ``eval_init`` at fork, so the function and the caches derived on it
+  are inherited rather than pickled); ``remote`` connects to a plan
+  server (:mod:`repro.auto.server`), whose connection handler serves the
+  same session class, and sends ``eval_init`` as its first frame — one
+  search fanning rollout waves across machines.
 
-Workers are primed once per search with ``(function, mesh, portable env
-state, device)``; under the default ``fork`` start method that
-transfer is free, and everything in the payload is picklable for ``spawn``
-platforms (see ``ShardingEnv.portable_state`` and
-``StreamingEstimator.__getstate__``).
-
-The process backend additionally wires every evaluator — the main
-process's and each worker's — into one **cross-worker shared plan memo**
-(:mod:`repro.auto.sharedmemo`): cold per-op lowering plans and
-reconcile-chain costs are published to a shared-memory append log and
-adopted by siblings on their next evaluation, so the pool as a whole
-plans each distinct neighborhood once instead of once per process.
-``SearchResult.shared_plan_hits`` aggregates the cold computations
-avoided.
+One self-healing ladder covers both transports.  Every worker call
+carries the ``rpc_timeout_s`` socket deadline; a dead worker is an EOF on
+receive, a silent one the deadline, a worker-side error an ``ok: False``
+reply.  Any failed slice retires that worker's session, re-opens it
+within ``restart_budget`` (re-fork, or reconnect with seeded backoff),
+replays the saved ``eval_init`` and re-routes the slice's keys; past the
+budget the scheduler degrades to in-process evaluation.  A rollout is
+never lost, because every evaluation is a pure function of the canonical
+key and re-executes bit-identically anywhere.  Workers that cannot be
+opened at all raise :class:`SchedulerUnavailable` at start, which
+``mcts_search`` catches to fall back to the serial backend.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import socket
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.core.sharding import ShardingEnv
-
-from repro.auto import faults, sharedmemo
-from repro.auto.evaluator import Evaluator
+from repro.auto import faults, rpc
+from repro.auto.evaluator import Evaluator, EvaluatorSession
 from repro.auto.tree import ActionKey, TreePolicy, _stable_hash
 
 
@@ -84,80 +79,71 @@ def key_lcp(a: ActionKey, b: ActionKey) -> int:
         i += 1
     return i
 
-#: Default worker count for the process backend.
+#: Default worker count for the process and remote backends.
 DEFAULT_WORKERS = 2
 
 BACKENDS = ("serial", "batched", "process", "remote")
 
-#: Ceiling on one worker slice of one wave; a pool that produces nothing
-#: for this long is treated as wedged and healed like a dead one.
-DEFAULT_WAVE_TIMEOUT_S = 300.0
-#: Pool re-forks (process) / session re-connects (remote) allowed per
-#: search before the backend degrades to in-process serial evaluation.
+#: Default wave of the ``batched`` backend.
+DEFAULT_WAVE = 8
+#: Worker sessions re-opened (re-fork / reconnect) per search before the
+#: backend degrades to in-process evaluation.
 DEFAULT_RESTART_BUDGET = 1
-#: Per-call socket deadline for the remote backend.
+#: Per-call socket deadline on a worker connection, both transports.
 DEFAULT_RPC_TIMEOUT_S = 60.0
-#: Reconnect attempts per healed remote session (exponential backoff).
+#: Connect attempts per opened remote session (exponential backoff).
 RECONNECT_ATTEMPTS = 3
 
-ENV_WAVE_TIMEOUT = "PARTIR_WAVE_TIMEOUT_S"
 ENV_RESTART_BUDGET = "PARTIR_RESTART_BUDGET"
 
-#: How often a collecting wave polls its futures for completion or
-#: worker death.  Collection still folds results in submission order, so
-#: the poll cadence never affects results — only failure latency.
-_POLL_S = 0.05
 
-
-def _env_positive(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return default
+def _env_restart_budget() -> int:
+    """``PARTIR_RESTART_BUDGET`` as a non-negative integer (0 = never
+    heal, degrade on the first failure); junk or unset is the default."""
+    try:
+        value = int(os.environ.get(ENV_RESTART_BUDGET, ""))
+    except ValueError:
+        return DEFAULT_RESTART_BUDGET
+    return value if value >= 0 else DEFAULT_RESTART_BUDGET
 
 
 class SchedulerUnavailable(RuntimeError):
-    """A backend's resources could not be reached (e.g. the ``remote``
+    """A backend's workers could not be opened (e.g. the ``remote``
     backend's plan server is down); callers may fall back to a local
     backend."""
 
 
 class RolloutScheduler:
-    """Drives ``budget`` rollouts of ``policy`` through ``evaluator``.
+    """Drives ``budget`` rollouts of ``policy`` through ``evaluator``, a
+    wave at a time, scoring each wave in-process (the ``serial`` and
+    ``batched`` backends; subclasses fan the wave out instead).
 
     ``on_result(key, cost)`` fires once per rollout in wave order (the
     deterministic record the caller tracks the incumbent best with);
     rewards are backed up through the leaf that proposed the rollout.
     """
 
-    name = "base"
+    name = "batched"
 
-    def __init__(self, wave_size: Optional[int] = None,
+    def __init__(self, name: Optional[str] = None,
+                 wave_size: Optional[int] = None,
                  workers: Optional[int] = None,
                  plan_server=None,
                  restart_budget: Optional[int] = None,
-                 wave_timeout_s: Optional[float] = None,
                  rpc_timeout_s: Optional[float] = None,
                  seed: int = 0):
+        if name is not None:
+            self.name = name
         self.wave_size = wave_size
         self.workers = workers
         self.seed = seed
-        #: Only the ``remote`` backend reads these two.
+        #: Only the ``remote`` backend reads this one.
         self.plan_server = plan_server
         self.rpc_timeout_s = (rpc_timeout_s if rpc_timeout_s is not None
                               else DEFAULT_RPC_TIMEOUT_S)
         self.restart_budget = int(
             restart_budget if restart_budget is not None
-            else _env_positive(ENV_RESTART_BUDGET, DEFAULT_RESTART_BUDGET)
-        )
-        self.wave_timeout_s = (
-            wave_timeout_s if wave_timeout_s is not None
-            else _env_positive(ENV_WAVE_TIMEOUT, DEFAULT_WAVE_TIMEOUT_S)
+            else _env_restart_budget()
         )
         self._started = False
         #: Per-wave longest-common-prefix statistics over the order the
@@ -168,29 +154,13 @@ class RolloutScheduler:
         self.wave_lcp_pairs = 0
         self.wave_lcp_actions = 0
         #: Self-healing record, surfaced via ``SearchResult``: worker
-        #: pools re-forked / remote sessions re-connected, wave slices
+        #: sessions re-opened (re-forked / re-connected), wave slices
         #: re-routed after a failure, and — past the restart budget —
         #: which in-process backend the search degraded to ("" = never).
         self.workers_restarted = 0
         self.waves_retried = 0
         self.degraded_to = ""
         self._restarts_left = self.restart_budget
-
-    def _degrade(self, reason: str) -> None:
-        """Terminal rung of the degradation ladder: score every remaining
-        rollout on the main process's evaluator.  Evaluation is a pure
-        function of the canonical key, so the switch changes which CPU
-        does the work — never the costs, and never the search trajectory
-        (``run`` backs up in wave order regardless of who evaluated)."""
-        if not self.degraded_to:
-            self.degraded_to = "serial"
-            warnings.warn(
-                f"{self.name} rollout backend degraded to in-process "
-                f"serial evaluation: {reason} (results are unaffected; "
-                f"raise PARTIR_RESTART_BUDGET to keep healing instead)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     def _note_wave_order(self, ordered: Sequence[ActionKey]) -> None:
         self.waves += 1
@@ -203,10 +173,10 @@ class RolloutScheduler:
     def prepare(self, evaluator: Evaluator) -> None:
         """Start backend resources early (optional).
 
-        The process scheduler forks its worker pools here: ``Pool()``
-        returns as soon as the children exist, so their initializers —
-        which prime each worker's caches with a full root evaluation —
-        run concurrently with the main process's own baseline evaluation.
+        The fan-out backends open their workers here, each with its
+        ``eval_init``, without waiting for a reply, so the workers prime
+        their caches — a full root evaluation each — concurrently with
+        the main process's own baseline evaluation.
         """
         if not self._started:
             self._start(evaluator)
@@ -262,7 +232,7 @@ class RolloutScheduler:
             self.shutdown()
 
     def _effective_wave_size(self, budget: int) -> int:
-        return self.wave_size or 1
+        return self.wave_size or min(DEFAULT_WAVE, max(budget, 1))
 
     def _start(self, evaluator: Evaluator) -> None:
         pass
@@ -270,129 +240,34 @@ class RolloutScheduler:
     def _stop(self) -> None:
         pass
 
+    @staticmethod
+    def _tour_order(keys: Sequence[ActionKey],
+                    tours: Dict[ActionKey, tuple]) -> List[ActionKey]:
+        """The wave's distinct sets along the tree's Euler tour (leaf
+        ``tour_path``, ties by key): consecutive evaluations come from
+        neighboring subtrees, so the undo engine extends with short
+        rollbacks instead of jumping across the tree.  Only the
+        *evaluation* order changes — ``run`` backs results up in wave
+        order regardless."""
+        return sorted(set(keys), key=lambda key: (tours.get(key, ()), key))
+
     def _evaluate_wave(self, evaluator: Evaluator, keys: Sequence[ActionKey],
                        tours: Dict[ActionKey, tuple]) -> Dict[
                            ActionKey, float]:
-        raise NotImplementedError
-
-
-class SerialScheduler(RolloutScheduler):
-    """One rollout in flight: the classic MCTS loop, bit-identical."""
-
-    name = "serial"
-
-    def _effective_wave_size(self, budget: int) -> int:
-        return 1
-
-    def _evaluate_wave(self, evaluator, keys, tours):
-        self._note_wave_order(list(keys))
-        return {key: evaluator.evaluate(key) for key in keys}
-
-
-class BatchedScheduler(RolloutScheduler):
-    """A wave of leaves in flight, scored through shared prefix envs."""
-
-    name = "batched"
-    DEFAULT_WAVE = 8
-
-    def _effective_wave_size(self, budget: int) -> int:
-        return self.wave_size or min(self.DEFAULT_WAVE, max(budget, 1))
-
-    def _evaluate_wave(self, evaluator, keys, tours):
-        # Prefix-aware wave ordering: score the wave's distinct sets along
-        # the tree's Euler tour (leaf ``tour_path``, ties by key), so
-        # consecutive evaluations come from neighboring subtrees and the
-        # undo engine's rollback/extend distance tracks the true edit
-        # distance between rollouts instead of jumping across the tree.
-        # Only the *evaluation* order changes — ``run`` backs results up
-        # in wave order regardless, so a wave of one stays bit-identical
-        # to the serial loop.
-        ordered = sorted(set(keys), key=lambda key: (tours.get(key, ()), key))
+        ordered = self._tour_order(keys, tours)
         self._note_wave_order(ordered)
         return {key: evaluator.evaluate(key) for key in ordered}
 
 
-# -- process backend ---------------------------------------------------------------
-
-# Per-worker evaluator, primed once by _worker_init (fork or spawn safe).
-_WORKER_EVALUATOR: Optional[Evaluator] = None
+# -- fan-out backends --------------------------------------------------------------
 
 
-def _worker_init(function, mesh, portable_env, device,
-                 shared_handle=None) -> None:
-    global _WORKER_EVALUATOR
-    # Re-arm the fault plan from PARTIR_FAULT_PLAN with *fresh* per-site
-    # counters: a forked worker otherwise inherits the parent plan object
-    # mid-count, making worker fault schedules depend on how much the
-    # parent fired before the fork.  No plan installed -> clears to the
-    # zero-overhead fast path.
-    faults.reload_from_env()
-    env = ShardingEnv(mesh)
-    env.apply_portable_state(function, portable_env)
-    _WORKER_EVALUATOR = Evaluator(function, env, device)
-    if shared_handle is not None:
-        store = sharedmemo.attach_store(shared_handle)
-        _WORKER_EVALUATOR._estimator.attach_shared_store(store)
-    # Prime the worker's per-op plan and reconcile-chain memos with the
-    # root env's full evaluation.  Initializers run while the main process
-    # computes its own baseline, so each worker's one unavoidable
-    # cold-cache full plan hides behind work the search does anyway.
-    _WORKER_EVALUATOR.evaluate(())
-
-
-def _worker_evaluate(key: ActionKey):
-    """Score one key in this process's primed evaluator (pool target)."""
-    if faults.should_fire("worker.exit"):
-        # Simulate an OOM-kill/segfault: die without cleanup, result
-        # never delivered.  The parent's liveness poll sees the pid
-        # change and re-routes this key.
-        os._exit(17)
-    return evaluate_with_deltas(_WORKER_EVALUATOR, key)
-
-
-def evaluate_with_deltas(evaluator: Evaluator, key: ActionKey):
-    """Score one key; return the cost plus this call's counter deltas so
-    the main evaluator's observability (and the benchmark JSONs) reflect
-    worker-side cache behavior, not just the main process's.  Shared by
-    the process pool workers and the plan server's evaluator sessions —
-    both speak the same 13-tuple (slot 8, once the materializing path's
-    ``lower_calls``, is always 0: peers of either age unpack 13)."""
-    stats = evaluator.root.stats
-    before = (
-        evaluator.propagate_time_s,
-        evaluator.estimate_time_s,
-        stats.ops_processed,
-        stats.propagate_calls,
-        evaluator.estimate_ops_reused,
-        evaluator.reconcile_chain_hits,
-        evaluator.shared_plan_hits,
-        evaluator.prefix_actions_total,
-        evaluator.prefix_actions_reused,
-    )
-    cost = evaluator.evaluate(key)
-    return (
-        key,
-        cost,
-        evaluator.propagate_time_s - before[0],
-        evaluator.estimate_time_s - before[1],
-        stats.ops_processed - before[2],
-        stats.propagate_calls - before[3],
-        evaluator.estimate_ops_reused - before[4],
-        evaluator.reconcile_chain_hits - before[5],
-        0,
-        evaluator.shared_plan_hits - before[6],
-        evaluator.shared_memo_full,
-        evaluator.prefix_actions_total - before[7],
-        evaluator.prefix_actions_reused - before[8],
-    )
-
-
-def _fold_delta(evaluator: Evaluator, result, store=None) -> None:
-    """Fold one worker 13-tuple's counter deltas into the main evaluator
-    (shared by the process and remote backends) and memoize its cost."""
+def _fold_delta(evaluator: Evaluator, result) -> None:
+    """Fold one worker reply's counter deltas (the 10-tuple of
+    :func:`repro.auto.evaluator.evaluate_with_deltas`) into the main
+    evaluator and memoize its cost."""
     (key, cost, prop_dt, est_dt, ops, prop_calls, ops_reused,
-     chain_hits, _, shared_hits, shared_full,
-     prefix_total, prefix_reused) = result
+     chain_hits, prefix_total, prefix_reused) = result
     evaluator.evaluations += 1
     evaluator.propagate_time_s += prop_dt
     evaluator.estimate_time_s += est_dt
@@ -400,44 +275,169 @@ def _fold_delta(evaluator: Evaluator, result, store=None) -> None:
     evaluator.remote_propagate_calls += prop_calls
     evaluator.remote_ops_reused += ops_reused
     evaluator.remote_reconcile_hits += chain_hits
-    evaluator.remote_shared_plan_hits += shared_hits
-    evaluator.remote_shared_full |= shared_full
-    if shared_full and store is not None:
-        # Workers never warn themselves; surface the segment fill as the
-        # main process's one-shot RuntimeWarning.
-        store.note_remote_full()
     evaluator.remote_prefix_actions_total += prefix_total
     evaluator.remote_prefix_actions_reused += prefix_reused
     evaluator.table.store(tuple(map(tuple, key)), cost)
 
 
 class _AffinityScheduler(RolloutScheduler):
-    """Shared wave-routing machinery for backends with evaluator-owning
-    workers (``process`` pools, ``remote`` server sessions): table-hit
-    filtering, Euler-tour ordering, and LCP-affine placement over
-    ``self._nslots`` worker slots."""
+    """Waves fanned across evaluator-owning workers: table-hit filtering,
+    Euler-tour ordering, LCP-affine placement over ``self._nslots`` worker
+    slots, and the one self-healing ladder (module docstring).  A
+    subclass says how a worker's connection is opened (:meth:`_open`)."""
 
     def _effective_wave_size(self, budget: int) -> int:
         workers = self.workers or DEFAULT_WORKERS
         return self.wave_size or min(max(budget, 1), 2 * workers)
 
-    def _split_wave(self, evaluator, keys, tours):
-        """Serve table hits locally; return ``(costs, tour-ordered
-        misses)`` for the backend to fan out."""
+    # -- worker sessions ----------------------------------------------------
+
+    def _open(self, worker: int) -> rpc.Connection:
+        """A connection to a fresh worker that has been given the saved
+        ``eval_init`` (``self._init``), so the first reply it sends is
+        that message's; ``OSError`` when no worker can be had.  Closing
+        the connection releases the worker."""
+        raise NotImplementedError
+
+    def _open_session(self, worker: int) -> None:
+        """(Re-)open ``worker``'s session without reading its
+        ``eval_init`` reply: the worker primes while this process carries
+        on, and the wave that first uses the session collects the reply
+        (:meth:`_collect`)."""
+        self._connections[worker] = self._open(worker)
+        self._priming.add(worker)
+
+    def _start(self, evaluator: Evaluator) -> None:
+        workers = self.workers or DEFAULT_WORKERS
+        # The evaluator's single env must be at the root (empty prefix)
+        # state before its shardings are snapshotted for the workers'
+        # baselines.
+        evaluator._env_for(())
+        root = evaluator.root
+        #: Replayed verbatim to every re-opened session.
+        self._init = {
+            "kind": "eval_init",
+            "function": evaluator.function,
+            "mesh": root.mesh,
+            "env": root.portable_state(evaluator.function),
+            "device": evaluator.device,
+        }
+        self._nslots = workers
+        self._connections: List[Optional[rpc.Connection]] = [None] * workers
+        #: Workers whose ``eval_init`` reply has not been read yet.
+        self._priming: Set[int] = set()
+        #: Last key routed to each worker — the affinity anchor the
+        #: LCP router extends wave after wave.
+        self._last_key: List[Optional[ActionKey]] = [None] * workers
+        try:
+            for worker in range(workers):
+                self._open_session(worker)
+        except OSError as exc:
+            self._stop()  # do not leak the workers already opened
+            raise SchedulerUnavailable(
+                f"{self.name} worker could not be opened: {exc}"
+            ) from exc
+
+    def _stop(self) -> None:
+        for connection in self._connections:
+            if connection is not None:
+                connection.close()
+        self._connections = []
+
+    def _collect(self, worker: int) -> list:
+        """``worker``'s reply to the slice just sent (behind its
+        ``eval_init`` reply, when that is still unread)."""
+        connection = self._connections[worker]
+        if worker in self._priming:
+            connection.recv()
+            self._priming.discard(worker)
+        return connection.recv()
+
+    def _heal(self, broken: Dict[int, Exception]) -> None:
+        """Retire each broken worker's session and re-open it within the
+        restart budget; past it (or when a worker cannot be re-opened),
+        degrade to in-process evaluation for the rest of the search —
+        which changes which CPU does the work, never the costs or the
+        search trajectory (``run`` backs up in wave order regardless of
+        who evaluated)."""
+        for worker, failure in broken.items():
+            self._connections[worker].close()
+            self._priming.discard(worker)
+            try:
+                if self._restarts_left <= 0:
+                    raise OSError(f"no restart budget left "
+                                  f"({self.restart_budget} used)")
+                self._restarts_left -= 1
+                self._open_session(worker)
+            except OSError as exc:
+                self.degraded_to = "serial"
+                warnings.warn(
+                    f"{self.name} rollout backend degraded to in-process "
+                    f"serial evaluation: worker {worker} failed ({failure}) "
+                    f"and could not be re-opened: {exc} (results are "
+                    f"unaffected; raise PARTIR_RESTART_BUDGET to keep "
+                    f"healing instead)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                return
+            self.workers_restarted += 1
+
+    # -- the wave -----------------------------------------------------------
+
+    def _evaluate_wave(self, evaluator, keys, tours):
+        # Table hits are served here; only the misses cross to workers.
         costs: Dict[ActionKey, float] = {}
-        misses: List[ActionKey] = []
-        # Euler-tour order (see BatchedScheduler): each worker's slice of
-        # the wave is then a run of tree-neighboring sets, which its undo
-        # engine extends with short rollbacks.
-        for key in sorted(set(keys),
-                          key=lambda key: (tours.get(key, ()), key)):
+        pending: List[ActionKey] = []
+        for key in self._tour_order(keys, tours):
             cached = evaluator.table.lookup(key)
             if cached is not None:
                 costs[key] = cached
             else:
-                misses.append(key)
-        self._note_wave_order(misses)
-        return costs, misses
+                pending.append(key)
+        self._note_wave_order(pending)
+        while pending:
+            if self.degraded_to:
+                for key in pending:
+                    costs[key] = evaluator.evaluate(key)
+                break
+            routed = sorted(self._route_wave(pending).items())
+            # Every slice goes out before any reply is read, so the
+            # workers score their slices concurrently.
+            for worker, worker_keys in routed:
+                connection = self._connections[worker]
+                try:
+                    connection.send({"kind": "eval",
+                                     "keys": [list(k) for k in worker_keys]})
+                except OSError:
+                    connection.close()  # its collect below fails at once
+            # Collect in sorted-worker order: the fold order of counter
+            # deltas — and therefore every downstream counter — stays
+            # deterministic whether or not anything failed.
+            failed: List[ActionKey] = []
+            broken: Dict[int, Exception] = {}
+            for worker, worker_keys in routed:
+                try:
+                    results = self._collect(worker)
+                except (rpc.RemoteError, OSError) as exc:
+                    # RemoteError included: a worker-side failure (an
+                    # evaluation raised, the server's request deadline
+                    # fired) leaves that session's state unknown, so
+                    # retire-and-re-init is the recovery either way — and
+                    # an evaluation that raises everywhere surfaces from
+                    # the in-process terminus with its own type.
+                    failed.extend(worker_keys)
+                    broken[worker] = exc
+                    continue
+                for result in results:
+                    costs[tuple(map(tuple, result[0]))] = result[1]
+                    _fold_delta(evaluator, result)
+            if not failed:
+                break
+            self.waves_retried += 1
+            self._heal(broken)
+            pending = failed
+        return costs
 
     def _route(self, key: ActionKey) -> int:
         """Home worker index for a canonical action set (affinity-free
@@ -462,7 +462,7 @@ class _AffinityScheduler(RolloutScheduler):
         per-wave cap of ``ceil(misses / workers)`` keeps the fan-out
         balanced, so affinity can never starve the pool down to one busy
         worker.  Everything here is a function of the wave content and
-        the routing history — never of pool timing — so placement stays
+        the routing history — never of worker timing — so placement stays
         deterministic for a fixed seed."""
         npools = self._nslots
         cap = -(-len(ordered) // npools) if ordered else 0
@@ -484,199 +484,87 @@ class _AffinityScheduler(RolloutScheduler):
         return {w: keys for w, keys in assignments.items() if keys}
 
 
+def _serve_worker(sock: socket.socket, parent_end: socket.socket,
+                  init: dict) -> None:
+    """Body of a ``process`` worker: serve one evaluator session on
+    ``sock`` until the parent hangs up, answering ``init`` — the
+    ``eval_init`` handed over at fork — first."""
+    # The copy of the parent's end this child was forked with would keep
+    # its own receive from ever seeing EOF.
+    parent_end.close()
+    # Re-arm the fault plan from PARTIR_FAULT_PLAN with *fresh* per-site
+    # counters: a forked worker otherwise inherits the parent plan object
+    # mid-count, making worker fault schedules depend on how much the
+    # parent fired before the fork.  No plan installed -> clears to the
+    # zero-overhead fast path.
+    faults.reload_from_env()
+    session = EvaluatorSession()
+
+    def handle(message):
+        if message.get("kind") == "eval":
+            for _ in message["keys"]:
+                if faults.should_fire("worker.exit"):
+                    # Simulate an OOM-kill/segfault: die without cleanup,
+                    # reply never sent.  The parent's receive sees EOF
+                    # and re-routes the slice.
+                    os._exit(17)
+        return session(message)
+
+    rpc.serve_connection(sock, handle, backlog=(init,))
+
+
+class _ChildConnection(rpc.Connection):
+    """A connection whose far end is a child process of this one; closing
+    it also reaps the child."""
+
+    def __init__(self, sock: socket.socket, process):
+        super().__init__(sock)
+        self._process = process
+
+    def close(self) -> None:
+        super().close()
+        self._process.terminate()
+        self._process.join()
+
+
 class ProcessScheduler(_AffinityScheduler):
-    """Waves fanned across evaluator-owning worker processes.
-
-    Each worker is a single-process pool of its own, so the prefix-affine
-    routing — not pool scheduling timing — decides which worker scores
-    which action set.  That keeps placement (and therefore each worker's
-    cache contents) deterministic for a fixed seed.
-
-    Self-healing: wave collection polls each worker's pid alongside its
-    result, so a worker that dies (or produces nothing within
-    ``wave_timeout_s``) is detected mid-wave; its pool is terminated and
-    re-forked (within ``restart_budget``), its unfinished keys re-routed
-    across the survivors, and past the budget the scheduler degrades to
-    in-process serial evaluation — a rollout is never lost, because every
-    evaluation is a pure function of the canonical key and re-executes
-    bit-identically anywhere.
-    """
+    """Workers are forked children, each serving its session on one end
+    of a ``socket.socketpair()``.  The ``eval_init`` message is the one
+    thing that does not cross the pair: the child is handed it at fork,
+    so under the ``fork`` start method the function — and the caches
+    derived on it — are inherited instead of pickled (``spawn`` pickles
+    it into the child like any other argument)."""
 
     name = "process"
 
-    def _start(self, evaluator: Evaluator) -> None:
-        workers = self.workers or DEFAULT_WORKERS
+    def _open(self, worker: int) -> rpc.Connection:
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        # The evaluator's single env must be at the root (empty prefix)
-        # state before its shardings are snapshotted for the workers'
-        # baselines.
-        evaluator._env_for(())
-        # Cross-worker shared plan memo: one shared-memory append log for
-        # the whole search; the main evaluator joins too, so its baseline
-        # evaluation seeds the store while the pools fork.
-        self._store = sharedmemo.create_store(context)
-        evaluator._estimator.attach_shared_store(self._store)
-        root = evaluator.root
-        initargs = (
-            evaluator.function,
-            root.mesh,
-            root.portable_state(evaluator.function),
-            evaluator.device,
-            self._store.handle() if self._store is not None else None,
-        )
-        pools = []
+        ours, theirs = socket.socketpair()
         try:
-            for _ in range(workers):
-                pools.append(context.Pool(1, initializer=_worker_init,
-                                          initargs=initargs))
+            process = context.Process(target=_serve_worker,
+                                      args=(theirs, ours, self._init),
+                                      daemon=True,
+                                      name=f"partir-worker-{worker}")
+            process.start()
         except BaseException:
-            # A mid-list Pool() failure (fork limits, memory pressure)
-            # must not leak the workers already forked.
-            for pool in pools:
-                pool.terminate()
-                pool.join()
+            ours.close()
             raise
-        self._context = context
-        self._initargs = initargs
-        self._pools = pools
-        self._nslots = len(pools)
-        #: The pids each pool was forked with.  ``multiprocessing.Pool``
-        #: silently replaces a dead worker (losing its in-flight task),
-        #: so liveness is "still the same pid", not "some process alive".
-        self._pids = [tuple(p.pid for p in pool._pool) for pool in pools]
-        #: Last key routed to each worker — the affinity anchor the
-        #: LCP router extends wave after wave.
-        self._last_key: List[Optional[ActionKey]] = [None] * len(pools)
-
-    def _stop(self) -> None:
-        for pool in self._pools:
-            try:
-                pool.close()
-            except ValueError:  # already terminated by _heal
-                pass
-        for pool in self._pools:
-            pool.join()
-        self._pools = []
-        if self._store is not None:
-            self._store.close()
-            self._store.unlink()
-            self._store = None
-
-    # -- self-healing -------------------------------------------------------
-
-    def _worker_broken(self, worker: int) -> bool:
-        pool = self._pools[worker]
-        procs = getattr(pool, "_pool", None)
-        if not procs:
-            return True
-        return any(
-            proc.pid != pid or not proc.is_alive()
-            for proc, pid in zip(procs, self._pids[worker])
-        )
-
-    def _collect(self, worker: int, future):
-        """This worker's slice of the wave, or None when the worker died
-        or went silent past ``wave_timeout_s`` (the caller re-routes).
-        Evaluation errors still propagate — a raising rollout is a bug,
-        not a fault to heal."""
-        deadline = time.monotonic() + self.wave_timeout_s
-        while True:
-            try:
-                return future.get(timeout=_POLL_S)
-            except multiprocessing.TimeoutError:
-                if self._worker_broken(worker):
-                    return None
-                if time.monotonic() > deadline:
-                    return None
-
-    def _heal(self, broken: Sequence[int]) -> None:
-        """Re-fork each broken worker's pool within the restart budget;
-        past it, degrade to in-process serial for the rest of the search."""
-        for worker in broken:
-            pool = self._pools[worker]
-            try:
-                pool.terminate()
-                pool.join()
-            except Exception:
-                pass
-            if self._restarts_left > 0:
-                self._restarts_left -= 1
-                try:
-                    fresh = self._context.Pool(
-                        1, initializer=_worker_init,
-                        initargs=self._initargs,
-                    )
-                except Exception:
-                    self._degrade(f"worker {worker} could not be re-forked")
-                    return
-                self._pools[worker] = fresh
-                self._pids[worker] = tuple(p.pid for p in fresh._pool)
-                self.workers_restarted += 1
-            else:
-                self._degrade(
-                    f"worker {worker} failed with no restart budget left "
-                    f"({self.restart_budget} used)"
-                )
-                return
-
-    def _evaluate_wave(self, evaluator, keys, tours):
-        costs, misses = self._split_wave(evaluator, keys, tours)
-        pending = list(misses)
-        while pending:
-            if self.degraded_to:
-                for key in pending:
-                    costs[key] = evaluator.evaluate(key)
-                break
-            routed = sorted(self._route_wave(pending).items())
-            futures = [
-                (worker, worker_keys,
-                 self._pools[worker].map_async(_worker_evaluate,
-                                               worker_keys,
-                                               chunksize=len(worker_keys)))
-                for worker, worker_keys in routed
-            ]
-            # Collect in submission (sorted-worker) order: the fold order
-            # of counter deltas — and therefore every downstream counter —
-            # stays deterministic whether or not anything failed.
-            failed: List[ActionKey] = []
-            broken: List[int] = []
-            for worker, worker_keys, future in futures:
-                results = self._collect(worker, future)
-                if results is None:
-                    failed.extend(worker_keys)
-                    broken.append(worker)
-                    continue
-                for result in results:
-                    costs[result[0]] = result[1]
-                    _fold_delta(evaluator, result, store=self._store)
-            if not failed:
-                break
-            self.waves_retried += 1
-            self._heal(broken)
-            pending = failed
-        return costs
+        finally:
+            # Before anything else is forked: a sibling holding this end
+            # would mask the child's death (no EOF on ``ours``).
+            theirs.close()
+        ours.settimeout(self.rpc_timeout_s)
+        return _ChildConnection(ours, process)
 
 
 class RemoteScheduler(_AffinityScheduler):
-    """Waves fanned across evaluator sessions on a plan server.
-
-    Mirrors :class:`ProcessScheduler` — one primed evaluator per worker,
-    LCP-affine placement, 13-tuple counter deltas back — except the
-    workers live behind ``plan_server`` socket connections, so the same
-    search can span machines.  No shared plan memo crosses the wire (the
-    server's sessions share a process, which is better than a memo).
-
-    Self-healing: every call carries a ``rpc_timeout_s`` socket deadline;
-    a failed worker slice (reset, timeout, server-side error) is retried
-    through a fresh connection — bounded exponential backoff whose jitter
-    is a deterministic hash of the search seed, then a replayed
-    ``eval_init`` so the new session is primed identically — and past the
-    restart budget the scheduler degrades to in-process serial
-    evaluation, same terminus as the process backend.
-    """
+    """Workers are evaluator sessions on a plan server, one TCP
+    connection each.  Opening one retries with bounded exponential
+    backoff whose jitter is a deterministic hash of the search seed —
+    every run of a seed backs off identically."""
 
     name = "remote"
 
@@ -687,162 +575,42 @@ class RemoteScheduler(_AffinityScheduler):
                 "backend='remote' requires plan_server='host:port'"
             )
 
-    def _start(self, evaluator: Evaluator) -> None:
-        from repro.auto import rpc
-
-        workers = self.workers or DEFAULT_WORKERS
-        # Same discipline as the process backend: snapshot the root
-        # (empty prefix) state for the sessions' baselines.
-        evaluator._env_for(())
-        root = evaluator.root
-        init = {
-            "kind": "eval_init",
-            "function": evaluator.function,
-            "mesh": root.mesh,
-            "env": root.portable_state(evaluator.function),
-            "device": evaluator.device,
-        }
-        self._init = init  # replayed verbatim by _reconnect
-        connections = []
-        try:
-            for _ in range(workers):
-                connection = rpc.connect(self.plan_server,
-                                         timeout=self.rpc_timeout_s)
-                connection.request(init)
-                connections.append(connection)
-        except (OSError, rpc.RemoteError) as exc:
-            for connection in connections:
-                connection.close()
-            raise SchedulerUnavailable(
-                f"plan server {self.plan_server!r} unavailable: {exc}"
-            ) from exc
-        self._connections = connections
-        self._nslots = len(connections)
-        self._last_key: List[Optional[ActionKey]] = [None] * len(
-            connections)
-        self._executor = ThreadPoolExecutor(
-            max_workers=len(connections),
-            thread_name_prefix="partir-remote",
-        )
-
-    def _stop(self) -> None:
-        for connection in self._connections:
-            try:
-                connection.request({"kind": "eval_close"})
-            except Exception:
-                pass
-            connection.close()
-        self._connections = []
-        self._executor.shutdown(wait=True)
-
-    # -- self-healing -------------------------------------------------------
-
-    def _reconnect(self, worker: int) -> bool:
-        """Re-open ``worker``'s session: bounded exponential backoff with
-        deterministic jitter (a stable hash of the search seed and the
-        retry coordinates — every run of a seed backs off identically),
-        then a replay of the saved ``eval_init`` so the fresh session is
-        primed exactly like the one it replaces."""
-        from repro.auto import rpc
-
+    def _open(self, worker: int) -> rpc.Connection:
         for attempt in range(RECONNECT_ATTEMPTS):
-            delay = min(0.05 * (2 ** attempt), 1.0)
-            jitter = _stable_hash(
-                (self.seed, worker, attempt, self.workers_restarted)
-            ) % 1000 / 2000.0  # +0..50%
-            time.sleep(delay * (1.0 + jitter))
+            if attempt:
+                jitter = _stable_hash(
+                    (self.seed, worker, attempt, self.workers_restarted)
+                ) % 1000 / 2000.0  # +0..50%
+                time.sleep(min(0.05 * 2 ** attempt, 1.0) * (1.0 + jitter))
             try:
                 connection = rpc.connect(self.plan_server,
                                          timeout=self.rpc_timeout_s)
-                connection.request(self._init)
-            except (rpc.RemoteError, ConnectionError, OSError):
+            except OSError as exc:
+                error = exc
                 continue
-            self._connections[worker] = connection
-            return True
-        return False
-
-    def _heal_remote(self, broken: Sequence[int]) -> None:
-        for worker in broken:
             try:
-                self._connections[worker].close()
-            except Exception:
-                pass
-            if self._restarts_left > 0:
-                self._restarts_left -= 1
-                if self._reconnect(worker):
-                    self.workers_restarted += 1
-                    continue
-                self._degrade(
-                    f"session {worker} could not reconnect to "
-                    f"{self.plan_server!r} after {RECONNECT_ATTEMPTS} "
-                    f"attempts"
-                )
-                return
-            self._degrade(
-                f"session {worker} failed with no restart budget left "
-                f"({self.restart_budget} used)"
-            )
-            return
-
-    def _evaluate_wave(self, evaluator, keys, tours):
-        from repro.auto import rpc
-
-        costs, misses = self._split_wave(evaluator, keys, tours)
-        pending = list(misses)
-        while pending:
-            if self.degraded_to:
-                for key in pending:
-                    costs[key] = evaluator.evaluate(key)
-                break
-            routed = sorted(self._route_wave(pending).items())
-            futures = [
-                (worker, worker_keys, self._executor.submit(
-                    self._connections[worker].request,
-                    {"kind": "eval",
-                     "keys": [list(k) for k in worker_keys]},
-                ))
-                for worker, worker_keys in routed
-            ]
-            failed: List[ActionKey] = []
-            broken: List[int] = []
-            for worker, worker_keys, future in futures:
-                try:
-                    results = future.result()
-                except (rpc.RemoteError, ConnectionError, OSError):
-                    # RemoteError included: a server-side eval failure
-                    # (e.g. its request deadline fired) retires this
-                    # session's state, so reconnect-and-re-init is the
-                    # correct recovery either way.
-                    failed.extend(worker_keys)
-                    broken.append(worker)
-                    continue
-                for result in results:
-                    key = tuple(map(tuple, result[0]))
-                    costs[key] = result[1]
-                    _fold_delta(evaluator, result)
-            if not failed:
-                break
-            self.waves_retried += 1
-            self._heal_remote(broken)
-            pending = failed
-        return costs
-
-
-_SCHEDULERS = {
-    "serial": SerialScheduler,
-    "batched": BatchedScheduler,
-    "process": ProcessScheduler,
-    "remote": RemoteScheduler,
-}
+                connection.send(self._init)
+                return connection
+            except OSError as exc:
+                connection.close()
+                error = exc
+        raise ConnectionError(
+            f"plan server {self.plan_server!r} unreachable after "
+            f"{RECONNECT_ATTEMPTS} attempts: {error}"
+        ) from error
 
 
 def make_scheduler(backend: str, **knobs) -> RolloutScheduler:
     """The ``backend`` scheduler; ``knobs`` are :class:`RolloutScheduler`'s
     constructor keywords."""
-    try:
-        cls = _SCHEDULERS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown search backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return cls(**knobs)
+    if backend == "serial":
+        return RolloutScheduler("serial", **{**knobs, "wave_size": 1})
+    if backend == "batched":
+        return RolloutScheduler("batched", **knobs)
+    if backend == "process":
+        return ProcessScheduler(**knobs)
+    if backend == "remote":
+        return RemoteScheduler(**knobs)
+    raise ValueError(
+        f"unknown search backend {backend!r}; expected one of {BACKENDS}"
+    )

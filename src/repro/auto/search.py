@@ -16,9 +16,9 @@ subsystem behind it has four seams:
   estimator evaluation pipeline; ``evaluate`` is a pure function of the canonical
   (sorted, deduped) action set,
 * :mod:`repro.auto.scheduler` — the rollout backends: ``serial`` (the
-  classic loop, bit-identical), ``batched`` (waves scored through shared
-  prefix envs), and ``process`` (waves fanned across ``multiprocessing``
-  workers), and
+  classic loop, a wave of one), ``batched`` (waves scored in-process in
+  Euler-tour order), and ``process`` / ``remote`` (waves fanned across
+  evaluator sessions in forked children / on a plan server), and
 * :mod:`repro.auto.cache` — the transposition table, including append-only
   on-disk persistence keyed by a traced-function fingerprint so repeated
   ``partir_jit``/``AutomaticPartition`` calls warm-start from prior scores
@@ -73,7 +73,7 @@ class SearchConfig:
     The first nine fields are the **plan identity**: two requests agreeing
     on all of them (and on the function) are the same search, so they are
     what the plan server keys its store on (:meth:`plan_identity`) and all
-    a plan request ships.  The remaining eight only decide *how* the
+    a plan request ships.  The remaining seven only decide *how* the
     search executes and never change the returned actions or cost.
 
     * ``budget`` rollouts of at most ``rollout_depth`` actions each, UCT
@@ -93,9 +93,7 @@ class SearchConfig:
       ``"group"`` (flat per-group warm means) or ``"none"``.
     * ``backend`` selects the rollout scheduler (``serial`` / ``batched``
       / ``process`` / ``remote``; :mod:`repro.auto.scheduler`), tuned by
-      ``workers`` and ``wave_size``.  On ``process``, workers pool their
-      lowering-plan and reconcile-chain memos through shared memory
-      (:mod:`repro.auto.sharedmemo`).
+      ``workers`` and ``wave_size``.
     * ``cache_dir`` persists the transposition table **and the
       per-action-group tree statistics** across calls (append-only, keyed
       by the traced function's fingerprint): a warm search replays known
@@ -108,10 +106,10 @@ class SearchConfig:
       search runs *here* but fans its waves across the server's evaluator
       sessions (falling back to ``serial`` if unreachable).
     * ``restart_budget`` (worker re-forks / session reconnects per
-      search; default 1, env ``PARTIR_RESTART_BUDGET``),
-      ``wave_timeout_s`` (silent-worker deadline; default 300, env
-      ``PARTIR_WAVE_TIMEOUT_S``) and ``rpc_timeout_s`` (remote per-call
-      socket deadline; default 60) bound *recovery*, never results:
+      search; default 1, env ``PARTIR_RESTART_BUDGET``, 0 = degrade on
+      the first failure) and ``rpc_timeout_s`` (the deadline on one
+      worker call, ``process`` and ``remote`` alike; default 60) bound
+      *recovery*, never results:
       whatever fails, the search completes with the same best
       actions/cost as the fault-free serial run at the same seed,
       degrading to in-process evaluation in the limit
@@ -141,7 +139,6 @@ class SearchConfig:
     cache_dir: Optional[str] = None
     plan_server: Optional[str] = None
     restart_budget: Optional[int] = None
-    wave_timeout_s: Optional[float] = None
     rpc_timeout_s: Optional[float] = None
 
     def __post_init__(self):
@@ -244,12 +241,6 @@ class SearchResult:
     warm_cache_hits: int = 0
     #: Whole reconcile-chain costs reused by the streaming evaluator.
     reconcile_chain_hits: int = 0
-    #: Plans/chains served from the cross-worker shared memo (process
-    #: backend; 0 elsewhere or when the shared store is unavailable).
-    shared_plan_hits: int = 0
-    #: Did the cross-worker shared memo's fixed-size segment fill (in any
-    #: process)?  Pooling stops for later cold plans; results unaffected.
-    shared_memo_full: bool = False
     #: Which action space was searched ("inputs" | "tagged").
     action_space: str = "tagged"
     #: Expansions steered by *warm-started* action-group statistics (tree
@@ -294,8 +285,9 @@ class SearchResult:
     #: What the fault fabric actually did (all zeros/empty without an
     #: installed :class:`repro.auto.faults.FaultPlan` — the zero-overhead
     #: pin).  ``faults_injected`` counts injection-site firings in *this*
-    #: process during the search; ``workers_restarted`` counts pool
-    #: re-forks (process backend) / session reconnects (remote);
+    #: process during the search; ``workers_restarted`` counts worker
+    #: sessions re-opened (re-forks on ``process``, reconnects on
+    #: ``remote``);
     #: ``waves_retried`` counts wave slices re-routed after a failure;
     #: ``degraded_to`` names the in-process terminus ("serial") when the
     #: restart budget ran out, "" when the backend held.
@@ -505,18 +497,17 @@ def mcts_search(
                               workers=config.workers,
                               plan_server=config.plan_server,
                               restart_budget=config.restart_budget,
-                              wave_timeout_s=config.wave_timeout_s,
                               rpc_timeout_s=config.rpc_timeout_s,
                               seed=config.seed)
 
     scheduler = scheduler_for(backend)
-    # Fork worker pools (a no-op for in-process backends) before the
+    # Open the workers (a no-op for in-process backends) before the
     # baseline evaluation: worker cache-priming overlaps it.
     try:
         scheduler.prepare(evaluator)
     except SchedulerUnavailable as exc:
         warnings.warn(
-            f"remote backend unavailable, falling back to serial: {exc}",
+            f"{backend} backend unavailable, falling back to serial: {exc}",
             RuntimeWarning,
         )
         scheduler = scheduler_for("serial")
@@ -607,9 +598,6 @@ def mcts_search(
         backend=backend,
         warm_cache_hits=table.warm_hits,
         reconcile_chain_hits=evaluator.reconcile_chain_hits,
-        shared_plan_hits=(evaluator.shared_plan_hits
-                          + evaluator.remote_shared_plan_hits),
-        shared_memo_full=evaluator.shared_memo_full,
         action_space=config.action_space,
         tree_prior_hits=policy.tree_prior_hits,
         prior_groups=policy.prior_groups,

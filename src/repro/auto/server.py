@@ -20,10 +20,10 @@ protocol of :mod:`repro.auto.rpc`:
 * **evaluator sessions** — the ``remote`` rollout backend
   (:class:`repro.auto.scheduler.RemoteScheduler`) opens one connection
   per remote worker, primes a server-side
-  :class:`~repro.auto.evaluator.Evaluator` once (``eval_init``), then
-  streams canonical action sets to score — fanning one search's rollout
-  waves across machines with the same portable-state transport the
-  ``process`` backend uses across forks.
+  :class:`~repro.auto.evaluator.EvaluatorSession` once (``eval_init``),
+  then streams canonical action sets to score — fanning one search's
+  rollout waves across machines through the very session class and
+  frames a forked ``process`` worker serves on its socketpair.
 
 Run the daemon with::
 
@@ -44,7 +44,7 @@ from repro.core.sharding import ShardingEnv
 from repro.auto import faults, rpc
 from repro.auto.cache import TranspositionTable, function_fingerprint, \
     table_for
-from repro.auto.evaluator import Evaluator
+from repro.auto.evaluator import EvaluatorSession
 from repro.auto.fingerprint import CanonicalForm, canonicalize
 from repro.auto.planstore import PlanRecord, PlanStore
 from repro.auto.search import SearchConfig, mcts_search
@@ -75,7 +75,7 @@ class _ConnectionHandler:
 
     def __init__(self, server: "PlanServer"):
         self._server = server
-        self._evaluator: Optional[Evaluator] = None
+        self._session = EvaluatorSession()
 
     def __call__(self, message):
         if not isinstance(message, dict):
@@ -94,35 +94,12 @@ class _ConnectionHandler:
         if kind == "table":
             return self._server.handle_table(message)
         if kind == "eval_init":
-            return self._eval_init(message)
-        if kind == "eval":
-            return self._eval(message)
-        if kind == "eval_close":
-            self.close()
-            return True
-        raise ValueError(f"unknown request kind {kind!r}")
-
-    # -- evaluator sessions (the `remote` rollout backend's far side) -------
-
-    def _eval_init(self, message) -> float:
-        function = message["function"]
-        env = ShardingEnv(message["mesh"])
-        env.apply_portable_state(function, message["env"])
-        self._evaluator = Evaluator(function, env, message["device"])
-        self._server.note_eval_session()
-        # Prime the plan/chain memos exactly like a process-pool worker.
-        return self._evaluator.evaluate(())
-
-    def _eval(self, message):
-        if self._evaluator is None:
-            raise RuntimeError("eval before eval_init on this connection")
-        from repro.auto.scheduler import evaluate_with_deltas
-
-        return [evaluate_with_deltas(self._evaluator, tuple(map(tuple, key)))
-                for key in message["keys"]]
+            self._server.note_eval_session()
+        # eval_init / eval / eval_close: the `remote` backend's far side.
+        return self._session(message)
 
     def close(self) -> None:
-        self._evaluator = None
+        self._session.close()
 
 
 class PlanServer:

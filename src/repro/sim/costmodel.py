@@ -44,7 +44,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import pipeline as pipeline_mod
-from repro.core.sharding import Sharding, intern_sharding, sharding_from_iid
+from repro.core.sharding import Sharding
 from repro.ir import opdefs
 from repro.ir.function import Function
 from repro.ir.types import TensorType
@@ -444,11 +444,9 @@ class _MemoLowerer(Lowerer):
         chain_key = (value.type, actual.iid, required_t, ar_axes)
         entry = estimator._chains.get(chain_key)
         if entry is None:
-            entry = estimator._miss_chain(
-                chain_key,
-                lambda: self._record_chain(value.type, actual, required,
-                                           allowed_pending),
-            )
+            entry = estimator._chains[chain_key] = self._record_chain(
+                value.type, actual, required, allowed_pending)
+            estimator.reconcile_misses += 1
         else:
             estimator.reconcile_hits += 1
         handle = sink.replay_chain(value, entry)
@@ -505,9 +503,8 @@ class _MemoLowerer(Lowerer):
             plans = estimator._plans[id(op)] = {}
         plan = plans.get(signature)
         if plan is None:
-            plan = plans[signature] = estimator._miss_plan(
-                op, signature, lambda: self._plan_op(op)
-            )
+            plan = plans[signature] = self._plan_op(op)
+            estimator.ops_planned += 1
         else:
             estimator.ops_reused += 1
         self._execute_plan(op, plan, sink, value_map)
@@ -532,9 +529,6 @@ class StreamingEstimator:
         self.ops_reused = 0
         self.reconcile_hits = 0
         self.reconcile_misses = 0
-        #: Plan/chain entries served from the cross-worker shared store
-        #: (attached by the process scheduler; see repro.auto.sharedmemo).
-        self.shared_plan_hits = 0
         # id(op) -> {adjacent-sharding iid tuple -> _OpPlan}.  Keying on
         # id() is safe: self.function keeps every op (and region op) alive.
         self._plans: Dict[int, Dict[tuple, object]] = {}
@@ -544,15 +538,6 @@ class StreamingEstimator:
         #: Incremental re-estimation state bound to one mutable env (the
         #: undo-log rollout evaluator's); see :meth:`estimate_incremental`.
         self._inc: Optional["_IncrementalEstimate"] = None
-        # Cross-worker shared plan memo (see repro.auto.sharedmemo): None
-        # until the process scheduler attaches a store.
-        self._shared = None
-        self._shared_offset = 0
-        self._shared_pending: List[tuple] = []
-        self._staged_plans: Dict[tuple, object] = {}
-        self._staged_chains: Dict[tuple, _ChainEntry] = {}
-        self._ops_walk: Optional[List] = None
-        self._op_pos: Optional[Dict[int, int]] = None
 
     def __getstate__(self):
         """Pickle support for shipping the estimator to search workers.
@@ -564,125 +549,8 @@ class StreamingEstimator:
         state = self.__dict__.copy()
         state["_plans"] = {}
         state["_inc"] = None
-        state["_shared"] = None
-        state["_shared_offset"] = 0
-        state["_shared_pending"] = []
-        state["_staged_plans"] = {}
-        state["_staged_chains"] = {}
-        state["_ops_walk"] = None
-        state["_op_pos"] = None
         state["_chains"] = {}
         return state
-
-    # -- cross-worker shared memo -------------------------------------------
-
-    def attach_shared_store(self, store) -> None:
-        """Join a :class:`repro.auto.sharedmemo.SharedMemoStore`.
-
-        From now on, every cold plan/chain computation is queued for
-        publication (flushed once per estimate call), and every estimate
-        call first polls the store, *staging* records other processes
-        published.  Staged entries are adopted only when a local lookup
-        actually misses — ``shared_plan_hits`` therefore counts real cold
-        computations avoided, not records received.
-        """
-        if store is None:
-            return
-        self._shared = store
-        self._ops_walk = list(self.function.walk())
-        self._op_pos = {id(op): i for i, op in enumerate(self._ops_walk)}
-
-    def _shared_sync(self) -> None:
-        self._shared_offset, records = self._shared.poll(self._shared_offset)
-        if not records:
-            return
-        ops_walk = self._ops_walk
-        plans_all = self._plans
-        for record in records:
-            if record[0] == "p":
-                _, op_index, sig_signatures, plan = record
-                op = ops_walk[op_index]
-                sig = tuple(
-                    intern_sharding(
-                        Sharding(ds, frozenset(ss), frozenset(ps))
-                    )._iid
-                    for ds, ss, ps in sig_signatures
-                )
-                plans = plans_all.get(id(op))
-                if plans is not None and sig in plans:
-                    continue  # already computed locally (incl. own records)
-                self._staged_plans[(id(op), sig)] = plan
-            else:
-                _, (value_type, actual_sig, required_t, ar_axes), entry = \
-                    record
-                ds, ss, ps = actual_sig
-                iid = intern_sharding(
-                    Sharding(ds, frozenset(ss), frozenset(ps))
-                )._iid
-                key = (value_type, iid, required_t, ar_axes)
-                if key not in self._chains:
-                    self._staged_chains[key] = entry
-
-    def _shared_flush(self) -> None:
-        if self._shared is not None and self._shared_pending:
-            self._shared.publish(self._shared_pending)
-            self._shared_pending = []
-
-    def _take_staged_plan(self, op, sig):
-        plan = self._staged_plans.pop((id(op), sig), None)
-        if plan is not None:
-            self.shared_plan_hits += 1
-        return plan
-
-    def _take_staged_chain(self, key):
-        entry = self._staged_chains.pop(key, None)
-        if entry is not None:
-            self.shared_plan_hits += 1
-        return entry
-
-    def _miss_plan(self, op, sig, plan_fn):
-        """Resolve a local plan-memo miss: adopt a staged shared-store
-        entry if one exists, else compute via ``plan_fn`` (counting the
-        cold plan) and queue it for publication.  The one place the
-        adoption/counting semantics live — both the loop-body walk and the
-        incremental resolver call through here."""
-        plan = self._take_staged_plan(op, sig) \
-            if self._shared is not None else None
-        if plan is None:
-            plan = plan_fn()
-            self.ops_planned += 1
-            self._note_plan(op, sig, plan)
-        return plan
-
-    def _miss_chain(self, chain_key, record_fn):
-        """Resolve a local chain-memo miss (mirror of :meth:`_miss_plan`);
-        stores the entry and counts the miss."""
-        entry = self._take_staged_chain(chain_key) \
-            if self._shared is not None else None
-        if entry is None:
-            entry = record_fn()
-            self._note_chain(chain_key, entry)
-        self._chains[chain_key] = entry
-        self.reconcile_misses += 1
-        return entry
-
-    def _note_plan(self, op, sig, plan) -> None:
-        if self._shared is not None:
-            self._shared_pending.append((
-                "p", self._op_pos[id(op)],
-                tuple(sharding_from_iid(iid).signature() for iid in sig),
-                plan,
-            ))
-
-    def _note_chain(self, key, entry) -> None:
-        if self._shared is not None:
-            value_type, iid, required_t, ar_axes = key
-            self._shared_pending.append((
-                "c",
-                (value_type, sharding_from_iid(iid).signature(), required_t,
-                 ar_axes),
-                entry,
-            ))
 
     def estimate_incremental(self, env, changed_values=None,
                              overlap: bool = True) -> CostEstimate:
@@ -721,11 +589,8 @@ class StreamingEstimator:
             if (window is None or window[1] != env.write_serial
                     or window[0] > inc.synced_serial):
                 changed_values = None
-        if self._shared is not None:
-            self._shared_sync()
         result = inc.run(changed_values, overlap)
         inc.synced_serial = env.write_serial
-        self._shared_flush()
         return result
 
 
@@ -1092,11 +957,10 @@ class _IncrementalEstimate:
         chain_key = (local, actual.iid, required_t, ar_axes)
         entry = estimator._chains.get(chain_key)
         if entry is None:
-            entry = estimator._miss_chain(
-                chain_key,
-                lambda: self._lowerer._record_chain(local, actual, required,
-                                                    allowed_pending),
-            )
+            entry = estimator._chains[chain_key] = \
+                self._lowerer._record_chain(local, actual, required,
+                                            allowed_pending)
+            estimator.reconcile_misses += 1
         else:
             estimator.reconcile_hits += 1
         reduce_key = (value, ar_axes, required_t) if ar_axes else None
@@ -1151,9 +1015,8 @@ class _IncrementalEstimate:
             plans = estimator._plans[id(op)] = {}
         plan = plans.get(sig)
         if plan is None:
-            plan = plans[sig] = estimator._miss_plan(
-                op, sig, lambda: self._lowerer._plan_op(op)
-            )
+            plan = plans[sig] = self._lowerer._plan_op(op)
+            estimator.ops_planned += 1
         else:
             estimator.ops_reused += 1
         sites = tuple(
@@ -1265,11 +1128,10 @@ class _IncrementalEstimate:
         chain_key = (local_type, actual.iid, required_t, ar_axes)
         entry = estimator._chains.get(chain_key)
         if entry is None:
-            entry = estimator._miss_chain(
-                chain_key,
-                lambda: self._lowerer._record_chain(local_type, actual,
-                                                    required, set()),
-            )
+            entry = estimator._chains[chain_key] = \
+                self._lowerer._record_chain(local_type, actual, required,
+                                            set())
+            estimator.reconcile_misses += 1
         return entry
 
 

@@ -1,8 +1,8 @@
 """The fault-tolerant search fabric, under scripted failure schedules.
 
 The degradation contract pinned here (ISSUE 9): under ANY injected fault
-schedule — worker kills mid-wave, RPC resets, torn shared-memo and
-transposition writes, server-side search crashes — ``mcts_search``
+schedule — worker kills mid-wave, RPC resets on either worker transport,
+torn transposition writes, server-side search crashes — ``mcts_search``
 completes and returns best actions/cost **bit-identical** to the
 fault-free serial run at the same seed, truthfully reporting what
 recovery ran in ``SearchResult.faults_injected`` / ``workers_restarted``
@@ -19,6 +19,7 @@ import socket
 import struct
 import subprocess
 import sys
+import time
 import warnings
 import zlib
 
@@ -29,8 +30,9 @@ from repro.core.sharding import ShardingEnv
 from repro.ir.function import FunctionBuilder
 from repro.sim import DeviceSpec
 
-from repro.auto import faults, rpc, sharedmemo
+from repro.auto import faults, rpc
 from repro.auto.cache import TranspositionTable
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.scheduler import make_scheduler
 from repro.auto.search import mcts_search
 from repro.auto.server import PlanServer
@@ -238,58 +240,6 @@ class TestCrcFraming:
             b.close()
 
 
-# -- shared memo corruption --------------------------------------------------------
-
-
-@pytest.mark.skipif(not sharedmemo.available(),
-                    reason="shared memory unavailable")
-class TestSharedMemoCorruption:
-    def _store(self):
-        import multiprocessing
-
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else None)
-        store = sharedmemo.create_store(context, size=1 << 16)
-        assert store is not None
-        return store
-
-    def test_corrupt_record_skipped_with_one_shot_warning(self):
-        store = self._store()
-        try:
-            faults.install(faults.FaultPlan({"sharedmemo.publish": [0, 2]}),
-                           export_env=False)
-            assert store.publish([("p", 0, (), "torn"),
-                                  ("p", 1, (), "good")]) == 2
-            with pytest.warns(RuntimeWarning, match="corrupt record"):
-                offset, records = store.poll(0)
-            assert records == [("p", 1, (), "good")]
-            assert store.corrupt_skipped == 1
-            # Second corrupt record: counted, but no second warning.
-            store.publish([("c", ("k",), "torn-again")])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                offset, records = store.poll(offset)
-            assert records == []
-            assert store.corrupt_skipped == 2
-        finally:
-            faults.uninstall()
-            store.close()
-            store.unlink()
-
-    def test_no_fault_round_trip_unchanged(self):
-        store = self._store()
-        try:
-            payloads = [("p", i, (i,), f"plan{i}") for i in range(5)]
-            assert store.publish(payloads) == 5
-            _, records = store.poll(0)
-            assert records == payloads
-            assert store.corrupt_skipped == 0
-        finally:
-            store.close()
-            store.unlink()
-
-
 # -- transposition log crash safety ------------------------------------------------
 
 
@@ -395,33 +345,118 @@ class TestProcessChaos:
     def test_restart_budget_env_default(self, monkeypatch):
         monkeypatch.setenv("PARTIR_RESTART_BUDGET", "5")
         assert make_scheduler("process").restart_budget == 5
-        monkeypatch.setenv("PARTIR_WAVE_TIMEOUT_S", "12.5")
-        assert make_scheduler("process").wave_timeout_s == 12.5
-        monkeypatch.setenv("PARTIR_RESTART_BUDGET", "junk")
-        assert make_scheduler("process").restart_budget == 1
+        # Zero is a budget ("never heal"), not junk.
+        monkeypatch.setenv("PARTIR_RESTART_BUDGET", "0")
+        assert make_scheduler("process").restart_budget == 0
+        for junk in ("junk", "-1", "2.5", ""):
+            monkeypatch.setenv("PARTIR_RESTART_BUDGET", junk)
+            assert make_scheduler("process").restart_budget == 1, junk
+
+    def test_zero_restart_budget_degrades_on_first_failure(self, reference,
+                                                           monkeypatch):
+        monkeypatch.setenv("PARTIR_RESTART_BUDGET", "0")
+        faults.install(faults.FaultPlan({"worker.exit": [1]}))
+        try:
+            result = search(backend="process", workers=2, wave_size=2)
+        finally:
+            faults.uninstall()
+        assert result.actions == reference.actions
+        assert result.cost == reference.cost
+        assert result.workers_restarted == 0
+        assert result.degraded_to == "serial"
+
+    def test_connection_resets_heal_bit_identically(self, reference):
+        """The forked workers speak the same frames as the daemon's
+        sessions, so the same scripted resets heal the same way."""
+        check_connection_resets_heal("process", reference)
+
+    def test_dead_worker_is_an_eof_not_a_timeout(self):
+        """A worker dying mid-slice must surface as EOF on its socket at
+        once, never as the 60 s call deadline — including when a sibling
+        re-forked while the victim's socketpair was open is still alive
+        (it must not hold the victim's end open)."""
+        function = chain()
+        evaluator = Evaluator(function, ShardingEnv(MESH), TINY_DEVICE)
+        expected = Evaluator(function, ShardingEnv(MESH), TINY_DEVICE)
+        keys = [(action,) for action in candidate_actions(
+            function, evaluator.root, ["B", "M"])[:5]]
+        # Every worker (re-forked ones too) dies handling its second key.
+        faults.install(faults.FaultPlan({"worker.exit": [1]}))
+        scheduler = make_scheduler("process", workers=2, restart_budget=8,
+                                   rpc_timeout_s=60.0)
+        scheduler.prepare(evaluator)
+        try:
+            # Wave 1: one key each.  Wave 2: a single key kills one worker,
+            # re-forked while its sibling lives.  Wave 3: the sibling dies
+            # on its second key (where the re-routed key lands decides
+            # whether the replacement follows it).
+            for wave, restarts in ((keys[:2], 0), (keys[2:3], 1),
+                                   (keys[3:], 2)):
+                started = time.monotonic()
+                costs = scheduler._evaluate_wave(evaluator, wave, {})
+                assert time.monotonic() - started < 1.0
+                assert costs == {key: expected.evaluate(key)
+                                 for key in wave}
+                assert scheduler.workers_restarted >= restarts
+        finally:
+            scheduler.shutdown()
+            faults.uninstall()
+        assert scheduler.degraded_to == ""
+
+
+def check_connection_resets_heal(backend, reference, **kw):
+    """Scripted mid-stream resets on the worker connections (send + recv
+    sides; either end of them may draw from the schedule) — sessions are
+    re-opened, replay ``eval_init`` and re-route; the result matches the
+    fault-free serial run bit for bit."""
+    faults.install(
+        faults.FaultPlan({"rpc.recv": [6, 9], "rpc.send": [12]}))
+    try:
+        result = search(backend=backend, workers=2, wave_size=2,
+                        restart_budget=16, rpc_timeout_s=10.0, **kw)
+    finally:
+        faults.uninstall()
+    assert result.actions == reference.actions
+    assert result.cost == reference.cost
+    assert result.faults_injected >= 1
+    assert result.workers_restarted >= 1 or result.degraded_to
+
+
+@pytest.mark.parametrize("backend", ["serial", "process", "remote"])
+def test_raising_evaluation_surfaces_with_its_own_type(backend,
+                                                       monkeypatch):
+    """An evaluation that raises is a bug, not a fault: workers report
+    it, the ladder runs out, and the in-process terminus re-raises the
+    same exception type the serial backend would have."""
+
+    class Boom(ArithmeticError):
+        pass
+
+    real_compute = Evaluator.compute
+
+    def compute(self, key):
+        if key:
+            raise Boom(f"cannot price {key!r}")
+        return real_compute(self, key)
+
+    monkeypatch.setattr(Evaluator, "compute", compute)
+    with PlanServer() as server, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(Boom, match="cannot price"):
+            search(backend=backend, workers=2, wave_size=2,
+                   plan_server=(rpc.format_address(server.address)
+                                if backend == "remote" else None))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestRemoteChaos:
     def test_connection_resets_heal_bit_identically(self, reference):
-        """Scripted mid-stream resets (send + recv sides; client and the
-        in-process server share the schedule's counters) — sessions
-        reconnect, replay ``eval_init`` and re-route; the result matches
-        the fault-free serial run bit for bit."""
+        """The client and the in-process server share the schedule's
+        counters."""
         with PlanServer() as server:
-            address = rpc.format_address(server.address)
-            faults.install(
-                faults.FaultPlan({"rpc.recv": [6, 9], "rpc.send": [12]}))
-            try:
-                result = search(backend="remote", workers=2, wave_size=2,
-                                plan_server=address, restart_budget=16,
-                                rpc_timeout_s=10.0)
-            finally:
-                faults.uninstall()
-        assert result.actions == reference.actions
-        assert result.cost == reference.cost
-        assert result.faults_injected >= 1
-        assert result.workers_restarted >= 1 or result.degraded_to
+            check_connection_resets_heal(
+                "remote", reference,
+                plan_server=rpc.format_address(server.address))
 
     def test_server_search_crash_falls_back_to_local(self, reference):
         with PlanServer() as server:
@@ -459,12 +494,10 @@ class TestRemoteChaos:
 class TestTornWritesDuringSearch:
     def test_torn_cache_and_memo_writes_do_not_change_results(
             self, tmp_path, reference):
-        """cache.append + sharedmemo.publish faults during a process-
-        backend search with a persistent cache_dir: the search completes
-        bit-identically, and the (possibly torn) log still warm-starts a
-        later run to the same answer."""
-        faults.install(faults.FaultPlan(
-            {"cache.append": [0], "sharedmemo.publish": [0, 1]}))
+        """A cache.append fault during a process-backend search with a
+        persistent cache_dir: the search completes bit-identically, and
+        the torn log still warm-starts a later run to the same answer."""
+        faults.install(faults.FaultPlan({"cache.append": [0]}))
         try:
             result = search(backend="process", workers=2, wave_size=2,
                             cache_dir=str(tmp_path))

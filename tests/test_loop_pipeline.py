@@ -412,6 +412,25 @@ class TestIndivisibleOperandDim:
         for have, want in zip(got, evaluate_function(traced.function, args)):
             np.testing.assert_allclose(have, want, atol=1e-3)
 
+    def test_four_expert_plan_executes_cold_and_warm(self, tmp_path):
+        """ROADMAP 2(4)'s first customer: the default-budget search on
+        the 4-expert MoE returns cold and again warm from ``cache_dir``
+        (where it was once recorded as raising ``ShardingError``), and
+        both plans run on the executor to the interpreter's numerics."""
+        traced = pm.trace_pipeline_moe(pm.tiny(batch=16, num_experts=4))
+        args = self.inputs(traced.function)
+        expected = evaluate_function(traced.function, args)
+        for warm in (False, True):
+            tactic = AutomaticPartition(["batch", "model"],
+                                        {"budget": 24, "seed": 0},
+                                        cache_dir=str(tmp_path))
+            partitioned, _ = partir_jit(traced, self.MESH, [tactic])
+            assert (tactic.last_search.warm_cache_hits > 0) == warm
+            got, _ = pytree.flatten(
+                partitioned(*pytree.unflatten(traced.in_treedef, args)))
+            for have, want in zip(got, expected):
+                np.testing.assert_allclose(have, want, atol=1e-3)
+
     def test_every_single_candidate_prices_and_executes(self):
         fn = pm.trace_pipeline_moe(pm.tiny()).function
         evaluator = Evaluator(fn, ShardingEnv(self.MESH), TPU_V3)

@@ -5,8 +5,8 @@ two-tier store (exact / relaxed fingerprints, with index translation for
 permuted clones), in-flight deduplication of identical searches (N
 concurrent requests -> exactly one search), the ``remote`` rollout
 backend's evaluator sessions, and the graceful local fallbacks when no
-server is reachable.  Plus the serving PR's configuration satellites:
-the plan store's LRU cap and the shared-memo segment size env var.
+server is reachable.  Plus the serving PR's configuration satellite:
+the plan store's LRU cap.
 """
 
 import threading
@@ -20,7 +20,7 @@ from repro.core.sharding import ShardingEnv
 from repro.ir.function import FunctionBuilder
 from repro.sim import DeviceSpec
 
-from repro.auto import rpc, sharedmemo
+from repro.auto import rpc
 from repro.auto.evaluator import Evaluator
 from repro.auto.planstore import PlanRecord, PlanStore
 from repro.auto.search import mcts_search
@@ -313,34 +313,6 @@ class TestPlanStore:
         assert PlanStore().max_entries == 512
 
 
-class TestSharedMemoSize:
-    def test_env_var_overrides_default_size(self, monkeypatch):
-        monkeypatch.delenv(sharedmemo.ENV_SIZE, raising=False)
-        assert sharedmemo.default_size() == sharedmemo.DEFAULT_SIZE
-        monkeypatch.setenv(sharedmemo.ENV_SIZE, "65536")
-        assert sharedmemo.default_size() == 65536
-        monkeypatch.setenv(sharedmemo.ENV_SIZE, "-1")
-        assert sharedmemo.default_size() == sharedmemo.DEFAULT_SIZE
-        monkeypatch.setenv(sharedmemo.ENV_SIZE, "junk")
-        assert sharedmemo.default_size() == sharedmemo.DEFAULT_SIZE
-
-    @pytest.mark.skipif(not sharedmemo.available(),
-                        reason="shared memory unavailable")
-    def test_create_store_uses_env_size(self, monkeypatch):
-        import multiprocessing
-
-        monkeypatch.setenv(sharedmemo.ENV_SIZE, "4096")
-        context = multiprocessing.get_context()
-        store = sharedmemo.create_store(context)
-        try:
-            assert store is not None
-            assert store.handle()[2] == 4096
-        finally:
-            if store is not None:
-                store.close()
-                store.unlink()
-
-
 class TestRpcProtocol:
     def test_parse_address(self):
         assert rpc.parse_address("localhost:7077") == ("localhost", 7077)
@@ -357,8 +329,39 @@ class TestRpcProtocol:
 
     def test_protocol_mismatch_rejected(self, server):
         with rpc.connect(addr(server)) as connection:
-            with pytest.raises(rpc.RemoteError, match="protocol"):
-                connection.request({"kind": "ping", "protocol": 999})
+            for theirs in (2, 999):
+                with pytest.raises(rpc.RemoteError, match="protocol"):
+                    connection.request({"kind": "ping", "protocol": theirs})
+
+    def test_older_daemon_ends_in_a_local_serial_search(self, server,
+                                                        monkeypatch):
+        """A PROTOCOL-2 daemon answers this client's every request with
+        its version-mismatch error: a plan request falls back to a local
+        search, and the ``remote`` backend — whose sessions fail on their
+        ``eval_init`` reply — degrades to in-process evaluation."""
+        from repro.auto import server as server_mod
+
+        def old_daemon(self, message):
+            if message.get("protocol") != 2:
+                raise ValueError("protocol mismatch: server speaks 2")
+            raise AssertionError("client sent a protocol-2 frame")
+
+        monkeypatch.setattr(server_mod._ConnectionHandler, "__call__",
+                            old_daemon)
+        reference = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                                **SEARCH)
+        with pytest.warns(RuntimeWarning, match="protocol mismatch"):
+            served = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                                 plan_server=addr(server), **SEARCH)
+        assert served.plan_source == "local"
+        with pytest.warns(RuntimeWarning, match="protocol mismatch"):
+            fanned = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                                 backend="remote", workers=2,
+                                 plan_server=addr(server), **SEARCH)
+        assert fanned.degraded_to == "serial"
+        for result in (served, fanned):
+            assert result.actions == reference.actions
+            assert result.cost == reference.cost
 
 
 class TestMidStreamResets:

@@ -232,15 +232,13 @@ def test_undo_evaluator_reuses_propagation_deltas():
 
 
 def test_process_backend_shared_memo_hits():
-    """Workers must serve plans/chains from the cross-worker store: the
-    shared-memo hit counter is positive and the result matches serial."""
-    pytest.importorskip("multiprocessing.shared_memory")
+    """The id predates the cross-worker memo's deletion; what it still
+    pins is that workers with nothing but their own plan/chain memos land
+    on the serial result."""
     process = _transformer_search("process")
     serial = _transformer_search("serial")
     assert process.actions == serial.actions
     assert process.cost == serial.cost
-    assert process.shared_plan_hits > 0
-    assert serial.shared_plan_hits == 0
 
 
 def test_candidate_actions_total_order_and_dedupe():

@@ -1,6 +1,6 @@
 """The search's configuration surface: one ``SearchConfig``, nothing else.
 
-Guards the shape the consolidation left behind — the 17 fields and their
+Guards the shape the consolidation left behind — the 16 fields and their
 order (the first nine are the plan server's store key, so reordering them
 would orphan every saved plan), the two constructors that used to carry
 path-selection flags, wire compatibility with clients that still send
@@ -27,7 +27,7 @@ PLAN_IDENTITY = ("budget", "rollout_depth", "exploration", "seed",
                  "max_inputs", "action_space", "max_tag_points", "prune",
                  "prior")
 EXECUTION = ("backend", "workers", "wave_size", "cache_dir", "plan_server",
-             "restart_budget", "wave_timeout_s", "rpc_timeout_s")
+             "restart_budget", "rpc_timeout_s")
 
 
 class TestSurface:

@@ -14,10 +14,8 @@ Covers the PR 5 tentpole contracts:
   ``candidate_actions`` and strictly beat the input-only space on the
   interior-bottleneck ensemble,
 * cross-call tree reuse (warm priors steer expansion; the incumbent never
-  regresses) and the shared-memo full warning/flag.
+  regresses).
 """
-
-import warnings
 
 import pytest
 
@@ -476,136 +474,3 @@ class TestTreeReuse:
         reloaded = TranspositionTable(path)
         assert reloaded.warm_priors()[group] == (3, 1.5)
         assert reloaded.peek(((0, 0, 0, "batch"),)) == 2.0
-
-
-class TestSharedMemoFull:
-    def test_one_shot_warning_and_flag(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        import multiprocessing
-
-        from repro.auto import sharedmemo
-
-        context = multiprocessing.get_context()
-        store = sharedmemo.create_store(context, size=256)
-        if store is None:
-            pytest.skip("shared memory unavailable")
-        try:
-            payload = [("p", 0, ("x" * 64,), "y" * 64)]
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                while not store.full:
-                    store.publish(payload)
-                store.publish(payload)  # silent no-op once full
-            assert store.full
-            messages = [w for w in caught
-                        if issubclass(w.category, RuntimeWarning)]
-            assert len(messages) == 1  # one-shot
-            assert "full" in str(messages[0].message)
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_worker_fill_is_silent_and_main_warns_once(self):
-        """An attached (worker-side) store fills silently; the fill flag
-        rides back with the wave results and the *main process* store
-        emits the one-shot warning via note_remote_full — exactly once,
-        no matter how many workers report full."""
-        pytest.importorskip("multiprocessing.shared_memory")
-        import multiprocessing
-
-        from repro.auto import sharedmemo
-
-        context = multiprocessing.get_context()
-        store = sharedmemo.create_store(context, size=256)
-        if store is None:
-            pytest.skip("shared memory unavailable")
-        worker = None
-        try:
-            name, lock, size, start = store.handle()
-            worker = sharedmemo.SharedMemoStore.attach(name, lock, size,
-                                                       start)
-            payload = [("p", 0, ("x" * 64,), "y" * 64)]
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                while not worker.full:
-                    worker.publish(payload)
-                worker.publish(payload)
-            assert worker.full
-            assert not [w for w in caught
-                        if issubclass(w.category, RuntimeWarning)]
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                store.note_remote_full()  # first worker reports full
-                store.note_remote_full()  # ... and a second one
-                store.publish(payload)    # local publish can't re-warn
-            assert store.full
-            messages = [w for w in caught
-                        if issubclass(w.category, RuntimeWarning)]
-            assert len(messages) == 1
-        finally:
-            if worker is not None:
-                worker.close()
-            store.close()
-            store.unlink()
-
-    def test_warned_full_survives_pickling(self):
-        """A store that already warned and round-trips through pickle must
-        come back inert and still marked warned — it can never re-emit
-        the one-shot warning or touch a segment it no longer holds."""
-        pytest.importorskip("multiprocessing.shared_memory")
-        import multiprocessing
-        import pickle
-
-        from repro.auto import sharedmemo
-
-        context = multiprocessing.get_context()
-        store = sharedmemo.create_store(context, size=256)
-        if store is None:
-            pytest.skip("shared memory unavailable")
-        try:
-            payload = [("p", 0, ("x" * 64,), "y" * 64)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                while not store.full:
-                    store.publish(payload)
-            copy = pickle.loads(pickle.dumps(store))
-            assert copy.full
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                copy.note_remote_full()
-                assert copy.publish(payload) == 0
-                assert copy.poll(0) == (0, [])
-            assert not [w for w in caught
-                        if issubclass(w.category, RuntimeWarning)]
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_search_surfaces_shared_memo_full_flag(self, monkeypatch):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.auto import scheduler as scheduler_mod
-        from repro.auto import sharedmemo
-
-        if not sharedmemo.available():
-            pytest.skip("shared memory unavailable")
-        # Shrink the segment so the very first publishes fill it.
-        real_create = sharedmemo.create_store
-        monkeypatch.setattr(
-            scheduler_mod.sharedmemo, "create_store",
-            lambda context: real_create(context, size=512),
-        )
-        tf = _mlp_traced()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = mcts_search(
-                tf.function, ShardingEnv(MESH), ["batch", "model"],
-                device=TINY_DEVICE, budget=6, rollout_depth=2, seed=0,
-                backend="process", workers=2,
-            )
-        assert result.shared_memo_full
-        # A healthy serial search never sets the flag.
-        serial = mcts_search(
-            tf.function, ShardingEnv(MESH), ["batch", "model"],
-            device=TINY_DEVICE, budget=6, rollout_depth=2, seed=0,
-        )
-        assert not serial.shared_memo_full
