@@ -422,15 +422,23 @@ def partir_jit(
                 fresh.append(event.detail)
         return fresh
 
+    def lower_and_fuse():
+        """(fused lowering of the env as it stands, seconds, write serial)."""
+        lower_start = time.perf_counter()
+        lowered = lower(function, env)
+        lowered.function = fuse_collectives(lowered.function)
+        return (lowered, time.perf_counter() - lower_start,
+                env.write_serial)
+
     start = time.perf_counter()
+    snapshot = lower_time = snapshot_serial = None
     try:
         for tactic in schedule:
             applied = tactic.apply(function, env, incremental=incremental)
             report_estimate = None
             counts = CollectiveCounts()
             if estimate_per_tactic:
-                snapshot = lower(function, env)
-                snapshot.function = fuse_collectives(snapshot.function)
+                snapshot, lower_time, snapshot_serial = lower_and_fuse()
                 counts = count_collectives(snapshot.function)
                 report_estimate = costmodel.estimate(snapshot, device)
             reports.append(
@@ -449,10 +457,11 @@ def partir_jit(
             tactic.options.pop("plan_server", None)
     partition_time = time.perf_counter() - start
 
-    lower_start = time.perf_counter()
-    lowered = lower(function, env)
-    lowered.function = fuse_collectives(lowered.function)
-    lower_time = time.perf_counter() - lower_start
+    # The last tactic's snapshot is the final lowering unless the env has
+    # moved since it was taken.
+    lowered = snapshot
+    if snapshot_serial != env.write_serial:
+        lowered, lower_time, _ = lower_and_fuse()
 
     if not estimate_per_tactic or not reports:
         final_estimate = costmodel.estimate(lowered, device)

@@ -20,17 +20,20 @@ and append the same live-range records:
   ``lower -> fuse_collectives -> estimate`` pipeline ``partir_jit`` runs
   anyway, since the executor needs real IR), and
 * :meth:`StreamingEstimator.estimate_incremental` — the fast path the
-  automatic-partitioning search uses — prices the lowering *stream*
-  without ever allocating IR.  Per-op lowering plans and whole
-  reconcile-chain costs are memoized on sharding signatures; an evaluation
-  of a mutated env *refreshes* only the ops whose neighborhood changed
-  (O(dirty)) and then *folds* the whole function once, replaying each op's
-  precompiled segment plan into a :class:`~repro.sim.terms.TermSum` and a
-  :class:`~repro.sim.memory.LiveRangeLog`.  A fresh estimator (or
-  ``changed_values=None``) refreshes every op, which is what
-  :func:`estimate_streaming` does.  :class:`CostSink` prices loop bodies
-  and records reconcile chains for it, fusing collectives peephole-style
-  as they are emitted.
+  automatic-partitioning search uses — prices the lowerer's *plans*
+  (:meth:`~repro.spmd.lower.Lowerer._plan_op` / ``_plan_loop``) without
+  lowering the program.  Per-op plans and whole reconcile-chain costs are
+  memoized on sharding signatures; an evaluation of a mutated env
+  *refreshes* only the ops whose neighborhood changed (O(dirty)) and then
+  *folds* the whole function once, replaying each op's precompiled segment
+  into a :class:`~repro.sim.terms.TermSum` and a
+  :class:`~repro.sim.memory.LiveRangeLog`; loop regions are priced by the
+  same refresh and fold, recursively.  A fresh estimator (or
+  ``changed_values=None``) refreshes every op.  This module emits nothing
+  and fuses nothing itself: a reconcile chain is recorded by running the
+  lowerer's own ``_reconcile`` into a scratch builder and the reference
+  :func:`~repro.spmd.fusion.fuse_collectives` over it, and priced with the
+  reference's :func:`~repro.sim.terms.op_terms`.
 
 Absolute numbers are not calibrated against real hardware (the paper makes
 the same disclaimer); *relative* comparisons between schedules are the
@@ -43,11 +46,9 @@ import dataclasses
 import itertools
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import pipeline as pipeline_mod
-from repro.core.sharding import Sharding
+from repro.core.pipeline import loop_subtree_values
 from repro.ir import opdefs
-from repro.ir.function import Function
-from repro.ir.types import TensorType
+from repro.ir.function import Function, FunctionBuilder
 from repro.mesh import Mesh
 from repro.sim.devices import DeviceSpec
 from repro.sim import memory as memory_mod
@@ -55,8 +56,8 @@ from repro.sim.memory import LiveRangeLog, peak_live_bytes
 from repro.sim.terms import (CostEstimate, TermSum, collective_terms,
                              compute_terms, loop_cost_terms, op_terms,
                              split_terms)
-from repro.spmd.fusion import single_axis_move
-from repro.spmd.lower import LoweredModule, Lowerer
+from repro.spmd.fusion import fuse_collectives
+from repro.spmd.lower import LoweredModule, Lowerer, required_of
 
 
 def _estimate_function(function: Function, mesh: Mesh, device: DeviceSpec,
@@ -122,403 +123,36 @@ def objective_lower_bound(estimate: CostEstimate, device: DeviceSpec,
     return bound
 
 
-# -- streaming cost evaluation ---------------------------------------------------
-
-
-class _StreamValue:
-    """A lowered value in the cost stream: a type and a uid, nothing else."""
-
-    __slots__ = ("type", "uid")
-
-    def __init__(self, type: TensorType, uid: int):
-        self.type = type
-        self.uid = uid
-
-
-@dataclasses.dataclass
-class _StreamResult:
-    """What a CostSink's ``finish`` returns (also the scan-body payload)."""
-
-    estimate: CostEstimate
-    peak_bytes: int
-    params_bytes: int
+# -- the search's estimator --------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
 class _ChainStep:
-    """One fused-collective emission of a recorded reconcile chain.
+    """One fused collective of a recorded reconcile chain.
 
-    The chain is linear by construction (each step consumes the previous
-    step's result), so a step only needs its result and its cost terms —
-    replay adds the same terms and the same
-    :class:`~repro.sim.memory.LiveRangeLog` records bit-for-bit.
+    The chain is linear (each step consumes the previous step's result) and
+    collectives never alias, so a step is its result size and its cost
+    terms — replay adds the same terms and the same
+    :class:`~repro.sim.memory.LiveRangeLog` records as walking the fused
+    chain would.
     """
 
-    result_type: TensorType
     nbytes: int
     terms: tuple
-    alias: bool
-
-
-@dataclasses.dataclass(frozen=True)
-class _ChainEntry:
-    """A cached reconcile chain: its replayable steps and its result.
-
-    ``did_emit`` distinguishes a chain that emitted nothing (the value was
-    already in the required layout — any pending fusion window must stay
-    open) from one whose emissions cancelled out (the window was consumed,
-    so a pre-existing pending op has been flushed).  A chain with no steps
-    returns its input handle unchanged on replay.
-    """
-
-    steps: Tuple[_ChainStep, ...]
-    did_emit: bool
-    final_sharding: object  # the Sharding the reconciled value ends up in
-
-
-class CostSink:
-    """Sink that prices the lowering stream instead of materializing it.
-
-    Accepts the same emission protocol as
-    :class:`~repro.spmd.lower.MaterializeSink`, but accumulates a
-    :class:`CostEstimate` and a :class:`~repro.sim.memory.LiveRangeLog`
-    directly.  The collective-fusion peepholes of
-    :mod:`repro.spmd.fusion` are applied in-stream: an ``all_reduce`` /
-    ``all_gather`` is held *pending* for exactly one emission step, and an
-    immediately-following ``all_slice`` consuming it fuses into
-    ``reduce_scatter`` (plus a residual ``all_reduce`` when the slice
-    covers only part of the reduction axes), a cancellation, or an
-    ``all_to_all``.  The reconcile chains the lowerer emits are contiguous
-    and their intermediates single-use by construction, so this one-step
-    window is exactly the fixed point ``fuse_collectives`` reaches on the
-    materialized function — the streaming-equivalence property tests pin
-    that claim.
-    """
-
-    __slots__ = ("mesh", "device", "_acc", "_uids", "_log",
-                 "_params_bytes", "_pending", "_record", "_emitted")
-
-    def __init__(self, mesh: Mesh, device: DeviceSpec, uids=None):
-        self.mesh = mesh
-        self.device = device
-        self._acc = TermSum()
-        self._uids = uids if uids is not None else itertools.count()
-        self._log = LiveRangeLog()
-        self._params_bytes = 0
-        self._pending: Optional[tuple] = None
-        #: When a list, _cost_op appends a _ChainStep per priced op (the
-        #: reconcile-chain recorder's scratch sinks turn this on).
-        self._record: Optional[list] = None
-        self._emitted = False
-
-    # -- sink protocol ------------------------------------------------------
-
-    def add_param(self, type: TensorType, name=None) -> _StreamValue:
-        handle = _StreamValue(type, next(self._uids))
-        nbytes = type.nbytes
-        self._params_bytes += nbytes
-        self._log.add_param(handle.uid, nbytes)
-        return handle
-
-    def set_input_names(self, names) -> None:
-        pass
-
-    def set_name(self, handle, name) -> None:
-        pass
-
-    def subsink(self, name: str) -> "CostSink":
-        return CostSink(self.mesh, self.device, self._uids)
-
-    def emit(self, opcode, operands, attrs, regions=None):
-        self._emitted = True
-        if opcode in opdefs.LOOP_OPS:
-            return self._emit_loop(operands, attrs, regions)
-        pending = self._pending
-        if pending is not None:
-            if opcode == "all_slice" and operands[0] is pending[3]:
-                fused = self._try_fuse(pending, attrs)
-                if fused is not None:
-                    self._pending = None
-                    return fused
-            self._flush_pending()
-        attrs = dict(attrs)
-        result_types = opdefs.get(opcode).infer(
-            [o.type for o in operands], attrs, []
-        )
-        handles = [_StreamValue(t, next(self._uids)) for t in result_types]
-        if opcode in ("all_reduce", "all_gather"):
-            # Hold for one step: the next emission either fuses it away
-            # (an all_slice consuming it) or finalizes it unchanged.
-            self._pending = (opcode, operands[0], attrs, handles[0])
-            return handles
-        self._cost_op(opcode, operands, attrs, handles)
-        return handles
-
-    def emit_planned(self, opcode, operands, attrs, plan):
-        """Fast path for a planned main-op emission: result types, sizes and
-        FLOPs were precomputed at plan time, so no type inference runs.
-        Main ops come from the global program and are never collectives, so
-        no fusion window applies — just flush any pending chain tail."""
-        if self._pending is not None:
-            self._flush_pending()
-        uids = self._uids
-        handles = [_StreamValue(t, next(uids)) for t in plan.result_types]
-        self._acc.add(compute_terms(plan.flops, self.device))
-        self._log.add_op(
-            [o.uid for o in operands],
-            [(h.uid, b) for h, b in zip(handles, plan.result_nbytes)],
-            alias=opcode in memory_mod.ALIASING_OPS,
-        )
-        return handles
-
-    def finish(self, results, names) -> _StreamResult:
-        self._flush_pending()
-        peak = self._log.peak_bytes([r.uid for r in results])
-        return _StreamResult(self._acc.total(), peak, self._params_bytes)
-
-    # -- accounting ---------------------------------------------------------
-
-    def _cost_op(self, opcode, operands, attrs, handles) -> None:
-        terms = op_terms(opcode, attrs, operands, handles, self.mesh,
-                         self.device)
-        self._acc.add(terms)
-        alias = opcode in memory_mod.ALIASING_OPS
-        self._log.add_op(
-            [o.uid for o in operands],
-            [(h.uid, h.type.nbytes) for h in handles],
-            alias=alias,
-        )
-        if self._record is not None:
-            self._record.append(_ChainStep(
-                handles[0].type, handles[0].type.nbytes, terms, alias,
-            ))
-
-    def replay_chain(self, value, entry: _ChainEntry):
-        """Apply a recorded reconcile chain's cost effects to this sink.
-
-        Reproduces exactly what emitting the chain would have done: the
-        same cost terms and the same linear live-range records (chains
-        consume their own previous step).  A chain that emitted anything
-        consumed the one-step fusion window, so any pending collective is
-        flushed first — the position the real emission path would have
-        flushed it in."""
-        if entry.did_emit:
-            self._flush_pending()
-        acc = self._acc
-        handle = value
-        for step in entry.steps:
-            new = _StreamValue(step.result_type, next(self._uids))
-            acc.add(step.terms)
-            self._log.add_op([handle.uid], [(new.uid, step.nbytes)],
-                             alias=step.alias)
-            handle = new
-        return handle
-
-    def _flush_pending(self) -> None:
-        if self._pending is None:
-            return
-        opcode, operand, attrs, handle = self._pending
-        self._pending = None
-        self._cost_op(opcode, [operand], attrs, [handle])
-
-    def _try_fuse(self, pending, slice_attrs):
-        """Fuse the pending collective with the all_slice consuming it.
-        Returns the fused result handles, or None if the pair is unfusable
-        (the caller then finalizes the pending op and emits the slice)."""
-        p_opcode, p_operand, p_attrs, _ = pending
-        if p_opcode == "all_reduce":
-            reduce_axes = tuple(p_attrs["axes"])
-            slice_axes = {a for axes in slice_attrs["dims"] for a in axes}
-            if not slice_axes or not slice_axes <= set(reduce_axes):
-                return None
-            kind = p_attrs.get("kind", "add")
-            value = p_operand
-            residual = tuple(a for a in reduce_axes if a not in slice_axes)
-            if residual:
-                residual_attrs = {
-                    "axes": residual,
-                    "kind": kind,
-                    "sizes": {a: p_attrs["sizes"][a] for a in residual},
-                }
-                handle = _StreamValue(value.type, next(self._uids))
-                self._cost_op("all_reduce", [value], residual_attrs, [handle])
-                value = handle
-            rs_attrs = dict(slice_attrs)
-            rs_attrs["kind"] = kind
-            result_type = opdefs.get("reduce_scatter").infer(
-                [value.type], rs_attrs, []
-            )[0]
-            handle = _StreamValue(result_type, next(self._uids))
-            self._cost_op("reduce_scatter", [value], rs_attrs, [handle])
-            return [handle]
-
-        # all_gather + all_slice
-        g_dims = p_attrs["dims"]
-        s_dims = slice_attrs["dims"]
-        if tuple(g_dims) == tuple(s_dims):
-            return [p_operand]  # exact cancellation: nothing executes
-        move = single_axis_move(g_dims, s_dims)
-        if move is None:
-            return None
-        a2a_attrs = {
-            **move,
-            "sizes": {a: p_attrs["sizes"][a] for a in move["axes"]},
-            "operand_dims": p_attrs.get("operand_dims"),
-            "result_dims": slice_attrs.get("result_dims"),
-        }
-        result_type = opdefs.get("all_to_all").infer(
-            [p_operand.type], a2a_attrs, []
-        )[0]
-        handle = _StreamValue(result_type, next(self._uids))
-        self._cost_op("all_to_all", [p_operand], a2a_attrs, [handle])
-        return [handle]
-
-    def _emit_loop(self, operands, attrs, regions):
-        self._flush_pending()
-        body: _StreamResult = regions[0]
-        cond: Optional[_StreamResult] = (
-            regions[1] if len(regions) > 1 else None
-        )
-        num_carries = attrs.get("num_carries", len(operands))
-        handles = [
-            _StreamValue(operands[i].type, next(self._uids))
-            for i in range(num_carries)
-        ]
-        self._acc.add(loop_cost_terms(
-            attrs, body.estimate, self.device,
-            cond.estimate if cond is not None else None,
-        ))
-        extra = memory_mod.loop_extra_bytes(
-            attrs, body.peak_bytes, body.params_bytes
-        )
-        if cond is not None:
-            extra += memory_mod.scan_body_extra_bytes(
-                cond.peak_bytes, cond.params_bytes
-            )
-        self._log.add_op(
-            [o.uid for o in operands],
-            [(h.uid, h.type.nbytes) for h in handles],
-            extra=extra,
-        )
-        return handles
-
-
-class _MemoLowerer(Lowerer):
-    """A lowerer whose per-op plans come from the estimator's memo table."""
-
-    def __init__(self, env, estimator: "StreamingEstimator"):
-        super().__init__(env)
-        self._estimator = estimator
-
-    def _reconcile(self, sink, value, actual, required, allowed_pending):
-        """Reconcile through the estimator's whole-chain cost cache.
-
-        A reconcile chain's emissions (and their in-stream fusion) are a
-        pure function of ``(value type, source layout, target layout)`` —
-        fusion never crosses a chain boundary, because the one-step pending
-        window only matches the chain's own handles.  So the chain is
-        recorded once into a scratch sink and replayed everywhere else,
-        skipping attrs construction, type inference and collective-cost
-        math on the remaining per-evaluation hot path.
-        """
-        estimator = self._estimator
-        rank = actual.rank
-        required_t = tuple(
-            tuple(required.get(d, ())) for d in range(rank)
-        )
-        ar_axes = tuple(
-            a for a in sorted(actual.sum_axes) if a not in allowed_pending
-        )
-        # Same dedup contract as the uncached path: a pending reduction of
-        # the same value to the same layout is materialized exactly once
-        # per lowering (one reduce_scatter per gradient).
-        reduce_key = None
-        if ar_axes:
-            reduce_key = (id(sink), value.uid, ar_axes, required_t)
-            cached = self._reduce_cache.get(reduce_key)
-            if cached is not None:
-                return cached
-        # actual.iid stands in for the full signature tuple: interning
-        # guarantees one id per distinct layout, so the key hashes a few
-        # ints instead of nested axis-string tuples.
-        chain_key = (value.type, actual.iid, required_t, ar_axes)
-        entry = estimator._chains.get(chain_key)
-        if entry is None:
-            entry = estimator._chains[chain_key] = self._record_chain(
-                value.type, actual, required, allowed_pending)
-            estimator.reconcile_misses += 1
-        else:
-            estimator.reconcile_hits += 1
-        handle = sink.replay_chain(value, entry)
-        result = (handle, entry.final_sharding)
-        if reduce_key is not None:
-            self._reduce_cache[reduce_key] = result
-        return result
-
-    def _record_chain(self, value_type, actual, required,
-                      allowed_pending) -> _ChainEntry:
-        """Run the real reconcile once against a scratch sink, capturing
-        each priced emission as a replayable step."""
-        scratch = CostSink(self.mesh, self._estimator.device)
-        scratch._record = []
-        handle = _StreamValue(value_type, next(scratch._uids))
-        # The scratch run must not read or pollute the real per-lowering
-        # reduce cache (scratch uids/sink ids are throwaway).
-        saved, self._reduce_cache = self._reduce_cache, {}
-        try:
-            _, final_sharding = super()._reconcile(
-                scratch, handle, actual, required, allowed_pending
-            )
-        finally:
-            self._reduce_cache = saved
-        did_emit = scratch._emitted
-        scratch._flush_pending()  # capture an unfused pending tail's cost
-        return _ChainEntry(
-            steps=tuple(scratch._record),
-            did_emit=did_emit,
-            final_sharding=final_sharding,
-        )
-
-    def _lower_op(self, op, sink, value_map) -> None:
-        if op.opcode in opdefs.LOOP_OPS:
-            # Loop lowering reads the whole body, not just adjacent
-            # shardings; its *body ops* are memoized individually instead.
-            super()._lower_op(op, sink, value_map)
-            return
-        if op.opcode == "tag" and self._tag_transparent(op):
-            # Same skip as the materializing path: a transparent tag marker
-            # contributes no cost, no live-range record, no plan.
-            value_map[op.results[0]] = value_map[op.operands[0]]
-            return
-        estimator = self._estimator
-        env = self.env
-        # Interned-id key: pointer-sized ints, one per adjacent value (see
-        # Sharding.iid) — equal iid tuples iff equal signature tuples.
-        signature = tuple(
-            env.sharding(v).iid
-            for v in itertools.chain(op.operands, op.results)
-        )
-        plans = estimator._plans.get(id(op))
-        if plans is None:
-            plans = estimator._plans[id(op)] = {}
-        plan = plans.get(signature)
-        if plan is None:
-            plan = plans[signature] = self._plan_op(op)
-            estimator.ops_planned += 1
-        else:
-            estimator.ops_reused += 1
-        self._execute_plan(op, plan, sink, value_map)
 
 
 class StreamingEstimator:
-    """Fused lower + fuse_collectives + estimate, without materializing IR.
+    """``lower -> fuse_collectives -> estimate``, priced from lowering
+    *plans* without materializing the program.
 
     Reusable across many envs over the *same* function (the MCTS evaluates
-    thousands): per-op lowering plans are memoized on the cached sharding
-    signatures of the op's adjacent values, so evaluating an env that
-    differs from a previously-seen one only on part of the program re-plans
-    only that part.  ``ops_reused`` / ``ops_planned`` count memo hits and
-    misses across the estimator's lifetime.
+    thousands): per-op lowering plans are memoized on the interned ids of
+    the op's adjacent shardings, and whole reconcile chains on ``(local
+    type, source layout, target layout, reduced axes)``, so evaluating an
+    env that differs from a previously-seen one only on part of the program
+    re-plans only that part.  ``ops_reused`` / ``ops_planned`` and
+    ``reconcile_hits`` / ``reconcile_misses`` count memo hits and misses
+    across the estimator's lifetime.
     """
 
     def __init__(self, function: Function, mesh: Mesh, device: DeviceSpec):
@@ -532,9 +166,9 @@ class StreamingEstimator:
         # id(op) -> {adjacent-sharding iid tuple -> _OpPlan}.  Keying on
         # id() is safe: self.function keeps every op (and region op) alive.
         self._plans: Dict[int, Dict[tuple, object]] = {}
-        # (value type, source layout iid, target layout, reduced axes) ->
-        # _ChainEntry: whole reconcile-chain costs.
-        self._chains: Dict[tuple, _ChainEntry] = {}
+        # (local type, source layout iid, target layout, reduced axes) ->
+        # the chain's _ChainSteps.
+        self._chains: Dict[tuple, Tuple[_ChainStep, ...]] = {}
         #: Incremental re-estimation state bound to one mutable env (the
         #: undo-log rollout evaluator's); see :meth:`estimate_incremental`.
         self._inc: Optional["_IncrementalEstimate"] = None
@@ -595,27 +229,47 @@ class StreamingEstimator:
 
 
 class _UnitState:
-    """Per-top-level-op incremental state: the values whose shardings key
-    the unit's behavior and the memo of resolved segments."""
+    """Per-op state: the values whose shardings key the unit's behavior,
+    the memo of resolved segments and, for a loop op, its regions."""
 
-    __slots__ = ("op", "is_loop", "is_tag", "sig_values", "segments")
+    __slots__ = ("op", "is_tag", "sig_values", "segments", "regions")
 
-    def __init__(self, op, is_loop: bool, sig_values: tuple):
+    def __init__(self, op):
         self.op = op
-        self.is_loop = is_loop
         self.is_tag = op.opcode == "tag"
-        self.sig_values = sig_values
+        self.regions = tuple(_Region(region) for region in op.regions)
+        #: A loop's lowering reads the whole body (cond included), so its
+        #: segment keys on — and is invalidated by — every subtree value
+        #: (region ops read only values their region defines; pipeline
+        #: pins land on these too).
+        self.sig_values = tuple(op.operands) + tuple(
+            loop_subtree_values(op) if self.regions else op.results)
         self.segments: Dict[tuple, tuple] = {}
 
 
-class _IncrementalEstimate:
-    """Segment-cached replay of the streaming estimate for one mutable env.
+class _Region:
+    """One function the fold prices — the program or a loop region: a unit
+    per op, the segment currently in force per unit (in program order —
+    the list the fold iterates; refresh rewrites entries) and the memos of
+    its boundary segments (parameter records; result reconcile sites)."""
 
-    A whole-function lowering walk spends its time *resolving*: rebuilding
-    per-op signature keys, fetching plans, recomputing reconcile targets
-    and re-pricing chains.  For a single env mutated in place between
-    evaluations, almost none of that changes — so this class splits
-    evaluation into:
+    __slots__ = ("function", "units", "current", "params", "results")
+
+    def __init__(self, function: Function):
+        self.function = function
+        self.units = [_UnitState(op) for op in function.ops]
+        self.current: List[Optional[tuple]] = [None] * len(self.units)
+        self.params: Dict[tuple, tuple] = {}
+        self.results: Dict[tuple, tuple] = {}
+
+
+class _IncrementalEstimate:
+    """Segment-cached resolve-and-fold of the estimate for one mutable env.
+
+    Pricing a lowering spends its time *resolving*: rebuilding per-op
+    signature keys, fetching plans, recomputing reconcile targets and
+    pricing chains.  For a single env mutated in place between
+    evaluations, almost none of that changes — so evaluation splits into:
 
     * **refresh** (dirty ops only): recompute the op's interned-signature
       key and look up / build its *segment* — the op's replay plan
@@ -624,37 +278,40 @@ class _IncrementalEstimate:
       live-range records it appends.  Segments are memoized per signature,
       so toggling between explored search branches re-hits old segments
       instead of re-resolving.
-    * **replay** (every op, in program order — the one fold): extend a
-      fresh :class:`~repro.sim.terms.TermSum` and
+    * **fold** (every op, in program order): extend a fresh
+      :class:`~repro.sim.terms.TermSum` and
       :class:`~repro.sim.memory.LiveRangeLog` with each segment.  The term
-      multiset and the record sequence are the full walk's, so results are
-      bit-identical.
+      multiset and the record sequence are those of walking the fused
+      lowering, so results are bit-identical.
 
-    Cross-op couplings are re-established per replay, exactly as the full
-    walk does per evaluation: pending reductions deduplicate through a
-    fresh per-evaluation seen-map (first materializing site pays), and
+    A loop op's segment comes from the same two steps applied to its
+    regions (:meth:`_price`, recursive for nested loops) under the layouts
+    :meth:`~repro.spmd.lower.Lowerer._plan_loop` decides; region ops keep
+    their own per-signature segments, so a loop whose body changed in one
+    place re-resolves one body op.
+
+    Cross-op couplings are re-established per fold, exactly as a lowering
+    does per function: pending reductions deduplicate through a fresh
+    seen-map (first materializing site pays; one scope per region), and
     peak memory comes from the freshly spliced log.
     """
 
     def __init__(self, estimator: StreamingEstimator, env):
         self.estimator = estimator
         self.env = env
-        self.function = estimator.function
         self.mesh = estimator.mesh
         self.device = estimator.device
-        self._lowerer = _MemoLowerer(env, estimator)
-        self._units: List[_UnitState] = []
-        #: Segment currently in force per unit, in program order — the
-        #: list the replay loop iterates (refresh rewrites entries).
-        self._current: List[Optional[tuple]] = []
-        #: value -> tuple of unit indices to refresh when it changes
-        #: (PARAMS/RESULTS are pseudo-units for the boundary segments).
+        #: Asked for plans only; it never emits.
+        self._lowerer = Lowerer(env)
+        self._top = _Region(estimator.function)
+        #: value -> tuple of top-level unit indices to refresh when it
+        #: changes.
         self._adjacent: Dict[object, tuple] = {}
-        self._params_segments: Dict[tuple, tuple] = {}
-        self._params_segment: Optional[tuple] = None
-        self._results_segments: Dict[tuple, tuple] = {}
-        self._results_segment: Optional[tuple] = None
-        self._build_units()
+        for index, unit in enumerate(self._top.units):
+            for value in unit.sig_values:
+                existing = self._adjacent.get(value, ())
+                if not existing or existing[-1] != index:
+                    self._adjacent[value] = existing + (index,)
         #: value -> sharding iid its adjacent units' segments reflect.  A
         #: journaled write whose value is back on the recorded sharding
         #: (rollback + re-extension along a shared prefix lands most
@@ -662,13 +319,13 @@ class _IncrementalEstimate:
         #: rebuild over thousands of round-tripped units is the refresh
         #: loop's dominant cost on deep rollouts.
         self._seen_iids: Dict[object, int] = {}
-        #: Source of the stable uids segments carry (see :meth:`_replay`).
+        #: Source of the stable uids segments carry (see :meth:`_fold`).
         self._uid = itertools.count()
         #: Whole-state result memo for :meth:`_replay`: segment identity
         #: fingerprint -> (estimate, site hits).  MCTS revisits whole
         #: states constantly (permuted action chains commute to the same
-        #: env state), and the replay output is a pure function of the
-        #: segment instances, so a fingerprint hit skips the replay
+        #: env state), and the fold's output is a pure function of the
+        #: segment instances, so a fingerprint hit skips the fold
         #: outright.  Bounded: cleared wholesale when it grows past 1024
         #: states (keys hold one id per unit, so entries are not free).
         self._memo: Dict[tuple, tuple] = {}
@@ -676,72 +333,22 @@ class _IncrementalEstimate:
         #: :meth:`StreamingEstimator.estimate_incremental`'s coverage gate).
         self.synced_serial = -1
 
-    _PARAMS = -1
-    _RESULTS = -2
-
-    def _link(self, value, unit_index: int) -> None:
-        existing = self._adjacent.get(value, ())
-        if not existing or existing[-1] != unit_index:
-            self._adjacent[value] = existing + (unit_index,)
-
-    def _build_units(self) -> None:
-        function = self.function
-        for param in function.params:
-            self._link(param, self._PARAMS)
-        for op in function.ops:
-            index = len(self._units)
-            is_loop = op.opcode in opdefs.LOOP_OPS
-            if is_loop:
-                # A loop's lowering reads the whole body (cond included),
-                # so its segment keys on (and is invalidated by) every
-                # subtree value — pipeline pins land here too.
-                sig_values: Dict[object, None] = {}
-
-                def visit(fn):
-                    for value in fn.params:
-                        sig_values.setdefault(value)
-                    for inner in fn.ops:
-                        for value in inner.operands:
-                            sig_values.setdefault(value)
-                        for value in inner.results:
-                            sig_values.setdefault(value)
-                        for region in inner.regions:
-                            visit(region)
-
-                for value in op.operands:
-                    sig_values.setdefault(value)
-                for value in op.results:
-                    sig_values.setdefault(value)
-                for region in op.regions:
-                    visit(region)
-                values = tuple(sig_values)
-            else:
-                values = tuple(op.operands) + tuple(op.results)
-            for value in values:
-                self._link(value, index)
-            self._units.append(_UnitState(op, is_loop, values))
-        self._current = [None] * len(self._units)
-        for result in function.results:
-            self._link(result, self._RESULTS)
-
     # -- refresh ------------------------------------------------------------
 
     def run(self, changed_values, overlap: bool) -> CostEstimate:
-        units = self._units
         sharding = self.env.sharding
-        # Direct probe of the env's store, with sharding() supplying the
-        # replicated default on a miss: this loop touches tens of thousands
-        # of values per evaluation, so the method-call frame is pure
-        # overhead on the hit path.
-        stored_get = self.env._shardings.get
+        top = self._top
         if changed_values is None:
-            dirty = set(range(len(units)))
-            dirty.add(self._PARAMS)
-            dirty.add(self._RESULTS)
+            dirty = range(len(top.units))
             self._seen_iids = {
                 value: sharding(value)._iid for value in self._adjacent
             }
         else:
+            # Direct probe of the env's store, with sharding() supplying
+            # the replicated default on a miss: this loop touches tens of
+            # thousands of values per evaluation, so the method-call frame
+            # is pure overhead on the hit path.
+            stored_get = self.env._shardings.get
             dirty = set()
             adjacent = self._adjacent
             seen = self._seen_iids
@@ -755,78 +362,96 @@ class _IncrementalEstimate:
                     # here can have moved.
                     continue
                 seen[value] = iid
-                for index in adjacent.get(value, ()):
-                    dirty.add(index)
-        # Refresh inline: this loop runs for every dirty op on every
-        # evaluation, so the common hit path (sig rebuild -> memo get) is
-        # kept free of method-call overhead.
+                dirty.update(adjacent.get(value, ()))
+        self._refresh(top, dirty)
+        boundary = self._boundary(
+            top, [sharding(p) for p in top.function.params], None)
+        return self._replay(boundary, overlap)
+
+    def _refresh(self, region: _Region, indices) -> None:
+        """Bring ``region.current[i]`` up to the env for each ``i``."""
+        # Inline: this loop runs for every dirty op on every evaluation,
+        # so the common hit path (sig rebuild -> memo get) is kept free of
+        # method-call overhead.  Every env-stored sharding is the canonical
+        # interned instance (set_sharding interns; the replicated default
+        # is interned at construction), hence the direct _iid reads.
         estimator = self.estimator
-        current = self._current
-        for index in dirty:
-            if index == self._PARAMS:
-                self._refresh_params()
-                continue
-            if index == self._RESULTS:
-                self._refresh_results()
-                continue
+        sharding = self.env.sharding
+        stored_get = self.env._shardings.get
+        units = region.units
+        current = region.current
+        for index in indices:
             unit = units[index]
             sig = tuple([
                 s._iid if (s := stored_get(v)) is not None
                 else sharding(v)._iid
                 for v in unit.sig_values
             ])
-            segments = unit.segments
-            segment = segments.get(sig)
+            segment = unit.segments.get(sig)
             if segment is None:
-                if unit.is_loop:
-                    segment = self._resolve_loop(unit.op)
+                if unit.regions:
+                    segment = self._resolve_loop(unit)
                 elif unit.is_tag and sig[0] == sig[1]:
-                    # Transparent tag marker: the same skip the walking
-                    # paths apply — the result aliases the operand.
+                    # Transparent tag marker: the same skip the lowerer
+                    # applies — the result aliases the operand.
                     segment = ("alias", unit.op.operands[0],
                                unit.op.results[0])
                 else:
                     segment = self._resolve_plain(unit.op, sig)
-                segments[sig] = segment
+                unit.segments[sig] = segment
             else:
                 estimator.ops_reused += 1
             current[index] = segment
-        return self._replay(overlap)
 
-    # -- replay -------------------------------------------------------------
+    # -- fold ---------------------------------------------------------------
 
-    def _replay(self, overlap: bool) -> CostEstimate:
-        """The one fold: whole-function replay over the memoized segments.
-
-        Segments carry *stable* uids: def pairs, chain records past the
-        first hop, trailing records and the pre-split cost terms are
-        pre-built tuples, so a replay is mostly ``list.extend`` calls —
-        only the operand-uid tuples (which depend on which segments
-        produced the operands *this* evaluation) are rebuilt.  Stable,
-        sparse uids are safe: :meth:`LiveRangeLog.peak_bytes` keys every
-        table by uid and never assumes density, and record *order* (which
-        the peak walk does depend on) is byte-for-byte the streaming
-        walk's.
-        """
+    def _replay(self, boundary: tuple, overlap: bool) -> CostEstimate:
+        """The program's fold, behind the whole-state memo."""
         # Whole-state fingerprint: segments are memoized per signature
         # (and never dropped, so ids are never recycled) — identical env
         # states present identical instances, and two id-equal
-        # fingerprints replay to the same estimate, bit for bit.
+        # fingerprints fold to the same estimate, bit for bit.
         memo = self._memo
-        memo_key = (overlap, id(self._params_segment),
-                    id(self._results_segment), tuple(map(id, self._current)))
+        current = self._top.current
+        memo_key = (overlap, id(boundary[0]), id(boundary[1]),
+                    tuple(map(id, current)))
         hit = memo.get(memo_key)
         if hit is None:
             if len(memo) >= 1024:
                 memo.clear()
-            hit = memo[memo_key] = self._fold(overlap)
+            est, peak, site_hits = self._fold(boundary, current, overlap)
+            est.peak_memory_bytes = peak
+            hit = memo[memo_key] = (est, site_hits)
         est, site_hits = hit
         self.estimator.reconcile_hits += site_hits
         # The memoized instance stays pristine: callers own their result.
         return dataclasses.replace(
             est, collective_time_s=dict(est.collective_time_s))
 
-    def _fold(self, overlap: bool) -> Tuple[CostEstimate, int]:
+    def _price(self, region: _Region, param_shardings,
+               result_targets) -> Tuple[CostEstimate, int, int]:
+        """``(estimate, peak bytes, parameter bytes)`` of one run of a
+        loop region lowered under fixed parameter layouts and result
+        targets — the same refresh and fold the program gets."""
+        self._refresh(region, range(len(region.units)))
+        boundary = self._boundary(region, param_shardings, result_targets)
+        est, peak, _ = self._fold(boundary, region.current, True)
+        return est, peak, sum(nbytes for _, nbytes in boundary[0][0])
+
+    def _fold(self, boundary: tuple, segments,
+              overlap: bool) -> Tuple[CostEstimate, int, int]:
+        """The one fold: replay a function's boundary and op segments.
+
+        Segments carry *stable* uids: def pairs, chain records past the
+        first hop, trailing records and the pre-split cost terms are
+        pre-built tuples, so a fold is mostly ``list.extend`` calls —
+        only the operand-uid tuples (which depend on which segments
+        produced the operands *this* evaluation) are rebuilt.  Stable,
+        sparse uids are safe: :meth:`LiveRangeLog.peak_bytes` keys every
+        table by uid and never assumes density, and record *order* (which
+        the peak walk does depend on) is byte-for-byte that of the fused
+        lowering's op list.
+        """
         acc = TermSum()
         add_parts = acc.extend
         log = LiveRangeLog()
@@ -846,10 +471,10 @@ class _IncrementalEstimate:
                 cached = reduce_seen.get(reduce_key)
                 if cached is not None:
                     return cached
-            first_def, first_alias, statics, parts, final = chain
+            first_def, statics, parts, final = chain
             # Only the first hop's operand is dynamic; the rest of the
             # chain consumes its own stable uids and is replayed verbatim.
-            ops_append(((value_uids[value],), first_def, first_alias, 0))
+            ops_append(((value_uids[value],), first_def, False, 0))
             if statics:
                 ops_extend(statics)
             if parts:
@@ -858,10 +483,10 @@ class _IncrementalEstimate:
                 reduce_seen[reduce_key] = final
             return final
 
-        pairs, items = self._params_segment
+        (pairs, items), sites = boundary
         log._params.extend(pairs)
         value_uids.update(items)
-        for segment in self._current:
+        for segment in segments:
             kind = segment[0]
             if kind == "op0":
                 # All operands already in layout, nothing chained after.
@@ -869,10 +494,10 @@ class _IncrementalEstimate:
                 site_hits += len(values)
                 ops_append((tuple(map(uid_get, values)), defs, alias, 0))
             elif kind == "op":
-                (_, sites, defs, alias, extra, parts, tail_records,
+                (_, op_sites, defs, alias, extra, parts, tail_records,
                  result_items) = segment
-                site_hits += len(sites)
-                operand_uids = tuple([replay_site(s) for s in sites])
+                site_hits += len(op_sites)
+                operand_uids = tuple([replay_site(s) for s in op_sites])
                 ops_append((operand_uids, defs, alias, extra))
                 if tail_records:
                     ops_extend(tail_records)
@@ -884,54 +509,45 @@ class _IncrementalEstimate:
                 add_parts(parts)
             for result, uid in result_items:
                 value_uids[result] = uid
-        sites = self._results_segment
         site_hits += len(sites)
         result_uids = [replay_site(s) for s in sites]
-        est = acc.total(overlap)
-        est.peak_memory_bytes = log.peak_bytes(result_uids)
-        return est, site_hits
+        return acc.total(overlap), log.peak_bytes(result_uids), site_hits
 
-    def _sig(self, values) -> tuple:
-        sharding = self.env.sharding
-        # Direct _iid access: every env-stored sharding is the canonical
-        # interned instance (set_sharding interns; the replicated default
-        # is interned at construction).
-        return tuple([sharding(v)._iid for v in values])
-
-    def _refresh_params(self) -> None:
-        function = self.function
-        sig = self._sig(function.params)
-        segment = self._params_segments.get(sig)
-        if segment is None:
-            # Log records and value -> uid exports.
-            env = self.env
+    def _boundary(self, region: _Region, param_shardings,
+                  result_targets) -> tuple:
+        """A function's two boundary segments, each memoized on its own
+        signature: ``(parameter log records, value -> uid exports of the
+        params)`` under ``param_shardings``, and one reconcile site per
+        result (to ``result_targets``, or by default to the env sharding
+        with every pending sum materialized — outputs are never partial)."""
+        function = region.function
+        key = tuple([s.iid for s in param_shardings])
+        params = region.params.get(key)
+        if params is None:
             uids = [next(self._uid) for _ in function.params]
-            segment = self._params_segments[sig] = (
+            params = region.params[key] = (
                 tuple(
-                    (uid, self._local_type(p, env.sharding(p)).nbytes)
-                    for p, uid in zip(function.params, uids)
+                    (uid, self._local_type(p, s).nbytes)
+                    for p, s, uid
+                    in zip(function.params, param_shardings, uids)
                 ),
                 tuple(zip(function.params, uids)),
             )
-        self._params_segment = segment
-
-    def _refresh_results(self) -> None:
-        function = self.function
-        sig = self._sig(function.results)
-        segment = self._results_segments.get(sig)
-        if segment is None:
-            env = self.env
-            sites = []
-            for result in function.results:
-                actual = env.sharding(result)
-                target = actual.without_sum(actual.sum_axes)
-                required = {
-                    d: list(axes) for d, axes in enumerate(target.dim_axes)
-                }
-                sites.append(self._resolve_site(result, actual, required,
-                                                set()))
-            segment = self._results_segments[sig] = tuple(sites)
-        self._results_segment = segment
+        sharding = self.env.sharding
+        actuals = [sharding(r) for r in function.results]
+        key = (tuple([s._iid for s in actuals]),
+               None if result_targets is None
+               else tuple([s.iid for s in result_targets]))
+        sites = region.results.get(key)
+        if sites is None:
+            if result_targets is None:
+                result_targets = [a.without_sum(a.sum_axes) for a in actuals]
+            sites = region.results[key] = tuple(
+                self._resolve_site(result, actual, required_of(target), ())
+                for result, actual, target
+                in zip(function.results, actuals, result_targets)
+            )
+        return params, sites
 
     # -- resolution ---------------------------------------------------------
 
@@ -940,61 +556,84 @@ class _IncrementalEstimate:
             sharding.local_shape(value.type.shape, self.mesh)
         )
 
-    def _resolve_site(self, value, actual, required, allowed_pending):
-        """One operand-reconciliation site — the exact mirror of
-        :meth:`_MemoLowerer._reconcile`'s key computation — as its replay
-        plan ``(value, pending-reduction dedup key or None, chain)``:
-        ``chain`` is None for an in-layout operand, else the pre-built
-        first-hop def, the static records past it, the chain's pre-split
-        cost terms and its final (export) uid."""
+    def _chain(self, local_type, actual, required, allowed_pending):
+        """The recorded reconcile chain taking a value of ``local_type``
+        laid out per ``actual`` to ``required``, plus the two parts of its
+        key a site's pending-reduction dedup also needs: ``(steps, reduced
+        axes, required layout)``.  The one place the chain key is built.
+
+        A chain's emissions are a pure function of that key, and its
+        intermediates are single-use, so it fuses the same wherever it is
+        emitted: it is recorded once — the lowerer's own ``_reconcile``
+        into a scratch builder, the reference ``fuse_collectives``, the
+        reference ``op_terms`` — and replayed everywhere else."""
         estimator = self.estimator
-        rank = actual.rank
-        required_t = tuple(tuple(required.get(d, ())) for d in range(rank))
+        required_t = tuple(
+            tuple(required.get(d, ())) for d in range(actual.rank))
         ar_axes = tuple(
-            a for a in sorted(actual.sum_axes) if a not in allowed_pending
-        )
-        local = self._local_type(value, actual)
-        chain_key = (local, actual.iid, required_t, ar_axes)
-        entry = estimator._chains.get(chain_key)
-        if entry is None:
-            entry = estimator._chains[chain_key] = \
-                self._lowerer._record_chain(local, actual, required,
-                                            allowed_pending)
+            a for a in sorted(actual.sum_axes) if a not in allowed_pending)
+        key = (local_type, actual.iid, required_t, ar_axes)
+        steps = estimator._chains.get(key)
+        if steps is None:
+            builder = FunctionBuilder("chain")
+            source = builder.function.add_param(local_type)
+            # A fresh lowerer: the scratch run gets its own dedup scope.
+            value, _ = Lowerer(self.env)._reconcile(
+                builder, source, actual, required, allowed_pending)
+            fused = fuse_collectives(builder.ret(value))
+            steps = estimator._chains[key] = tuple(
+                _ChainStep(op.results[0].type.nbytes,
+                           op_terms(op.opcode, op.attrs, op.operands,
+                                    op.results, self.mesh, self.device))
+                for op in fused.ops
+            )
             estimator.reconcile_misses += 1
         else:
             estimator.reconcile_hits += 1
+        return steps, ar_axes, required_t
+
+    def _resolve_site(self, value, actual, required, allowed_pending):
+        """One operand-reconciliation site as its replay plan ``(value,
+        pending-reduction dedup key or None, chain)``: ``chain`` is None
+        for an in-layout operand, else the pre-built first-hop def, the
+        static records past it, the chain's pre-split cost terms and its
+        final (export) uid."""
+        steps, ar_axes, required_t = self._chain(
+            self._local_type(value, actual), actual, required,
+            allowed_pending)
+        # Same dedup contract as the lowerer's reduce cache: a pending
+        # reduction of one value to one layout is materialized once per
+        # function (one reduce_scatter per gradient).
         reduce_key = (value, ar_axes, required_t) if ar_axes else None
-        if not entry.steps:
+        if not steps:
             return (value, reduce_key, None)
         records = []
         prev = -1
-        for step in entry.steps:
+        for step in steps:
             uid = next(self._uid)
-            records.append(((prev,), ((uid, step.nbytes),), step.alias, 0))
+            records.append(((prev,), ((uid, step.nbytes),), False, 0))
             prev = uid
-        _, first_def, first_alias, _ = records[0]
-        parts = split_terms(
-            term for step in entry.steps for term in step.terms)
+        parts = split_terms(term for step in steps for term in step.terms)
         return (value, reduce_key,
-                (first_def, first_alias, tuple(records[1:]), parts, prev))
+                (records[0][1], tuple(records[1:]), parts, prev))
 
     def _segment(self, sites, terms, def_nbytes, results, alias: bool,
                  extra: int, tails) -> tuple:
         """One op's replay plan: its reconcile ``sites``, its own cost
         ``terms`` (pre-split), the record defining one handle per entry of
         ``results`` (``def_nbytes``, ``alias`` flag, transient ``extra``)
-        and, per ``(result index, records)`` of ``tails``, the ``(nbytes,
-        alias)`` records chained after that result — a trailing
-        ``all_slice``, or a loop result's reconcile chain."""
+        and, per ``(result index, sizes)`` of ``tails``, the records
+        chained after that result — a trailing ``all_slice``, or a loop
+        result's reconcile chain."""
         parts = split_terms(terms)
         defs = tuple((next(self._uid), nbytes) for nbytes in def_nbytes)
         exports = [uid for uid, _ in defs]
         tail_records = []
-        for index, records in tails:
-            for nbytes, tail_alias in records:
+        for index, sizes in tails:
+            for nbytes in sizes:
                 uid = next(self._uid)
                 tail_records.append(
-                    ((exports[index],), ((uid, nbytes),), tail_alias, 0))
+                    ((exports[index],), ((uid, nbytes),), False, 0))
                 exports[index] = uid
         result_items = tuple(zip(results, exports))
         if not tails and not extra and all(
@@ -1002,7 +641,7 @@ class _IncrementalEstimate:
                 for _, reduce_key, chain in sites):
             # Fast-replay form for the overwhelmingly common op: every
             # operand already in the required layout (identity reconciles)
-            # — the replay needs only uid bookkeeping.
+            # — the fold needs only uid bookkeeping.
             return ("op0", tuple(site[0] for site in sites), defs, alias,
                     parts, result_items)
         return ("op", tuple(sites), defs, alias, extra, parts,
@@ -1033,121 +672,47 @@ class _IncrementalEstimate:
                 terms += collective_terms("all_slice", spec, full.nbytes,
                                           sliced.nbytes, self.mesh,
                                           self.device)
-                tails.append((r, ((sliced.nbytes, False),)))
-        return self._segment(sites, terms, plan.result_nbytes, op.results,
+                tails.append((r, (sliced.nbytes,)))
+        return self._segment(sites, terms,
+                             [t.nbytes for t in plan.result_types],
+                             op.results,
                              op.opcode in memory_mod.ALIASING_OPS, 0, tails)
 
-    def _resolve_loop(self, op) -> tuple:
-        env = self.env
-        body = op.regions[0]
-        num_carries = op.attrs.get("num_carries", len(op.operands))
-        operand_shardings = [
-            env.sharding(body.params[i + 1]) for i in range(len(op.operands))
+    def _resolve_loop(self, unit: _UnitState) -> tuple:
+        op = unit.op
+        plan = self._lowerer._plan_loop(op)
+        sites = tuple(
+            self._resolve_site(operand, plan.operand_shardings[i],
+                               plan.required[i], ())
+            for i, operand in enumerate(op.operands)
+        )
+        (body, body_peak, body_params_bytes), *conds = [
+            self._price(region, params, targets)
+            for region, (params, targets) in zip(unit.regions, plan.regions)
         ]
-        carry_shardings = operand_shardings[:num_carries]
-        sites = []
-        for i, operand in enumerate(op.operands):
-            required = {
-                d: list(axes)
-                for d, axes in enumerate(operand_shardings[i].dim_axes)
-            }
-            sites.append(self._resolve_site(operand, env.sharding(operand),
-                                            required, set()))
-        param_shardings = [Sharding.replicated(0)] + operand_shardings
-        body_sink = CostSink(self.mesh, self.device)
-        # Fresh dedup scope for the body lowering, as in a materializing
-        # lowering's per-call lowerer (stale id()-keyed entries from an
-        # earlier resolve must never alias a new sink).
-        self._lowerer._reduce_cache = {}
-        body_result: _StreamResult = self._lowerer.lower_function(
-            body, body_sink,
-            fixed_param_shardings=param_shardings,
-            result_targets=carry_shardings,
-        )
-        cond_result: Optional[_StreamResult] = None
-        if len(op.regions) > 1:
-            cond = op.regions[1]
-            cond_sink = CostSink(self.mesh, self.device)
-            self._lowerer._reduce_cache = {}
-            cond_result = self._lowerer.lower_function(
-                cond, cond_sink,
-                fixed_param_shardings=(
-                    [Sharding.replicated(0)] + carry_shardings
-                ),
-                result_targets=[
-                    Sharding.replicated(r.type.rank) for r in cond.results
-                ],
-            )
-        carry_nbytes = tuple(
-            self._local_type(op.operands[i], operand_shardings[i]).nbytes
-            for i in range(num_carries)
-        )
-        # Same attrs the lowering would inject at emit time.
-        attrs = dict(op.attrs)
-        attrs.update(pipeline_mod.pipeline_schedule_attrs(
-            op, env, self.mesh
-        ))
-        terms = loop_cost_terms(
-            attrs, body_result.estimate, self.device,
-            cond_result.estimate if cond_result is not None else None,
-        )
+        terms = loop_cost_terms(plan.attrs, body, self.device,
+                                conds[0][0] if conds else None)
+        extra = memory_mod.loop_extra_bytes(plan.attrs, body_peak,
+                                            body_params_bytes)
+        for _, peak, params_bytes in conds:
+            extra += memory_mod.scan_body_extra_bytes(peak, params_bytes)
+        # The loop's result handles are its reconciled carry operands'.
+        carry_params, _ = plan.regions[0]
+        carry_nbytes = []
         tails = []
-        for i, result in enumerate(op.results):
-            env_sharding = env.sharding(result)
-            if env_sharding.dim_axes != carry_shardings[i].dim_axes:
-                required = {
-                    d: list(axes)
-                    for d, axes in enumerate(env_sharding.dim_axes)
-                }
-                actual = dataclasses.replace(
-                    carry_shardings[i], sum_axes=frozenset()
-                )
-                local = self._local_type(op.operands[i], actual)
-                steps = self._resolve_tail(local, actual, required).steps
+        for i, tail in enumerate(plan.tails):
+            carry_nbytes.append(
+                self._local_type(op.operands[i], carry_params[i + 1]).nbytes)
+            if tail is not None:
+                actual, required = tail
+                steps, _, _ = self._chain(
+                    self._local_type(op.operands[i], actual), actual,
+                    required, ())
                 for step in steps:
                     terms += step.terms
-                tails.append(
-                    (i, tuple((step.nbytes, step.alias) for step in steps)))
-        extra = memory_mod.loop_extra_bytes(
-            attrs, body_result.peak_bytes, body_result.params_bytes
-        )
-        if cond_result is not None:
-            extra += memory_mod.scan_body_extra_bytes(
-                cond_result.peak_bytes, cond_result.params_bytes
-            )
+                tails.append((i, tuple(step.nbytes for step in steps)))
         return self._segment(sites, terms, carry_nbytes, op.results, False,
                              extra, tails)
-
-    def _resolve_tail(self, local_type, actual, required) -> _ChainEntry:
-        """The reconcile chain after a loop result handle, whose local type
-        is the carry's (not derivable from the result value)."""
-        estimator = self.estimator
-        rank = actual.rank
-        required_t = tuple(tuple(required.get(d, ())) for d in range(rank))
-        ar_axes = tuple(a for a in sorted(actual.sum_axes))
-        chain_key = (local_type, actual.iid, required_t, ar_axes)
-        entry = estimator._chains.get(chain_key)
-        if entry is None:
-            entry = estimator._chains[chain_key] = \
-                self._lowerer._record_chain(local_type, actual, required,
-                                            set())
-            estimator.reconcile_misses += 1
-        return entry
-
-
-def estimate_streaming(function: Function, env, device: DeviceSpec,
-                       overlap: bool = True) -> CostEstimate:
-    """One-shot streaming estimate of ``function`` under ``env``: a fresh
-    estimator's whole-function rebuild.
-
-    Numerically identical — bit-for-bit, including the per-collective time
-    breakdown and peak memory — to
-    ``estimate(fuse_collectives(lower(function, env)), device)``, without
-    materializing the device-local IR.
-    """
-    return StreamingEstimator(function, env.mesh, device).estimate_incremental(
-        env, overlap=overlap
-    )
 
 
 def model_flops(function: Function) -> float:

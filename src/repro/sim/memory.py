@@ -9,12 +9,12 @@ operand rather than allocating, mimicking what a backend compiler would fuse.
 The analysis runs over a :class:`LiveRangeLog` — a compact stream of
 ``(operand uids, result (uid, nbytes) pairs, alias flag, transient extra)``
 records.  :func:`peak_live_bytes` builds the log by walking a materialized
-:class:`~repro.ir.function.Function`; the streaming cost evaluator
-(:class:`repro.sim.costmodel.CostSink`, and the search estimator's
-per-evaluation segment replay) appends the identical records as it prices
-the lowered stream, so both paths share one peak-memory algorithm —
-:meth:`LiveRangeLog.peak_bytes`, a linear walk — without the streaming
-path ever allocating IR objects.
+:class:`~repro.ir.function.Function`; the search's estimator
+(:class:`repro.sim.costmodel.StreamingEstimator`) appends the identical
+records as it folds its per-op segments — per function, loop regions
+included — so both paths share one peak-memory algorithm —
+:meth:`LiveRangeLog.peak_bytes`, a linear walk — without the search ever
+allocating IR objects.
 """
 
 from __future__ import annotations

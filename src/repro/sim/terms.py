@@ -15,8 +15,8 @@ and this module is the only place terms are made or summed:
 :class:`TermSum` collects terms append-only and finalises each field with
 :func:`math.fsum`, the correctly-rounded sum of the term multiset — so a
 total depends on *which* terms were added, never on the order, and the
-materializing walk, the streaming sink and the search's segment replay
-agree bit for bit as long as they add the same terms.
+materializing walk and the search's segment fold agree bit for bit as
+long as they add the same terms.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def collective_terms(opcode: str, attrs: dict, operand_bytes: float,
 def op_terms(opcode: str, attrs: dict, operands, results, mesh: Mesh,
              device: DeviceSpec) -> tuple:
     """Terms of one device-local, non-loop op; ``operands`` / ``results``
-    are anything carrying a ``.type`` (IR values or stream handles)."""
+    are IR values."""
     if is_collective(opcode):
         return collective_terms(opcode, attrs, operands[0].type.nbytes,
                                 results[0].type.nbytes, mesh, device)

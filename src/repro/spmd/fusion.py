@@ -17,10 +17,10 @@ generation exposes a chain that was not fusable before (it terminates
 immediately otherwise, without rebuilding).  Region bodies (scan) are fused
 once up front rather than re-walked inside every rebuild.
 
-The same peepholes are applied in-stream — without materializing the
-function at all — by :class:`repro.sim.costmodel.CostSink` on the search's
-streaming cost-evaluation path (fused chains are recorded once, as cost
-terms, and replayed from the estimator's chain memo).
+This is the only implementation of the fusion rule: the search's estimator
+(:mod:`repro.sim.costmodel`) records each distinct reconcile chain by
+running this pass over the chain's scratch lowering, and replays the fused
+chain's cost terms from its chain memo afterwards.
 """
 
 from __future__ import annotations

@@ -10,42 +10,28 @@ rule cannot explain is computed replicated and ``all_slice``-d after.
 Gathers are deliberately *not* CSE-d across uses: the paper counts (and XLA
 materializes) one gather per use site.
 
-**Sink architecture.**  The lowerer itself only *decides* what to emit; the
-emission target is a pluggable sink:
+The lowerer emits straight into a :class:`FunctionBuilder` and produces the
+classic device-local :class:`Function` — every value has its device-local
+shape, communication is explicit via mesh-axis collectives, shape-carrying
+attrs (broadcast/reshape/iota/slice) are localized, and every emission is
+type-checked by the builder's inference.  This is the only thing in the
+tree that emits device-local code; :func:`lower` (and therefore
+``partir_jit``, the executor and the reference cost pipeline) run it.
 
-* :class:`MaterializeSink` wraps a :class:`FunctionBuilder` and produces the
-  classic device-local :class:`Function` — every value has its device-local
-  shape, communication is explicit via mesh-axis collectives, shape-carrying
-  attrs (broadcast/reshape/iota/slice) are localized.  This is what
-  :func:`lower` (and therefore ``partir_jit`` and the executor) use.
-* :class:`repro.sim.costmodel.CostSink` prices the same emission stream
-  directly — applying the collective-fusion peepholes in-stream and
-  accumulating the cost terms of :mod:`repro.sim.terms` — without
-  allocating a single :class:`Operation`/:class:`Value`.  The automatic-
-  partitioning search prices loop bodies and records reconcile chains
-  through it.
-
-**Plan/execute split.**  Per-op lowering is two phases: :meth:`Lowerer.
+**Plan/execute split.**  Lowering an op is two phases: :meth:`Lowerer.
 _plan_op` computes the op's reconciliation *plan* (required per-operand
 layouts, allowed-pending sets, localized attrs, expected local shapes,
 trailing slices) purely from the adjacent shardings, and :meth:`Lowerer.
-_execute_plan` replays a plan into a sink.  A plan is a pure function of
-``(op, operand shardings, result shardings)`` — the streaming cost
-evaluator memoizes plans on the shardings' cached signatures and only
-re-plans ops whose neighborhood changed, mirroring incremental propagation
-(its per-evaluation sum is one fold over every op's memoized segment).
-
-The sink protocol (duck-typed):
-
-* ``add_param(type, name) -> handle`` / ``set_input_names(names)``
-* ``emit(opcode, operands, attrs, regions=None) -> [handle, ...]``
-* ``set_name(handle, name)``
-* ``subsink(name) -> sink`` — a fresh sink for a region (scan body)
-* ``finish(results, names) -> payload`` — the lowered artifact; region
-  payloads are passed back through ``emit``'s ``regions`` argument.
-
-Handles expose ``.type`` (a :class:`TensorType`) and a per-lowering unique
-``.uid``; :class:`Value` satisfies this natively.
+_execute_plan` emits a plan.  Loops split the same way: :meth:`Lowerer.
+_plan_loop` decides the operand/carry layouts, each region's parameter
+layouts and result targets, the injected ``pipeline_*`` attrs and which
+results need a reconcile after the loop; :meth:`Lowerer._emit_loop` emits
+it.  A plan is a pure function of ``(op, adjacent shardings)``, so the
+search's estimator (:mod:`repro.sim.costmodel`) calls the two planners —
+and nothing else here — to price a program without lowering it, memoizing
+plans on the shardings' interned ids and re-planning only ops whose
+neighborhood changed, mirroring incremental propagation.  :func:`lower`
+itself is memo-free and shares no state with the estimator.
 """
 
 from __future__ import annotations
@@ -78,44 +64,10 @@ class LoweredModule:
     output_shardings: List[Sharding]
 
 
-class MaterializeSink:
-    """Sink that builds real device-local IR through a FunctionBuilder."""
-
-    __slots__ = ("builder",)
-
-    def __init__(self, name: str):
-        self.builder = FunctionBuilder(name)
-
-    def add_param(self, type, name=None):
-        return self.builder.function.add_param(type, name=name)
-
-    def set_input_names(self, names) -> None:
-        self.builder.function.input_names = list(names)
-
-    def emit(self, opcode, operands, attrs, regions=None):
-        return self.builder.emit(opcode, operands, attrs, regions).results
-
-    def emit_planned(self, opcode, operands, attrs, plan):
-        # Materializing ignores the plan's precomputed types: the builder
-        # re-infers them, keeping lower()'s verification byte-for-byte.
-        return self.builder.emit(opcode, operands, attrs).results
-
-    def set_name(self, handle, name) -> None:
-        handle.name = name
-
-    def subsink(self, name: str) -> "MaterializeSink":
-        return MaterializeSink(name)
-
-    def finish(self, results, names) -> Function:
-        return self.builder.ret(*results, names=names)
-
-
 def lower(function: Function, env: ShardingEnv) -> LoweredModule:
     """Lower ``function`` under ``env`` to a device-local function."""
-    lowerer = Lowerer(env)
     input_shardings = [env.sharding(p) for p in function.params]
-    sink = MaterializeSink(function.name + "_spmd")
-    local = lowerer.lower_function(function, sink)
+    local = Lowerer(env).lower_function(function, function.name + "_spmd")
     output_shardings = [
         env.sharding(r).without_sum(env.sharding(r).sum_axes)
         for r in function.results
@@ -128,9 +80,9 @@ class _OpPlan:
     """The per-op lowering decisions, decoupled from any emission target.
 
     Everything here is a pure function of the op (opcode, attrs, types) and
-    the shardings of its adjacent values — the memo key the streaming
-    evaluator uses.  Plans are immutable after construction: execution only
-    reads them, so one plan may be replayed into many sinks.
+    the shardings of its adjacent values — the memo key the search's
+    estimator uses.  Plans are immutable after construction: execution and
+    pricing only read them.
     """
 
     operand_shardings: Tuple[Sharding, ...]
@@ -139,13 +91,35 @@ class _OpPlan:
     attrs: dict
     expected_shapes: Tuple[Tuple[int, ...], ...]
     trailing: Tuple[Optional[dict], ...]
-    # Precomputed for the cost path (sink.emit_planned): the device-local
-    # result types/sizes and the op's local FLOPs under this plan's layouts.
-    # The materializing sink ignores these and re-infers, so the classic
-    # lower() keeps its full type-inference verification.
+    # For the estimator, which prices a plan without emitting it: the
+    # device-local result types and the op's local FLOPs under this plan's
+    # layouts.  _execute_plan ignores these; the builder re-infers.
     result_types: Tuple = ()
-    result_nbytes: Tuple[int, ...] = ()
     flops: float = 0.0
+
+
+@dataclasses.dataclass
+class _LoopPlan:
+    """The lowering decisions of one loop op (see :meth:`Lowerer._plan_loop`).
+
+    ``operand_shardings`` / ``required`` reconcile each operand to its body
+    parameter's layout; ``regions`` holds, per region (body, then
+    ``while_loop``'s cond), the fixed parameter layouts and result targets
+    it is lowered under; ``attrs`` are the op's attrs plus any injected
+    ``pipeline_*`` pricing attrs; ``tails[i]`` is the ``(actual, required)``
+    reconcile result ``i`` needs after the loop, or ``None``.
+    """
+
+    operand_shardings: Tuple[Sharding, ...]
+    required: Tuple[Dict[int, List[str]], ...]
+    regions: Tuple[Tuple[List[Sharding], List[Sharding]], ...]
+    attrs: dict
+    tails: Tuple[Optional[Tuple[Sharding, Dict[int, List[str]]]], ...]
+
+
+def required_of(sharding: Sharding) -> Dict[int, List[str]]:
+    """The ``required`` layout that is exactly ``sharding``'s tiling."""
+    return {d: list(axes) for d, axes in enumerate(sharding.dim_axes)}
 
 
 class Lowerer:
@@ -157,7 +131,7 @@ class Lowerer:
         # the fused form is the paper's one reduce_scatter per gradient).
         # Pure gathers are deliberately NOT cached: parameters are gathered
         # per use site (FSDP's forward + backward all_gathers).
-        self._reduce_cache: Dict[Tuple, Tuple[object, Sharding]] = {}
+        self._reduce_cache: Dict[Tuple, Tuple[Value, Sharding]] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -172,26 +146,26 @@ class Lowerer:
     def lower_function(
         self,
         function: Function,
-        sink,
+        name: str,
         fixed_param_shardings: Optional[List[Sharding]] = None,
         result_targets: Optional[List[Sharding]] = None,
-    ):
-        value_map: Dict[Value, object] = {}
+    ) -> Function:
+        builder = FunctionBuilder(name)
+        value_map: Dict[Value, Value] = {}
         for i, param in enumerate(function.params):
             sharding = (
                 fixed_param_shardings[i]
                 if fixed_param_shardings is not None
                 else self.env.sharding(param)
             )
-            local = sink.add_param(
+            value_map[param] = builder.function.add_param(
                 param.type.with_shape(self._local_shape(param, sharding)),
                 name=param.name,
             )
-            value_map[param] = local
-        sink.set_input_names(function.input_names)
+        builder.function.input_names = list(function.input_names)
 
         for op in function.ops:
-            self._lower_op(op, sink, value_map)
+            self._lower_op(op, builder, value_map)
 
         # Reconcile results to their targets (default: env sharding with all
         # pending sums materialized — outputs are never partial).
@@ -202,14 +176,12 @@ class Lowerer:
                 result_targets[i] if result_targets is not None
                 else actual.without_sum(actual.sum_axes)
             )
-            required = {
-                d: list(axes) for d, axes in enumerate(target.dim_axes)
-            }
             value, _ = self._reconcile(
-                sink, value_map[result], actual, required, set()
+                builder, value_map[result], actual, required_of(target),
+                set()
             )
             results.append(value)
-        return sink.finish(results, function.output_names)
+        return builder.ret(*results, names=function.output_names)
 
     def _tag_transparent(self, op: Operation) -> bool:
         """Is this ``tag`` marker droppable here — operand and result agree
@@ -219,30 +191,28 @@ class Lowerer:
         return (self.env.sharding(op.operands[0])
                 is self.env.sharding(op.results[0]))
 
-    def _lower_op(self, op: Operation, sink, value_map) -> None:
-        """Lower one op into the sink.  Overridden by the streaming
-        evaluator to memoize plans; scan is always re-planned (its lowering
-        reads the whole body, not just adjacent shardings).
+    def _lower_op(self, op: Operation, builder, value_map) -> None:
+        """Lower one op into the builder.
 
         ``tag`` markers are pure annotations: whenever operand and result
         agree on a sharding (any propagation fixed point) the op is dropped
         from device-local code — the result simply aliases the operand's
-        lowered handle.  The streaming cost paths apply the identical skip,
-        keeping the materialized and streamed estimates bit-identical.
+        lowered value.  The estimator applies the identical skip, keeping
+        the materialized and search estimates bit-identical.
         """
         if op.opcode in opdefs.LOOP_OPS:
-            self._emit_loop(op, sink, value_map)
+            self._emit_loop(op, builder, value_map)
         elif op.opcode == "tag" and self._tag_transparent(op):
             value_map[op.results[0]] = value_map[op.operands[0]]
         else:
-            self._execute_plan(op, self._plan_op(op), sink, value_map)
+            self._execute_plan(op, self._plan_op(op), builder, value_map)
 
     # -- reconciliation ---------------------------------------------------------
 
     def _reconcile(
         self,
-        sink,
-        value,
+        builder: FunctionBuilder,
+        value: Value,
         actual: Sharding,
         required: Dict[int, List[str]],
         allowed_pending: Set[str],
@@ -257,18 +227,18 @@ class Lowerer:
         cache_key = None
         if ar_axes:
             cache_key = (
-                id(sink), value.uid, ar_axes,
+                id(builder), value.uid, ar_axes,
                 tuple(tuple(required.get(d, [])) for d in range(rank)),
             )
             cached = self._reduce_cache.get(cache_key)
             if cached is not None:
                 return cached
         if ar_axes:
-            value = sink.emit(
+            value = builder.emit1(
                 "all_reduce",
                 [value],
                 {"axes": ar_axes, "kind": "add", "sizes": self._sizes(ar_axes)},
-            )[0]
+            )
             actual = actual.without_sum(frozenset(ar_axes))
         # 2/3. Per-dim layout change: keep the longest common prefix, gather
         # the rest of the actual layout, then slice in the required suffix.
@@ -291,7 +261,7 @@ class Lowerer:
                                          - len(gather_dims[d])])
                 for d in range(rank)
             )
-            value = sink.emit(
+            value = builder.emit1(
                 "all_gather",
                 [value],
                 {
@@ -300,11 +270,11 @@ class Lowerer:
                     "operand_dims": actual.dim_axes,
                     "result_dims": mid_dims,
                 },
-            )[0]
+            )
             actual = dataclasses.replace(actual, dim_axes=mid_dims)
         if any(slice_dims):
             result_dims = tuple(new_dims)
-            value = sink.emit(
+            value = builder.emit1(
                 "all_slice",
                 [value],
                 {
@@ -313,7 +283,7 @@ class Lowerer:
                     "operand_dims": actual.dim_axes,
                     "result_dims": result_dims,
                 },
-            )[0]
+            )
             actual = dataclasses.replace(actual, dim_axes=result_dims)
         if cache_key is not None:
             self._reduce_cache[cache_key] = (value, actual)
@@ -469,10 +439,9 @@ class Lowerer:
             else:
                 trailing.append(None)
 
-        # Precompute what the cost path needs so it can skip type inference:
-        # reconciliation lays every operand out exactly per required[i], so
-        # the local operand types (and hence the op's local FLOPs) are
-        # already determined here.
+        # What the estimator prices from: reconciliation lays every operand
+        # out exactly per required[i], so the local operand types (and
+        # hence the op's local FLOPs) are already determined here.
         local_operand_types = []
         for i, operand in enumerate(op.operands):
             dims = tuple(
@@ -497,20 +466,19 @@ class Lowerer:
             expected_shapes=tuple(expected_shapes),
             trailing=tuple(trailing),
             result_types=result_types,
-            result_nbytes=tuple(t.nbytes for t in result_types),
             flops=flops,
         )
 
     # -- per-op execution --------------------------------------------------------
 
-    def _execute_plan(self, op: Operation, plan: _OpPlan, sink,
+    def _execute_plan(self, op: Operation, plan: _OpPlan, builder,
                       value_map) -> None:
-        """Replay a plan into a sink: reconcile operands, emit the op, slice
-        unexplained result axes back in, and bind the result handles."""
+        """Emit a plan: reconcile operands, emit the op, slice unexplained
+        result axes back in, and bind the result values."""
         new_operands = []
         for i, operand in enumerate(op.operands):
             value, _ = self._reconcile(
-                sink,
+                builder,
                 value_map[operand],
                 plan.operand_shardings[i],
                 plan.required[i],
@@ -518,8 +486,8 @@ class Lowerer:
             )
             new_operands.append(value)
 
-        new_results = sink.emit_planned(op.opcode, new_operands, plan.attrs,
-                                        plan)
+        new_results = builder.emit(op.opcode, new_operands,
+                                   plan.attrs).results
 
         for r, result in enumerate(op.results):
             new_value = new_results[r]
@@ -530,81 +498,79 @@ class Lowerer:
                     f"{plan.expected_shapes[r]}"
                 )
             if plan.trailing[r] is not None:
-                new_value = sink.emit(
+                new_value = builder.emit1(
                     "all_slice", [new_value], plan.trailing[r]
-                )[0]
-            sink.set_name(new_value, result.name)
+                )
+            new_value.name = result.name
             value_map[result] = new_value
 
     # -- loops (scan / fori_loop / while_loop) ------------------------------------
 
-    def _emit_loop(self, op: Operation, sink, value_map) -> None:
-        """Lower a loop op: reconcile operands to the body's carry layouts,
-        lower the body (and, for ``while_loop``, the cond region — fixed
-        replicated step + carry layouts in, replicated predicate out, the
-        lockstep contract the executor follows), and emit the loop with any
-        ``pipeline_*`` pricing attrs injected from the env's pipeline
-        marker (see :func:`repro.core.pipeline.pipeline_schedule_attrs`)."""
+    def _plan_loop(self, op: Operation) -> _LoopPlan:
+        """Decide a loop op's lowering from the env: operands are
+        reconciled to the body's carry layouts; the body runs under those
+        layouts (replicated step index first) and returns its carries in
+        them; ``while_loop``'s cond region runs every iteration over the
+        carries in their body layouts and its predicate is reconciled
+        replicated, so every device follows the same branch in lockstep
+        (the contract the executor follows); ``pipeline_*`` pricing attrs
+        are injected from the env's pipeline marker (see
+        :func:`repro.core.pipeline.pipeline_schedule_attrs`); and a result
+        whose env tiling differs from its carry's is reconciled after the
+        loop."""
         body = op.regions[0]
         num_carries = op.attrs.get("num_carries", len(op.operands))
-        operand_shardings = [
+        param_shardings = [
             self.env.sharding(body.params[i + 1])
             for i in range(len(op.operands))
         ]
-        carry_shardings = operand_shardings[:num_carries]
-        new_operands = []
-        for i, operand in enumerate(op.operands):
-            required = {
-                d: list(axes)
-                for d, axes in enumerate(operand_shardings[i].dim_axes)
-            }
-            value, _ = self._reconcile(
-                sink, value_map[operand], self.env.sharding(operand),
-                required, set(),
-            )
-            new_operands.append(value)
-        param_shardings = [Sharding.replicated(0)] + operand_shardings
-        body_sink = sink.subsink("body")
-        local_body = self.lower_function(
-            body, body_sink,
-            fixed_param_shardings=param_shardings,
-            result_targets=carry_shardings,
-        )
-        regions = [local_body]
-        if len(op.regions) > 1:
-            # while_loop's cond: runs every iteration over the carries in
-            # their body layouts; the predicate is reconciled replicated so
-            # every device follows the same branch in lockstep.
-            cond = op.regions[1]
-            cond_sink = sink.subsink("cond")
-            regions.append(self.lower_function(
-                cond, cond_sink,
-                fixed_param_shardings=(
-                    [Sharding.replicated(0)] + carry_shardings
-                ),
-                result_targets=[
-                    Sharding.replicated(r.type.rank) for r in cond.results
-                ],
+        carry_shardings = param_shardings[:num_carries]
+        step = [Sharding.replicated(0)]
+        regions = [(step + param_shardings, carry_shardings)]
+        for cond in op.regions[1:]:
+            regions.append((
+                step + carry_shardings,
+                [Sharding.replicated(r.type.rank) for r in cond.results],
             ))
         attrs = dict(op.attrs)
         attrs.update(pipeline_mod.pipeline_schedule_attrs(
             op, self.env, self.mesh
         ))
-        new_results = sink.emit(op.opcode, new_operands, attrs,
-                                regions=regions)
-        for i, result in enumerate(op.results):
-            value = new_results[i]
-            env_sharding = self.env.sharding(result)
-            if env_sharding.dim_axes != carry_shardings[i].dim_axes:
-                required = {
-                    d: list(axes)
-                    for d, axes in enumerate(env_sharding.dim_axes)
-                }
-                value, _ = self._reconcile(
-                    sink, value,
-                    dataclasses.replace(
-                        carry_shardings[i], sum_axes=frozenset()
-                    ),
-                    required, set(),
-                )
+        tails = []
+        for carry, result in zip(carry_shardings, op.results):
+            target = self.env.sharding(result)
+            tails.append(None if target.dim_axes == carry.dim_axes else (
+                dataclasses.replace(carry, sum_axes=frozenset()),
+                required_of(target),
+            ))
+        return _LoopPlan(
+            operand_shardings=tuple(
+                self.env.sharding(operand) for operand in op.operands
+            ),
+            required=tuple(required_of(s) for s in param_shardings),
+            regions=tuple(regions),
+            attrs=attrs,
+            tails=tuple(tails),
+        )
+
+    def _emit_loop(self, op: Operation, builder, value_map) -> None:
+        """Emit a loop op per its :meth:`_plan_loop`."""
+        plan = self._plan_loop(op)
+        new_operands = [
+            self._reconcile(builder, value_map[operand],
+                            plan.operand_shardings[i], plan.required[i],
+                            set())[0]
+            for i, operand in enumerate(op.operands)
+        ]
+        regions = [
+            self.lower_function(region, name, fixed_param_shardings=params,
+                                result_targets=targets)
+            for region, name, (params, targets)
+            in zip(op.regions, ("body", "cond"), plan.regions)
+        ]
+        new_results = builder.emit(op.opcode, new_operands, plan.attrs,
+                                   regions).results
+        for result, value, tail in zip(op.results, new_results, plan.tails):
+            if tail is not None:
+                value, _ = self._reconcile(builder, value, *tail, set())
             value_map[result] = value

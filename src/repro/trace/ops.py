@@ -314,6 +314,8 @@ def _captured_values(region: Function):
     defined = set(region.params)
     for op_ in region.walk():
         defined.update(op_.results)
+        for nested in op_.regions:
+            defined.update(nested.params)
     captured = []
     captured_set = {}
     for op_ in region.walk():

@@ -6,6 +6,9 @@ action, ``lower``, ``fuse_collectives``, ``costmodel.estimate`` — sharing
 no state, cache or code path with ``Evaluator`` beyond the action
 vocabulary.  ``Evaluator.evaluate(key) == reference_cost(key)``, bit for
 bit, is the one purity contract the suites and figure scripts pin.
+
+``ESTIMATE_FIELDS`` / ``assert_estimates_identical`` are the one statement
+of what "bit for bit" means for two ``CostEstimate`` objects.
 """
 
 from repro.auto.evaluator import try_apply_action
@@ -14,6 +17,18 @@ from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.sim import costmodel
 from repro.spmd import fuse_collectives, lower
+
+
+#: Every field of a ``CostEstimate``; equality is exact on each.
+ESTIMATE_FIELDS = ("runtime_s", "compute_s", "comm_s", "local_flops",
+                   "comm_bytes", "peak_memory_bytes", "collective_time_s")
+
+
+def assert_estimates_identical(got, want, context=None):
+    """``got == want`` on every estimate field, naming the first that
+    differs (and the caller's ``context``, e.g. a chain step)."""
+    for field in ESTIMATE_FIELDS:
+        assert getattr(got, field) == getattr(want, field), (context, field)
 
 
 def reference_env(function, mesh, actions):

@@ -133,6 +133,40 @@ class TestPartirJit:
         _, meta = partir_jit(tf, mesh, schedule)
         assert meta.reports[0].conflicts
 
+    def test_final_lowering_is_the_last_tactics_snapshot(self, monkeypatch):
+        """Per-tactic feedback lowers once per tactic; the final lowering
+        is the last snapshot, not a second lowering of an unchanged env."""
+        import repro.api as api
+
+        lowerings, priced = [], []
+        real_lower, real_estimate = api.lower, api.costmodel.estimate
+
+        def counting_lower(function, env):
+            lowerings.append(real_lower(function, env))
+            return lowerings[-1]
+
+        def recording_estimate(lowered, device):
+            priced.append(lowered)
+            return real_estimate(lowered, device)
+
+        monkeypatch.setattr(api, "lower", counting_lower)
+        monkeypatch.setattr(api.costmodel, "estimate", recording_estimate)
+        tf = trace(lambda x, w: ops.tanh(x @ w) @ w,
+                   ShapeDtype((32, 8)), ShapeDtype((8, 8)))
+        schedule = [ManualPartition({"0": 0}, axis="B"),
+                    ManualPartition({"1": 1}, axis="M"),
+                    ManualPartition({"1": 0}, axis="B")]
+        fn, meta = partir_jit(tf, Mesh({"B": 4, "M": 2}), schedule)
+        assert len(lowerings) == len(priced) == len(schedule)
+        assert meta.lowered is fn.lowered is lowerings[-1] is priced[-1]
+        assert meta.reports[-1].counts == meta.counts
+        assert meta.lower_time_s > 0
+        # Without per-tactic feedback there is no snapshot to reuse.
+        del lowerings[:]
+        _, meta = partir_jit(tf, Mesh({"B": 4, "M": 2}), schedule,
+                             estimate_per_tactic=False)
+        assert len(lowerings) == 1 and meta.lowered is lowerings[0]
+
 
 class TestSimulator:
     def _lowered(self, actions=()):

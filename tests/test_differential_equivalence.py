@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from oracle import reference_estimate
+from oracle import assert_estimates_identical, reference_estimate
 from repro.auto.evaluator import candidate_actions, try_apply_action
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
@@ -36,9 +36,6 @@ from repro.models import unet as unet_mod
 from repro.sim import TPU_V3, costmodel
 
 MESH = Mesh({"batch": 4, "model": 2})
-
-_FIELDS = ("runtime_s", "compute_s", "comm_s", "local_flops", "comm_bytes",
-           "peak_memory_bytes", "collective_time_s")
 
 
 def _cases():
@@ -105,9 +102,7 @@ def test_differential_streaming_materialized_field_exact(case, seed):
             tokens.append(token)
         fast = differential.estimate_incremental(env, env.drain_journal())
         materialized = reference_estimate(function, env, TPU_V3, reference)
-        for field in _FIELDS:
-            assert getattr(fast, field) == getattr(materialized, field), \
-                (step, field)
+        assert_estimates_identical(fast, materialized, step)
         # Field-exact implies dict-exact (collective breakdown included).
         assert dataclasses.asdict(fast) == dataclasses.asdict(materialized), \
             step

@@ -32,6 +32,27 @@ def test_module_doctests_pass(module):
     assert results.failed == 0
 
 
+def test_benchmark_span_targets_resolve():
+    """Every ``(module, attribute path)`` the repo's benchmark wraps for
+    its per-layer metrics exists: a rename in ``src/`` cannot silently
+    blank a layer (``bench.missing_span_targets`` stays 0)."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "e2e_spans", os.path.join(REPO_ROOT, "benchmarks", "e2e", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for layer, module, path in spans.TARGETS:
+        # The same resolution Recorder.install performs: parents by
+        # getattr, the target itself from its owner's own namespace.
+        owner = importlib.import_module(module)
+        *parents, attr = path.split(".")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        assert attr in vars(owner), (layer, module, path)
+
+
 def test_public_api_docstrings_have_examples():
     """The satellite contract: every named public entry point documents a
     runnable example (or, for SearchResult, its counters)."""

@@ -27,7 +27,8 @@ import re
 import numpy as np
 import pytest
 
-from oracle import reference_cost, reference_env, reference_estimate
+from oracle import (assert_estimates_identical, reference_cost,
+                    reference_env, reference_estimate)
 from repro.api import UNKNOWN, AutomaticPartition, ManualPartition, \
     PipelinePartition, partir_jit
 from repro.auto.evaluator import Evaluator, candidate_actions, \
@@ -51,11 +52,9 @@ from repro.models import pipeline as pm
 from repro.models import schedules as sched
 from repro.runtime import MeshExecutor
 from repro.sim import TPU_V3, costmodel
-from repro.spmd import count_collectives, fuse_collectives, lower
+from repro.spmd import (count_collectives, fuse_collectives, is_collective,
+                        lower)
 from repro.trace import ShapeDtype, ops, pytree, trace
-
-FIELDS = ("runtime_s", "compute_s", "comm_s", "local_flops", "comm_bytes",
-          "peak_memory_bytes", "collective_time_s")
 
 
 def mp_tactic(axis="model"):
@@ -89,6 +88,72 @@ def trace_while(trip=3):
         return ops.while_loop(cond, body, (x,), trip_count_hint=trip)[0]
 
     return trace(f, ShapeDtype((8, 4)), ShapeDtype((4, 4))).function
+
+
+def trace_nested_scan():
+    """A scan inside a scan body, the inner body closing over a weight
+    two levels up (threaded through both loops as an invariant)."""
+    def f(x, w):
+        def outer(i, h):
+            def inner(j, g):
+                return ops.tanh(g @ w)
+
+            return ops.scan(inner, [h], 2)
+
+        return ops.scan(outer, [x], 3)
+
+    return trace(f, ShapeDtype((8, 4)), ShapeDtype((4, 4))).function
+
+
+def trace_while_reduced_cond():
+    """A while_loop whose predicate reduces over a carry: with the carry
+    tiled, the cond region needs an ``all_reduce`` before its compare."""
+    def f(x, w, count):
+        def cond(i, acc, count):
+            return ops.reduce_sum(count) < 24.0
+
+        def body(i, acc, count):
+            return (ops.tanh(acc @ w), count + 1.0)
+
+        return ops.while_loop(cond, body, (x, count), trip_count_hint=3)[0]
+
+    return trace(f, ShapeDtype((8, 4)), ShapeDtype((4, 4)),
+                 ShapeDtype((8,))).function
+
+
+def trace_shared_pending_sum():
+    """A microbatch loop whose body reads one pending ``#sum`` at two
+    non-linear sites: it must be reduced once, inside the body."""
+    def f(x, w1, w2):
+        def body(i, acc):
+            chunk = ops.dynamic_slice_in_dim(x, i * 4, 4, dim=0)
+            y = ops.tanh(chunk @ w1) @ w2
+            out = ops.tanh(y) + ops.exp(y)
+            return (ops.dynamic_update_slice_in_dim(acc, out, i * 4, dim=0),)
+
+        return ops.scan(body, (ops.zeros_like(x),), trip_count=4)
+
+    return trace(f, ShapeDtype((16, 8)), ShapeDtype((8, 8)),
+                 ShapeDtype((8, 8))).function
+
+
+def priced_like_reference(fn, mesh, tactics):
+    """Apply ``tactics`` one by one; after each, the journal-driven
+    estimate of a long-lived estimator and a fresh estimator's both equal
+    the materializing reference on every field.  Returns the final env."""
+    env = ShardingEnv(mesh)
+    propagate(fn, env)
+    env.enable_journal()
+    journaled = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
+    for tactic in tactics:
+        tactic.apply(fn, env, incremental=True)
+        fast = journaled.estimate_incremental(env, env.drain_journal())
+        fresh = costmodel.StreamingEstimator(
+            fn, mesh, TPU_V3).estimate_incremental(env)
+        full = reference_estimate(fn, env, TPU_V3)
+        assert_estimates_identical(fast, full, tactic.name)
+        assert_estimates_identical(fresh, full, tactic.name)
+    return env
 
 
 class TestLoopCarryPropagation:
@@ -319,30 +384,74 @@ class TestCrossBackendPins:
 
 
 class TestEstimatePathIdentity:
-    """Differential, forced-rebuild streaming and materialized estimates
+    """Journal-driven, fresh-estimator and materialized estimates
     bit-identical on pipelined programs."""
 
     @pytest.mark.parametrize("tracer", [
         pm.trace_pipeline_transformer, pm.trace_pipeline_moe,
     ], ids=["dense", "moe"])
     def test_three_way_field_exact(self, tracer):
-        mesh = Mesh({"stage": 2, "model": 2})
-        fn = tracer(pm.tiny()).function
-        env = ShardingEnv(mesh)
-        propagate(fn, env)
-        env.enable_journal()
-        differential = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
-        for tactic in (sched.pp("stage"), mp_tactic("model")):
-            tactic.apply(fn, env, incremental=True)
-            fast = differential.estimate_incremental(
-                env, env.drain_journal()
-            )
-            streamed = costmodel.estimate_streaming(fn, env, TPU_V3)
-            full = reference_estimate(fn, env, TPU_V3)
-            for field in FIELDS:
-                value = getattr(fast, field)
-                assert value == getattr(streamed, field), field
-                assert value == getattr(full, field), field
+        priced_like_reference(
+            tracer(pm.tiny()).function, Mesh({"stage": 2, "model": 2}),
+            (sched.pp("stage"), mp_tactic("model")))
+
+
+class TestRegionFold:
+    """Loop regions are priced by the program's own refresh-and-fold,
+    recursively: a reconcile inside a cond region, a pending reduction
+    deduplicated within (and only within) a pipelined body, and a loop
+    nested in a loop body — each journal-driven *and* from a fresh
+    estimator, bit-identical to the materializing reference after every
+    tactic, and executing to the interpreter's numerics."""
+
+    CASES = {
+        "nested_scan": (
+            trace_nested_scan, {"batch": 2, "model": 2},
+            lambda: [ManualPartition({"0": 0}, axis="batch"),
+                     ManualPartition({"1": 0}, axis="model")]),
+        "while_reduced_cond": (
+            trace_while_reduced_cond, {"batch": 2, "model": 2},
+            lambda: [ManualPartition({"0": 0, "2": 0}, axis="batch"),
+                     ManualPartition({"1": 1}, axis="model")]),
+        "shared_pending_sum": (
+            trace_shared_pending_sum, {"stage": 2, "model": 2},
+            lambda: [PipelinePartition("stage"),
+                     ManualPartition({"2": 0}, axis="model")]),
+    }
+
+    @staticmethod
+    def region_collectives(lowered):
+        """Collective opcodes per region depth-first path, e.g.
+        ``{"scan/body": ["all_reduce"]}`` (top level omitted)."""
+        found = {}
+
+        def visit(fn, path):
+            for op in fn.ops:
+                for region in op.regions:
+                    here = f"{path}{op.opcode}/{region.name}"
+                    found[here] = [o.opcode for o in region.ops
+                                   if is_collective(o.opcode)]
+                    visit(region, here + "/")
+
+        visit(lowered.function, "")
+        return found
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_priced_like_the_reference_and_executes(self, case):
+        tracer, axes, tactics = self.CASES[case]
+        fn = tracer()
+        env = priced_like_reference(fn, Mesh(axes), tactics())
+        lowered = lower(fn, env)
+        lowered.function = fuse_collectives(lowered.function)
+        # Each case prices what its name says.
+        assert self.region_collectives(lowered) == {
+            "nested_scan": {"scan/body": [],
+                            "scan/body/scan/body": ["reduce_scatter"]},
+            "while_reduced_cond": {"while_loop/body": ["all_gather"],
+                                   "while_loop/cond": ["all_reduce"]},
+            "shared_pending_sum": {"scan/body": ["all_reduce"]},
+        }[case]
+        TestExecutionEquivalence().check(fn, env)
 
 
 class TestExecutionEquivalence:

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracle import assert_estimates_identical
 from repro.ir import FunctionBuilder, evaluate_function
 from repro.mesh import Mesh
 from repro.core import Sharding, ShardingEnv, propagate, tile
@@ -101,10 +102,6 @@ def test_partitioned_equals_unpartitioned(program, seed):
     np.testing.assert_allclose(actual, expected, atol=1e-3, rtol=1e-2)
 
 
-_ESTIMATE_FIELDS = ("runtime_s", "compute_s", "comm_s", "local_flops",
-                    "comm_bytes", "peak_memory_bytes", "collective_time_s")
-
-
 @st.composite
 def random_loop_program(draw):
     """A microbatched loop over a random matmul chain, plus a random
@@ -174,8 +171,7 @@ def test_loop_pipeline_partitioned_equals_unpartitioned(program, seed):
         lowered, function=fuse_collectives(lowered.function)
     )
     materialized = costmodel.estimate(lowered, TPU_V3)
-    for field in _ESTIMATE_FIELDS:
-        assert getattr(fast, field) == getattr(materialized, field), field
+    assert_estimates_identical(fast, materialized)
     rng = np.random.RandomState(seed % (2 ** 31))
     args = [rng.randn(*p.type.shape).astype(np.float32) * 0.5
             for p in function.params]

@@ -231,10 +231,9 @@ def test_undo_evaluator_reuses_propagation_deltas():
     assert stats.propagate_calls == calls_before
 
 
-def test_process_backend_shared_memo_hits():
-    """The id predates the cross-worker memo's deletion; what it still
-    pins is that workers with nothing but their own plan/chain memos land
-    on the serial result."""
+def test_process_backend_matches_serial():
+    """Workers with nothing but their own plan/chain memos land on the
+    serial result."""
     process = _transformer_search("process")
     serial = _transformer_search("serial")
     assert process.actions == serial.actions

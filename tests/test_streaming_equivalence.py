@@ -1,16 +1,14 @@
-"""Streaming-vs-materialized cost evaluation equivalence (the CostSink's
-contract).
+"""Search-estimator-vs-materialized cost evaluation equivalence.
 
 For seeded-random tactic chains over the transformer, GNS and UNet training
-steps (51 chains), the streaming evaluator's whole-function rebuild
-(``estimate_streaming``: a fresh ``StreamingEstimator`` pricing every op
-through plan memos, recorded reconcile chains and in-stream collective
-fusion, no IR materialized) must produce a :class:`CostEstimate` whose
-every field (runtime, compute and per-collective comm seconds, FLOPs, comm
-bytes, peak live memory) is *exactly* equal to the materializing
+steps (51 chains), a fresh ``StreamingEstimator``'s whole-function refresh
+(every op priced from its lowering plan and recorded reconcile chains, no
+IR materialized) must produce a :class:`CostEstimate` whose every field
+(runtime, compute and per-collective comm seconds, FLOPs, comm bytes, peak
+live memory) is *exactly* equal to the materializing
 ``lower -> fuse_collectives -> estimate`` pipeline, and hence
 bit-identical ``search_objective`` values.  A scan-body case (IT32's
-decode loop) covers region costing through ``CostSink``.
+decode loop) covers region pricing.
 """
 
 import random
@@ -32,14 +30,10 @@ from repro.models.schedules import (
     zero2,
     zero3,
 )
-from oracle import reference_estimate
+from oracle import assert_estimates_identical, reference_estimate
 from repro.sim import TPU_V3, costmodel
 
 MESH = Mesh({"batch": 4, "model": 2})
-
-_FIELDS = ("runtime_s", "compute_s", "comm_s", "local_flops", "comm_bytes",
-           "peak_memory_bytes", "collective_time_s")
-
 
 @pytest.fixture(scope="module")
 def tiny_transformer():
@@ -105,9 +99,9 @@ def _env_for_chain(traced, chain):
 
 def _assert_streaming_identical(function, env, device=TPU_V3):
     materialized = reference_estimate(function, env, device)
-    streamed = costmodel.estimate_streaming(function, env, device)
-    for field in _FIELDS:
-        assert getattr(streamed, field) == getattr(materialized, field), field
+    streamed = costmodel.StreamingEstimator(
+        function, env.mesh, device).estimate_incremental(env)
+    assert_estimates_identical(streamed, materialized)
     assert (costmodel.search_objective(streamed, device)
             == costmodel.search_objective(materialized, device))
 
@@ -155,9 +149,7 @@ class TestEstimatorMemoization:
             env = _env_for_chain(tiny_gns, chain)
             materialized = reference_estimate(function, env, TPU_V3)
             streamed = estimator.estimate_incremental(env)
-            for field in _FIELDS:
-                assert getattr(streamed, field) == getattr(
-                    materialized, field), field
+            assert_estimates_identical(streamed, materialized, seed)
         # Envs overlap heavily, so most ops hit the plan memo.
         assert estimator.ops_reused > estimator.ops_planned
 
@@ -171,5 +163,4 @@ class TestEstimatorMemoization:
         second = estimator.estimate_incremental(env)  # forced rebuild
         assert estimator.ops_planned == planned  # nothing re-planned
         assert estimator.ops_reused - reused >= planned
-        for field in _FIELDS:
-            assert getattr(first, field) == getattr(second, field)
+        assert_estimates_identical(first, second)
