@@ -32,33 +32,28 @@ on *no* function input, so input tilings either replicate the member
 compute or pay mid-function ``[B, K, *]`` collectives.  The widened
 search must reach a **strictly lower** best cost, with a mid-function
 action in the winning set, identical best actions/cost across all
-schedulers, and a warm second call (``cache_dir``)
-must show ``tree_prior_hits > 0`` — the persisted action-group
-statistics actually steering the reused tree — at a best cost no worse
-than the cold call's.
+schedulers, and a same-config second call (``cache_dir``) must be a
+*replay*: zero evaluations, the cold call's actions and cost.
 
-A fourth section exercises the **pruning/prior axis** (PR 8) on the same
+A fourth section exercises the **pruning axis** (PR 8) on the same
 ensemble: (a) the *identity leg* — at a budget large enough for both
 spaces to locate the optimum, the equivalence condenser must cut the
 candidate actions by >= 30% while leaving the fixed-seed best
-actions/cost byte-identical to the unpruned space; (b) the *prior leg*
-— statistics persisted by one pruned teacher search (probe signatures +
-per-group tree statistics, cost records stripped so nothing warm-seeds
-the incumbent) must let a warm pruned+prior search reach a best cost <=
-the cold unpruned search **on every seed** at the same 24-rollout
-budget, strictly lower on at least one, without re-running a single
-probe and with the amortized (signature-lookup-only) pre-pass costing
-< 10% of a single rollout's evaluator wall-clock; and (c) the *exact-solver
-smoke leg* — on a small model the branch-and-bound oracle terminates
-and the default-budget MCTS matches its certified optimum exactly.
+actions/cost byte-identical to the unpruned space; (b) the *warm
+condenser leg* — reruns at other seeds from one teacher search's
+``cache_dir`` must not re-run a single probe, and their amortized
+(signature-lookup-only) pre-pass must cost < 10% of a single rollout's
+evaluator wall-clock; and (c) the *exact-solver smoke leg* — on a small
+model the branch-and-bound oracle terminates and the default-budget MCTS
+matches its certified optimum exactly.
 
 Each run also reports the propagate-vs-estimate wall-clock split, keeping
 the "next hottest path" claim measurable, and the whole table is dumped to
 ``BENCH_fig11.json``.
 """
 
-import json
 import os
+import shutil
 import tempfile
 import time
 
@@ -282,31 +277,32 @@ def test_fig11(benchmark):
                                  **space_kwargs)
             assert result.actions == tagged_run.actions, backend
             assert result.cost == tagged_run.cost, backend
-        # Cross-call tree reuse: a warm second call loads the persisted
-        # per-action-group statistics, steers its expansion with them
-        # (tree_prior_hits), and can never report a worse schedule.
+        # Warm start is replay: the tree is a pure function of
+        # (candidates, seed), so a same-config second call regenerates the
+        # cold call's rollouts and serves every one from the log.
         with tempfile.TemporaryDirectory() as cache_dir:
             env = ShardingEnv(MESH)
             cold = mcts_search(btraced.function, env, ["batch", "model"],
                                cache_dir=cache_dir, **space_kwargs)
             env = ShardingEnv(MESH)
+            t0 = time.perf_counter()
             warm = mcts_search(btraced.function, env, ["batch", "model"],
                                cache_dir=cache_dir, **space_kwargs)
-        assert cold.tree_prior_hits == 0
-        assert warm.tree_prior_hits > 0, (
-            "warm second call used no persisted tree statistics"
+            warm_s = time.perf_counter() - t0
+        assert warm.evaluations == 0, (
+            f"same-config rerun computed {warm.evaluations} evaluations"
         )
-        assert warm.warm_cache_hits > 0
-        assert warm.cost <= cold.cost
+        assert warm.actions == cold.actions
+        assert warm.cost == cold.cost
         records.append({
-            "model": "Ensemble", "comparison": "warm_tree_reuse",
+            "model": "Ensemble", "comparison": "warm_replay",
             "cold_best_cost": cold.cost, "warm_best_cost": warm.cost,
-            "tree_prior_hits": warm.tree_prior_hits,
-            "prior_groups": warm.prior_groups,
+            "warm_evaluations": warm.evaluations,
             "warm_cache_hits": warm.warm_cache_hits,
+            "warm_wall_clock_s": warm_s,
         })
 
-        # -- pruning/prior axis: condensed action space + learned prior --
+        # -- pruning axis: condensed action space --
         # Identity leg: at a budget big enough for both spaces to locate
         # the optimum, condensing is invisible (byte-identical best
         # actions/cost at a fixed seed) while cutting >= 30% of the
@@ -352,71 +348,58 @@ def test_fig11(benchmark):
                 "prune_time_s": pruned_run.prune_time_s,
                 "per_rollout_evaluator_s": per_rollout,
             })
-        # Prior leg: a pruned teacher persists probe signatures ("pa"
-        # records) and per-group tree statistics ("g" records); stripping
-        # its cost records leaves a *prior-only* log that cannot warm-seed
-        # the incumbent.  Steered by that log alone, the pruned+prior
-        # search must reach a best cost <= the cold unpruned search on
-        # every seed at the same 24-rollout budget — strictly lower on at
-        # least one — re-running zero probes.
-        with tempfile.TemporaryDirectory() as teacher_dir:
+        # Warm condenser leg: a teacher search persists its probe
+        # signatures ("pa" records) beside its costs.  Reruns from a copy
+        # of its cache_dir at other seeds (so they still evaluate) re-run
+        # zero probes.
+        with tempfile.TemporaryDirectory() as scratch:
+            teacher_dir = os.path.join(scratch, "teacher")
             env = ShardingEnv(MESH)
             mcts_search(btraced.function, env, ["batch", "model"],
                         device=TPU_V3, budget=48, rollout_depth=3,
                         max_inputs=12, seed=0, cache_dir=teacher_dir)
-            (log_name,) = os.listdir(teacher_dir)
-            with open(os.path.join(teacher_dir, log_name)) as fh:
-                prior_lines = [line for line in fh
-                               if {"g", "pa"} & json.loads(line).keys()]
-            assert prior_lines, "teacher persisted no prior/probe records"
-            strict, prior_records = 0, []
-            for seed in range(10):
+            condense_records = []
+            for seed in range(1, 6):
+                # Fresh copy per seed: warm runs append cost records.
+                warm_dir = os.path.join(scratch, f"warm{seed}")
+                shutil.copytree(teacher_dir, warm_dir)
                 env = ShardingEnv(MESH)
-                cold = mcts_search(btraced.function, env,
+                warm = mcts_search(btraced.function, env,
                                    ["batch", "model"], device=TPU_V3,
                                    budget=24, rollout_depth=3,
-                                   max_inputs=12, seed=seed, prune=False)
-                with tempfile.TemporaryDirectory() as warm_dir:
-                    # Fresh copy per seed: warm runs append cost records.
-                    with open(os.path.join(warm_dir, log_name), "w") as fh:
-                        fh.writelines(prior_lines)
-                    env = ShardingEnv(MESH)
-                    warm = mcts_search(btraced.function, env,
-                                       ["batch", "model"], device=TPU_V3,
-                                       budget=24, rollout_depth=3,
-                                       max_inputs=12, seed=seed,
-                                       cache_dir=warm_dir)
+                                   max_inputs=12, seed=seed,
+                                   cache_dir=warm_dir)
+                assert warm.evaluations > 0, seed
                 assert warm.prune_probes == 0, seed
                 assert warm.prune_probes_reused == warm.candidates_total, seed
-                # Amortized pre-pass overhead: with the persisted
-                # equivalence classes, warm condensing (signature lookups
-                # only — zero probes) costs well under 10% of a single
-                # rollout's evaluator wall-clock.  (The cold pre-pass
-                # above pays ~one propagated extension per candidate,
-                # i.e. a handful of rollouts' worth, once per log.)
-                warm_per_rollout = (
-                    warm.propagate_time_s + warm.estimate_time_s
-                ) / max(warm.evaluations, 1)
-                assert warm.prune_time_s < 0.10 * warm_per_rollout, (
-                    f"warm pre-pass {warm.prune_time_s * 1e3:.3f}ms not "
-                    f"under 10% of one rollout's evaluator time "
-                    f"({warm_per_rollout * 1e3:.3f}ms) at seed {seed}"
-                )
-                assert warm.cost <= cold.cost, (
-                    f"pruned+prior {warm.cost:.3e} worse than cold "
-                    f"unpruned {cold.cost:.3e} at seed {seed}"
-                )
-                strict += warm.cost < cold.cost
-                prior_records.append({
-                    "seed": seed, "cold_unpruned_cost": cold.cost,
-                    "warm_pruned_prior_cost": warm.cost,
-                    "tree_prior_hits": warm.tree_prior_hits,
+                condense_records.append({
+                    "seed": seed, "evaluations": warm.evaluations,
+                    "prune_time_s": warm.prune_time_s,
+                    "evaluator_s": (warm.propagate_time_s
+                                    + warm.estimate_time_s),
                 })
-            assert strict >= 1, "prior never strictly beat the cold search"
+            # Amortized pre-pass overhead: with the persisted equivalence
+            # classes, warm condensing (signature lookups only — zero
+            # probes) costs well under 10% of a single rollout's evaluator
+            # wall-clock.  (The cold pre-pass above pays ~one propagated
+            # extension per candidate, i.e. a handful of rollouts' worth,
+            # once per log.)  Both sides are sub-millisecond, so the gate
+            # reads the means over the five reruns, not each one.
+            prepass = sum(r["prune_time_s"]
+                          for r in condense_records) / len(condense_records)
+            per_rollout = (
+                sum(r["evaluator_s"] for r in condense_records)
+                / sum(r["evaluations"] for r in condense_records))
+            assert prepass < 0.10 * per_rollout, (
+                f"warm pre-pass {prepass * 1e3:.3f}ms not under 10% of one "
+                f"rollout's evaluator time ({per_rollout * 1e3:.3f}ms)"
+            )
             records.append({
-                "model": "Ensemble", "comparison": "prior_vs_cold_unpruned",
-                "budget": 24, "seeds": len(prior_records),
-                "strictly_better": strict, "per_seed": prior_records,
+                "model": "Ensemble", "comparison": "warm_condense",
+                "budget": 24, "probes_rerun": 0,
+                "warm_prepass_s": prepass,
+                "per_rollout_evaluator_s": per_rollout,
+                "per_seed": condense_records,
             })
 
         # -- exact-solver smoke: MCTS matches the certified optimum --
@@ -470,15 +453,13 @@ def test_fig11(benchmark):
         "schedule (process beating serial wall-clock given >=2 cores), "
         "and the widened tag-point action space reaches a strictly lower "
         "best cost than input tilings on the interior-bottleneck ensemble "
-        "(identical across backends; a warm second call "
-        "steers its tree with persisted action-group statistics); the "
+        "(identical across backends; a same-config second call from "
+        "cache_dir replays it at zero evaluations); the "
         "equivalence condenser cuts >=30% of candidate actions with "
-        "byte-identical fixed-seed results, teacher-persisted "
-        "priors+probes let the pruned search match-or-beat the cold "
-        "unpruned search on every seed at an equal 24-rollout budget "
-        "(warm pre-pass <10% of one rollout's evaluator time, zero "
-        "probes re-run), and default-budget MCTS matches the "
-        "branch-and-bound oracle's certified optimum",
+        "byte-identical fixed-seed results, reruns at other seeds from "
+        "a teacher's cache_dir re-run zero probes (warm pre-pass <10% "
+        "of one rollout's evaluator time), and default-budget MCTS "
+        "matches the branch-and-bound oracle's certified optimum",
         ["model", "axes", "mode", "search", "propagate", "estimate",
          "evals", "tt hits", "plans reused", "ops processed",
          "actions"],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -243,20 +243,20 @@ class AutomaticPartition(Tactic):
 
     ``options`` holds :class:`repro.auto.SearchConfig` fields — what each
     one means is documented there, once — plus an optional ``"device"`` to
-    price on; ``search_backend`` (the ``backend`` field) and the other
-    keyword arguments are shorthands for the common ones.  All of it is
-    validated here, at construction: a misspelled or ill-typed option
-    raises ``TypeError`` / ``ValueError`` naming the valid fields instead
-    of silently searching with a default.
+    price on (default: the ``partir_jit`` call's); ``search_backend`` (the
+    ``backend`` field) and the other keyword arguments are shorthands for
+    the common ones.  All of it is validated here, at construction: a
+    misspelled or ill-typed option raises ``TypeError`` / ``ValueError``
+    naming the valid fields instead of silently searching with a default.
 
     Candidate shardings are scored through the streaming cost evaluator
     (``lower + fuse_collectives + estimate`` fused into one pass that never
     materializes device-local IR), bit-identical to the materializing
     pipeline ``partir_jit`` itself runs for the final lowering, since the
     executor needs real IR.  After ``apply``, ``last_search`` holds the
-    full :class:`repro.auto.SearchResult` (evaluations, cache/warm-start/
-    shared-memo/prior hit counters, timing split, and what the
-    self-healing backends had to recover from).
+    full :class:`repro.auto.SearchResult` (evaluations, cache/warm-start
+    hit counters, timing split, and what the self-healing backends had to
+    recover from).
 
     >>> from repro import Mesh, ShapeDtype, partir_jit, trace
     >>> from repro.trace import ops
@@ -278,14 +278,12 @@ class AutomaticPartition(Tactic):
                  cache_dir: Optional[str] = None,
                  action_space: Optional[str] = None,
                  plan_server: Optional[str] = None,
-                 prune: Optional[bool] = None,
-                 prior: Optional[str] = None):
+                 prune: Optional[bool] = None):
         self.axes = list(axes)
         self.options = dict(options or {})
         shorthands = {"backend": search_backend, "cache_dir": cache_dir,
                       "action_space": action_space,
-                      "plan_server": plan_server, "prune": prune,
-                      "prior": prior}
+                      "plan_server": plan_server, "prune": prune}
         self.options.update(
             (key, value) for key, value in shorthands.items()
             if value is not None)
@@ -390,6 +388,10 @@ def partir_jit(
     modes (a full re-sweep would otherwise re-report persisting conflicts
     that the worklist, never revisiting unchanged ops, does not).
 
+    ``device`` prices the per-tactic and final estimates and every
+    :class:`AutomaticPartition` search that does not pin its own
+    ``"device"`` option.
+
     ``plan_server="host:port"`` points every :class:`AutomaticPartition`
     in the schedule (that does not already pin its own) at a
     :mod:`repro.auto.server` daemon: searches are answered from the
@@ -405,13 +407,19 @@ def partir_jit(
     reports: List[TacticReport] = []
     seen_conflicts = set()
 
-    injected: List[AutomaticPartition] = []
+    # Every AutomaticPartition searches on this call's device (so the
+    # search prices candidates the way the final estimate prices the plan)
+    # and asks this call's plan server, unless it pins its own.
+    call_scoped = {"device": device}
     if plan_server is not None:
-        for tactic in schedule:
-            if isinstance(tactic, AutomaticPartition) and \
-                    "plan_server" not in tactic.options:
-                tactic.options["plan_server"] = plan_server
-                injected.append(tactic)
+        call_scoped["plan_server"] = plan_server
+    injected: List[Tuple[AutomaticPartition, str]] = []
+    for tactic in schedule:
+        if isinstance(tactic, AutomaticPartition):
+            for name, value in call_scoped.items():
+                if name not in tactic.options:
+                    tactic.options[name] = value
+                    injected.append((tactic, name))
 
     def new_conflicts() -> List[str]:
         fresh = []
@@ -452,9 +460,9 @@ def partir_jit(
             )
     finally:
         # The injection is call-scoped: a tactic object reused in a later
-        # schedule must not remember this call's server.
-        for tactic in injected:
-            tactic.options.pop("plan_server", None)
+        # schedule must not remember this call's device or server.
+        for tactic, name in injected:
+            tactic.options.pop(name, None)
     partition_time = time.perf_counter() - start
 
     # The last tactic's snapshot is the final lowering unless the env has

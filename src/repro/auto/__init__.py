@@ -14,13 +14,11 @@ Package map:
 * :mod:`repro.auto.prune` — the action-space condenser: propagation
   probes bucket candidates into equivalence classes; one representative
   each survives.
-* :mod:`repro.auto.prior` — the deterministic feature-hashed learned
-  rollout prior fit from persisted tree statistics.
 * :mod:`repro.auto.exact` — branch-and-bound exact solver over the
   condensed space (the small-instance regret oracle).
 * :mod:`repro.auto.fingerprint` — relaxed (canonicalized) fingerprints:
   alpha-renamed / input-permuted isomorphic programs share one key.
-* :mod:`repro.auto.planstore` — the plan server's LRU plan/prior store.
+* :mod:`repro.auto.planstore` — the plan server's LRU plan store.
 * :mod:`repro.auto.rpc` / :mod:`repro.auto.server` — the
   partitioning-as-a-service daemon and its socket protocol.
 """
@@ -29,7 +27,6 @@ from repro.auto.cache import TranspositionTable, function_fingerprint
 from repro.auto.evaluator import (
     ACTION_SPACES,
     Evaluator,
-    action_group_key,
     candidate_actions,
 )
 from repro.auto.exact import ExactBudgetExceeded, ExactResult, exact_search
@@ -39,7 +36,6 @@ from repro.auto.fingerprint import (
     relaxed_fingerprint,
 )
 from repro.auto.planstore import PlanRecord, PlanStore
-from repro.auto.prior import PRIOR_MODES, LinearPrior
 from repro.auto.prune import PruneReport, condense, probe_action
 from repro.auto.scheduler import (
     BACKENDS,
@@ -57,15 +53,12 @@ from repro.auto.tree import TreePolicy, canonical_key
 
 __all__ = [
     "ACTION_SPACES",
-    "action_group_key",
     "candidate_actions",
     "BACKENDS",
     "CanonicalForm",
     "Evaluator",
     "ExactBudgetExceeded",
     "ExactResult",
-    "LinearPrior",
-    "PRIOR_MODES",
     "PlanRecord",
     "PlanStore",
     "PruneReport",

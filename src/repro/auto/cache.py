@@ -6,17 +6,10 @@ can be reused not just within one search but across *searches*: repeated
 ``partir_jit``/``AutomaticPartition`` calls over the same traced function
 warm-start from everything earlier calls learned.
 
-The log carries three record types:
+The log carries two record types:
 
 * **cost records** ``{"k": [[kind, index, dim, axis], ...], "c": cost}`` —
-  one per first-scored canonical action set (exact-cost reuse),
-* **prior records** ``{"g": <group key>, "n": visits, "t": total}`` — one
-  per search per action group touched (see
-  :func:`repro.auto.evaluator.action_group_key`): the *tree* statistics a
-  later search seeds its UCT expansion with.  Records for the same group
-  accumulate across searches (visits and totals sum on load), so the
-  append-only discipline extends to tree reuse: each search appends only
-  its own delta, and
+  one per first-scored canonical action set (exact-cost reuse), and
 * **probe records** ``{"pa": [kind, index, dim, axis], "ps": digest}`` —
   one per candidate action the condenser (:mod:`repro.auto.prune`) has
   probed: the action's propagation-fixed-point digest, i.e. its
@@ -25,12 +18,23 @@ The log carries three record types:
   runs (and the plan server) bucket straight from the log and skip the
   probes.
 
+Scored sets are the only search memory: the tree is a pure function of
+``(candidates, seed)``, so a rerun of the same (function, mesh, device,
+start state, config) replays its rollouts from the table at zero
+evaluations and returns the same plan, a different seed or a larger budget
+pays only for sets never scored before, and the incumbent rule keeps every
+warm call at or below the best the log holds.  ("Config" includes the wave
+shape: a wave under virtual loss draws a different rollout set than the
+serial loop, so a ``serial`` log rerun on ``process`` pays for the few
+sets only the wave reaches.)
+
 The on-disk format is deliberately **write-lean** (in the spirit of
 append-optimized structures for asymmetric memories): one JSON record per
 line, appended once, never rewritten.  A cache *hit* touches no bytes on
-disk; re-running a fully-warm search appends at most its prior deltas.
-Reloading replays the log (last cost record wins and prior records sum, so
-a crashed half-written tail line is simply skipped).
+disk; re-running a fully-warm search leaves the file byte-identical.
+Reloading replays the log (last cost record wins, so a crashed
+half-written tail line is simply skipped; ``"g"`` lines — the per-group
+tree statistics earlier versions appended — are skipped as waste).
 
 Files are keyed by :func:`function_fingerprint` — a stable hash of the
 traced function's structure (op sequence, operand wiring, attrs, shapes,
@@ -160,6 +164,41 @@ def _parse_key(raw) -> Tuple:
     return tuple(key)
 
 
+def _log_lines(costs, probes) -> List[str]:
+    """The log's lines for ``(key, cost)`` and ``(action, digest)`` pairs."""
+    records = [{"k": [list(action) for action in key], "c": cost}
+               for key, cost in costs]
+    records += [{"pa": list(action), "ps": digest}
+                for action, digest in probes]
+    return [json.dumps(record) + "\n" for record in records]
+
+
+def replace_file(path: str, lines) -> None:
+    """Crash-safe rewrite of ``path`` with ``lines``: temp file, ``fsync``
+    of its contents *before* the atomic rename (so the rename can never
+    publish an empty or partially-flushed file after a power cut), then a
+    directory ``fsync`` so the rename itself is durable.  A kill at any
+    point leaves either the old file intact or the complete new one."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "w") as handle:
+        handle.writelines(lines)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # platforms without directory fds
+        return
+    try:
+        os.fsync(dir_fd)
+    except OSError:
+        pass
+    finally:
+        os.close(dir_fd)
+
+
 # -- the table ---------------------------------------------------------------------
 
 
@@ -193,10 +232,6 @@ class TranspositionTable:
         self._costs: Dict[ActionKey, float] = {}
         self._warm: Set[ActionKey] = set()
         self._pending: List[Tuple[ActionKey, float]] = []
-        #: group key -> (visits, total reward), summed across the log's
-        #: prior records (the persisted tree statistics).
-        self._priors: Dict[Tuple, Tuple[int, float]] = {}
-        self._prior_pending: List[Tuple[Tuple, int, float]] = []
         #: action wire tuple -> propagation-fixed-point digest (the
         #: condenser's persisted equivalence-class labels; first record
         #: per action wins — probes are deterministic per fingerprint).
@@ -215,25 +250,6 @@ class TranspositionTable:
     @property
     def warm_entries(self) -> int:
         return len(self._warm)
-
-    # -- tree statistics (action-group priors) -------------------------------
-
-    def warm_priors(self) -> Dict[Tuple, Tuple[int, float]]:
-        """Accumulated per-group ``(visits, total reward)`` statistics —
-        the warm-start input of :class:`repro.auto.tree.TreePolicy`."""
-        return dict(self._priors)
-
-    def store_priors(self, stats) -> None:
-        """Fold one search's live per-group statistics in and queue their
-        *delta* records for the log (appended by :meth:`flush`)."""
-        for group, entry in stats.items():
-            visits, total = int(entry[0]), float(entry[1])
-            if visits <= 0:
-                continue
-            old = self._priors.get(group, (0, 0.0))
-            self._priors[group] = (old[0] + visits, old[1] + total)
-            if self.path is not None:
-                self._prior_pending.append((group, visits, total))
 
     # -- probe signatures (the condenser's equivalence classes) ---------------
 
@@ -308,19 +324,9 @@ class TranspositionTable:
         next load skips silently — the fault-injection site
         ``cache.append`` simulates exactly that (half a line written,
         everything after it lost, in-memory state untouched)."""
-        if self.path is None or not (self._pending or self._prior_pending
-                                     or self._probe_pending):
+        if self.path is None or not (self._pending or self._probe_pending):
             return
-        lines = []
-        for key, cost in self._pending:
-            record = {"k": [list(action) for action in key], "c": cost}
-            lines.append(json.dumps(record) + "\n")
-        for group, visits, total in self._prior_pending:
-            record = {"g": _to_jsonable(group), "n": visits, "t": total}
-            lines.append(json.dumps(record) + "\n")
-        for action, digest in self._probe_pending:
-            record = {"pa": list(action), "ps": digest}
-            lines.append(json.dumps(record) + "\n")
+        lines = _log_lines(self._pending, self._probe_pending)
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "a") as handle:
             for line in lines:
@@ -334,7 +340,6 @@ class TranspositionTable:
                     break
                 handle.write(line)
         self._pending = []
-        self._prior_pending = []
         self._probe_pending = []
 
     def compact(self, max_entries: Optional[int] = None) -> None:
@@ -343,11 +348,7 @@ class TranspositionTable:
         The in-memory table — already the last-record-wins replay of the
         log, with any torn tail skipped — *is* the compacted content, so
         hits and values are unchanged by construction.  The rewrite is
-        crash-safe: temp file, ``fsync`` of its contents *before* the
-        atomic rename (so the rename can never publish an empty or
-        partially-flushed file after a power cut), then a directory
-        ``fsync`` so the rename itself is durable.  A kill at any point
-        leaves either the old log intact or the complete new one.
+        crash-safe (:func:`replace_file`).
 
         ``max_entries`` additionally caps the table LRU-style: cost
         entries beyond the cap are evicted oldest-first-stored (dict
@@ -367,46 +368,20 @@ class TranspositionTable:
                                  if entry[0] in self._costs]
         if self.path is None:
             return
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        tmp_path = self.path + ".compact.tmp"
-        with open(tmp_path, "w") as handle:
-            for key, cost in self._costs.items():
-                record = {"k": [list(action) for action in key], "c": cost}
-                handle.write(json.dumps(record) + "\n")
-            for group, (visits, total) in self._priors.items():
-                record = {"g": _to_jsonable(group), "n": visits, "t": total}
-                handle.write(json.dumps(record) + "\n")
-            for action, digest in self._probes.items():
-                record = {"pa": list(action), "ps": digest}
-                handle.write(json.dumps(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:  # platforms without directory fds
-            dir_fd = None
-        if dir_fd is not None:
-            try:
-                os.fsync(dir_fd)
-            except OSError:
-                pass
-            finally:
-                os.close(dir_fd)
-        # Everything queued is already part of _costs/_priors/_probes and
-        # was just written; flushing it again would duplicate cost records
-        # and — since prior records SUM on load — double-count statistics.
+        replace_file(self.path, _log_lines(self._costs.items(),
+                                           self._probes.items()))
+        # Everything queued is already part of _costs/_probes and was just
+        # written; flushing it again would duplicate records.
         self._pending = []
-        self._prior_pending = []
         self._probe_pending = []
         self.compactions += 1
 
     def _load(self, path: str) -> Tuple[int, int]:
         """Replay the log; returns ``(records, wasted records)`` where
-        wasted counts duplicate-key overwrites (for priors: repeat records
-        for an already-seen group, which compaction merges into one) and
-        torn/garbled lines — the load-time compaction signal.
+        wasted counts duplicate-key overwrites, ``"g"`` lines (the tree
+        statistics earlier versions logged; nothing reads them any more,
+        compaction drops them) and torn/garbled lines — the load-time
+        compaction signal.
 
         A garbled *final* line is the expected signature of a crashed
         writer (a torn append) and is skipped silently; garbage anywhere
@@ -434,16 +409,7 @@ class TranspositionTable:
                             self._probes[action] = digest
                         continue
                     if "g" in record:
-                        group = _from_jsonable(record["g"])
-                        visits = int(record["n"])
-                        total = float(record["t"])
-                        old = self._priors.get(group)
-                        if old is not None:
-                            waste += 1  # delta records merge on compaction
-                            self._priors[group] = (old[0] + visits,
-                                                   old[1] + total)
-                        else:
-                            self._priors[group] = (visits, total)
+                        waste += 1  # an earlier version's tree statistics
                         continue
                     key = _parse_key(record["k"])
                     cost = float(record["c"])

@@ -91,8 +91,8 @@ def candidate_actions(function: Function, env: ShardingEnv,
        Tag points sharing one underlying value (e.g. a manual
        ``ops.tag`` stacked over the tracer's auto tag — same ``root``)
        are enumerated once, at the smallest tag-point index: the
-       duplicates' actions would be propagation-identical, wasting budget
-       and splitting the prior statistics across equivalent groups.
+       duplicates' actions would be propagation-identical, wasting
+       budget.
        Distinct results of one multi-result op (scan carries) have
        distinct roots and are all enumerated.
     3. **Pipeline actions** (``action_space="tagged"`` only): loop ops by
@@ -173,37 +173,6 @@ def candidate_actions(function: Function, env: ShardingEnv,
                 if pipeline_mod.pipeline_legal(env, loop_op, axis, schedule):
                     actions.append((PIPELINE, loop_index, schedule_id, axis))
     return actions
-
-
-def action_group_key(function: Function, env: ShardingEnv,
-                     action: Tuple[int, int, int, str]) -> tuple:
-    """The action's *group key* ``(kind, op kind, dim, axis, sharding
-    signature)``.
-
-    Action-group priors aggregate visit/value statistics per group: two
-    actions share a group when they are the same kind of decision (same
-    kind/dim-or-factor/axis) applied to the same kind of op (the tag
-    point's source opcode; ``"param"`` for input tilings) in the same
-    initial sharding state.  The signature is the target value's portable
-    sharding under the search's initial env, so keys are
-    process-independent and JSON-serializable — the persistence format of
-    :meth:`repro.auto.cache.TranspositionTable.store_priors`.  The op
-    kind is also what the learned prior's hashed features
-    (:meth:`repro.auto.prior.LinearPrior.features`) generalize over.
-    """
-    kind, index, dim, axis = action
-    if kind == TILE_INPUT:
-        target = function.params[index]
-        op_kind = "param"
-    elif kind == PIPELINE:
-        loop_op = pipeline_mod.loop_ops(function)[index]
-        target = loop_op.results[0]
-        op_kind = loop_op.opcode
-    else:
-        point = tag_points(function)[index]
-        target = point.value
-        op_kind = point.op_kind
-    return (kind, op_kind, dim, axis, env.sharding(target).to_portable())
 
 
 def try_apply_action(function: Function, env: ShardingEnv,

@@ -294,9 +294,6 @@ class CanonicalForm:
     the inverse); ``tag_to_canon``/``canon_to_tag`` and
     ``loop_to_canon``/``canon_to_loop`` do the same for tag-point and
     loop-op indices (``PIPELINE`` actions address loops, not tags).
-    Action-group prior keys (see
-    :func:`repro.auto.evaluator.action_group_key`) are index-free and
-    need no translation.
     """
 
     digest: str

@@ -1,4 +1,4 @@
-"""The plan server's LRU-evicting plan/prior store.
+"""The plan server's LRU-evicting plan store.
 
 One :class:`PlanStore` holds the partition plans a
 :class:`repro.auto.server.PlanServer` has computed, keyed on **two
@@ -37,7 +37,12 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.auto.cache import _from_jsonable, _to_jsonable, _parse_key
+from repro.auto.cache import (
+    _from_jsonable,
+    _parse_key,
+    _to_jsonable,
+    replace_file,
+)
 from repro.auto.tree import ActionKey
 
 #: Environment variable overriding the default entry cap.
@@ -63,17 +68,14 @@ class PlanRecord:
     """One cached partition plan, in canonical index space.
 
     ``actions`` are canonical-space wire tuples (translate with
-    :meth:`repro.auto.fingerprint.CanonicalForm.decode_key`); ``priors``
-    are the producing search's per-action-group statistics (index-free,
-    so they need no translation); ``meta`` is the producing
-    :class:`~repro.auto.search.SearchResult` rendered as a plain dict.
+    :meth:`repro.auto.fingerprint.CanonicalForm.decode_key`); ``meta`` is
+    the producing :class:`~repro.auto.search.SearchResult` rendered as a
+    plain dict.
     """
 
     key: Tuple  # (relaxed digest, search-params key)
     actions: ActionKey
     cost: float
-    priors: Dict[Tuple, Tuple[int, float]] = dataclasses.field(
-        default_factory=dict)
     meta: Dict = dataclasses.field(default_factory=dict)
     hits: int = 0
 
@@ -82,19 +84,20 @@ class PlanRecord:
             "key": _to_jsonable(self.key),
             "a": [list(action) for action in self.actions],
             "c": self.cost,
-            "p": [[_to_jsonable(g), n, t]
-                  for g, (n, t) in self.priors.items()],
             "m": self.meta,
         }
 
     @classmethod
     def from_json(cls, record: dict) -> "PlanRecord":
+        digest, params = _from_jsonable(record["key"])
+        # Stores saved while the rollout prior was a plan-identity field
+        # end their params key with its mode; the plan is the same search.
+        if params and params[-1] in ("learned", "group", "none"):
+            params = params[:-1]
         return cls(
-            key=_from_jsonable(record["key"]),
+            key=(digest, params),
             actions=_parse_key(record["a"]),
             cost=float(record["c"]),
-            priors={_from_jsonable(g): (int(n), float(t))
-                    for g, n, t in record.get("p", [])},
             meta=dict(record.get("m", {})),
         )
 
@@ -176,16 +179,12 @@ class PlanStore:
 
     def save(self, path: str) -> None:
         """Snapshot the store as JSONL (oldest first, so a reload
-        reconstructs the same recency order).  Atomic via temp + rename."""
+        reconstructs the same recency order).  Crash-safe
+        (:func:`repro.auto.cache.replace_file`)."""
         with self._lock:
             records: List[PlanRecord] = list(self._records.values())
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record.to_json()) + "\n")
-        os.replace(tmp_path, path)
+        replace_file(path, [json.dumps(record.to_json()) + "\n"
+                            for record in records])
 
     def load(self, path: str) -> int:
         """Merge a snapshot in (newest-recency last); returns the number

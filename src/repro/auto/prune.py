@@ -6,8 +6,7 @@ tiling reaches (tiling a matmul output's free dim backward-propagates to
 the weight column it came from), and a ``SumTagged`` on a contracting
 factor writes precisely what tiling the factor's operand would have made
 propagation write.  Every such duplicate action burns rollout budget on a
-schedule the search has already scored and splits the per-group prior
-statistics across equivalent decisions.
+schedule the search has already scored.
 
 The condenser runs once per search, between candidate enumeration and the
 first rollout:

@@ -219,13 +219,6 @@ class RolloutScheduler:
                     on_result(key, cost)
                     # Reward = relative improvement over the empty set.
                     reward = (baseline - cost) / max(baseline, 1e-12)
-                    # Fold the rollout into the per-action-group prior
-                    # statistics before backing up, in wave order — the
-                    # same deterministic order on_result fires in, so
-                    # every backend's prior trajectory is reproducible
-                    # (and batched wave_size=1 stays bit-identical to
-                    # serial, priors included).
-                    policy.note_result(key, reward)
                     node.backup(reward)
                 done += count
         finally:

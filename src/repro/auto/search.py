@@ -21,7 +21,7 @@ subsystem behind it has four seams:
   evaluator sessions in forked children / on a plan server), and
 * :mod:`repro.auto.cache` — the transposition table, including append-only
   on-disk persistence keyed by a traced-function fingerprint so repeated
-  ``partir_jit``/``AutomaticPartition`` calls warm-start from prior scores
+  ``partir_jit``/``AutomaticPartition`` calls replay earlier scores
   (``cache_dir=``).
 
 Every search parameter is a field of :class:`SearchConfig`, declared and
@@ -53,11 +53,9 @@ from repro.auto.cache import table_for
 from repro.auto.evaluator import (
     ACTION_SPACES,
     Evaluator,
-    action_group_key,
     candidate_actions,
     try_apply_action,
 )
-from repro.auto.prior import PRIOR_MODES
 from repro.auto.scheduler import (
     BACKENDS,
     SchedulerUnavailable,
@@ -70,7 +68,7 @@ from repro.auto.tree import ActionKey, TreePolicy, canonical_key
 class SearchConfig:
     """Every parameter of one search, declared and validated once.
 
-    The first nine fields are the **plan identity**: two requests agreeing
+    The first eight fields are the **plan identity**: two requests agreeing
     on all of them (and on the function) are the same search, so they are
     what the plan server keys its store on (:meth:`plan_identity`) and all
     a plan request ships.  The remaining seven only decide *how* the
@@ -88,17 +86,16 @@ class SearchConfig:
       one representative per propagation-equivalence class
       (``SearchResult.candidates_total`` vs ``candidates_kept``).  Probe
       signatures persist with ``cache_dir``.
-    * ``prior`` picks the warm-expansion scorer: ``"learned"`` (the
-      deterministic feature-hashed model of :mod:`repro.auto.prior`),
-      ``"group"`` (flat per-group warm means) or ``"none"``.
     * ``backend`` selects the rollout scheduler (``serial`` / ``batched``
       / ``process`` / ``remote``; :mod:`repro.auto.scheduler`), tuned by
       ``workers`` and ``wave_size``.
-    * ``cache_dir`` persists the transposition table **and the
-      per-action-group tree statistics** across calls (append-only, keyed
-      by the traced function's fingerprint): a warm search replays known
-      costs, seeds its UCT expansion from the persisted statistics
-      (``tree_prior_hits``) and its incumbent from the best known entry.
+    * ``cache_dir`` persists the transposition table across calls
+      (append-only, keyed by the traced function's fingerprint): a rerun
+      of the same (function, mesh, device, start state, config) replays
+      its rollouts from the table at zero evaluations and returns the same
+      plan, a different seed or a larger budget pays only for sets never
+      scored before, and the incumbent rule keeps every warm call at or
+      below the best the log holds.
     * ``plan_server="host:port"`` asks a :mod:`repro.auto.server` daemon
       for the plan first: a store hit skips the local search and
       ``plan_source`` records the tier; an unreachable server warns and
@@ -131,7 +128,6 @@ class SearchConfig:
     action_space: str = "tagged"
     max_tag_points: int = 16
     prune: bool = True
-    prior: str = "learned"
     # -- execution only: everything below leaves the plan unchanged --------
     backend: str = "serial"
     workers: Optional[int] = None
@@ -163,7 +159,7 @@ class SearchConfig:
                 raise ValueError(
                     f"search option {name}={value!r} must not be negative")
         for name, valid in (("action_space", ACTION_SPACES),
-                            ("prior", PRIOR_MODES), ("backend", BACKENDS)):
+                            ("backend", BACKENDS)):
             if getattr(self, name) not in valid:
                 raise ValueError(
                     f"unknown {name} {getattr(self, name)!r}; "
@@ -201,7 +197,7 @@ def _field_types() -> dict:
 
 _FIELD_TYPES = _field_types()
 #: The leading fields that are a plan's identity (the rest only execute).
-_PLAN_IDENTITY = tuple(_FIELD_TYPES)[:9]
+_PLAN_IDENTITY = tuple(_FIELD_TYPES)[:8]
 
 
 @dataclasses.dataclass
@@ -243,12 +239,6 @@ class SearchResult:
     reconcile_chain_hits: int = 0
     #: Which action space was searched ("inputs" | "tagged").
     action_space: str = "tagged"
-    #: Expansions steered by *warm-started* action-group statistics (tree
-    #: reuse across calls; 0 on a cold run or without ``cache_dir``).
-    tree_prior_hits: int = 0
-    #: Distinct candidate action groups covered by warm-started statistics
-    #: at search start.
-    prior_groups: int = 0
     #: Fraction of requested prefix actions the undo engine kept in place
     #: instead of rolling back and re-applying (workers included).
     prefix_reuse_ratio: float = 0.0
@@ -279,9 +269,6 @@ class SearchResult:
     prune_probes: int = 0
     prune_probes_reused: int = 0
     prune_time_s: float = 0.0
-    #: Which warm-expansion prior steered the tree ("learned" | "group" |
-    #: "none"; see :mod:`repro.auto.prior`).
-    prior_mode: str = "learned"
     #: What the fault fabric actually did (all zeros/empty without an
     #: installed :class:`repro.auto.faults.FaultPlan` — the zero-overhead
     #: pin).  ``faults_injected`` counts injection-site firings in *this*
@@ -437,7 +424,7 @@ def mcts_search(
     True
     >>> (result.backend, result.action_space)
     ('serial', 'tagged')
-    >>> result.tree_prior_hits  # no cache_dir: nothing warm to reuse
+    >>> result.warm_cache_hits  # no cache_dir: nothing warm to replay
     0
     """
     config = SearchConfig.of(config, **fields)
@@ -458,7 +445,6 @@ def mcts_search(
                 backend=backend,
                 action_space=config.action_space,
                 plan_source=f"server:{served['tier']}",
-                prior_mode=config.prior,
                 faults_injected=faults.fired_count() - fired_before,
             )
     truncation: dict = {}
@@ -487,10 +473,6 @@ def mcts_search(
         )
         candidates = prune_report.kept
         table.store_probes(prune_report.signatures)
-    groups = {
-        action: action_group_key(function, env, action)
-        for action in candidates
-    }
 
     def scheduler_for(name: str):
         return make_scheduler(name, wave_size=config.wave_size,
@@ -523,7 +505,7 @@ def mcts_search(
     # Cross-call incumbent reuse: a warm table already knows the best
     # schedule earlier searches scored, so a repeated call can never
     # report worse than what is already on disk — even if this run's
-    # (prior-steered) rollouts explore elsewhere.  The log is shared per
+    # rollouts explore elsewhere.  The log is shared per
     # fingerprint across action spaces and axis subsets, so the incumbent
     # is restricted to what THIS call may propose: no tagged actions for
     # an inputs-only search, no actions on axes outside the caller's
@@ -558,8 +540,7 @@ def mcts_search(
             best_key = key
 
     policy = TreePolicy(candidates, config.seed, config.exploration,
-                        config.rollout_depth, group_keys=groups,
-                        warm_priors=table.warm_priors(), prior=config.prior)
+                        config.rollout_depth)
     try:
         scheduler.run(policy, evaluator, config.budget, baseline, on_result)
         # Witness minimization: random rollout completions often decorate
@@ -577,9 +558,7 @@ def mcts_search(
     finally:
         # Persist everything scored so far even when a wave dies (e.g. a
         # worker OOM-kill): the append-only log makes partial progress
-        # durable, so the next run warm-starts past it.  The tree
-        # statistics ride along: each search appends its own delta.
-        table.store_priors(policy.live_stats)
+        # durable, so the next run warm-starts past it.
         table.flush()
 
     stats_after = evaluator.root.stats.snapshot()
@@ -599,8 +578,6 @@ def mcts_search(
         warm_cache_hits=table.warm_hits,
         reconcile_chain_hits=evaluator.reconcile_chain_hits,
         action_space=config.action_space,
-        tree_prior_hits=policy.tree_prior_hits,
-        prior_groups=policy.prior_groups,
         prefix_reuse_ratio=evaluator.prefix_reuse_ratio,
         waves=scheduler.waves,
         wave_lcp_mean=(scheduler.wave_lcp_actions / scheduler.wave_lcp_pairs
@@ -613,7 +590,6 @@ def mcts_search(
         prune_probes_reused=(prune_report.probes_reused
                              if prune_report else 0),
         prune_time_s=prune_report.prune_time_s if prune_report else 0.0,
-        prior_mode=config.prior,
         faults_injected=faults.fired_count() - fired_before,
         workers_restarted=scheduler.workers_restarted,
         waves_retried=scheduler.waves_retried,

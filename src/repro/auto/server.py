@@ -1,8 +1,8 @@
 """Partitioning-as-a-service: the multi-tenant plan server daemon.
 
-One long-lived :class:`PlanServer` serves partition plans, priors and
-transposition entries to many concurrent clients over the framed socket
-protocol of :mod:`repro.auto.rpc`:
+One long-lived :class:`PlanServer` serves partition plans and evaluator
+sessions to many concurrent clients over the framed socket protocol of
+:mod:`repro.auto.rpc`:
 
 * **plan requests** — the client ships its traced function, mesh,
   portable initial-sharding state, device and the semantic search
@@ -42,8 +42,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.sharding import ShardingEnv
 
 from repro.auto import faults, rpc
-from repro.auto.cache import TranspositionTable, function_fingerprint, \
-    table_for
+from repro.auto.cache import function_fingerprint
 from repro.auto.evaluator import EvaluatorSession
 from repro.auto.fingerprint import CanonicalForm, canonicalize
 from repro.auto.planstore import PlanRecord, PlanStore
@@ -91,8 +90,6 @@ class _ConnectionHandler:
             return self._server.stats()
         if kind == "plan":
             return self._server.handle_plan(message)
-        if kind == "table":
-            return self._server.handle_table(message)
         if kind == "eval_init":
             self._server.note_eval_session()
         # eval_init / eval / eval_close: the `remote` backend's far side.
@@ -106,9 +103,9 @@ class PlanServer:
     """The daemon: a :class:`PlanStore` behind an :class:`rpc.RpcServer`.
 
     ``cache_dir`` (optional) gives server-side searches a persistent
-    transposition/prior spool: repeated misses on one fingerprint
-    warm-start each other, and completed plans carry their search's
-    per-action-group priors in the store record.  ``search_fn`` is an
+    transposition spool: repeated misses on one fingerprint (another
+    seed, a larger budget) pay only for sets never scored before.
+    ``search_fn`` is an
     injection point for tests (defaults to :func:`mcts_search`);
     ``search_defaults`` overrides :class:`SearchConfig`'s defaults (e.g.
     ``{"backend": "process", "workers": 4}``).
@@ -192,7 +189,7 @@ class PlanServer:
 
     # -- plan serving -------------------------------------------------------
 
-    def _request_context(self, message):
+    def handle_plan(self, message) -> dict:
         function = message["function"]
         mesh = message["mesh"]
         device = message["device"]
@@ -200,11 +197,6 @@ class PlanServer:
         env.apply_portable_state(function, message["env"])
         canon = canonicalize(function, mesh, device, env)
         exact_fp = function_fingerprint(function, mesh, device, env)
-        return function, mesh, device, env, canon, exact_fp
-
-    def handle_plan(self, message) -> dict:
-        (function, mesh, device, env, canon,
-         exact_fp) = self._request_context(message)
         axes = list(message["axes"])
         # Only the plan identity is the client's to choose; how the search
         # executes here is the server's business.
@@ -264,13 +256,6 @@ class PlanServer:
             raise RuntimeError("injected fault: server.search")
         result = self._search_fn(function, env, axes, device=device,
                                  config=config)
-        priors: dict = {}
-        if self.cache_dir is not None:
-            # Reload the search's spool table: its accumulated per-group
-            # statistics become the record's servable priors.
-            table = table_for(self.cache_dir, function, env.mesh, device,
-                              env)
-            priors = table.warm_priors()
         meta = {k: v for k, v in dataclasses.asdict(result).items()
                 if k not in ("actions",)}
         record = PlanRecord(
@@ -278,7 +263,6 @@ class PlanServer:
             actions=canon.encode_key(tuple(tuple(a) for a in
                                            result.actions)),
             cost=result.cost,
-            priors=priors,
             meta=meta,
         )
         self.store.put(record, exact_fp=exact_fp)
@@ -290,27 +274,9 @@ class PlanServer:
             "tier": tier,
             "actions": [list(a) for a in canon.decode_key(record.actions)],
             "cost": record.cost,
-            "priors": record.priors,
             "meta": dict(record.meta),
             "digest": record.key[0],
         }
-
-    # -- transposition entries ----------------------------------------------
-
-    def handle_table(self, message) -> dict:
-        """Every transposition entry the server's spool holds for the
-        request's *exact* fingerprint (local index space by construction).
-        Empty without a ``cache_dir``."""
-        (function, mesh, device, env, _canon,
-         exact_fp) = self._request_context(message)
-        entries = []
-        priors: dict = {}
-        if self.cache_dir is not None:
-            table = table_for(self.cache_dir, function, mesh, device, env)
-            entries = [([list(a) for a in key], cost)
-                       for key, cost in table._costs.items()]
-            priors = table.warm_priors()
-        return {"exact_fp": exact_fp, "entries": entries, "priors": priors}
 
 
 def main(argv=None) -> int:
@@ -324,7 +290,7 @@ def main(argv=None) -> int:
                         help="LRU plan-store cap "
                              "(default: $PARTIR_PLAN_STORE_ENTRIES or 512)")
     parser.add_argument("--cache-dir", default=None,
-                        help="transposition/prior spool directory for "
+                        help="transposition spool directory for "
                              "server-side searches")
     parser.add_argument("--store", default=None,
                         help="JSONL snapshot to load at start and save "

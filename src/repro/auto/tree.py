@@ -1,8 +1,8 @@
-"""The MCTS tree: UCT nodes, virtual loss, RNG streams, action-group priors.
+"""The MCTS tree: UCT nodes, virtual loss, per-rollout RNG streams.
 
 The search state is a *set* of actions (wire tuples ``(kind, index, dim,
 axis)``; see :mod:`repro.core.actions`); a tree node's path from the root
-spells one ordering of such a set.  Three policies live here:
+spells one ordering of such a set.  Two policies live here:
 
 * **UCT selection** (:meth:`Node.uct_child`) with an optional **virtual
   loss**: while a leaf's evaluation is in flight (the batched and process
@@ -20,32 +20,6 @@ spells one ordering of such a set.  Three policies live here:
   rollout consumes is independent of which backend — or which worker
   wave — happened to run it; interleaving evaluations can never perturb
   another rollout's randomness.
-* **Action-group priors** (:meth:`TreePolicy.note_result` /
-  :meth:`TreePolicy._select_untried`): visit/value statistics aggregated
-  per action *group* — ``(action kind, dim, axis, sharding signature)``,
-  see :func:`repro.auto.evaluator.action_group_key` — seed UCT for
-  unvisited children.  Every search accumulates live statistics (persisted
-  afterwards via :meth:`repro.auto.cache.TranspositionTable.store_priors`),
-  but expansion is steered only by groups with **warm-started** statistics
-  loaded from a persistent store: a cold search expands uniformly at
-  random, draw-for-draw identical to the prior-free policy (preserving the
-  cross-backend best-agreement regression property — warm priors are a
-  fixed input every scheduler shares, while live in-run priors would
-  couple expansion to wave timing).  On a warm run, untried actions whose
-  group is unknown are expanded first (optimistic first-play urgency,
-  uniformly among themselves); once every untried action's group is
-  known, expansion picks the group with the best warm mean reward, with
-  exact ties broken through the node's RNG stream (live statistics are
-  recorded for persistence but never read during selection — see
-  :meth:`TreePolicy._prior_mean`).  With the default ``prior="learned"``
-  mode, the flat warm means are replaced by a
-  :class:`repro.auto.prior.LinearPrior` — a feature-hashed linear model
-  fit *once, at search start* from the same warm statistics (so it too is
-  a fixed input every backend shares) that scores every grouped action,
-  including groups the log never saw.  This is how repeated
-  ``partir_jit`` calls reuse the
-  *tree* — not just exact costs — across calls; ``tree_prior_hits``
-  counts expansions steered by warm-started statistics.
 """
 
 from __future__ import annotations
@@ -53,9 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
-
-from repro.auto.prior import PRIOR_MODES, LinearPrior
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 # An action wire tuple: (kind, index, dim, axis) — see repro.core.actions.
 # None is STOP.
@@ -160,151 +132,24 @@ class TreePolicy:
 
     Owns no evaluation: :meth:`next_rollout` returns the leaf it stopped at
     and the canonical action set to score, and the scheduler later calls
-    ``leaf.backup(reward)`` and :meth:`note_result`.  Between the two, a
-    scheduler keeping several rollouts in flight brackets each leaf with
+    ``leaf.backup(reward)``.  Between the two, a scheduler keeping several
+    rollouts in flight brackets each leaf with
     ``apply_virtual_loss``/``revert_virtual_loss``.
 
-    ``group_keys`` maps each candidate action to its prior group (see the
-    module docstring); ``warm_priors`` maps groups to ``(visits, total
-    reward)`` pairs loaded from a persistent store.  Without either, the
-    policy is the classic uniform-expansion UCT, draw for draw.
+    Expansion is uniform over a node's untried actions, drawn from the
+    node's RNG stream, and nothing outside ``(candidates, seed)`` feeds the
+    tree — so a rerun of the same search generates the same rollout keys,
+    which is what lets a warm transposition table replay it without
+    evaluating anything.
     """
 
     def __init__(self, candidates: Sequence[Tuple[int, int, int, str]],
-                 seed: int, exploration: float, rollout_depth: int,
-                 group_keys: Optional[Dict] = None,
-                 warm_priors: Optional[Dict] = None,
-                 prior: str = "learned"):
-        if prior not in PRIOR_MODES:
-            raise ValueError(
-                f"unknown prior {prior!r}; expected one of {PRIOR_MODES}"
-            )
+                 seed: int, exploration: float, rollout_depth: int):
         self.candidates = list(candidates)
         self.seed = seed
         self.exploration = exploration
         self.rollout_depth = rollout_depth
         self.root = Node(None, None, [None] + self.candidates)
-        self.group_keys: Dict = dict(group_keys or {})
-        self.warm_priors: Dict = dict(warm_priors or {})
-        #: Which warm-expansion scorer steers the tree (see
-        #: :mod:`repro.auto.prior`): ``"learned"`` fits the feature-hashed
-        #: linear model from the warm statistics once, here — part of the
-        #: seeded deterministic state, identical in every backend;
-        #: ``"group"`` keeps the flat warm means; ``"none"`` ignores warm
-        #: statistics for expansion (they still accumulate and persist).
-        self.prior_mode = prior
-        self.prior_model: Optional[LinearPrior] = (
-            LinearPrior.fit(self.warm_priors)
-            if prior == "learned" and self.warm_priors else None
-        )
-        #: group -> [visits, total reward], accumulated by note_result
-        #: during this search (the delta persisted after the run).
-        self.live_stats: Dict[object, list] = {}
-        #: Expansions whose prior-guided choice used warm-started stats.
-        self.tree_prior_hits = 0
-        #: Distinct candidate groups covered by warm-started statistics.
-        self.prior_groups = len({
-            self.group_keys[a] for a in self.candidates
-            if self.group_keys.get(a) in self.warm_priors
-        })
-
-    # -- action-group priors -------------------------------------------------
-
-    def note_result(self, key: ActionKey, reward: float) -> None:
-        """Fold one scored rollout into the per-group statistics: every
-        action of the canonical set shares the set's reward (the group's
-        mean then estimates 'how good are sets containing this kind of
-        decision' — the prior that seeds expansion)."""
-        group_keys = self.group_keys
-        stats = self.live_stats
-        for action in key:
-            group = group_keys.get(action)
-            if group is None:
-                continue
-            entry = stats.get(group)
-            if entry is None:
-                stats[group] = [1, reward]
-            else:
-                entry[0] += 1
-                entry[1] += reward
-
-    def _prior_mean(self, group) -> Optional[float]:
-        """Mean reward of a group over its *warm* (persisted) statistics,
-        or None when it has none.
-
-        Expansion is steered exclusively by warm statistics — a fixed
-        input every scheduler shares for the whole run.  Live statistics
-        are accumulated for persistence (:meth:`note_result`) but never
-        read during selection: folding them in would couple expansion
-        order to each scheduler's wave timing (serial updates after every
-        rollout, batched/process after whole waves), making even warm runs
-        backend-dependent.  A cold search has no warm statistics at all
-        and expands uniformly at random — draw-for-draw identical to the
-        prior-free policy, which is what keeps the cross-backend
-        best-agreement property of the regression suite intact.
-        """
-        warm = self.warm_priors.get(group)
-        if warm is None or warm[0] == 0:
-            return None
-        return warm[1] / warm[0]
-
-    def _prior_score(self, action: Action) -> Optional[float]:
-        """The warm-expansion score of one untried action, or None when no
-        warm signal covers it (then it joins the optimistic-first pool).
-
-        ``"group"`` mode scores only groups with exact warm statistics
-        (:meth:`_prior_mean`); ``"learned"`` mode scores *every* grouped
-        action through the fitted :class:`~repro.auto.prior.LinearPrior`
-        — hashed features generalize warm statistics to groups the log
-        never saw; ``"none"`` scores nothing.  STOP has no group and is
-        never scored, so it keeps its optimistic first expansion.  On a
-        cold run no mode has any warm input and every action scores None
-        — the uniform draw-for-draw guarantee is mode-independent.
-        """
-        if action is None:
-            return None
-        group = self.group_keys.get(action)
-        if group is None:
-            return None
-        if self.prior_mode == "group":
-            return self._prior_mean(group)
-        if self.prior_mode == "learned" and self.prior_model is not None:
-            return self.prior_model.score(group)
-        return None
-
-    def _select_untried(self, untried: List[Action],
-                        rng: random.Random) -> int:
-        """Index of the untried action to expand next (see module doc).
-
-        Actions without a warm score (including STOP, which never
-        appears inside a scored set) are optimistically expanded first,
-        uniformly at random — on a cold run that is every action, so the
-        draw is bit-identical to the classic uniform policy.  Otherwise
-        the best score wins, with exact ties (e.g. several actions of one
-        group) broken through the same RNG stream.
-        """
-        unknown: List[int] = []
-        best_mean: Optional[float] = None
-        ties: List[int] = []
-        for i, action in enumerate(untried):
-            mean = self._prior_score(action)
-            if mean is None:
-                unknown.append(i)
-            elif not unknown:
-                if best_mean is None or mean > best_mean:
-                    best_mean = mean
-                    ties = [i]
-                elif mean == best_mean:
-                    ties.append(i)
-        if unknown:
-            return unknown[rng.randrange(len(unknown))]
-        chosen = ties[rng.randrange(len(ties))]
-        # Reaching here means every untried action's group had warm
-        # statistics and they decided the choice: a tree-reuse hit.
-        self.tree_prior_hits += 1
-        return chosen
-
-    # -- rollout generation --------------------------------------------------
 
     def next_rollout(self) -> Tuple[Node, ActionKey]:
         node = self.root
@@ -312,9 +157,9 @@ class TreePolicy:
         while not node.untried and node.children:
             node = node.uct_child(self.exploration)
         rng = node.draw_rng(self.seed)
-        # Expansion (prior-seeded; see _select_untried).
+        # Expansion: uniform over the untried actions.
         if node.untried:
-            action = node.untried.pop(self._select_untried(node.untried, rng))
+            action = node.untried.pop(rng.randrange(len(node.untried)))
             child = Node(action, node, [])
             if action is not None:
                 child.untried = [None] + [

@@ -78,16 +78,6 @@ class TagPoint:
     source: Optional[Operation]
     auto: bool
 
-    @property
-    def op_kind(self) -> str:
-        """Opcode of the computation this point annotates (``"param"``
-        when the tag marks a function parameter) — the structural feature
-        the search's action-group keys and the learned rollout prior
-        (:mod:`repro.auto.prior`) generalize over: two tag points over
-        different matmuls are the same *kind* of decision surface even
-        when their shapes and shardings differ."""
-        return self.source.opcode if self.source is not None else "param"
-
 
 def _root_value(tag_op: Operation) -> Value:
     value = tag_op.operands[0]

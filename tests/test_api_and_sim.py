@@ -167,6 +167,37 @@ class TestPartirJit:
                              estimate_per_tactic=False)
         assert len(lowerings) == 1 and meta.lowered is lowerings[0]
 
+    def test_device_reaches_the_search(self):
+        """``partir_jit(device=...)`` prices the search as well as the
+        final estimate: an ``AutomaticPartition`` without its own
+        ``"device"`` used to search on ``TPU_V3`` and return the empty
+        plan here.  The forwarding is call-scoped and never overrides a
+        tactic's own device."""
+        from repro import AutomaticPartition
+        from repro.sim import DeviceSpec, costmodel
+
+        tiny = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
+                          link_bandwidth=1e9)
+        tf = trace(lambda w, x: ops.reduce_sum(x @ w),
+                   ShapeDtype((64, 64)), ShapeDtype((32, 64)))
+        tactic = AutomaticPartition(
+            ["B", "M"], {"budget": 24, "rollout_depth": 2, "seed": 7})
+        _, meta = partir_jit(tf, Mesh({"B": 4, "M": 2}), [tactic],
+                             device=tiny, estimate_per_tactic=False)
+        assert tactic.last_search.actions == [(0, 0, 1, "B"), (0, 1, 0, "M")]
+        assert tactic.last_search.cost == costmodel.search_objective(
+            meta.estimate, tiny)
+        assert "device" not in tactic.options
+        partir_jit(tf, Mesh({"B": 4, "M": 2}), [tactic],
+                   estimate_per_tactic=False)  # default device: TPU_V3
+        assert tactic.last_search.actions == []
+        # A tactic that pins its own device keeps it.
+        tactic.options["device"] = TPU_V3
+        partir_jit(tf, Mesh({"B": 4, "M": 2}), [tactic], device=tiny,
+                   estimate_per_tactic=False)
+        assert tactic.last_search.actions == []
+        assert tactic.options["device"] is TPU_V3
+
 
 class TestSimulator:
     def _lowered(self, actions=()):

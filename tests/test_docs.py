@@ -32,10 +32,21 @@ def test_module_doctests_pass(module):
     assert results.failed == 0
 
 
+#: Span targets ``benchmarks/e2e/spans.py`` still lists although the code
+#: is gone (the benchmark's files are not edited by the PR that deletes a
+#: layer; its recorder skips a missing target and counts it).
+RETIRED_SPAN_TARGETS = {
+    ("auto.prior.fit", "repro.auto.prior", "LinearPrior.fit"),
+    ("auto.tree.note", "repro.auto.tree", "TreePolicy.note_result"),
+}
+
+
 def test_benchmark_span_targets_resolve():
     """Every ``(module, attribute path)`` the repo's benchmark wraps for
     its per-layer metrics exists: a rename in ``src/`` cannot silently
-    blank a layer (``bench.missing_span_targets`` stays 0)."""
+    blank a layer (``bench.missing_span_targets`` stays at the retired
+    count).  A retired target must *fail* to resolve, so the allowlist
+    cannot rot."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -43,14 +54,20 @@ def test_benchmark_span_targets_resolve():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     assert spans.TARGETS
+    assert RETIRED_SPAN_TARGETS <= set(spans.TARGETS)
     for layer, module, path in spans.TARGETS:
         # The same resolution Recorder.install performs: parents by
         # getattr, the target itself from its owner's own namespace.
-        owner = importlib.import_module(module)
-        *parents, attr = path.split(".")
-        for parent in parents:
-            owner = getattr(owner, parent)
-        assert attr in vars(owner), (layer, module, path)
+        try:
+            owner = importlib.import_module(module)
+            *parents, attr = path.split(".")
+            for parent in parents:
+                owner = getattr(owner, parent)
+            resolved = attr in vars(owner)
+        except (ImportError, AttributeError):
+            resolved = False
+        retired = (layer, module, path) in RETIRED_SPAN_TARGETS
+        assert resolved != retired, (layer, module, path)
 
 
 def test_public_api_docstrings_have_examples():

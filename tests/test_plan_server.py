@@ -23,7 +23,7 @@ from repro.sim import DeviceSpec
 from repro.auto import rpc
 from repro.auto.evaluator import Evaluator
 from repro.auto.planstore import PlanRecord, PlanStore
-from repro.auto.search import mcts_search
+from repro.auto.search import SearchConfig, mcts_search
 from repro.auto.server import PlanServer
 from repro.auto.tree import canonical_key
 
@@ -294,7 +294,6 @@ class TestPlanStore:
         store.put(PlanRecord(key=("d", ("B", 8)),
                              actions=((0, 1, 0, "B"), (1, 0, 1, "M")),
                              cost=2.5,
-                             priors={(0, 0, "B", ()): (3, 1.5)},
                              meta={"backend": "serial"}))
         store.save(path)
         fresh = PlanStore(max_entries=8)
@@ -303,7 +302,6 @@ class TestPlanStore:
         assert tier == "relaxed"
         assert record.actions == ((0, 1, 0, "B"), (1, 0, 1, "M"))
         assert record.cost == 2.5
-        assert record.priors == {(0, 0, "B", ()): (3, 1.5)}
         assert record.meta["backend"] == "serial"
 
     def test_env_var_sets_default_cap(self, monkeypatch):
@@ -322,8 +320,9 @@ class TestRpcProtocol:
 
     def test_unknown_kind_is_a_remote_error(self, server):
         with rpc.connect(addr(server)) as connection:
-            with pytest.raises(rpc.RemoteError, match="unknown request"):
-                connection.request({"kind": "nonsense"})
+            for kind in ("nonsense", "table"):  # "table" had no caller
+                with pytest.raises(rpc.RemoteError, match="unknown request"):
+                    connection.request({"kind": kind})
             # The connection survives a handler error.
             assert connection.request({"kind": "ping"}) == "pong"
 
@@ -332,6 +331,27 @@ class TestRpcProtocol:
             for theirs in (2, 999):
                 with pytest.raises(rpc.RemoteError, match="protocol"):
                     connection.request({"kind": "ping", "protocol": theirs})
+
+    def test_request_carrying_the_retired_prior_option_is_served(self,
+                                                                  server):
+        """No ``PROTOCOL`` bump was needed: the server reads only its own
+        plan-identity names out of ``"search"``, so a client that still
+        sends ``"prior"`` gets — and shares — the plan a current client
+        gets, and the reply no longer carries ``"priors"``."""
+        search = dict(SearchConfig(budget=8, seed=0).plan_identity(),
+                      prior="group")
+        with rpc.connect(addr(server)) as connection:
+            reply = connection.request({
+                "kind": "plan", "function": chain(), "mesh": MESH,
+                "env": (), "device": TINY_DEVICE, "axes": ["B", "M"],
+                "search": search,
+            })
+        assert reply["tier"] == "search" and "priors" not in reply
+        current = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                              plan_server=addr(server), **SEARCH)
+        assert current.plan_source == "server:exact"
+        assert current.actions == [tuple(a) for a in reply["actions"]]
+        assert current.cost == reply["cost"]
 
     def test_older_daemon_ends_in_a_local_serial_search(self, server,
                                                         monkeypatch):

@@ -1,21 +1,21 @@
-"""The action-space condenser, the learned rollout prior, the exact oracle.
+"""The action-space condenser, the uniform tree policy, the exact oracle.
 
-Three PR-8 subsystems share one contract — *make every rollout count
-without changing what a fixed seed means*:
+They share one contract — *make every rollout count without changing what
+a fixed seed means*:
 
 * :mod:`repro.auto.prune` — one propagation probe per candidate buckets
   actions by their fixed point; one (lexicographically smallest)
   representative per bucket survives.  Probing checkpoints and rolls back
   the search's live env, so it must be bit-invisible; signatures persist
   in the transposition log so warm runs never probe.
-* :mod:`repro.auto.prior` — a feature-hashed linear model fit once, at
-  search start, from warm (persisted) tree statistics.  Warm runs steer
-  expansion identically in every backend; cold runs stay draw-for-draw
-  the uniform policy in every prior mode.
+* :mod:`repro.auto.tree` — expansion is uniform and fed by nothing but
+  ``(candidates, seed)``: cold rollout sequences are pinned draw for draw,
+  and a warm run replays them identically in every backend.
 * :mod:`repro.auto.exact` — branch-and-bound over the condensed space:
   the regret oracle the default-budget MCTS is measured against.
 """
 
+import hashlib
 import json
 import os
 import warnings
@@ -26,9 +26,9 @@ from repro import Mesh, ShapeDtype, trace
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.auto import search as search_mod
+from repro.auto import tree as tree_mod
 from repro.auto.evaluator import candidate_actions
 from repro.auto.exact import ExactBudgetExceeded, exact_search
-from repro.auto.prior import LinearPrior
 from repro.auto.prune import NOOP_SIGNATURE, condense, probe_action
 from repro.auto.search import SearchConfig, mcts_search
 from repro.sim import DeviceSpec
@@ -186,69 +186,56 @@ class TestTruncationSurfacing:
         assert _search(function, budget=4).actions_truncated == 0
 
 
+#: seed -> (first eight rollout keys, blake2b-8 of ``repr`` of all 24) of a
+#: cold ``_search(build_matmul_chain()[0], seed=seed)``, generated at PR 21
+#: (with the prior machinery in place, in every prior mode).
+COLD_ROLLOUTS = {
+    0: ([((0, 0, 0, "B"),), ((0, 0, 1, "B"), (0, 0, 1, "M")),
+         ((0, 1, 1, "M"),), ((0, 0, 1, "B"),),
+         ((0, 1, 1, "M"), (0, 2, 1, "M")), ((0, 0, 1, "B"), (0, 1, 1, "B")),
+         ((0, 1, 1, "B"),), ((0, 0, 0, "M"),)], "b36baeaaaf26ac38"),
+    7: ([((0, 0, 0, "M"), (0, 1, 1, "M")), ((0, 0, 1, "B"), (0, 2, 1, "B")),
+         ((0, 2, 1, "M"),), ((0, 0, 0, "M"), (0, 0, 1, "M")),
+         ((0, 0, 0, "M"), (0, 2, 1, "B")), ((0, 0, 0, "B"),),
+         ((0, 0, 0, "B"),), ((0, 1, 1, "B"),)], "4926007b5761f843"),
+    11: ([((0, 0, 0, "B"), (0, 1, 1, "B")), ((0, 0, 0, "B"), (0, 2, 1, "B")),
+          ((0, 2, 1, "B"), (0, 2, 1, "M")), ((0, 1, 1, "B"), (0, 2, 1, "B")),
+          ((0, 0, 0, "B"),), ((0, 1, 1, "M"),), ((0, 0, 1, "M"),),
+          ((0, 0, 1, "B"),)], "1824e6fee0881426"),
+}
+
+
 class TestPriorDeterminism:
     def test_warm_runs_agree_across_backends(self, tmp_path):
         function, _ = build_matmul_chain()
         cold = _search(function, cache_dir=str(tmp_path))
-        assert cold.tree_prior_hits == 0  # nothing warm on a cold run
-        outcomes = set()
         for kwargs in ({"backend": "serial"}, {"backend": "batched"},
                        {"backend": "process", "workers": 2}):
             warm = _search(function, cache_dir=str(tmp_path), **kwargs)
-            assert warm.prior_mode == "learned"
-            assert warm.tree_prior_hits > 0, kwargs
-            outcomes.add((tuple(warm.actions), warm.cost))
-        assert len(outcomes) == 1
+            assert warm.warm_cache_hits > 0, kwargs
+            assert (warm.actions, warm.cost) == (cold.actions, cold.cost)
 
-    def test_cold_runs_are_draw_for_draw_uniform(self):
+    def test_cold_runs_are_draw_for_draw_uniform(self, monkeypatch):
+        """The rollout key sequence of a cold search is the one the
+        parent generated: deleting the prior machinery left the uniform
+        policy untouched, draw for draw."""
+        keys = []
+        next_rollout = tree_mod.TreePolicy.next_rollout
+
+        def recording(policy):
+            node, key = next_rollout(policy)
+            keys.append(key)
+            return node, key
+
+        monkeypatch.setattr(tree_mod.TreePolicy, "next_rollout", recording)
         function, _ = build_matmul_chain()
-        runs = {prior: _search(function, prior=prior)
-                for prior in ("learned", "group", "none")}
-        reference = runs["none"]
-        for prior, run in runs.items():
-            # Not just the same best: the identical rollout trajectory
-            # (evaluation-for-evaluation), so warm-gating provably kept
-            # the cold policy untouched in every mode.
-            assert run.actions == reference.actions, prior
-            assert run.cost == reference.cost, prior
-            assert run.evaluations == reference.evaluations, prior
-            assert run.cache_hits == reference.cache_hits, prior
-            assert run.tree_prior_hits == 0, prior
-
-    def test_unknown_prior_mode_raises(self):
-        function, _ = build_matmul_chain()
-        with pytest.raises(ValueError, match="unknown prior"):
-            _search(function, prior="bogus")
-
-    def test_linear_prior_fit_is_order_independent(self):
-        stats = {
-            (1, "dot_general", 1, "M", ((None, None),)): (4, 2.0),
-            (0, "param", 0, "B", ((None, None),)): (2, 1.5),
-            (2, "reduce_sum", 0, "B", ((None,),)): (7, -0.5),
-        }
-        forward = LinearPrior.fit(dict(stats))
-        backward = LinearPrior.fit(dict(reversed(list(stats.items()))))
-        assert forward is not None
-        assert forward.weights == backward.weights
-        for group in stats:
-            assert forward.score(group) == backward.score(group)
-
-    def test_linear_prior_orders_good_above_bad(self):
-        stats = {
-            (1, "dot_general", 1, "M", ()): (8, 6.4),   # mean 0.8
-            (0, "param", 0, "B", ()): (8, 0.8),          # mean 0.1
-        }
-        model = LinearPrior.fit(stats)
-        good, bad = list(stats)
-        assert model.score(good) > model.score(bad)
-        # Hashed features generalize: an unseen group sharing the good
-        # group's op/axis scores above one sharing the bad group's.
-        assert model.score((1, "dot_general", 0, "M", ())) > \
-            model.score((0, "param", 1, "B", ()))
-
-    def test_linear_prior_cold_gate(self):
-        assert LinearPrior.fit({}) is None
-        assert LinearPrior.fit(None) is None
+        for seed, (head, digest) in COLD_ROLLOUTS.items():
+            del keys[:]
+            _search(function, seed=seed)
+            assert keys[:len(head)] == head, seed
+            assert len(keys) == 24
+            assert hashlib.blake2b(repr(keys).encode(),
+                                   digest_size=8).hexdigest() == digest, seed
 
 
 class TestExactOracle:

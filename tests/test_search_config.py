@@ -1,21 +1,25 @@
 """The search's configuration surface: one ``SearchConfig``, nothing else.
 
-Guards the shape the consolidation left behind — the 16 fields and their
-order (the first nine are the plan server's store key, so reordering them
+Guards the shape the consolidation left behind — the 15 fields and their
+order (the first eight are the plan server's store key, so reordering them
 would orphan every saved plan), the two constructors that used to carry
 path-selection flags, wire compatibility with clients that still send
-those flags — and pins that a misspelled or ill-typed option is an error
-where the tactic is built, not a silently ignored keyword.
+those flags, files on disk written while the rollout prior existed — and
+pins that a misspelled or ill-typed option is an error where the tactic is
+built, not a silently ignored keyword.
 """
 
 import dataclasses
 import inspect
+import json
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import AutomaticPartition, Mesh
-from repro.auto import SearchConfig, rpc, server as server_mod
+from repro.auto import PlanStore, SearchConfig, TranspositionTable, rpc
+from repro.auto import server as server_mod
 from repro.auto.evaluator import Evaluator
 from repro.auto.search import mcts_search
 from repro.core.sharding import ShardingEnv
@@ -24,8 +28,7 @@ from repro.sim import TPU_V3, costmodel
 from conftest import build_matmul_chain
 
 PLAN_IDENTITY = ("budget", "rollout_depth", "exploration", "seed",
-                 "max_inputs", "action_space", "max_tag_points", "prune",
-                 "prior")
+                 "max_inputs", "action_space", "max_tag_points", "prune")
 EXECUTION = ("backend", "workers", "wave_size", "cache_dir", "plan_server",
              "restart_budget", "rpc_timeout_s")
 
@@ -36,16 +39,54 @@ class TestSurface:
         assert names == PLAN_IDENTITY + EXECUTION
         assert tuple(SearchConfig().plan_identity()) == PLAN_IDENTITY
 
-    def test_params_key_matches_stores_written_before_the_config(self):
-        """What ``params_key`` returned for a default search when it was a
-        hand-kept list of names: a ``--store`` file saved then still hits."""
-        assert server_mod.params_key(["B", "M"], SearchConfig()) == (
-            ("B", "M"), 24, 3, 0.5, 0, 48, "tagged", 16, True, "learned")
+    def test_params_key_matches_stores_written_before_the_config(
+            self, tmp_path):
+        """Literal lines in the format of PR 21: a transposition log with
+        a ``"g"`` (tree statistics) record between a cost and a probe
+        record, and a ``--store`` snapshot whose record carries ``"p"`` and
+        a params key ending in the prior mode.  Both load without a
+        warning, still hit, and are rewritten without the retired parts."""
+        log = str(tmp_path / "tt.jsonl")
+        with open(log, "w") as handle:
+            handle.write(
+                '{"k": [[0, 0, 0, "B"]], "c": 8.593758195646473e-10}\n'
+                '{"g": [0, "param", 0, "B", [[[], []], [], []]], '
+                '"n": 1, "t": 0.75}\n'
+                '{"pa": [0, 0, 0, "B"], "ps": "ab441e3efd397b15d5b4c5d6"}\n')
+        snapshot = str(tmp_path / "plans.jsonl")
+        with open(snapshot, "w") as handle:
+            handle.write(
+                '{"key": ["d7bd8e66f96494c6c108032580ca8357", [["B", "M"], '
+                '24, 3, 0.5, 0, 48, "tagged", 16, true, "learned"]], '
+                '"a": [[0, 0, 0, "B"]], "c": 8.593758195646473e-10, '
+                '"p": [[[0, "param", 0, "B", [[[], []], [], []]], 2, 1.5]], '
+                '"m": {"backend": "serial", "tree_prior_hits": 5, '
+                '"prior_mode": "learned"}}\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = TranspositionTable(log)
+            store = PlanStore()
+            assert store.load(snapshot) == 1
+        assert table.lookup(((0, 0, 0, "B"),)) == 8.593758195646473e-10
+        assert table.warm_hits == 1
+        assert table.warm_probes() == {
+            (0, 0, 0, "B"): "ab441e3efd397b15d5b4c5d6"}
+        pkey = server_mod.params_key(["B", "M"], SearchConfig())
+        assert pkey == (("B", "M"), 24, 3, 0.5, 0, 48, "tagged", 16, True)
+        record, tier = store.lookup(
+            "unseen-exact-fp", "d7bd8e66f96494c6c108032580ca8357", pkey)
+        assert tier == "relaxed" and record.actions == ((0, 0, 0, "B"),)
         # Execution fields never enter the key.
-        assert server_mod.params_key(
+        assert pkey == server_mod.params_key(
             ["B", "M"], SearchConfig(backend="process", workers=4,
-                                     cache_dir="/tmp/x")
-        ) == server_mod.params_key(["B", "M"], SearchConfig())
+                                     cache_dir="/tmp/x"))
+        table.compact()
+        store.save(snapshot)
+        for path, lines in ((log, 2), (snapshot, 1)):
+            with open(path) as handle:
+                records = [json.loads(line) for line in handle]
+            assert len(records) == lines
+            assert not any("g" in r or "p" in r for r in records)
 
     def test_constructors_carry_no_path_flags(self):
         evaluator = inspect.signature(Evaluator.__init__).parameters
@@ -95,7 +136,7 @@ class TestBadOptionsFailAtConstruction:
 
     @pytest.mark.parametrize("keywords", [
         {"search_backend": "threads"}, {"action_space": "outputs"},
-        {"prior": "bogus"}, {"options": {"workers": -1}},
+        {"options": {"rpc_timeout_s": -1.0}}, {"options": {"workers": -1}},
     ])
     def test_bad_value_raises(self, keywords):
         with pytest.raises(ValueError):

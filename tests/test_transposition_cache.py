@@ -106,36 +106,50 @@ class TestTableRoundTrip:
 
 class TestWarmStartSearch:
     def test_second_search_warm_starts(self, tmp_path):
-        """A warm second call reuses *both* halves of the persistent store:
-        exact costs (warm transposition hits) and the tree (expansion
-        steered by persisted action-group statistics, counted by
-        ``tree_prior_hits``).  The prior-steered trajectory may explore
-        new sets, but the incumbent is seeded from the table's best entry,
-        so the warm result can never be worse than the cold one."""
+        """A warm second call replays the cold call's rollouts from the
+        persistent store (warm transposition hits, nothing evaluated), and
+        its incumbent is seeded from the table's best entry, so the warm
+        result can never be worse than the cold one."""
         function, _ = build_matmul_chain()
         kwargs = dict(device=TINY_DEVICE, budget=16, seed=1,
                       cache_dir=str(tmp_path))
         cold = mcts_search(function, ShardingEnv(MESH), ["B", "M"], **kwargs)
         assert cold.warm_cache_hits == 0
-        assert cold.tree_prior_hits == 0 and cold.prior_groups == 0
         files = os.listdir(tmp_path)
         assert len(files) == 1 and files[0].startswith("tt_")
 
         warm = mcts_search(function, ShardingEnv(MESH), ["B", "M"], **kwargs)
         assert warm.warm_cache_hits > 0
-        assert warm.prior_groups > 0
-        assert warm.tree_prior_hits > 0
         assert warm.cost <= cold.cost
-        # A fully-warm-covered rollout is replayed from the table; only
-        # prior-steered exploration beyond the cold trajectory computes.
         assert warm.evaluations + warm.cache_hits >= cold.evaluations
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_same_config_rerun_is_a_replay(self, tmp_path, backend):
+        """What ``cache_dir`` means: a rerun of the same (function, mesh,
+        device, start state, config) evaluates nothing, returns the same
+        plan and leaves the log byte-identical."""
+        function, _ = build_matmul_chain()
+        budget = 16
+        kwargs = dict(device=TINY_DEVICE, budget=budget, seed=1,
+                      backend=backend, workers=2, cache_dir=str(tmp_path))
+        cold = mcts_search(function, ShardingEnv(MESH), ["B", "M"], **kwargs)
+        assert cold.evaluations > 0 and cold.backend == backend
+        (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
+        with open(path, "rb") as handle:
+            before = handle.read()
+
+        warm = mcts_search(function, ShardingEnv(MESH), ["B", "M"], **kwargs)
+        assert warm.backend == backend
+        assert warm.evaluations == 0
+        assert warm.cache_hits >= budget
+        assert (warm.actions, warm.cost) == (cold.actions, cold.cost)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
     def test_same_trajectory_without_priors_appends_nothing(self, tmp_path):
-        """With the tree statistics neutralized (a fresh cache dir per
-        call would reload them — so strip the prior records), a warm rerun
-        replays the identical trajectory: zero evaluations, and cost
+        """The log holds cost and probe records only, and a warm rerun
+        replays the identical trajectory: zero evaluations, and the cost
         records stay byte-identical (the write-lean contract)."""
-        import json
         function, _ = build_matmul_chain()
         kwargs = dict(device=TINY_DEVICE, budget=16, seed=1,
                       cache_dir=str(tmp_path))
@@ -143,20 +157,14 @@ class TestWarmStartSearch:
         (path,) = [os.path.join(tmp_path, f) for f in os.listdir(tmp_path)]
         with open(path) as handle:
             lines = [line for line in handle if line.strip()]
-        cost_lines = [line for line in lines if "\"k\"" in line]
-        assert any("\"g\"" in line for line in lines)  # priors persisted
-        with open(path, "w") as handle:
-            handle.writelines(cost_lines)
+        assert all("\"k\"" in line or "\"pa\"" in line for line in lines)
 
         warm = mcts_search(function, ShardingEnv(MESH), ["B", "M"], **kwargs)
         assert warm.actions == cold.actions and warm.cost == cold.cost
         assert warm.evaluations == 0
         assert warm.warm_cache_hits > 0
-        # The cost records were not rewritten; only this run's prior
-        # deltas were appended.
         with open(path) as handle:
-            after = [line for line in handle if line.strip()]
-        assert [l for l in after if "\"k\"" in l] == cost_lines
+            assert [line for line in handle if line.strip()] == lines
 
     def test_cache_dir_does_not_change_results(self, tmp_path):
         function, _ = build_matmul_chain()
@@ -212,12 +220,8 @@ class TestPartirJitWarmStart:
         warm, warm_meta = run()
         assert cold.warm_cache_hits == 0
         assert warm.warm_cache_hits > 0
-        # Tree reuse: the second call's expansion is steered by the
-        # persisted action-group statistics...
-        assert warm.tree_prior_hits > 0
-        # ...and its incumbent is seeded from the table, so the warm
-        # schedule is never worse than the cold one.
-        assert warm.cost <= cold.cost
+        assert warm.evaluations == 0
+        assert (warm.actions, warm.cost) == (cold.actions, cold.cost)
 
     def test_search_backend_option_is_threaded(self):
         mesh = Mesh({"batch": 4, "model": 2})
@@ -262,6 +266,31 @@ class TestCompaction:
         with open(path) as handle:
             lines = [line for line in handle if line.strip()]
         assert len(lines) == len(keys)
+
+    def test_compact_and_store_save_share_the_crash_safe_rewrite(
+            self, tmp_path, monkeypatch):
+        """Both rewrites go temp-write -> fsync -> rename -> directory
+        fsync (``cache.replace_file``): a power cut can publish neither an
+        empty log nor an empty plan store."""
+        from repro.auto.planstore import PlanRecord, PlanStore
+
+        events = []
+        for name in ("fsync", "replace"):
+            real = getattr(os, name)
+            monkeypatch.setattr(
+                os, name, lambda *args, _real=real, _name=name:
+                (events.append(_name), _real(*args))[1])
+        table = TranspositionTable(str(tmp_path / "tt.jsonl"))
+        table.store(((0, 0, 0, "B"),), 1.0)
+        table.compact()
+        assert events == ["fsync", "replace", "fsync"]
+        del events[:]
+        store = PlanStore()
+        store.put(PlanRecord(key=("d", ("B",)), actions=((0, 0, 0, "B"),),
+                             cost=1.0))
+        store.save(str(tmp_path / "plans.jsonl"))
+        assert events == ["fsync", "replace", "fsync"]
+        assert sorted(os.listdir(tmp_path)) == ["plans.jsonl", "tt.jsonl"]
 
     def test_compact_handles_torn_tail_only_file(self, tmp_path):
         path = str(tmp_path / "tt.jsonl")
