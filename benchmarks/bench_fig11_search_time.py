@@ -16,11 +16,15 @@ across the cases).
 A second section exercises the **backend axis** on a transformer training
 step: the same fixed-seed search through the ``serial``, ``batched`` and
 ``process`` rollout schedulers.  All backends must report identical best
-actions/cost; on a machine with >= 2 usable cores the ``process`` backend
-(default 2 workers) must also beat ``serial`` wall-clock — evaluation
-purity makes the fan-out exact, so the speedup is free.  Backends and the
-worker count are overridable via ``BENCH_SEARCH_BACKENDS`` (comma list)
-and ``BENCH_SEARCH_WORKERS`` for CI matrix legs.
+actions/cost; on a machine with a core per worker *and* one for the main
+process the ``process`` backend (default 2 workers) must also beat
+``serial`` wall-clock — evaluation purity makes the fan-out exact, so the
+speedup is free.  With fewer cores than that the workers time-share with
+the main process and the two read parity (<= 1.12x measured on 2 cores),
+so the gate only rejects a regression: ``process < 1.25 x serial``.
+Backends and the worker count are overridable via
+``BENCH_SEARCH_BACKENDS`` (comma list) and ``BENCH_SEARCH_WORKERS`` for CI
+matrix legs.
 
 A third section exercises the **action-space axis** (PR 5): the same
 fixed-seed search over the input-tilings-only space (``action_space=
@@ -206,16 +210,22 @@ def test_fig11(benchmark):
                 "model": "T8", "comparison": "process_vs_serial",
                 "serial_wall_clock_s": serial_s,
                 "process_wall_clock_s": process_s,
+                "process_over_serial": process_s / serial_s,
                 "usable_cores": _usable_cores(),
             })
-            if _usable_cores() >= 2:
-                # With real parallelism available the process backend must
-                # beat serial wall-clock on this config (workers evaluate
-                # waves concurrently; purity keeps the result unchanged).
-                assert process_s < serial_s, (
-                    f"process backend {process_s:.2f}s not faster than "
-                    f"serial {serial_s:.2f}s on {_usable_cores()} cores"
-                )
+            # A core per worker plus one for the main process: the process
+            # backend must beat serial wall-clock on this config (workers
+            # evaluate waves concurrently; purity keeps the result
+            # unchanged).  With fewer cores the workers time-share with
+            # the main process and the two read parity (<= 1.12x on 2
+            # cores), so only a regression is rejected (the shared memo
+            # PR 16 deleted cost 1.29x).
+            limit = 1.0 if _usable_cores() >= WORKERS + 1 else 1.25
+            assert process_s < limit * serial_s, (
+                f"process backend {process_s:.2f}s not under {limit:g}x "
+                f"serial {serial_s:.2f}s on {_usable_cores()} cores with "
+                f"{WORKERS} workers"
+            )
         # -- action-space axis: input tilings vs mid-function tag points --
         bcfg = bottleneck_mod.ensemble(batch=2, width=64, d_model=1024,
                                        ffw_dim=4096)
@@ -450,7 +460,8 @@ def test_fig11(benchmark):
         "every cost the search stored equals the from-scratch reference "
         "pipeline's at >=2x lower per-evaluation wall-clock, the "
         "serial/batched/process rollout backends agree on the best "
-        "schedule (process beating serial wall-clock given >=2 cores), "
+        "schedule (process beating serial wall-clock given a core per "
+        "worker plus one, under 1.25x of it otherwise), "
         "and the widened tag-point action space reaches a strictly lower "
         "best cost than input tilings on the interior-bottleneck ensemble "
         "(identical across backends; a same-config second call from "
@@ -461,7 +472,7 @@ def test_fig11(benchmark):
         "of one rollout's evaluator time), and default-budget MCTS "
         "matches the branch-and-bound oracle's certified optimum",
         ["model", "axes", "mode", "search", "propagate", "estimate",
-         "evals", "tt hits", "plans reused", "ops processed",
+         "evals", "tt hits", "segments reused", "ops processed",
          "actions"],
         rows,
     )

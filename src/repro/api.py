@@ -279,7 +279,8 @@ class AutomaticPartition(Tactic):
                  action_space: Optional[str] = None,
                  plan_server: Optional[str] = None,
                  prune: Optional[bool] = None):
-        self.axes = list(axes)
+        # A repeated axis names no new action: ["b", "b"] searches ["b"].
+        self.axes = list(dict.fromkeys(axes))
         self.options = dict(options or {})
         shorthands = {"backend": search_backend, "cache_dir": cache_dir,
                       "action_space": action_space,

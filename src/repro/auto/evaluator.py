@@ -249,33 +249,25 @@ class Evaluator:
         self.evaluations = 0
         self.propagate_time_s = 0.0
         self.estimate_time_s = 0.0
-        #: Work done by workers on this evaluator's behalf (the fan-out
-        #: scheduler folds each wave's counter deltas in here, so
-        #: SearchResult reflects worker-side cache behavior too).
-        self.remote_ops_processed = 0
-        self.remote_propagate_calls = 0
-        self.remote_ops_reused = 0
-        self.remote_reconcile_hits = 0
         #: Prefix accounting: of all the actions the rollouts asked to
         #: stand applied (summed |key| over ``_env_for`` calls), how many
         #: were already in place on the action stack and
-        #: survived (no rollback, no re-apply)?  The ratio is the
-        #: schedulers' prefix-aware wave ordering's figure of merit —
-        #: surfaced as ``SearchResult.prefix_reuse_ratio``.
+        #: survived (no rollback, no re-apply)?  Surfaced as
+        #: ``SearchResult.prefix_reuse_ratio``.  (The fan-out scheduler
+        #: folds worker-side counter deltas into the counters they are
+        #: deltas of — these two included.)
         self.prefix_actions_total = 0
         self.prefix_actions_reused = 0
-        self.remote_prefix_actions_total = 0
-        self.remote_prefix_actions_reused = 0
         self.table = table if table is not None else TranspositionTable()
         #: The full CostEstimate of the most recent :meth:`compute` (None
         #: before the first).  The branch-and-bound solver
         #: (:mod:`repro.auto.exact`) reads its compute/peak-memory terms
         #: for admissible subtree bounds; the search itself never does.
         self.last_estimate = None
-        # One streaming estimator for the whole search: its per-op plan and
-        # reconcile-chain memos are what let an evaluation reuse the
-        # lowering decisions of every previously-scored env that agrees on
-        # an op's neighborhood.
+        # One streaming estimator for the whole search: its per-op segment
+        # and reconcile-chain memos are what let an evaluation reuse the
+        # lowering decisions of every previously-scored state that agrees
+        # on an op's neighborhood.
         self._estimator = costmodel.StreamingEstimator(
             function, env.mesh, device
         )
@@ -298,21 +290,19 @@ class Evaluator:
 
     @property
     def estimate_ops_reused(self) -> int:
-        return self._estimator.ops_reused + self.remote_ops_reused
+        return self._estimator.ops_reused
 
     @property
     def reconcile_chain_hits(self) -> int:
-        return self._estimator.reconcile_hits + self.remote_reconcile_hits
+        return self._estimator.reconcile_hits
 
     @property
     def prefix_reuse_ratio(self) -> float:
         """Fraction of requested prefix actions kept in place across
         consecutive evaluations (workers included); 0.0 when nothing was
         evaluated."""
-        total = self.prefix_actions_total + self.remote_prefix_actions_total
-        reused = (self.prefix_actions_reused
-                  + self.remote_prefix_actions_reused)
-        return reused / total if total else 0.0
+        total = self.prefix_actions_total
+        return self.prefix_actions_reused / total if total else 0.0
 
     def _env_for(self, key: ActionKey) -> ShardingEnv:
         """Move the single mutable env to the state of canonical prefix
@@ -426,7 +416,7 @@ class EvaluatorSession:
     connection handler (``remote`` backend) and the forked child of the
     ``process`` backend — so a worker behaves the same wherever it runs:
     ``eval_init`` rebuilds the search's root env from ``(function, mesh,
-    portable env state, device)`` and primes the plan/chain memos with
+    portable env state, device)`` and primes the segment/chain memos with
     the root evaluation; ``eval`` scores a slice of canonical keys and
     answers one :func:`evaluate_with_deltas` tuple per key."""
 

@@ -6,11 +6,11 @@ scores them; the scheduler decides *how many are in flight at once* and
 
 * ``serial`` / ``batched`` — :class:`RolloutScheduler` itself: a wave of
   leaves is collected under virtual loss, its distinct action sets are
-  scored on the main process's evaluator in **Euler-tour order** (the
-  leaves' ``tour_path`` positions, ties by key — consecutive evaluations
-  come from neighboring subtrees, so the undo engine's rollback/extend
-  distance tracks the true edit distance between rollouts), then the
-  losses are reverted and every leaf backed up in wave order.  ``serial``
+  scored on the main process's evaluator in **sorted canonical order**
+  (keys are sorted tuples, so lexicographic order is prefix order: sets
+  sharing a prefix sit next to each other and the undo engine keeps that
+  prefix applied), then the losses are reverted and every leaf backed up
+  in wave order.  ``serial``
   is a wave of one — the classic single-loop MCTS: virtual loss applied
   and reverted around one selection provably changes no UCT score, so
   ``batched`` with ``wave_size=1`` is bit-identical to it, counters
@@ -18,7 +18,7 @@ scores them; the scheduler decides *how many are in flight at once* and
   wave of eight.  Note the rollout *randomness* is the per-node streams
   of :mod:`repro.auto.tree` for every backend, so no backend's
   interleaving can perturb another rollout's draw.
-* ``process`` / ``remote`` — :class:`_AffinityScheduler`: waves are formed
+* ``process`` / ``remote`` — :class:`_FanOutScheduler`: waves are formed
   the same way, but the wave's transposition-table misses are fanned
   across evaluator-owning **workers**.  A worker is an
   :class:`~repro.auto.evaluator.EvaluatorSession` on the far end of a
@@ -26,15 +26,11 @@ scores them; the scheduler decides *how many are in flight at once* and
   (``function, mesh, portable env state, device`` — see
   ``ShardingEnv.portable_state``), then streamed slices of canonical
   action keys (``eval``) and answering one ``(key, cost, counter
-  deltas)`` tuple per key.  Tour-ordered keys are routed by
-  longest-common-prefix affinity: each goes to the worker whose last
-  routed key shares the longest canonical prefix (ties to a stable hash
-  of the leading action, with a per-wave cap keeping the fan-out
-  balanced), so every worker's slice of the wave is a run of
-  tree-neighboring sets its prefix env and lowering-plan memos stay warm
-  for — placement is a function of wave content and routing history,
-  never of timing.  The two backends differ only in how a worker's
-  connection is opened: ``process`` forks a child that serves the
+  deltas)`` tuple per key.  Worker ``w`` gets the ``w``-th contiguous
+  slice of the sorted misses (``ceil(misses / workers)`` keys each), so
+  placement is a pure function of the wave's content — never of timing
+  or of what was routed before.  The two backends differ only in how a
+  worker's connection is opened: ``process`` forks a child that serves the
   session on one end of a ``socket.socketpair()`` (handing it the
   ``eval_init`` at fork, so the function and the caches derived on it
   are inherited rather than pickled); ``remote`` connects to a plan
@@ -67,17 +63,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 from repro.auto import faults, rpc
 from repro.auto.evaluator import Evaluator, EvaluatorSession
 from repro.auto.tree import ActionKey, TreePolicy, _stable_hash
-
-
-def key_lcp(a: ActionKey, b: ActionKey) -> int:
-    """Longest common prefix (in actions) of two canonical action sets —
-    the undo engine's measure of how much applied-prefix state survives
-    between two consecutive evaluations."""
-    limit = min(len(a), len(b))
-    i = 0
-    while i < limit and a[i] == b[i]:
-        i += 1
-    return i
 
 #: Default worker count for the process and remote backends.
 DEFAULT_WORKERS = 2
@@ -146,13 +131,8 @@ class RolloutScheduler:
             else _env_restart_budget()
         )
         self._started = False
-        #: Per-wave longest-common-prefix statistics over the order the
-        #: wave's distinct keys were actually evaluated in: number of
-        #: waves, consecutive pairs, and summed LCP actions.  Surfaced via
-        #: ``SearchResult`` (``waves`` / ``wave_lcp_mean``).
+        #: Evaluation waves formed (``SearchResult.waves``).
         self.waves = 0
-        self.wave_lcp_pairs = 0
-        self.wave_lcp_actions = 0
         #: Self-healing record, surfaced via ``SearchResult``: worker
         #: sessions re-opened (re-forked / re-connected), wave slices
         #: re-routed after a failure, and — past the restart budget —
@@ -161,12 +141,6 @@ class RolloutScheduler:
         self.waves_retried = 0
         self.degraded_to = ""
         self._restarts_left = self.restart_budget
-
-    def _note_wave_order(self, ordered: Sequence[ActionKey]) -> None:
-        self.waves += 1
-        for prev, key in zip(ordered, ordered[1:]):
-            self.wave_lcp_pairs += 1
-            self.wave_lcp_actions += key_lcp(prev, key)
 
     # -- the wave loop ------------------------------------------------------
 
@@ -198,21 +172,13 @@ class RolloutScheduler:
             while done < budget:
                 count = min(wave_size, budget - done)
                 wave = []
-                tours: Dict[ActionKey, tuple] = {}
                 for _ in range(count):
                     node, key = policy.next_rollout()
                     node.apply_virtual_loss()
                     wave.append((node, key))
-                    # Euler-tour position of the rollout's leaf; duplicate
-                    # keys keep the earliest (deterministic: expansion
-                    # order fixes tour paths per seed).
-                    tour = node.tour_path
-                    existing = tours.get(key)
-                    if existing is None or tour < existing:
-                        tours[key] = tour
+                self.waves += 1
                 costs = self._evaluate_wave(
-                    evaluator, [key for _, key in wave], tours
-                )
+                    evaluator, [key for _, key in wave])
                 for node, key in wave:
                     node.revert_virtual_loss()
                     cost = costs[key]
@@ -233,23 +199,13 @@ class RolloutScheduler:
     def _stop(self) -> None:
         pass
 
-    @staticmethod
-    def _tour_order(keys: Sequence[ActionKey],
-                    tours: Dict[ActionKey, tuple]) -> List[ActionKey]:
-        """The wave's distinct sets along the tree's Euler tour (leaf
-        ``tour_path``, ties by key): consecutive evaluations come from
-        neighboring subtrees, so the undo engine extends with short
-        rollbacks instead of jumping across the tree.  Only the
-        *evaluation* order changes — ``run`` backs results up in wave
-        order regardless."""
-        return sorted(set(keys), key=lambda key: (tours.get(key, ()), key))
-
-    def _evaluate_wave(self, evaluator: Evaluator, keys: Sequence[ActionKey],
-                       tours: Dict[ActionKey, tuple]) -> Dict[
-                           ActionKey, float]:
-        ordered = self._tour_order(keys, tours)
-        self._note_wave_order(ordered)
-        return {key: evaluator.evaluate(key) for key in ordered}
+    def _evaluate_wave(self, evaluator: Evaluator,
+                       keys: Sequence[ActionKey]) -> Dict[ActionKey, float]:
+        """Score a wave's distinct keys in sorted order (lexicographic
+        order on sorted tuples is prefix order, so what prefix locality
+        the wave has comes for free).  Only the *evaluation* order is
+        decided here — ``run`` backs results up in wave order."""
+        return {key: evaluator.evaluate(key) for key in sorted(set(keys))}
 
 
 # -- fan-out backends --------------------------------------------------------------
@@ -264,20 +220,20 @@ def _fold_delta(evaluator: Evaluator, result) -> None:
     evaluator.evaluations += 1
     evaluator.propagate_time_s += prop_dt
     evaluator.estimate_time_s += est_dt
-    evaluator.remote_ops_processed += ops
-    evaluator.remote_propagate_calls += prop_calls
-    evaluator.remote_ops_reused += ops_reused
-    evaluator.remote_reconcile_hits += chain_hits
-    evaluator.remote_prefix_actions_total += prefix_total
-    evaluator.remote_prefix_actions_reused += prefix_reused
+    evaluator.root.stats.ops_processed += ops
+    evaluator.root.stats.propagate_calls += prop_calls
+    evaluator._estimator.ops_reused += ops_reused
+    evaluator._estimator.reconcile_hits += chain_hits
+    evaluator.prefix_actions_total += prefix_total
+    evaluator.prefix_actions_reused += prefix_reused
     evaluator.table.store(tuple(map(tuple, key)), cost)
 
 
-class _AffinityScheduler(RolloutScheduler):
+class _FanOutScheduler(RolloutScheduler):
     """Waves fanned across evaluator-owning workers: table-hit filtering,
-    Euler-tour ordering, LCP-affine placement over ``self._nslots`` worker
-    slots, and the one self-healing ladder (module docstring).  A
-    subclass says how a worker's connection is opened (:meth:`_open`)."""
+    contiguous slices of the sorted misses, and the one self-healing
+    ladder (module docstring).  A subclass says how a worker's connection
+    is opened (:meth:`_open`)."""
 
     def _effective_wave_size(self, budget: int) -> int:
         workers = self.workers or DEFAULT_WORKERS
@@ -315,13 +271,9 @@ class _AffinityScheduler(RolloutScheduler):
             "env": root.portable_state(evaluator.function),
             "device": evaluator.device,
         }
-        self._nslots = workers
         self._connections: List[Optional[rpc.Connection]] = [None] * workers
         #: Workers whose ``eval_init`` reply has not been read yet.
         self._priming: Set[int] = set()
-        #: Last key routed to each worker — the affinity anchor the
-        #: LCP router extends wave after wave.
-        self._last_key: List[Optional[ActionKey]] = [None] * workers
         try:
             for worker in range(workers):
                 self._open_session(worker)
@@ -378,23 +330,22 @@ class _AffinityScheduler(RolloutScheduler):
 
     # -- the wave -----------------------------------------------------------
 
-    def _evaluate_wave(self, evaluator, keys, tours):
+    def _evaluate_wave(self, evaluator, keys):
         # Table hits are served here; only the misses cross to workers.
         costs: Dict[ActionKey, float] = {}
         pending: List[ActionKey] = []
-        for key in self._tour_order(keys, tours):
+        for key in sorted(set(keys)):
             cached = evaluator.table.lookup(key)
             if cached is not None:
                 costs[key] = cached
             else:
                 pending.append(key)
-        self._note_wave_order(pending)
         while pending:
             if self.degraded_to:
                 for key in pending:
                     costs[key] = evaluator.evaluate(key)
                 break
-            routed = sorted(self._route_wave(pending).items())
+            routed = self._route_wave(pending).items()
             # Every slice goes out before any reply is read, so the
             # workers score their slices concurrently.
             for worker, worker_keys in routed:
@@ -404,7 +355,7 @@ class _AffinityScheduler(RolloutScheduler):
                                      "keys": [list(k) for k in worker_keys]})
                 except OSError:
                     connection.close()  # its collect below fails at once
-            # Collect in sorted-worker order: the fold order of counter
+            # Collect in worker order: the fold order of counter
             # deltas — and therefore every downstream counter — stays
             # deterministic whether or not anything failed.
             failed: List[ActionKey] = []
@@ -432,49 +383,16 @@ class _AffinityScheduler(RolloutScheduler):
             pending = failed
         return costs
 
-    def _route(self, key: ActionKey) -> int:
-        """Home worker index for a canonical action set (affinity-free
-        fallback).
-
-        Hashing the *leading* action sends every set extending a given
-        prefix to the same worker, wave after wave — the worker's cached
-        prefix envs and lowering plans then serve its whole slice of the
-        action space."""
-        return _stable_hash(key[:1]) % self._nslots
-
-    def _route_wave(self, ordered: Sequence[ActionKey]) -> Dict[
+    def _route_wave(self, misses: Sequence[ActionKey]) -> Dict[
             int, List[ActionKey]]:
-        """Assign a tour-ordered wave of table misses to workers by
-        longest-common-prefix affinity.
-
-        Each key goes to the eligible worker whose *last routed key*
-        shares the longest canonical prefix — i.e. the worker whose undo
-        engine is already standing closest to the requested state.  Ties
-        fall back to the stable leading-action home (keeping each prefix
-        slice on one worker across waves), then to the lowest index.  A
-        per-wave cap of ``ceil(misses / workers)`` keeps the fan-out
-        balanced, so affinity can never starve the pool down to one busy
-        worker.  Everything here is a function of the wave content and
-        the routing history — never of worker timing — so placement stays
-        deterministic for a fixed seed."""
-        npools = self._nslots
-        cap = -(-len(ordered) // npools) if ordered else 0
-        assignments: Dict[int, List[ActionKey]] = {w: [] for w in
-                                                   range(npools)}
-        last = self._last_key
-        for key in ordered:
-            home = self._route(key)
-            best = max(
-                (w for w in range(npools) if len(assignments[w]) < cap),
-                key=lambda w: (
-                    key_lcp(key, last[w]) if last[w] is not None else 0,
-                    w == home,
-                    -w,
-                ),
-            )
-            assignments[best].append(key)
-            last[best] = key
-        return {w: keys for w, keys in assignments.items() if keys}
+        """Worker ``w`` scores the ``w``-th contiguous slice of the sorted
+        table ``misses``, ``ceil(misses / workers)`` keys each.  Sorted
+        order is prefix order, so whatever prefix locality the wave has
+        stays inside a slice, and placement is a pure function of the
+        wave's content."""
+        cap = -(-len(misses) // len(self._connections))
+        return {worker: misses[start:start + cap]
+                for worker, start in enumerate(range(0, len(misses), cap))}
 
 
 def _serve_worker(sock: socket.socket, parent_end: socket.socket,
@@ -520,7 +438,7 @@ class _ChildConnection(rpc.Connection):
         self._process.join()
 
 
-class ProcessScheduler(_AffinityScheduler):
+class ProcessScheduler(_FanOutScheduler):
     """Workers are forked children, each serving its session on one end
     of a ``socket.socketpair()``.  The ``eval_init`` message is the one
     thing that does not cross the pair: the child is handed it at fork,
@@ -553,7 +471,7 @@ class ProcessScheduler(_AffinityScheduler):
         return _ChildConnection(ours, process)
 
 
-class RemoteScheduler(_AffinityScheduler):
+class RemoteScheduler(_FanOutScheduler):
     """Workers are evaluator sessions on a plan server, one TCP
     connection each.  Opening one retries with bounded exponential
     backoff whose jitter is a deterministic hash of the search seed —

@@ -17,8 +17,9 @@ subsystem behind it has four seams:
   (sorted, deduped) action set,
 * :mod:`repro.auto.scheduler` — the rollout backends: ``serial`` (the
   classic loop, a wave of one), ``batched`` (waves scored in-process in
-  Euler-tour order), and ``process`` / ``remote`` (waves fanned across
-  evaluator sessions in forked children / on a plan server), and
+  sorted key order), and ``process`` / ``remote`` (contiguous slices of
+  the sorted wave fanned across evaluator sessions in forked children /
+  on a plan server), and
 * :mod:`repro.auto.cache` — the transposition table, including append-only
   on-disk persistence keyed by a traced-function fingerprint so repeated
   ``partir_jit``/``AutomaticPartition`` calls replay earlier scores
@@ -222,7 +223,8 @@ class SearchResult:
     cache_hits: int = 0  # transposition-table hits
     propagate_calls: int = 0
     ops_processed: int = 0
-    #: Per-op lowering plans reused from the streaming evaluator's memo.
+    #: Per-op segments (an op's priced lowering plan) the streaming
+    #: estimator served from its per-signature memo instead of re-planning.
     estimate_ops_reused: int = 0
     #: Wall-clock split: env extension (apply + propagate) vs cost
     #: evaluation (``estimate_incremental``: the O(dirty) segment refresh,
@@ -245,10 +247,6 @@ class SearchResult:
     #: Evaluation waves the scheduler formed (each rollout is its own wave
     #: on the serial backend).
     waves: int = 0
-    #: Mean longest-common-prefix length between consecutively evaluated
-    #: action sets within a wave — how well the Euler-tour ordering lines
-    #: tree-neighboring rollouts up back to back.
-    wave_lcp_mean: float = 0.0
     #: Where the plan came from: ``"local"`` (this process searched), or
     #: ``"server:exact"`` / ``"server:relaxed"`` / ``"server:search"`` /
     #: ``"server:dedup"`` when a plan server answered (the suffix is the
@@ -332,34 +330,30 @@ def _request_plan(function: Function, env: ShardingEnv,
     from repro.auto import rpc
 
     plan_server = config.plan_server
+
+    def search_locally(problem: str, detail: str, circuit_open=False):
+        warnings.warn(
+            f"plan server {plan_server!r} {problem}, searching "
+            f"locally{detail}",
+            RuntimeWarning,
+        )
+        return None, circuit_open
+
     try:
         breaker = rpc.breaker_for(plan_server)
     except ValueError as exc:
-        warnings.warn(
-            f"plan server {plan_server!r} unreachable, searching "
-            f"locally: {exc}",
-            RuntimeWarning,
-        )
-        return None, False
+        return search_locally("unreachable", f": {exc}")
     if not breaker.allow():
-        warnings.warn(
-            f"plan server {plan_server!r} circuit open after repeated "
-            f"failures, searching locally (next probe within "
-            f"{breaker.cooldown_s:g}s)",
-            RuntimeWarning,
-        )
-        return None, True
+        return search_locally(
+            "circuit open after repeated failures",
+            f" (next probe within {breaker.cooldown_s:g}s)", True)
     try:
         connection = rpc.connect(plan_server,
                                  timeout=PLAN_REQUEST_TIMEOUT_S)
     except OSError as exc:
         breaker.record_failure()
-        warnings.warn(
-            f"plan server {plan_server!r} unreachable, searching "
-            f"locally: {exc}",
-            RuntimeWarning,
-        )
-        return None, breaker.state == rpc.CircuitBreaker.OPEN
+        return search_locally("unreachable", f": {exc}",
+                              breaker.state == rpc.CircuitBreaker.OPEN)
     try:
         value = connection.request({
             "kind": "plan",
@@ -374,20 +368,11 @@ def _request_plan(function: Function, env: ShardingEnv,
         # The server processed the request (it is alive): breaker-wise a
         # success, even though this call falls back to a local search.
         breaker.record_success()
-        warnings.warn(
-            f"plan server {plan_server!r} failed, searching locally: "
-            f"{exc}",
-            RuntimeWarning,
-        )
-        return None, False
+        return search_locally("failed", f": {exc}")
     except OSError as exc:
         breaker.record_failure()
-        warnings.warn(
-            f"plan server {plan_server!r} failed, searching locally: "
-            f"{exc}",
-            RuntimeWarning,
-        )
-        return None, breaker.state == rpc.CircuitBreaker.OPEN
+        return search_locally("failed", f": {exc}",
+                              breaker.state == rpc.CircuitBreaker.OPEN)
     else:
         breaker.record_success()
         return value, False
@@ -428,6 +413,8 @@ def mcts_search(
     0
     """
     config = SearchConfig.of(config, **fields)
+    # A repeated axis would enumerate every one of its actions twice.
+    axes = list(dict.fromkeys(axes))
     backend = config.backend
     fired_before = faults.fired_count()
     server_circuit_open = False
@@ -567,10 +554,8 @@ def mcts_search(
         cost=best_cost,
         evaluations=evaluator.evaluations,
         cache_hits=evaluator.cache_hits,
-        propagate_calls=(stats_after[0] - stats_before[0]
-                         + evaluator.remote_propagate_calls),
-        ops_processed=(stats_after[2] - stats_before[2]
-                       + evaluator.remote_ops_processed),
+        propagate_calls=stats_after[0] - stats_before[0],
+        ops_processed=stats_after[2] - stats_before[2],
         estimate_ops_reused=evaluator.estimate_ops_reused,
         propagate_time_s=evaluator.propagate_time_s,
         estimate_time_s=evaluator.estimate_time_s,
@@ -580,8 +565,6 @@ def mcts_search(
         action_space=config.action_space,
         prefix_reuse_ratio=evaluator.prefix_reuse_ratio,
         waves=scheduler.waves,
-        wave_lcp_mean=(scheduler.wave_lcp_actions / scheduler.wave_lcp_pairs
-                       if scheduler.wave_lcp_pairs else 0.0),
         actions_truncated=actions_truncated,
         candidates_total=candidates_total,
         candidates_kept=len(candidates),

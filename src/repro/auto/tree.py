@@ -49,7 +49,7 @@ def _stable_hash(payload) -> int:
 class Node:
     __slots__ = ("action", "parent", "children", "visits", "total",
                  "untried", "action_set", "depth", "node_id", "draws",
-                 "virtual_loss", "tour_path")
+                 "virtual_loss")
 
     def __init__(self, action: Action, parent: Optional["Node"],
                  untried: List[Action]):
@@ -68,19 +68,6 @@ class Node:
             base | {action} if action is not None else base
         )
         self.depth = parent.depth + 1 if parent is not None else 0
-        # Position of this node in the tree's Euler tour: the sequence of
-        # child indices from the root.  Sorting leaves by ``tour_path``
-        # (lexicographic) lays a wave out in depth-first tree order, so
-        # consecutive rollouts come from neighboring subtrees — the
-        # prefix-aware wave ordering the schedulers use to keep the undo
-        # engine's rollback/extend distance short.  A node is constructed
-        # *before* being appended to ``parent.children``, so its index is
-        # ``len(parent.children)`` at construction time; expansion order is
-        # deterministic per seed, hence so is the tour.
-        self.tour_path: Tuple[int, ...] = (
-            parent.tour_path + (len(parent.children),)
-            if parent is not None else ()
-        )
         self.node_id = _stable_hash(
             (self.depth, action, tuple(sorted(self.action_set)))
         )

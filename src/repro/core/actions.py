@@ -282,7 +282,3 @@ def find_tagged(function: Function, name: str) -> Value:
         if op.opcode == "tag" and op.attrs.get("name") == name:
             return op.results[0]
     raise KeyError(f"no tag named {name!r} in @{function.name}")
-
-
-def input_values_by_name(function: Function) -> Dict[str, Value]:
-    return dict(zip(function.input_names, function.params))

@@ -36,9 +36,6 @@ class Factor:
     def in_entries(self):
         return [e for e in self.entries if e[0] == "in"]
 
-    def out_entries(self):
-        return [e for e in self.entries if e[0] == "out"]
-
 
 @dataclasses.dataclass(eq=False)
 class OpShardingRule:

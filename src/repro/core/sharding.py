@@ -138,7 +138,7 @@ class Sharding:
         Stable for the lifetime of the process (but *process-local*: cross-
         process keys use :meth:`signature`/:meth:`to_portable`, which are
         equal exactly when iids are).  The streaming evaluator keys its
-        per-op plan memos on tuples of iids instead of nested signature
+        per-op segment memos on tuples of iids instead of nested signature
         tuples — hashing a few ints instead of re-hashing axis strings.
         """
         try:

@@ -21,11 +21,6 @@ class ShardingError(ReproError):
     """An invalid sharding action was requested (e.g. indivisible dim)."""
 
 
-class PropagationConflict(ReproError):
-    """Raised only when a conflict must abort; conflicts during propagation
-    are normally *recorded* (propagation blocks) rather than raised."""
-
-
 class LoweringError(ReproError):
     """Core -> SPMD lowering failed."""
 

@@ -70,7 +70,3 @@ def get(name: str) -> OpDef:
 
 def is_registered(name: str) -> bool:
     return name in _REGISTRY
-
-
-def all_ops() -> Dict[str, OpDef]:
-    return dict(_REGISTRY)

@@ -50,10 +50,6 @@ class Value:
     def dtype(self):
         return self.type.dtype
 
-    @property
-    def is_param(self) -> bool:
-        return self.producer is None
-
     def __repr__(self) -> str:
         label = self.name or f"v{self.uid}"
         return f"%{label}: {self.type}"

@@ -45,9 +45,6 @@ class Mesh:
                 f"mesh has no axis {axis!r}; axes: {self.axis_names}"
             )
 
-    def has_axis(self, axis: str) -> bool:
-        return axis in self.axes
-
     def device_coords(self) -> Iterable[Dict[str, int]]:
         """Iterate coordinates of every device as {axis: index} dicts."""
         names = self.axis_names

@@ -7,8 +7,8 @@ transfers" — this module does exactly that over device-local programs:
 * compute time  = local FLOPs / (peak FLOPs x efficiency),
 * collective time from standard ring-style byte costs over the mesh axes the
   collective spans,
-* step time = max(compute, comm) when overlap is assumed (plus per-collective
-  launch latencies),
+* step time = max(compute, comm): collectives run concurrently with
+  compute (per-collective launch latencies included in comm),
 * peak memory from live-range analysis (:mod:`repro.sim.memory`).
 
 One reference and one fast path produce identical numbers, because both
@@ -22,13 +22,13 @@ and append the same live-range records:
 * :meth:`StreamingEstimator.estimate_incremental` — the fast path the
   automatic-partitioning search uses — prices the lowerer's *plans*
   (:meth:`~repro.spmd.lower.Lowerer._plan_op` / ``_plan_loop``) without
-  lowering the program.  Per-op plans and whole reconcile-chain costs are
-  memoized on sharding signatures; an evaluation of a mutated env
-  *refreshes* only the ops whose neighborhood changed (O(dirty)) and then
-  *folds* the whole function once, replaying each op's precompiled segment
-  into a :class:`~repro.sim.terms.TermSum` and a
-  :class:`~repro.sim.memory.LiveRangeLog`; loop regions are priced by the
-  same refresh and fold, recursively.  A fresh estimator (or
+  lowering the program.  Per-op segments (an op's plan, priced) and whole
+  reconcile-chain costs are memoized on sharding signatures; an
+  evaluation of a mutated env *refreshes* only the ops whose neighborhood
+  changed (O(dirty)) and then *folds* the whole function once, replaying
+  each op's precompiled segment into a :class:`~repro.sim.terms.TermSum`
+  and a :class:`~repro.sim.memory.LiveRangeLog`; loop regions are priced
+  by the same refresh and fold, recursively.  A fresh estimator (or
   ``changed_values=None``) refreshes every op.  This module emits nothing
   and fuses nothing itself: a reconcile chain is recorded by running the
   lowerer's own ``_reconcile`` into a scratch builder and the reference
@@ -60,8 +60,8 @@ from repro.spmd.fusion import fuse_collectives
 from repro.spmd.lower import LoweredModule, Lowerer, required_of
 
 
-def _estimate_function(function: Function, mesh: Mesh, device: DeviceSpec,
-                       overlap: bool = True) -> CostEstimate:
+def _estimate_function(function: Function, mesh: Mesh,
+                       device: DeviceSpec) -> CostEstimate:
     acc = TermSum()
     for op in function.ops:
         if op.opcode in opdefs.LOOP_OPS:
@@ -72,14 +72,12 @@ def _estimate_function(function: Function, mesh: Mesh, device: DeviceSpec,
         else:
             acc.add(op_terms(op.opcode, op.attrs, op.operands, op.results,
                              mesh, device))
-    return acc.total(overlap)
+    return acc.total()
 
 
-def estimate(lowered: LoweredModule, device: DeviceSpec,
-             overlap: bool = True) -> CostEstimate:
+def estimate(lowered: LoweredModule, device: DeviceSpec) -> CostEstimate:
     """Estimate one step of the partitioned program on ``device``."""
-    result = _estimate_function(lowered.function, lowered.mesh, device,
-                                overlap)
+    result = _estimate_function(lowered.function, lowered.mesh, device)
     result.peak_memory_bytes = peak_live_bytes(lowered.function)
     return result
 
@@ -108,8 +106,8 @@ def objective_lower_bound(estimate: CostEstimate, device: DeviceSpec,
     FLOPs (and a tensor's local bytes) at most once — so no extension can
     shrink the per-device compute term or the peak-memory term below the
     current value divided by ``free_parallelism``.  Communication is
-    bounded below by zero and ``runtime >= compute`` under the overlap
-    model, while the out-of-memory penalty of :func:`search_objective` is
+    bounded below by zero and ``runtime = max(compute, comm) >=
+    compute``, while the out-of-memory penalty of :func:`search_objective` is
     monotone in peak memory — evaluating it at the shrunken peak keeps
     the bound admissible.  The branch-and-bound solver
     (:mod:`repro.auto.exact`) prunes a subtree when this bound already
@@ -145,14 +143,15 @@ class StreamingEstimator:
     """``lower -> fuse_collectives -> estimate``, priced from lowering
     *plans* without materializing the program.
 
-    Reusable across many envs over the *same* function (the MCTS evaluates
-    thousands): per-op lowering plans are memoized on the interned ids of
-    the op's adjacent shardings, and whole reconcile chains on ``(local
-    type, source layout, target layout, reduced axes)``, so evaluating an
-    env that differs from a previously-seen one only on part of the program
-    re-plans only that part.  ``ops_reused`` / ``ops_planned`` and
-    ``reconcile_hits`` / ``reconcile_misses`` count memo hits and misses
-    across the estimator's lifetime.
+    Built for one mutable env evaluated thousands of times (the MCTS's):
+    per-op *segments* — the op's lowering plan, priced — are memoized on
+    the interned ids of the op's adjacent shardings while the estimator
+    stays bound to that env, and whole reconcile chains on ``(local type,
+    source layout, target layout, reduced axes)`` for its lifetime, so a
+    state that differs from a seen one only on part of the program
+    re-plans only that part.  ``ops_reused`` / ``ops_planned`` count
+    segment hits and misses, ``reconcile_hits`` / ``reconcile_misses``
+    the chain memo's.
     """
 
     def __init__(self, function: Function, mesh: Mesh, device: DeviceSpec):
@@ -163,9 +162,6 @@ class StreamingEstimator:
         self.ops_reused = 0
         self.reconcile_hits = 0
         self.reconcile_misses = 0
-        # id(op) -> {adjacent-sharding iid tuple -> _OpPlan}.  Keying on
-        # id() is safe: self.function keeps every op (and region op) alive.
-        self._plans: Dict[int, Dict[tuple, object]] = {}
         # (local type, source layout iid, target layout, reduced axes) ->
         # the chain's _ChainSteps.
         self._chains: Dict[tuple, Tuple[_ChainStep, ...]] = {}
@@ -173,21 +169,7 @@ class StreamingEstimator:
         #: undo-log rollout evaluator's); see :meth:`estimate_incremental`.
         self._inc: Optional["_IncrementalEstimate"] = None
 
-    def __getstate__(self):
-        """Pickle support for shipping the estimator to search workers.
-
-        The memo tables are process-local (plans key on ``id(op)`` and
-        intern ids; both rebuild lazily and cheaply), so they are dropped
-        rather than serialized — the worker starts with warm code, cold
-        caches."""
-        state = self.__dict__.copy()
-        state["_plans"] = {}
-        state["_inc"] = None
-        state["_chains"] = {}
-        return state
-
-    def estimate_incremental(self, env, changed_values=None,
-                             overlap: bool = True) -> CostEstimate:
+    def estimate_incremental(self, env, changed_values=None) -> CostEstimate:
         """Exact re-estimation of one *mutable* env: O(changed ops) to
         refresh, one linear fold to sum.
 
@@ -223,7 +205,7 @@ class StreamingEstimator:
             if (window is None or window[1] != env.write_serial
                     or window[0] > inc.synced_serial):
                 changed_values = None
-        result = inc.run(changed_values, overlap)
+        result = inc.run(changed_values)
         inc.synced_serial = env.write_serial
         return result
 
@@ -335,7 +317,7 @@ class _IncrementalEstimate:
 
     # -- refresh ------------------------------------------------------------
 
-    def run(self, changed_values, overlap: bool) -> CostEstimate:
+    def run(self, changed_values) -> CostEstimate:
         sharding = self.env.sharding
         top = self._top
         if changed_values is None:
@@ -366,7 +348,7 @@ class _IncrementalEstimate:
         self._refresh(top, dirty)
         boundary = self._boundary(
             top, [sharding(p) for p in top.function.params], None)
-        return self._replay(boundary, overlap)
+        return self._replay(boundary)
 
     def _refresh(self, region: _Region, indices) -> None:
         """Bring ``region.current[i]`` up to the env for each ``i``."""
@@ -397,7 +379,7 @@ class _IncrementalEstimate:
                     segment = ("alias", unit.op.operands[0],
                                unit.op.results[0])
                 else:
-                    segment = self._resolve_plain(unit.op, sig)
+                    segment = self._resolve_plain(unit.op)
                 unit.segments[sig] = segment
             else:
                 estimator.ops_reused += 1
@@ -405,7 +387,7 @@ class _IncrementalEstimate:
 
     # -- fold ---------------------------------------------------------------
 
-    def _replay(self, boundary: tuple, overlap: bool) -> CostEstimate:
+    def _replay(self, boundary: tuple) -> CostEstimate:
         """The program's fold, behind the whole-state memo."""
         # Whole-state fingerprint: segments are memoized per signature
         # (and never dropped, so ids are never recycled) — identical env
@@ -413,13 +395,13 @@ class _IncrementalEstimate:
         # fingerprints fold to the same estimate, bit for bit.
         memo = self._memo
         current = self._top.current
-        memo_key = (overlap, id(boundary[0]), id(boundary[1]),
+        memo_key = (id(boundary[0]), id(boundary[1]),
                     tuple(map(id, current)))
         hit = memo.get(memo_key)
         if hit is None:
             if len(memo) >= 1024:
                 memo.clear()
-            est, peak, site_hits = self._fold(boundary, current, overlap)
+            est, peak, site_hits = self._fold(boundary, current)
             est.peak_memory_bytes = peak
             hit = memo[memo_key] = (est, site_hits)
         est, site_hits = hit
@@ -435,11 +417,11 @@ class _IncrementalEstimate:
         targets — the same refresh and fold the program gets."""
         self._refresh(region, range(len(region.units)))
         boundary = self._boundary(region, param_shardings, result_targets)
-        est, peak, _ = self._fold(boundary, region.current, True)
+        est, peak, _ = self._fold(boundary, region.current)
         return est, peak, sum(nbytes for _, nbytes in boundary[0][0])
 
-    def _fold(self, boundary: tuple, segments,
-              overlap: bool) -> Tuple[CostEstimate, int, int]:
+    def _fold(self, boundary: tuple,
+              segments) -> Tuple[CostEstimate, int, int]:
         """The one fold: replay a function's boundary and op segments.
 
         Segments carry *stable* uids: def pairs, chain records past the
@@ -511,7 +493,7 @@ class _IncrementalEstimate:
                 value_uids[result] = uid
         site_hits += len(sites)
         result_uids = [replay_site(s) for s in sites]
-        return acc.total(overlap), log.peak_bytes(result_uids), site_hits
+        return acc.total(), log.peak_bytes(result_uids), site_hits
 
     def _boundary(self, region: _Region, param_shardings,
                   result_targets) -> tuple:
@@ -647,17 +629,9 @@ class _IncrementalEstimate:
         return ("op", tuple(sites), defs, alias, extra, parts,
                 tuple(tail_records), result_items)
 
-    def _resolve_plain(self, op, sig: tuple) -> tuple:
-        estimator = self.estimator
-        plans = estimator._plans.get(id(op))
-        if plans is None:
-            plans = estimator._plans[id(op)] = {}
-        plan = plans.get(sig)
-        if plan is None:
-            plan = plans[sig] = self._lowerer._plan_op(op)
-            estimator.ops_planned += 1
-        else:
-            estimator.ops_reused += 1
+    def _resolve_plain(self, op) -> tuple:
+        plan = self._lowerer._plan_op(op)
+        self.estimator.ops_planned += 1
         sites = tuple(
             self._resolve_site(operand, plan.operand_shardings[i],
                                plan.required[i], plan.allowed_pending[i])

@@ -225,9 +225,11 @@ class TermSum:
     >>> acc = TermSum()
     >>> acc.add([("cs", 0.1), ("cs", 0.2), ("co", "all_reduce", 0.3),
     ...          ("co", "all_slice", 0.0), ("cp", 0.25)])
-    >>> est = acc.total(overlap=False)
-    >>> est.comm_s, est.runtime_s, est.collective_time_s
-    (0.30000000000000004, 0.55, {'all_reduce': 0.3, 'all_slice': 0.0})
+    >>> est = acc.total()
+    >>> est.compute_s, est.comm_s, est.runtime_s
+    (0.25, 0.30000000000000004, 0.30000000000000004)
+    >>> est.collective_time_s
+    {'all_reduce': 0.3, 'all_slice': 0.0}
     """
 
     __slots__ = ("fl", "cp", "cb", "cs", "co")
@@ -262,17 +264,17 @@ class TermSum:
         self.cs.extend(cs)
         self.co.extend(co)
 
-    def total(self, overlap: bool = True) -> CostEstimate:
+    def total(self) -> CostEstimate:
         """Finalise into a :class:`CostEstimate`: step time is
-        ``max(compute, comm)`` when overlap is assumed, their sum otherwise
-        (peak memory is the caller's to fill in).  A ``collective_time_s``
-        key exists iff a ``"co"`` term named it."""
+        ``max(compute, comm)`` — collectives overlap compute — and peak
+        memory is the caller's to fill in.  A ``collective_time_s`` key
+        exists iff a ``"co"`` term named it."""
         coll: Dict[str, list] = {}
         for opcode, seconds in self.co:
             coll.setdefault(opcode, []).append(seconds)
         compute_s = math.fsum(self.cp)
         comm_s = math.fsum(self.cs)
-        runtime_s = max(compute_s, comm_s) if overlap else compute_s + comm_s
+        runtime_s = max(compute_s, comm_s)
         return CostEstimate(
             runtime_s, compute_s, comm_s, math.fsum(self.fl),
             math.fsum(self.cb), 0.0,

@@ -12,10 +12,6 @@ from typing import Any, Callable, Dict, List, Tuple
 Leaf = Any
 
 
-def is_leaf(obj: Any) -> bool:
-    return not isinstance(obj, (dict, list, tuple))
-
-
 def flatten(tree: Any) -> Tuple[List[Leaf], Any]:
     """Flatten a pytree; returns (leaves, treedef).
 

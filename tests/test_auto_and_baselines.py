@@ -63,6 +63,34 @@ class TestAutomaticPartition:
         sharding = env.sharding(tf.function.params[2])
         assert sharding.dim_axes[0][0] == "batch"
 
+    def test_repeated_axis_searches_what_the_single_axis_searches(self):
+        """Naming an axis twice used to double the action space: every
+        duplicate was a second untried child in the tree and a second
+        probe in the condenser, which kept both copies."""
+        traced = trace(lambda w, x: ops.reduce_sum(x @ w),
+                       ShapeDtype((16, 16)), ShapeDtype((8, 16)))
+        mesh = Mesh({"d": 2, "m": 2})
+        once, twice = (
+            mcts_search(traced.function, ShardingEnv(mesh), axes,
+                        device=TINY_DEVICE, budget=12, seed=3)
+            for axes in (["d"], ["d", "d"]))
+        assert twice.candidates_total == once.candidates_total == 9
+        assert twice.candidates_kept == once.candidates_kept
+        assert twice.actions == once.actions
+        assert twice.cost == once.cost
+        assert twice.evaluations == once.evaluations
+        searches = []
+        for axes in (["d"], ["d", "d"], ["d", "m", "d"]):
+            tactic = AutomaticPartition(
+                axes, {"budget": 12, "seed": 3, "device": TINY_DEVICE})
+            tactic.apply(traced.function, ShardingEnv(mesh))
+            searches.append((tactic.axes, tactic.last_search))
+        assert [axes for axes, _ in searches] == [["d"], ["d"], ["d", "m"]]
+        for field in ("candidates_total", "actions", "cost"):
+            assert (getattr(searches[1][1], field)
+                    == getattr(searches[0][1], field)
+                    == getattr(once, field)), field
+
     def test_search_is_deterministic_for_a_seed(self):
         tf = _mlp_traced()
         env = ShardingEnv(Mesh({"batch": 4}))

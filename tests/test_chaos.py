@@ -393,7 +393,7 @@ class TestProcessChaos:
             for wave, restarts in ((keys[:2], 0), (keys[2:3], 1),
                                    (keys[3:], 2)):
                 started = time.monotonic()
-                costs = scheduler._evaluate_wave(evaluator, wave, {})
+                costs = scheduler._evaluate_wave(evaluator, wave)
                 assert time.monotonic() - started < 1.0
                 assert costs == {key: expected.evaluate(key)
                                  for key in wave}

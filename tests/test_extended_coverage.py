@@ -161,12 +161,9 @@ class TestCostModelFormulas:
         propagate(function, env)
         lowered = lower(function, env)
         lowered.function = fuse_collectives(lowered.function)
-        overlapped = estimate(lowered, TPU_V3, overlap=True)
-        sequential = estimate(lowered, TPU_V3, overlap=False)
-        assert sequential.runtime_s >= overlapped.runtime_s
-        assert overlapped.runtime_s == pytest.approx(
-            max(overlapped.compute_s, overlapped.comm_s)
-        )
+        est = estimate(lowered, TPU_V3)
+        assert est.comm_s > 0 and est.compute_s > 0
+        assert est.runtime_s == max(est.compute_s, est.comm_s)
 
     def test_scan_scales_cost_by_trip_count(self):
         def loop(x, w):

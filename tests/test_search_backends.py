@@ -4,8 +4,7 @@ Evaluation purity (a canonical action set's cost is independent of who
 scores it) plus per-rollout RNG streams derived from ``(seed, node id)``
 make every backend reproducible, and make ``serial``/``batched``/
 ``process`` agree on the best actions/cost for a fixed seed.  The process
-backend's worker transport (portable env state, picklable estimator) is
-covered here too.
+backend's worker transport (portable env state) is covered here too.
 """
 
 import pickle
@@ -16,7 +15,9 @@ from oracle import reference_cost, reference_estimate
 from repro import Mesh, ShapeDtype, trace
 from repro.core.sharding import ShardingEnv
 from repro.auto.evaluator import Evaluator
+from repro.auto.scheduler import ProcessScheduler, RolloutScheduler
 from repro.auto.search import mcts_search
+from repro.auto.tree import Node
 from repro.sim import DeviceSpec, costmodel
 from repro.trace import ops
 
@@ -177,18 +178,116 @@ class TestWorkerTransport:
         assert state == pickle.loads(pickle.dumps(state))
         assert all(isinstance(index, int) for index, _ in state)
 
-    def test_streaming_estimator_pickles_and_drops_memos(self):
-        function, _ = build_matmul_chain()
-        env = ShardingEnv(MESH)
-        estimator = costmodel.StreamingEstimator(function, MESH, TINY_DEVICE)
-        before = estimator.estimate_incremental(env)
-        assert estimator._plans  # warm
 
-        clone = pickle.loads(pickle.dumps(estimator))
-        assert clone._plans == {} and clone._chains == {}
-        assert clone.estimate_incremental(
-            ShardingEnv(MESH)
-        ) == before  # cold caches, same numbers
+class _NullConnection:
+    def close(self):
+        pass
+
+
+class _UnforkedScheduler(ProcessScheduler):
+    """A fan-out scheduler that opens no worker: placement is the subject."""
+
+    def _open(self, worker):
+        return _NullConnection()
+
+
+class _ScriptedPolicy:
+    def __init__(self, rollouts):
+        self._rollouts = iter(rollouts)
+
+    def next_rollout(self):
+        return next(self._rollouts)
+
+
+class _RecordingEvaluator:
+    def __init__(self):
+        self.calls = []
+
+    def evaluate(self, key):
+        self.calls.append(key)
+        return float(len(key))
+
+
+class TestCanonicalWaveOrder:
+    """Sorted canonical order is the scheduler's only order."""
+
+    A, B, C, D = ((0, 0, 0, "B"), (0, 0, 1, "M"), (0, 1, 0, "B"),
+                  (0, 1, 1, "M"))
+
+    def _placed(self, workers, wave, earlier=()):
+        function, _ = build_matmul_chain()
+        scheduler = _UnforkedScheduler(workers=workers)
+        scheduler.prepare(Evaluator(function, ShardingEnv(MESH), TINY_DEVICE))
+        try:
+            for other in earlier:
+                scheduler._route_wave(sorted(other))
+            return scheduler._route_wave(sorted(wave))
+        finally:
+            scheduler.shutdown()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_fan_out_placement_is_a_function_of_the_wave(self, workers):
+        A, B, C, D = self.A, self.B, self.C, self.D
+        keys = [(A, B, C), (B,), (A,), (C, D), (A, B), (D,), (B, D)]
+        history = [[(D,), (C, D), (B,)], [(A, B), (B, D)], [(A,)]]
+        for size in range(1, len(keys) + 1):
+            wave = keys[:size]
+            placed = self._placed(workers, wave)
+            # Worker w scores the w-th contiguous run of the sorted misses.
+            assert list(placed) == list(range(len(placed)))
+            assert sum(placed.values(), []) == sorted(wave)
+            assert max(map(len, placed.values())) <= -(-size // workers)
+            # ... whatever was routed before.
+            assert self._placed(workers, wave, earlier=history) == placed
+
+    def test_batched_wave_is_scored_in_sorted_key_order(self):
+        """Once per distinct key, sorted, wave by wave — wherever in the
+        tree the leaves sit; results still back up in wave order."""
+        A, B, C, D = self.A, self.B, self.C, self.D
+        root = Node(None, None, [])
+        first, second = Node(C, root, []), Node(A, root, [])
+        root.children += [first, second]
+        rollouts = [(first, (C, D)), (second, (A,)), (first, (C, D)),
+                    (root, (B,)),
+                    (second, (A, B)), (first, (C,)), (root, ()),
+                    (second, (A, B))]
+        evaluator = _RecordingEvaluator()
+        results = []
+        scheduler = RolloutScheduler("batched", wave_size=4)
+        scheduler.run(_ScriptedPolicy(rollouts), evaluator, len(rollouts),
+                      1.0, lambda key, cost: results.append(key))
+        assert evaluator.calls == [(A,), (B,), (C, D),
+                                   (), (A, B), (C,)]
+        assert results == [key for _, key in rollouts]
+        assert scheduler.waves == 2
+        assert root.visits == len(rollouts) and root.virtual_loss == 0
+
+    #: ``_search(_mlp_traced().function, ...)`` at the parent of the PR
+    #: that deleted the estimator's ``id(op)`` plan memo, the Euler-tour
+    #: wave order and the ``remote_*`` counter mirrors.
+    PARENT = dict(
+        actions=[(0, 2, 0, "B"), (0, 2, 0, "M")],
+        cost=0.00010652903225806452, evaluations=20, cache_hits=7,
+        prefix_reuse_ratio=2 / 33, waves=24)
+    PARENT = {
+        "serial": dict(
+            PARENT, estimate_ops_reused=71, reconcile_chain_hits=248,
+            propagate_calls=51, ops_processed=534),
+        # One worker, waves of one: every evaluation happens in the worker
+        # and every one of its counter deltas is folded into the counter
+        # it is a delta of.
+        "process": dict(
+            PARENT, estimate_ops_reused=64, reconcile_chain_hits=255,
+            propagate_calls=52, ops_processed=549),
+    }
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_fixed_seed_counters_equal_the_parents(self, backend):
+        knobs = dict(workers=1, wave_size=1) if backend == "process" else {}
+        result = _search(_mlp_traced().function, backend=backend, **knobs)
+        assert result.backend == backend and not result.degraded_to
+        for field, expected in self.PARENT[backend].items():
+            assert getattr(result, field) == expected, field
 
 
 class TestReconcileChainCache:
