@@ -266,8 +266,8 @@ class AutomaticPartition(Tactic):
     >>> _, meta = partir_jit(traced, Mesh({"d": 2}), [tactic],
     ...                      estimate_per_tactic=False)
     >>> result = tactic.last_search
-    >>> result.action_space, result.backend
-    ('tagged', 'serial')
+    >>> result.plan_source, result.backend
+    ('local', 'serial')
     >>> result.evaluations + result.cache_hits >= 4  # one per rollout
     True
     """
@@ -276,14 +276,12 @@ class AutomaticPartition(Tactic):
                  options: Optional[Dict[str, Any]] = None,
                  search_backend: Optional[str] = None,
                  cache_dir: Optional[str] = None,
-                 action_space: Optional[str] = None,
                  plan_server: Optional[str] = None,
                  prune: Optional[bool] = None):
         # A repeated axis names no new action: ["b", "b"] searches ["b"].
         self.axes = list(dict.fromkeys(axes))
         self.options = dict(options or {})
         shorthands = {"backend": search_backend, "cache_dir": cache_dir,
-                      "action_space": action_space,
                       "plan_server": plan_server, "prune": prune}
         self.options.update(
             (key, value) for key, value in shorthands.items()

@@ -24,11 +24,7 @@ Package map:
 """
 
 from repro.auto.cache import TranspositionTable, function_fingerprint
-from repro.auto.evaluator import (
-    ACTION_SPACES,
-    Evaluator,
-    candidate_actions,
-)
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.exact import ExactBudgetExceeded, ExactResult, exact_search
 from repro.auto.fingerprint import (
     CanonicalForm,
@@ -52,7 +48,6 @@ from repro.auto.search import (
 from repro.auto.tree import TreePolicy, canonical_key
 
 __all__ = [
-    "ACTION_SPACES",
     "candidate_actions",
     "BACKENDS",
     "CanonicalForm",

@@ -228,7 +228,6 @@ class TranspositionTable:
         self.hits = 0
         self.warm_hits = 0
         self.compactions = 0
-        self.evictions = 0
         self._costs: Dict[ActionKey, float] = {}
         self._warm: Set[ActionKey] = set()
         self._pending: List[Tuple[ActionKey, float]] = []
@@ -297,10 +296,10 @@ class TranspositionTable:
         seeds its incumbent from this, so a second call can never report a
         worse schedule than what earlier calls already scored.
 
-        ``key_filter`` restricts the scan (e.g. to input-tiling-only keys
-        when the caller searches ``action_space="inputs"`` — logs are
-        shared per fingerprint across action spaces, and a narrower search
-        must never adopt an incumbent it is not allowed to propose)."""
+        ``key_filter`` restricts the scan (e.g. to keys on the caller's
+        axes — logs are shared per fingerprint across axis subsets, and a
+        narrower search must never adopt an incumbent it is not allowed to
+        propose)."""
         best = None
         for key, cost in self._costs.items():
             if key_filter is not None and not key_filter(key):
@@ -342,30 +341,14 @@ class TranspositionTable:
         self._pending = []
         self._probe_pending = []
 
-    def compact(self, max_entries: Optional[int] = None) -> None:
+    def compact(self) -> None:
         """Rewrite the log keeping exactly one (the newest) record per key.
 
         The in-memory table — already the last-record-wins replay of the
         log, with any torn tail skipped — *is* the compacted content, so
         hits and values are unchanged by construction.  The rewrite is
         crash-safe (:func:`replace_file`).
-
-        ``max_entries`` additionally caps the table LRU-style: cost
-        entries beyond the cap are evicted oldest-first-stored (dict
-        insertion order — the log replay order, so a long-lived cache dir
-        sheds its most ancient scores first) and counted in
-        ``self.evictions``.  The cap applies to in-memory tables too; only
-        the rewrite step needs a ``path``.
         """
-        if max_entries is not None and max_entries >= 0:
-            while len(self._costs) > max_entries:
-                oldest = next(iter(self._costs))
-                del self._costs[oldest]
-                self._warm.discard(oldest)
-                self.evictions += 1
-            if self._pending:
-                self._pending = [entry for entry in self._pending
-                                 if entry[0] in self._costs]
         if self.path is None:
             return
         replace_file(self.path, _log_lines(self._costs.items(),

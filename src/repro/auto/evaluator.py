@@ -59,31 +59,25 @@ from repro.sim.devices import DeviceSpec
 from repro.auto.cache import TranspositionTable
 from repro.auto.tree import ActionKey, canonical_key
 
-#: Valid action spaces: ``"inputs"`` is the classic input-tilings-only
-#: space; ``"tagged"`` (default) additionally enumerates mid-function
-#: ``TileTagged``/``SumTagged`` actions at the function's tag points.
-ACTION_SPACES = ("inputs", "tagged")
-
 
 def candidate_actions(function: Function, env: ShardingEnv,
                       axes: Sequence[str],
                       max_inputs: int = 48,
-                      action_space: str = "tagged",
                       max_tag_points: int = 16,
                       truncation: Optional[Dict[str, int]] = None
                       ) -> List[Tuple[int, int, int, str]]:
-    """Enumerate the legal actions of the (possibly widened) action space.
+    """Enumerate the legal actions of the search's one action space.
 
     Actions are uniform wire tuples ``(kind, index, dim, axis)`` — see the
     kind table in :mod:`repro.core.actions`.  The enumeration order is a
-    **documented total order** over the widened space:
+    **documented total order**:
 
     1. **Input tilings** (``TILE_INPUT``): parameters by ``(nbytes
        descending, param index ascending)``, capped at ``max_inputs``;
        per parameter by ``(axis in the caller's given order, dim
        ascending)``.  A parameter value bound to several function inputs
        is enumerated once, at its smallest index.
-    2. **Tag-point actions** (``action_space="tagged"`` only): tag points
+    2. **Tag-point actions**: tag points
        by ``(tagged-value nbytes descending, tag-point index ascending)``,
        capped at ``max_tag_points``; per point by ``(axis in the caller's
        given order)``, within an axis first ``TileTagged`` with dim
@@ -95,7 +89,7 @@ def candidate_actions(function: Function, env: ShardingEnv,
        budget.
        Distinct results of one multi-result op (scan carries) have
        distinct roots and are all enumerated.
-    3. **Pipeline actions** (``action_space="tagged"`` only): loop ops by
+    3. **Pipeline actions**: loop ops by
        canonical pre-order walk index
        (:func:`repro.core.pipeline.loop_ops`); per loop by ``(axis in the
        caller's given order, schedule id ascending)``.  Only loops whose
@@ -116,11 +110,6 @@ def candidate_actions(function: Function, env: ShardingEnv,
     :func:`repro.auto.search.mcts_search` warns once per process and
     records ``SearchResult.actions_truncated``).
     """
-    if action_space not in ACTION_SPACES:
-        raise ValueError(
-            f"unknown action_space {action_space!r}; "
-            f"expected one of {ACTION_SPACES}"
-        )
     if truncation is not None:
         truncation.setdefault("inputs", 0)
         truncation.setdefault("tag_points", 0)
@@ -140,8 +129,6 @@ def candidate_actions(function: Function, env: ShardingEnv,
             for dim in range(len(param.type.shape)):
                 if tile_legal(env, param, dim, axis):
                     actions.append((TILE_INPUT, index, dim, axis))
-    if action_space != "tagged":
-        return actions
     seen_roots = set()
     points = []
     for point in tag_points(function):

@@ -92,15 +92,14 @@ def exact_search(
     uses, so `mcts best == exact best` is a meaningful equality.
 
     Of ``config`` only the fields describing the candidate space are read
-    (``prune``, ``max_inputs``, ``action_space``, ``max_tag_points``) and
-    ``cache_dir``, which reuses persisted condenser probe signatures and
-    contributes every scored subset back to the transposition log.
+    (``prune``, ``max_inputs``, ``max_tag_points``) and ``cache_dir``,
+    which reuses persisted condenser probe signatures and contributes
+    every scored subset back to the transposition log.
     """
     config = config or SearchConfig()
     table = table_for(config.cache_dir, function, env.mesh, device, env)
     evaluator = Evaluator(function, env, device, table=table)
     candidates = candidate_actions(function, env, axes, config.max_inputs,
-                                   action_space=config.action_space,
                                    max_tag_points=config.max_tag_points)
     prune_classes = 0
     if config.prune and candidates:

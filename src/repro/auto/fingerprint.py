@@ -8,7 +8,7 @@ but it makes near-identical programs share nothing: alpha-renaming a tag,
 or tracing ``f(x, w)`` as ``f(w, x)``, produces a different fingerprint
 for what is the same partitioning problem.
 
-This module adds the **relaxed tier**: a canonicalization pass that
+This module adds the **relaxed fingerprint**: a canonicalization pass that
 
 * renumbers values by a *stable topological order* derived from structural
   signatures (two rounds of Weisfeiler-Lehman-style refinement over the
@@ -21,10 +21,13 @@ This module adds the **relaxed tier**: a canonicalization pass that
   canonical numbering,
 
 so alpha-renamed or input-permuted-but-isomorphic programs land on the
-same relaxed key.  The exact fingerprint remains the correctness tier: a
-relaxed hit serves a *plan* (re-validated by application), never a blind
-cost override, and truly different programs (shapes, dtypes, mesh,
-device, initial shardings) hash differently in both tiers.
+same relaxed key — the plan server's one store key
+(:mod:`repro.auto.planstore`).  The exact fingerprint remains the
+correctness tier of the transposition log, whose recorded *costs* are
+replayed blindly; a relaxed hit serves a *plan* (re-validated by
+application), never a blind cost override, and truly different programs
+(shapes, dtypes, mesh, device, initial shardings) hash differently under
+both fingerprints.
 
 Because a plan's actions reference *local* indices (parameter positions,
 tag-point walk indices), a relaxed hit between two isomorphic programs
@@ -36,7 +39,8 @@ program's local index space and the shared canonical space.
 Caveats (documented, deliberate): ops that are *mutually
 indistinguishable* after two refinement rounds (structurally identical
 subgraphs fed identical inputs) may order arbitrarily — swapping them is
-cost-neutral by construction, which is all the relaxed tier promises.
+cost-neutral by construction, which is all the relaxed fingerprint
+promises.
 Region bodies (e.g. ``scan``) canonicalize recursively with positional
 carry parameters, since carries are semantically ordered.
 """
@@ -303,6 +307,13 @@ class CanonicalForm:
     canon_to_tag: Tuple[int, ...]
     loop_to_canon: Tuple[int, ...] = ()
     canon_to_loop: Tuple[int, ...] = ()
+
+    @property
+    def layout(self) -> Tuple[Tuple[int, ...], ...]:
+        """The local-to-canonical maps ``(params, tags, loops)``: two
+        programs with one digest and equal layouts decode a canonical plan
+        to the same local actions."""
+        return (self.param_to_canon, self.tag_to_canon, self.loop_to_canon)
 
     def _map_action(self, action, params, tags, loops):
         kind, index, dim, axis = action

@@ -1,31 +1,26 @@
 """The plan server's LRU-evicting plan store.
 
 One :class:`PlanStore` holds the partition plans a
-:class:`repro.auto.server.PlanServer` has computed, keyed on **two
-tiers**:
+:class:`repro.auto.server.PlanServer` has computed under **one key**:
+``(canonical digest, params key)`` — the canonicalized fingerprint of
+:mod:`repro.auto.fingerprint` plus the search's plan identity.
+Isomorphic programs (byte-identical repeats, alpha-renamed tags, permuted
+inputs) share one entry; plans are stored in *canonical* index space and
+translated into each requester's local space on the way out.
 
-* the **relaxed tier** — the canonicalized fingerprint of
-  :mod:`repro.auto.fingerprint` plus the search parameters, under which
-  isomorphic programs (alpha-renamed tags, permuted inputs) share one
-  entry; plans are stored in *canonical* index space and translated into
-  each requester's local space on the way out, and
-* the **exact tier** — every exact :func:`function_fingerprint` that was
-  ever served by an entry indexes back to it, so byte-identical programs
-  hit without any canonicalization subtleties.
+A hit is labelled ``"exact"`` when the requester's
+:attr:`~repro.auto.fingerprint.CanonicalForm.layout` equals the populating
+program's, which the record keeps: the translation is then the identity
+and the served actions are the populating search's, verbatim.  Any other
+hit is ``"relaxed"``: the actions were renumbered into another parameter /
+tag / loop order.  The label costs no second hash — a byte-identical
+program canonicalizes to the same digest *and* the same layout, so an
+exact-fingerprint index could only ever return the record this key does.
 
-The store is deliberately **read-optimized and write-expensive** (in the
-spirit of asymmetric-memory data structures: the read path is a dict
-probe plus a recency-pointer move; the write path may evict, rebuild the
-exact index, and rewrite the persistence log).  Reads vastly outnumber
-writes on a warm server, so that is the right asymmetry — it is the same
-design bias as the transposition table's append-only JSONL log, lifted
-from "never rewrite" to "rewrite rarely, on eviction only".
-
-Unlike the per-process JSONL tables (append-only, no eviction), the store
-**caps its footprint**: past ``max_entries`` the least-recently-used plan
-is dropped, together with its exact-tier index entries.  ``save``/``load``
-persist the store as one JSONL snapshot so a restarted daemon warms up
-from its predecessor's plans.
+The store **caps its footprint**: past ``max_entries`` the
+least-recently-used plan is dropped.  ``save``/``load`` persist the store
+as one JSONL snapshot so a restarted daemon warms up from its
+predecessor's plans.
 """
 
 from __future__ import annotations
@@ -45,22 +40,7 @@ from repro.auto.cache import (
 )
 from repro.auto.tree import ActionKey
 
-#: Environment variable overriding the default entry cap.
-ENV_MAX_ENTRIES = "PARTIR_PLAN_STORE_ENTRIES"
 DEFAULT_MAX_ENTRIES = 512
-
-
-def default_max_entries() -> int:
-    """The configured entry cap (``PARTIR_PLAN_STORE_ENTRIES`` or 512)."""
-    raw = os.environ.get(ENV_MAX_ENTRIES)
-    if raw:
-        try:
-            value = int(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_MAX_ENTRIES
 
 
 @dataclasses.dataclass
@@ -70,14 +50,16 @@ class PlanRecord:
     ``actions`` are canonical-space wire tuples (translate with
     :meth:`repro.auto.fingerprint.CanonicalForm.decode_key`); ``meta`` is
     the producing :class:`~repro.auto.search.SearchResult` rendered as a
-    plain dict.
+    plain dict (kept in the snapshot for operators, never served);
+    ``layout`` is the populating program's ``CanonicalForm.layout`` (None
+    for records saved before it was kept: every hit on them is relaxed).
     """
 
-    key: Tuple  # (relaxed digest, search-params key)
+    key: Tuple  # (canonical digest, search-params key)
     actions: ActionKey
     cost: float
     meta: Dict = dataclasses.field(default_factory=dict)
-    hits: int = 0
+    layout: Optional[Tuple] = None
 
     def to_json(self) -> dict:
         return {
@@ -85,6 +67,7 @@ class PlanRecord:
             "a": [list(action) for action in self.actions],
             "c": self.cost,
             "m": self.meta,
+            "l": _to_jsonable(self.layout),
         }
 
     @classmethod
@@ -94,24 +77,29 @@ class PlanRecord:
         # end their params key with its mode; the plan is the same search.
         if params and params[-1] in ("learned", "group", "none"):
             params = params[:-1]
+        # Stores saved while the action space was a plan-identity field
+        # carry it after ``max_inputs``.  "tagged" is the one space left;
+        # a plan searched without tag-point actions answers no request.
+        if len(params) > 6 and isinstance(params[6], str):
+            if params[6] != "tagged":
+                raise ValueError(f"retired action space {params[6]!r}")
+            params = params[:6] + params[7:]
         return cls(
             key=(digest, params),
             actions=_parse_key(record["a"]),
             cost=float(record["c"]),
             meta=dict(record.get("m", {})),
+            layout=_from_jsonable(record.get("l")),
         )
 
 
 class PlanStore:
-    """LRU map of ``(relaxed digest, params key) -> PlanRecord`` plus the
-    exact-fingerprint index.  Thread-safe; every public method takes the
-    store lock."""
+    """LRU map of ``(canonical digest, params key) -> PlanRecord``.
+    Thread-safe; every public method takes the store lock."""
 
-    def __init__(self, max_entries: Optional[int] = None):
-        self.max_entries = (max_entries if max_entries is not None
-                            else default_max_entries())
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
+        self.max_entries = max_entries
         self._records: "OrderedDict[Tuple, PlanRecord]" = OrderedDict()
-        self._exact: Dict[Tuple, Tuple] = {}  # (exact fp, params) -> key
         self._lock = threading.Lock()
         self.evictions = 0
         self.hits_exact = 0
@@ -122,46 +110,31 @@ class PlanStore:
         with self._lock:
             return len(self._records)
 
-    def lookup(self, exact_fp: str, digest: str,
-               params_key: Tuple) -> Optional[Tuple[PlanRecord, str]]:
-        """The freshest record for a request, with the tier that matched
-        (``"exact"`` | ``"relaxed"``), or None.  Counts the hit/miss and
-        refreshes recency; an exact probe that matches through the relaxed
-        key registers the exact fingerprint for next time."""
+    def lookup(self, digest: str, params_key: Tuple,
+               layout: Tuple) -> Optional[Tuple[PlanRecord, str]]:
+        """The record for a request with its label — ``"exact"`` when
+        ``layout`` equals the populating program's, else ``"relaxed"`` —
+        or None.  Counts the hit/miss and refreshes recency."""
+        key = (digest, params_key)
         with self._lock:
-            key = self._exact.get((exact_fp, params_key))
-            if key is not None:
-                record = self._records.get(key)
-                if record is not None:
-                    self._records.move_to_end(key)
-                    record.hits += 1
-                    self.hits_exact += 1
-                    return record, "exact"
-            record = self._records.get((digest, params_key))
-            if record is not None:
-                self._records.move_to_end((digest, params_key))
-                record.hits += 1
-                self.hits_relaxed += 1
-                self._exact[(exact_fp, params_key)] = (digest, params_key)
-                return record, "relaxed"
-            self.misses += 1
-            return None
+            record = self._records.get(key)
+            if record is None:
+                self.misses += 1
+                return None
+            self._records.move_to_end(key)
+            if record.layout == layout:
+                self.hits_exact += 1
+                return record, "exact"
+            self.hits_relaxed += 1
+            return record, "relaxed"
 
-    def put(self, record: PlanRecord, exact_fp: Optional[str] = None
-            ) -> None:
-        """Insert (or refresh) a record; evicts LRU entries past the cap,
-        dropping their exact-tier index entries with them."""
+    def put(self, record: PlanRecord) -> None:
+        """Insert (or refresh) a record; evicts LRU entries past the cap."""
         with self._lock:
             self._records[record.key] = record
             self._records.move_to_end(record.key)
-            if exact_fp is not None:
-                self._exact[(exact_fp, record.key[1])] = record.key
             while len(self._records) > self.max_entries:
-                evicted_key, _ = self._records.popitem(last=False)
-                self._exact = {
-                    probe: key for probe, key in self._exact.items()
-                    if key != evicted_key
-                }
+                self._records.popitem(last=False)
                 self.evictions += 1
 
     def stats(self) -> dict:
@@ -188,8 +161,8 @@ class PlanStore:
 
     def load(self, path: str) -> int:
         """Merge a snapshot in (newest-recency last); returns the number
-        of records loaded.  Corrupt lines are skipped — same discipline as
-        the transposition log."""
+        of records loaded.  Corrupt lines — and records of a retired
+        action space — are skipped, the transposition log's discipline."""
         if not os.path.exists(path):
             return 0
         loaded = 0

@@ -52,7 +52,6 @@ from repro.auto import faults
 from repro.auto import prune as prune_mod
 from repro.auto.cache import table_for
 from repro.auto.evaluator import (
-    ACTION_SPACES,
     Evaluator,
     candidate_actions,
     try_apply_action,
@@ -69,7 +68,7 @@ from repro.auto.tree import ActionKey, TreePolicy, canonical_key
 class SearchConfig:
     """Every parameter of one search, declared and validated once.
 
-    The first eight fields are the **plan identity**: two requests agreeing
+    The first seven fields are the **plan identity**: two requests agreeing
     on all of them (and on the function) are the same search, so they are
     what the plan server keys its store on (:meth:`plan_identity`) and all
     a plan request ships.  The remaining seven only decide *how* the
@@ -77,11 +76,11 @@ class SearchConfig:
 
     * ``budget`` rollouts of at most ``rollout_depth`` actions each, UCT
       constant ``exploration``, per-rollout RNG streams from ``seed``.
-    * ``action_space``: ``"tagged"`` — input tilings of the ``max_inputs``
-      largest parameters plus mid-function ``TileTagged``/``SumTagged``
-      actions at up to ``max_tag_points`` tag points (auto-emitted at
-      matmul/scan/reduce outputs; :mod:`repro.ir.tagpoints`) and PIPELINE
-      actions — or ``"inputs"``, the classic input-tilings-only space.
+    * The action space (:func:`~repro.auto.evaluator.candidate_actions`)
+      is input tilings of the ``max_inputs`` largest parameters plus
+      mid-function ``TileTagged``/``SumTagged`` actions at up to
+      ``max_tag_points`` tag points (auto-emitted at matmul/scan/reduce
+      outputs; :mod:`repro.ir.tagpoints`) and PIPELINE actions.
     * ``prune`` runs the action-space condenser (:mod:`repro.auto.prune`)
       before the first rollout: one propagation probe per candidate keeps
       one representative per propagation-equivalence class
@@ -126,7 +125,6 @@ class SearchConfig:
     exploration: float = 0.5
     seed: int = 0
     max_inputs: int = 48
-    action_space: str = "tagged"
     max_tag_points: int = 16
     prune: bool = True
     # -- execution only: everything below leaves the plan unchanged --------
@@ -159,12 +157,10 @@ class SearchConfig:
                     and name not in ("seed", "exploration")):
                 raise ValueError(
                     f"search option {name}={value!r} must not be negative")
-        for name, valid in (("action_space", ACTION_SPACES),
-                            ("backend", BACKENDS)):
-            if getattr(self, name) not in valid:
-                raise ValueError(
-                    f"unknown {name} {getattr(self, name)!r}; "
-                    f"expected one of {valid}")
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; "
+                f"expected one of {BACKENDS}")
 
     @classmethod
     def of(cls, config: Optional["SearchConfig"] = None,
@@ -198,7 +194,7 @@ def _field_types() -> dict:
 
 _FIELD_TYPES = _field_types()
 #: The leading fields that are a plan's identity (the rest only execute).
-_PLAN_IDENTITY = tuple(_FIELD_TYPES)[:8]
+_PLAN_IDENTITY = tuple(_FIELD_TYPES)[:7]
 
 
 @dataclasses.dataclass
@@ -239,8 +235,6 @@ class SearchResult:
     warm_cache_hits: int = 0
     #: Whole reconcile-chain costs reused by the streaming evaluator.
     reconcile_chain_hits: int = 0
-    #: Which action space was searched ("inputs" | "tagged").
-    action_space: str = "tagged"
     #: Fraction of requested prefix actions the undo engine kept in place
     #: instead of rolling back and re-applying (workers included).
     prefix_reuse_ratio: float = 0.0
@@ -249,8 +243,11 @@ class SearchResult:
     waves: int = 0
     #: Where the plan came from: ``"local"`` (this process searched), or
     #: ``"server:exact"`` / ``"server:relaxed"`` / ``"server:search"`` /
-    #: ``"server:dedup"`` when a plan server answered (the suffix is the
-    #: store tier that matched — see :mod:`repro.auto.planstore`).
+    #: ``"server:dedup"`` when a plan server answered.  A store hit is
+    #: ``exact`` when this program's canonical layout equals the populating
+    #: program's (the actions are that search's, verbatim) and ``relaxed``
+    #: when they were translated from another parameter/tag numbering —
+    #: see :mod:`repro.auto.planstore`.
     plan_source: str = "local"
     #: Parameters + tag points the enumeration caps (``max_inputs`` /
     #: ``max_tag_points``) silently dropped from the candidate space (a
@@ -407,8 +404,8 @@ def mcts_search(
     ...                      ["d"], budget=4, seed=0)
     >>> result.actions == sorted(set(result.actions))  # canonical form
     True
-    >>> (result.backend, result.action_space)
-    ('serial', 'tagged')
+    >>> (result.backend, result.plan_source)
+    ('serial', 'local')
     >>> result.warm_cache_hits  # no cache_dir: nothing warm to replay
     0
     """
@@ -430,13 +427,11 @@ def mcts_search(
                 cost=float(served["cost"]),
                 evaluations=0,
                 backend=backend,
-                action_space=config.action_space,
                 plan_source=f"server:{served['tier']}",
                 faults_injected=faults.fired_count() - fired_before,
             )
     truncation: dict = {}
     candidates = candidate_actions(function, env, axes, config.max_inputs,
-                                   action_space=config.action_space,
                                    max_tag_points=config.max_tag_points,
                                    truncation=truncation)
     actions_truncated = _warn_truncation(truncation, config.max_inputs,
@@ -493,21 +488,15 @@ def mcts_search(
     # schedule earlier searches scored, so a repeated call can never
     # report worse than what is already on disk — even if this run's
     # rollouts explore elsewhere.  The log is shared per
-    # fingerprint across action spaces and axis subsets, so the incumbent
-    # is restricted to what THIS call may propose: no tagged actions for
-    # an inputs-only search, no actions on axes outside the caller's
+    # fingerprint across axis subsets, so the incumbent is restricted to
+    # what THIS call may propose: no actions on axes outside the caller's
     # list.  (Enumeration caps — max_inputs / max_tag_points — are
     # efficiency knobs, not semantic restrictions, so entries beyond them
     # stay adoptable.)
     axes_set = set(axes)
-    inputs_only = config.action_space == "inputs"
 
     def proposable(key: ActionKey) -> bool:
-        return all(
-            action[3] in axes_set
-            and (not inputs_only or action[0] == core_actions.TILE_INPUT)
-            for action in key
-        )
+        return all(action[3] in axes_set for action in key)
 
     warm_best = table.best_entry(key_filter=proposable)
     if warm_best is not None and (
@@ -562,7 +551,6 @@ def mcts_search(
         backend=backend,
         warm_cache_hits=table.warm_hits,
         reconcile_chain_hits=evaluator.reconcile_chain_hits,
-        action_space=config.action_space,
         prefix_reuse_ratio=evaluator.prefix_reuse_ratio,
         waves=scheduler.waves,
         actions_truncated=actions_truncated,

@@ -6,13 +6,15 @@ sessions to many concurrent clients over the framed socket protocol of
 
 * **plan requests** — the client ships its traced function, mesh,
   portable initial-sharding state, device and the semantic search
-  parameters; the server answers from its two-tier
-  :class:`~repro.auto.planstore.PlanStore` (exact fingerprint first, then
-  the relaxed canonical fingerprint of :mod:`repro.auto.fingerprint`, so
-  alpha-renamed or input-permuted isomorphic programs hit one shared
-  entry) and only *searches* on a genuine miss.  Plans are cached in
-  canonical index space and translated into each requester's local
-  parameter/tag numbering on the way out.
+  parameters; the server canonicalizes the function once
+  (:mod:`repro.auto.fingerprint`), answers from its
+  :class:`~repro.auto.planstore.PlanStore` under that one digest — so
+  byte-identical, alpha-renamed and input-permuted isomorphic programs
+  hit one shared entry — and only *searches* on a genuine miss.  Plans
+  are cached in canonical index space and translated into each
+  requester's local parameter/tag numbering on the way out; the reply is
+  ``{"tier", "actions", "cost"}``, where ``tier`` is ``exact`` / ``relaxed``
+  (a store hit, labelled by layout) or ``search`` / ``dedup``.
 * **in-flight deduplication** — a second request for a key whose search
   is still running blocks on the first request's completion instead of
   re-searching: N concurrent identical requests cost exactly one search
@@ -42,16 +44,15 @@ from typing import Dict, Optional, Tuple
 from repro.core.sharding import ShardingEnv
 
 from repro.auto import faults, rpc
-from repro.auto.cache import function_fingerprint
 from repro.auto.evaluator import EvaluatorSession
 from repro.auto.fingerprint import CanonicalForm, canonicalize
-from repro.auto.planstore import PlanRecord, PlanStore
+from repro.auto.planstore import DEFAULT_MAX_ENTRIES, PlanRecord, PlanStore
 from repro.auto.search import SearchConfig, mcts_search
 
 
 def params_key(axes, config: SearchConfig) -> Tuple:
     """A plan's identity: requests agreeing on the axes and on the config's
-    plan-identity fields (and on the relaxed fingerprint) are "the same
+    plan-identity fields (and on the canonical fingerprint) are "the same
     search" and may share a cache entry / an in-flight future.  The
     execution-only fields are bit-identical by the regression-pinned
     purity properties and deliberately excluded."""
@@ -196,11 +197,15 @@ class PlanServer:
         env = ShardingEnv(mesh)
         env.apply_portable_state(function, message["env"])
         canon = canonicalize(function, mesh, device, env)
-        exact_fp = function_fingerprint(function, mesh, device, env)
-        axes = list(message["axes"])
+        # A repeated axis names no new action (as in mcts_search), so it
+        # must not name a new plan either.
+        axes = list(dict.fromkeys(message["axes"]))
         # Only the plan identity is the client's to choose; how the search
-        # executes here is the server's business.
+        # executes here is the server's business.  Older clients also name
+        # an action space; only the one left can be answered.
         search = message.get("search", {})
+        if search.get("action_space", "tagged") != "tagged":
+            raise ValueError("only the tagged action space is served")
         config = SearchConfig.of(self._search_defaults, **{
             name: search[name]
             for name in self._search_defaults.plan_identity()
@@ -208,7 +213,7 @@ class PlanServer:
         pkey = params_key(axes, config)
         with self._lock:
             self.plan_requests += 1
-        found = self.store.lookup(exact_fp, canon.digest, pkey)
+        found = self.store.lookup(canon.digest, pkey, canon.layout)
         if found is not None:
             record, tier = found
             return self._reply(record, tier, canon)
@@ -234,7 +239,7 @@ class PlanServer:
             return self._reply(flight.record, "dedup", canon)
         try:
             record = self._run_search(function, env, axes, device,
-                                      config, canon, exact_fp, key)
+                                      config, canon, key)
             flight.record = record
         except BaseException as exc:
             flight.error = f"{type(exc).__name__}: {exc}"
@@ -247,8 +252,7 @@ class PlanServer:
 
     def _run_search(self, function, env, axes, device,
                     config: SearchConfig,
-                    canon: CanonicalForm, exact_fp: str,
-                    key: Tuple) -> PlanRecord:
+                    canon: CanonicalForm, key: Tuple) -> PlanRecord:
         if faults.should_fire("server.search"):
             # Simulates the daemon's search crashing/timing out: the
             # client sees a RemoteError reply and falls back to a local
@@ -264,8 +268,9 @@ class PlanServer:
                                            result.actions)),
             cost=result.cost,
             meta=meta,
+            layout=canon.layout,
         )
-        self.store.put(record, exact_fp=exact_fp)
+        self.store.put(record)
         return record
 
     def _reply(self, record: PlanRecord, tier: str,
@@ -274,8 +279,6 @@ class PlanServer:
             "tier": tier,
             "actions": [list(a) for a in canon.decode_key(record.actions)],
             "cost": record.cost,
-            "meta": dict(record.meta),
-            "digest": record.key[0],
         }
 
 
@@ -286,9 +289,10 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="0 picks an ephemeral port (printed)")
-    parser.add_argument("--max-entries", type=int, default=None,
+    parser.add_argument("--max-entries", type=int,
+                        default=DEFAULT_MAX_ENTRIES,
                         help="LRU plan-store cap "
-                             "(default: $PARTIR_PLAN_STORE_ENTRIES or 512)")
+                             f"(default {DEFAULT_MAX_ENTRIES})")
     parser.add_argument("--cache-dir", default=None,
                         help="transposition spool directory for "
                              "server-side searches")

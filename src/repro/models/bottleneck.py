@@ -20,8 +20,8 @@ per-matmul collectives move ``[B, K, f]``-sized activations.  A
 mid-function ``TileTagged`` action on the matmul outputs' K dimension, by
 contrast, parallelizes the whole interior compute with communication only
 at the final member reduction — a strictly cheaper schedule, reachable
-*only* through the widened action space.  This is the "interior
-bottleneck" the Fig 11 action-space axis measures.
+*only* through tag-point actions.  This is the "interior bottleneck"
+Fig 11's tag-point leg searches.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Partitioning-as-a-service: the plan server, store, and remote backend.
 
 Covers the serving data path end to end — plan requests answered from the
-two-tier store (exact / relaxed fingerprints, with index translation for
-permuted clones), in-flight deduplication of identical searches (N
+store under one canonical key (hits labelled exact or relaxed by layout,
+with index translation for permuted clones), in-flight deduplication of
+identical searches (N
 concurrent requests -> exactly one search), the ``remote`` rollout
 backend's evaluator sessions, and the graceful local fallbacks when no
 server is reachable.  Plus the serving PR's configuration satellite:
@@ -93,6 +94,84 @@ class TestPlanServing:
         assert evaluator.evaluate(
             canonical_key(served.actions)) == served.cost
         assert server.searches_run == 1
+
+    def test_plan_request_hashes_the_program_once(self, server,
+                                                 monkeypatch):
+        """Without a ``cache_dir`` nothing on the plan path needs the
+        exact fingerprint: the canonical digest is the store's one key."""
+        from repro.auto import cache as cache_mod
+        from repro.auto import server as server_mod
+
+        def no_exact_fingerprint(*args, **kwargs):
+            raise AssertionError("function_fingerprint called")
+
+        monkeypatch.setattr(cache_mod, "function_fingerprint",
+                            no_exact_fingerprint)
+        monkeypatch.setattr(server_mod, "function_fingerprint",
+                            no_exact_fingerprint, raising=False)
+        cold = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                           plan_server=addr(server), **SEARCH)
+        warm = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                           plan_server=addr(server), **SEARCH)
+        assert (cold.plan_source, warm.plan_source) == \
+            ("server:search", "server:exact")
+
+    def test_alpha_renamed_clone_reads_exact_with_populating_actions(
+            self, server):
+        """Renaming a tag changes the exact fingerprint but not the
+        canonical layout, so the hit is exact: the populating search's
+        actions, verbatim."""
+        from repro import ShapeDtype, trace
+        from repro.trace import ops as tops
+
+        def tagged_chain(name):
+            return trace(
+                lambda x, w1, w2: tops.reduce_sum(
+                    tops.tag(x @ w1, name) @ w2),
+                ShapeDtype((256, 8)), ShapeDtype((8, 16)),
+                ShapeDtype((16, 8))).function
+
+        first = mcts_search(tagged_chain("hidden"), ShardingEnv(MESH),
+                            ["B", "M"], plan_server=addr(server), **SEARCH)
+        renamed = mcts_search(tagged_chain("renamed"), ShardingEnv(MESH),
+                              ["B", "M"], plan_server=addr(server), **SEARCH)
+        assert first.plan_source == "server:search"
+        assert renamed.plan_source == "server:exact"
+        assert renamed.actions == first.actions
+        assert renamed.cost == first.cost
+        assert server.searches_run == 1
+
+    def test_permuted_clone_stays_relaxed_and_reprices(self, server):
+        """A permuted clone's layout differs from the populating
+        program's on every request — nothing is registered by a hit — and
+        its translated actions price to the served cost."""
+        first = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                            plan_server=addr(server), **SEARCH)
+        clone = chain(order=("w2", "x", "w1"))
+        for _ in range(2):
+            served = mcts_search(clone, ShardingEnv(MESH), ["B", "M"],
+                                 plan_server=addr(server), **SEARCH)
+            assert served.plan_source == "server:relaxed"
+            assert served.cost == first.cost
+        evaluator = Evaluator(clone, ShardingEnv(MESH), TINY_DEVICE)
+        assert evaluator.evaluate(
+            canonical_key(served.actions)) == served.cost
+        assert server.store.stats()["hits_relaxed"] == 2
+
+    def test_repeated_axis_names_the_same_plan(self, server):
+        """A raw request for ``["B", "B", "M"]`` is the ``["B", "M"]``
+        search (the search itself dedups axes): a store hit, no second
+        search, no second record."""
+        search = SearchConfig(budget=8, seed=0).plan_identity()
+        with rpc.connect(addr(server)) as connection:
+            tiers = [connection.request({
+                "kind": "plan", "function": chain(), "mesh": MESH,
+                "env": (), "device": TINY_DEVICE, "axes": axes,
+                "search": search,
+            })["tier"] for axes in (["B", "M"], ["B", "B", "M"])]
+        assert tiers == ["search", "exact"]
+        assert server.searches_run == 1
+        assert len(server.store) == 1
 
     def test_different_search_params_do_not_share_plans(self, server):
         mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
@@ -256,37 +335,48 @@ class TestPartirJit:
 
 
 class TestPlanStore:
-    def _record(self, digest, cost=1.0):
-        return PlanRecord(key=(digest, ("B",)), actions=((0, 0, 0, "B"),),
-                          cost=cost)
+    """One index: ``(canonical digest, params key)``; the hit's label is
+    read off the layout the record keeps."""
 
-    def test_lru_eviction_drops_oldest_and_its_exact_probes(self):
+    LAYOUT = ((0, 1, 2), (1, 0), ())
+
+    def _record(self, digest, cost=1.0, layout=LAYOUT):
+        return PlanRecord(key=(digest, ("B",)), actions=((0, 0, 0, "B"),),
+                          cost=cost, layout=layout)
+
+    def test_lru_eviction_drops_oldest(self):
         store = PlanStore(max_entries=2)
-        store.put(self._record("a"), exact_fp="fa")
-        store.put(self._record("b"), exact_fp="fb")
-        store.put(self._record("c"), exact_fp="fc")
+        for digest in "abc":
+            store.put(self._record(digest))
         assert len(store) == 2
         assert store.evictions == 1
-        assert store.lookup("fa", "a", ("B",)) is None
-        record, tier = store.lookup("fb", "b", ("B",))
+        assert store.lookup("a", ("B",), self.LAYOUT) is None
+        record, tier = store.lookup("b", ("B",), self.LAYOUT)
         assert tier == "exact" and record.key[0] == "b"
+        assert store.stats()["misses"] == 1
 
     def test_lookup_refreshes_recency(self):
         store = PlanStore(max_entries=2)
-        store.put(self._record("a"), exact_fp="fa")
-        store.put(self._record("b"), exact_fp="fb")
-        store.lookup("fa", "a", ("B",))  # refresh "a"
-        store.put(self._record("c"), exact_fp="fc")
-        assert store.lookup("fa", "a", ("B",)) is not None
-        assert store.lookup("fb", "b", ("B",)) is None
+        store.put(self._record("a"))
+        store.put(self._record("b"))
+        store.lookup("a", ("B",), self.LAYOUT)  # refresh "a"
+        store.put(self._record("c"))
+        assert store.lookup("a", ("B",), self.LAYOUT) is not None
+        assert store.lookup("b", ("B",), self.LAYOUT) is None
 
-    def test_relaxed_hit_registers_exact_probe(self):
+    def test_exact_label_follows_the_layout(self):
+        """A hit is exact iff the requester's layout is the populating
+        program's; a relaxed hit registers nothing, so it stays relaxed."""
         store = PlanStore(max_entries=4)
-        store.put(self._record("a"), exact_fp="fa")
-        _, tier = store.lookup("other-exact", "a", ("B",))
-        assert tier == "relaxed"
-        _, tier = store.lookup("other-exact", "a", ("B",))
-        assert tier == "exact"
+        store.put(self._record("a"))
+        other = ((1, 0, 2), (1, 0), ())
+        for _ in range(2):
+            assert store.lookup("a", ("B",), other)[1] == "relaxed"
+        assert store.lookup("a", ("B",), self.LAYOUT)[1] == "exact"
+        assert store.lookup("a", ("M",), self.LAYOUT) is None
+        stats = store.stats()
+        assert (stats["hits_exact"], stats["hits_relaxed"],
+                stats["misses"]) == (1, 2, 1)
 
     def test_save_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "plans.jsonl")
@@ -294,21 +384,20 @@ class TestPlanStore:
         store.put(PlanRecord(key=("d", ("B", 8)),
                              actions=((0, 1, 0, "B"), (1, 0, 1, "M")),
                              cost=2.5,
-                             meta={"backend": "serial"}))
+                             meta={"backend": "serial"},
+                             layout=self.LAYOUT))
+        store.put(self._record("e", layout=None))
         store.save(path)
         fresh = PlanStore(max_entries=8)
-        assert fresh.load(path) == 1
-        record, tier = fresh.lookup("nope", "d", ("B", 8))
-        assert tier == "relaxed"
+        assert fresh.load(path) == 2
+        record, tier = fresh.lookup("d", ("B", 8), self.LAYOUT)
+        assert tier == "exact"
+        assert record.layout == self.LAYOUT
         assert record.actions == ((0, 1, 0, "B"), (1, 0, 1, "M"))
         assert record.cost == 2.5
         assert record.meta["backend"] == "serial"
-
-    def test_env_var_sets_default_cap(self, monkeypatch):
-        monkeypatch.setenv("PARTIR_PLAN_STORE_ENTRIES", "7")
-        assert PlanStore().max_entries == 7
-        monkeypatch.setenv("PARTIR_PLAN_STORE_ENTRIES", "not-a-number")
-        assert PlanStore().max_entries == 512
+        # A record saved without a layout serves every requester relaxed.
+        assert fresh.lookup("e", ("B",), self.LAYOUT)[1] == "relaxed"
 
 
 class TestRpcProtocol:
@@ -352,6 +441,28 @@ class TestRpcProtocol:
         assert current.plan_source == "server:exact"
         assert current.actions == [tuple(a) for a in reply["actions"]]
         assert current.cost == reply["cost"]
+
+    def test_retired_action_space_in_a_request(self, server):
+        """A client that still names the action space is served when it
+        names the one space left, and refused (a ``RemoteError``, so it
+        searches locally) when it names the deleted input-only space.
+        The reply carries exactly what clients read."""
+        identity = SearchConfig(budget=8, seed=0).plan_identity()
+
+        def request(space):
+            return connection.request({
+                "kind": "plan", "function": chain(), "mesh": MESH,
+                "env": (), "device": TINY_DEVICE, "axes": ["B", "M"],
+                "search": dict(identity, action_space=space),
+            })
+
+        with rpc.connect(addr(server)) as connection:
+            with pytest.raises(rpc.RemoteError, match="tagged"):
+                request("inputs")
+            reply = request("tagged")
+        assert set(reply) == {"tier", "actions", "cost"}
+        assert reply["tier"] == "search"
+        assert server.searches_run == 1
 
     def test_older_daemon_ends_in_a_local_serial_search(self, server,
                                                         monkeypatch):

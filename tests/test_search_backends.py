@@ -53,8 +53,11 @@ def _search(function, **kwargs):
 class TestBackendEquivalence:
     @pytest.mark.parametrize("seed", [0, 3, 4, 6, 11])
     def test_backends_agree_on_best_matmul_chain(self, seed):
-        """The PR 3 pin on the input-tilings space: on this config every
-        scheduler lands on the same best actions and cost.  Seeds 3 and 6
+        """The PR 3 pin: on this config every scheduler lands on the same
+        best actions and cost.  (It searched the input-tilings-only space
+        until that space was deleted; all five seeds already agreed
+        across backends on the one space left, so none was re-pinned.)
+        Seeds 3 and 6
         — downgraded to cost-only agreement when the PR 5 space widening
         let parallel waves surface different *equal-cost* witnesses — are
         exact again: the condenser removes the propagation-equivalent
@@ -67,8 +70,7 @@ class TestBackendEquivalence:
         entirely, costs included, so it is no longer a pinnable seed.)"""
         function, _ = build_matmul_chain()
         results = {
-            backend: _search(function, seed=seed, backend=backend, workers=2,
-                             action_space="inputs")
+            backend: _search(function, seed=seed, backend=backend, workers=2)
             for backend in BACKENDS
         }
         reference = results["serial"]

@@ -1,12 +1,12 @@
 """The search's configuration surface: one ``SearchConfig``, nothing else.
 
-Guards the shape the consolidation left behind — the 15 fields and their
-order (the first eight are the plan server's store key, so reordering them
+Guards the shape the consolidation left behind — the 14 fields and their
+order (the first seven are the plan server's store key, so reordering them
 would orphan every saved plan), the two constructors that used to carry
 path-selection flags, wire compatibility with clients that still send
-those flags, files on disk written while the rollout prior existed — and
-pins that a misspelled or ill-typed option is an error where the tactic is
-built, not a silently ignored keyword.
+those flags, files on disk written while the rollout prior and the action
+space were options — and pins that a misspelled or ill-typed option is an
+error where the tactic is built, not a silently ignored keyword.
 """
 
 import dataclasses
@@ -28,7 +28,7 @@ from repro.sim import TPU_V3, costmodel
 from conftest import build_matmul_chain
 
 PLAN_IDENTITY = ("budget", "rollout_depth", "exploration", "seed",
-                 "max_inputs", "action_space", "max_tag_points", "prune")
+                 "max_inputs", "max_tag_points", "prune")
 EXECUTION = ("backend", "workers", "wave_size", "cache_dir", "plan_server",
              "restart_budget", "rpc_timeout_s")
 
@@ -44,8 +44,13 @@ class TestSurface:
         """Literal lines in the format of PR 21: a transposition log with
         a ``"g"`` (tree statistics) record between a cost and a probe
         record, and a ``--store`` snapshot whose record carries ``"p"`` and
-        a params key ending in the prior mode.  Both load without a
-        warning, still hit, and are rewritten without the retired parts."""
+        a params key ending in the prior mode.  Then two snapshot lines in
+        the format written while the action space was a plan-identity
+        field (a 9-slot params key, no ``"l"`` layout): the ``"tagged"``
+        one still hits, the ``"inputs"`` one is skipped.  Everything loads
+        without a warning, a record without a layout serves
+        ``"relaxed"``, and both files are rewritten without the retired
+        parts."""
         log = str(tmp_path / "tt.jsonl")
         with open(log, "w") as handle:
             handle.write(
@@ -61,32 +66,47 @@ class TestSurface:
                 '"a": [[0, 0, 0, "B"]], "c": 8.593758195646473e-10, '
                 '"p": [[[0, "param", 0, "B", [[[], []], [], []]], 2, 1.5]], '
                 '"m": {"backend": "serial", "tree_prior_hits": 5, '
-                '"prior_mode": "learned"}}\n')
+                '"prior_mode": "learned"}}\n'
+                '{"key": ["5c1f0e1d2b7a49e38a1e6f0b9d2c4a77", [["B", "M"], '
+                '24, 3, 0.5, 0, 48, "tagged", 16, true]], '
+                '"a": [[0, 1, 1, "M"]], "c": 2.6425806451612902e-05, '
+                '"m": {"backend": "serial", "action_space": "tagged"}}\n'
+                '{"key": ["0b9e2f7c3d1a4e6f8a5b7c9d0e1f2a3b", [["B", "M"], '
+                '24, 3, 0.5, 0, 48, "inputs", 16, true]], '
+                '"a": [[0, 0, 0, "B"]], "c": 4.35e-05, '
+                '"m": {"backend": "serial", "action_space": "inputs"}}\n')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = TranspositionTable(log)
             store = PlanStore()
-            assert store.load(snapshot) == 1
+            assert store.load(snapshot) == 2
         assert table.lookup(((0, 0, 0, "B"),)) == 8.593758195646473e-10
         assert table.warm_hits == 1
         assert table.warm_probes() == {
             (0, 0, 0, "B"): "ab441e3efd397b15d5b4c5d6"}
         pkey = server_mod.params_key(["B", "M"], SearchConfig())
-        assert pkey == (("B", "M"), 24, 3, 0.5, 0, 48, "tagged", 16, True)
+        assert pkey == (("B", "M"), 24, 3, 0.5, 0, 48, 16, True)
+        layout = ((1, 0, 2), (0, 1), ())
         record, tier = store.lookup(
-            "unseen-exact-fp", "d7bd8e66f96494c6c108032580ca8357", pkey)
+            "d7bd8e66f96494c6c108032580ca8357", pkey, layout)
         assert tier == "relaxed" and record.actions == ((0, 0, 0, "B"),)
+        record, tier = store.lookup(
+            "5c1f0e1d2b7a49e38a1e6f0b9d2c4a77", pkey, layout)
+        assert tier == "relaxed" and record.actions == ((0, 1, 1, "M"),)
+        assert store.lookup(
+            "0b9e2f7c3d1a4e6f8a5b7c9d0e1f2a3b", pkey, layout) is None
         # Execution fields never enter the key.
         assert pkey == server_mod.params_key(
             ["B", "M"], SearchConfig(backend="process", workers=4,
                                      cache_dir="/tmp/x"))
         table.compact()
         store.save(snapshot)
-        for path, lines in ((log, 2), (snapshot, 1)):
+        for path, lines in ((log, 2), (snapshot, 2)):
             with open(path) as handle:
                 records = [json.loads(line) for line in handle]
             assert len(records) == lines
             assert not any("g" in r or "p" in r for r in records)
+        assert all(len(r["key"][1]) == len(pkey) for r in records)
 
     def test_constructors_carry_no_path_flags(self):
         evaluator = inspect.signature(Evaluator.__init__).parameters
@@ -135,12 +155,24 @@ class TestBadOptionsFailAtConstruction:
             AutomaticPartition(["d"], options)
 
     @pytest.mark.parametrize("keywords", [
-        {"search_backend": "threads"}, {"action_space": "outputs"},
+        {"search_backend": "threads"}, {"options": {"backend": "threads"}},
         {"options": {"rpc_timeout_s": -1.0}}, {"options": {"workers": -1}},
     ])
     def test_bad_value_raises(self, keywords):
         with pytest.raises(ValueError):
             AutomaticPartition(["d"], **keywords)
+
+    def test_retired_action_space_is_an_unknown_option(self):
+        """One action vocabulary: naming the deleted option is the usual
+        unknown-option error, wherever it is passed."""
+        with pytest.raises(TypeError, match="action_space"):
+            AutomaticPartition(["d"], {"action_space": "tagged"})
+        with pytest.raises(TypeError, match="action_space"):
+            AutomaticPartition(["d"], action_space="inputs")
+        function, _ = build_matmul_chain()
+        with pytest.raises(TypeError, match="action_space"):
+            mcts_search(function, ShardingEnv(Mesh({"B": 4})), ["B"],
+                        action_space="inputs")
 
     def test_valid_options_still_build(self):
         tactic = AutomaticPartition(

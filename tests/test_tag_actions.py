@@ -11,8 +11,7 @@ Covers the PR 5 tentpole contracts:
 * the widened space rides every engine unchanged: undo == fork and
   serial == process equivalence with tag actions in play,
 * a fixed-seed pin that tag actions are reachable from
-  ``candidate_actions`` and strictly beat the input-only space on the
-  interior-bottleneck ensemble,
+  ``candidate_actions`` and win on the interior-bottleneck ensemble,
 * cross-call reuse of the shared log (the incumbent never regresses and
   never adopts what the call may not propose).
 """
@@ -28,14 +27,11 @@ from repro.ir.tagpoints import tag_points
 from repro.auto.evaluator import candidate_actions, try_apply_action
 from repro.auto.search import mcts_search
 from repro.models import bottleneck
-from repro.sim import TPU_V3, DeviceSpec
+from repro.sim import TPU_V3
 from repro.spmd.lower import lower
 from repro.trace import ops
 
 MESH = Mesh({"batch": 8, "model": 4})
-
-TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
-                         link_bandwidth=1e9)
 
 
 def _mlp_traced(batch=32, width=64, **trace_kwargs):
@@ -76,10 +72,10 @@ class TestTagPointEmission:
     def test_tag_points_disabled(self):
         tf = _mlp_traced(tag_points=False)
         assert tag_points(tf.function) == []
-        assert candidate_actions(tf.function, ShardingEnv(MESH),
-                                 ["batch"], 8) == \
-            candidate_actions(tf.function, ShardingEnv(MESH), ["batch"], 8,
-                              action_space="inputs")
+        actions = candidate_actions(tf.function, ShardingEnv(MESH),
+                                    ["batch"], 8)
+        assert actions
+        assert all(a[0] == actions_mod.TILE_INPUT for a in actions)
 
     def test_scan_results_are_tag_points(self):
         def f(x):
@@ -260,38 +256,20 @@ class TestWidenedSpaceEquivalence:
         assert other.actions == serial.actions
         assert other.cost == serial.cost
 
-    def test_action_space_flag_threads_through_api(self):
-        from repro import AutomaticPartition, partir_jit
-
-        tf = _mlp_traced()
-        tactic = AutomaticPartition(
-            ["batch"], {"budget": 4, "device": TINY_DEVICE},
-            action_space="inputs",
-        )
-        partir_jit(tf, Mesh({"batch": 4}), [tactic], device=TINY_DEVICE,
-                   estimate_per_tactic=False)
-        assert tactic.last_search.action_space == "inputs"
-        assert all(a[0] == 0 for a in tactic.last_search.actions)
-
 
 class TestFixedSeedPins:
     def test_tag_actions_reachable_and_strictly_better(self):
-        """The acceptance pin: on the interior-bottleneck ensemble the
-        widened space reaches a strictly lower best cost than the
-        input-tilings-only space, with a mid-function action in the
-        winning set."""
+        """The acceptance pin: on the interior-bottleneck ensemble a
+        mid-function action is in the winning set and prices to the
+        reference.  (Its other half — strictly below the
+        input-tilings-only space's best — went with that space.)"""
         tf = _ensemble_traced()
-        kwargs = dict(device=TPU_V3, budget=32, rollout_depth=3,
-                      max_inputs=12, seed=0)
-        inputs_only = mcts_search(tf.function, ShardingEnv(MESH),
-                                  ["batch", "model"],
-                                  action_space="inputs", **kwargs)
         tagged = mcts_search(tf.function, ShardingEnv(MESH),
-                             ["batch", "model"], **kwargs)
-        assert tagged.cost < inputs_only.cost
+                             ["batch", "model"], device=TPU_V3, budget=32,
+                             rollout_depth=3, max_inputs=12, seed=0)
         assert any(a[0] != 0 for a in tagged.actions)
-        assert tagged.action_space == "tagged"
-        assert inputs_only.action_space == "inputs"
+        assert tagged.cost == reference_cost(tf.function, MESH,
+                                             tagged.actions, TPU_V3)
 
     def test_winner_replays_onto_the_real_env(self):
         """run_automatic_partition applies the tag-action winner to the
@@ -325,23 +303,6 @@ class TestTreeReuse:
             assert run.cost <= best
             assert (run.warm_cache_hits > 0) == (seed > 0)
             best = run.cost
-
-    def test_inputs_only_warm_call_never_adopts_tagged_incumbent(
-            self, tmp_path):
-        """The persistent log is shared per fingerprint across action
-        spaces: a tagged cold call fills it with mid-function winners, but
-        a later inputs-only call must not report (or replay) actions it
-        cannot propose."""
-        tf = _ensemble_traced()
-        kwargs = dict(device=TPU_V3, budget=24, rollout_depth=3,
-                      max_inputs=12, seed=0, cache_dir=str(tmp_path))
-        tagged = mcts_search(tf.function, ShardingEnv(MESH),
-                             ["batch", "model"], **kwargs)
-        assert any(a[0] != 0 for a in tagged.actions)
-        inputs_only = mcts_search(tf.function, ShardingEnv(MESH),
-                                  ["batch", "model"],
-                                  action_space="inputs", **kwargs)
-        assert all(a[0] == 0 for a in inputs_only.actions)
 
     def test_axes_restricted_warm_call_never_adopts_foreign_axes(
             self, tmp_path):

@@ -351,60 +351,6 @@ class TestCompaction:
             assert reloaded.peek(key) == table.peek(key)
 
 
-class TestCompactCap:
-    def test_max_entries_evicts_oldest(self, tmp_path):
-        """compact(max_entries=) caps the table LRU-style: the oldest
-        stored keys go first, survivors and the rewritten log keep their
-        values, and the evictions counter records the drop."""
-        path = str(tmp_path / "tt.jsonl")
-        table = TranspositionTable(path)
-        keys = [((0, i, 0, "B"),) for i in range(10)]
-        for i, key in enumerate(keys):
-            table.store(key, float(i))
-        table.flush()
-
-        table.compact(max_entries=4)
-        assert table.evictions == 6
-        assert len(table) == 4
-        for i, key in enumerate(keys):
-            expected = float(i) if i >= 6 else None
-            assert table.peek(key) == expected
-
-        reloaded = TranspositionTable(path)
-        assert len(reloaded) == 4
-        for i, key in enumerate(keys[6:], start=6):
-            assert reloaded.peek(key) == float(i)
-
-    def test_cap_works_in_memory(self):
-        table = TranspositionTable()
-        for i in range(8):
-            table.store(((0, i, 0, "B"),), float(i))
-        table.compact(max_entries=3)
-        assert len(table) == 3 and table.evictions == 5
-        assert table.peek(((0, 7, 0, "B"),)) == 7.0
-
-    def test_cap_larger_than_table_is_noop(self, tmp_path):
-        path = str(tmp_path / "tt.jsonl")
-        table = TranspositionTable(path)
-        table.store(((0, 0, 0, "B"),), 1.0)
-        table.flush()
-        table.compact(max_entries=100)
-        assert table.evictions == 0 and len(table) == 1
-
-    def test_evicted_pending_records_not_flushed(self, tmp_path):
-        """An unflushed record evicted by the cap must not resurrect via a
-        later flush (the log would disagree with the in-memory table)."""
-        path = str(tmp_path / "tt.jsonl")
-        table = TranspositionTable(path)
-        table.store(((0, 0, 0, "B"),), 1.0)
-        table.store(((0, 1, 0, "B"),), 2.0)
-        table.compact(max_entries=1)
-        table.flush()
-        reloaded = TranspositionTable(path)
-        assert len(reloaded) == 1
-        assert reloaded.peek(((0, 1, 0, "B"),)) == 2.0
-
-
 class TestCorruptLog:
     def test_mid_file_garbage_warns_and_keeps_intact_records(self, tmp_path):
         path = str(tmp_path / "tt.jsonl")
