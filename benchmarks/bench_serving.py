@@ -71,7 +71,7 @@ TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
 SEARCH = dict(device=TINY_DEVICE, budget=24, rollout_depth=2, seed=0)
 
 #: Parameter orders for the permuted-clone stream: every order is the
-#: same computation, so all of them share one relaxed fingerprint.
+#: same computation, so all of them share one canonical digest.
 PARAM_ORDERS = (("x", "w1", "w2"), ("w2", "x", "w1"), ("w1", "w2", "x"))
 
 

@@ -16,21 +16,19 @@ Package map:
   each survives.
 * :mod:`repro.auto.exact` — branch-and-bound exact solver over the
   condensed space (the small-instance regret oracle).
-* :mod:`repro.auto.fingerprint` — relaxed (canonicalized) fingerprints:
-  alpha-renamed / input-permuted isomorphic programs share one key.
+* :mod:`repro.auto.fingerprint` — program identity: ``canonicalize``
+  gives the canonical digest (alpha-renamed / input-permuted isomorphic
+  programs share it) and the layout (the spelling) that key the plan
+  store and the transposition log.
 * :mod:`repro.auto.planstore` — the plan server's LRU plan store.
 * :mod:`repro.auto.rpc` / :mod:`repro.auto.server` — the
   partitioning-as-a-service daemon and its socket protocol.
 """
 
-from repro.auto.cache import TranspositionTable, function_fingerprint
+from repro.auto.cache import TranspositionTable
 from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.exact import ExactBudgetExceeded, ExactResult, exact_search
-from repro.auto.fingerprint import (
-    CanonicalForm,
-    canonicalize,
-    relaxed_fingerprint,
-)
+from repro.auto.fingerprint import CanonicalForm, canonicalize
 from repro.auto.planstore import PlanRecord, PlanStore
 from repro.auto.prune import PruneReport, condense, probe_action
 from repro.auto.scheduler import (
@@ -67,10 +65,8 @@ __all__ = [
     "canonicalize",
     "condense",
     "exact_search",
-    "function_fingerprint",
     "make_scheduler",
     "mcts_search",
     "probe_action",
-    "relaxed_fingerprint",
     "run_automatic_partition",
 ]

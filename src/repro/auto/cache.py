@@ -33,98 +33,31 @@ append-optimized structures for asymmetric memories): one JSON record per
 line, appended once, never rewritten.  A cache *hit* touches no bytes on
 disk; re-running a fully-warm search leaves the file byte-identical.
 Reloading replays the log (last cost record wins, so a crashed
-half-written tail line is simply skipped; ``"g"`` lines — the per-group
-tree statistics earlier versions appended — are skipped as waste).
+half-written tail line is simply skipped).
 
-Files are keyed by :func:`function_fingerprint` — a stable hash of the
-traced function's structure (op sequence, operand wiring, attrs, shapes,
-dtypes), the mesh, the device, and the initial sharding state the search
-starts from.  Any of those changing changes the fingerprint, so stale
-costs can never leak across programs.
+Files are named ``tt_<digest>_<layout>.jsonl`` after the program's
+:func:`~repro.auto.fingerprint.canonicalize` form: the digest covers
+structure, shapes, dtypes, cost-relevant attrs, the mesh, the device and
+the initial sharding state the search starts from, and the layout pins the
+spelling (parameter, tag, loop and op order).  So a log is shared exactly
+by the same program as written, up to tag names: its keys stay in that
+program's local index space and its costs can never leak to another
+program, not even to a trace-order variant whose peak memory differs.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import warnings
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.actions import TILE_INPUT
-from repro.core.sharding import ShardingEnv, enumerate_function_values
+from repro.core.sharding import ShardingEnv
 from repro.ir.function import Function
 
 from repro.auto import faults
+from repro.auto.fingerprint import canonicalize
 from repro.auto.tree import ActionKey
-
-
-# -- fingerprinting ----------------------------------------------------------------
-
-
-def _canon(obj):
-    """Canonical, deterministic rendering of an attr value for hashing."""
-    if isinstance(obj, dict):
-        return ("dict",) + tuple(
-            (repr(k), _canon(v)) for k, v in sorted(obj.items(), key=repr)
-        )
-    if isinstance(obj, (list, tuple)):
-        return ("seq",) + tuple(_canon(v) for v in obj)
-    if isinstance(obj, (set, frozenset)):
-        return ("set",) + tuple(sorted(repr(v) for v in obj))
-    if hasattr(obj, "tobytes") and hasattr(obj, "shape"):  # ndarray-like
-        digest = hashlib.blake2b(obj.tobytes(), digest_size=8).hexdigest()
-        return ("nd", tuple(obj.shape), str(getattr(obj, "dtype", "")), digest)
-    return repr(obj)
-
-
-def function_fingerprint(function: Function, mesh,
-                         device=None, env: Optional[ShardingEnv] = None) -> str:
-    """Stable hex fingerprint of a traced function in its search context.
-
-    Hashes the structural identity of everything a canonical action set's
-    cost depends on: the op sequence (opcodes, attrs, operand wiring by
-    canonical value index), every value's shape/dtype, the mesh, the
-    device, and the initial (pre-search) sharding state.  Object ids,
-    value uids and Python hash salts never enter the digest, so the
-    fingerprint is stable across processes and runs.
-    """
-    hasher = hashlib.blake2b(digest_size=16)
-    index = {
-        value: i
-        for i, value in enumerate(enumerate_function_values(function))
-    }
-
-    def feed(payload) -> None:
-        hasher.update(repr(payload).encode())
-        hasher.update(b"\x00")
-
-    def visit(fn: Function) -> None:
-        feed(("fn", len(fn.params), len(fn.ops), len(fn.results)))
-        for param in fn.params:
-            feed(("param", index[param], param.type.shape,
-                  str(param.type.dtype)))
-        for op in fn.ops:
-            feed((
-                "op", op.opcode,
-                tuple(index[o] for o in op.operands),
-                tuple((index[r], r.type.shape, str(r.type.dtype))
-                      for r in op.results),
-                _canon(op.attrs),
-            ))
-            for region in op.regions:
-                visit(region)
-        feed(("results", tuple(index[r] for r in fn.results)))
-
-    visit(function)
-    feed(("mesh", tuple(sorted(mesh.axes.items()))))
-    if device is not None:
-        feed(("device", _canon(dataclasses.asdict(device))
-              if dataclasses.is_dataclass(device) else repr(device)))
-    if env is not None:
-        feed(("env", env.portable_state(function)))
-    return hasher.hexdigest()
 
 
 # -- JSON round-tripping of keys ---------------------------------------------------
@@ -146,18 +79,10 @@ def _from_jsonable(obj):
 
 def _parse_key(raw) -> Tuple:
     """An action key from its JSON form: a tuple of ``(kind, index, dim,
-    axis)`` wire tuples.  Pre-widening 3-tuple records ``(index, dim,
-    axis)`` — input tilings by definition — are upgraded to the uniform
-    form on load: uniform widths keep the incumbent tie-break and the
-    4-way action unpack total.  (This only ever fires for logs whose
-    fingerprint still matches — traces with ``tag_points=False`` or
-    tag-free functions; a default re-trace inserts tag ops, changes the
-    fingerprint, and starts a fresh log file.)"""
+    axis)`` wire tuples."""
     key = []
     for action in raw:
         action = tuple(v if isinstance(v, str) else int(v) for v in action)
-        if len(action) == 3:
-            action = (TILE_INPUT,) + action
         if len(action) != 4:
             raise ValueError(f"malformed action record {action!r}")
         key.append(action)
@@ -233,7 +158,7 @@ class TranspositionTable:
         self._pending: List[Tuple[ActionKey, float]] = []
         #: action wire tuple -> propagation-fixed-point digest (the
         #: condenser's persisted equivalence-class labels; first record
-        #: per action wins — probes are deterministic per fingerprint).
+        #: per action wins — probes are deterministic per program).
         self._probes: Dict[Tuple, str] = {}
         self._probe_pending: List[Tuple[Tuple, str]] = []
         if path is not None and os.path.exists(path):
@@ -260,7 +185,7 @@ class TranspositionTable:
 
     def store_probes(self, signatures: Dict[Tuple, str]) -> None:
         """Register freshly-probed signatures and queue the new ones for
-        the log.  Signatures are deterministic per fingerprint, so an
+        the log.  Signatures are deterministic per program, so an
         action already covered is never re-queued (append-only, no
         churn)."""
         for action, digest in signatures.items():
@@ -297,7 +222,7 @@ class TranspositionTable:
         worse schedule than what earlier calls already scored.
 
         ``key_filter`` restricts the scan (e.g. to keys on the caller's
-        axes — logs are shared per fingerprint across axis subsets, and a
+        axes — logs are shared per program across axis subsets, and a
         narrower search must never adopt an incumbent it is not allowed to
         propose)."""
         best = None
@@ -361,10 +286,8 @@ class TranspositionTable:
 
     def _load(self, path: str) -> Tuple[int, int]:
         """Replay the log; returns ``(records, wasted records)`` where
-        wasted counts duplicate-key overwrites, ``"g"`` lines (the tree
-        statistics earlier versions logged; nothing reads them any more,
-        compaction drops them) and torn/garbled lines — the load-time
-        compaction signal.
+        wasted counts duplicate-key overwrites and torn/garbled lines — the
+        load-time compaction signal.
 
         A garbled *final* line is the expected signature of a crashed
         writer (a torn append) and is skipped silently; garbage anywhere
@@ -390,9 +313,6 @@ class TranspositionTable:
                             waste += 1  # concurrent writers raced; first wins
                         else:
                             self._probes[action] = digest
-                        continue
-                    if "g" in record:
-                        waste += 1  # an earlier version's tree statistics
                         continue
                     key = _parse_key(record["k"])
                     cost = float(record["c"])
@@ -421,7 +341,6 @@ def table_for(cache_dir: Optional[str], function: Function, mesh,
     """The (possibly persistent) table for one search invocation."""
     if cache_dir is None:
         return TranspositionTable()
-    fingerprint = function_fingerprint(function, mesh, device, env)
-    return TranspositionTable(
-        path=os.path.join(cache_dir, f"tt_{fingerprint}.jsonl")
-    )
+    canon = canonicalize(function, mesh, device, env)
+    return TranspositionTable(path=os.path.join(
+        cache_dir, f"tt_{canon.digest}_{canon.layout}.jsonl"))

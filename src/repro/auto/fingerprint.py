@@ -1,46 +1,45 @@
-"""Relaxed fingerprints: canonicalization of traced functions.
+"""Program identity: the canonical form of a traced function.
 
-The exact :func:`repro.auto.cache.function_fingerprint` hashes a traced
-function *as written*: parameter order, traced op order, and every attr —
-including pure labels like ``tag`` names — enter the digest.  That is the
-right correctness tier for a persistent cache (nothing can ever collide),
-but it makes near-identical programs share nothing: alpha-renaming a tag,
-or tracing ``f(x, w)`` as ``f(w, x)``, produces a different fingerprint
-for what is the same partitioning problem.
+Everything that caches by program — the plan server's store
+(:mod:`repro.auto.planstore`) and the transposition log
+(:mod:`repro.auto.cache`) — asks :func:`canonicalize` which program it
+holds.  The answer is a :class:`CanonicalForm` carrying two strings:
 
-This module adds the **relaxed fingerprint**: a canonicalization pass that
+* ``digest`` — the program *up to spelling*.  Values are renumbered by a
+  canonical order derived from the def-use graph, so the parameter order,
+  the order in which independent ops were traced and the names of tags
+  stop mattering.  Everything a plan's cost depends on enters it:
+  structure, shapes, dtypes, cost-relevant attrs (a ``tag``'s
+  ``name``/``auto`` markers are identity labels and are stripped), the
+  mesh, the device and the initial shardings.
+* ``layout`` — the *spelling*: one hex digest of the local-to-canonical
+  maps of parameters, tag points, loops and ops (walk order).  Equal
+  ``(digest, layout)`` means the same program as written, up to tag names.
 
-* renumbers values by a *stable topological order* derived from structural
-  signatures (two rounds of Weisfeiler-Lehman-style refinement over the
-  def-use graph: a bottom-up pass hashing each value's producing
-  computation and a top-down pass hashing its consumers), so the traced
-  order and the parameter order stop mattering,
-* hashes only **cost-relevant attrs** (a ``tag``'s ``name``/``auto``
-  markers are identity labels, not cost inputs — they are stripped), and
-* renders the initial sharding state, the mesh and the device in the
-  canonical numbering,
+The plan store keys by the digest alone: isomorphic programs share one
+plan, stored in canonical index space and moved in and out of each
+program's local space by ``encode_key``/``decode_key`` (a plan's actions
+address parameter positions and tag-point / loop walk indices).  A store
+hit is ``"exact"`` when the layouts agree.  The transposition log, whose
+recorded costs are replayed blindly, keys by both strings: a trace-order
+variant simulates a different peak memory, so it opens a log of its own.
 
-so alpha-renamed or input-permuted-but-isomorphic programs land on the
-same relaxed key — the plan server's one store key
-(:mod:`repro.auto.planstore`).  The exact fingerprint remains the
-correctness tier of the transposition log, whose recorded *costs* are
-replayed blindly; a relaxed hit serves a *plan* (re-validated by
-application), never a blind cost override, and truly different programs
-(shapes, dtypes, mesh, device, initial shardings) hash differently under
-both fingerprints.
+The canonical order comes from integer colour refinement, one round each
+way.  Every op's label (opcode, relaxed attrs, result types and
+shardings, region digests) and every parameter's label is rendered once,
+and the distinct labels are ranked by sorting.  A bottom-up pass then
+colours ops depth by depth: an op's key is its label rank plus its
+operands' colours, and each depth's distinct keys are ranked by sorting.
+A top-down pass does the same height by height over each op's consumers
+(with operand positions) and the function results it feeds.  Parameters
+are ordered by colour; ops by depth, then colour, then the canonical
+indices of their operands.  The digest is one hash over the ranked label
+table and that linearization, so no colour depends on ``hash()`` or
+``PYTHONHASHSEED``.
 
-Because a plan's actions reference *local* indices (parameter positions,
-tag-point walk indices), a relaxed hit between two isomorphic programs
-must translate indices through the canonical numbering:
-:class:`CanonicalForm` carries the permutations and offers
-``encode_key``/``decode_key`` to move canonical action sets between a
-program's local index space and the shared canonical space.
-
-Caveats (documented, deliberate): ops that are *mutually
-indistinguishable* after two refinement rounds (structurally identical
-subgraphs fed identical inputs) may order arbitrarily — swapping them is
-cost-neutral by construction, which is all the relaxed fingerprint
-promises.
+Caveats (documented, deliberate): ops that stay *indistinguishable* after
+the refinement (structurally identical subgraphs fed identical inputs)
+keep their traced order — swapping them is cost-neutral by construction.
 Region bodies (e.g. ``scan``) canonicalize recursively with positional
 carry parameters, since carries are semantically ordered.
 """
@@ -49,15 +48,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.actions import PIPELINE, TILE_INPUT
 from repro.core.pipeline import loop_ops
 from repro.ir.function import Function
 from repro.ir.tagpoints import tag_points
 
-from repro.auto.cache import _canon
 from repro.auto.tree import ActionKey, canonical_key
 
 #: Attr keys stripped per opcode before hashing: pure identity labels with
@@ -67,253 +64,224 @@ COST_IRRELEVANT_ATTRS = {
     "tag": frozenset({"name", "auto"}),
 }
 
-
-def _h(*parts) -> bytes:
-    """Stable structural hash of a tuple of parts (bytes pass through,
-    everything else by ``repr``)."""
-    hasher = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        hasher.update(part if isinstance(part, bytes)
-                      else repr(part).encode())
-        hasher.update(b"\x1f")
-    return hasher.digest()
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def _relaxed_attrs(op) -> tuple:
-    """Canonical rendering of an op's cost-relevant attrs."""
-    drop = COST_IRRELEVANT_ATTRS.get(op.opcode)
-    attrs = op.attrs
-    if drop:
-        attrs = {k: v for k, v in attrs.items() if k not in drop}
-    return _canon(attrs)
+def _canon(obj):
+    """Canonical, deterministic rendering of an attr value for hashing."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return repr(obj)
+    if kind is tuple or kind is list:
+        for value in obj:
+            if type(value) not in _SCALARS:
+                return ("seq",) + tuple(map(_canon, obj))
+        return ("seq", repr(tuple(obj)))
+    if isinstance(obj, dict):
+        return ("dict",) + tuple(
+            (repr(k), _canon(obj[k])) for k in sorted(obj, key=repr))
+    if isinstance(obj, (set, frozenset)):
+        return ("set",) + tuple(sorted(repr(v) for v in obj))
+    if hasattr(obj, "tobytes") and hasattr(obj, "shape"):  # ndarray-like
+        digest = hashlib.blake2b(obj.tobytes(), digest_size=8).hexdigest()
+        return ("nd", tuple(obj.shape), obj.dtype.str, digest)
+    return repr(obj)
 
 
-def _portable_or_none(env, value):
-    if env is None:
-        return None
-    sharding = env.sharding(value)
-    if sharding.is_fully_replicated() and not sharding.pinned:
-        return None
-    return sharding.to_portable()
+def _type_key(env, value) -> tuple:
+    """A value's static type and initial sharding (None when replicated)."""
+    portable = None
+    if env is not None:
+        sharding = env.sharding(value)
+        if sharding.pinned or not sharding.is_fully_replicated():
+            portable = sharding.to_portable()
+    return (value.type.shape, str(value.type.dtype), portable)
+
+
+def _rank(keys, counter: int, width) -> Tuple[Dict, int]:
+    """Colour each distinct key of ``keys`` by its sorted position,
+    starting at ``counter``; ``width(key)`` colours are reserved per key.
+    Returns ``(key -> colour, next counter)``."""
+    colours = {}
+    for key in sorted(set(keys)):
+        colours[key] = counter
+        counter += width(key)
+    return colours, counter
 
 
 class _FnCanon:
     """Canonical form of one function (or region body).
 
-    ``param_order``/``op_order`` are the canonical orders;
-    ``value_order`` is the full canonical value enumeration (params, then
-    each canonical op's results, then — recursively — its regions'
-    canonical values), the relaxed analogue of
-    :func:`repro.core.sharding.enumerate_function_values`.
+    ``param_order`` lists local parameter positions in canonical order
+    and ``op_walk`` the body's ops, regions included, in canonical
+    pre-order.
     """
 
-    __slots__ = ("digest", "param_order", "op_order", "value_order")
+    __slots__ = ("digest", "param_order", "op_walk")
 
-    def __init__(self, digest, param_order, op_order, value_order):
+    def __init__(self, digest, param_order, op_walk):
         self.digest = digest
         self.param_order = param_order
-        self.op_order = op_order
-        self.value_order = value_order
+        self.op_walk = op_walk
 
 
-def _canonicalize_fn(fn: Function, env, param_seeds: List[tuple],
-                     region_cache: Dict[int, _FnCanon],
-                     rounds: int = 2) -> _FnCanon:
-    """Canonicalize one function level (recursing into regions)."""
+def _canonicalize_fn(fn: Function, env, param_labels: List[tuple]) -> _FnCanon:
+    """Canonicalize one function level (recursing into regions).  Bodies
+    are closed (:mod:`repro.ir.verifier`): every operand is a parameter
+    or an earlier op's result of the same level."""
     ops = fn.ops
-    attrs_c = {id(op): _relaxed_attrs(op) for op in ops}
-    region_canons: Dict[int, Tuple[_FnCanon, ...]] = {}
-    for op in ops:
-        canons = []
-        for region in op.regions:
-            cached = region_cache.get(id(region))
-            if cached is None:
-                seeds = [
-                    ("rparam", i, p.type.shape, str(p.type.dtype),
-                     _portable_or_none(env, p))
-                    for i, p in enumerate(region.params)
-                ]
-                cached = _canonicalize_fn(region, env, seeds, region_cache,
-                                          rounds)
-                region_cache[id(region)] = cached
-            canons.append(cached)
-        region_canons[id(op)] = tuple(canons)
+    n_params = len(fn.params)
 
-    uses: Dict[object, List[tuple]] = {}
+    # -- value slots: params, then op results -------------------------------
+    slot = {id(p): i for i, p in enumerate(fn.params)}
+    result_slots = []
     for op in ops:
-        for pos, operand in enumerate(op.operands):
-            uses.setdefault(operand, []).append((op, pos))
-    rets: Dict[object, List[int]] = {}
+        first = len(slot)
+        for result in op.results:
+            slot[id(result)] = len(slot)
+        result_slots.append(range(first, len(slot)))
+    n_slots = len(slot)
+
+    # -- one pass: operand slots, uses, depths and labels ------------------
+    depth = [0] * n_slots
+    regions = []
+    operand_slots = []
+    uses: Dict[int, List[Tuple[int, int]]] = {}
+    by_depth: List[List[int]] = []
+    labels: Dict[tuple, int] = {}  # label -> first-seen id
+    op_label = []
+    for k, op in enumerate(ops):
+        canons = [_canonicalize_fn(region, env, [
+            ("rparam", i) + _type_key(env, p)
+            for i, p in enumerate(region.params)]) for region in op.regions]
+        regions.append(canons)
+        row = [slot[id(operand)] for operand in op.operands]
+        operand_slots.append(row)
+        for pos, s in enumerate(row):
+            uses.setdefault(s, []).append((k, pos))
+        d = 1 + max(map(depth.__getitem__, row), default=0)
+        for s in result_slots[k]:
+            depth[s] = d
+        if len(by_depth) < d:
+            by_depth.append([])
+        by_depth[d - 1].append(k)
+        attrs = op.attrs
+        drop = COST_IRRELEVANT_ATTRS.get(op.opcode)
+        if drop:
+            attrs = {key: v for key, v in attrs.items() if key not in drop}
+        label = ("op", op.opcode, _canon(attrs) if attrs else (),
+                 tuple(_type_key(env, r) for r in op.results),
+                 tuple(c.digest for c in canons))
+        op_label.append(labels.setdefault(label, len(labels)))
+    returned: Dict[int, List[int]] = {}  # position i renders as -1 - i
     for i, result in enumerate(fn.results):
-        rets.setdefault(result, []).append(i)
+        returned.setdefault(slot[id(result)], []).append(-1 - i)
 
-    # -- WL-style refinement: bottom-up then top-down, `rounds` times ------
-    val_sig: Dict[object, bytes] = {}
-    op_sig: Dict[int, bytes] = {}
-    down_val: Dict[object, bytes] = {p: b"" for p in fn.params}
-    for op in ops:
-        for result in op.results:
-            down_val[result] = b""
-    for _ in range(max(rounds, 1)):
-        for i, param in enumerate(fn.params):
-            val_sig[param] = _h("param", param_seeds[i],
-                                down_val.get(param, b""))
-        for op in ops:
-            sig = _h(
-                "op", op.opcode, attrs_c[id(op)],
-                tuple(val_sig.get(o, _h("ext", repr(o.type)))
-                      for o in op.operands),
-                tuple(c.digest for c in region_canons[id(op)]),
-                len(op.results),
-                down_val.get(op.results[0], b"") if op.results else b"",
-            )
-            op_sig[id(op)] = sig
-            for j, result in enumerate(op.results):
-                val_sig[result] = _h("res", sig, j, result.type.shape,
-                                     str(result.type.dtype),
-                                     _portable_or_none(env, result))
-        # Top-down: each value's consumers, order-independent (sorted).
-        down_op: Dict[int, bytes] = {}
-        for op in reversed(ops):
-            for result in op.results:
-                items = [_h("use", down_op[id(c)], pos)
-                         for c, pos in uses.get(result, ())]
-                items += [_h("ret", i) for i in rets.get(result, ())]
-                down_val[result] = _h("down", tuple(sorted(items)))
-            down_op[id(op)] = _h(
-                "dop", op.opcode, attrs_c[id(op)],
-                tuple(down_val[r] for r in op.results),
-            )
-        for param in fn.params:
-            items = [_h("use", down_op[id(c)], pos)
-                     for c, pos in uses.get(param, ())]
-            items += [_h("ret", i) for i in rets.get(param, ())]
-            down_val[param] = _h("down", tuple(sorted(items)))
+    # -- labels ranked by their rendering -----------------------------------
+    param_label = [labels.setdefault(label, len(labels))
+                   for label in param_labels]
+    table = sorted((repr(label), i, label) for label, i in labels.items())
+    rank = [0] * len(table)
+    for r, (_, i, _) in enumerate(table):
+        rank[i] = r
+    # An op colour reserves one colour per result (at least one).
+    widths = [max(1, len(label[3])) if label[0] == "op" else 1
+              for _, _, label in table]
+    op_rank = [rank[i] for i in op_label]
+    colour = [rank[i] for i in param_label] + [0] * (n_slots - n_params)
 
-    final_val = {v: _h("fv", sig, down_val.get(v, b""))
-                 for v, sig in val_sig.items()}
-    final_op = {id(op): _h("fo", op_sig[id(op)],
-                           tuple(final_val[r] for r in op.results))
-                for op in ops}
+    # -- bottom-up colours, depth by depth ---------------------------------
+    up = [0] * len(ops)
+    counter = len(table)
+    for level in by_depth:
+        keys = [(op_rank[k], *map(colour.__getitem__, operand_slots[k]))
+                for k in level]
+        colours, counter = _rank(keys, counter, lambda key: widths[key[0]])
+        for k, key in zip(level, keys):
+            up[k] = colours[key]
+            for j, s in enumerate(result_slots[k]):
+                colour[s] = up[k] + j
 
-    # -- canonical order: params by signature, ops by Kahn + signature -----
-    param_order = sorted(range(len(fn.params)),
-                         key=lambda i: (final_val[fn.params[i]], i))
-    index: Dict[object, int] = {}
-    value_order: List[object] = []
+    # -- top-down colours, height by height --------------------------------
+    arity = 1 + max(map(len, operand_slots), default=0)
+    down = [0] * len(ops)
 
-    def assign(value) -> None:
-        index[value] = len(value_order)
-        value_order.append(value)
+    def consumers(s) -> tuple:
+        return tuple(sorted([down[k] * arity + pos
+                             for k, pos in uses.get(s, ())]
+                            + returned.get(s, [])))
 
-    for i in param_order:
-        assign(fn.params[i])
+    height = [0] * len(ops)
+    by_height: List[List[int]] = []
+    for k in range(len(ops) - 1, -1, -1):
+        h = 0
+        for s in result_slots[k]:
+            for consumer, _ in uses.get(s, ()):
+                if height[consumer] >= h:
+                    h = height[consumer] + 1
+        height[k] = h
+        if len(by_height) == h:
+            by_height.append([])
+        by_height[h].append(k)
+    counter = 0
+    for level in by_height:
+        keys = [(op_rank[k], *map(consumers, result_slots[k])) for k in level]
+        colours, counter = _rank(keys, counter, lambda _: 1)
+        for k, key in zip(level, keys):
+            down[k] = colours[key]
 
-    # Readiness counts only *op-result* operands: params are assigned
-    # before the loop starts and never "release".
-    result_values = set()
-    for op in ops:
-        result_values.update(op.results)
-    pending = {}
-    dependents: Dict[object, List] = {}
-    for op in ops:
-        needed = {o for o in op.operands if o in result_values}
-        pending[id(op)] = len(needed)
-        for operand in needed:
-            dependents.setdefault(operand, []).append(op)
-
-    heap: List[tuple] = []
-    seq = 0
-
-    def push_ready(op) -> None:
-        nonlocal seq
-        operand_idx = tuple(index.get(o, -1) for o in op.operands)
-        heapq.heappush(heap, (final_op[id(op)], operand_idx, seq, op))
-        seq += 1
-
-    for op in ops:
-        if pending[id(op)] == 0:
-            push_ready(op)
-    op_order: List[object] = []
-    released = set()
-    while heap:
-        _, _, _, op = heapq.heappop(heap)
-        op_order.append(op)
-        for result in op.results:
-            assign(result)
-        for canon in region_canons[id(op)]:
-            for value in canon.value_order:
-                assign(value)
-        for result in op.results:
-            if id(result) in released:
-                continue
-            released.add(id(result))
-            for dependent in dependents.get(result, ()):
-                pending[id(dependent)] -= 1
-                if pending[id(dependent)] == 0:
-                    push_ready(dependent)
-    if len(op_order) != len(ops):  # cyclic/ill-formed: keep program order
-        op_order = list(ops)
-        value_order = list(fn.params)
-        index = {p: i for i, p in enumerate(fn.params)}
-        for op in ops:
-            for result in op.results:
-                assign(result)
-            for canon in region_canons[id(op)]:
-                for value in canon.value_order:
-                    assign(value)
-
-    # -- linearized digest --------------------------------------------------
+    # -- canonical order and linearization ----------------------------------
+    param_order = sorted(range(n_params),
+                         key=lambda s: (colour[s], consumers(s), s))
+    index = [-1] * n_slots
+    for i, s in enumerate(param_order):
+        index[s] = i
+    next_index = n_params
+    linear = [n_params, len(ops), len(fn.results)]
+    linear += [colour[s] for s in param_order]
+    op_walk: List[object] = []
+    for level in by_depth:
+        wired = {k: [*map(index.__getitem__, operand_slots[k])] for k in level}
+        level.sort(key=lambda k: (up[k], down[k], wired[k], k))
+        for k in level:
+            for s in result_slots[k]:
+                index[s] = next_index
+                next_index += 1
+            linear.append(op_rank[k])
+            linear.append(wired[k])
+            op_walk.append(ops[k])
+            for canon in regions[k]:
+                op_walk += canon.op_walk
+    linear.append([index[slot[id(r)]] for r in fn.results])
     hasher = hashlib.blake2b(digest_size=16)
-
-    def feed(payload) -> None:
-        hasher.update(payload if isinstance(payload, bytes)
-                      else repr(payload).encode())
-        hasher.update(b"\x00")
-
-    feed(("fn", len(fn.params), len(ops), len(fn.results)))
-    for rank, i in enumerate(param_order):
-        param = fn.params[i]
-        feed(("param", rank, param.type.shape, str(param.type.dtype),
-              param_seeds[i]))
-    for op in op_order:
-        feed(("op", op.opcode, attrs_c[id(op)],
-              tuple(index.get(o, -1) for o in op.operands),
-              tuple((index[r], r.type.shape, str(r.type.dtype))
-                    for r in op.results)))
-        for canon in region_canons[id(op)]:
-            feed(("region", canon.digest))
-    feed(("results", tuple(index.get(r, -1) for r in fn.results)))
-    return _FnCanon(hasher.digest(), param_order, op_order, value_order)
+    hasher.update("\x1f".join(text for text, _, _ in table).encode())
+    hasher.update(b"\x00")
+    hasher.update(repr(linear).encode())
+    return _FnCanon(hasher.digest(), param_order, op_walk)
 
 
 @dataclasses.dataclass(frozen=True)
 class CanonicalForm:
-    """A function's relaxed fingerprint plus the index permutations needed
+    """A function's program identity plus the index permutations needed
     to translate partition plans between its local index space and the
     canonical space shared by every isomorphic program.
 
-    ``digest`` is the relaxed fingerprint (hex).  ``param_to_canon`` maps
-    a local parameter index to its canonical rank (``canon_to_param`` is
-    the inverse); ``tag_to_canon``/``canon_to_tag`` and
+    ``digest`` is the program up to spelling and ``layout`` the spelling
+    (both hex; see the module docstring).  ``param_to_canon`` maps a local
+    parameter index to its canonical rank (``canon_to_param`` is the
+    inverse); ``tag_to_canon``/``canon_to_tag`` and
     ``loop_to_canon``/``canon_to_loop`` do the same for tag-point and
     loop-op indices (``PIPELINE`` actions address loops, not tags).
     """
 
     digest: str
+    layout: str
     param_to_canon: Tuple[int, ...]
     canon_to_param: Tuple[int, ...]
     tag_to_canon: Tuple[int, ...]
     canon_to_tag: Tuple[int, ...]
-    loop_to_canon: Tuple[int, ...] = ()
-    canon_to_loop: Tuple[int, ...] = ()
-
-    @property
-    def layout(self) -> Tuple[Tuple[int, ...], ...]:
-        """The local-to-canonical maps ``(params, tags, loops)``: two
-        programs with one digest and equal layouts decode a canonical plan
-        to the same local actions."""
-        return (self.param_to_canon, self.tag_to_canon, self.loop_to_canon)
+    loop_to_canon: Tuple[int, ...]
+    canon_to_loop: Tuple[int, ...]
 
     def _map_action(self, action, params, tags, loops):
         kind, index, dim, axis = action
@@ -346,6 +314,15 @@ class CanonicalForm:
         ])
 
 
+def _permutation(ranks) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(local -> canonical, canonical -> local)`` for a list of local
+    indices given in canonical order."""
+    to_canon = [0] * len(ranks)
+    for rank, local in enumerate(ranks):
+        to_canon[local] = rank
+    return tuple(to_canon), tuple(ranks)
+
+
 def canonicalize(function: Function, mesh, device=None,
                  env=None) -> CanonicalForm:
     """Canonicalize ``function`` in its search context.
@@ -353,74 +330,55 @@ def canonicalize(function: Function, mesh, device=None,
     Hashes everything a partition plan's cost depends on — structure,
     shapes/dtypes, cost-relevant attrs, mesh, device, initial shardings —
     under the canonical renumbering, so isomorphic contexts share one
-    digest (see the module docstring for what "isomorphic" means here).
+    digest, and the renumbering itself into the layout (see the module
+    docstring).
+
+    >>> from repro import Mesh, ShapeDtype, trace
+    >>> from repro.trace import ops
+    >>> def spelled(order):
+    ...     def fn(*args):
+    ...         named = dict(zip(order, args))
+    ...         return ops.reduce_sum(named["x"] @ named["w"])
+    ...     shapes = {"x": ShapeDtype((8, 4)), "w": ShapeDtype((4, 2))}
+    ...     return trace(fn, *(shapes[n] for n in order)).function
+    >>> a = canonicalize(spelled("xw"), Mesh({"d": 2}))
+    >>> b = canonicalize(spelled("wx"), Mesh({"d": 2}))
+    >>> a.digest == b.digest, a.layout == b.layout
+    (True, False)
+    >>> b.decode_key(a.encode_key(((0, 0, 0, "d"),)))  # x is param 1 in b
+    ((0, 1, 0, 'd'),)
     """
-    region_cache: Dict[int, _FnCanon] = {}
-    seeds = [
-        ("seed", p.type.shape, str(p.type.dtype), _portable_or_none(env, p))
-        for p in function.params
-    ]
-    canon = _canonicalize_fn(function, env, seeds, region_cache)
-    index = {v: i for i, v in enumerate(canon.value_order)}
-
-    hasher = hashlib.blake2b(digest_size=16)
-
-    def feed(payload) -> None:
-        hasher.update(repr(payload).encode())
-        hasher.update(b"\x00")
-
-    feed(("body", canon.digest))
-    feed(("mesh", tuple(sorted(mesh.axes.items()))))
+    canon = _canonicalize_fn(function, env, [
+        ("param",) + _type_key(env, p) for p in function.params])
+    hasher = hashlib.blake2b(canon.digest, digest_size=16)
+    hasher.update(repr(tuple(sorted(mesh.axes.items()))).encode())
     if device is not None:
-        feed(("device", _canon(dataclasses.asdict(device))
-              if dataclasses.is_dataclass(device) else repr(device)))
-    if env is not None:
-        entries = []
-        for value, i in index.items():
-            portable = _portable_or_none(env, value)
-            if portable is not None:
-                entries.append((i, portable))
-        feed(("env", tuple(sorted(entries))))
+        if dataclasses.is_dataclass(device):
+            device = dataclasses.asdict(device)
+        hasher.update(repr(_canon(device)).encode())
 
-    param_to_canon = [0] * len(function.params)
-    for rank, i in enumerate(canon.param_order):
-        param_to_canon[i] = rank
-    canon_to_param = [0] * len(function.params)
-    for i, rank in enumerate(param_to_canon):
-        canon_to_param[rank] = i
+    position = {id(op): i for i, op in enumerate(canon.op_walk)}
+    op_to_canon = tuple(position[id(op)] for op in function.walk())
 
-    points = tag_points(function)
-    ranked = sorted(range(len(points)),
-                    key=lambda i: index.get(points[i].value, -1))
-    tag_to_canon = [0] * len(points)
-    for rank, i in enumerate(ranked):
-        tag_to_canon[i] = rank
-    canon_to_tag = [0] * len(points)
-    for i, rank in enumerate(tag_to_canon):
-        canon_to_tag[rank] = i
+    def by_position(found) -> List[int]:
+        return sorted(range(len(found)),
+                      key=lambda i: position[id(found[i])])
 
-    loops = loop_ops(function)
-    loop_ranked = sorted(range(len(loops)),
-                         key=lambda i: index.get(loops[i].results[0], -1))
-    loop_to_canon = [0] * len(loops)
-    for rank, i in enumerate(loop_ranked):
-        loop_to_canon[i] = rank
-    canon_to_loop = [0] * len(loops)
-    for i, rank in enumerate(loop_to_canon):
-        canon_to_loop[rank] = i
-
+    param_to_canon, canon_to_param = _permutation(canon.param_order)
+    tag_to_canon, canon_to_tag = _permutation(
+        by_position([point.op for point in tag_points(function)]))
+    loop_to_canon, canon_to_loop = _permutation(
+        by_position(loop_ops(function)))
+    layout = hashlib.blake2b(repr((
+        param_to_canon, tag_to_canon, loop_to_canon, op_to_canon,
+    )).encode(), digest_size=16)
     return CanonicalForm(
         digest=hasher.hexdigest(),
-        param_to_canon=tuple(param_to_canon),
-        canon_to_param=tuple(canon_to_param),
-        tag_to_canon=tuple(tag_to_canon),
-        canon_to_tag=tuple(canon_to_tag),
-        loop_to_canon=tuple(loop_to_canon),
-        canon_to_loop=tuple(canon_to_loop),
+        layout=layout.hexdigest(),
+        param_to_canon=param_to_canon,
+        canon_to_param=canon_to_param,
+        tag_to_canon=tag_to_canon,
+        canon_to_tag=canon_to_tag,
+        loop_to_canon=loop_to_canon,
+        canon_to_loop=canon_to_loop,
     )
-
-
-def relaxed_fingerprint(function: Function, mesh, device=None,
-                        env=None) -> str:
-    """The relaxed fingerprint alone (see :func:`canonicalize`)."""
-    return canonicalize(function, mesh, device, env).digest

@@ -10,12 +10,13 @@ translated into each requester's local space on the way out.
 
 A hit is labelled ``"exact"`` when the requester's
 :attr:`~repro.auto.fingerprint.CanonicalForm.layout` equals the populating
-program's, which the record keeps: the translation is then the identity
-and the served actions are the populating search's, verbatim.  Any other
-hit is ``"relaxed"``: the actions were renumbered into another parameter /
-tag / loop order.  The label costs no second hash — a byte-identical
-program canonicalizes to the same digest *and* the same layout, so an
-exact-fingerprint index could only ever return the record this key does.
+program's, which the record keeps: the requester is then the same program
+as written (up to tag names), the translation is the identity and the
+served actions are the populating search's, verbatim.  Any other hit is
+``"relaxed"``: another spelling of the program — parameters, tags, loops
+or independent ops in another order — whose plan was renumbered into its
+index space.  The label costs no second hash: the layout comes with the
+digest.
 
 The store **caps its footprint**: past ``max_entries`` the
 least-recently-used plan is dropped.  ``save``/``load`` persist the store
@@ -51,15 +52,14 @@ class PlanRecord:
     :meth:`repro.auto.fingerprint.CanonicalForm.decode_key`); ``meta`` is
     the producing :class:`~repro.auto.search.SearchResult` rendered as a
     plain dict (kept in the snapshot for operators, never served);
-    ``layout`` is the populating program's ``CanonicalForm.layout`` (None
-    for records saved before it was kept: every hit on them is relaxed).
+    ``layout`` is the populating program's ``CanonicalForm.layout``.
     """
 
     key: Tuple  # (canonical digest, search-params key)
     actions: ActionKey
     cost: float
+    layout: str
     meta: Dict = dataclasses.field(default_factory=dict)
-    layout: Optional[Tuple] = None
 
     def to_json(self) -> dict:
         return {
@@ -67,29 +67,17 @@ class PlanRecord:
             "a": [list(action) for action in self.actions],
             "c": self.cost,
             "m": self.meta,
-            "l": _to_jsonable(self.layout),
+            "l": self.layout,
         }
 
     @classmethod
     def from_json(cls, record: dict) -> "PlanRecord":
-        digest, params = _from_jsonable(record["key"])
-        # Stores saved while the rollout prior was a plan-identity field
-        # end their params key with its mode; the plan is the same search.
-        if params and params[-1] in ("learned", "group", "none"):
-            params = params[:-1]
-        # Stores saved while the action space was a plan-identity field
-        # carry it after ``max_inputs``.  "tagged" is the one space left;
-        # a plan searched without tag-point actions answers no request.
-        if len(params) > 6 and isinstance(params[6], str):
-            if params[6] != "tagged":
-                raise ValueError(f"retired action space {params[6]!r}")
-            params = params[:6] + params[7:]
         return cls(
-            key=(digest, params),
+            key=_from_jsonable(record["key"]),
             actions=_parse_key(record["a"]),
             cost=float(record["c"]),
+            layout=str(record["l"]),
             meta=dict(record.get("m", {})),
-            layout=_from_jsonable(record.get("l")),
         )
 
 
@@ -111,7 +99,7 @@ class PlanStore:
             return len(self._records)
 
     def lookup(self, digest: str, params_key: Tuple,
-               layout: Tuple) -> Optional[Tuple[PlanRecord, str]]:
+               layout: str) -> Optional[Tuple[PlanRecord, str]]:
         """The record for a request with its label — ``"exact"`` when
         ``layout`` equals the populating program's, else ``"relaxed"`` —
         or None.  Counts the hit/miss and refreshes recency."""
@@ -161,8 +149,8 @@ class PlanStore:
 
     def load(self, path: str) -> int:
         """Merge a snapshot in (newest-recency last); returns the number
-        of records loaded.  Corrupt lines — and records of a retired
-        action space — are skipped, the transposition log's discipline."""
+        of records loaded.  Corrupt lines are skipped, the transposition
+        log's discipline."""
         if not os.path.exists(path):
             return 0
         loaded = 0

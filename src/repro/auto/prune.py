@@ -30,7 +30,7 @@ first rollout:
 
 Probe digests persist in the transposition log (one record per action; see
 :meth:`repro.auto.cache.TranspositionTable.store_probes`), so a warm run —
-or the plan server re-searching a known fingerprint — buckets from the log
+or the plan server re-searching a known program — buckets from the log
 without touching the env: the pre-pass then costs microseconds, far under
 the sub-10%-of-one-rollout overhead budget Fig 11 gates.
 """

@@ -21,7 +21,8 @@ subsystem behind it has four seams:
   the sorted wave fanned across evaluator sessions in forked children /
   on a plan server), and
 * :mod:`repro.auto.cache` — the transposition table, including append-only
-  on-disk persistence keyed by a traced-function fingerprint so repeated
+  on-disk persistence named by the program's canonical digest and layout
+  (:mod:`repro.auto.fingerprint`) so repeated
   ``partir_jit``/``AutomaticPartition`` calls replay earlier scores
   (``cache_dir=``).
 
@@ -90,7 +91,8 @@ class SearchConfig:
       / ``process`` / ``remote``; :mod:`repro.auto.scheduler`), tuned by
       ``workers`` and ``wave_size``.
     * ``cache_dir`` persists the transposition table across calls
-      (append-only, keyed by the traced function's fingerprint): a rerun
+      (append-only, one log per program as written, up to tag names:
+      :func:`~repro.auto.fingerprint.canonicalize`): a rerun
       of the same (function, mesh, device, start state, config) replays
       its rollouts from the table at zero evaluations and returns the same
       plan, a different seed or a larger budget pays only for sets never
@@ -245,9 +247,11 @@ class SearchResult:
     #: ``"server:exact"`` / ``"server:relaxed"`` / ``"server:search"`` /
     #: ``"server:dedup"`` when a plan server answered.  A store hit is
     #: ``exact`` when this program's canonical layout equals the populating
-    #: program's (the actions are that search's, verbatim) and ``relaxed``
-    #: when they were translated from another parameter/tag numbering —
-    #: see :mod:`repro.auto.planstore`.
+    #: program's — the same program as written, up to tag names, so the
+    #: actions are that search's, verbatim — and ``relaxed`` when it is
+    #: another spelling (parameters, tags, loops or independent ops in
+    #: another order) whose actions were translated from the populating
+    #: program's numbering — see :mod:`repro.auto.planstore`.
     plan_source: str = "local"
     #: Parameters + tag points the enumeration caps (``max_inputs`` /
     #: ``max_tag_points``) silently dropped from the candidate space (a
@@ -488,7 +492,7 @@ def mcts_search(
     # schedule earlier searches scored, so a repeated call can never
     # report worse than what is already on disk — even if this run's
     # rollouts explore elsewhere.  The log is shared per
-    # fingerprint across axis subsets, so the incumbent is restricted to
+    # program across axis subsets, so the incumbent is restricted to
     # what THIS call may propose: no actions on axes outside the caller's
     # list.  (Enumeration caps — max_inputs / max_tag_points — are
     # efficiency knobs, not semantic restrictions, so entries beyond them

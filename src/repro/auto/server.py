@@ -52,7 +52,7 @@ from repro.auto.search import SearchConfig, mcts_search
 
 def params_key(axes, config: SearchConfig) -> Tuple:
     """A plan's identity: requests agreeing on the axes and on the config's
-    plan-identity fields (and on the canonical fingerprint) are "the same
+    plan-identity fields (and on the canonical digest) are "the same
     search" and may share a cache entry / an in-flight future.  The
     execution-only fields are bit-identical by the regression-pinned
     purity properties and deliberately excluded."""
@@ -104,8 +104,8 @@ class PlanServer:
     """The daemon: a :class:`PlanStore` behind an :class:`rpc.RpcServer`.
 
     ``cache_dir`` (optional) gives server-side searches a persistent
-    transposition spool: repeated misses on one fingerprint (another
-    seed, a larger budget) pay only for sets never scored before.
+    transposition spool: repeated misses on one program (another seed, a
+    larger budget) pay only for sets never scored before.
     ``search_fn`` is an
     injection point for tests (defaults to :func:`mcts_search`);
     ``search_defaults`` overrides :class:`SearchConfig`'s defaults (e.g.

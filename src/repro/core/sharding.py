@@ -669,9 +669,9 @@ class ShardingEnv:
         """Non-replicated shardings as ``(value index, portable sharding)``.
 
         Indices follow :func:`enumerate_function_values`, so the state can
-        be shipped to another process (the parallel search's workers) or
-        hashed into a persistent-cache fingerprint without referencing any
-        live :class:`Value` objects."""
+        be shipped to another process (the parallel search's workers, a
+        plan server) without referencing any live :class:`Value`
+        objects."""
         items = []
         for index, value in enumerate(enumerate_function_values(function)):
             sharding = self.sharding(value)

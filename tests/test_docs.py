@@ -2,7 +2,7 @@
 
 The public-API docstrings carry runnable examples (``partir_jit``,
 ``Tactic``, ``AutomaticPartition``, ``mcts_search``, ``SearchResult``,
-``decode_action``); this module runs them the same way the CI docs job
+``decode_action``, ``canonicalize``); this module runs them the same way the CI docs job
 does (``python -m doctest``), and checks that every relative link and
 repo path mentioned in ``README.md`` / ``docs/ARCHITECTURE.md`` exists.
 """
@@ -15,13 +15,15 @@ import sys
 import pytest
 
 import repro.api
+import repro.auto.fingerprint
 import repro.auto.search
 import repro.core.actions
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The documented modules the CI docs job doctests.
-DOCTESTED_MODULES = [repro.api, repro.auto.search, repro.core.actions]
+DOCTESTED_MODULES = [repro.api, repro.auto.fingerprint, repro.auto.search,
+                     repro.core.actions]
 
 
 @pytest.mark.parametrize("module", DOCTESTED_MODULES,
@@ -38,6 +40,8 @@ def test_module_doctests_pass(module):
 RETIRED_SPAN_TARGETS = {
     ("auto.prior.fit", "repro.auto.prior", "LinearPrior.fit"),
     ("auto.tree.note", "repro.auto.tree", "TreePolicy.note_result"),
+    ("auto.fingerprint", "repro.auto.cache", "function_fingerprint"),
+    ("auto.fingerprint", "repro.auto.fingerprint", "relaxed_fingerprint"),
 }
 
 

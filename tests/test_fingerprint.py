@@ -1,13 +1,19 @@
-"""Canonicalization goldens: the relaxed fingerprint tier.
+"""Canonicalization goldens: the one program identity.
 
-The relaxed fingerprint (:mod:`repro.auto.fingerprint`) must merge what is
-"the same partitioning problem" — alpha-renamed tags, permuted-but-
-isomorphic inputs, cost-irrelevant attr labels — while everything that can
-change a plan's cost (shapes, dtypes, mesh, device, initial shardings,
-structure) keeps programs apart in *both* tiers.  The exact fingerprint
-stays the correctness tier: these tests also pin that genuinely different
-programs never collide on it.
+:func:`repro.auto.fingerprint.canonicalize` gives every program a digest
+(the program up to spelling) and a layout (the spelling).  The digest must
+merge what is "the same partitioning problem" — alpha-renamed tags,
+permuted-but-isomorphic inputs, independent ops traced in another order —
+while everything that can change a plan's cost (shapes, dtypes, mesh,
+device, initial shardings, structure) keeps programs apart.  The layout
+must tell every re-spelling apart except a tag rename, because
+``(digest, layout)`` names a transposition log whose costs are replayed
+blindly.  Neither may depend on the process's hash seed.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,12 +23,7 @@ from repro.ir.function import FunctionBuilder
 from repro.sim import DeviceSpec
 from repro.trace import ops
 
-from repro.auto.cache import function_fingerprint
-from repro.auto.fingerprint import (
-    CanonicalForm,
-    canonicalize,
-    relaxed_fingerprint,
-)
+from repro.auto.fingerprint import CanonicalForm, canonicalize
 from repro.auto.tree import canonical_key
 
 from conftest import build_matmul_chain
@@ -30,6 +31,7 @@ from conftest import build_matmul_chain
 MESH = Mesh({"B": 4, "M": 2})
 TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
                          link_bandwidth=1e9)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def chain(order=("x", "w1", "w2")):
@@ -57,39 +59,61 @@ def tagged_mlp(tag_name):
     return traced.function
 
 
+def exp_first(first: bool):
+    """``exp(x)`` traced before or after ``sum(log(x))``: one graph, two
+    op orders (and two simulated peak memories)."""
+    def fn(x):
+        if first:
+            a = ops.exp(x)
+            b = ops.reduce_sum(ops.log(x))
+        else:
+            b = ops.reduce_sum(ops.log(x))
+            a = ops.exp(x)
+        return a, b
+
+    return trace(fn, ShapeDtype((1024, 1024))).function
+
+
+def identity(function, mesh=MESH, device=TINY_DEVICE, env=None):
+    canon = canonicalize(function, mesh, device, env)
+    return canon.digest, canon.layout
+
+
 class TestRelaxedEquivalence:
     def test_stable_across_retraces(self):
         first, _ = build_matmul_chain()
         second, _ = build_matmul_chain()
-        assert relaxed_fingerprint(first, MESH, TINY_DEVICE) == \
-            relaxed_fingerprint(second, MESH, TINY_DEVICE)
+        assert identity(first) == identity(second)
 
     def test_permuted_isomorphic_inputs_share_the_relaxed_key(self):
         """Tracing f(x, w1, w2) as f(w2, x, w1) is the same partitioning
-        problem: one relaxed key, two exact keys."""
-        original = chain()
-        permuted = chain(order=("w2", "x", "w1"))
-        assert relaxed_fingerprint(original, MESH, TINY_DEVICE) == \
-            relaxed_fingerprint(permuted, MESH, TINY_DEVICE)
-        assert function_fingerprint(original, MESH, TINY_DEVICE) != \
-            function_fingerprint(permuted, MESH, TINY_DEVICE)
+        problem spelled another way: one digest, two layouts."""
+        original = identity(chain())
+        permuted = identity(chain(order=("w2", "x", "w1")))
+        assert original[0] == permuted[0]
+        assert original[1] != permuted[1]
 
     def test_alpha_renamed_tags_share_the_relaxed_key(self):
-        """A tag's name is an identity label, not a cost input."""
-        one = tagged_mlp("hidden")
-        other = tagged_mlp("post_activation")
-        assert relaxed_fingerprint(one, MESH, TINY_DEVICE) == \
-            relaxed_fingerprint(other, MESH, TINY_DEVICE)
-        assert function_fingerprint(one, MESH, TINY_DEVICE) != \
-            function_fingerprint(other, MESH, TINY_DEVICE)
+        """A tag's name is an identity label, not a cost input: a renamed
+        program is the same program as written."""
+        assert identity(tagged_mlp("hidden")) == \
+            identity(tagged_mlp("post_activation"))
+
+    def test_trace_order_variant_shares_the_digest_not_the_layout(self):
+        """Independent ops emitted in another order simulate a different
+        peak memory, so the spelling must differ even though the graph
+        (and so the digest) is the same."""
+        one, other = identity(exp_first(True)), identity(exp_first(False))
+        assert one[0] == other[0]
+        assert one[1] != other[1]
 
 
 class TestDifferentProgramsStayApart:
     @pytest.mark.parametrize("mutate", ["shape", "dtype", "mesh"])
     def test_cost_relevant_differences_split_both_tiers(self, mutate):
+        """A different program gets a different digest, so neither the
+        store (digest) nor the log (digest, layout) can confuse them."""
         base, _ = build_matmul_chain()
-        base_relaxed = relaxed_fingerprint(base, MESH, TINY_DEVICE)
-        base_exact = function_fingerprint(base, MESH, TINY_DEVICE)
         if mutate == "shape":
             other, _ = build_matmul_chain(m=512)
             mesh = MESH
@@ -106,23 +130,54 @@ class TestDifferentProgramsStayApart:
             mesh = MESH
         else:
             other, mesh = base, Mesh({"B": 8})
-        assert relaxed_fingerprint(other, mesh, TINY_DEVICE) != base_relaxed
-        assert function_fingerprint(other, mesh, TINY_DEVICE) != base_exact
+        assert identity(other, mesh)[0] != identity(base)[0]
 
     def test_initial_shardings_enter_the_relaxed_key(self):
         function, _ = build_matmul_chain()
         env = ShardingEnv(MESH)
-        blank = relaxed_fingerprint(function, MESH, TINY_DEVICE, env)
+        blank = identity(function, env=env)
+        assert blank == identity(function)  # nothing sharded yet
         env.set_sharding(function.params[0],
                          env.sharding(function.params[0]).with_tile(0, "B"))
-        assert relaxed_fingerprint(function, MESH, TINY_DEVICE, env) != blank
+        assert identity(function, env=env)[0] != blank[0]
 
     def test_device_enters_the_relaxed_key(self):
         function, _ = build_matmul_chain()
         fat = DeviceSpec("fat", peak_flops=1e12, hbm_bytes=16e9,
                          link_bandwidth=1e11)
-        assert relaxed_fingerprint(function, MESH, TINY_DEVICE) != \
-            relaxed_fingerprint(function, MESH, fat)
+        assert identity(function)[0] != identity(function, device=fat)[0]
+
+
+_HASHSEED_PROBE = """
+import json
+from repro import Mesh
+from repro.auto.fingerprint import canonicalize
+from conftest import build_matmul_chain
+from test_loop_pipeline import trace_nested_scan
+
+out = []
+for function in (build_matmul_chain()[0], trace_nested_scan()):
+    canon = canonicalize(function, Mesh({"B": 4, "M": 2}))
+    out.append([canon.digest, canon.layout])
+print(json.dumps(out))
+"""
+
+
+def test_identity_does_not_depend_on_the_hash_seed():
+    """Colours come from sorting, never from ``hash()``: two processes
+    with different ``PYTHONHASHSEED`` agree on digest and layout, for a
+    flat program and a nested loop."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([
+                       os.path.join(REPO_ROOT, "src"),
+                       os.path.join(REPO_ROOT, "tests")]))
+        proc = subprocess.run([sys.executable, "-c", _HASHSEED_PROBE],
+                              env=env, capture_output=True, text=True,
+                              cwd=REPO_ROOT, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestIndexTranslation:

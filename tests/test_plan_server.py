@@ -10,6 +10,7 @@ server is reachable.  Plus the serving PR's configuration satellite:
 the plan store's LRU cap.
 """
 
+import os
 import threading
 import time
 import warnings
@@ -97,30 +98,72 @@ class TestPlanServing:
 
     def test_plan_request_hashes_the_program_once(self, server,
                                                  monkeypatch):
-        """Without a ``cache_dir`` nothing on the plan path needs the
-        exact fingerprint: the canonical digest is the store's one key."""
+        """A plan request canonicalizes its program exactly once: the
+        digest keys the store, the layout labels the hit, and without a
+        ``cache_dir`` the server's search opens no log to name."""
         from repro.auto import cache as cache_mod
         from repro.auto import server as server_mod
 
-        def no_exact_fingerprint(*args, **kwargs):
-            raise AssertionError("function_fingerprint called")
+        calls = []
+        real = server_mod.canonicalize
 
-        monkeypatch.setattr(cache_mod, "function_fingerprint",
-                            no_exact_fingerprint)
-        monkeypatch.setattr(server_mod, "function_fingerprint",
-                            no_exact_fingerprint, raising=False)
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "canonicalize", counting)
+        monkeypatch.setattr(cache_mod, "canonicalize", counting)
         cold = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
                            plan_server=addr(server), **SEARCH)
+        assert len(calls) == 1
         warm = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
                            plan_server=addr(server), **SEARCH)
+        assert len(calls) == 2
         assert (cold.plan_source, warm.plan_source) == \
             ("server:search", "server:exact")
 
+    def test_trace_order_variant_is_relaxed_and_logs_apart(self, server,
+                                                          tmp_path):
+        """``exp(x)`` traced before or after ``sum(log(x))`` is one graph
+        but not one program as written (the two simulate different peak
+        memories): the variant's hit reads ``"relaxed"``, and with a
+        ``cache_dir`` each spelling scores into its own log."""
+        from repro import ShapeDtype, trace
+        from repro.trace import ops as tops
+
+        def variant(exp_first):
+            def fn(x):
+                if exp_first:
+                    a = tops.exp(x)
+                    b = tops.reduce_sum(tops.log(x))
+                else:
+                    b = tops.reduce_sum(tops.log(x))
+                    a = tops.exp(x)
+                return a, b
+
+            return trace(fn, ShapeDtype((1024, 1024))).function
+
+        search = SearchConfig(budget=4, seed=0).plan_identity()
+        with rpc.connect(addr(server)) as connection:
+            tiers = [connection.request({
+                "kind": "plan", "function": variant(first), "mesh": MESH,
+                "env": (), "device": TINY_DEVICE, "axes": ["B", "M"],
+                "search": search,
+            })["tier"] for first in (True, False, True)]
+        assert tiers == ["search", "relaxed", "exact"]
+        assert server.searches_run == 1
+        for first in (True, False):
+            mcts_search(variant(first), ShardingEnv(MESH), ["B", "M"],
+                        device=TINY_DEVICE, budget=4, seed=0,
+                        cache_dir=str(tmp_path))
+        assert len([f for f in os.listdir(tmp_path)
+                    if f.startswith("tt_")]) == 2
+
     def test_alpha_renamed_clone_reads_exact_with_populating_actions(
             self, server):
-        """Renaming a tag changes the exact fingerprint but not the
-        canonical layout, so the hit is exact: the populating search's
-        actions, verbatim."""
+        """Renaming a tag changes neither the canonical digest nor the
+        layout, so the hit is exact: the populating search's actions,
+        verbatim."""
         from repro import ShapeDtype, trace
         from repro.trace import ops as tops
 
@@ -338,7 +381,7 @@ class TestPlanStore:
     """One index: ``(canonical digest, params key)``; the hit's label is
     read off the layout the record keeps."""
 
-    LAYOUT = ((0, 1, 2), (1, 0), ())
+    LAYOUT = "0" * 32
 
     def _record(self, digest, cost=1.0, layout=LAYOUT):
         return PlanRecord(key=(digest, ("B",)), actions=((0, 0, 0, "B"),),
@@ -369,7 +412,7 @@ class TestPlanStore:
         program's; a relaxed hit registers nothing, so it stays relaxed."""
         store = PlanStore(max_entries=4)
         store.put(self._record("a"))
-        other = ((1, 0, 2), (1, 0), ())
+        other = "1" * 32
         for _ in range(2):
             assert store.lookup("a", ("B",), other)[1] == "relaxed"
         assert store.lookup("a", ("B",), self.LAYOUT)[1] == "exact"
@@ -386,18 +429,19 @@ class TestPlanStore:
                              cost=2.5,
                              meta={"backend": "serial"},
                              layout=self.LAYOUT))
-        store.put(self._record("e", layout=None))
         store.save(path)
+        with open(path, "a") as handle:  # a record that keeps no layout
+            handle.write('{"key": ["e", ["B"]], "a": [[0, 0, 0, "B"]], '
+                         '"c": 1.0, "m": {}}\n')
         fresh = PlanStore(max_entries=8)
-        assert fresh.load(path) == 2
+        assert fresh.load(path) == 1
         record, tier = fresh.lookup("d", ("B", 8), self.LAYOUT)
         assert tier == "exact"
         assert record.layout == self.LAYOUT
         assert record.actions == ((0, 1, 0, "B"), (1, 0, 1, "M"))
         assert record.cost == 2.5
         assert record.meta["backend"] == "serial"
-        # A record saved without a layout serves every requester relaxed.
-        assert fresh.lookup("e", ("B",), self.LAYOUT)[1] == "relaxed"
+        assert fresh.lookup("e", ("B",), self.LAYOUT) is None
 
 
 class TestRpcProtocol:

@@ -4,21 +4,21 @@ Guards the shape the consolidation left behind — the 14 fields and their
 order (the first seven are the plan server's store key, so reordering them
 would orphan every saved plan), the two constructors that used to carry
 path-selection flags, wire compatibility with clients that still send
-those flags, files on disk written while the rollout prior and the action
-space were options — and pins that a misspelled or ill-typed option is an
+those flags, transposition logs left on disk under the retired exact
+fingerprint — and pins that a misspelled or ill-typed option is an
 error where the tactic is built, not a silently ignored keyword.
 """
 
 import dataclasses
 import inspect
-import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from repro import AutomaticPartition, Mesh
-from repro.auto import PlanStore, SearchConfig, TranspositionTable, rpc
+from repro.auto import SearchConfig, rpc
 from repro.auto import server as server_mod
 from repro.auto.evaluator import Evaluator
 from repro.auto.search import mcts_search
@@ -41,72 +41,38 @@ class TestSurface:
 
     def test_params_key_matches_stores_written_before_the_config(
             self, tmp_path):
-        """Literal lines in the format of PR 21: a transposition log with
-        a ``"g"`` (tree statistics) record between a cost and a probe
-        record, and a ``--store`` snapshot whose record carries ``"p"`` and
-        a params key ending in the prior mode.  Then two snapshot lines in
-        the format written while the action space was a plan-identity
-        field (a 9-slot params key, no ``"l"`` layout): the ``"tagged"``
-        one still hits, the ``"inputs"`` one is skipped.  Everything loads
-        without a warning, a record without a layout serves
-        ``"relaxed"``, and both files are rewritten without the retired
-        parts."""
-        log = str(tmp_path / "tt.jsonl")
-        with open(log, "w") as handle:
-            handle.write(
-                '{"k": [[0, 0, 0, "B"]], "c": 8.593758195646473e-10}\n'
-                '{"g": [0, "param", 0, "B", [[[], []], [], []]], '
-                '"n": 1, "t": 0.75}\n'
-                '{"pa": [0, 0, 0, "B"], "ps": "ab441e3efd397b15d5b4c5d6"}\n')
-        snapshot = str(tmp_path / "plans.jsonl")
-        with open(snapshot, "w") as handle:
-            handle.write(
-                '{"key": ["d7bd8e66f96494c6c108032580ca8357", [["B", "M"], '
-                '24, 3, 0.5, 0, 48, "tagged", 16, true, "learned"]], '
-                '"a": [[0, 0, 0, "B"]], "c": 8.593758195646473e-10, '
-                '"p": [[[0, "param", 0, "B", [[[], []], [], []]], 2, 1.5]], '
-                '"m": {"backend": "serial", "tree_prior_hits": 5, '
-                '"prior_mode": "learned"}}\n'
-                '{"key": ["5c1f0e1d2b7a49e38a1e6f0b9d2c4a77", [["B", "M"], '
-                '24, 3, 0.5, 0, 48, "tagged", 16, true]], '
-                '"a": [[0, 1, 1, "M"]], "c": 2.6425806451612902e-05, '
-                '"m": {"backend": "serial", "action_space": "tagged"}}\n'
-                '{"key": ["0b9e2f7c3d1a4e6f8a5b7c9d0e1f2a3b", [["B", "M"], '
-                '24, 3, 0.5, 0, 48, "inputs", 16, true]], '
-                '"a": [[0, 0, 0, "B"]], "c": 4.35e-05, '
-                '"m": {"backend": "serial", "action_space": "inputs"}}\n')
+        """A transposition log named by the retired exact fingerprint
+        (literal lines of one, with a ``"g"`` tree-statistics record) sits
+        in ``cache_dir``: no program names it any more, so the search runs
+        cold, opens its own ``tt_<digest>_<layout>.jsonl`` and leaves the
+        old file byte-identical.  The params key is still the plan
+        identity, execution fields excluded."""
+        old = tmp_path / "tt_ae55324a71726618b6227ab65e3c1ad5.jsonl"
+        old.write_text(
+            '{"k": [], "c": 3.437503278258589e-09}\n'
+            '{"k": [[0, 0, 0, "B"]], "c": 8.593758195646473e-10}\n'
+            '{"g": [0, "param", 0, "B", [[[], []], [], []]], '
+            '"n": 1, "t": 0.75}\n'
+            '{"pa": [0, 0, 0, "B"], "ps": "ab441e3efd397b15d5b4c5d6"}\n')
+        before = old.read_bytes()
+        function, _ = build_matmul_chain()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = TranspositionTable(log)
-            store = PlanStore()
-            assert store.load(snapshot) == 2
-        assert table.lookup(((0, 0, 0, "B"),)) == 8.593758195646473e-10
-        assert table.warm_hits == 1
-        assert table.warm_probes() == {
-            (0, 0, 0, "B"): "ab441e3efd397b15d5b4c5d6"}
+            result = mcts_search(function, ShardingEnv(Mesh({"B": 4, "M": 2})),
+                                 ["B", "M"], budget=8, seed=0,
+                                 cache_dir=str(tmp_path))
+        assert result.evaluations > 0 and result.warm_cache_hits == 0
+        assert (result.actions, result.cost) == (
+            [(0, 0, 0, "B")], 8.593758195646473e-10)
+        assert old.read_bytes() == before
+        names = sorted(os.listdir(tmp_path))
+        assert len(names) == 2 and old.name in names
         pkey = server_mod.params_key(["B", "M"], SearchConfig())
         assert pkey == (("B", "M"), 24, 3, 0.5, 0, 48, 16, True)
-        layout = ((1, 0, 2), (0, 1), ())
-        record, tier = store.lookup(
-            "d7bd8e66f96494c6c108032580ca8357", pkey, layout)
-        assert tier == "relaxed" and record.actions == ((0, 0, 0, "B"),)
-        record, tier = store.lookup(
-            "5c1f0e1d2b7a49e38a1e6f0b9d2c4a77", pkey, layout)
-        assert tier == "relaxed" and record.actions == ((0, 1, 1, "M"),)
-        assert store.lookup(
-            "0b9e2f7c3d1a4e6f8a5b7c9d0e1f2a3b", pkey, layout) is None
         # Execution fields never enter the key.
         assert pkey == server_mod.params_key(
             ["B", "M"], SearchConfig(backend="process", workers=4,
                                      cache_dir="/tmp/x"))
-        table.compact()
-        store.save(snapshot)
-        for path, lines in ((log, 2), (snapshot, 2)):
-            with open(path) as handle:
-                records = [json.loads(line) for line in handle]
-            assert len(records) == lines
-            assert not any("g" in r or "p" in r for r in records)
-        assert all(len(r["key"][1]) == len(pkey) for r in records)
 
     def test_constructors_carry_no_path_flags(self):
         evaluator = inspect.signature(Evaluator.__init__).parameters

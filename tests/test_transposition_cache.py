@@ -1,18 +1,21 @@
-"""The persistent transposition table: fingerprints, round-trips, warm starts.
+"""The persistent transposition table: log names, round-trips, warm starts.
 
 The on-disk cache is append-only (write-lean: a hit never touches disk, a
-fully-warm rerun leaves the file byte-identical) and keyed by a stable
-fingerprint of the traced function + mesh + device + initial shardings, so
-costs can never leak across programs.
+fully-warm rerun leaves the file byte-identical) and named by the
+program's canonical ``(digest, layout)`` — the traced function as written
+(up to tag names) + mesh + device + initial shardings — so costs can never
+leak across programs.
 """
 
 import os
+import shutil
 
 import pytest
 
 from repro import AutomaticPartition, Mesh, ShapeDtype, partir_jit, trace
 from repro.core.sharding import ShardingEnv
-from repro.auto.cache import TranspositionTable, function_fingerprint
+from repro.auto.cache import TranspositionTable
+from repro.auto.fingerprint import canonicalize
 from repro.auto.search import mcts_search
 from repro.sim import DeviceSpec
 from repro.trace import ops
@@ -24,35 +27,41 @@ TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
 MESH = Mesh({"B": 4, "M": 2})
 
 
+def identity(function, mesh=MESH, device=TINY_DEVICE, env=None):
+    canon = canonicalize(function, mesh, device, env)
+    return canon.digest, canon.layout
+
+
 class TestFingerprint:
+    """A log is named by ``(digest, layout)``: the program as written,
+    up to tag names, in its search context."""
+
     def test_stable_across_retraces(self):
         """Structurally identical functions fingerprint identically, even
         though every Value uid and object id differs."""
         first, _ = build_matmul_chain()
         second, _ = build_matmul_chain()
-        assert function_fingerprint(first, MESH, TINY_DEVICE) == \
-            function_fingerprint(second, MESH, TINY_DEVICE)
+        assert identity(first) == identity(second)
 
     def test_sensitive_to_structure_mesh_device_and_env(self):
         function, _ = build_matmul_chain()
-        base = function_fingerprint(function, MESH, TINY_DEVICE)
+        base = identity(function)
         # Different shapes -> different program.
         other, _ = build_matmul_chain(m=512)
-        assert function_fingerprint(other, MESH, TINY_DEVICE) != base
+        assert identity(other) != base
         # Different mesh.
-        assert function_fingerprint(
-            function, Mesh({"B": 8}), TINY_DEVICE) != base
+        assert identity(function, Mesh({"B": 8})) != base
         # Different device.
         fat = DeviceSpec("fat", peak_flops=1e12, hbm_bytes=16e9,
                          link_bandwidth=1e11)
-        assert function_fingerprint(function, MESH, fat) != base
-        # Different initial shardings (a manual tactic ran first).
+        assert identity(function, device=fat) != base
+        # A blank env is the start state of no env; a manual tactic that
+        # ran first is another start state.
         env = ShardingEnv(MESH)
-        assert function_fingerprint(function, MESH, TINY_DEVICE, env) != base
+        assert identity(function, env=env) == base
         env.set_sharding(function.params[0],
                          env.sharding(function.params[0]).with_tile(0, "B"))
-        assert function_fingerprint(function, MESH, TINY_DEVICE, env) != \
-            function_fingerprint(function, MESH, TINY_DEVICE, ShardingEnv(MESH))
+        assert identity(function, env=env) != base
 
 
 class TestTableRoundTrip:
@@ -185,6 +194,30 @@ class TestWarmStartSearch:
                     device=TINY_DEVICE, budget=4, cache_dir=str(tmp_path))
         assert len(os.listdir(tmp_path)) == 2
 
+    def test_alpha_renamed_clone_replays_a_copy_of_the_cold_log(
+            self, tmp_path):
+        """Renaming a tag names the same program, so the renamed trace
+        opens the cold run's log (copied elsewhere) and replays it:
+        nothing evaluated, the cold plan returned."""
+        def tagged_mlp(name):
+            return trace(
+                lambda x, w1, w2: ops.reduce_sum(ops.tag(x @ w1, name) @ w2),
+                ShapeDtype((64, 16)), ShapeDtype((16, 32)),
+                ShapeDtype((32, 16))).function
+
+        kwargs = dict(device=TINY_DEVICE, budget=16, seed=0)
+        cold_dir, copy_dir = tmp_path / "cold", tmp_path / "copy"
+        cold = mcts_search(tagged_mlp("hidden"), ShardingEnv(MESH),
+                           ["B", "M"], cache_dir=str(cold_dir), **kwargs)
+        assert cold.evaluations > 0
+        shutil.copytree(cold_dir, copy_dir)
+        renamed = mcts_search(tagged_mlp("renamed"), ShardingEnv(MESH),
+                              ["B", "M"], cache_dir=str(copy_dir), **kwargs)
+        assert renamed.evaluations == 0
+        assert renamed.warm_cache_hits > 0
+        assert (renamed.actions, renamed.cost) == (cold.actions, cold.cost)
+        assert os.listdir(copy_dir) == os.listdir(cold_dir)
+
 
 class TestPartirJitWarmStart:
     def _traced(self):
@@ -287,7 +320,7 @@ class TestCompaction:
         del events[:]
         store = PlanStore()
         store.put(PlanRecord(key=("d", ("B",)), actions=((0, 0, 0, "B"),),
-                             cost=1.0))
+                             cost=1.0, layout="l"))
         store.save(str(tmp_path / "plans.jsonl"))
         assert events == ["fsync", "replace", "fsync"]
         assert sorted(os.listdir(tmp_path)) == ["plans.jsonl", "tt.jsonl"]
