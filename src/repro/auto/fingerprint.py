@@ -54,6 +54,7 @@ from repro.core.actions import PIPELINE, TILE_INPUT
 from repro.core.pipeline import loop_ops
 from repro.ir.function import Function
 from repro.ir.tagpoints import tag_points
+from repro.ir.values import canonical_attr
 
 from repro.auto.tree import ActionKey, canonical_key
 
@@ -63,29 +64,6 @@ from repro.auto.tree import ActionKey, canonical_key
 COST_IRRELEVANT_ATTRS = {
     "tag": frozenset({"name", "auto"}),
 }
-
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _canon(obj):
-    """Canonical, deterministic rendering of an attr value for hashing."""
-    kind = type(obj)
-    if kind in _SCALARS:
-        return repr(obj)
-    if kind is tuple or kind is list:
-        for value in obj:
-            if type(value) not in _SCALARS:
-                return ("seq",) + tuple(map(_canon, obj))
-        return ("seq", repr(tuple(obj)))
-    if isinstance(obj, dict):
-        return ("dict",) + tuple(
-            (repr(k), _canon(obj[k])) for k in sorted(obj, key=repr))
-    if isinstance(obj, (set, frozenset)):
-        return ("set",) + tuple(sorted(repr(v) for v in obj))
-    if hasattr(obj, "tobytes") and hasattr(obj, "shape"):  # ndarray-like
-        digest = hashlib.blake2b(obj.tobytes(), digest_size=8).hexdigest()
-        return ("nd", tuple(obj.shape), obj.dtype.str, digest)
-    return repr(obj)
 
 
 def _type_key(env, value) -> tuple:
@@ -169,7 +147,7 @@ def _canonicalize_fn(fn: Function, env, param_labels: List[tuple]) -> _FnCanon:
         drop = COST_IRRELEVANT_ATTRS.get(op.opcode)
         if drop:
             attrs = {key: v for key, v in attrs.items() if key not in drop}
-        label = ("op", op.opcode, _canon(attrs) if attrs else (),
+        label = ("op", op.opcode, canonical_attr(attrs) if attrs else (),
                  tuple(_type_key(env, r) for r in op.results),
                  tuple(c.digest for c in canons))
         op_label.append(labels.setdefault(label, len(labels)))
@@ -355,7 +333,7 @@ def canonicalize(function: Function, mesh, device=None,
     if device is not None:
         if dataclasses.is_dataclass(device):
             device = dataclasses.asdict(device)
-        hasher.update(repr(_canon(device)).encode())
+        hasher.update(repr(canonical_attr(device)).encode())
 
     position = {id(op): i for i, op in enumerate(canon.op_walk)}
     op_to_canon = tuple(position[id(op)] for op in function.walk())

@@ -68,8 +68,7 @@ _ALWAYS_DEFER = {
 }
 
 
-def may_defer(env: ShardingEnv, op: Operation, axis: str,
-              pending: List[int]) -> bool:
+def may_defer(op: Operation, axis: str, pending: List[int]) -> bool:
     """May a pending #sum over ``axis`` on the ``pending`` operands be
     deferred through ``op``?
 
@@ -490,7 +489,7 @@ class Propagator:
         through a single-result op that may defer it."""
         if axis in result_sharding.used or axis in result_sharding.pinned:
             return False
-        if not may_defer(self.env, op, axis, pending):
+        if not may_defer(op, axis, pending):
             return False
         self.env.set_sharding(op.results[0], result_sharding.with_sum(axis))
         self.env.record("sum", op, axis,

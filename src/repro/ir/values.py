@@ -15,6 +15,35 @@ from repro.ir.types import TensorType
 
 _value_counter = itertools.count()
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def canonical_attr(obj):
+    """Canonical, deterministic, hashable rendering of an attr value: equal
+    renderings mean interchangeable attrs (dicts and sets are ordered, an
+    array is its shape, dtype and a digest of its bytes)."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return repr(obj)
+    if kind is tuple or kind is list:
+        for value in obj:
+            if type(value) not in _SCALARS:
+                return ("seq",) + tuple(map(canonical_attr, obj))
+        return ("seq", repr(tuple(obj)))
+    if isinstance(obj, dict):
+        return ("dict",) + tuple(
+            (repr(k), canonical_attr(obj[k])) for k in sorted(obj, key=repr))
+    if isinstance(obj, (set, frozenset)):
+        return ("set",) + tuple(sorted(repr(v) for v in obj))
+    if hasattr(obj, "tobytes") and hasattr(obj, "shape"):  # ndarray-like
+        # Imported here: loading OpenSSL adds ~4 MB to the resident set of
+        # a process that never hashes an array (a manual-only partir_jit).
+        import hashlib
+
+        digest = hashlib.blake2b(obj.tobytes(), digest_size=8).hexdigest()
+        return ("nd", tuple(obj.shape), obj.dtype.str, digest)
+    return repr(obj)
+
 
 class Value:
     """An SSA value with a static tensor type.
@@ -72,11 +101,14 @@ class Operation:
         regions: nested function bodies (``scan`` has one).
     """
 
-    # _sharding_rule caches repro.core.rules.rule_for(op): a reference to
-    # the process-wide shared rule for the op's factor table, a pure
-    # function of its opcode/attrs/types, all frozen after construction.
+    # Derived caches, both pure functions of the op's structure (frozen
+    # after construction) and both process-local:
+    # _sharding_rule caches repro.core.rules.rule_for(op), a reference to
+    # the process-wide shared rule for the op's factor table; _op_class
+    # caches repro.spmd.lower.op_class(op), the interned id of the op's
+    # structural class that keys its lowering plans.
     __slots__ = ("opcode", "operands", "attrs", "results", "regions",
-                 "_sharding_rule")
+                 "_sharding_rule", "_op_class")
 
     def __init__(
         self,
@@ -95,8 +127,9 @@ class Operation:
         ]
 
     def __getstate__(self):
-        # The cached sharding rule is derived state: re-resolved on demand
-        # (to the receiving process's shared instance), never shipped.
+        # The cached sharding rule and structural class are derived state:
+        # re-resolved on demand (to the receiving process's shared rule and
+        # interned class ids), never shipped.
         return (self.opcode, self.operands, self.attrs, self.results,
                 self.regions)
 

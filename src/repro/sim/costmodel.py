@@ -22,8 +22,12 @@ and append the same live-range records:
 * :meth:`StreamingEstimator.estimate_incremental` — the fast path the
   automatic-partitioning search uses — prices the lowerer's *plans*
   (:meth:`~repro.spmd.lower.Lowerer._plan_op` / ``_plan_loop``) without
-  lowering the program.  Per-op segments (an op's plan, priced) and whole
-  reconcile-chain costs are memoized on sharding signatures; an
+  lowering the program.  Op plans come from the function's plan table
+  (:func:`~repro.spmd.lower.plan_table`), the one :func:`lower` also
+  reads and fills, so L identical layers are planned once and a final
+  lowering re-plans nothing the search saw.  Per-op segments (an op's
+  plan, priced) and whole reconcile-chain costs are memoized on sharding
+  signatures; an
   evaluation of a mutated env *refreshes* only the ops whose neighborhood
   changed (O(dirty)) and then *folds* the whole function once, replaying
   each op's precompiled segment into a :class:`~repro.sim.terms.TermSum`
@@ -149,9 +153,10 @@ class StreamingEstimator:
     stays bound to that env, and whole reconcile chains on ``(local type,
     source layout, target layout, reduced axes)`` for its lifetime, so a
     state that differs from a seen one only on part of the program
-    re-plans only that part.  ``ops_reused`` / ``ops_planned`` count
-    segment hits and misses, ``reconcile_hits`` / ``reconcile_misses``
-    the chain memo's.
+    re-prices only that part.  A segment miss takes its plan from the
+    function's plan table, shared with :func:`lower`.  ``ops_reused`` /
+    ``ops_planned`` count segment hits and misses, ``reconcile_hits`` /
+    ``reconcile_misses`` the chain memo's.
     """
 
     def __init__(self, function: Function, mesh: Mesh, device: DeviceSpec):
@@ -283,8 +288,9 @@ class _IncrementalEstimate:
         self.env = env
         self.mesh = estimator.mesh
         self.device = estimator.device
-        #: Asked for plans only; it never emits.
-        self._lowerer = Lowerer(env)
+        #: Asked for plans only; it never emits.  It reads and fills the
+        #: function's plan table, shared with every lower() of it.
+        self._lowerer = Lowerer(env, estimator.function)
         self._top = _Region(estimator.function)
         #: value -> tuple of top-level unit indices to refresh when it
         #: changes.

@@ -26,23 +26,50 @@ _execute_plan` emits a plan.  Loops split the same way: :meth:`Lowerer.
 _plan_loop` decides the operand/carry layouts, each region's parameter
 layouts and result targets, the injected ``pipeline_*`` attrs and which
 results need a reconcile after the loop; :meth:`Lowerer._emit_loop` emits
-it.  A plan is a pure function of ``(op, adjacent shardings)``, so the
-search's estimator (:mod:`repro.sim.costmodel`) calls the two planners —
-and nothing else here — to price a program without lowering it, memoizing
-plans on the shardings' interned ids and re-planning only ops whose
-neighborhood changed, mirroring incremental propagation.  :func:`lower`
-itself is memo-free and shares no state with the estimator.
+it.  The search's estimator (:mod:`repro.sim.costmodel`) calls the two
+planners — and nothing else here — to price a program without lowering
+it, re-pricing only ops whose neighborhood changed, mirroring incremental
+propagation.
+
+**One plan per structural class.**  An op's plan is a pure function of
+its structural class (:func:`op_class`: opcode, attrs, operand and result
+types, sharding rule), its adjacent shardings and the mesh; it holds no
+:class:`Value`, and the builder copies the attrs it emits.  So plans are
+shared: a function carries one plan table per mesh (:func:`plan_table`,
+an underscore attribute that never rides a pickle), keyed ``(class,
+operand sharding iids, result sharding iids)``, and every lowerer built
+for the function — each :func:`lower` call and the estimator's — reads
+and fills it.  L identical layers are planned once, and so is the
+unchanged rest of a program re-lowered after each tactic.  What keeps
+the materializing pipeline an independent reference is that the key is
+complete: ``tests/test_plan_table.py`` checks, on every model family,
+that a plan served from a warm table equals a freshly built one and that
+a warm :func:`lower` matches a cold one op for op.
+
+>>> from repro import ManualPartition, Mesh, ShapeDtype, partir_jit, trace
+>>> from repro.trace import ops
+>>> def mlp(x, w1, w2):  # two layers of one shape
+...     return ops.tanh(ops.tanh(x @ w1) @ w2)
+>>> square = ShapeDtype((8, 8))
+>>> traced = trace(mlp, square, square, square)
+>>> mesh = Mesh({"batch": 2})
+>>> _ = partir_jit(traced, mesh, [ManualPartition({"0": 0}, axis="batch")])
+>>> [op.opcode for op in traced.function.ops]  # tags are auto tag points
+['dot_general', 'tag', 'tanh', 'dot_general', 'tag', 'tanh']
+>>> len(plan_table(traced.function, mesh))  # one dot plan, one tanh plan
+2
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LoweringError
 from repro.ir import opdefs
 from repro.ir.function import Function, FunctionBuilder
-from repro.ir.values import Operation, Value
+from repro.ir.values import Operation, Value, canonical_attr
 from repro.mesh import Mesh
 from repro.core import pipeline as pipeline_mod
 from repro.core import rules as rules_mod
@@ -67,7 +94,8 @@ class LoweredModule:
 def lower(function: Function, env: ShardingEnv) -> LoweredModule:
     """Lower ``function`` under ``env`` to a device-local function."""
     input_shardings = [env.sharding(p) for p in function.params]
-    local = Lowerer(env).lower_function(function, function.name + "_spmd")
+    local = Lowerer(env, function).lower_function(
+        function, function.name + "_spmd")
     output_shardings = [
         env.sharding(r).without_sum(env.sharding(r).sum_axes)
         for r in function.results
@@ -75,14 +103,15 @@ def lower(function: Function, env: ShardingEnv) -> LoweredModule:
     return LoweredModule(local, env.mesh, input_shardings, output_shardings)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class _OpPlan:
     """The per-op lowering decisions, decoupled from any emission target.
 
-    Everything here is a pure function of the op (opcode, attrs, types) and
-    the shardings of its adjacent values — the memo key the search's
-    estimator uses.  Plans are immutable after construction: execution and
-    pricing only read them.
+    Everything here is a pure function of the op's structural class, the
+    shardings of its adjacent values and the mesh — the key of the plan
+    table (:func:`plan_table`) that shares one instance between every op
+    and every lowering with that key.  Execution and pricing only read a
+    plan; nothing may write to one.
     """
 
     operand_shardings: Tuple[Sharding, ...]
@@ -117,15 +146,70 @@ class _LoopPlan:
     tails: Tuple[Optional[Tuple[Sharding, Dict[int, List[str]]]], ...]
 
 
+#: Structural key -> interned class id, process-wide (see :func:`op_class`).
+_OP_CLASSES: Dict[tuple, int] = {}
+_class_ids = itertools.count()
+#: A constant whose payload is larger than this has no class (is planned
+#: afresh at every lowering): its key would keep a copy of the payload.
+_KEYED_PAYLOAD_BYTES = 256
+
+
+def op_class(op: Operation) -> Optional[int]:
+    """The interned id of ``op``'s structural class: everything its plan
+    reads besides its adjacent shardings and the mesh — opcode, attrs,
+    operand and result types, and its sharding rule (which follows from
+    the rest except for ``scatter_add``, whose rule asks whether its
+    operand is produced as zeros).  A constant's payload enters by its
+    bytes, not by a digest: traced constants are scalars, and hashing
+    would cost more than planning.  ``None`` for a constant past
+    ``_KEYED_PAYLOAD_BYTES``.  Loop ops are planned by
+    :meth:`Lowerer._plan_loop` and never keyed.  Cached on the op."""
+    try:
+        return op._op_class
+    except AttributeError:
+        pass
+    if op.opcode == "constant":
+        attrs = dict(op.attrs)
+        payload = attrs.pop("value")
+        if payload.nbytes > _KEYED_PAYLOAD_BYTES:
+            op._op_class = None
+            return None
+        rendered = (payload.tobytes(), canonical_attr(attrs))
+        rule = None
+    else:
+        rendered = canonical_attr(op.attrs)
+        rule = rules_mod.rule_for(op)
+    key = (op.opcode, rendered, tuple([v.type for v in op.operands]),
+           tuple([r.type for r in op.results]), rule)
+    # next() on a count is atomic, so racing first sightings of one key
+    # agree on the id setdefault keeps.
+    op._op_class = _OP_CLASSES.setdefault(key, next(_class_ids))
+    return op._op_class
+
+
+def plan_table(function: Function, mesh: Mesh) -> Dict[tuple, _OpPlan]:
+    """``function``'s lowering-plan table for ``mesh``: ``(op class,
+    operand sharding iids, result sharding iids) -> plan``, for the ops of
+    the function and of its regions.  Created on first use; an underscore
+    attribute, so :meth:`Function.__getstate__` keeps it off every
+    pickle."""
+    tables = function.__dict__.setdefault("_plan_tables", {})
+    return tables.setdefault(tuple(sorted(mesh.axes.items())), {})
+
+
 def required_of(sharding: Sharding) -> Dict[int, List[str]]:
     """The ``required`` layout that is exactly ``sharding``'s tiling."""
     return {d: list(axes) for d, axes in enumerate(sharding.dim_axes)}
 
 
 class Lowerer:
-    def __init__(self, env: ShardingEnv):
+    def __init__(self, env: ShardingEnv, function: Optional[Function] = None):
         self.env = env
         self.mesh = env.mesh
+        #: ``function``'s shared plan table for this mesh, or a private one
+        #: for a lowerer built only to reconcile.
+        self._plans = ({} if function is None
+                       else plan_table(function, self.mesh))
         # Reconciliations that materialise a pending reduction are cached so
         # each gradient is reduced exactly once (XLA CSEs the all_reduce;
         # the fused form is the paper's one reduce_scatter per gradient).
@@ -292,6 +376,22 @@ class Lowerer:
     # -- per-op planning ---------------------------------------------------------
 
     def _plan_op(self, op: Operation) -> _OpPlan:
+        """The op's lowering plan: looked up in the plan table, or built
+        and entered there."""
+        cls = op_class(op)
+        if cls is None:
+            return self._build_op_plan(op)
+        # Every env-stored sharding is the canonical interned instance
+        # (set_sharding interns; the replicated default is interned).
+        sharding = self.env.sharding
+        key = (cls, *[sharding(v)._iid for v in op.operands],
+               *[sharding(r)._iid for r in op.results])
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._build_op_plan(op)
+        return plan
+
+    def _build_op_plan(self, op: Operation) -> _OpPlan:
         """Compute the op's lowering plan from its adjacent shardings."""
         rule = None
         if op.opcode != "constant":
@@ -355,7 +455,7 @@ class Lowerer:
                     i for i in range(n_in)
                     if axis in operand_shardings[i].sum_axes
                 ]
-                if pending_idx and may_defer(self.env, op, axis, pending_idx):
+                if pending_idx and may_defer(op, axis, pending_idx):
                     for i in pending_idx:
                         allowed_pending[i].add(axis)
                     continue

@@ -3,9 +3,11 @@
 ``reference_cost`` prices a canonical action set from scratch through the
 materializing pipeline — fresh env, one full-sweep ``propagate`` per
 action, ``lower``, ``fuse_collectives``, ``costmodel.estimate`` — sharing
-no state, cache or code path with ``Evaluator`` beyond the action
-vocabulary.  ``Evaluator.evaluate(key) == reference_cost(key)``, bit for
-bit, is the one purity contract the suites and figure scripts pin.
+nothing with ``Evaluator`` beyond the action vocabulary and the
+function's lowering-plan table, whose key ``tests/test_plan_table.py``
+checks is complete (a served plan is the plan a fresh planner builds).
+``Evaluator.evaluate(key) == reference_cost(key)``, bit for bit, is the
+one purity contract the suites and figure scripts pin.
 
 ``ESTIMATE_FIELDS`` / ``assert_estimates_identical`` are the one statement
 of what "bit for bit" means for two ``CostEstimate`` objects.

@@ -2,12 +2,14 @@
 
 The public-API docstrings carry runnable examples (``partir_jit``,
 ``Tactic``, ``AutomaticPartition``, ``mcts_search``, ``SearchResult``,
-``decode_action``, ``canonicalize``); this module runs them the same way the CI docs job
+``decode_action``, ``canonicalize``, the plan table of
+``repro.spmd.lower``); this module runs them the same way the CI docs job
 does (``python -m doctest``), and checks that every relative link and
 repo path mentioned in ``README.md`` / ``docs/ARCHITECTURE.md`` exists.
 """
 
 import doctest
+import importlib
 import os
 import subprocess
 import sys
@@ -21,9 +23,12 @@ import repro.core.actions
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: The documented modules the CI docs job doctests.
+#: The documented modules the CI docs job doctests.  (``repro.spmd.lower``
+#: by import: the package re-exports the ``lower`` function under the
+#: module's name.)
 DOCTESTED_MODULES = [repro.api, repro.auto.fingerprint, repro.auto.search,
-                     repro.core.actions]
+                     repro.core.actions,
+                     importlib.import_module("repro.spmd.lower")]
 
 
 @pytest.mark.parametrize("module", DOCTESTED_MODULES,
