@@ -79,16 +79,15 @@ def test_fig8(benchmark):
                       Mesh({"batch": 16}), time.perf_counter() - t0))
 
         for name, traced, schedule, mesh, trace_s in cases:
-            scratch = run_schedule(traced, schedule, mesh, incremental=False)
-            result = run_schedule(traced, schedule, mesh, incremental=True)
+            result = run_schedule(traced, schedule, mesh)
             total = (trace_s + result.partition_s + result.lower_s
                      + result.estimate_s)
             fraction = 100.0 * result.partition_s / total
             rows.append((
                 name, f"{result.partition_s:.2f}s", f"{result.lower_s:.2f}s",
-                f"{result.estimate_s:.2f}s", f"{scratch.partition_s:.2f}s",
-                f"{total:.2f}s", f"{fraction:.1f}%", result.propagate_calls,
-                result.ops_processed, scratch.ops_processed,
+                f"{result.estimate_s:.2f}s", f"{total:.2f}s",
+                f"{fraction:.1f}%", result.propagate_calls,
+                result.ops_processed,
             ))
             records.append({
                 "model": name,
@@ -96,12 +95,10 @@ def test_fig8(benchmark):
                 "partition_s": result.partition_s,
                 "lower_fuse_s": result.lower_s,
                 "estimate_s": result.estimate_s,
-                "scratch_partition_s": scratch.partition_s,
                 "pipeline_total_s": total,
                 "partition_pct": fraction,
                 "propagate_calls": result.propagate_calls,
-                "ops_processed_incremental": result.ops_processed,
-                "ops_processed_scratch": scratch.ops_processed,
+                "ops_processed": result.ops_processed,
             })
 
         # -- backend axis: AutomaticPartition inside the compile pipeline --
@@ -145,11 +142,9 @@ def test_fig8(benchmark):
     print_table(
         "Figure 8: partition time as % of the compile pipeline "
         "(paper: <= 14% of XLA compile); explicit propagate vs lower+fuse "
-        "vs estimate split; incremental per-tactic propagation vs "
-        "from-scratch sweeps",
-        ["model", "partition", "lower+fuse", "estimate", "scratch part.",
-         "pipeline total", "partition %", "propagates", "ops (incr)",
-         "ops (scratch)"],
+        "vs estimate split",
+        ["model", "partition", "lower+fuse", "estimate", "pipeline total",
+         "partition %", "propagates", "ops visited"],
         rows,
     )
     print_table(
@@ -160,7 +155,5 @@ def test_fig8(benchmark):
         auto_rows,
     )
     write_bench_json("fig8", {"runs": records})
-    # Partitioning stays a bounded fraction of the pipeline, and the
-    # incremental engine never does more propagation work than scratch.
-    assert all(float(row[6].rstrip("%")) < 80.0 for row in rows)
-    assert all(row[8] <= row[9] for row in rows)
+    # Partitioning stays a bounded fraction of the pipeline.
+    assert all(float(row[5].rstrip("%")) < 80.0 for row in rows)

@@ -87,7 +87,7 @@ def run_leg(cfg, tactics, mesh):
     env = ShardingEnv(mesh)
     t0 = time.perf_counter()
     for tactic in tactics:
-        tactic.apply(traced.function, env, incremental=True)
+        tactic.apply(traced.function, env)
     lowered = lower(traced.function, env)
     lowered = dataclasses.replace(
         lowered, function=fuse_collectives(lowered.function)
@@ -153,7 +153,7 @@ def check_bit_identity(cfg):
     env.enable_journal()
     estimator = costmodel.StreamingEstimator(traced.function, mesh, TPU_V3)
     for tactic in (sched.pp("stage"), tensor_tactic("model")):
-        tactic.apply(traced.function, env, incremental=True)
+        tactic.apply(traced.function, env)
     fast = estimator.estimate_incremental(env, env.drain_journal())
     materialized = reference_estimate(traced.function, env, TPU_V3)
     for field in FIELDS:

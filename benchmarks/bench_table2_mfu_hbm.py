@@ -21,6 +21,7 @@ reproduction target is the parity (tuned) and the gap (untuned).
 import pytest
 
 from repro.baselines.gspmd import _GspmdPropagator, gspmd_partition
+from repro.core.sharding import ShardingEnv
 from repro.mesh import Mesh
 from repro.models import transformer
 from repro.models.schedules import transformer_schedules
@@ -78,8 +79,11 @@ def test_table2(benchmark):
             hbm_partir = ours.estimate.peak_memory_bytes / 2 ** 30
 
             # GSPMD (tuned): expert constraints everywhere -> the greedy
-            # propagation is fully anchored.
-            tuned_env = ours.env.copy()
+            # propagation is fully anchored.  Every solved sharding is
+            # written as an annotation, so every one seeds the greedy run.
+            tuned_env = ShardingEnv(mesh)
+            tuned_env.apply_portable_state(
+                traced.function, ours.env.portable_state(traced.function))
             _GspmdPropagator(traced.function, tuned_env).run()
             mfu_tuned, hbm_tuned = score(tuned_env)
 

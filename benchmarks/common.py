@@ -88,12 +88,11 @@ class Run:
     ops_processed: int = 0
 
 
-def run_schedule(traced, schedule, mesh, device=TPU_V3,
-                 incremental: bool = True) -> Run:
+def run_schedule(traced, schedule, mesh, device=TPU_V3) -> Run:
     env = ShardingEnv(mesh)
     t0 = time.perf_counter()
     for tactic in schedule:
-        tactic.apply(traced.function, env, incremental=incremental)
+        tactic.apply(traced.function, env)
     partition_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     lowered = lower(traced.function, env)

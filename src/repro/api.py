@@ -82,36 +82,35 @@ class TacticReport:
 class Tactic:
     """Base class: a tactic issues actions into the env, then propagates.
 
-    ``incremental=True`` asks the tactic's trailing propagation to run the
-    worklist engine seeded from the actions just issued (byte-identical
-    fixed point, less work) instead of a whole-function sweep.
-
-    A tactic is just "issue actions, then propagate" — a custom one is a
-    few lines:
+    :meth:`issue_actions` is the first half and returns how many actions
+    it issued; :meth:`apply` runs it and then one propagation, seeded from
+    the values those actions wrote.  A custom tactic is a few lines:
 
     >>> from repro import Mesh, ShapeDtype, trace
     >>> from repro.core import ShardingEnv, tile
-    >>> from repro.core.propagate import propagate
     >>> class ShardFirstInput(Tactic):
     ...     name = "shard-first-input"
-    ...     def apply(self, function, env, incremental=False):
+    ...     def issue_actions(self, function, env):
     ...         tile(env, function.params[0], 0, "d")
-    ...         propagate(function, env, incremental=incremental)
     ...         return 1
     >>> traced = trace(lambda x, w: x @ w,
     ...                ShapeDtype((8, 4)), ShapeDtype((4, 4)))
     >>> env = ShardingEnv(Mesh({"d": 2}))
     >>> ShardFirstInput().apply(traced.function, env)
     1
-    >>> env.sharding(traced.function.params[0]).spec()
-    '[{d}, {}]'
+    >>> [env.sharding(v).spec() for v in traced.function.results]
+    ['[{d}, {}]']
     """
 
     name = "tactic"
 
-    def apply(self, function: Function, env: ShardingEnv,
-              incremental: bool = False) -> int:
+    def issue_actions(self, function: Function, env: ShardingEnv) -> int:
         raise NotImplementedError
+
+    def apply(self, function: Function, env: ShardingEnv) -> int:
+        applied = self.issue_actions(function, env)
+        propagate(function, env)
+        return applied
 
 
 class ManualPartition(Tactic):
@@ -136,8 +135,7 @@ class ManualPartition(Tactic):
             spec = spec(name, value)
         return spec
 
-    def apply(self, function: Function, env: ShardingEnv,
-              incremental: bool = False) -> int:
+    def issue_actions(self, function: Function, env: ShardingEnv) -> int:
         axis_size = env.mesh.size(self.axis)
         applied = 0
         for key, spec in self.inputs.items():
@@ -180,7 +178,6 @@ class ManualPartition(Tactic):
                     continue
                 core_actions.tile(env, value, resolved, self.axis)
                 applied += 1
-        propagate(function, env, incremental=incremental)
         return applied
 
 
@@ -214,8 +211,7 @@ class PipelinePartition(Tactic):
         self.loop_index = loop_index
         self.name = name or f"pipeline<{axis}:{schedule}>"
 
-    def apply(self, function: Function, env: ShardingEnv,
-              incremental: bool = False) -> int:
+    def issue_actions(self, function: Function, env: ShardingEnv) -> int:
         loops = pipeline_mod.loop_ops(function)
         if self.loop_index >= len(loops):
             raise ShardingError(
@@ -231,7 +227,6 @@ class PipelinePartition(Tactic):
                 f"or already pipelined)"
             )
         pipeline_mod.apply_pipeline(env, op, self.axis, self.schedule)
-        propagate(function, env, incremental=incremental)
         return 1
 
 
@@ -299,11 +294,10 @@ class AutomaticPartition(Tactic):
         device = fields.pop("device", TPU_V3)
         return {"device": device, "config": SearchConfig.of(**fields)}
 
-    def apply(self, function: Function, env: ShardingEnv,
-              incremental: bool = False) -> int:
-        """Search, then replay the winner; the search always propagates
-        with the worklist engine, whatever ``incremental`` says (the fixed
-        points are byte-identical)."""
+    def apply(self, function: Function, env: ShardingEnv) -> int:
+        """Search, then replay the winner with one propagation per action
+        (the search scores plans that way, so they cannot be issued as one
+        batch)."""
         from repro.auto.search import run_automatic_partition
 
         results: list = []
@@ -357,7 +351,6 @@ def partir_jit(
     schedule: Sequence[Tactic],
     device: DeviceSpec = TPU_V3,
     estimate_per_tactic: bool = True,
-    incremental: bool = True,
     plan_server: Optional[str] = None,
 ):
     """Partition a traced function with a schedule of tactics.
@@ -378,14 +371,10 @@ def partir_jit(
     >>> out.shape
     (8, 4)
 
-    ``incremental=True`` (default) re-propagates each tactic with the
-    worklist engine seeded from that tactic's actions instead of sweeping
-    the whole function; the resulting shardings are byte-identical (see
-    ``tests/test_incremental_equivalence.py``).  Per-tactic ``conflicts``
-    lists the *distinct* conflicts that first appeared under that tactic —
-    deduped across the schedule, so the reports are identical in both
-    modes (a full re-sweep would otherwise re-report persisting conflicts
-    that the worklist, never revisiting unchanged ops, does not).
+    Each tactic's propagation is seeded from the values its actions wrote,
+    so it costs the tactic's delta, not a sweep of the whole function.
+    Per-tactic ``conflicts`` lists the *distinct* conflicts that first
+    appeared under that tactic, deduped across the schedule.
 
     ``device`` prices the per-tactic and final estimates and every
     :class:`AutomaticPartition` search that does not pin its own
@@ -441,7 +430,7 @@ def partir_jit(
     snapshot = lower_time = snapshot_serial = None
     try:
         for tactic in schedule:
-            applied = tactic.apply(function, env, incremental=incremental)
+            applied = tactic.apply(function, env)
             report_estimate = None
             counts = CollectiveCounts()
             if estimate_per_tactic:

@@ -22,15 +22,15 @@ There is one evaluation path, checked against one reference:
 
 * **env**: one mutable :class:`ShardingEnv` moved by checkpoint/rollback.
   Scoring a set retracts to the longest common prefix with the previous
-  set and extends in place, one worklist-propagation fixed point per new
-  action — or a replay of that prefix's memoized write delta.
+  set and extends in place, one propagation fixed point per new action —
+  or a replay of that prefix's memoized write delta.
 * **pricing**: ``StreamingEstimator.estimate_incremental``
   (:mod:`repro.sim.costmodel`), driven by the env's write journal,
   refreshes only the ops adjacent to a value that moved (O(dirty)) and
   then sums in one fold: an ``fsum`` over every op's precompiled segment
   plan, with the pricing formulas in :mod:`repro.sim.terms`.
-* **reference**: a fresh env, one full-sweep ``propagate`` per canonical
-  action, then ``lower -> fuse_collectives -> costmodel.estimate`` — the
+* **reference**: a fresh env, one ``propagate`` per canonical action,
+  then ``lower -> fuse_collectives -> costmodel.estimate`` — the
   materializing pipeline ``partir_jit`` runs for the executor.  The tests'
   ``reference_cost`` oracle pins ``evaluate(key)`` bit-identical to it.
 """
@@ -261,7 +261,7 @@ class Evaluator:
         # Root fixed point: search never mutates the caller's env.  The
         # event log is dropped — the evaluation env never reads it.
         self.root = env.copy(with_events=False)
-        propagate(function, self.root, incremental=True)
+        propagate(function, self.root)
         # The action stack mirrors the env's applied prefix (one checkpoint
         # per level), and the propagation-delta memo replays
         # previously-computed fixed points on re-extension.
@@ -323,7 +323,7 @@ class Evaluator:
                 env.drain_dirty()
             else:
                 try_apply_action(self.function, env, action)
-                propagate(self.function, env, incremental=True)
+                propagate(self.function, env)
                 self._prop_memo[prefix] = tuple(env.writes_since(token))
             stack.append((action, token))
         return env

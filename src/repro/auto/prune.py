@@ -140,7 +140,7 @@ def probe_action(function: Function, env: ShardingEnv, action: ActionTuple,
     token = env.checkpoint()
     try:
         if try_apply_action(function, env, action):
-            propagate(function, env, incremental=True)
+            propagate(function, env)
         delta = [
             (value_index[value], sharding)
             for value, sharding in env.writes_since(token)

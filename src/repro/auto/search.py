@@ -548,7 +548,7 @@ def mcts_search(
         evaluations=evaluator.evaluations,
         cache_hits=evaluator.cache_hits,
         propagate_calls=stats_after[0] - stats_before[0],
-        ops_processed=stats_after[2] - stats_before[2],
+        ops_processed=stats_after[1] - stats_before[1],
         estimate_ops_reused=evaluator.estimate_ops_reused,
         propagate_time_s=evaluator.propagate_time_s,
         estimate_time_s=evaluator.estimate_time_s,
@@ -603,15 +603,13 @@ def run_automatic_partition(
     # later action's legality check would no longer see the propagated
     # state it was evaluated under), so the env would not realize
     # ``result.cost``.
-    propagate(function, env, incremental=True)
+    propagate(function, env)
     applied = 0
     for action in canonical_key(result.actions):
         if try_apply_action(function, env, action):
             env.record("tile", None, action[3],
                        f"auto {core_actions.decode_action(action)}")
             applied += 1
-            # A skipped action needs no re-propagation: the env is already
-            # at a fixed point and the evaluator's sweep after a skipped
-            # apply provably changes nothing.
-            propagate(function, env, incremental=True)
+            # (A skipped action wrote nothing, so it has nothing to seed.)
+            propagate(function, env)
     return applied

@@ -9,13 +9,11 @@ peak memory explodes — the OOMs the paper reports for PartIR-st.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.api import ManualPartition, Tactic
-from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.ir.function import Function
-from repro.mesh import Mesh
 
 
 class SingleTactic(Tactic):
@@ -25,40 +23,12 @@ class SingleTactic(Tactic):
         self.schedule = list(schedule)
         self.name = "st(" + "+".join(t.name for t in self.schedule) + ")"
 
-    def apply(self, function: Function, env: ShardingEnv,
-              incremental: bool = False) -> int:
+    def issue_actions(self, function: Function, env: ShardingEnv) -> int:
         applied = 0
         for tactic in self.schedule:
             if not isinstance(tactic, ManualPartition):
                 raise TypeError(
                     "SingleTactic amalgamates manual tactics only"
                 )
-            applied += _apply_actions_only(tactic, function, env)
-        # One propagation over all amalgamated actions; the incremental
-        # worklist (seeded from every issued action) reaches the same fixed
-        # point as a whole-function sweep.
-        propagate(function, env, incremental=incremental)
+            applied += tactic.issue_actions(function, env)
         return applied
-
-
-def _apply_actions_only(tactic: ManualPartition, function: Function,
-                        env: ShardingEnv) -> int:
-    """Run a ManualPartition's actions without its trailing propagate."""
-    original = tactic.__class__.apply
-    # ManualPartition.apply ends in propagate(); re-implement the action
-    # loop by temporarily monkey-free approach: call apply on a scratch env?
-    # Simpler: reuse apply but neutralise the propagate via a subclass.
-    class _NoPropagate(ManualPartition):
-        def apply(self, function, env):  # noqa: D401
-            import repro.api as api_mod
-            from repro.core import propagate as prop_mod
-
-            saved = api_mod.propagate
-            api_mod.propagate = lambda f, e, **kw: None
-            try:
-                return ManualPartition.apply(self, function, env)
-            finally:
-                api_mod.propagate = saved
-
-    clone = _NoPropagate(tactic.inputs, tactic.axis, tactic.name)
-    return clone.apply(function, env)

@@ -18,35 +18,36 @@ using the factor rules (the TMR), without cost models or heuristics:
 The pass runs to a fixed point; it is monotone (axes are only ever added to
 shardings), so it terminates.
 
-**Worklist invariant (incremental mode).**  An op's transfer function reads
-only the shardings of its *adjacent* values: its operands, its results, and —
-for loop ops (``scan``/``fori_loop``/``while_loop``) — the linked body (and
-predicate) params/results of its carries.  Therefore an
-op can fire (tile, defer a pending sum, or report a conflict it has not yet
-reported) only after one of those values changed.  The engine maintains
-exactly that invariant: the worklist is seeded from the env's dirty values
-(everything for a from-scratch run), and whenever a value's sharding changes,
-every op adjacent to it is re-enqueued.  Within a round, ops run in program
-(pre-order walk) order with changes visible immediately; an adjacent op at a
-*later* index joins the current round, one at an earlier-or-equal index is
-deferred to the next round.  This makes the worklist schedule a subsequence
-of the classic whole-function sweep restricted to ops that could fire, so
-within one ``propagate`` call the fixed point — shardings *and* recorded
-events, which are deduped per run — is identical to a from-scratch sweep.
-Across a multi-tactic chain the shardings and the *set* of distinct
-conflicts still agree; the only divergence is that a re-sweep re-reports a
-conflict that persists from an earlier tactic (a duplicate event), while
-the worklist does not revisit ops whose neighborhood is unchanged.  The
-property `tests/test_incremental_equivalence.py` checks all of this
-end-to-end.
+**The worklist.**  An op's transfer function reads only the shardings of
+its *adjacent* values: its operands, its results, and — for loop ops
+(``scan``/``fori_loop``/``while_loop``) — the linked body (and predicate)
+params/results of its carries.  Therefore an op can fire (tile, defer a
+pending sum, or report a conflict it has not yet reported) only after one
+of those values changed.  Propagation is built on exactly that: the
+worklist is seeded from the env's *dirty* values (every value written
+since the previous fixed point — a tactic's actions), and whenever a
+value's sharding changes, every op adjacent to it is re-enqueued.  Within
+a round, ops run in program (pre-order walk) order with changes visible
+immediately; an adjacent op at a *later* index joins the current round,
+one at an earlier-or-equal index is deferred to the next round.  The
+schedule is therefore a subsequence of the classic whole-function sweep
+restricted to ops that could fire: within one call the fixed point —
+shardings *and* recorded events, which are deduped per call — is the
+sweep's.  Across a chain of tactics the shardings and the *set* of
+distinct conflicts agree with re-sweeping after every tactic; a re-sweep
+would only re-report a conflict persisting from an earlier tactic.  A
+whole-function sweep is the special case where every value is dirty;
+``tests/oracle.py::full_sweep`` builds it that way, and
+``tests/test_chains.py`` checks the equivalence along mixed trajectories.
 
-**One kernel.**  Both modes run the same per-op transfer function
-(:meth:`Propagator._visit`), compiled per function into shared records
-(:class:`_Transfer`, :class:`_FunctionIndex`) so a visit indexes tuples
-and reads attributes of canonical shardings instead of calling into the
-rule registry.  Mode-vs-mode equivalence therefore cannot catch a kernel
-bug; `tests/test_propagation_golden.py` pins fixed points, event lists
-and visit counts to values generated before the kernel was compiled.
+**One compiled kernel.**  Every visit runs the same per-op transfer
+function (:meth:`Propagator._visit`), compiled per function into shared
+records (:class:`_Transfer`, :class:`_FunctionIndex`) so a visit indexes
+tuples and reads attributes of canonical shardings instead of calling
+into the rule registry.  Comparing against a sweep therefore cannot catch
+a kernel bug; `tests/test_propagation_golden.py` pins fixed points, event
+lists and visit counts to values generated before the kernel was
+compiled.
 """
 
 from __future__ import annotations
@@ -230,33 +231,18 @@ class Propagator:
 
     # -- public -----------------------------------------------------------
 
-    def run(self, max_sweeps: int = 200, incremental: bool = False) -> None:
-        """Run to a fixed point.
-
-        ``incremental=False`` seeds the worklist with every op (a full
-        sweep); ``incremental=True`` seeds only ops adjacent to the env's
-        dirty values — sound because an op whose neighborhood has not
-        changed since the last fixed point cannot fire (see the module
-        docstring's worklist invariant).  Both modes drain the env's dirty
-        set on completion.
-        """
-        stats = self.env.stats
-        stats.propagate_calls += 1
-        if incremental:
-            stats.incremental_calls += 1
-            seeds: Set[int] = set()
-            for value in self.env.dirty_values():
-                seeds.update(self._index.adjacency.get(value, ()))
-        else:
-            seeds = set(range(self.num_ops))
-        # From here on the dirty set tracks only changes made *during* the
-        # fixed point (drained per op to drive re-enqueueing).
-        self.env.clear_dirty()
+    def run(self, max_sweeps: int = 200) -> None:
+        """Run to a fixed point, seeded with the ops adjacent to the env's
+        dirty values (sound: an op whose neighborhood has not changed since
+        the last fixed point cannot fire — see the module docstring).  The
+        dirty set is drained here and then per visit, so it is empty on
+        return."""
+        self.env.stats.propagate_calls += 1
+        adjacency = self._index.adjacency
+        seeds: Set[int] = set()
+        for value in self.env.drain_dirty():
+            seeds.update(adjacency.get(value, ()))
         self._fixed_point(seeds, max_rounds=max_sweeps)
-
-    @property
-    def num_ops(self) -> int:
-        return self._index.num_ops
 
     # -- worklist engine ----------------------------------------------------
 
@@ -285,13 +271,13 @@ class Propagator:
                 i = heappop(current)
                 in_current.discard(i)
                 stats.ops_processed += 1
-                before = env.version
+                before = env._write_serial
                 transfer = transfers[i]
                 if transfer.loop:
                     self._process_loop(ops[i])
                 else:
                     visit(ops[i], transfer)
-                if env.version == before:
+                if env._write_serial == before:
                     continue
                 # Re-enqueue every op adjacent to a value we just changed:
                 # later ops join this round (program order), earlier-or-
@@ -545,13 +531,9 @@ class Propagator:
         return changed
 
 
-def propagate(function: Function, env: ShardingEnv,
-              incremental: bool = False) -> None:
-    """Run propagation to a fixed point over ``function``.
-
-    With ``incremental=True`` the fixed point is seeded only from ops
-    adjacent to values whose sharding changed since the last propagation
-    over this env (the env's dirty set) — byte-identical results to a full
-    sweep, at a fraction of the work when the delta is small.
-    """
-    Propagator(function, env).run(incremental=incremental)
+def propagate(function: Function, env: ShardingEnv) -> None:
+    """Run propagation to a fixed point over ``function``, seeded from the
+    values written since the last propagation over ``env`` (its dirty
+    set): the fixed point of a whole-function sweep, at the cost of the
+    delta."""
+    Propagator(function, env).run()

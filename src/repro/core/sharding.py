@@ -370,13 +370,11 @@ class PropagationStats:
     """
 
     propagate_calls: int = 0
-    incremental_calls: int = 0
     ops_processed: int = 0
     rounds: int = 0
 
-    def snapshot(self) -> Tuple[int, int, int, int]:
-        return (self.propagate_calls, self.incremental_calls,
-                self.ops_processed, self.rounds)
+    def snapshot(self) -> Tuple[int, int, int]:
+        return (self.propagate_calls, self.ops_processed, self.rounds)
 
 
 @dataclasses.dataclass
@@ -388,7 +386,6 @@ class EnvCheckpoint:
     env: "ShardingEnv"
     stack_index: int
     undo_length: int
-    version: int
     events_length: int
     dirty: FrozenSet[Value]
 
@@ -397,9 +394,8 @@ class ShardingEnv:
     """Sharding assignment for every value of a function (and its regions).
 
     The env also tracks *dirty* values — values whose sharding changed since
-    the last ``propagate`` fixed point — and a monotone ``version`` counter
-    bumped on every effective sharding update.  Incremental propagation seeds
-    its worklist from the dirty set instead of sweeping the whole function.
+    the last ``propagate`` fixed point — which seed propagation's worklist
+    (:mod:`repro.core.propagate` drains the set).
 
     Storage is one flat dict of the non-default shardings (an absent value
     is replicated): a lookup is a single probe and :meth:`copy` is one
@@ -412,8 +408,6 @@ class ShardingEnv:
         #: Every sharding ever written (absent = replicated).
         self._shardings: Dict[Value, Sharding] = {}
         self.events: List[Event] = []
-        #: Monotone counter: bumped once per sharding change.
-        self.version: int = 0
         self._dirty: Set[Value] = set()
         self.stats = PropagationStats()
         #: Undo log: ``(value, previous sharding)`` per effective write,
@@ -424,13 +418,12 @@ class ShardingEnv:
         #: sharding changed — by forward mutation *or* rollback — since the
         #: last :meth:`drain_journal`.  ``None`` when disabled.
         self._journal: Optional[List[Value]] = None
-        #: Strictly monotone write counter.  Unlike ``version`` (which
-        #: :meth:`rollback` restores to the checkpoint's value), this
-        #: counts every sharding change ever applied — including the
-        #: restoring writes a rollback performs — so consumers can tell
-        #: "the env is back in a state I saw" apart from "nothing
-        #: happened".  The incremental estimator's journal-coverage check
-        #: (:meth:`last_drain_window`) is built on it.
+        #: Strictly monotone write counter: every sharding change ever
+        #: applied — including the restoring writes a rollback performs —
+        #: so consumers can tell "the env is back in a state I saw" apart
+        #: from "nothing happened".  Propagation's per-visit change test
+        #: and the incremental estimator's journal-coverage check
+        #: (:meth:`last_drain_window`) read it.
         self._write_serial: int = 0
         #: Serial at which the open journal window began (None = disabled).
         self._journal_from: Optional[int] = None
@@ -467,7 +460,6 @@ class ShardingEnv:
         if self._journal is not None:
             self._journal.append(value)
         self._shardings[value] = sharding
-        self.version += 1
         self._write_serial += 1
         self._dirty.add(value)
 
@@ -481,15 +473,14 @@ class ShardingEnv:
         Recording costs O(1) per checkpoint plus one ``(value, previous)``
         log entry per effective write while any checkpoint is outstanding —
         the zero-copy alternative to :meth:`copy`.  All mutation
-        paths (``Tactic.apply``, ``propagate(..., incremental=True)``, the
-        raw actions) funnel through :meth:`set_sharding`, so they append to
-        the active log transparently.
+        paths (``Tactic.apply``, ``propagate``, the raw actions) funnel
+        through :meth:`set_sharding`, so they append to the active log
+        transparently.
         """
         token = EnvCheckpoint(
             env=self,
             stack_index=len(self._checkpoints),
             undo_length=len(self._undo),
-            version=self.version,
             events_length=len(self.events),
             dirty=frozenset(self._dirty),
         )
@@ -500,10 +491,9 @@ class ShardingEnv:
         """Restore the exact state :meth:`checkpoint` captured in ``token``.
 
         Bit-identical restoration in O(writes since the checkpoint):
-        shardings (via the undo log, newest first), the dirty set, the
-        ``version`` counter and the event-log length all return to their
-        recorded values.  The token (and any checkpoint taken after it) is
-        consumed.
+        shardings (via the undo log, newest first), the dirty set and the
+        event-log length all return to their recorded values.  The token
+        (and any checkpoint taken after it) is consumed.
         """
         self._pop_checkpoint(token)
         undo = self._undo
@@ -519,7 +509,6 @@ class ShardingEnv:
         if not self._checkpoints:
             self._undo = []
         del self.events[token.events_length:]
-        self.version = token.version
         self._dirty = set(token.dirty)
 
     def release(self, token: "EnvCheckpoint") -> None:
@@ -630,17 +619,11 @@ class ShardingEnv:
         """
         return self._last_drain
 
-    def dirty_values(self) -> Set[Value]:
-        """Values whose sharding changed since the last :meth:`clear_dirty`."""
-        return set(self._dirty)
-
     def drain_dirty(self) -> Set[Value]:
-        """Return the dirty set and reset it — no copy, for hot loops."""
+        """Return the values written since the last drain and reset the
+        set — no copy, for hot loops."""
         drained, self._dirty = self._dirty, set()
         return drained
-
-    def clear_dirty(self) -> None:
-        self._dirty.clear()
 
     def copy(self, with_events: bool = True) -> "ShardingEnv":
         """An independent clone: later writes on either side are invisible
@@ -660,7 +643,6 @@ class ShardingEnv:
         clone._shardings = self._shardings.copy()
         if with_events:
             clone.events = list(self.events)
-        clone.version = self.version
         clone._dirty = set(self._dirty)
         clone.stats = self.stats  # shared tally (see PropagationStats)
         return clone

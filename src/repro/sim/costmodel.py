@@ -309,14 +309,6 @@ class _IncrementalEstimate:
         self._seen_iids: Dict[object, int] = {}
         #: Source of the stable uids segments carry (see :meth:`_fold`).
         self._uid = itertools.count()
-        #: Whole-state result memo for :meth:`_replay`: segment identity
-        #: fingerprint -> (estimate, site hits).  MCTS revisits whole
-        #: states constantly (permuted action chains commute to the same
-        #: env state), and the fold's output is a pure function of the
-        #: segment instances, so a fingerprint hit skips the fold
-        #: outright.  Bounded: cleared wholesale when it grows past 1024
-        #: states (keys hold one id per unit, so entries are not free).
-        self._memo: Dict[tuple, tuple] = {}
         #: Env write serial the segments reflect (see
         #: :meth:`StreamingEstimator.estimate_incremental`'s coverage gate).
         self.synced_serial = -1
@@ -354,7 +346,10 @@ class _IncrementalEstimate:
         self._refresh(top, dirty)
         boundary = self._boundary(
             top, [sharding(p) for p in top.function.params], None)
-        return self._replay(boundary)
+        est, peak, site_hits = self._fold(boundary, top.current)
+        est.peak_memory_bytes = peak
+        self.estimator.reconcile_hits += site_hits
+        return est
 
     def _refresh(self, region: _Region, indices) -> None:
         """Bring ``region.current[i]`` up to the env for each ``i``."""
@@ -392,29 +387,6 @@ class _IncrementalEstimate:
             current[index] = segment
 
     # -- fold ---------------------------------------------------------------
-
-    def _replay(self, boundary: tuple) -> CostEstimate:
-        """The program's fold, behind the whole-state memo."""
-        # Whole-state fingerprint: segments are memoized per signature
-        # (and never dropped, so ids are never recycled) — identical env
-        # states present identical instances, and two id-equal
-        # fingerprints fold to the same estimate, bit for bit.
-        memo = self._memo
-        current = self._top.current
-        memo_key = (id(boundary[0]), id(boundary[1]),
-                    tuple(map(id, current)))
-        hit = memo.get(memo_key)
-        if hit is None:
-            if len(memo) >= 1024:
-                memo.clear()
-            est, peak, site_hits = self._fold(boundary, current)
-            est.peak_memory_bytes = peak
-            hit = memo[memo_key] = (est, site_hits)
-        est, site_hits = hit
-        self.estimator.reconcile_hits += site_hits
-        # The memoized instance stays pristine: callers own their result.
-        return dataclasses.replace(
-            est, collective_time_s=dict(est.collective_time_s))
 
     def _price(self, region: _Region, param_shardings,
                result_targets) -> Tuple[CostEstimate, int, int]:

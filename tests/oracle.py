@@ -1,14 +1,16 @@
-"""The reference the search's fast evaluation path is checked against.
+"""The references the library's fast paths are checked against.
 
 ``reference_cost`` prices a canonical action set from scratch through the
-materializing pipeline — fresh env, one full-sweep ``propagate`` per
-action, ``lower``, ``fuse_collectives``, ``costmodel.estimate`` — sharing
-nothing with ``Evaluator`` beyond the action vocabulary and the
-function's lowering-plan table, whose key ``tests/test_plan_table.py``
+materializing pipeline — fresh env, one ``propagate`` per action,
+``lower``, ``fuse_collectives``, ``costmodel.estimate`` — sharing
+nothing with ``Evaluator`` beyond the action vocabulary, propagation and
+the function's lowering-plan table, whose key ``tests/test_plan_table.py``
 checks is complete (a served plan is the plan a fresh planner builds).
 ``Evaluator.evaluate(key) == reference_cost(key)``, bit for bit, is the
 one purity contract the suites and figure scripts pin.
 
+``full_sweep`` is propagation's reference: a fixed point seeded from
+*every* value, the whole-function sweep the library does not run.
 ``ESTIMATE_FIELDS`` / ``assert_estimates_identical`` are the one statement
 of what "bit for bit" means for two ``CostEstimate`` objects.
 """
@@ -16,7 +18,7 @@ of what "bit for bit" means for two ``CostEstimate`` objects.
 from repro.auto.evaluator import try_apply_action
 from repro.auto.tree import canonical_key
 from repro.core.propagate import propagate
-from repro.core.sharding import ShardingEnv
+from repro.core.sharding import ShardingEnv, enumerate_function_values
 from repro.sim import costmodel
 from repro.spmd import fuse_collectives, lower
 
@@ -33,11 +35,26 @@ def assert_estimates_identical(got, want, context=None):
         assert getattr(got, field) == getattr(want, field), (context, field)
 
 
+def full_sweep(function, env):
+    """Propagate with every value of ``function`` marked dirty, so every
+    op is visited in the first round: the whole-function sweep that
+    dirty-seeded propagation must agree with."""
+    env._dirty.update(enumerate_function_values(function))
+    propagate(function, env)
+
+
+def apply_with_full_sweep(tactic, function, env):
+    """``tactic.apply`` with its trailing propagation replaced by a
+    :func:`full_sweep`."""
+    applied = tactic.issue_actions(function, env)
+    full_sweep(function, env)
+    return applied
+
+
 def reference_env(function, mesh, actions):
     """A fresh env with ``actions`` applied in canonical order, one
-    full-sweep propagation fixed point per action."""
+    propagation fixed point per action."""
     env = ShardingEnv(mesh)
-    propagate(function, env)
     for action in canonical_key(actions):
         try_apply_action(function, env, action)
         propagate(function, env)
@@ -60,8 +77,9 @@ def reference_estimate(function, env, device, memo=None):
     return memo[key]
 
 
-def reference_cost(function, mesh, actions, device):
-    """The search objective of ``actions``, priced from scratch."""
+def reference_cost(function, mesh, actions, device, memo=None):
+    """The search objective of ``actions``, priced from scratch (``memo``
+    as for :func:`reference_estimate`)."""
     env = reference_env(function, mesh, actions)
     return costmodel.search_objective(
-        reference_estimate(function, env, device), device)
+        reference_estimate(function, env, device, memo), device)

@@ -1,12 +1,12 @@
 """The env undo log and the interned-sharding table (PR 4's memory model).
 
 ``ShardingEnv.checkpoint()/rollback()`` must restore *exactly* the state
-``copy()`` would have preserved — shardings, dirty set, version, event-log
-length — across arbitrary interleavings of actions, propagation fixed
-points and nested checkpoints.  The property tests here drive ≥50 seeded
-tactic chains over transformer/GNS/UNet traces, comparing every rollback
-against a ``copy()``-based reference fork; further tests pin nested
-unwinding, token discipline, the write journal, and the interning
+``copy()`` would have preserved — shardings, dirty set, event-log length —
+across arbitrary interleavings of actions, propagation fixed points and
+nested checkpoints.  The property tests here drive ≥50 seeded tactic
+chains over transformer/GNS/UNet traces, comparing every rollback against
+a ``copy()``-based reference fork; further tests pin nested unwinding,
+token discipline, dirty tracking, the write journal, and the interning
 invariant ("one live object per signature") under concurrent readers.
 """
 
@@ -76,24 +76,23 @@ def test_rollback_matches_copy_forks_over_tactic_chains(case, seed):
         pytest.skip("no candidate actions for this trace")
 
     rng = random.Random(1000 * case + seed)
-    checkpoints = []  # (token, reference copy, version, events length)
+    checkpoints = []  # (token, reference copy, events length)
     for _ in range(rng.randrange(2, 6)):
         reference = env.copy(with_events=False)
         token = env.checkpoint()
-        checkpoints.append((token, reference, env.version, len(env.events)))
+        checkpoints.append((token, reference, len(env.events)))
         action = rng.choice(candidates)
         try_apply_action(function, env, action)
-        propagate(function, env, incremental=True)
+        propagate(function, env)
 
     # Unwind a random suffix of the stack, checking exact restoration.
     while checkpoints:
         index = rng.randrange(len(checkpoints))
-        token, reference, version, events_length = checkpoints[index]
+        token, reference, events_length = checkpoints[index]
         del checkpoints[index:]
         env.rollback(token)
-        assert env.version == version
         assert len(env.events) == events_length
-        assert not env.dirty_values()
+        assert not env.drain_dirty()
         for value in values:
             restored = env.sharding(value)
             expected = reference.sharding(value)
@@ -156,7 +155,7 @@ def test_release_inside_outer_checkpoint_keeps_outer_rollback_exact():
     env.rollback(outer)  # ...but the outer rollback still undoes B
     assert env.sharding(a).is_fully_replicated()
     assert env.sharding(b).is_fully_replicated()
-    assert env.version == 0
+    assert not env.drain_dirty()
     assert env.checkpoint_depth == 0
 
 
@@ -201,7 +200,7 @@ def test_writes_since_replays_to_identical_state():
     candidates = candidate_actions(function, env, ["batch", "model"], 8)
     token = env.checkpoint()
     try_apply_action(function, env, candidates[0])
-    propagate(function, env, incremental=True)
+    propagate(function, env)
     delta = env.writes_since(token)
     assert delta
 
@@ -228,6 +227,25 @@ def test_journal_reports_rollback_restorations_too():
     env.rollback(token)
     assert env.drain_journal() == [value]  # the restoration is a change too
     assert env.drain_journal() == []
+
+
+def test_dirty_set_seeds_propagation_and_is_drained_by_it():
+    from repro.core import tile
+
+    _, traced = CASES[0]
+    function = traced.function
+    env = ShardingEnv(MESH)
+    assert not env._dirty
+    param = function.params[0]
+    tile(env, param, 0, "batch")
+    assert env._dirty == {param}
+    propagate(function, env)
+    assert not env._dirty
+    assert env.stats.ops_processed > 0
+    # Re-propagating a fixed point with no new writes visits nothing.
+    before = env.stats.snapshot()
+    propagate(function, env)
+    assert env.stats.snapshot() == (before[0] + 1,) + before[1:]
 
 
 def test_intern_table_single_object_per_signature():

@@ -1,153 +1,37 @@
-"""Incremental-vs-scratch propagation equivalence (the engine's contract).
+"""Propagation seeded from a tactic's writes vs whole-function sweeps.
 
-For ~50 seeded-random tactic orders over the transformer and GNS training
-steps, applying the chain with ``incremental=True`` (worklist seeded from
-each tactic's actions) must yield results byte-identical to a from-scratch
-whole-function sweep after every tactic:
-
-* the same sharding for every value (params, op results, region params),
-* the same pending-sum sets,
-* the same lowered collective sequence after fusion.
+The chains that check it live in ``test_chains.py`` (check 3 there:
+equal shardings, equal distinct conflicts and an equal fused collective
+sequence, on every model family, after manual tactics, search actions and
+rollbacks).  The ids below are entry points into those chains: each runs
+the chain of its family that covers it, once per session.
 """
-
-import random
 
 import pytest
 
+from oracle import apply_with_full_sweep
 from repro.core.sharding import ShardingEnv
-from repro.mesh import Mesh
-from repro.models import gns as gns_mod
-from repro.models import transformer
-from repro.models.schedules import (
-    bp,
-    edge_sharding,
-    emb,
-    megatron_mp,
-    zero2,
-    zero3,
-)
-from repro.api import ManualPartition
-from repro.spmd import collective_sequence, fuse_collectives, lower
-
-MESH = Mesh({"batch": 4, "model": 2})
-
-
-@pytest.fixture(scope="module")
-def tiny_transformer():
-    cfg = transformer.t32(num_layers=2, d_model=64, num_heads=4, d_head=16,
-                          ffw_dim=128, vocab=128, seq_len=16, batch=8)
-    return transformer.trace_training_step(cfg)
-
-
-@pytest.fixture(scope="module")
-def tiny_gns():
-    cfg = gns_mod.gns(num_nodes=64, num_edges=256, feature_dim=8,
-                      latent_dim=16, mlp_layers=2, message_steps=2, out_dim=8)
-    return gns_mod.trace_training_step(cfg)
-
-
-def _transformer_chain(rng):
-    zero = rng.choice([zero2, zero3])  # never both: Z3 after Z2 is illegal
-    pool = [
-        bp({"tokens": 0, "targets": 0}),
-        megatron_mp(),
-        zero(),
-        emb(),
-        ManualPartition({"qkv_w": 2}, axis="model"),
-    ]
-    return rng.sample(pool, rng.randint(1, len(pool)))
-
-
-def _gns_chain(rng):
-    zero = rng.choice([zero2, zero3])
-    pool = [
-        edge_sharding(),
-        bp({"nodes": 0}),
-        zero(all_tensors=True),
-        ManualPartition({"edges": 0}, axis="batch"),
-    ]
-    return rng.sample(pool, rng.randint(1, len(pool)))
-
-
-def _all_values(function):
-    values = list(function.params)
-    for op in function.walk():
-        values.extend(op.results)
-        for region in op.regions:
-            values.extend(region.params)
-    return values
-
-
-def _run_chain(traced, chain, incremental):
-    env = ShardingEnv(MESH)
-    for tactic in chain:
-        tactic.apply(traced.function, env, incremental=incremental)
-    lowered = lower(traced.function, env)
-    lowered.function = fuse_collectives(lowered.function)
-    return env, lowered
-
-
-def _assert_equivalent(traced, chain):
-    env_scratch, low_scratch = _run_chain(traced, chain, incremental=False)
-    env_inc, low_inc = _run_chain(traced, chain, incremental=True)
-
-    for value in _all_values(traced.function):
-        scratch = env_scratch.sharding(value)
-        inc = env_inc.sharding(value)
-        # Sharding is a frozen dataclass: equality covers dim_axes,
-        # pending-sum sets and pins; compare sum_axes explicitly as well so
-        # a failure names the broken field.
-        assert inc.sum_axes == scratch.sum_axes, value
-        assert inc == scratch, value
-    assert (collective_sequence(low_inc.function)
-            == collective_sequence(low_scratch.function))
-    # The set of distinct conflicts agrees too.  (Scratch re-sweeps may
-    # re-report a conflict persisting from an earlier tactic — a duplicate
-    # event — which the worklist, never revisiting unchanged neighborhoods,
-    # does not; compare deduped.)
-    def conflict_set(env):
-        return {(e.kind, e.axis, e.detail) for e in env.conflicts()}
-
-    assert conflict_set(env_inc) == conflict_set(env_scratch)
-    # The incremental chain must actually have taken the worklist path.
-    assert env_inc.stats.incremental_calls == len(chain)
-    assert env_scratch.stats.incremental_calls == 0
+from repro.models.schedules import bp, megatron_mp, zero3
+from test_chains import FAMILIES, MESH, SEEDS, run_chain
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_transformer_chain_equivalence(tiny_transformer, seed):
-    chain = _transformer_chain(random.Random(seed))
-    _assert_equivalent(tiny_transformer, chain)
+def test_transformer_chain_equivalence(seed):
+    run_chain("transformer", seed % len(SEEDS))
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_gns_chain_equivalence(tiny_gns, seed):
-    chain = _gns_chain(random.Random(1000 + seed))
-    _assert_equivalent(tiny_gns, chain)
+def test_gns_chain_equivalence(seed):
+    run_chain("gns", seed % len(SEEDS))
 
 
-def test_incremental_does_less_work(tiny_transformer):
+def test_incremental_does_less_work():
+    """Seeding from a tactic's writes visits fewer ops than sweeping."""
+    function = FAMILIES["transformer"].function
     chain = [bp({"tokens": 0, "targets": 0}), megatron_mp(), zero3()]
-    env_scratch, _ = _run_chain(tiny_transformer, chain, incremental=False)
-    env_inc, _ = _run_chain(tiny_transformer, chain, incremental=True)
-    assert env_inc.stats.ops_processed < env_scratch.stats.ops_processed
-
-
-def test_dirty_tracking_and_version_counter(tiny_transformer):
-    from repro.core import propagate, tile
-
-    env = ShardingEnv(MESH)
-    assert env.version == 0 and not env.dirty_values()
-    param = tiny_transformer.function.params[0]
-    tile(env, param, 0, "batch")
-    assert env.version == 1
-    assert env.dirty_values() == {param}
-    version_before = env.version
-    propagate(tiny_transformer.function, env, incremental=True)
-    # Propagation drained the dirty set and only ever grew the version.
-    assert not env.dirty_values()
-    assert env.version >= version_before
-    # Re-propagating a fixed point with no new actions is (almost) free.
-    ops_before = env.stats.ops_processed
-    propagate(tiny_transformer.function, env, incremental=True)
-    assert env.stats.ops_processed == ops_before
+    seeded, swept = ShardingEnv(MESH), ShardingEnv(MESH)
+    for tactic in chain:
+        tactic.apply(function, seeded)
+        apply_with_full_sweep(tactic, function, swept)
+    assert seeded.portable_state(function) == swept.portable_state(function)
+    assert seeded.stats.ops_processed < swept.stats.ops_processed

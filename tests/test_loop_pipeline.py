@@ -146,7 +146,7 @@ def priced_like_reference(fn, mesh, tactics):
     env.enable_journal()
     journaled = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
     for tactic in tactics:
-        tactic.apply(fn, env, incremental=True)
+        tactic.apply(fn, env)
         fast = journaled.estimate_incremental(env, env.drain_journal())
         fresh = costmodel.StreamingEstimator(
             fn, mesh, TPU_V3).estimate_incremental(env)
@@ -283,7 +283,7 @@ class TestPipelineLegality:
             assert decoded.encode() == action
         # Applying one pins the marker and survives propagation.
         assert try_apply_action(fn, env, pipeline_actions[0])
-        propagate(fn, env, incremental=True)
+        propagate(fn, env)
         (loop,) = loop_ops(fn)
         assert any(
             pin.startswith("pipe:")
@@ -306,7 +306,7 @@ class TestGoldenCollectives:
         fn = tracer(pm.tiny()).function
         env = ShardingEnv(mesh)
         for tactic in tactics:
-            tactic.apply(fn, env, incremental=True)
+            tactic.apply(fn, env)
         lowered = lower(fn, env)
         lowered = dataclasses.replace(
             lowered, function=fuse_collectives(lowered.function)

@@ -24,6 +24,7 @@ from repro.models import schedules as sched
 from repro.models import transformer
 
 from conftest import build_matmul_chain
+from oracle import full_sweep
 
 MESH = Mesh({"batch": 4, "model": 2})
 
@@ -137,12 +138,12 @@ class TestNothingDerivedRidesThePickle:
         function = traced.function
         env = ShardingEnv(MESH)
         for tactic in self._schedule():
-            tactic.apply(function, env, incremental=True)
+            tactic.apply(function, env)
         clone = pickle.loads(pickle.dumps(function))
         assert not hasattr(clone, "_propagation_index")
         clone_env = ShardingEnv(MESH)
         for tactic in self._schedule():
-            tactic.apply(clone, clone_env, incremental=True)
+            tactic.apply(clone, clone_env)
         assert clone_env.portable_state(clone) \
             == env.portable_state(function)
         assert clone_env.stats.snapshot() == env.stats.snapshot()
@@ -166,7 +167,7 @@ class TestIndexGuard:
 
         out = b.emit1("neg", [h])
         function.results = [out]
-        propagate(function, env)
+        full_sweep(function, env)  # nothing is dirty: seed every op
         rebuilt = function._propagation_index
         assert rebuilt is not stale
         assert rebuilt.num_ops == len(rebuilt.transfers) == 2

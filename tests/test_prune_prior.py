@@ -109,7 +109,7 @@ class TestCondenser:
                        enumerate(enumerate_function_values(function))}
         token = env.checkpoint()
         assert try_apply_action(function, env, action)
-        propagate(function, env, incremental=True)
+        propagate(function, env)
         delta = env.writes_since(token)
         env.rollback(token)
         assert delta  # candidate 0 is no propagation no-op on this model

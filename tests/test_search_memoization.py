@@ -3,14 +3,14 @@
 The transposition table and the incremental prefix-env reuse are pure
 speedups: a table hit returns what recomputing would, and every cost the
 search reports is the from-scratch reference pipeline's
-(``oracle.reference_cost``: full-sweep propagation, materialized lowering).
+(``oracle.reference_cost``: a fresh env, materialized lowering).
 """
 
 import pytest
 
 from repro import ManualPartition, Mesh, ShapeDtype, trace
 from repro.core import ShardingEnv
-from oracle import reference_cost, reference_env
+from oracle import full_sweep, reference_cost
 from repro.auto.evaluator import Evaluator, candidate_actions, \
     try_apply_action
 from repro.auto.search import mcts_search
@@ -68,8 +68,9 @@ class TestMemoizationIsExact:
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_same_result_with_and_without_incremental_engine(self, seed):
-        """The search's winner costs the same priced without the worklist
-        engine, the undo log or the differential estimator."""
+        """The search's winner costs the same priced on a fresh env,
+        without the undo log, the delta memo or the differential
+        estimator."""
         function, _ = build_matmul_chain()
         inc = _search(function, seed=seed)
         assert inc.cost == reference_cost(function, MESH, inc.actions,
@@ -93,17 +94,22 @@ class TestCaches:
 
     def test_incremental_reduces_propagation_work(self):
         """Scoring every single-action set on one evaluator (root fixed
-        point included) visits under half the ops the full-sweep reference
-        does building each set's env from scratch."""
+        point included) visits under half the ops that building each
+        set's env from scratch with whole-function sweeps (root fixed
+        point included) does."""
         tf = _mlp_traced()
         evaluator = Evaluator(tf.function, ShardingEnv(MESH), TINY_DEVICE)
         keys = [(action,) for action in candidate_actions(
             tf.function, evaluator.root, ["B", "M"])]
         for key in keys:
             evaluator.evaluate(key)
-        scratch_ops = sum(
-            reference_env(tf.function, MESH, key).stats.ops_processed
-            for key in keys)
+        scratch_ops = 0
+        for (action,) in keys:
+            env = ShardingEnv(MESH)
+            full_sweep(tf.function, env)
+            try_apply_action(tf.function, env, action)
+            full_sweep(tf.function, env)
+            scratch_ops += env.stats.ops_processed
         assert evaluator.root.stats.ops_processed * 2 <= scratch_ops
 
     def test_search_counters_are_populated(self):
@@ -150,10 +156,10 @@ class TestCanonicalization:
         mesh = Mesh({"batch": 4, "model": 2})
         env = ShardingEnv(mesh)
         ManualPartition({"1": 0}, axis="batch").apply(
-            tf.function, env, incremental=True
+            tf.function, env
         )
         AutomaticPartition(
             ["model"], {"budget": 6, "device": TINY_DEVICE}
-        ).apply(tf.function, env, incremental=True)
+        ).apply(tf.function, env)
         sharding = env.sharding(tf.function.params[2])
         assert sharding.dim_axes[0][0] == "batch"

@@ -2,10 +2,10 @@
 
 Exact per-schedule collective counts (bp / zero2 / zero3 on a 2-layer
 transformer, edge sharding on a small GNS, and the quickstart matmul chain)
-pin the lowering + fusion pipeline, so the incremental propagation path can
-never silently change what gets emitted.  The zero2/zero3 goldens encode the
-paper's headline fusion effect: all but one gradient ``all_reduce`` becomes
-a ``reduce_scatter``.
+pin the lowering + fusion pipeline, whether each tactic propagates from its
+own actions or is followed by a whole-function sweep.  The zero2/zero3
+goldens encode the paper's headline fusion effect: all but one gradient
+``all_reduce`` becomes a ``reduce_scatter``.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.models.schedules import bp, megatron_mp, zero2, zero3, edge_sharding
 from repro.spmd import count_collectives, fuse_collectives, lower
 
 from conftest import build_matmul_chain
+from oracle import apply_with_full_sweep
 
 MESH = Mesh({"batch": 4, "model": 2})
 DATA = {"tokens": 0, "targets": 0}
@@ -40,10 +41,13 @@ def _lower_counts(function, env):
     return unfused, fused, lowered
 
 
-def _apply(function, schedule, mesh=MESH, incremental=False):
+def _apply(function, schedule, mesh=MESH, sweep=False):
     env = ShardingEnv(mesh)
     for tactic in schedule:
-        tactic.apply(function, env, incremental=incremental)
+        if sweep:
+            apply_with_full_sweep(tactic, function, env)
+        else:
+            tactic.apply(function, env)
     return env
 
 
@@ -62,11 +66,10 @@ TRANSFORMER_GOLDENS = {
 
 
 @pytest.mark.parametrize("label", sorted(TRANSFORMER_GOLDENS))
-@pytest.mark.parametrize("incremental", [False, True])
-def test_transformer_schedule_goldens(tiny_transformer, label, incremental):
+@pytest.mark.parametrize("sweep", [False, True])
+def test_transformer_schedule_goldens(tiny_transformer, label, sweep):
     builder, unfused_golden, fused_golden = TRANSFORMER_GOLDENS[label]
-    env = _apply(tiny_transformer.function, builder(),
-                 incremental=incremental)
+    env = _apply(tiny_transformer.function, builder(), sweep=sweep)
     unfused, fused, _ = _lower_counts(tiny_transformer.function, env)
     assert tuple(unfused.as_dict().values()) == unfused_golden, label
     assert tuple(fused.as_dict().values()) == fused_golden, label

@@ -126,7 +126,7 @@ class TestTagTransparency:
         point = tag_points(tf.function)[0]  # first matmul output
         env.set_sharding(point.value,
                          env.sharding(point.value).with_tile(0, "batch"))
-        propagate(tf.function, env, incremental=True)
+        propagate(tf.function, env)
         producer_out = point.op.operands[0]
         assert env.sharding(producer_out).spec() == "[{batch}, {}]"
         assert env.sharding(point.value).spec() == "[{batch}, {}]"
@@ -148,7 +148,7 @@ class TestActionGoldens:
         applied = try_apply_action(tf.function, env,
                                    (actions_mod.TILE_TAGGED, 0, 1, "batch"))
         assert applied
-        propagate(tf.function, env, incremental=True)
+        propagate(tf.function, env)
         # [B, K, f] tiled on K...
         assert env.sharding(points[0].value).spec() == "[{}, {batch}, {}]"
         # ...reaches the second matmul's output and the broadcast result...
@@ -174,7 +174,7 @@ class TestActionGoldens:
         assert env.sharding(w1).spec() == "[{model}, {}]"
         assert env.sharding(point.source.results[0]).spec() == \
             "[{}, {}] sum{model}"
-        propagate(tf.function, env, incremental=True)
+        propagate(tf.function, env)
         # The pending sum defers through the (linear) tag.
         assert env.sharding(point.value).spec() == "[{}, {}] sum{model}"
 
