@@ -336,7 +336,7 @@ def canonicalize(function: Function, mesh, device=None,
         hasher.update(repr(canonical_attr(device)).encode())
 
     position = {id(op): i for i, op in enumerate(canon.op_walk)}
-    op_to_canon = tuple(position[id(op)] for op in function.walk())
+    op_to_canon = tuple(position[id(op)] for op in function.index.ops)
 
     def by_position(found) -> List[int]:
         return sorted(range(len(found)),

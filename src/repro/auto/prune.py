@@ -44,11 +44,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.propagate import propagate
-from repro.core.sharding import (
-    Sharding,
-    ShardingEnv,
-    enumerate_function_values,
-)
+from repro.core.sharding import Sharding, ShardingEnv
 from repro.ir.function import Function
 
 #: An action wire tuple ``(kind, index, dim, axis)``.
@@ -119,8 +115,8 @@ def _hash_lines(lines: Iterable[str]) -> str:
     return hashlib.blake2b(data, digest_size=12).hexdigest()
 
 
-def probe_action(function: Function, env: ShardingEnv, action: ActionTuple,
-                 *, value_index: Optional[Dict] = None) -> str:
+def probe_action(function: Function, env: ShardingEnv,
+                 action: ActionTuple) -> str:
     """One propagation probe: the action's fixed-point footprint digest.
 
     Checkpoints ``env``, applies the action, propagates to the fixed
@@ -132,17 +128,13 @@ def probe_action(function: Function, env: ShardingEnv, action: ActionTuple,
     # module graph acyclic at import time.
     from repro.auto.evaluator import try_apply_action
 
-    if value_index is None:
-        value_index = {
-            value: i
-            for i, value in enumerate(enumerate_function_values(function))
-        }
+    value_ids = function.index.value_ids
     token = env.checkpoint()
     try:
         if try_apply_action(function, env, action):
             propagate(function, env)
         delta = [
-            (value_index[value], sharding)
+            (value_ids[value], sharding)
             for value, sharding in env.writes_since(token)
         ]
     finally:
@@ -168,10 +160,6 @@ def condense(function: Function, env: ShardingEnv,
     t0 = time.perf_counter()
     report = PruneReport(kept=[], total=len(candidates))
     known = known_signatures or {}
-    value_index = {
-        value: i
-        for i, value in enumerate(enumerate_function_values(function))
-    }
     buckets: Dict[str, ActionTuple] = {}
     signatures: Dict[ActionTuple, str] = {}
     for action in candidates:
@@ -179,8 +167,7 @@ def condense(function: Function, env: ShardingEnv,
         if signature is not None:
             report.probes_reused += 1
         else:
-            signature = probe_action(function, env, action,
-                                     value_index=value_index)
+            signature = probe_action(function, env, action)
             report.probes_run += 1
         signatures[action] = signature
         if signature == NOOP_SIGNATURE:

@@ -427,7 +427,12 @@ class RpcServer:
             self._sock.close()
         except OSError:
             pass
-        for thread in list(self._threads):
+        # The accept loop registers a connection thread only once it has
+        # started, under this lock: the snapshot never holds a thread that
+        # join() would refuse.
+        with self._active_lock:
+            threads = list(self._threads)
+        for thread in threads:
             thread.join(timeout=5.0)
 
     def _accept_loop(self) -> None:
@@ -445,13 +450,14 @@ class RpcServer:
                         pass
                     continue
                 self._active += 1
-            self._threads = [t for t in self._threads if t.is_alive()]
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,),
                 name="partir-rpc-conn", daemon=True,
             )
-            self._threads.append(thread)
             thread.start()
+            with self._active_lock:
+                self._threads = [t for t in self._threads if t.is_alive()]
+                self._threads.append(thread)
 
     def _handle_with_deadline(self, handler: Callable, message) -> dict:
         """Run ``handler(message)``; past ``request_deadline_s`` give up

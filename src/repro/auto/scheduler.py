@@ -79,18 +79,6 @@ DEFAULT_RPC_TIMEOUT_S = 60.0
 #: Connect attempts per opened remote session (exponential backoff).
 RECONNECT_ATTEMPTS = 3
 
-ENV_RESTART_BUDGET = "PARTIR_RESTART_BUDGET"
-
-
-def _env_restart_budget() -> int:
-    """``PARTIR_RESTART_BUDGET`` as a non-negative integer (0 = never
-    heal, degrade on the first failure); junk or unset is the default."""
-    try:
-        value = int(os.environ.get(ENV_RESTART_BUDGET, ""))
-    except ValueError:
-        return DEFAULT_RESTART_BUDGET
-    return value if value >= 0 else DEFAULT_RESTART_BUDGET
-
 
 class SchedulerUnavailable(RuntimeError):
     """A backend's workers could not be opened (e.g. the ``remote``
@@ -128,7 +116,7 @@ class RolloutScheduler:
                               else DEFAULT_RPC_TIMEOUT_S)
         self.restart_budget = int(
             restart_budget if restart_budget is not None
-            else _env_restart_budget()
+            else DEFAULT_RESTART_BUDGET
         )
         self._started = False
         #: Evaluation waves formed (``SearchResult.waves``).
@@ -320,8 +308,8 @@ class _FanOutScheduler(RolloutScheduler):
                     f"{self.name} rollout backend degraded to in-process "
                     f"serial evaluation: worker {worker} failed ({failure}) "
                     f"and could not be re-opened: {exc} (results are "
-                    f"unaffected; raise PARTIR_RESTART_BUDGET to keep "
-                    f"healing instead)",
+                    f"unaffected; raise the restart_budget search option "
+                    f"to keep healing instead)",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -69,14 +69,15 @@ from repro.auto.tree import ActionKey, TreePolicy, canonical_key
 class SearchConfig:
     """Every parameter of one search, declared and validated once.
 
-    The first seven fields are the **plan identity**: two requests agreeing
+    The first six fields are the **plan identity**: two requests agreeing
     on all of them (and on the function) are the same search, so they are
     what the plan server keys its store on (:meth:`plan_identity`) and all
     a plan request ships.  The remaining seven only decide *how* the
     search executes and never change the returned actions or cost.
 
-    * ``budget`` rollouts of at most ``rollout_depth`` actions each, UCT
-      constant ``exploration``, per-rollout RNG streams from ``seed``.
+    * ``budget`` rollouts of at most ``rollout_depth`` actions each,
+      per-rollout RNG streams from ``seed`` (the UCT constant is fixed:
+      :data:`repro.auto.tree.EXPLORATION`).
     * The action space (:func:`~repro.auto.evaluator.candidate_actions`)
       is input tilings of the ``max_inputs`` largest parameters plus
       mid-function ``TileTagged``/``SumTagged`` actions at up to
@@ -105,12 +106,11 @@ class SearchConfig:
       search runs *here* but fans its waves across the server's evaluator
       sessions (falling back to ``serial`` if unreachable).
     * ``restart_budget`` (worker re-forks / session reconnects per
-      search; default 1, env ``PARTIR_RESTART_BUDGET``, 0 = degrade on
-      the first failure) and ``rpc_timeout_s`` (the deadline on one
-      worker call, ``process`` and ``remote`` alike; default 60) bound
-      *recovery*, never results:
-      whatever fails, the search completes with the same best
-      actions/cost as the fault-free serial run at the same seed,
+      search; default 1, 0 = degrade on the first failure) and
+      ``rpc_timeout_s`` (the deadline on one worker call,
+      ``process`` and ``remote`` alike; default 60) bound *recovery*,
+      never results: whatever fails, the search completes with the same
+      best actions/cost as the fault-free serial run at the same seed,
       degrading to in-process evaluation in the limit
       (``SearchResult.degraded_to``).
 
@@ -124,7 +124,6 @@ class SearchConfig:
 
     budget: int = 24
     rollout_depth: int = 3
-    exploration: float = 0.5
     seed: int = 0
     max_inputs: int = 48
     max_tag_points: int = 16
@@ -154,9 +153,9 @@ class SearchConfig:
                 value = (int if isinstance(value, numbers.Integral)
                          else float)(value)
                 object.__setattr__(self, name, value)
-            # Counts and timeouts; ``seed``/``exploration`` may be negative.
+            # Counts and timeouts; only ``seed`` may be negative.
             if (isinstance(value, numbers.Real) and value < 0
-                    and name not in ("seed", "exploration")):
+                    and name != "seed"):
                 raise ValueError(
                     f"search option {name}={value!r} must not be negative")
         if self.backend not in BACKENDS:
@@ -196,7 +195,7 @@ def _field_types() -> dict:
 
 _FIELD_TYPES = _field_types()
 #: The leading fields that are a plan's identity (the rest only execute).
-_PLAN_IDENTITY = tuple(_FIELD_TYPES)[:7]
+_PLAN_IDENTITY = tuple(_FIELD_TYPES)[:6]
 
 
 @dataclasses.dataclass
@@ -519,8 +518,7 @@ def mcts_search(
             best_cost = cost
             best_key = key
 
-    policy = TreePolicy(candidates, config.seed, config.exploration,
-                        config.rollout_depth)
+    policy = TreePolicy(candidates, config.seed, config.rollout_depth)
     try:
         scheduler.run(policy, evaluator, config.budget, baseline, on_result)
         # Witness minimization: random rollout completions often decorate

@@ -48,6 +48,7 @@ from repro.auto.evaluator import EvaluatorSession
 from repro.auto.fingerprint import CanonicalForm, canonicalize
 from repro.auto.planstore import DEFAULT_MAX_ENTRIES, PlanRecord, PlanStore
 from repro.auto.search import SearchConfig, mcts_search
+from repro.auto.tree import EXPLORATION
 
 
 def params_key(axes, config: SearchConfig) -> Tuple:
@@ -202,10 +203,13 @@ class PlanServer:
         axes = list(dict.fromkeys(message["axes"]))
         # Only the plan identity is the client's to choose; how the search
         # executes here is the server's business.  Older clients also name
-        # an action space; only the one left can be answered.
+        # an action space and a UCT constant; only the ones left can be
+        # answered.
         search = message.get("search", {})
         if search.get("action_space", "tagged") != "tagged":
             raise ValueError("only the tagged action space is served")
+        if search.get("exploration", EXPLORATION) != EXPLORATION:
+            raise ValueError(f"only exploration {EXPLORATION} is served")
         config = SearchConfig.of(self._search_defaults, **{
             name: search[name]
             for name in self._search_defaults.plan_identity()

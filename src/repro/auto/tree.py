@@ -35,6 +35,10 @@ Action = Optional[Tuple[int, int, int, str]]
 ActionKey = Tuple[Tuple[int, int, int, str], ...]
 
 
+#: The UCT exploration constant.
+EXPLORATION = 0.5
+
+
 def canonical_key(actions: Sequence[Tuple[int, int, int, str]]) -> ActionKey:
     """Canonical form of an action sequence: sorted, deduped tuple."""
     return tuple(sorted(set(actions)))
@@ -85,11 +89,11 @@ class Node:
         self.draws += 1
         return random.Random(_stable_hash((seed, self.node_id, self.draws)))
 
-    def uct_child(self, exploration: float) -> "Node":
+    def uct_child(self) -> "Node":
         log_n = math.log(max(self.visits + self.virtual_loss, 1))
         def score(c: "Node") -> float:
             n = max(c.visits + c.virtual_loss, 1)
-            return c.total / n + exploration * math.sqrt(log_n / n)
+            return c.total / n + EXPLORATION * math.sqrt(log_n / n)
         return max(self.children, key=score)
 
     def apply_virtual_loss(self) -> None:
@@ -131,10 +135,9 @@ class TreePolicy:
     """
 
     def __init__(self, candidates: Sequence[Tuple[int, int, int, str]],
-                 seed: int, exploration: float, rollout_depth: int):
+                 seed: int, rollout_depth: int):
         self.candidates = list(candidates)
         self.seed = seed
-        self.exploration = exploration
         self.rollout_depth = rollout_depth
         self.root = Node(None, None, [None] + self.candidates)
 
@@ -142,7 +145,7 @@ class TreePolicy:
         node = self.root
         # Selection.
         while not node.untried and node.children:
-            node = node.uct_child(self.exploration)
+            node = node.uct_child()
         rng = node.draw_rng(self.seed)
         # Expansion: uniform over the untried actions.
         if node.untried:

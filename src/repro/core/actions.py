@@ -278,7 +278,7 @@ def apply_sum_tagged(env: ShardingEnv, op: Operation, factor,
 def find_tagged(function: Function, name: str) -> Value:
     """Resolve a ``tag``-named internal value (Section 8's model-internal
     annotations)."""
-    for op in function.walk():
-        if op.opcode == "tag" and op.attrs.get("name") == name:
-            return op.results[0]
+    for point in tag_points(function):
+        if point.op.attrs.get("name") == name:
+            return point.value
     raise KeyError(f"no tag named {name!r} in @{function.name}")

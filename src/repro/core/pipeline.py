@@ -22,16 +22,17 @@ what lets the MCTS treat :data:`repro.core.actions.PIPELINE` as just
 another action kind.
 
 Pricing inputs (stage split, bubble fraction, point-to-point bytes) are
-static functions of the body region, computed here and cached on the body
-:class:`~repro.ir.function.Function`; the lowering injects them as
-``pipeline_*`` attrs so both cost paths (the materializing reference
-and the search's streaming estimator) price the same numbers.  See
+static functions of the body region, computed here and memoized as views
+of the body (:meth:`~repro.ir.function.Function.derived`); the lowering
+injects them as ``pipeline_*`` attrs so both cost paths (the
+materializing reference and the search's streaming estimator) price the
+same numbers.  See
 :func:`repro.sim.terms.loop_cost_terms` for the cost formula.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ShardingError
 from repro.ir import opdefs
@@ -51,12 +52,12 @@ SCHEDULES = ("1f1b", "gpipe")
 
 
 def loop_ops(function: Function) -> List[Operation]:
-    """Every loop op of ``function`` in canonical pre-order walk order.
+    """Every loop op of ``function`` in canonical pre-order walk order
+    (``function.index.loops``).
 
     The walk index is a loop's portable name in ``PIPELINE`` action tuples
     — two processes holding structurally-identical functions agree on it,
-    exactly like tag-point indices.  Cached on the function (structurally
-    frozen after construction, same contract as the propagation index).
+    exactly like tag-point indices.
 
     >>> from repro.trace.tracer import trace, ShapeDtype
     >>> from repro.trace import ops
@@ -65,31 +66,14 @@ def loop_ops(function: Function) -> List[Operation]:
     >>> [op.opcode for op in loop_ops(tf.function)]
     ['scan']
     """
-    cached = getattr(function, "_loop_ops", None)
-    if cached is not None:
-        return cached
-    cached = [op for op in function.walk() if op.opcode in opdefs.LOOP_OPS]
-    function._loop_ops = cached
-    return cached
+    return function.index.loops
 
 
-def loop_subtree_values(op: Operation) -> List[Value]:
-    """Every value the loop op defines: its results, then each region's
-    params and op results, recursively, in the canonical structural order
-    (the same order :func:`repro.core.sharding.enumerate_function_values`
-    would visit them in)."""
-    out: List[Value] = list(op.results)
-
-    def visit(fn: Function) -> None:
-        out.extend(fn.params)
-        for inner in fn.ops:
-            out.extend(inner.results)
-            for region in inner.regions:
-                visit(region)
-
+def _subtree_values(op: Operation) -> Iterator[Value]:
+    """Every value the loop op defines: its results, then its regions'."""
+    yield from op.results
     for region in op.regions:
-        visit(region)
-    return out
+        yield from region.index.values
 
 
 def pipeline_marker(env: ShardingEnv,
@@ -129,17 +113,15 @@ def stage_split(body: Function, stages: int) -> Tuple[Tuple[int, ...], float]:
     weight ``w`` joins group ``floor((cum_before + w/2) / total * K)`` — a
     deterministic O(n) balance that keeps groups contiguous (stages must be
     contiguous program slices: activations flow forward only).  When the
-    body has no FLOPs the split is uniform by op index.  The result is
-    cached on the body function per stage count.
+    body has no FLOPs the split is uniform by op index.  Memoized per
+    stage count on the body.
     """
-    cache: Dict[int, Tuple[Tuple[int, ...], float]]
-    cache = getattr(body, "_pipeline_split", None)
-    if cache is None:
-        cache = {}
-        body._pipeline_split = cache
-    cached = cache.get(stages)
-    if cached is not None:
-        return cached
+    return body.derived(("stage_split", stages),
+                        lambda body: _stage_split(body, stages))
+
+
+def _stage_split(body: Function,
+                 stages: int) -> Tuple[Tuple[int, ...], float]:
     weights = _op_weights(body)
     total = sum(weights)
     n = len(weights)
@@ -159,9 +141,7 @@ def stage_split(body: Function, stages: int) -> Tuple[Tuple[int, ...], float]:
     for g, w in zip(groups, weights):
         stage_weight[g] += w
     fraction = max(stage_weight) / total if total else 1.0
-    result = (tuple(groups), fraction)
-    cache[stages] = result
-    return result
+    return tuple(groups), fraction
 
 
 def stage_fraction(body: Function, stages: int) -> float:
@@ -179,15 +159,13 @@ def body_p2p_bytes(body: Function, stages: int) -> int:
     intermediate hops relay through each stage boundary, so the value's
     contribution is ``span * nbytes``.  Global (unsharded) bytes are used —
     a static, sharding-independent estimate, consistent with the stage
-    split itself.  Cached on the body function per stage count.
+    split itself.  Memoized per stage count on the body.
     """
-    cache: Dict[int, int] = getattr(body, "_pipeline_p2p", None)
-    if cache is None:
-        cache = {}
-        body._pipeline_p2p = cache
-    cached = cache.get(stages)
-    if cached is not None:
-        return cached
+    return body.derived(("body_p2p_bytes", stages),
+                        lambda body: _body_p2p_bytes(body, stages))
+
+
+def _body_p2p_bytes(body: Function, stages: int) -> int:
     groups, _ = stage_split(body, stages)
     group_of: Dict[int, int] = {}
     for index, op in enumerate(body.ops):
@@ -224,7 +202,6 @@ def body_p2p_bytes(body: Function, stages: int) -> int:
             span = last_group.get(result.uid, -1) - group_of[result.uid]
             if span > 0:
                 total += span * result.type.nbytes
-    cache[stages] = total
     return total
 
 
@@ -254,7 +231,7 @@ def pipeline_legal(env: ShardingEnv, op: Operation, axis: str,
         return False
     if pipeline_marker(env, op) is not None:
         return False
-    for value in loop_subtree_values(op):
+    for value in _subtree_values(op):
         sharding = env.sharding(value)
         if sharding.uses(axis) or sharding.is_pinned(axis):
             return False
@@ -275,7 +252,7 @@ def apply_pipeline(env: ShardingEnv, op: Operation, axis: str,
             f"pipeline: illegal over axis {axis!r} ({schedule}) on "
             f"{op.opcode}"
         )
-    for value in loop_subtree_values(op):
+    for value in _subtree_values(op):
         sharding = env.sharding(value)
         if not sharding.is_pinned(axis):
             env.set_sharding(value, sharding.with_pin(axis))

@@ -149,16 +149,15 @@ def _transfer_for(op: Operation) -> _Transfer:
 
 
 class _FunctionIndex:
-    """Walk order, per-op transfer records and value->op adjacency for one
-    function (cached on it; dropped when the function is pickled)."""
+    """Per-op transfer records (parallel to ``function.index.ops``, the
+    worklist's numbering) and value->op adjacency for one function: a
+    view of it (:meth:`Function.derived`), so it is rebuilt when the
+    function grows and never pickled."""
 
-    __slots__ = ("num_ops", "top_level_ops", "ops", "transfers",
-                 "adjacency")
+    __slots__ = ("ops", "transfers", "adjacency")
 
     def __init__(self, function: Function):
-        self.ops: List[Operation] = list(function.walk())
-        self.num_ops = len(self.ops)
-        self.top_level_ops = len(function.ops)
+        self.ops: List[Operation] = function.index.ops
         #: Parallel to ``ops``: one reference into the shared records.
         self.transfers: List[_Transfer] = [
             _transfer_for(op) for op in self.ops
@@ -194,19 +193,8 @@ class _FunctionIndex:
 
 
 def _function_index(function: Function) -> _FunctionIndex:
-    """Cached index; rebuilt when the top-level op count changes.
-
-    Propagation assumes the function is structurally frozen once built
-    (true for every builder in this codebase: tracing and lowering always
-    construct fresh Function objects).  The top-level ``len(function.ops)``
-    check is an O(1) guard against the common append-after-propagate
-    mistake; in-place rewiring that preserves the count is unsupported.
-    """
-    cached = getattr(function, "_propagation_index", None)
-    if cached is None or cached.top_level_ops != len(function.ops):
-        cached = _FunctionIndex(function)
-        function._propagation_index = cached
-    return cached
+    """Propagation's view of ``function``."""
+    return function.derived("propagate", _FunctionIndex)
 
 
 class Propagator:

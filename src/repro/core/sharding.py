@@ -304,29 +304,6 @@ class Sharding:
         return out
 
 
-def enumerate_function_values(function) -> List[Value]:
-    """Every value a function defines, in a canonical structural order.
-
-    Params first, then each op's results in program order, recursing into
-    regions (region params before the region's ops).  The order is a pure
-    function of the function's *structure*, so two processes holding
-    structurally-identical copies of a function (e.g. a search worker that
-    received it over pickle) agree on every value's index — that index is
-    the portable name for a value in :meth:`ShardingEnv.portable_state`.
-    """
-    out: List[Value] = []
-
-    def visit(fn) -> None:
-        out.extend(fn.params)
-        for op in fn.ops:
-            out.extend(op.results)
-            for region in op.regions:
-                visit(region)
-
-    visit(function)
-    return out
-
-
 class Event:
     """A propagation event, for the per-tactic debug metadata.
 
@@ -650,12 +627,13 @@ class ShardingEnv:
     def portable_state(self, function) -> Tuple[Tuple[int, Tuple], ...]:
         """Non-replicated shardings as ``(value index, portable sharding)``.
 
-        Indices follow :func:`enumerate_function_values`, so the state can
-        be shipped to another process (the parallel search's workers, a
-        plan server) without referencing any live :class:`Value`
-        objects."""
+        Indices are positions in ``function.index.values`` (the canonical
+        structural order of :class:`repro.ir.function.FunctionIndex`), so
+        the state can be shipped to another process (the parallel
+        search's workers, a plan server) without referencing any live
+        :class:`Value` objects."""
         items = []
-        for index, value in enumerate(enumerate_function_values(function)):
+        for index, value in enumerate(function.index.values):
             sharding = self.sharding(value)
             if not sharding.is_fully_replicated() or sharding.pinned:
                 items.append((index, sharding.to_portable()))
@@ -666,7 +644,7 @@ class ShardingEnv:
     ) -> None:
         """Inverse of :meth:`portable_state` against a structurally-identical
         function (values resolved by canonical index)."""
-        values = enumerate_function_values(function)
+        values = function.index.values
         for index, portable in state:
             self.set_sharding(values[index], Sharding.from_portable(portable))
 

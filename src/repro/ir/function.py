@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import functools
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TypeInferenceError
 from repro.ir import opdefs
+from repro.ir.tagpoints import TagPoint
 from repro.ir.types import TensorType
 from repro.ir.values import Operation, Value
 
@@ -15,7 +17,15 @@ class Function:
 
     Also used for op *regions* (e.g. the body of ``scan``), in which case
     ``name`` is conventionally ``"body"``.
+
+    Everything derived from the structure -- :attr:`index`, propagation's
+    transfer records, the lowering-plan tables, a pipelined body's stage
+    split -- lives in one memo, :meth:`derived`, which never rides a
+    pickle: a used function pickles to the bytes of a fresh one.
     """
+
+    #: ``(len(ops) when built, {key: view})``.
+    _derived: Optional[Tuple[int, dict]] = None
 
     def __init__(self, name: str):
         self.name = name
@@ -27,27 +37,58 @@ class Function:
         self.output_names: List[str] = []
 
     def __getstate__(self):
-        # Underscore attributes are caches some pass derived from the
-        # function and attached to it (``_propagation_index``,
-        # ``_tag_points``, ``_loop_ops``, ``_pipeline_split``,
-        # ``_pipeline_p2p``): rebuilt on demand, a quarter of the bytes of
-        # a propagated function, and in part process-local (the
-        # propagation index holds canonical interned shardings).  None of
-        # them rides a pickle to a search worker or the plan server.
-        return {key: value for key, value in self.__dict__.items()
-                if not key.startswith("_")}
+        # Views are rebuilt on demand and hold process-local objects
+        # (canonical interned shardings, plans).
+        state = dict(self.__dict__)
+        state.pop("_derived", None)
+        return state
+
+    def derived(self, key, build: Callable[["Function"], Any]) -> Any:
+        """The view ``build(self)``, built once and memoized under ``key``.
+
+        A key is the name of the public function serving the view, or a
+        tuple of that name and the view's parameters (``("plan_table",
+        mesh axes)``), so no two views collide.  Every view is dropped
+        when ``len(self.ops)`` changes; any other edit after a view was
+        built (added params, rewired operands, a region grown in place)
+        is unsupported -- every builder in this codebase constructs fresh
+        functions.  Racing first builds of one key keep one view.
+        """
+        memo = self._derived
+        if memo is None or memo[0] != len(self.ops):
+            memo = self._derived = (len(self.ops), {})
+        views = memo[1]
+        view = views.get(key)
+        if view is None:
+            view = views.setdefault(key, build(self))
+        return view
+
+    @property
+    def index(self) -> "FunctionIndex":
+        """The function's structural positions (see :class:`FunctionIndex`).
+
+        >>> from repro.trace.tracer import trace, ShapeDtype
+        >>> from repro.trace import ops
+        >>> tf = trace(lambda x: ops.scan(lambda i, c: [c * x], [x], 4),
+        ...            ShapeDtype((4,)))
+        >>> index = tf.function.index
+        >>> [op.opcode for op in index.ops]  # the body after its scan
+        ['scan', 'mul', 'tag']
+        >>> # x; the scan's result, then its body (step, carry and captured
+        >>> # x params, the mul); last the tracer's tag on the scan.
+        >>> [v.producer.opcode if v.producer else "param"
+        ...  for v in index.values]
+        ['param', 'scan', 'param', 'param', 'param', 'mul', 'tag']
+        >>> [op.opcode for op in index.loops], [p.name for p in index.tag_points]
+        (['scan'], ['auto/scan/0'])
+        """
+        return self.derived("index", FunctionIndex)
 
     def add_param(self, type: TensorType, name: Optional[str] = None) -> Value:
         value = Value(type, producer=None, index=len(self.params), name=name)
         self.params.append(value)
         self.input_names.append(name or f"arg{len(self.params) - 1}")
         return value
-
-    def all_values(self) -> Iterable[Value]:
-        """All values defined in this function (params then op results)."""
-        yield from self.params
-        for op in self.ops:
-            yield from op.results
 
     def walk(self) -> Iterable[Operation]:
         """All ops, including ops inside regions (pre-order)."""
@@ -56,19 +97,56 @@ class Function:
             for region in op.regions:
                 yield from region.walk()
 
-    def uses(self) -> Dict[Value, List[Operation]]:
-        """Map each value to the list of ops that consume it (top level)."""
-        result: Dict[Value, List[Operation]] = {}
-        for op in self.ops:
-            for operand in op.operands:
-                result.setdefault(operand, []).append(op)
-        return result
-
     def num_ops(self, recursive: bool = True) -> int:
-        return sum(1 for _ in self.walk()) if recursive else len(self.ops)
+        return len(self.index.ops) if recursive else len(self.ops)
 
     def __repr__(self) -> str:
         return f"<Function {self.name}: {len(self.params)} params, {len(self.ops)} ops>"
+
+
+class FunctionIndex:
+    """The positions everything addresses a function by: value indices
+    (``portable_state``, probe digests), tag-point and loop indices
+    (action tuples).  Structurally identical functions in two processes
+    agree on all of them.
+
+    * ``ops`` -- every op in pre-order, regions included (= ``walk()``);
+    * ``values`` -- params, then each op's results followed by its
+      regions' values, recursively (a loop's subtree is its results plus
+      ``region.index.values``); ``value_ids`` inverts it;
+    * ``tag_points`` / ``loops`` -- the ``tag`` / loop ops in walk order.
+
+    The last three are built on first read.
+    """
+
+    def __init__(self, function: Function):
+        ops: List[Operation] = []
+        values: List[Value] = []
+
+        def visit(fn: Function) -> None:
+            values.extend(fn.params)
+            for op in fn.ops:
+                ops.append(op)
+                values.extend(op.results)
+                for region in op.regions:
+                    visit(region)
+
+        visit(function)
+        self.ops = ops
+        self.values = values
+
+    @functools.cached_property
+    def value_ids(self) -> Dict[Value, int]:
+        return {value: i for i, value in enumerate(self.values)}
+
+    @functools.cached_property
+    def tag_points(self) -> List[TagPoint]:
+        tags = [op for op in self.ops if op.opcode == "tag"]
+        return [TagPoint.at(i, op) for i, op in enumerate(tags)]
+
+    @functools.cached_property
+    def loops(self) -> List[Operation]:
+        return [op for op in self.ops if op.opcode in opdefs.LOOP_OPS]
 
 
 class Module:

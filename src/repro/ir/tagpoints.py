@@ -25,7 +25,9 @@ Both kinds are *tag points*: :func:`tag_points` enumerates them in the
 canonical pre-order walk, and that walk index is a tag point's portable
 name — two processes holding structurally-identical functions (e.g. a
 search worker that received the function over pickle) agree on every tag
-point's index, exactly like value indices in
+point's index.  The list is one of the views of
+:class:`repro.ir.function.FunctionIndex`, the one derivation of a
+function's positions, beside the value indices of
 :meth:`repro.core.sharding.ShardingEnv.portable_state`.
 """
 
@@ -78,6 +80,14 @@ class TagPoint:
     source: Optional[Operation]
     auto: bool
 
+    @classmethod
+    def at(cls, index: int, op: Operation) -> "TagPoint":
+        """The tag point of ``tag`` op ``op`` at walk position ``index``."""
+        root = _root_value(op)
+        return cls(index=index, name=str(op.attrs.get("name", "")), op=op,
+                   value=op.results[0], root=root, source=root.producer,
+                   auto=is_auto_tag(op))
+
 
 def _root_value(tag_op: Operation) -> Value:
     value = tag_op.operands[0]
@@ -87,29 +97,6 @@ def _root_value(tag_op: Operation) -> Value:
 
 
 def tag_points(function) -> List[TagPoint]:
-    """Every tag point of ``function``, in canonical pre-order walk order.
-
-    The list is cached on the function (functions are structurally frozen
-    after construction — the same contract the propagation index relies
-    on), so repeated enumeration during candidate generation and action
-    replay is O(1).
-    """
-    cached = getattr(function, "_tag_points", None)
-    if cached is not None:
-        return cached
-    points: List[TagPoint] = []
-    for op in function.walk():
-        if op.opcode != "tag":
-            continue
-        root = _root_value(op)
-        points.append(TagPoint(
-            index=len(points),
-            name=str(op.attrs.get("name", "")),
-            op=op,
-            value=op.results[0],
-            root=root,
-            source=root.producer,
-            auto=is_auto_tag(op),
-        ))
-    function._tag_points = points
-    return points
+    """Every tag point of ``function``, in canonical pre-order walk order
+    (``function.index.tag_points``: built once per function)."""
+    return function.index.tag_points

@@ -50,7 +50,6 @@ import dataclasses
 import itertools
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.pipeline import loop_subtree_values
 from repro.ir import opdefs
 from repro.ir.function import Function, FunctionBuilder
 from repro.mesh import Mesh
@@ -229,8 +228,8 @@ class _UnitState:
         #: segment keys on — and is invalidated by — every subtree value
         #: (region ops read only values their region defines; pipeline
         #: pins land on these too).
-        self.sig_values = tuple(op.operands) + tuple(
-            loop_subtree_values(op) if self.regions else op.results)
+        self.sig_values = tuple(op.operands) + tuple(op.results) + tuple(
+            value for region in op.regions for value in region.index.values)
         self.segments: Dict[tuple, tuple] = {}
 
 

@@ -36,7 +36,7 @@ its structural class (:func:`op_class`: opcode, attrs, operand and result
 types, sharding rule), its adjacent shardings and the mesh; it holds no
 :class:`Value`, and the builder copies the attrs it emits.  So plans are
 shared: a function carries one plan table per mesh (:func:`plan_table`,
-an underscore attribute that never rides a pickle), keyed ``(class,
+a view of the function that never rides a pickle), keyed ``(class,
 operand sharding iids, result sharding iids)``, and every lowerer built
 for the function — each :func:`lower` call and the estimator's — reads
 and fills it.  L identical layers are planned once, and so is the
@@ -190,11 +190,11 @@ def op_class(op: Operation) -> Optional[int]:
 def plan_table(function: Function, mesh: Mesh) -> Dict[tuple, _OpPlan]:
     """``function``'s lowering-plan table for ``mesh``: ``(op class,
     operand sharding iids, result sharding iids) -> plan``, for the ops of
-    the function and of its regions.  Created on first use; an underscore
-    attribute, so :meth:`Function.__getstate__` keeps it off every
-    pickle."""
-    tables = function.__dict__.setdefault("_plan_tables", {})
-    return tables.setdefault(tuple(sorted(mesh.axes.items())), {})
+    the function and of its regions.  A view of the function
+    (:meth:`Function.derived`): created on first use, dropped if the
+    function grows, never pickled."""
+    return function.derived(("plan_table", tuple(sorted(mesh.axes.items()))),
+                            lambda _: {})
 
 
 def required_of(sharding: Sharding) -> Dict[int, List[str]]:

@@ -9,6 +9,8 @@ checks is complete (a served plan is the plan a fresh planner builds).
 ``Evaluator.evaluate(key) == reference_cost(key)``, bit for bit, is the
 one purity contract the suites and figure scripts pin.
 
+``reference_index`` is the structural order everything is addressed by
+(``Function.index``'s ops and values), written out independently.
 ``full_sweep`` is propagation's reference: a fixed point seeded from
 *every* value, the whole-function sweep the library does not run.
 ``ESTIMATE_FIELDS`` / ``assert_estimates_identical`` are the one statement
@@ -18,7 +20,7 @@ of what "bit for bit" means for two ``CostEstimate`` objects.
 from repro.auto.evaluator import try_apply_action
 from repro.auto.tree import canonical_key
 from repro.core.propagate import propagate
-from repro.core.sharding import ShardingEnv, enumerate_function_values
+from repro.core.sharding import ShardingEnv
 from repro.sim import costmodel
 from repro.spmd import fuse_collectives, lower
 
@@ -35,11 +37,31 @@ def assert_estimates_identical(got, want, context=None):
         assert getattr(got, field) == getattr(want, field), (context, field)
 
 
+def reference_index(function):
+    """``(ops, values)`` of ``function``: every op in pre-order, regions
+    included, and every value it defines -- params, then each op's results
+    followed by its regions' values, recursively.  Value indices in
+    ``portable_state``, probe digests and the golden pins are positions in
+    this list."""
+    ops, values = [], []
+
+    def visit(fn):
+        values.extend(fn.params)
+        for op in fn.ops:
+            ops.append(op)
+            values.extend(op.results)
+            for region in op.regions:
+                visit(region)
+
+    visit(function)
+    return ops, values
+
+
 def full_sweep(function, env):
     """Propagate with every value of ``function`` marked dirty, so every
     op is visited in the first round: the whole-function sweep that
     dirty-seeded propagation must agree with."""
-    env._dirty.update(enumerate_function_values(function))
+    env._dirty.update(reference_index(function)[1])
     propagate(function, env)
 
 

@@ -342,22 +342,14 @@ class TestProcessChaos:
         assert result.degraded_to == "serial"
         assert result.faults_injected == 0  # fired in workers, not here
 
-    def test_restart_budget_env_default(self, monkeypatch):
-        monkeypatch.setenv("PARTIR_RESTART_BUDGET", "5")
-        assert make_scheduler("process").restart_budget == 5
-        # Zero is a budget ("never heal"), not junk.
-        monkeypatch.setenv("PARTIR_RESTART_BUDGET", "0")
-        assert make_scheduler("process").restart_budget == 0
-        for junk in ("junk", "-1", "2.5", ""):
-            monkeypatch.setenv("PARTIR_RESTART_BUDGET", junk)
-            assert make_scheduler("process").restart_budget == 1, junk
-
-    def test_zero_restart_budget_degrades_on_first_failure(self, reference,
-                                                           monkeypatch):
-        monkeypatch.setenv("PARTIR_RESTART_BUDGET", "0")
+    def test_zero_restart_budget_degrades_on_first_failure(self, reference):
+        """The ``restart_budget`` field is the one way to set the budget,
+        and the degrade warning names it."""
         faults.install(faults.FaultPlan({"worker.exit": [1]}))
         try:
-            result = search(backend="process", workers=2, wave_size=2)
+            with pytest.warns(RuntimeWarning, match="restart_budget"):
+                result = search(backend="process", workers=2, wave_size=2,
+                                restart_budget=0)
         finally:
             faults.uninstall()
         assert result.actions == reference.actions

@@ -283,8 +283,8 @@ class TestPropagation:
         env = ShardingEnv(paper_mesh)
         tile(env, x, 0, "B")
         propagate(function, env)
-        snapshot = {v: env.sharding(v).spec() for v in function.all_values()}
+        snapshot = {v: env.sharding(v).spec() for v in function.index.values}
         propagate(function, env)
         assert snapshot == {
-            v: env.sharding(v).spec() for v in function.all_values()
+            v: env.sharding(v).spec() for v in function.index.values
         }

@@ -66,8 +66,7 @@ def test_rollback_matches_copy_forks_over_tactic_chains(case, seed):
     same point."""
     _, traced = CASES[case]
     function = traced.function
-    from repro.core.sharding import enumerate_function_values
-    values = enumerate_function_values(function)
+    values = function.index.values
 
     env = ShardingEnv(MESH)
     propagate(function, env)
@@ -204,8 +203,7 @@ def test_writes_since_replays_to_identical_state():
     delta = env.writes_since(token)
     assert delta
 
-    from repro.core.sharding import enumerate_function_values
-    values = enumerate_function_values(function)
+    values = function.index.values
     after = _env_state(env, values)
     env.rollback(token)
     replay_token = env.checkpoint()

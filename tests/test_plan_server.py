@@ -11,6 +11,7 @@ the plan store's LRU cap.
 """
 
 import os
+import socket
 import threading
 import time
 import warnings
@@ -507,6 +508,53 @@ class TestRpcProtocol:
         assert set(reply) == {"tier", "actions", "cost"}
         assert reply["tier"] == "search"
         assert server.searches_run == 1
+
+    def test_retired_exploration_in_a_request(self, server):
+        """The UCT constant left the plan identity: a request still naming
+        the one value left is served (and shares the current clients'
+        plan), one naming another is refused."""
+        identity = SearchConfig(budget=8, seed=0).plan_identity()
+
+        def request(exploration):
+            return connection.request({
+                "kind": "plan", "function": chain(), "mesh": MESH,
+                "env": (), "device": TINY_DEVICE, "axes": ["B", "M"],
+                "search": dict(identity, exploration=exploration),
+            })
+
+        with rpc.connect(addr(server)) as connection:
+            with pytest.raises(rpc.RemoteError, match="exploration"):
+                request(1.0)
+            reply = request(0.5)
+        assert reply["tier"] == "search"
+        current = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                              plan_server=addr(server), **SEARCH)
+        assert current.plan_source == "server:exact"
+        assert server.searches_run == 1
+
+    def test_stop_never_joins_an_unstarted_connection_thread(
+            self, monkeypatch):
+        """``stop()`` racing an accept: the connection thread is held just
+        before it starts while ``stop()`` runs.  Joining it there would
+        raise ``RuntimeError: cannot join thread before it is started``."""
+        entered, release = threading.Event(), threading.Event()
+        start = threading.Thread.start
+
+        def held_start(thread):
+            if thread.name == "partir-rpc-conn":
+                entered.set()
+                release.wait(10.0)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", held_start)
+        server = rpc.RpcServer(lambda: (lambda message: message))
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=5.0):
+                assert entered.wait(5.0)
+                server.stop()
+        finally:
+            release.set()
 
     def test_older_daemon_ends_in_a_local_serial_search(self, server,
                                                         monkeypatch):

@@ -103,7 +103,7 @@ def _env(function, mesh, schedule):
 
 def _forget_plans(function):
     """Make the next lowering of ``function`` cold."""
-    function.__dict__.pop("_plan_tables", None)
+    function.__dict__.pop("_derived", None)
 
 
 def _attr(value):
@@ -258,7 +258,7 @@ def test_pickle_carries_no_plan_table_or_op_classes():
     assert any(hasattr(op, "_op_class") for op in function.walk())
 
     clone = pickle.loads(pickle.dumps(function))
-    assert "_plan_tables" not in clone.__dict__
+    assert "_derived" not in clone.__dict__
     assert not any(hasattr(op, "_op_class") for op in clone.walk())
     relowered = lower(clone, _env(clone, mesh, schedule_b))
     assert _listing(relowered.function) == _listing(lowered.function)

@@ -32,17 +32,13 @@ from repro.auto.evaluator import candidate_actions
 from repro.auto.prune import condense, footprint_digest
 from repro.baselines.gspmd import gspmd_partition
 from repro.core.propagate import propagate
-from repro.core.sharding import (
-    Sharding,
-    ShardingEnv,
-    enumerate_function_values,
-)
+from repro.core.sharding import Sharding, ShardingEnv
 from repro.mesh import Mesh
 from repro.models import bottleneck, gns, transformer, unet
 from repro.models import pipeline as pm
 from repro.models import schedules as sched
 
-from oracle import apply_with_full_sweep
+from oracle import apply_with_full_sweep, reference_index
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "propagation.json")
@@ -97,7 +93,7 @@ def _events(function, env):
     """``(kind, axis, detail)`` per event, with the process-global value
     uids in details (``%v123``) replaced by canonical value indices."""
     index = {value.uid: i
-             for i, value in enumerate(enumerate_function_values(function))}
+             for i, value in enumerate(reference_index(function)[1])}
     return [
         (event.kind, event.axis,
          re.sub(r"%v(\d+)", lambda m: f"%#{index[int(m.group(1))]}",

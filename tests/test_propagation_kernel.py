@@ -2,9 +2,10 @@
 
 * one shared :class:`OpShardingRule` per distinct factor table, one shared
   transfer record per (rule, operand/result ranks);
-* nothing derived rides a pickle: a propagated function pickles to the
-  bytes of an unpropagated one, and the peer rebuilds rule references and
-  the index against *its own* canonical shardings;
+* nothing derived rides a pickle: every view of a function lives in its
+  one ``_derived`` slot, a propagated function pickles to the bytes of an
+  unpropagated one, and the peer rebuilds rule references and the index
+  against *its own* canonical shardings;
 * the per-function index is rebuilt, not trusted, after the function grew;
 * event details are rendered on first read and read as they always did.
 """
@@ -13,6 +14,7 @@ import pickle
 
 from repro.api import ManualPartition
 from repro.baselines.gspmd import _GspmdPropagator
+from repro.core.pipeline import stage_split
 from repro.core.propagate import Propagator, _function_index, propagate
 from repro.core.rules import rule_for
 from repro.core.sharding import Event, Sharding, ShardingEnv
@@ -84,15 +86,20 @@ class TestSharedRules:
     def test_same_rule_and_ranks_share_one_transfer_record(self):
         traced = transformer.trace_training_step(transformer.tiny())
         index = _function_index(traced.function)
-        assert len(index.transfers) == index.num_ops
+        assert index.ops == traced.function.index.ops
+        assert len(index.transfers) == len(index.ops)
         distinct = {id(t) for t in index.transfers}
-        assert len(distinct) * 10 < index.num_ops
+        assert len(distinct) * 10 < len(index.ops)
         by_key = {}
         for op, transfer in zip(index.ops, index.transfers):
             key = (id(rule_for(op)) if not transfer.loop else None,
                    tuple(len(v.type.shape) for v in op.operands),
                    tuple(len(v.type.shape) for v in op.results))
             assert by_key.setdefault(key, transfer) is transfer
+
+
+def _derived_slots(fn):
+    return [key for key in vars(fn) if key.startswith("_")]
 
 
 class TestNothingDerivedRidesThePickle:
@@ -107,8 +114,10 @@ class TestNothingDerivedRidesThePickle:
         for tactic in self._schedule():
             tactic.apply(function, env)
         tag_points(function)
-        assert hasattr(function, "_propagation_index")
-        assert hasattr(function, "_tag_points")
+        # Every view (index, tag points, propagation's records, plan
+        # tables) sits in one slot.
+        assert _derived_slots(function) == ["_derived"]
+        assert len(function._derived[1]) >= 2
         assert pickle.dumps(function) == fresh
         # ... and like a fresh retrace (value uids are the only difference;
         # they are small ints, so sizes agree to a fraction of a percent).
@@ -121,17 +130,18 @@ class TestNothingDerivedRidesThePickle:
         fresh = pickle.dumps(function)
         env = ShardingEnv(Mesh({"stage": 2, "model": 2}))
         sched.pp("stage").apply(function, env)
-        assert hasattr(function, "_loop_ops")
+        (loop,) = function.index.loops
+        body = loop.regions[0]
+        stage_split(body, 2)
+        assert _derived_slots(function) == _derived_slots(body) \
+            == ["_derived"]
         clone = pickle.loads(pickle.dumps(function))
         assert pickle.dumps(function) == fresh
 
-        def cached(fn):
-            return [key for key in vars(fn) if key.startswith("_")]
-
-        assert cached(clone) == []
+        assert _derived_slots(clone) == []
         for op in clone.walk():
             for region in op.regions:
-                assert cached(region) == []
+                assert _derived_slots(region) == []
 
     def test_round_tripped_function_propagates_to_the_same_state(self):
         traced = transformer.trace_training_step(transformer.tiny())
@@ -140,7 +150,7 @@ class TestNothingDerivedRidesThePickle:
         for tactic in self._schedule():
             tactic.apply(function, env)
         clone = pickle.loads(pickle.dumps(function))
-        assert not hasattr(clone, "_propagation_index")
+        assert _derived_slots(clone) == []
         clone_env = ShardingEnv(MESH)
         for tactic in self._schedule():
             tactic.apply(clone, clone_env)
@@ -161,16 +171,16 @@ class TestIndexGuard:
         env = ShardingEnv(MESH)
         env.set_sharding(x, env.sharding(x).with_tile(0, "batch"))
         propagate(function, env)
-        stale = function._propagation_index
-        assert stale.num_ops == 1
+        stale = _function_index(function)
+        assert len(stale.ops) == 1
         assert env.sharding(h).tile_dim_of("batch") == 0
 
         out = b.emit1("neg", [h])
         function.results = [out]
         full_sweep(function, env)  # nothing is dirty: seed every op
-        rebuilt = function._propagation_index
+        rebuilt = _function_index(function)
         assert rebuilt is not stale
-        assert rebuilt.num_ops == len(rebuilt.transfers) == 2
+        assert len(rebuilt.ops) == len(rebuilt.transfers) == 2
         # The new op was indexed and visited, not skipped or misread
         # through the one-op table.
         assert env.sharding(out).tile_dim_of("batch") == 0

@@ -35,6 +35,7 @@ from repro.sim import DeviceSpec
 from repro.trace import ops
 
 from conftest import build_matmul_chain
+from oracle import reference_index
 
 TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
                          link_bandwidth=1e9)
@@ -100,13 +101,12 @@ class TestCondenser:
     def test_probe_action_matches_manual_delta(self):
         from repro.auto.evaluator import try_apply_action
         from repro.auto.prune import footprint_digest
-        from repro.core.sharding import enumerate_function_values
         function, _ = build_matmul_chain()
         env, candidates = _prepared(function)
         action = candidates[0]
         signature = probe_action(function, env, action)
         value_index = {value: i for i, value in
-                       enumerate(enumerate_function_values(function))}
+                       enumerate(reference_index(function)[1])}
         token = env.checkpoint()
         assert try_apply_action(function, env, action)
         propagate(function, env)

@@ -1,7 +1,7 @@
 """The search's configuration surface: one ``SearchConfig``, nothing else.
 
-Guards the shape the consolidation left behind — the 14 fields and their
-order (the first seven are the plan server's store key, so reordering them
+Guards the shape the consolidation left behind — the 13 fields and their
+order (the first six are the plan server's store key, so reordering them
 would orphan every saved plan), the two constructors that used to carry
 path-selection flags, wire compatibility with clients that still send
 those flags, transposition logs left on disk under the retired exact
@@ -27,8 +27,8 @@ from repro.sim import TPU_V3, costmodel
 
 from conftest import build_matmul_chain
 
-PLAN_IDENTITY = ("budget", "rollout_depth", "exploration", "seed",
-                 "max_inputs", "max_tag_points", "prune")
+PLAN_IDENTITY = ("budget", "rollout_depth", "seed", "max_inputs",
+                 "max_tag_points", "prune")
 EXECUTION = ("backend", "workers", "wave_size", "cache_dir", "plan_server",
              "restart_budget", "rpc_timeout_s")
 
@@ -68,7 +68,7 @@ class TestSurface:
         names = sorted(os.listdir(tmp_path))
         assert len(names) == 2 and old.name in names
         pkey = server_mod.params_key(["B", "M"], SearchConfig())
-        assert pkey == (("B", "M"), 24, 3, 0.5, 0, 48, 16, True)
+        assert pkey == (("B", "M"), 24, 3, 0, 48, 16, True)
         # Execution fields never enter the key.
         assert pkey == server_mod.params_key(
             ["B", "M"], SearchConfig(backend="process", workers=4,
@@ -114,7 +114,7 @@ class TestBadOptionsFailAtConstruction:
 
     @pytest.mark.parametrize("options", [
         {"budget": "4"}, {"budget": True}, {"prune": 1},
-        {"cache_dir": 7}, {"exploration": "high"},
+        {"cache_dir": 7}, {"rpc_timeout_s": "high"},
     ])
     def test_ill_typed_option_raises(self, options):
         with pytest.raises(TypeError, match=next(iter(options))):
@@ -130,7 +130,10 @@ class TestBadOptionsFailAtConstruction:
 
     def test_retired_action_space_is_an_unknown_option(self):
         """One action vocabulary: naming the deleted option is the usual
-        unknown-option error, wherever it is passed."""
+        unknown-option error, wherever it is passed.  So is the retired
+        UCT constant."""
+        with pytest.raises(TypeError, match="exploration"):
+            AutomaticPartition(["d"], {"exploration": 0.5})
         with pytest.raises(TypeError, match="action_space"):
             AutomaticPartition(["d"], {"action_space": "tagged"})
         with pytest.raises(TypeError, match="action_space"):
@@ -142,13 +145,13 @@ class TestBadOptionsFailAtConstruction:
 
     def test_valid_options_still_build(self):
         tactic = AutomaticPartition(
-            ["d"], {"budget": 4, "exploration": 1, "device": TPU_V3},
+            ["d"], {"budget": 4, "rpc_timeout_s": 1, "device": TPU_V3},
             search_backend="batched", prune=False)
         assert tactic.options["backend"] == "batched"
         # Only counts and timeouts must be non-negative, and numpy scalars
         # are the numbers they hold (same seed stream, same store key).
-        config = SearchConfig(seed=-1, exploration=np.float32(0.5),
+        config = SearchConfig(seed=-1, rpc_timeout_s=np.float32(0.5),
                               budget=np.int64(3))
-        assert config == SearchConfig(seed=-1, budget=3)
+        assert config == SearchConfig(seed=-1, budget=3, rpc_timeout_s=0.5)
         assert type(config.budget) is int
-        assert type(config.exploration) is float
+        assert type(config.rpc_timeout_s) is float
