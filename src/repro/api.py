@@ -239,8 +239,8 @@ class AutomaticPartition(Tactic):
     ``options`` holds :class:`repro.auto.SearchConfig` fields — what each
     one means is documented there, once — plus an optional ``"device"`` to
     price on (default: the ``partir_jit`` call's); ``search_backend`` (the
-    ``backend`` field) and the other keyword arguments are shorthands for
-    the common ones.  All of it is validated here, at construction: a
+    ``backend`` field) and ``cache_dir`` are shorthands for those two.
+    All of it is validated here, at construction: a
     misspelled or ill-typed option raises ``TypeError`` / ``ValueError``
     naming the valid fields instead of silently searching with a default.
 
@@ -270,14 +270,11 @@ class AutomaticPartition(Tactic):
     def __init__(self, axes: Sequence[str],
                  options: Optional[Dict[str, Any]] = None,
                  search_backend: Optional[str] = None,
-                 cache_dir: Optional[str] = None,
-                 plan_server: Optional[str] = None,
-                 prune: Optional[bool] = None):
+                 cache_dir: Optional[str] = None):
         # A repeated axis names no new action: ["b", "b"] searches ["b"].
         self.axes = list(dict.fromkeys(axes))
         self.options = dict(options or {})
-        shorthands = {"backend": search_backend, "cache_dir": cache_dir,
-                      "plan_server": plan_server, "prune": prune}
+        shorthands = {"backend": search_backend, "cache_dir": cache_dir}
         self.options.update(
             (key, value) for key, value in shorthands.items()
             if value is not None)
@@ -385,10 +382,10 @@ def partir_jit(
     :mod:`repro.auto.server` daemon: searches are answered from the
     shared plan store when possible and fall back to local search when
     the server is unreachable.  A per-address circuit breaker
-    (:mod:`repro.auto.rpc`; ``PARTIR_BREAKER_THRESHOLD`` /
-    ``PARTIR_BREAKER_COOLDOWN_S``) makes a flapping server cost one
-    timeout per cooldown window, not one per call —
-    ``last_search.server_circuit_open`` reports a skipped request.
+    (:mod:`repro.auto.rpc`; ``BREAKER_THRESHOLD`` / ``BREAKER_COOLDOWN_S``)
+    makes a flapping server cost one timeout per cooldown window, not one
+    per call — ``last_search.server_circuit_open`` reports a skipped
+    request.
     """
     function = traced.function
     env = ShardingEnv(mesh)

@@ -63,20 +63,6 @@ from repro.auto.tree import ActionKey
 # -- JSON round-tripping of keys ---------------------------------------------------
 
 
-def _to_jsonable(obj):
-    """Nested tuples -> nested lists (ints/floats/strings pass through)."""
-    if isinstance(obj, (tuple, list)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
-def _from_jsonable(obj):
-    """Inverse of :func:`_to_jsonable`: nested lists -> nested tuples."""
-    if isinstance(obj, list):
-        return tuple(_from_jsonable(v) for v in obj)
-    return obj
-
-
 def _parse_key(raw) -> Tuple:
     """An action key from its JSON form: a tuple of ``(kind, index, dim,
     axis)`` wire tuples."""

@@ -19,26 +19,32 @@ index space.  The label costs no second hash: the layout comes with the
 digest.
 
 The store **caps its footprint**: past ``max_entries`` the
-least-recently-used plan is dropped.  ``save``/``load`` persist the store
-as one JSONL snapshot so a restarted daemon warms up from its
-predecessor's plans.
+least-recently-used plan is dropped.  It lives in memory only: a
+restarted daemon re-derives a plan from its transposition logs
+(:mod:`repro.auto.cache`, ``--cache-dir``), which replay the first
+daemon's search at zero evaluations and return the same plan.
+
+>>> store = PlanStore(max_entries=2)
+>>> for digest in "abc":
+...     store.put(PlanRecord(key=(digest, ("B",)), actions=((0, 0, 0, "B"),),
+...                          cost=1.0, layout="L"))
+>>> store.lookup("a", ("B",), "L") is None  # the oldest was evicted
+True
+>>> store.lookup("b", ("B",), "L")[1]  # the populating layout
+'exact'
+>>> store.lookup("c", ("B",), "another spelling")[1]
+'relaxed'
+>>> store.stats()["evictions"], store.stats()["misses"]
+(1, 1)
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.auto.cache import (
-    _from_jsonable,
-    _parse_key,
-    _to_jsonable,
-    replace_file,
-)
 from repro.auto.tree import ActionKey
 
 DEFAULT_MAX_ENTRIES = 512
@@ -49,9 +55,7 @@ class PlanRecord:
     """One cached partition plan, in canonical index space.
 
     ``actions`` are canonical-space wire tuples (translate with
-    :meth:`repro.auto.fingerprint.CanonicalForm.decode_key`); ``meta`` is
-    the producing :class:`~repro.auto.search.SearchResult` rendered as a
-    plain dict (kept in the snapshot for operators, never served);
+    :meth:`repro.auto.fingerprint.CanonicalForm.decode_key`);
     ``layout`` is the populating program's ``CanonicalForm.layout``.
     """
 
@@ -59,26 +63,6 @@ class PlanRecord:
     actions: ActionKey
     cost: float
     layout: str
-    meta: Dict = dataclasses.field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "key": _to_jsonable(self.key),
-            "a": [list(action) for action in self.actions],
-            "c": self.cost,
-            "m": self.meta,
-            "l": self.layout,
-        }
-
-    @classmethod
-    def from_json(cls, record: dict) -> "PlanRecord":
-        return cls(
-            key=_from_jsonable(record["key"]),
-            actions=_parse_key(record["a"]),
-            cost=float(record["c"]),
-            layout=str(record["l"]),
-            meta=dict(record.get("m", {})),
-        )
 
 
 class PlanStore:
@@ -135,35 +119,3 @@ class PlanStore:
                 "hits_relaxed": self.hits_relaxed,
                 "misses": self.misses,
             }
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Snapshot the store as JSONL (oldest first, so a reload
-        reconstructs the same recency order).  Crash-safe
-        (:func:`repro.auto.cache.replace_file`)."""
-        with self._lock:
-            records: List[PlanRecord] = list(self._records.values())
-        replace_file(path, [json.dumps(record.to_json()) + "\n"
-                            for record in records])
-
-    def load(self, path: str) -> int:
-        """Merge a snapshot in (newest-recency last); returns the number
-        of records loaded.  Corrupt lines are skipped, the transposition
-        log's discipline."""
-        if not os.path.exists(path):
-            return 0
-        loaded = 0
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = PlanRecord.from_json(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError):
-                    continue
-                self.put(record)
-                loaded += 1
-        return loaded

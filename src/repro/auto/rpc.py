@@ -33,12 +33,13 @@ failures the breaker *opens* and callers skip the network entirely;
 after :data:`BREAKER_COOLDOWN_S` one half-open probe is let through and
 its outcome closes or re-opens the circuit.  A :class:`RemoteError`
 means the server is alive (it processed the request), so it counts as
-breaker *success*.
+breaker *success*.  The two module constants are the defaults of every
+breaker :func:`breaker_for` creates; :class:`CircuitBreaker` takes
+its own ``threshold`` and ``cooldown_s``.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import socket
 import struct
@@ -211,22 +212,6 @@ BREAKER_THRESHOLD = 3
 #: Seconds an open circuit waits before letting one half-open probe out.
 BREAKER_COOLDOWN_S = 30.0
 
-_ENV_THRESHOLD = "PARTIR_BREAKER_THRESHOLD"
-_ENV_COOLDOWN = "PARTIR_BREAKER_COOLDOWN_S"
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return default
-
-
 class CircuitBreaker:
     """Closed → (N consecutive transport failures) → open → (cooldown)
     → half-open, where exactly one probe call is admitted; the probe's
@@ -245,11 +230,9 @@ class CircuitBreaker:
     def __init__(self, threshold: Optional[int] = None,
                  cooldown_s: Optional[float] = None):
         self.threshold = int(threshold if threshold is not None
-                             else _env_float(_ENV_THRESHOLD,
-                                             BREAKER_THRESHOLD))
+                             else BREAKER_THRESHOLD)
         self.cooldown_s = (cooldown_s if cooldown_s is not None
-                           else _env_float(_ENV_COOLDOWN,
-                                           BREAKER_COOLDOWN_S))
+                           else BREAKER_COOLDOWN_S)
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._failures = 0

@@ -286,7 +286,8 @@ class SearchResult:
 
 
 #: Upper bound on one plan request's round trip — generous because a cold
-#: request makes the server *run the search* before replying.
+#: request makes the server *run the search* before replying.  The server
+#: bounds a deduplicated request's wait for that search by it too.
 PLAN_REQUEST_TIMEOUT_S = 600.0
 
 #: One-shot latch for the enumeration-cap warning (the repo's no-silent-
@@ -495,18 +496,14 @@ def mcts_search(
     # what THIS call may propose: no actions on axes outside the caller's
     # list.  (Enumeration caps — max_inputs / max_tag_points — are
     # efficiency knobs, not semantic restrictions, so entries beyond them
-    # stay adoptable.)
+    # stay adoptable.)  Read before the run, so only earlier calls' scores
+    # count.
     axes_set = set(axes)
 
     def proposable(key: ActionKey) -> bool:
         return all(action[3] in axes_set for action in key)
 
     warm_best = table.best_entry(key_filter=proposable)
-    if warm_best is not None and (
-        warm_best[1] < best_cost
-        or (warm_best[1] == best_cost and warm_best[0] < best_key)
-    ):
-        best_key, best_cost = warm_best
 
     def on_result(key: ActionKey, cost: float) -> None:
         nonlocal best_key, best_cost
@@ -518,21 +515,33 @@ def mcts_search(
             best_cost = cost
             best_key = key
 
+    def minimal_witness(key: ActionKey, cost: float) -> ActionKey:
+        # Random rollout completions often decorate the true winner with
+        # actions that no-op in its context, and the padded superset is
+        # what the incumbent saw first.  Greedily drop (left to right,
+        # deterministically) every action whose removal leaves the cost
+        # bit-identical: replay applies fewer actions, the plan store
+        # dedups better, and two backends that surfaced different
+        # cost-equal paddings of one core report the same set.
+        for action in list(key):
+            trial = tuple(a for a in key if a != action)
+            if evaluator.evaluate(trial) == cost:
+                key = trial
+        return key
+
     policy = TreePolicy(candidates, config.seed, config.rollout_depth)
     try:
         scheduler.run(policy, evaluator, config.budget, baseline, on_result)
-        # Witness minimization: random rollout completions often decorate
-        # the true winner with actions that no-op in its context, and the
-        # padded superset is what the incumbent saw first.  Greedily drop
-        # (left to right, deterministically) every action whose removal
-        # leaves the cost bit-identical, so the reported plan is a minimal
-        # witness of ``best_cost``: replay applies fewer actions, the plan
-        # store dedups better, and two backends that surfaced different
-        # cost-equal paddings of one core report the same set.
-        for action in list(best_key):
-            trial = tuple(a for a in best_key if a != action)
-            if evaluator.evaluate(trial) == best_cost:
-                best_key = trial
+        # This run's witness first, the warm incumbent (under the same
+        # rule) second: a rerun of the same config then scores exactly
+        # what its predecessor scored, so it replays from the table alone.
+        best_key = minimal_witness(best_key, best_cost)
+        if warm_best is not None and (
+            warm_best[1] < best_cost
+            or (warm_best[1] == best_cost and warm_best[0] < best_key)
+        ):
+            best_cost = warm_best[1]
+            best_key = minimal_witness(warm_best[0], best_cost)
     finally:
         # Persist everything scored so far even when a wave dies (e.g. a
         # worker OOM-kill): the append-only log makes partial progress

@@ -29,15 +29,20 @@ sessions to many concurrent clients over the framed socket protocol of
 
 Run the daemon with::
 
-    python -m repro.auto.server --port 7077
+    python -m repro.auto.server --port 7077 --cache-dir plans/
 
 and point clients at it with ``partir_jit(..., plan_server="host:port")``.
+The plan store is in memory only; the transposition logs under
+``--cache-dir`` are the daemon's one persistent state.  A daemon restarted
+on the same directory answers a request its predecessor searched by
+replaying that search from the log, at zero evaluations and zero
+condenser probes, with the same plan and cost (and the log's bytes
+unchanged).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -47,7 +52,11 @@ from repro.auto import faults, rpc
 from repro.auto.evaluator import EvaluatorSession
 from repro.auto.fingerprint import CanonicalForm, canonicalize
 from repro.auto.planstore import DEFAULT_MAX_ENTRIES, PlanRecord, PlanStore
-from repro.auto.search import SearchConfig, mcts_search
+from repro.auto.search import (
+    PLAN_REQUEST_TIMEOUT_S,
+    SearchConfig,
+    mcts_search,
+)
 from repro.auto.tree import EXPLORATION
 
 
@@ -104,13 +113,14 @@ class _ConnectionHandler:
 class PlanServer:
     """The daemon: a :class:`PlanStore` behind an :class:`rpc.RpcServer`.
 
-    ``cache_dir`` (optional) gives server-side searches a persistent
-    transposition spool: repeated misses on one program (another seed, a
-    larger budget) pay only for sets never scored before.
-    ``search_fn`` is an
-    injection point for tests (defaults to :func:`mcts_search`);
-    ``search_defaults`` overrides :class:`SearchConfig`'s defaults (e.g.
-    ``{"backend": "process", "workers": 4}``).
+    ``max_entries`` caps the in-memory store (LRU).  ``cache_dir``
+    (optional) gives server-side searches a persistent transposition
+    spool: repeated misses on one program (another seed, a larger budget,
+    a restarted daemon) pay only for sets never scored before.
+    ``search_fn`` is an injection point for tests (defaults to
+    :func:`mcts_search`).  A request waiting on another's identical
+    search gives up after :data:`~repro.auto.search.PLAN_REQUEST_TIMEOUT_S`,
+    the client's own bound on a plan request.
 
     Hardening (passed through to the underlying
     :class:`~repro.auto.rpc.RpcServer`): ``max_connections`` bounds
@@ -122,20 +132,15 @@ class PlanServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 store: Optional[PlanStore] = None,
+                 max_entries: int = DEFAULT_MAX_ENTRIES,
                  cache_dir: Optional[str] = None,
                  search_fn=None,
-                 search_defaults: Optional[dict] = None,
-                 search_timeout: float = 600.0,
                  max_connections: int = 64,
                  idle_timeout_s: Optional[float] = 300.0,
                  request_deadline_s: Optional[float] = None):
-        self.store = store if store is not None else PlanStore()
-        self.cache_dir = cache_dir
-        self.search_timeout = search_timeout
+        self.store = PlanStore(max_entries)
         self._search_fn = search_fn if search_fn is not None else mcts_search
-        self._search_defaults = SearchConfig.of(
-            **{"cache_dir": cache_dir, **(search_defaults or {})})
+        self._base_config = SearchConfig.of(cache_dir=cache_dir)
         self._inflight: Dict[Tuple, _Inflight] = {}
         self._lock = threading.Lock()
         self.searches_run = 0
@@ -210,9 +215,9 @@ class PlanServer:
             raise ValueError("only the tagged action space is served")
         if search.get("exploration", EXPLORATION) != EXPLORATION:
             raise ValueError(f"only exploration {EXPLORATION} is served")
-        config = SearchConfig.of(self._search_defaults, **{
+        config = SearchConfig.of(self._base_config, **{
             name: search[name]
-            for name in self._search_defaults.plan_identity()
+            for name in self._base_config.plan_identity()
             if search.get(name) is not None})
         pkey = params_key(axes, config)
         with self._lock:
@@ -232,7 +237,7 @@ class PlanServer:
             else:
                 self.dedup_joined += 1
         if not runner:
-            if not flight.event.wait(timeout=self.search_timeout):
+            if not flight.event.wait(timeout=PLAN_REQUEST_TIMEOUT_S):
                 raise TimeoutError(
                     "deduplicated search did not finish in time"
                 )
@@ -264,14 +269,11 @@ class PlanServer:
             raise RuntimeError("injected fault: server.search")
         result = self._search_fn(function, env, axes, device=device,
                                  config=config)
-        meta = {k: v for k, v in dataclasses.asdict(result).items()
-                if k not in ("actions",)}
         record = PlanRecord(
             key=key,
             actions=canon.encode_key(tuple(tuple(a) for a in
                                            result.actions)),
             cost=result.cost,
-            meta=meta,
             layout=canon.layout,
         )
         self.store.put(record)
@@ -299,10 +301,8 @@ def main(argv=None) -> int:
                              f"(default {DEFAULT_MAX_ENTRIES})")
     parser.add_argument("--cache-dir", default=None,
                         help="transposition spool directory for "
-                             "server-side searches")
-    parser.add_argument("--store", default=None,
-                        help="JSONL snapshot to load at start and save "
-                             "on shutdown")
+                             "server-side searches; a daemon restarted "
+                             "on it replays its predecessor's searches")
     parser.add_argument("--max-connections", type=int, default=64,
                         help="concurrent client connections accepted "
                              "(default 64; excess are closed at accept)")
@@ -314,12 +314,8 @@ def main(argv=None) -> int:
                              "(default: none)")
     args = parser.parse_args(argv)
 
-    store = PlanStore(max_entries=args.max_entries)
-    if args.store:
-        loaded = store.load(args.store)
-        print(f"partir-plan-server loaded {loaded} plans from {args.store}",
-              flush=True)
-    server = PlanServer(host=args.host, port=args.port, store=store,
+    server = PlanServer(host=args.host, port=args.port,
+                        max_entries=args.max_entries,
                         cache_dir=args.cache_dir,
                         max_connections=args.max_connections,
                         idle_timeout_s=args.idle_timeout or None,
@@ -332,10 +328,6 @@ def main(argv=None) -> int:
         pass
     finally:
         server.stop()
-        if args.store:
-            store.save(args.store)
-            print(f"partir-plan-server saved {len(store)} plans to "
-                  f"{args.store}", flush=True)
     return 0
 
 

@@ -149,22 +149,6 @@ class FunctionIndex:
         return [op for op in self.ops if op.opcode in opdefs.LOOP_OPS]
 
 
-class Module:
-    """A collection of functions; ``main`` is the entry point."""
-
-    def __init__(self, main: Optional[Function] = None):
-        self.functions: Dict[str, Function] = {}
-        if main is not None:
-            self.functions["main"] = main
-
-    @property
-    def main(self) -> Function:
-        return self.functions["main"]
-
-    def __repr__(self) -> str:
-        return f"<Module: {sorted(self.functions)}>"
-
-
 class FunctionBuilder:
     """Builds a :class:`Function` by emitting ops with inferred result types."""
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.ir import opdefs
-from repro.ir.function import Function, Module
+from repro.ir.function import Function
 from repro.ir.values import Operation, Value
 
 
@@ -97,7 +97,3 @@ def _eval_loop(op: Operation, operands: List[np.ndarray]) -> List[np.ndarray]:
         index = np.asarray(i, dtype=index_dtype)
         carries = evaluate_function(body, [index] + carries + invariants)
     return carries
-
-
-def evaluate_module(module: Module, args: Sequence[np.ndarray]) -> List[np.ndarray]:
-    return evaluate_function(module.main, args)

@@ -10,7 +10,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.ir.function import Function, Module
+from repro.ir.function import Function
 from repro.ir.values import Operation, Value
 
 
@@ -76,9 +76,3 @@ def _print_op(op: Operation, namer: _Namer, indent: str) -> str:
         region_lines.append(indent + "}")
         return "\n".join(region_lines)
     return line
-
-
-def print_module(module: Module) -> str:
-    return "\n\n".join(
-        print_function(f) for _, f in sorted(module.functions.items())
-    )

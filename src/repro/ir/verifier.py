@@ -11,7 +11,7 @@ from typing import Set
 
 from repro.errors import VerificationError
 from repro.ir import opdefs
-from repro.ir.function import Function, Module
+from repro.ir.function import Function
 from repro.ir.values import Value
 
 
@@ -42,8 +42,3 @@ def verify_function(function: Function) -> None:
             raise VerificationError(
                 f"@{function.name} returns undefined value {result!r}"
             )
-
-
-def verify_module(module: Module) -> None:
-    for function in module.functions.values():
-        verify_function(function)

@@ -3,7 +3,8 @@
 The public-API docstrings carry runnable examples (``partir_jit``,
 ``Tactic``, ``AutomaticPartition``, ``mcts_search``, ``SearchResult``,
 ``decode_action``, ``canonicalize``, the plan table of
-``repro.spmd.lower``, ``Function.index``); this module runs them the same way the CI docs job
+``repro.spmd.lower``, ``Function.index``, the plan store's LRU and its
+``exact``/``relaxed`` label); this module runs them the same way the CI docs job
 does (``python -m doctest``), and checks that every relative link and
 repo path mentioned in ``README.md`` / ``docs/ARCHITECTURE.md`` exists.
 """
@@ -18,6 +19,7 @@ import pytest
 
 import repro.api
 import repro.auto.fingerprint
+import repro.auto.planstore
 import repro.auto.search
 import repro.core.actions
 import repro.ir.function
@@ -27,8 +29,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The documented modules the CI docs job doctests.  (``repro.spmd.lower``
 #: by import: the package re-exports the ``lower`` function under the
 #: module's name.)
-DOCTESTED_MODULES = [repro.api, repro.auto.fingerprint, repro.auto.search,
-                     repro.core.actions, repro.ir.function,
+DOCTESTED_MODULES = [repro.api, repro.auto.fingerprint, repro.auto.planstore,
+                     repro.auto.search, repro.core.actions, repro.ir.function,
                      importlib.import_module("repro.spmd.lower")]
 
 

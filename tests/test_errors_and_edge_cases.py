@@ -11,10 +11,8 @@ from repro.errors import (
 )
 from repro.ir import (
     FunctionBuilder,
-    Module,
     dtypes,
     evaluate_function,
-    print_module,
 )
 from repro.mesh import Mesh
 from repro.core import Sharding, ShardingEnv, propagate, tile
@@ -127,12 +125,6 @@ class TestLoweringEdgeCases:
 
 
 class TestModulePrinter:
-    def test_module_prints_all_functions(self):
-        function, _ = build_matmul_chain()
-        module = Module(function)
-        text = print_module(module)
-        assert "func @main" in text
-
     def test_scan_region_printed_nested(self):
         def loop(x):
             def body(i, carry):

@@ -6,12 +6,17 @@ with index translation for permuted clones), in-flight deduplication of
 identical searches (N
 concurrent requests -> exactly one search), the ``remote`` rollout
 backend's evaluator sessions, and the graceful local fallbacks when no
-server is reachable.  Plus the serving PR's configuration satellite:
-the plan store's LRU cap.
+server is reachable.  Plus the plan store's LRU cap, and the daemon's
+one persistent store: a daemon restarted on its predecessor's
+``cache_dir`` replays the predecessor's searches from the transposition
+logs (in process and through ``python -m repro.auto.server``).
 """
 
 import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -422,27 +427,96 @@ class TestPlanStore:
         assert (stats["hits_exact"], stats["hits_relaxed"],
                 stats["misses"]) == (1, 2, 1)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "plans.jsonl")
-        store = PlanStore(max_entries=8)
-        store.put(PlanRecord(key=("d", ("B", 8)),
-                             actions=((0, 1, 0, "B"), (1, 0, 1, "M")),
-                             cost=2.5,
-                             meta={"backend": "serial"},
-                             layout=self.LAYOUT))
-        store.save(path)
-        with open(path, "a") as handle:  # a record that keeps no layout
-            handle.write('{"key": ["e", ["B"]], "a": [[0, 0, 0, "B"]], '
-                         '"c": 1.0, "m": {}}\n')
-        fresh = PlanStore(max_entries=8)
-        assert fresh.load(path) == 1
-        record, tier = fresh.lookup("d", ("B", 8), self.LAYOUT)
-        assert tier == "exact"
-        assert record.layout == self.LAYOUT
-        assert record.actions == ((0, 1, 0, "B"), (1, 0, 1, "M"))
-        assert record.cost == 2.5
-        assert record.meta["backend"] == "serial"
-        assert fresh.lookup("e", ("B",), self.LAYOUT) is None
+    def test_server_caps_its_store_at_max_entries(self):
+        with PlanServer(max_entries=3) as capped:
+            assert capped.stats()["store"]["max_entries"] == 3
+
+
+class TestRestart:
+    """The transposition log is the daemon's one persistent store: a
+    daemon started on its predecessor's ``cache_dir`` answers the same
+    request by replaying the predecessor's search from the log."""
+
+    def test_restarted_daemon_replays_the_search_from_its_log(self,
+                                                              tmp_path):
+        cache_dir = str(tmp_path)
+        with PlanServer(cache_dir=cache_dir) as first:
+            served = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                                 plan_server=addr(first), **SEARCH)
+        assert served.plan_source == "server:search"
+        replays = []
+
+        def spy(*args, **kwargs):
+            replays.append(mcts_search(*args, **kwargs))
+            return replays[-1]
+
+        with PlanServer(cache_dir=cache_dir, search_fn=spy) as second:
+            again = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                                plan_server=addr(second), **SEARCH)
+        assert again.plan_source == "server:search"
+        (replay,) = replays
+        assert (replay.evaluations, replay.prune_probes) == (0, 0)
+        assert (replay.actions, replay.cost) == (served.actions, served.cost)
+        assert (again.actions, again.cost) == (served.actions, served.cost)
+
+    @staticmethod
+    def _serve_once(cache_dir):
+        """``python -m repro.auto.server`` on ``cache_dir``: answer one
+        request, then stop the daemon the way Ctrl-C does."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.auto.server", "--port", "0",
+             "--cache-dir", cache_dir],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        try:
+            line = process.stdout.readline()
+            assert "listening on " in line, line
+            result = mcts_search(
+                chain(), ShardingEnv(MESH), ["B", "M"],
+                plan_server=line.split("listening on ", 1)[1].strip(),
+                **SEARCH)
+        finally:
+            process.send_signal(signal.SIGINT)
+            try:
+                returncode = process.wait(timeout=30)
+            finally:
+                process.kill()
+                process.stdout.close()
+        assert returncode == 0
+        return result
+
+    @staticmethod
+    def _log_bytes(cache_dir):
+        logs = {}
+        for name in sorted(os.listdir(cache_dir)):
+            with open(os.path.join(cache_dir, name), "rb") as handle:
+                logs[name] = handle.read()
+        return logs
+
+    def test_cli_daemon_restarted_on_its_cache_dir_serves_the_same_plan(
+            self, tmp_path):
+        cache_dir = str(tmp_path)
+        first = self._serve_once(cache_dir)
+        logs = self._log_bytes(cache_dir)
+        assert [name.startswith("tt_") for name in logs] == [True]
+        second = self._serve_once(cache_dir)
+        assert first.plan_source == second.plan_source == "server:search"
+        assert (second.actions, second.cost) == (first.actions, first.cost)
+        assert self._log_bytes(cache_dir) == logs
+
+    def test_cli_has_no_snapshot_flag(self, capsys):
+        from repro.auto import server as server_mod
+
+        with pytest.raises(SystemExit):
+            server_mod.main(["--help"])
+        usage = capsys.readouterr().out
+        assert "--cache-dir" in usage and "--max-entries" in usage
+        assert "--store" not in usage
 
 
 class TestRpcProtocol:
@@ -703,8 +777,8 @@ class TestCircuitBreaker:
         assert breaker.state == rpc.CircuitBreaker.CLOSED
 
     def test_opens_after_threshold_and_skips_the_network(self, monkeypatch):
-        monkeypatch.setenv("PARTIR_BREAKER_THRESHOLD", "2")
-        monkeypatch.setenv("PARTIR_BREAKER_COOLDOWN_S", "3600")
+        monkeypatch.setattr(rpc, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(rpc, "BREAKER_COOLDOWN_S", 3600.0)
         rpc.reset_breakers()
         dead = "127.0.0.1:1"
         reference = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
@@ -729,8 +803,8 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_recovers_when_server_returns(self,
                                                           monkeypatch):
-        monkeypatch.setenv("PARTIR_BREAKER_THRESHOLD", "1")
-        monkeypatch.setenv("PARTIR_BREAKER_COOLDOWN_S", "0.2")
+        monkeypatch.setattr(rpc, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(rpc, "BREAKER_COOLDOWN_S", 0.2)
         rpc.reset_breakers()
         # Reserve a port, open the breaker against it while it's dead,
         # then bring a real server up on that same port.

@@ -145,8 +145,9 @@ class TestBadOptionsFailAtConstruction:
 
     def test_valid_options_still_build(self):
         tactic = AutomaticPartition(
-            ["d"], {"budget": 4, "rpc_timeout_s": 1, "device": TPU_V3},
-            search_backend="batched", prune=False)
+            ["d"], {"budget": 4, "rpc_timeout_s": 1, "device": TPU_V3,
+                    "prune": False},
+            search_backend="batched")
         assert tactic.options["backend"] == "batched"
         # Only counts and timeouts must be non-negative, and numpy scalars
         # are the numbers they hold (same seed stream, same store key).

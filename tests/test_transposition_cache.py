@@ -302,11 +302,9 @@ class TestCompaction:
 
     def test_compact_and_store_save_share_the_crash_safe_rewrite(
             self, tmp_path, monkeypatch):
-        """Both rewrites go temp-write -> fsync -> rename -> directory
-        fsync (``cache.replace_file``): a power cut can publish neither an
-        empty log nor an empty plan store."""
-        from repro.auto.planstore import PlanRecord, PlanStore
-
+        """Compaction goes temp-write -> fsync -> rename -> directory
+        fsync (``cache.replace_file``): a power cut cannot publish an
+        empty log."""
         events = []
         for name in ("fsync", "replace"):
             real = getattr(os, name)
@@ -317,13 +315,7 @@ class TestCompaction:
         table.store(((0, 0, 0, "B"),), 1.0)
         table.compact()
         assert events == ["fsync", "replace", "fsync"]
-        del events[:]
-        store = PlanStore()
-        store.put(PlanRecord(key=("d", ("B",)), actions=((0, 0, 0, "B"),),
-                             cost=1.0, layout="l"))
-        store.save(str(tmp_path / "plans.jsonl"))
-        assert events == ["fsync", "replace", "fsync"]
-        assert sorted(os.listdir(tmp_path)) == ["plans.jsonl", "tt.jsonl"]
+        assert os.listdir(tmp_path) == ["tt.jsonl"]
 
     def test_compact_handles_torn_tail_only_file(self, tmp_path):
         path = str(tmp_path / "tt.jsonl")
