@@ -245,8 +245,8 @@ class AutomaticPartition(Tactic):
     naming the valid fields instead of silently searching with a default.
 
     Candidate shardings are scored through the streaming cost evaluator
-    (``lower + fuse_collectives + estimate`` fused into one pass that never
-    materializes device-local IR), bit-identical to the materializing
+    (``lower + estimate`` fused into one pass that never materializes
+    device-local IR), bit-identical to the materializing
     pipeline ``partir_jit`` itself runs for the final lowering, since the
     executor needs real IR.  After ``apply``, ``last_search`` holds the
     full :class:`repro.auto.SearchResult` (evaluations, cache/warm-start
@@ -416,7 +416,9 @@ def partir_jit(
         return fresh
 
     def lower_and_fuse():
-        """(fused lowering of the env as it stands, seconds, write serial)."""
+        """(fused lowering of the env as it stands, seconds, write serial).
+        ``lower`` emits every reconcile chain fused; the sweep after it
+        finds no pair left and returns the function as it is."""
         lower_start = time.perf_counter()
         lowered = lower(function, env)
         lowered.function = fuse_collectives(lowered.function)

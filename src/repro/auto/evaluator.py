@@ -30,8 +30,9 @@ There is one evaluation path, checked against one reference:
   then sums in one fold: an ``fsum`` over every op's precompiled segment
   plan, with the pricing formulas in :mod:`repro.sim.terms`.
 * **reference**: a fresh env, one ``propagate`` per canonical action,
-  then ``lower -> fuse_collectives -> costmodel.estimate`` — the
-  materializing pipeline ``partir_jit`` runs for the executor.  The tests'
+  then ``lower -> costmodel.estimate`` (``lower`` emits its reconcile
+  chains fused) — the materializing pipeline ``partir_jit`` runs for the
+  executor.  The tests'
   ``reference_cost`` oracle pins ``evaluate(key)`` bit-identical to it.
 """
 

@@ -149,6 +149,23 @@ class FunctionIndex:
         return [op for op in self.ops if op.opcode in opdefs.LOOP_OPS]
 
 
+def infer_types(opcode: str, operand_types: Sequence[TensorType],
+                attrs: dict, regions: Optional[list] = None) -> list:
+    """``opcode``'s result types for ``operand_types`` and ``attrs``, from
+    the op's registered inference; any failure is a
+    :class:`TypeInferenceError` naming the op."""
+    opdef = opdefs.get(opcode)
+    try:
+        return opdef.infer(operand_types, attrs, regions or [])
+    except TypeInferenceError:
+        raise
+    except Exception as exc:  # surface shape bugs with context
+        raise TypeInferenceError(
+            f"type inference failed for {opcode} with operand types "
+            f"{operand_types} and attrs {attrs}: {exc}"
+        ) from exc
+
+
 class FunctionBuilder:
     """Builds a :class:`Function` by emitting ops with inferred result types."""
 
@@ -169,19 +186,18 @@ class FunctionBuilder:
         regions: Optional[list] = None,
     ) -> Operation:
         """Emit one op; result types come from the op's registered inference."""
-        opdef = opdefs.get(opcode)
         attrs = dict(attrs or {})
-        operand_types = [v.type for v in operands]
-        try:
-            result_types = opdef.infer(operand_types, attrs, regions or [])
-        except TypeInferenceError:
-            raise
-        except Exception as exc:  # surface shape bugs with context
-            raise TypeInferenceError(
-                f"type inference failed for {opcode} with operand types "
-                f"{operand_types} and attrs {attrs}: {exc}"
-            ) from exc
+        result_types = infer_types(opcode, [v.type for v in operands], attrs,
+                                   regions)
         op = Operation(opcode, operands, attrs, result_types, regions)
+        self.function.ops.append(op)
+        return op
+
+    def emit_typed(self, opcode: str, operands: Sequence[Value], attrs: dict,
+                   result_types: Sequence[TensorType]) -> Operation:
+        """Emit one region-free op whose result types the caller already
+        inferred (the lowerer instantiating a recorded emission)."""
+        op = Operation(opcode, operands, attrs, result_types)
         self.function.ops.append(op)
         return op
 

@@ -16,9 +16,10 @@ add the same cost terms — made and summed only in :mod:`repro.sim.terms` —
 and append the same live-range records:
 
 * :func:`estimate` — the reference — walks a materialized, fused
-  device-local :class:`~repro.ir.function.Function` (the
-  ``lower -> fuse_collectives -> estimate`` pipeline ``partir_jit`` runs
-  anyway, since the executor needs real IR), and
+  device-local :class:`~repro.ir.function.Function` (the ``lower ->
+  estimate`` pipeline ``partir_jit`` runs anyway, since the executor needs
+  real IR; :func:`~repro.spmd.lower.lower` emits its reconcile chains
+  already fused), and
 * :meth:`StreamingEstimator.estimate_incremental` — the fast path the
   automatic-partitioning search uses — prices the lowerer's *plans*
   (:meth:`~repro.spmd.lower.Lowerer._plan_op` / ``_plan_loop``) without
@@ -34,10 +35,10 @@ and append the same live-range records:
   and a :class:`~repro.sim.memory.LiveRangeLog`; loop regions are priced
   by the same refresh and fold, recursively.  A fresh estimator (or
   ``changed_values=None``) refreshes every op.  This module emits nothing
-  and fuses nothing itself: a reconcile chain is recorded by running the
-  lowerer's own ``_reconcile`` into a scratch builder and the reference
-  :func:`~repro.spmd.fusion.fuse_collectives` over it, and priced with the
-  reference's :func:`~repro.sim.terms.op_terms`.
+  and fuses nothing: a reconcile chain comes fused from the function's
+  chain table (:func:`~repro.spmd.lower.chain_table`), the one every
+  lowering instantiates, and is priced with the reference's
+  :func:`~repro.sim.terms.collective_terms`.
 
 Absolute numbers are not calibrated against real hardware (the paper makes
 the same disclaimer); *relative* comparisons between schedules are the
@@ -51,7 +52,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir import opdefs
-from repro.ir.function import Function, FunctionBuilder
+from repro.ir.function import Function
 from repro.mesh import Mesh
 from repro.sim.devices import DeviceSpec
 from repro.sim import memory as memory_mod
@@ -59,7 +60,6 @@ from repro.sim.memory import LiveRangeLog, peak_live_bytes
 from repro.sim.terms import (CostEstimate, TermSum, collective_terms,
                              compute_terms, loop_cost_terms, op_terms,
                              split_terms)
-from repro.spmd.fusion import fuse_collectives
 from repro.spmd.lower import LoweredModule, Lowerer, required_of
 
 
@@ -143,17 +143,17 @@ class _ChainStep:
 
 
 class StreamingEstimator:
-    """``lower -> fuse_collectives -> estimate``, priced from lowering
-    *plans* without materializing the program.
+    """``lower -> estimate``, priced from lowering *plans* without
+    materializing the program.
 
     Built for one mutable env evaluated thousands of times (the MCTS's):
     per-op *segments* — the op's lowering plan, priced — are memoized on
     the interned ids of the op's adjacent shardings while the estimator
-    stays bound to that env, and whole reconcile chains on ``(local type,
-    source layout, target layout, reduced axes)`` for its lifetime, so a
-    state that differs from a seen one only on part of the program
-    re-prices only that part.  A segment miss takes its plan from the
-    function's plan table, shared with :func:`lower`.  ``ops_reused`` /
+    stays bound to that env, and the device's terms of each reconcile
+    chain for its lifetime, so a state that differs from a seen one only
+    on part of the program re-prices only that part.  A segment miss takes
+    its plan from the function's plan table and its chains from the
+    function's chain table, both shared with :func:`lower`.  ``ops_reused`` /
     ``ops_planned`` count segment hits and misses, ``reconcile_hits`` /
     ``reconcile_misses`` the chain memo's.
     """
@@ -166,9 +166,9 @@ class StreamingEstimator:
         self.ops_reused = 0
         self.reconcile_hits = 0
         self.reconcile_misses = 0
-        # (local type, source layout iid, target layout, reduced axes) ->
-        # the chain's _ChainSteps.
-        self._chains: Dict[tuple, Tuple[_ChainStep, ...]] = {}
+        #: The function's shared chains (spmd.lower._Chain), priced on
+        #: this estimator's device: chain -> its _ChainSteps.
+        self._chains: Dict[object, Tuple[_ChainStep, ...]] = {}
         #: Incremental re-estimation state bound to one mutable env (the
         #: undo-log rollout evaluator's); see :meth:`estimate_incremental`.
         self._inc: Optional["_IncrementalEstimate"] = None
@@ -185,8 +185,8 @@ class StreamingEstimator:
         interned ids of the adjacent shardings); every op's current
         segment is then replayed, in program order, into one
         :class:`~repro.sim.terms.TermSum` and one live-range log — which
-        is bit-identical to the materializing ``lower -> fuse_collectives
-        -> estimate`` pipeline on every field, whatever the env's history.
+        is bit-identical to the materializing ``lower -> estimate``
+        pipeline on every field, whatever the env's history.
 
         ``changed_values=None`` refreshes every op (always the case on the
         first call for an env).
@@ -516,40 +516,34 @@ class _IncrementalEstimate:
         )
 
     def _chain(self, local_type, actual, required, allowed_pending):
-        """The recorded reconcile chain taking a value of ``local_type``
-        laid out per ``actual`` to ``required``, plus the two parts of its
-        key a site's pending-reduction dedup also needs: ``(steps, reduced
-        axes, required layout)``.  The one place the chain key is built.
+        """The priced reconcile chain taking a value of ``local_type`` laid
+        out per ``actual`` to ``required``, plus the two parts of its key
+        a site's pending-reduction dedup also needs: ``(steps, reduced
+        axes, required layout)``.
 
-        A chain's emissions are a pure function of that key, and its
-        intermediates are single-use, so it fuses the same wherever it is
-        emitted: it is recorded once — the lowerer's own ``_reconcile``
-        into a scratch builder, the reference ``fuse_collectives``, the
-        reference ``op_terms`` — and replayed everywhere else."""
+        The chain itself — recorded and fused once — comes from the
+        function's chain table, the one every :func:`lower` of the
+        function instantiates; only its terms, which depend on the
+        device, are memoized here, priced by the reference's
+        :func:`~repro.sim.terms.collective_terms` (every step is a
+        collective)."""
         estimator = self.estimator
-        required_t = tuple(
-            tuple(required.get(d, ())) for d in range(actual.rank))
-        ar_axes = tuple(
-            a for a in sorted(actual.sum_axes) if a not in allowed_pending)
-        key = (local_type, actual.iid, required_t, ar_axes)
-        steps = estimator._chains.get(key)
+        chain = self._lowerer._chain(local_type, actual, required,
+                                     allowed_pending)
+        steps = estimator._chains.get(chain)
         if steps is None:
-            builder = FunctionBuilder("chain")
-            source = builder.function.add_param(local_type)
-            # A fresh lowerer: the scratch run gets its own dedup scope.
-            value, _ = Lowerer(self.env)._reconcile(
-                builder, source, actual, required, allowed_pending)
-            fused = fuse_collectives(builder.ret(value))
-            steps = estimator._chains[key] = tuple(
-                _ChainStep(op.results[0].type.nbytes,
-                           op_terms(op.opcode, op.attrs, op.operands,
-                                    op.results, self.mesh, self.device))
-                for op in fused.ops
-            )
+            priced = []
+            nbytes = local_type.nbytes
+            for opcode, attrs, result_type in chain.steps:
+                priced.append(_ChainStep(result_type.nbytes, collective_terms(
+                    opcode, attrs, nbytes, result_type.nbytes, self.mesh,
+                    self.device)))
+                nbytes = result_type.nbytes
+            steps = estimator._chains[chain] = tuple(priced)
             estimator.reconcile_misses += 1
         else:
             estimator.reconcile_hits += 1
-        return steps, ar_axes, required_t
+        return steps, chain.reduced, chain.required
 
     def _resolve_site(self, value, actual, required, allowed_pending):
         """One operand-reconciliation site as its replay plan ``(value,

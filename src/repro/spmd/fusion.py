@@ -17,10 +17,14 @@ generation exposes a chain that was not fusable before (it terminates
 immediately otherwise, without rebuilding).  Region bodies (scan) are fused
 once up front rather than re-walked inside every rebuild.
 
-This is the only implementation of the fusion rule: the search's estimator
-(:mod:`repro.sim.costmodel`) records each distinct reconcile chain by
-running this pass over the chain's scratch lowering, and replays the fused
-chain's cost terms from its chain memo afterwards.
+This is the only implementation of the fusion rule, and it is now applied
+per chain: :mod:`repro.spmd.lower` records each distinct reconcile chain
+once into a scratch function, runs this pass over it, and instantiates the
+fused chain wherever it recurs; the search's estimator
+(:mod:`repro.sim.costmodel`) prices those same fused chains.  A chain's
+intermediates are single-use, so no fusable pair straddles two chains and
+``fuse_collectives`` over a lowering finds nothing left to do
+(``tests/test_lower_templates.py`` checks that on every model family).
 """
 
 from __future__ import annotations
@@ -32,7 +36,25 @@ from repro.ir.values import Operation, Value
 
 
 def fuse_collectives(function: Function) -> Function:
-    """Run fusion to a fixed point; returns a new function."""
+    """Run fusion to a fixed point.
+
+    Returns a new function when some top-level pair fuses, and
+    ``function`` itself when none does.  Either way each loop op's
+    regions are fused first and replaced *in place* on the input's ops.
+
+    >>> from repro.ir.function import FunctionBuilder
+    >>> builder = FunctionBuilder("grad")
+    >>> grad = builder.param((8, 8))
+    >>> total = builder.emit1("all_reduce", [grad], {
+    ...     "axes": ("B",), "kind": "add", "sizes": {"B": 2}})
+    >>> shard = builder.emit1("all_slice", [total], {
+    ...     "dims": (("B",), ()), "sizes": {"B": 2}})
+    >>> fused = fuse_collectives(builder.ret(shard))
+    >>> [op.opcode for op in fused.ops], fused.results[0].type
+    (['reduce_scatter'], tensor<4x8xf32>)
+    >>> fuse_collectives(fused) is fused  # nothing to fuse: the input back
+    True
+    """
     # Region bodies (scan) are fused first, regardless of whether the top
     # level has any fusion opportunities of its own.
     for op in function.ops:

@@ -11,39 +11,54 @@ Gathers are deliberately *not* CSE-d across uses: the paper counts (and XLA
 materializes) one gather per use site.
 
 The lowerer emits straight into a :class:`FunctionBuilder` and produces the
-classic device-local :class:`Function` — every value has its device-local
-shape, communication is explicit via mesh-axis collectives, shape-carrying
-attrs (broadcast/reshape/iota/slice) are localized, and every emission is
-type-checked by the builder's inference.  This is the only thing in the
+classic device-local :class:`Function`, collectives already fused — every
+value has its device-local shape, communication is explicit via mesh-axis
+collectives, shape-carrying attrs (broadcast/reshape/iota/slice) are
+localized, and every emitted type comes from the op's registered
+inference (run once per template, below).  This is the only thing in the
 tree that emits device-local code; :func:`lower` (and therefore
 ``partir_jit``, the executor and the reference cost pipeline) run it.
 
-**Plan/execute split.**  Lowering an op is two phases: :meth:`Lowerer.
-_plan_op` computes the op's reconciliation *plan* (required per-operand
-layouts, allowed-pending sets, localized attrs, expected local shapes,
-trailing slices) purely from the adjacent shardings, and :meth:`Lowerer.
-_execute_plan` emits a plan.  Loops split the same way: :meth:`Lowerer.
-_plan_loop` decides the operand/carry layouts, each region's parameter
-layouts and result targets, the injected ``pipeline_*`` attrs and which
-results need a reconcile after the loop; :meth:`Lowerer._emit_loop` emits
-it.  The search's estimator (:mod:`repro.sim.costmodel`) calls the two
-planners — and nothing else here — to price a program without lowering
-it, re-pricing only ops whose neighborhood changed, mirroring incremental
-propagation.
+**Plan, template, instantiate.**  Lowering an op takes three steps.
+:meth:`Lowerer._plan_op` computes the op's reconciliation *plan*
+(required per-operand layouts, allowed-pending sets, localized attrs,
+expected local shapes, trailing slices) purely from the adjacent
+shardings.  The first lowering to use a plan turns it into an emission
+*template* (:meth:`Lowerer._build_template`): each operand's reconcile
+chain, the op's attrs and inferred local result types, and its trailing
+slices.  A chain (:class:`_Chain`) is recorded once per key by
+:meth:`Lowerer._reconcile` into a scratch builder, fused there by the
+reference :func:`~repro.spmd.fusion.fuse_collectives`, and kept in the
+function's chain table (:func:`chain_table`).  Every lowering then only
+*instantiates*: it emits the recorded ops with their recorded types and
+binds the values.  So :func:`lower` returns the fused program, and
+``fuse_collectives`` over it finds nothing to fuse.  A chain's
+intermediates are single-use, so fusing it alone fuses it as the whole
+program would; ``tests/test_lower_templates.py`` checks that against the
+unfused emission (``tests/oracle.py::unfused_lower``) on every model
+family.  Loops are planned by :meth:`Lowerer._plan_loop` (operand/carry
+layouts, each region's parameter layouts and result targets, injected
+``pipeline_*`` attrs, which results need a reconcile after the loop) and
+emitted by :meth:`Lowerer._emit_loop`, regions through the same
+templates.  The search's estimator (:mod:`repro.sim.costmodel`) calls the
+two planners and reads the chain table — and nothing else here — to price
+a program without lowering it, re-pricing only ops whose neighborhood
+changed, mirroring incremental propagation.
 
 **One plan per structural class.**  An op's plan is a pure function of
 its structural class (:func:`op_class`: opcode, attrs, operand and result
 types, sharding rule), its adjacent shardings and the mesh; it holds no
-:class:`Value`, and the builder copies the attrs it emits.  So plans are
-shared: a function carries one plan table per mesh (:func:`plan_table`,
-a view of the function that never rides a pickle), keyed ``(class,
-operand sharding iids, result sharding iids)``, and every lowerer built
-for the function — each :func:`lower` call and the estimator's — reads
-and fills it.  L identical layers are planned once, and so is the
-unchanged rest of a program re-lowered after each tactic.  What keeps
-the materializing pipeline an independent reference is that the key is
-complete: ``tests/test_plan_table.py`` checks, on every model family,
-that a plan served from a warm table equals a freshly built one and that
+:class:`Value`, and emission copies the attrs.  So plans are shared: a
+function carries one plan table per mesh (:func:`plan_table`, a view of
+the function that never rides a pickle), keyed ``(class, operand sharding
+iids, result sharding iids)``, and every lowerer built for the function —
+each :func:`lower` call and the estimator's — reads and fills it; the
+templates sit in a sibling table under the same keys.  L identical layers
+are planned and templated once, and so is the unchanged rest of a
+program re-lowered after each tactic.  What keeps the materializing
+pipeline an independent reference is that the key is complete:
+``tests/test_plan_table.py`` checks, on every model family, that a plan
+and a template served from warm tables equal freshly built ones and that
 a warm :func:`lower` matches a cold one op for op.
 
 >>> from repro import ManualPartition, Mesh, ShapeDtype, partir_jit, trace
@@ -58,6 +73,21 @@ a warm :func:`lower` matches a cold one op for op.
 ['dot_general', 'tag', 'tanh', 'dot_general', 'tag', 'tanh']
 >>> len(plan_table(traced.function, mesh))  # one dot plan, one tanh plan
 2
+
+A sharded weight minus its gradient: the gradient's pending sum is
+reduced and sliced to the weight's tiling, and ``lower`` emits the pair
+as the one ``reduce_scatter`` fusion makes of it.
+
+>>> def sgd(w, x, dy):
+...     return w - ops.transpose(x) @ dy
+>>> traced = trace(sgd, square, square, square)
+>>> _, meta = partir_jit(traced, mesh, [
+...     ManualPartition({"0": 0, "1": 0, "2": 0}, axis="batch")])
+>>> lowered = lower(traced.function, meta.env)
+>>> [op.opcode for op in lowered.function.ops]
+['transpose', 'dot_general', 'reduce_scatter', 'sub']
+>>> fuse_collectives(lowered.function) is lowered.function  # nothing left
+True
 """
 
 from __future__ import annotations
@@ -68,13 +98,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import LoweringError
 from repro.ir import opdefs
-from repro.ir.function import Function, FunctionBuilder
+from repro.ir.function import Function, FunctionBuilder, infer_types
+from repro.ir.types import TensorType
 from repro.ir.values import Operation, Value, canonical_attr
 from repro.mesh import Mesh
 from repro.core import pipeline as pipeline_mod
 from repro.core import rules as rules_mod
 from repro.core.propagate import may_defer
 from repro.core.sharding import Sharding, ShardingEnv
+from repro.spmd.fusion import fuse_collectives
 
 # Ops whose attrs carry a result shape that must be localized.
 _RESULT_SHAPE_ATTR = {"broadcast_in_dim": "shape", "reshape": "new_shape",
@@ -122,7 +154,7 @@ class _OpPlan:
     trailing: Tuple[Optional[dict], ...]
     # For the estimator, which prices a plan without emitting it: the
     # device-local result types and the op's local FLOPs under this plan's
-    # layouts.  _execute_plan ignores these; the builder re-infers.
+    # layouts.  Templates ignore these; they re-infer.
     result_types: Tuple = ()
     flops: float = 0.0
 
@@ -144,6 +176,37 @@ class _LoopPlan:
     regions: Tuple[Tuple[List[Sharding], List[Sharding]], ...]
     attrs: dict
     tails: Tuple[Optional[Tuple[Sharding, Dict[int, List[str]]]], ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Chain:
+    """One reconcile chain, fused: what taking a value of one local type
+    from one layout to another emits, as ``(opcode, attrs, result type)``
+    steps, each consuming the previous step's result.
+
+    Recorded once per key of the function's chain table
+    (:func:`chain_table`) and shared, by identity, by every site with
+    that key: each lowering instantiates it and the estimator prices it.
+    ``reduced`` (the pending-sum axes it materializes) and ``required``
+    (the target layout, per dim) are the parts of the key a site's
+    pending-reduction dedup also reads."""
+
+    reduced: Tuple[str, ...]
+    required: Tuple[Tuple[str, ...], ...]
+    steps: Tuple[Tuple[str, dict, TensorType], ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _OpTemplate:
+    """An op plan ready to emit: per operand its reconcile chain (``None``
+    when the operand is already in layout), the op's attrs and inferred
+    local result types, and per result its trailing ``all_slice`` as
+    ``(attrs, result types)``, or ``None``."""
+
+    chains: Tuple[Optional[_Chain], ...]
+    attrs: dict
+    result_types: Tuple[TensorType, ...]
+    trailing: Tuple[Optional[Tuple[dict, Tuple[TensorType]]], ...]
 
 
 #: Structural key -> interned class id, process-wide (see :func:`op_class`).
@@ -187,14 +250,27 @@ def op_class(op: Operation) -> Optional[int]:
     return op._op_class
 
 
+def _table(kind: str, function: Function, mesh: Mesh) -> dict:
+    return function.derived((kind, tuple(sorted(mesh.axes.items()))),
+                            lambda _: {})
+
+
 def plan_table(function: Function, mesh: Mesh) -> Dict[tuple, _OpPlan]:
     """``function``'s lowering-plan table for ``mesh``: ``(op class,
     operand sharding iids, result sharding iids) -> plan``, for the ops of
     the function and of its regions.  A view of the function
     (:meth:`Function.derived`): created on first use, dropped if the
-    function grows, never pickled."""
-    return function.derived(("plan_table", tuple(sorted(mesh.axes.items()))),
-                            lambda _: {})
+    function grows, never pickled.  Its emission templates live in a
+    sibling view under the same keys."""
+    return _table("plan_table", function, mesh)
+
+
+def chain_table(function: Function, mesh: Mesh) -> Dict[tuple, _Chain]:
+    """``function``'s reconcile-chain table for ``mesh``: ``(local type,
+    actual layout iid, required layout, reduced axes) -> chain``, read and
+    filled by every lowering of the function and by the estimator.  A
+    view of the function, like :func:`plan_table`."""
+    return _table("chain_table", function, mesh)
 
 
 def required_of(sharding: Sharding) -> Dict[int, List[str]]:
@@ -206,16 +282,20 @@ class Lowerer:
     def __init__(self, env: ShardingEnv, function: Optional[Function] = None):
         self.env = env
         self.mesh = env.mesh
-        #: ``function``'s shared plan table for this mesh, or a private one
-        #: for a lowerer built only to reconcile.
-        self._plans = ({} if function is None
-                       else plan_table(function, self.mesh))
+        #: ``function``'s shared plan, template and chain tables for this
+        #: mesh, or private ones for a lowerer built only to plan.
+        if function is None:
+            self._plans, self._templates, self._chains = {}, {}, {}
+        else:
+            self._plans = plan_table(function, self.mesh)
+            self._templates = _table("template_table", function, self.mesh)
+            self._chains = chain_table(function, self.mesh)
         # Reconciliations that materialise a pending reduction are cached so
         # each gradient is reduced exactly once (XLA CSEs the all_reduce;
         # the fused form is the paper's one reduce_scatter per gradient).
         # Pure gathers are deliberately NOT cached: parameters are gathered
         # per use site (FSDP's forward + backward all_gathers).
-        self._reduce_cache: Dict[Tuple, Tuple[Value, Sharding]] = {}
+        self._reduce_cache: Dict[tuple, Value] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -260,11 +340,9 @@ class Lowerer:
                 result_targets[i] if result_targets is not None
                 else actual.without_sum(actual.sum_axes)
             )
-            value, _ = self._reconcile(
+            results.append(self._reconciled(
                 builder, value_map[result], actual, required_of(target),
-                set()
-            )
-            results.append(value)
+                set()))
         return builder.ret(*results, names=function.output_names)
 
     def _tag_transparent(self, op: Operation) -> bool:
@@ -286,12 +364,89 @@ class Lowerer:
         """
         if op.opcode in opdefs.LOOP_OPS:
             self._emit_loop(op, builder, value_map)
-        elif op.opcode == "tag" and self._tag_transparent(op):
+            return
+        if op.opcode == "tag" and self._tag_transparent(op):
             value_map[op.results[0]] = value_map[op.operands[0]]
-        else:
-            self._execute_plan(op, self._plan_op(op), builder, value_map)
+            return
+        # Instantiate the op's template: its operands' recorded chains,
+        # the op, its trailing slices — no inference, no fusion.
+        template = self._template(op)
+        operands = []
+        for operand, chain in zip(op.operands, template.chains):
+            value = value_map[operand]
+            operands.append(value if chain is None
+                            else self._instantiate(builder, value, chain))
+        emitted = builder.emit_typed(op.opcode, operands, template.attrs,
+                                     template.result_types)
+        for result, value, trailing in zip(op.results, emitted.results,
+                                           template.trailing):
+            if trailing is not None:
+                value = builder.emit_typed("all_slice", [value],
+                                           *trailing).results[0]
+            value.name = result.name
+            value_map[result] = value
 
     # -- reconciliation ---------------------------------------------------------
+
+    def _chain(self, local_type: TensorType, actual: Sharding,
+               required: Dict[int, List[str]], allowed_pending) -> _Chain:
+        """The fused reconcile chain taking a value of ``local_type`` laid
+        out per ``actual`` to ``required``: looked up in the chain table,
+        or recorded and entered there.  The one place the chain key is
+        built.
+
+        A chain's emissions are a pure function of that key and its
+        intermediates are single-use, so it fuses the same wherever it is
+        emitted: it is recorded once — :meth:`_reconcile` into a scratch
+        builder, then the reference ``fuse_collectives`` when it has more
+        than one step — and instantiated everywhere else."""
+        required_t = tuple(
+            tuple(required.get(d, ())) for d in range(actual.rank))
+        reduced = tuple(
+            a for a in sorted(actual.sum_axes) if a not in allowed_pending)
+        key = (local_type, actual.iid, required_t, reduced)
+        chain = self._chains.get(key)
+        if chain is None:
+            steps = ()
+            if reduced or required_t != actual.dim_axes:  # else in layout
+                builder = FunctionBuilder("chain")
+                value = self._reconcile(
+                    builder, builder.function.add_param(local_type), actual,
+                    required, allowed_pending)
+                recorded = builder.ret(value)
+                if len(recorded.ops) > 1:
+                    recorded = fuse_collectives(recorded)
+                steps = tuple((op.opcode, op.attrs, op.results[0].type)
+                              for op in recorded.ops)
+            chain = self._chains[key] = _Chain(reduced, required_t, steps)
+        return chain
+
+    def _instantiate(self, builder: FunctionBuilder, value: Value,
+                     chain: _Chain) -> Value:
+        """Emit ``chain`` on ``value`` — once per function for a chain that
+        materializes a pending reduction (the reduce cache) — and return
+        the reconciled value."""
+        if chain.reduced:
+            # A value belongs to one function, so it scopes the dedup.
+            key = (value, chain.reduced, chain.required)
+            cached = self._reduce_cache.get(key)
+            if cached is not None:
+                return cached
+        reconciled = value
+        for opcode, attrs, result_type in chain.steps:
+            reconciled = builder.emit_typed(opcode, [reconciled], attrs,
+                                            (result_type,)).results[0]
+        if chain.reduced:
+            self._reduce_cache[key] = reconciled
+        return reconciled
+
+    def _reconciled(self, builder: FunctionBuilder, value: Value,
+                    actual: Sharding, required: Dict[int, List[str]],
+                    allowed_pending) -> Value:
+        """``value`` (laid out per ``actual``) reconciled to ``required``
+        in ``builder``, through its recorded chain."""
+        return self._instantiate(builder, value, self._chain(
+            value.type, actual, required, allowed_pending))
 
     def _reconcile(
         self,
@@ -299,24 +454,16 @@ class Lowerer:
         value: Value,
         actual: Sharding,
         required: Dict[int, List[str]],
-        allowed_pending: Set[str],
-    ):
-        """Convert ``value`` (laid out per ``actual``) to the ``required``
-        per-dim layout, emitting collectives as needed."""
+        allowed_pending,
+    ) -> Value:
+        """Emit, unfused, the collectives converting ``value`` (laid out
+        per ``actual``) to the ``required`` per-dim layout, and return the
+        converted value: the recording :meth:`_chain` fuses."""
         rank = actual.rank
         # 1. Materialize pending sums the consumer cannot absorb.
         ar_axes = tuple(
             a for a in sorted(actual.sum_axes) if a not in allowed_pending
         )
-        cache_key = None
-        if ar_axes:
-            cache_key = (
-                id(builder), value.uid, ar_axes,
-                tuple(tuple(required.get(d, [])) for d in range(rank)),
-            )
-            cached = self._reduce_cache.get(cache_key)
-            if cached is not None:
-                return cached
         if ar_axes:
             value = builder.emit1(
                 "all_reduce",
@@ -368,28 +515,83 @@ class Lowerer:
                     "result_dims": result_dims,
                 },
             )
-            actual = dataclasses.replace(actual, dim_axes=result_dims)
-        if cache_key is not None:
-            self._reduce_cache[cache_key] = (value, actual)
-        return value, actual
+        return value
 
     # -- per-op planning ---------------------------------------------------------
 
-    def _plan_op(self, op: Operation) -> _OpPlan:
-        """The op's lowering plan: looked up in the plan table, or built
-        and entered there."""
+    def _plan_key(self, op: Operation) -> Optional[tuple]:
+        """The op's key in the plan and template tables, or ``None`` for
+        an op without a class (planned afresh every time)."""
         cls = op_class(op)
         if cls is None:
-            return self._build_op_plan(op)
+            return None
         # Every env-stored sharding is the canonical interned instance
-        # (set_sharding interns; the replicated default is interned).
+        # (set_sharding interns; the replicated default is interned).  The
+        # store is probed directly, sharding() supplying the default on a
+        # miss: this runs for every op of every lowering.
+        stored = self.env._shardings.get
         sharding = self.env.sharding
-        key = (cls, *[sharding(v)._iid for v in op.operands],
-               *[sharding(r)._iid for r in op.results])
+        return (cls, *[s._iid if (s := stored(v)) is not None
+                       else sharding(v)._iid
+                       for v in (*op.operands, *op.results)])
+
+    def _plan_op(self, op: Operation, key: Optional[tuple] = None
+                 ) -> _OpPlan:
+        """The op's lowering plan: looked up in the plan table, or built
+        and entered there.  ``key`` saves recomputing :meth:`_plan_key`."""
+        key = key or self._plan_key(op)
+        if key is None:
+            return self._build_op_plan(op)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._build_op_plan(op)
         return plan
+
+    def _template(self, op: Operation) -> _OpTemplate:
+        """The op's emission template: looked up in the template table, or
+        built from its plan and entered there."""
+        key = self._plan_key(op)
+        if key is None:
+            return self._build_template(op, self._build_op_plan(op))
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = self._build_template(
+                op, self._plan_op(op, key))
+        return template
+
+    def _build_template(self, op: Operation, plan: _OpPlan) -> _OpTemplate:
+        """Turn a plan into its template: record each operand's chain,
+        infer the op's local result types from the reconciled operand
+        types (raising :class:`LoweringError` when one disagrees with the
+        plan's expected shape) and the trailing slices' types."""
+        chains = []
+        operand_types = []
+        for i, operand in enumerate(op.operands):
+            actual = plan.operand_shardings[i]
+            local_type = operand.type.with_shape(
+                self._local_shape(operand, actual))
+            chain = self._chain(local_type, actual, plan.required[i],
+                                plan.allowed_pending[i])
+            if chain.steps:
+                chains.append(chain)
+                operand_types.append(chain.steps[-1][2])
+            else:
+                chains.append(None)
+                operand_types.append(local_type)
+        result_types = tuple(infer_types(op.opcode, operand_types,
+                                         plan.attrs))
+        trailing = []
+        for result_type, expected, spec in zip(
+                result_types, plan.expected_shapes, plan.trailing):
+            if result_type.shape != expected:
+                raise LoweringError(
+                    f"lowering {op.opcode}: local result shape "
+                    f"{result_type.shape} != expected {expected}"
+                )
+            trailing.append(None if spec is None else (
+                spec, tuple(infer_types("all_slice", [result_type], spec))))
+        return _OpTemplate(tuple(chains), plan.attrs, result_types,
+                           tuple(trailing))
 
     def _build_op_plan(self, op: Operation) -> _OpPlan:
         """Compute the op's lowering plan from its adjacent shardings."""
@@ -569,41 +771,6 @@ class Lowerer:
             flops=flops,
         )
 
-    # -- per-op execution --------------------------------------------------------
-
-    def _execute_plan(self, op: Operation, plan: _OpPlan, builder,
-                      value_map) -> None:
-        """Emit a plan: reconcile operands, emit the op, slice unexplained
-        result axes back in, and bind the result values."""
-        new_operands = []
-        for i, operand in enumerate(op.operands):
-            value, _ = self._reconcile(
-                builder,
-                value_map[operand],
-                plan.operand_shardings[i],
-                plan.required[i],
-                plan.allowed_pending[i],
-            )
-            new_operands.append(value)
-
-        new_results = builder.emit(op.opcode, new_operands,
-                                   plan.attrs).results
-
-        for r, result in enumerate(op.results):
-            new_value = new_results[r]
-            if new_value.type.shape != plan.expected_shapes[r]:
-                raise LoweringError(
-                    f"lowering {op.opcode}: local result shape "
-                    f"{new_value.type.shape} != expected "
-                    f"{plan.expected_shapes[r]}"
-                )
-            if plan.trailing[r] is not None:
-                new_value = builder.emit1(
-                    "all_slice", [new_value], plan.trailing[r]
-                )
-            new_value.name = result.name
-            value_map[result] = new_value
-
     # -- loops (scan / fori_loop / while_loop) ------------------------------------
 
     def _plan_loop(self, op: Operation) -> _LoopPlan:
@@ -657,9 +824,9 @@ class Lowerer:
         """Emit a loop op per its :meth:`_plan_loop`."""
         plan = self._plan_loop(op)
         new_operands = [
-            self._reconcile(builder, value_map[operand],
-                            plan.operand_shardings[i], plan.required[i],
-                            set())[0]
+            self._reconciled(builder, value_map[operand],
+                             plan.operand_shardings[i], plan.required[i],
+                             set())
             for i, operand in enumerate(op.operands)
         ]
         regions = [
@@ -672,5 +839,5 @@ class Lowerer:
                                    regions).results
         for result, value, tail in zip(op.results, new_results, plan.tails):
             if tail is not None:
-                value, _ = self._reconcile(builder, value, *tail, set())
+                value = self._reconciled(builder, value, *tail, set())
             value_map[result] = value

@@ -2,11 +2,12 @@
 
 The public-API docstrings carry runnable examples (``partir_jit``,
 ``Tactic``, ``AutomaticPartition``, ``mcts_search``, ``SearchResult``,
-``decode_action``, ``canonicalize``, the plan table of
-``repro.spmd.lower``, ``Function.index``, the plan store's LRU and its
-``exact``/``relaxed`` label); this module runs them the same way the CI docs job
-does (``python -m doctest``), and checks that every relative link and
-repo path mentioned in ``README.md`` / ``docs/ARCHITECTURE.md`` exists.
+``decode_action``, ``canonicalize``, the plan table and the fused
+emission of ``repro.spmd.lower``, ``fuse_collectives``,
+``Function.index``, the plan store's LRU and its ``exact``/``relaxed``
+label); this module runs them the same way the CI docs job does
+(``python -m doctest``), and checks that every relative link and repo
+path mentioned in ``README.md`` / ``docs/ARCHITECTURE.md`` exists.
 """
 
 import doctest
@@ -23,6 +24,7 @@ import repro.auto.planstore
 import repro.auto.search
 import repro.core.actions
 import repro.ir.function
+import repro.spmd.fusion
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,6 +33,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: module's name.)
 DOCTESTED_MODULES = [repro.api, repro.auto.fingerprint, repro.auto.planstore,
                      repro.auto.search, repro.core.actions, repro.ir.function,
+                     repro.spmd.fusion,
                      importlib.import_module("repro.spmd.lower")]
 
 

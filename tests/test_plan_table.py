@@ -9,9 +9,13 @@ keeps it an independent reference is that a plan served from the table is
 the plan a fresh planner builds.  On every model family in tier-1, under
 two schedules each, this module checks that:
 
-* every plan served from a warm table equals a freshly built one;
+* every plan served from a warm table equals a freshly built one, and
+  so does every emission template (chains, attrs, types, trailing
+  slices) served from the warm template table;
 * ``lower()`` under schedule B, after a ``lower()`` under schedule A on
-  the same function, matches a cold ``lower()`` under B op for op;
+  the same function, matches a cold ``lower()`` under B op for op, and
+  so does a second ``lower()`` under B, served wholly from warm
+  templates without building one;
 * a function lowered under two meshes gets each mesh's own plans.
 
 It also pins what makes shared plans hard to corrupt (frozen plans; the
@@ -26,19 +30,21 @@ import pickle
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from repro import ShapeDtype, trace
 from repro.api import ManualPartition
 from repro.core.sharding import ShardingEnv
 from repro.ir import dtypes, opdefs
+from repro.ir.values import canonical_attr
 from repro.mesh import Mesh
 from repro.models import bottleneck, gns, transformer, unet
 from repro.models import pipeline as pm
 from repro.models import schedules as sched
 from repro.spmd.lower import Lowerer, lower, plan_table
 from repro.trace import ops
+
+from oracle import listing
 
 MESH = Mesh({"batch": 4, "model": 2})
 PIPE_MESH = Mesh({"stage": 2, "model": 2})
@@ -106,38 +112,18 @@ def _forget_plans(function):
     function.__dict__.pop("_derived", None)
 
 
-def _attr(value):
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
-    return value
+def _rendered(template):
+    """A template's fields, comparable with ``==``."""
+    def steps(chain):
+        return None if chain is None else (
+            chain.reduced, chain.required,
+            [(opcode, canonical_attr(attrs), type)
+             for opcode, attrs, type in chain.steps])
 
-
-def _listing(function):
-    """A lowered function, op for op, with values numbered by definition:
-    ``(opcode, attrs, operand numbers, result types and names, regions)``
-    per op, so two lowerings compare with ``==``."""
-    number = {}
-
-    def define(value):
-        number[value] = len(number)
-
-    def walk(fn):
-        for param in fn.params:
-            define(param)
-        rows = []
-        for op in fn.ops:
-            rows.append((
-                op.opcode,
-                {key: _attr(value) for key, value in op.attrs.items()},
-                [number[v] for v in op.operands],
-                [(r.type, r.name) for r in op.results],
-                [walk(region) for region in op.regions],
-            ))
-            for result in op.results:
-                define(result)
-        return (rows, [number[r] for r in fn.results])
-
-    return walk(function)
+    return ([steps(chain) for chain in template.chains],
+            canonical_attr(template.attrs), template.result_types,
+            [None if t is None else (canonical_attr(t[0]), t[1])
+             for t in template.trailing])
 
 
 def _planned_ops(function, env):
@@ -161,22 +147,30 @@ def test_warm_table_serves_fresh_plans_and_lowers_as_cold(family):
     lower(function, env_a)
     warm = lower(function, env_b)
 
-    # Every plan the B lowering used is in the table and equals a fresh
-    # build; serving them all builds nothing.
-    table = plan_table(function, mesh)
-    size = len(table)
+    # Every plan and template the B lowering used is in its table and
+    # equals a fresh build; serving them all builds nothing.
     served = Lowerer(env_b, function)
     fresh = Lowerer(env_b)
+    sizes = [len(served._plans), len(served._templates), len(served._chains)]
     count = 0
     for op in _planned_ops(function, env_b):
-        assert served._plan_op(op) == fresh._build_op_plan(op), op
+        plan = fresh._build_op_plan(op)
+        assert served._plan_op(op) == plan, op
+        assert (_rendered(served._template(op))
+                == _rendered(fresh._build_template(op, plan))), op
         count += 1
-    assert len(table) == size
-    assert size < count  # the table shares plans between ops
+    assert [len(served._plans), len(served._templates),
+            len(served._chains)] == sizes
+    assert sizes[0] < count  # the table shares plans between ops
+
+    again = lower(function, env_b)
+    assert listing(again.function) == listing(warm.function)
+    assert [len(served._plans), len(served._templates),
+            len(served._chains)] == sizes
 
     _forget_plans(function)
     cold = lower(function, env_b)
-    assert _listing(warm.function) == _listing(cold.function)
+    assert listing(warm.function) == listing(cold.function)
     assert warm.input_shardings == cold.input_shardings
     assert warm.output_shardings == cold.output_shardings
 
@@ -192,7 +186,7 @@ def test_each_mesh_gets_its_own_plans(family):
     assert plan_table(function, mesh) is not plan_table(function, other)
     _forget_plans(function)
     cold = lower(function, env)
-    assert _listing(warm.function) == _listing(cold.function)
+    assert listing(warm.function) == listing(cold.function)
 
 
 def test_key_separates_scatter_add_rules():
@@ -261,7 +255,7 @@ def test_pickle_carries_no_plan_table_or_op_classes():
     assert "_derived" not in clone.__dict__
     assert not any(hasattr(op, "_op_class") for op in clone.walk())
     relowered = lower(clone, _env(clone, mesh, schedule_b))
-    assert _listing(relowered.function) == _listing(lowered.function)
+    assert listing(relowered.function) == listing(lowered.function)
 
 
 def test_manual_partir_jit_imports_nothing_from_repro_auto():

@@ -19,7 +19,7 @@ from repro.models.schedules import bp, megatron_mp, zero2, zero3, edge_sharding
 from repro.spmd import count_collectives, fuse_collectives, lower
 
 from conftest import build_matmul_chain
-from oracle import apply_with_full_sweep
+from oracle import apply_with_full_sweep, unfused_lower
 
 MESH = Mesh({"batch": 4, "model": 2})
 DATA = {"tokens": 0, "targets": 0}
@@ -34,8 +34,10 @@ def tiny_transformer():
 
 
 def _lower_counts(function, env):
+    """Collective counts of the unfused emission (the oracle's: ``lower``
+    itself emits fused chains) and of the fused lowering."""
+    unfused = count_collectives(unfused_lower(function, env).function)
     lowered = lower(function, env)
-    unfused = count_collectives(lowered.function)
     lowered.function = fuse_collectives(lowered.function)
     fused = count_collectives(lowered.function)
     return unfused, fused, lowered
