@@ -6,8 +6,8 @@ time the MCTS on one and two axes for UNet and GNS with a fixed simulation
 budget, and check the search's one evaluation path (undo-log env +
 propagation-delta replay + journal-driven streaming estimator) against
 the from-scratch reference (``tests/oracle.py::reference_cost``: fresh
-env, one full-sweep ``propagate`` per action, ``lower`` +
-``fuse_collectives`` + ``costmodel.estimate``): every cost the search
+env, one full-sweep ``propagate`` per action, ``lower`` — which emits
+its collectives fused — + ``costmodel.estimate``): every cost the search
 stored in its transposition table must equal the reference's bit for bit
 (purity), and the search's per-evaluation evaluator wall-clock must be
 >= 2x lower than the reference's per-key wall-clock (speed; aggregated

@@ -21,7 +21,7 @@ from repro.mesh import Mesh
 from repro.models import unet as unet_mod
 from repro.models.schedules import bp, zero2, zero3
 from repro.sim import TPU_V3, costmodel
-from repro.spmd import fuse_collectives, lower
+from repro.spmd import lower
 from benchmarks.common import print_table, run_schedule, unet_paper
 
 MESH = Mesh({"batch": 8, "model": 2})
@@ -52,7 +52,6 @@ def test_fig7(benchmark):
             st = run_schedule(traced, [SingleTactic(schedule)], MESH)
             env = _gspmd_env(traced, cfg)
             lowered = lower(traced.function, env)
-            lowered.function = fuse_collectives(lowered.function)
             gspmd_est = costmodel.estimate(lowered, TPU_V3)
 
             def describe(est):

@@ -49,7 +49,7 @@ from repro.models import schedules as sched  # noqa: E402
 from repro.auto.search import mcts_search  # noqa: E402
 from repro.core.propagate import propagate  # noqa: E402
 from repro.sim import TPU_V3, costmodel  # noqa: E402
-from repro.spmd import count_collectives, fuse_collectives, lower  # noqa: E402
+from repro.spmd import count_collectives, lower  # noqa: E402
 
 from benchmarks.common import (  # noqa: E402
     print_table,
@@ -89,9 +89,6 @@ def run_leg(cfg, tactics, mesh):
     for tactic in tactics:
         tactic.apply(traced.function, env)
     lowered = lower(traced.function, env)
-    lowered = dataclasses.replace(
-        lowered, function=fuse_collectives(lowered.function)
-    )
     estimate = costmodel.estimate(lowered, TPU_V3)
     elapsed = time.perf_counter() - t0
     counts = count_collectives(lowered.function)

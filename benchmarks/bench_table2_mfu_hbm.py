@@ -26,7 +26,7 @@ from repro.mesh import Mesh
 from repro.models import transformer
 from repro.models.schedules import transformer_schedules
 from repro.sim import A100_40GB, TPU_V3, costmodel
-from repro.spmd import fuse_collectives, lower
+from repro.spmd import lower
 from benchmarks.common import print_table, run_schedule, t32_paper, t48_paper
 
 CONFIGS = [
@@ -65,7 +65,6 @@ def test_table2(benchmark):
 
             def score(env):
                 lowered = lower(traced.function, env)
-                lowered.function = fuse_collectives(lowered.function)
                 est = costmodel.estimate(lowered, device)
                 return (
                     costmodel.mfu(traced.function, est.runtime_s,

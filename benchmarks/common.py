@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.sharding import ShardingEnv
 from repro.mesh import Mesh
 from repro.sim import TPU_V3, A100_40GB, costmodel
-from repro.spmd import count_collectives, fuse_collectives, lower
+from repro.spmd import count_collectives, lower
 from repro.models import gns, transformer, unet
 from repro.models import schedules as sched
 
@@ -78,7 +78,7 @@ class Run:
     estimate: object
     lowered: object
     env: ShardingEnv
-    # Wall-clock split: tactics+propagation vs lower+fuse vs estimate, so
+    # Wall-clock split: tactics+propagation vs lower vs estimate, so
     # "which phase is the next hottest path" stays directly measurable.
     partition_s: float
     lower_s: float
@@ -96,7 +96,6 @@ def run_schedule(traced, schedule, mesh, device=TPU_V3) -> Run:
     partition_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     lowered = lower(traced.function, env)
-    lowered.function = fuse_collectives(lowered.function)
     lower_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     estimate = costmodel.estimate(lowered, device)

@@ -6,7 +6,9 @@ compose in order and can never undo earlier decisions (an axis introduced on
 a value stays).  ``partir_jit`` runs the schedule, lowers to device-local
 SPMD code, and returns both an executable callable (on the simulated mesh)
 and per-tactic metadata: the collective breakdown and analytical cost
-estimates the paper highlights as PartIR's debugging feedback.
+estimates the paper highlights as PartIR's debugging feedback.  Each
+lowering is :func:`~repro.spmd.lower.lower`'s, collectives already fused
+(``reduce_scatter``, ``all_to_all``): there is no separate fusion pass.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.runtime.executor import MeshExecutor
 from repro.sim import costmodel
 from repro.sim.devices import TPU_V3, DeviceSpec
 from repro.spmd.count import CollectiveCounts, count_collectives
-from repro.spmd.fusion import fuse_collectives
 from repro.spmd.lower import LoweredModule, lower
 from repro.trace.tracer import TracedFunction
 
@@ -119,7 +120,8 @@ class ManualPartition(Tactic):
     ``inputs`` maps name patterns to dim specs: an int dimension,
     ``REPLICATED`` (atomic pin), ``FIRST_DIVISIBLE_DIM``, ``UNKNOWN``, or a
     callable ``f(name, value) -> spec`` for per-parameter logic (the paper's
-    Megatron callbacks in Appendix A.4).
+    Megatron callbacks in Appendix A.4).  An int dimension outside ``0 <=
+    dim < rank`` of a matched value raises :class:`ShardingError`.
     """
 
     def __init__(self, inputs: Dict[str, DimSpec], axis: str,
@@ -162,6 +164,13 @@ class ManualPartition(Tactic):
                         core_actions.atomic(env, value, self.axis)
                         applied += 1
                     continue
+                if resolved is not FIRST_DIVISIBLE_DIM and not (
+                        0 <= resolved < value.type.rank):
+                    raise ShardingError(
+                        f"{self.name}: dim {resolved} of input "
+                        f"{input_name!r} is out of range (rank "
+                        f"{value.type.rank})"
+                    )
                 sharding = env.sharding(value)
                 if resolved is FIRST_DIVISIBLE_DIM:
                     resolved = core_actions.first_divisible_dim(
@@ -189,7 +198,8 @@ class PipelinePartition(Tactic):
     body into ``mesh.size(axis)`` stages under ``schedule`` (``"1f1b"`` or
     ``"gpipe"``).  Desugars into the same :data:`~repro.core.actions.PIPELINE`
     action the automatic search enumerates, so manual and automatic
-    pipelining price identically.
+    pipelining price identically.  A ``loop_index`` outside
+    ``0 <= loop_index < len(loops)`` raises :class:`ShardingError`.
 
     >>> from repro import Mesh, ShapeDtype, trace
     >>> from repro.core import ShardingEnv
@@ -213,7 +223,7 @@ class PipelinePartition(Tactic):
 
     def issue_actions(self, function: Function, env: ShardingEnv) -> int:
         loops = pipeline_mod.loop_ops(function)
-        if self.loop_index >= len(loops):
+        if not 0 <= self.loop_index < len(loops):
             raise ShardingError(
                 f"{self.name}: loop index {self.loop_index} out of range "
                 f"({len(loops)} loop ops)"
@@ -370,6 +380,9 @@ def partir_jit(
 
     Each tactic's propagation is seeded from the values its actions wrote,
     so it costs the tactic's delta, not a sweep of the whole function.
+    With ``estimate_per_tactic`` each tactic is then lowered — fused as
+    emitted, reusing every lowering plan an earlier tactic built — and
+    counted and priced on that program.
     Per-tactic ``conflicts`` lists the *distinct* conflicts that first
     appeared under that tactic, deduped across the schedule.
 
@@ -415,13 +428,11 @@ def partir_jit(
                 fresh.append(event.detail)
         return fresh
 
-    def lower_and_fuse():
-        """(fused lowering of the env as it stands, seconds, write serial).
-        ``lower`` emits every reconcile chain fused; the sweep after it
-        finds no pair left and returns the function as it is."""
+    def timed_lower():
+        """(lowering of the env as it stands — ``lower`` emits every
+        reconcile chain fused — seconds, write serial)."""
         lower_start = time.perf_counter()
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         return (lowered, time.perf_counter() - lower_start,
                 env.write_serial)
 
@@ -433,7 +444,7 @@ def partir_jit(
             report_estimate = None
             counts = CollectiveCounts()
             if estimate_per_tactic:
-                snapshot, lower_time, snapshot_serial = lower_and_fuse()
+                snapshot, lower_time, snapshot_serial = timed_lower()
                 counts = count_collectives(snapshot.function)
                 report_estimate = costmodel.estimate(snapshot, device)
             reports.append(
@@ -456,7 +467,7 @@ def partir_jit(
     # moved since it was taken.
     lowered = snapshot
     if snapshot_serial != env.write_serial:
-        lowered, lower_time, _ = lower_and_fuse()
+        lowered, lower_time, _ = timed_lower()
 
     if not estimate_per_tactic or not reports:
         final_estimate = costmodel.estimate(lowered, device)

@@ -32,6 +32,12 @@ class DType:
     def __repr__(self) -> str:
         return self.name
 
+    def __reduce__(self):
+        # Type inference compares dtypes by identity, so a pickled dtype
+        # (a function sent to a worker or a plan server) loads as the
+        # module's instance, not as an equal copy.
+        return (from_name, (self.name,))
+
 
 f32 = DType("f32", np.dtype(np.float32), 4, True)
 f16 = DType("f16", np.dtype(np.float16), 2, True)

@@ -34,10 +34,13 @@ and append the same live-range records:
   each op's precompiled segment into a :class:`~repro.sim.terms.TermSum`
   and a :class:`~repro.sim.memory.LiveRangeLog`; loop regions are priced
   by the same refresh and fold, recursively.  A fresh estimator (or
-  ``changed_values=None``) refreshes every op.  This module emits nothing
-  and fuses nothing: a reconcile chain comes fused from the function's
-  chain table (:func:`~repro.spmd.lower.chain_table`), the one every
-  lowering instantiates, and is priced with the reference's
+  ``changed_values=None``) refreshes every op.  This module emits
+  nothing, infers no type and fuses nothing: a plan carries its
+  operands' fused reconcile chains (decided by
+  :meth:`~repro.spmd.lower.Lowerer._reconcile`, shared through the
+  function's :func:`~repro.spmd.lower.chain_table` with every lowering),
+  its FLOPs and its local result and trailing-slice types, and each
+  chain step is priced with the reference's
   :func:`~repro.sim.terms.collective_terms`.
 
 Absolute numbers are not calibrated against real hardware (the paper makes
@@ -152,10 +155,10 @@ class StreamingEstimator:
     stays bound to that env, and the device's terms of each reconcile
     chain for its lifetime, so a state that differs from a seen one only
     on part of the program re-prices only that part.  A segment miss takes
-    its plan from the function's plan table and its chains from the
-    function's chain table, both shared with :func:`lower`.  ``ops_reused`` /
-    ``ops_planned`` count segment hits and misses, ``reconcile_hits`` /
-    ``reconcile_misses`` the chain memo's.
+    its plan, chains included, from the function's plan table, shared
+    with :func:`lower`.  ``ops_reused`` / ``ops_planned`` count segment
+    hits and misses, ``reconcile_hits`` / ``reconcile_misses`` the chain
+    memo's (plus, per fold, every reconcile site replayed).
     """
 
     def __init__(self, function: Function, mesh: Mesh, device: DeviceSpec):
@@ -502,7 +505,8 @@ class _IncrementalEstimate:
             if result_targets is None:
                 result_targets = [a.without_sum(a.sum_axes) for a in actuals]
             sites = region.results[key] = tuple(
-                self._resolve_site(result, actual, required_of(target), ())
+                self._resolve_site(result, self._chain(
+                    result, actual, required_of(target)))
                 for result, actual, target
                 in zip(function.results, actuals, result_targets)
             )
@@ -515,25 +519,25 @@ class _IncrementalEstimate:
             sharding.local_shape(value.type.shape, self.mesh)
         )
 
-    def _chain(self, local_type, actual, required, allowed_pending):
-        """The priced reconcile chain taking a value of ``local_type`` laid
-        out per ``actual`` to ``required``, plus the two parts of its key
-        a site's pending-reduction dedup also needs: ``(steps, reduced
-        axes, required layout)``.
+    def _chain(self, value, actual, required):
+        """The lowerer's chain reconciling ``value``, laid out per
+        ``actual``, to ``required`` with every pending sum materialized
+        (a loop operand or tail, a function result), or ``None``."""
+        return self._lowerer._chain(self._local_type(value, actual), actual,
+                                    required, ())
 
-        The chain itself — recorded and fused once — comes from the
+    def _priced(self, chain) -> Tuple[_ChainStep, ...]:
+        """``chain``'s steps priced on this estimator's device, memoized
+        per chain (the chain itself — decided once — comes from the
         function's chain table, the one every :func:`lower` of the
-        function instantiates; only its terms, which depend on the
-        device, are memoized here, priced by the reference's
+        function instantiates), by the reference's
         :func:`~repro.sim.terms.collective_terms` (every step is a
         collective)."""
         estimator = self.estimator
-        chain = self._lowerer._chain(local_type, actual, required,
-                                     allowed_pending)
         steps = estimator._chains.get(chain)
         if steps is None:
             priced = []
-            nbytes = local_type.nbytes
+            nbytes = chain.source.nbytes
             for opcode, attrs, result_type in chain.steps:
                 priced.append(_ChainStep(result_type.nbytes, collective_terms(
                     opcode, attrs, nbytes, result_type.nbytes, self.mesh,
@@ -543,23 +547,22 @@ class _IncrementalEstimate:
             estimator.reconcile_misses += 1
         else:
             estimator.reconcile_hits += 1
-        return steps, chain.reduced, chain.required
+        return steps
 
-    def _resolve_site(self, value, actual, required, allowed_pending):
-        """One operand-reconciliation site as its replay plan ``(value,
-        pending-reduction dedup key or None, chain)``: ``chain`` is None
-        for an in-layout operand, else the pre-built first-hop def, the
-        static records past it, the chain's pre-split cost terms and its
-        final (export) uid."""
-        steps, ar_axes, required_t = self._chain(
-            self._local_type(value, actual), actual, required,
-            allowed_pending)
+    def _resolve_site(self, value, chain):
+        """One operand-reconciliation site — ``value`` through ``chain``
+        — as its replay plan ``(value, pending-reduction dedup key or
+        None, chain)``: ``chain`` is None for an in-layout operand, else
+        the pre-built first-hop def, the static records past it, the
+        chain's pre-split cost terms and its final (export) uid."""
+        if chain is None:
+            return (value, None, None)
+        steps = self._priced(chain)
         # Same dedup contract as the lowerer's reduce cache: a pending
         # reduction of one value to one layout is materialized once per
         # function (one reduce_scatter per gradient).
-        reduce_key = (value, ar_axes, required_t) if ar_axes else None
-        if not steps:
-            return (value, reduce_key, None)
+        reduce_key = ((value, chain.reduced, chain.required)
+                      if chain.reduced else None)
         records = []
         prev = -1
         for step in steps:
@@ -603,17 +606,14 @@ class _IncrementalEstimate:
     def _resolve_plain(self, op) -> tuple:
         plan = self._lowerer._plan_op(op)
         self.estimator.ops_planned += 1
-        sites = tuple(
-            self._resolve_site(operand, plan.operand_shardings[i],
-                               plan.required[i], plan.allowed_pending[i])
-            for i, operand in enumerate(op.operands)
-        )
+        sites = tuple(self._resolve_site(operand, chain)
+                      for operand, chain in zip(op.operands, plan.chains))
         terms = list(compute_terms(plan.flops, self.device))
         tails = []
-        for r, spec in enumerate(plan.trailing):
-            if spec is not None:
-                full = plan.result_types[r]
-                sliced = opdefs.get("all_slice").infer([full], spec, [])[0]
+        for r, (full, trailing) in enumerate(
+                zip(plan.result_types, plan.trailing)):
+            if trailing is not None:
+                spec, (sliced,) = trailing
                 terms += collective_terms("all_slice", spec, full.nbytes,
                                           sliced.nbytes, self.mesh,
                                           self.device)
@@ -627,8 +627,8 @@ class _IncrementalEstimate:
         op = unit.op
         plan = self._lowerer._plan_loop(op)
         sites = tuple(
-            self._resolve_site(operand, plan.operand_shardings[i],
-                               plan.required[i], ())
+            self._resolve_site(operand, self._chain(
+                operand, plan.operand_shardings[i], plan.required[i]))
             for i, operand in enumerate(op.operands)
         )
         (body, body_peak, body_params_bytes), *conds = [
@@ -649,10 +649,7 @@ class _IncrementalEstimate:
             carry_nbytes.append(
                 self._local_type(op.operands[i], carry_params[i + 1]).nbytes)
             if tail is not None:
-                actual, required = tail
-                steps, _, _ = self._chain(
-                    self._local_type(op.operands[i], actual), actual,
-                    required, ())
+                steps = self._priced(self._chain(op.operands[i], *tail))
                 for step in steps:
                     terms += step.terms
                 tails.append((i, tuple(step.nbytes for step in steps)))

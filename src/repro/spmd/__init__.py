@@ -1,10 +1,10 @@
-"""PartIR:HLO / SPMD: mesh-axis collectives, device-local lowering, fusion."""
+"""PartIR:HLO / SPMD: mesh-axis collectives and device-local lowering
+(collectives fused as they are emitted)."""
 
 from repro.spmd import collectives  # registers collective ops
 from repro.spmd.collectives import COLLECTIVE_OPS, is_collective
 from repro.spmd.count import (CollectiveCounts, collective_sequence,
                               count_collectives)
-from repro.spmd.fusion import fuse_collectives
 from repro.spmd.lower import LoweredModule, lower
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "CollectiveCounts",
     "collective_sequence",
     "count_collectives",
-    "fuse_collectives",
     "LoweredModule",
     "lower",
 ]

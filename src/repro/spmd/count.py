@@ -13,6 +13,7 @@ from typing import Dict, List, Tuple
 
 from repro.ir import opdefs
 from repro.ir.function import Function
+from repro.ir.values import canonical_attr
 
 COUNTED = ("all_gather", "all_reduce", "reduce_scatter", "all_to_all")
 # all_slice is device-local, but its placement pins the lowering, so the
@@ -45,23 +46,13 @@ class CollectiveCounts:
         return "Counts(" + ", ".join(f"{k}={v}" for k, v in d.items()) + ")"
 
 
-def _canonical_attrs(attrs: dict) -> Tuple[Tuple[str, str], ...]:
-    out = []
-    for key in sorted(attrs):
-        value = attrs[key]
-        if isinstance(value, dict):
-            value = tuple(sorted(value.items()))
-        out.append((key, repr(value)))
-    return tuple(out)
-
-
 def collective_sequence(function: Function) -> List[Tuple[str, tuple]]:
     """The ordered (opcode, canonicalized attrs) sequence of collective and
     slice ops, regions included — a structural fingerprint of the lowering
     that ignores SSA value identities.  Two lowerings with equal sequences
     emit the same communication in the same order."""
     return [
-        (op.opcode, _canonical_attrs(op.attrs))
+        (op.opcode, canonical_attr(op.attrs))
         for op in function.walk()
         if op.opcode in SEQUENCED
     ]

@@ -15,35 +15,41 @@ classic device-local :class:`Function`, collectives already fused — every
 value has its device-local shape, communication is explicit via mesh-axis
 collectives, shape-carrying attrs (broadcast/reshape/iota/slice) are
 localized, and every emitted type comes from the op's registered
-inference (run once per template, below).  This is the only thing in the
-tree that emits device-local code; :func:`lower` (and therefore
-``partir_jit``, the executor and the reference cost pipeline) run it.
+inference (run once per plan, below).  This is the only thing in the tree
+that emits device-local code; :func:`lower` (and therefore ``partir_jit``,
+the executor and the reference cost pipeline) run it.
 
-**Plan, template, instantiate.**  Lowering an op takes three steps.
-:meth:`Lowerer._plan_op` computes the op's reconciliation *plan*
-(required per-operand layouts, allowed-pending sets, localized attrs,
-expected local shapes, trailing slices) purely from the adjacent
-shardings.  The first lowering to use a plan turns it into an emission
-*template* (:meth:`Lowerer._build_template`): each operand's reconcile
-chain, the op's attrs and inferred local result types, and its trailing
-slices.  A chain (:class:`_Chain`) is recorded once per key by
-:meth:`Lowerer._reconcile` into a scratch builder, fused there by the
-reference :func:`~repro.spmd.fusion.fuse_collectives`, and kept in the
-function's chain table (:func:`chain_table`).  Every lowering then only
-*instantiates*: it emits the recorded ops with their recorded types and
-binds the values.  So :func:`lower` returns the fused program, and
-``fuse_collectives`` over it finds nothing to fuse.  A chain's
-intermediates are single-use, so fusing it alone fuses it as the whole
-program would; ``tests/test_lower_templates.py`` checks that against the
-unfused emission (``tests/oracle.py::unfused_lower``) on every model
-family.  Loops are planned by :meth:`Lowerer._plan_loop` (operand/carry
-layouts, each region's parameter layouts and result targets, injected
-``pipeline_*`` attrs, which results need a reconcile after the loop) and
-emitted by :meth:`Lowerer._emit_loop`, regions through the same
-templates.  The search's estimator (:mod:`repro.sim.costmodel`) calls the
-two planners and reads the chain table — and nothing else here — to price
-a program without lowering it, re-pricing only ops whose neighborhood
+**Plan, then instantiate.**  :meth:`Lowerer._plan_op` turns an op and its
+adjacent shardings into its *plan* (:class:`_OpPlan`), the one lowering
+record per key: per operand the required layout, the pending axes it may
+keep and its fused reconcile chain (``None`` when already in layout); the
+op's localized attrs and inferred local result types (checked against the
+shapes its layouts imply); per result its trailing ``all_slice``; and its
+local FLOPs.  Every lowering then only *instantiates* plans: it emits the
+recorded chain steps, the op and its slices with their recorded types and
+binds the values.  Loops are planned by :meth:`Lowerer._plan_loop`
+(operand/carry layouts, each region's parameter layouts and result
+targets, injected ``pipeline_*`` attrs, which results need a reconcile
+after the loop) and emitted by :meth:`Lowerer._emit_loop`, regions through
+the same plans.  The search's estimator (:mod:`repro.sim.costmodel`) reads
+the two planners and the chain table — and nothing else here — to price a
+program without lowering it, re-pricing only ops whose neighborhood
 changed, mirroring incremental propagation.
+
+**Fusion happens where a chain is decided.**  A reconcile chain is at most
+``all_reduce`` (pending sums the consumer cannot absorb), ``all_gather``
+(what follows the longest common prefix of the actual and required
+layouts, per dim) and ``all_slice`` (the required suffix).  Section 6's two
+fusions both fire inside one such chain, so :meth:`Lowerer._reconcile`
+applies them in closed form: an ``all_reduce`` sliced on a subset of its
+axes with no gather between is a ``reduce_scatter`` (after an
+``all_reduce`` over any leftover axes), and a gather and slice that move
+the same axes from one dim to another are an ``all_to_all``.  Each chain is
+decided once per key of the function's :func:`chain_table`.  Its
+intermediates are single-use, so no fusable pair straddles two chains:
+``tests/test_lower_templates.py`` checks :func:`lower` against a
+whole-program reference fusion of the unfused emission
+(``tests/oracle.py``) on every model family.
 
 **One plan per structural class.**  An op's plan is a pure function of
 its structural class (:func:`op_class`: opcode, attrs, operand and result
@@ -52,14 +58,13 @@ types, sharding rule), its adjacent shardings and the mesh; it holds no
 function carries one plan table per mesh (:func:`plan_table`, a view of
 the function that never rides a pickle), keyed ``(class, operand sharding
 iids, result sharding iids)``, and every lowerer built for the function —
-each :func:`lower` call and the estimator's — reads and fills it; the
-templates sit in a sibling table under the same keys.  L identical layers
-are planned and templated once, and so is the unchanged rest of a
+each :func:`lower` call and the estimator's — reads and fills it.  L
+identical layers are planned once, and so is the unchanged rest of a
 program re-lowered after each tactic.  What keeps the materializing
 pipeline an independent reference is that the key is complete:
 ``tests/test_plan_table.py`` checks, on every model family, that a plan
-and a template served from warm tables equal freshly built ones and that
-a warm :func:`lower` matches a cold one op for op.
+served from a warm table equals a freshly built one and that a warm
+:func:`lower` matches a cold one op for op.
 
 >>> from repro import ManualPartition, Mesh, ShapeDtype, partir_jit, trace
 >>> from repro.trace import ops
@@ -75,26 +80,35 @@ a warm :func:`lower` matches a cold one op for op.
 2
 
 A sharded weight minus its gradient: the gradient's pending sum is
-reduced and sliced to the weight's tiling, and ``lower`` emits the pair
-as the one ``reduce_scatter`` fusion makes of it.
+reduced and sliced to the weight's tiling, which ``lower`` emits as one
+``reduce_scatter``.
 
 >>> def sgd(w, x, dy):
 ...     return w - ops.transpose(x) @ dy
 >>> traced = trace(sgd, square, square, square)
 >>> _, meta = partir_jit(traced, mesh, [
 ...     ManualPartition({"0": 0, "1": 0, "2": 0}, axis="batch")])
->>> lowered = lower(traced.function, meta.env)
->>> [op.opcode for op in lowered.function.ops]
+>>> [op.opcode for op in lower(traced.function, meta.env).function.ops]
 ['transpose', 'dot_general', 'reduce_scatter', 'sub']
->>> fuse_collectives(lowered.function) is lowered.function  # nothing left
-True
+
+A tag whose operand is tiled on dim 1 and whose result is tiled on dim 0
+(set by hand here): the operand's chain gathers dim 1 and slices dim 0,
+which ``lower`` emits as one ``all_to_all``.
+
+>>> from repro.core import ShardingEnv, tile
+>>> traced = trace(lambda x: ops.tag(x, "t"), square)
+>>> env = ShardingEnv(mesh)
+>>> tile(env, traced.function.params[0], 1, "batch")
+>>> tile(env, traced.function.ops[0].results[0], 0, "batch")
+>>> [op.opcode for op in lower(traced.function, env).function.ops]
+['all_to_all', 'tag']
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import LoweringError
 from repro.ir import opdefs
@@ -106,7 +120,6 @@ from repro.core import pipeline as pipeline_mod
 from repro.core import rules as rules_mod
 from repro.core.propagate import may_defer
 from repro.core.sharding import Sharding, ShardingEnv
-from repro.spmd.fusion import fuse_collectives
 
 # Ops whose attrs carry a result shape that must be localized.
 _RESULT_SHAPE_ATTR = {"broadcast_in_dim": "shape", "reshape": "new_shape",
@@ -135,28 +148,49 @@ def lower(function: Function, env: ShardingEnv) -> LoweredModule:
     return LoweredModule(local, env.mesh, input_shardings, output_shardings)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Chain:
+    """One fused reconcile chain: what taking a value of local type
+    ``source`` from one layout to another emits, as ``(opcode, attrs,
+    result type)`` steps, each consuming the previous step's result.
+
+    Decided once per key of the function's chain table
+    (:func:`chain_table`) and shared, by identity, by every site with
+    that key: each lowering instantiates it and the estimator prices it.
+    ``reduced`` (the pending-sum axes it materializes) and ``required``
+    (the target layout, per dim) are the parts of the key a site's
+    pending-reduction dedup also reads."""
+
+    source: TensorType
+    reduced: Tuple[str, ...]
+    required: Tuple[Tuple[str, ...], ...]
+    steps: Tuple[Tuple[str, dict, TensorType], ...]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class _OpPlan:
-    """The per-op lowering decisions, decoupled from any emission target.
+    """An op's lowering record, decoupled from any emission target.
 
     Everything here is a pure function of the op's structural class, the
     shardings of its adjacent values and the mesh — the key of the plan
     table (:func:`plan_table`) that shares one instance between every op
-    and every lowering with that key.  Execution and pricing only read a
-    plan; nothing may write to one.
+    and every lowering with that key.  Per operand: its actual layout,
+    the layout the op requires, the pending axes it may keep, and its
+    reconcile chain (``None`` when already in layout).  Then the op's
+    localized attrs, its inferred local result types, per result the
+    trailing ``all_slice`` as ``(attrs, result types)`` or ``None``, and
+    its local FLOPs.  Lowering instantiates a plan and the estimator
+    prices it; nothing may write to one.
     """
 
     operand_shardings: Tuple[Sharding, ...]
     required: Tuple[Dict[int, List[str]], ...]
     allowed_pending: Tuple[Set[str], ...]
+    chains: Tuple[Optional[_Chain], ...]
     attrs: dict
-    expected_shapes: Tuple[Tuple[int, ...], ...]
-    trailing: Tuple[Optional[dict], ...]
-    # For the estimator, which prices a plan without emitting it: the
-    # device-local result types and the op's local FLOPs under this plan's
-    # layouts.  Templates ignore these; they re-infer.
-    result_types: Tuple = ()
-    flops: float = 0.0
+    result_types: Tuple[TensorType, ...]
+    trailing: Tuple[Optional[Tuple[dict, Tuple[TensorType]]], ...]
+    flops: float
 
 
 @dataclasses.dataclass
@@ -176,37 +210,6 @@ class _LoopPlan:
     regions: Tuple[Tuple[List[Sharding], List[Sharding]], ...]
     attrs: dict
     tails: Tuple[Optional[Tuple[Sharding, Dict[int, List[str]]]], ...]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class _Chain:
-    """One reconcile chain, fused: what taking a value of one local type
-    from one layout to another emits, as ``(opcode, attrs, result type)``
-    steps, each consuming the previous step's result.
-
-    Recorded once per key of the function's chain table
-    (:func:`chain_table`) and shared, by identity, by every site with
-    that key: each lowering instantiates it and the estimator prices it.
-    ``reduced`` (the pending-sum axes it materializes) and ``required``
-    (the target layout, per dim) are the parts of the key a site's
-    pending-reduction dedup also reads."""
-
-    reduced: Tuple[str, ...]
-    required: Tuple[Tuple[str, ...], ...]
-    steps: Tuple[Tuple[str, dict, TensorType], ...]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class _OpTemplate:
-    """An op plan ready to emit: per operand its reconcile chain (``None``
-    when the operand is already in layout), the op's attrs and inferred
-    local result types, and per result its trailing ``all_slice`` as
-    ``(attrs, result types)``, or ``None``."""
-
-    chains: Tuple[Optional[_Chain], ...]
-    attrs: dict
-    result_types: Tuple[TensorType, ...]
-    trailing: Tuple[Optional[Tuple[dict, Tuple[TensorType]]], ...]
 
 
 #: Structural key -> interned class id, process-wide (see :func:`op_class`).
@@ -260,16 +263,15 @@ def plan_table(function: Function, mesh: Mesh) -> Dict[tuple, _OpPlan]:
     operand sharding iids, result sharding iids) -> plan``, for the ops of
     the function and of its regions.  A view of the function
     (:meth:`Function.derived`): created on first use, dropped if the
-    function grows, never pickled.  Its emission templates live in a
-    sibling view under the same keys."""
+    function grows, never pickled."""
     return _table("plan_table", function, mesh)
 
 
 def chain_table(function: Function, mesh: Mesh) -> Dict[tuple, _Chain]:
     """``function``'s reconcile-chain table for ``mesh``: ``(local type,
-    actual layout iid, required layout, reduced axes) -> chain``, read and
-    filled by every lowering of the function and by the estimator.  A
-    view of the function, like :func:`plan_table`."""
+    actual layout iid, required layout, reduced axes) -> chain`` for every
+    chain that is not the identity, read and filled by every planner of
+    the function.  A view of the function, like :func:`plan_table`."""
     return _table("chain_table", function, mesh)
 
 
@@ -282,13 +284,12 @@ class Lowerer:
     def __init__(self, env: ShardingEnv, function: Optional[Function] = None):
         self.env = env
         self.mesh = env.mesh
-        #: ``function``'s shared plan, template and chain tables for this
-        #: mesh, or private ones for a lowerer built only to plan.
+        #: ``function``'s shared plan and chain tables for this mesh, or
+        #: private ones for a lowerer built only to plan.
         if function is None:
-            self._plans, self._templates, self._chains = {}, {}, {}
+            self._plans, self._chains = {}, {}
         else:
             self._plans = plan_table(function, self.mesh)
-            self._templates = _table("template_table", function, self.mesh)
             self._chains = chain_table(function, self.mesh)
         # Reconciliations that materialise a pending reduction are cached so
         # each gradient is reduced exactly once (XLA CSEs the all_reduce;
@@ -368,18 +369,15 @@ class Lowerer:
         if op.opcode == "tag" and self._tag_transparent(op):
             value_map[op.results[0]] = value_map[op.operands[0]]
             return
-        # Instantiate the op's template: its operands' recorded chains,
-        # the op, its trailing slices — no inference, no fusion.
-        template = self._template(op)
-        operands = []
-        for operand, chain in zip(op.operands, template.chains):
-            value = value_map[operand]
-            operands.append(value if chain is None
-                            else self._instantiate(builder, value, chain))
-        emitted = builder.emit_typed(op.opcode, operands, template.attrs,
-                                     template.result_types)
+        # Instantiate the op's plan: its operands' recorded chains, the
+        # op, its trailing slices — no inference, no fusion.
+        plan = self._plan_op(op)
+        operands = [self._instantiate(builder, value_map[operand], chain)
+                    for operand, chain in zip(op.operands, plan.chains)]
+        emitted = builder.emit_typed(op.opcode, operands, plan.attrs,
+                                     plan.result_types)
         for result, value, trailing in zip(op.results, emitted.results,
-                                           template.trailing):
+                                           plan.trailing):
             if trailing is not None:
                 value = builder.emit_typed("all_slice", [value],
                                            *trailing).results[0]
@@ -389,43 +387,34 @@ class Lowerer:
     # -- reconciliation ---------------------------------------------------------
 
     def _chain(self, local_type: TensorType, actual: Sharding,
-               required: Dict[int, List[str]], allowed_pending) -> _Chain:
+               required: Dict[int, List[str]], allowed_pending
+               ) -> Optional[_Chain]:
         """The fused reconcile chain taking a value of ``local_type`` laid
-        out per ``actual`` to ``required``: looked up in the chain table,
-        or recorded and entered there.  The one place the chain key is
-        built.
-
-        A chain's emissions are a pure function of that key and its
-        intermediates are single-use, so it fuses the same wherever it is
-        emitted: it is recorded once — :meth:`_reconcile` into a scratch
-        builder, then the reference ``fuse_collectives`` when it has more
-        than one step — and instantiated everywhere else."""
+        out per ``actual`` to ``required``, or ``None`` when the value is
+        already in layout: looked up in the chain table, or decided by
+        :meth:`_reconcile` and entered there.  The one place the chain key
+        is built."""
         required_t = tuple(
             tuple(required.get(d, ())) for d in range(actual.rank))
         reduced = tuple(
             a for a in sorted(actual.sum_axes) if a not in allowed_pending)
+        if not reduced and required_t == actual.dim_axes:
+            return None
         key = (local_type, actual.iid, required_t, reduced)
         chain = self._chains.get(key)
         if chain is None:
-            steps = ()
-            if reduced or required_t != actual.dim_axes:  # else in layout
-                builder = FunctionBuilder("chain")
-                value = self._reconcile(
-                    builder, builder.function.add_param(local_type), actual,
-                    required, allowed_pending)
-                recorded = builder.ret(value)
-                if len(recorded.ops) > 1:
-                    recorded = fuse_collectives(recorded)
-                steps = tuple((op.opcode, op.attrs, op.results[0].type)
-                              for op in recorded.ops)
-            chain = self._chains[key] = _Chain(reduced, required_t, steps)
+            chain = self._chains[key] = _Chain(
+                local_type, reduced, required_t,
+                self._reconcile(local_type, actual, required_t, reduced))
         return chain
 
     def _instantiate(self, builder: FunctionBuilder, value: Value,
-                     chain: _Chain) -> Value:
+                     chain: Optional[_Chain]) -> Value:
         """Emit ``chain`` on ``value`` — once per function for a chain that
         materializes a pending reduction (the reduce cache) — and return
-        the reconciled value."""
+        the reconciled value (``value`` itself for no chain)."""
+        if chain is None:
+            return value
         if chain.reduced:
             # A value belongs to one function, so it scopes the dedup.
             key = (value, chain.reduced, chain.required)
@@ -448,80 +437,88 @@ class Lowerer:
         return self._instantiate(builder, value, self._chain(
             value.type, actual, required, allowed_pending))
 
-    def _reconcile(
-        self,
-        builder: FunctionBuilder,
-        value: Value,
-        actual: Sharding,
-        required: Dict[int, List[str]],
-        allowed_pending,
-    ) -> Value:
-        """Emit, unfused, the collectives converting ``value`` (laid out
-        per ``actual``) to the ``required`` per-dim layout, and return the
-        converted value: the recording :meth:`_chain` fuses."""
-        rank = actual.rank
-        # 1. Materialize pending sums the consumer cannot absorb.
-        ar_axes = tuple(
-            a for a in sorted(actual.sum_axes) if a not in allowed_pending
-        )
-        if ar_axes:
-            value = builder.emit1(
-                "all_reduce",
-                [value],
-                {"axes": ar_axes, "kind": "add", "sizes": self._sizes(ar_axes)},
-            )
-            actual = actual.without_sum(frozenset(ar_axes))
-        # 2/3. Per-dim layout change: keep the longest common prefix, gather
-        # the rest of the actual layout, then slice in the required suffix.
-        gather_dims = []
-        slice_dims = []
-        new_dims = []
-        for d in range(rank):
-            a_axes = list(actual.dim_axes[d])
-            r_axes = list(required.get(d, []))
+    def _reconcile(self, local_type: TensorType, actual: Sharding,
+                   required: Tuple[Tuple[str, ...], ...],
+                   reduced: Tuple[str, ...]
+                   ) -> Tuple[Tuple[str, dict, TensorType], ...]:
+        """The fused steps taking a value of ``local_type`` laid out per
+        ``actual`` to the ``required`` per-dim layout, materializing the
+        pending sums on ``reduced``.
+
+        Unfused, the chain is an ``all_reduce`` over ``reduced``, then per
+        dim: keep the longest common prefix of the actual and required
+        axes, ``all_gather`` the rest of the actual ones, ``all_slice`` in
+        the rest of the required ones.  Section 6's two fusions apply
+        within it:
+
+        * an ``all_reduce`` then an ``all_slice`` (no gather) on a subset
+          of the reduced axes is a ``reduce_scatter``, after an
+          ``all_reduce`` over the reduced axes the slice leaves;
+        * an ``all_gather`` then an ``all_slice`` of the same axes,
+          gathered on one dim and sliced on another, is an ``all_to_all``.
+
+        A gather and slice that cancel exactly cannot arise: a dim's
+        gathered and sliced axes both start past the common prefix, so
+        their first axes differ (nor, for that reason, can an axis "move"
+        within one dim)."""
+        steps = []
+
+        def emit(opcode: str, attrs: dict) -> None:
+            nonlocal local_type
+            local_type, = infer_types(opcode, [local_type], attrs)
+            steps.append((opcode, attrs, local_type))
+
+        kept, gathered, sliced = [], [], []
+        for a_axes, r_axes in zip(actual.dim_axes, required):
             prefix = 0
             while (prefix < len(a_axes) and prefix < len(r_axes)
                    and a_axes[prefix] == r_axes[prefix]):
                 prefix += 1
-            gather_dims.append(tuple(a_axes[prefix:]))
-            slice_dims.append(tuple(r_axes[prefix:]))
-            new_dims.append(tuple(r_axes))
-        if any(gather_dims):
-            mid_dims = tuple(
-                tuple(actual.dim_axes[d][: len(actual.dim_axes[d])
-                                         - len(gather_dims[d])])
-                for d in range(rank)
-            )
-            value = builder.emit1(
-                "all_gather",
-                [value],
-                {
-                    "dims": tuple(gather_dims),
-                    "sizes": self._sizes([a for g in gather_dims for a in g]),
-                    "operand_dims": actual.dim_axes,
-                    "result_dims": mid_dims,
-                },
-            )
-            actual = dataclasses.replace(actual, dim_axes=mid_dims)
-        if any(slice_dims):
-            result_dims = tuple(new_dims)
-            value = builder.emit1(
-                "all_slice",
-                [value],
-                {
-                    "dims": tuple(slice_dims),
-                    "sizes": self._sizes([a for s in slice_dims for a in s]),
-                    "operand_dims": actual.dim_axes,
-                    "result_dims": result_dims,
-                },
-            )
-        return value
+            kept.append(a_axes[:prefix])
+            gathered.append(a_axes[prefix:])
+            sliced.append(r_axes[prefix:])
+        kept, gathered, sliced = tuple(kept), tuple(gathered), tuple(sliced)
+        gather_axes = [a for axes in gathered for a in axes]
+        slice_axes = [a for axes in sliced for a in axes]
+        if (slice_axes and not gather_axes
+                and set(slice_axes) <= set(reduced)):
+            residual = tuple(a for a in reduced if a not in slice_axes)
+            if residual:
+                emit("all_reduce", {"axes": residual, "kind": "add",
+                                    "sizes": self._sizes(residual)})
+            emit("reduce_scatter", {
+                "dims": sliced, "sizes": self._sizes(slice_axes),
+                "operand_dims": actual.dim_axes, "result_dims": required,
+                "kind": "add"})
+            return tuple(steps)
+        if reduced:
+            emit("all_reduce", {"axes": reduced, "kind": "add",
+                                "sizes": self._sizes(reduced)})
+        moved = [d for d, axes in enumerate(gathered) if axes]
+        into = [d for d, axes in enumerate(sliced) if axes]
+        if (len(moved) == len(into) == 1
+                and gathered[moved[0]] == sliced[into[0]]):
+            emit("all_to_all", {
+                "gather_dim": moved[0], "slice_dim": into[0],
+                "axes": gathered[moved[0]],
+                "sizes": self._sizes(gather_axes),
+                "operand_dims": actual.dim_axes, "result_dims": required})
+            return tuple(steps)
+        if gather_axes:
+            emit("all_gather", {
+                "dims": gathered, "sizes": self._sizes(gather_axes),
+                "operand_dims": actual.dim_axes, "result_dims": kept})
+        if slice_axes:
+            emit("all_slice", {
+                "dims": sliced, "sizes": self._sizes(slice_axes),
+                "operand_dims": kept, "result_dims": required})
+        return tuple(steps)
 
     # -- per-op planning ---------------------------------------------------------
 
     def _plan_key(self, op: Operation) -> Optional[tuple]:
-        """The op's key in the plan and template tables, or ``None`` for
-        an op without a class (planned afresh every time)."""
+        """The op's key in the plan table, or ``None`` for an op without
+        a class (planned afresh every time)."""
         cls = op_class(op)
         if cls is None:
             return None
@@ -547,54 +544,12 @@ class Lowerer:
             plan = self._plans[key] = self._build_op_plan(op)
         return plan
 
-    def _template(self, op: Operation) -> _OpTemplate:
-        """The op's emission template: looked up in the template table, or
-        built from its plan and entered there."""
-        key = self._plan_key(op)
-        if key is None:
-            return self._build_template(op, self._build_op_plan(op))
-        template = self._templates.get(key)
-        if template is None:
-            template = self._templates[key] = self._build_template(
-                op, self._plan_op(op, key))
-        return template
-
-    def _build_template(self, op: Operation, plan: _OpPlan) -> _OpTemplate:
-        """Turn a plan into its template: record each operand's chain,
-        infer the op's local result types from the reconciled operand
-        types (raising :class:`LoweringError` when one disagrees with the
-        plan's expected shape) and the trailing slices' types."""
-        chains = []
-        operand_types = []
-        for i, operand in enumerate(op.operands):
-            actual = plan.operand_shardings[i]
-            local_type = operand.type.with_shape(
-                self._local_shape(operand, actual))
-            chain = self._chain(local_type, actual, plan.required[i],
-                                plan.allowed_pending[i])
-            if chain.steps:
-                chains.append(chain)
-                operand_types.append(chain.steps[-1][2])
-            else:
-                chains.append(None)
-                operand_types.append(local_type)
-        result_types = tuple(infer_types(op.opcode, operand_types,
-                                         plan.attrs))
-        trailing = []
-        for result_type, expected, spec in zip(
-                result_types, plan.expected_shapes, plan.trailing):
-            if result_type.shape != expected:
-                raise LoweringError(
-                    f"lowering {op.opcode}: local result shape "
-                    f"{result_type.shape} != expected {expected}"
-                )
-            trailing.append(None if spec is None else (
-                spec, tuple(infer_types("all_slice", [result_type], spec))))
-        return _OpTemplate(tuple(chains), plan.attrs, result_types,
-                           tuple(trailing))
-
     def _build_op_plan(self, op: Operation) -> _OpPlan:
-        """Compute the op's lowering plan from its adjacent shardings."""
+        """Compute the op's lowering plan from its adjacent shardings:
+        decide each operand's required layout and chain, localize the
+        attrs, and infer the op's local result types from the reconciled
+        operand types, raising :class:`LoweringError` when one disagrees
+        with the shape its result layout implies."""
         rule = None
         if op.opcode != "constant":
             rule = rules_mod.rule_for(op)
@@ -681,6 +636,19 @@ class Lowerer:
                     for i in pending_idx:
                         allowed_pending[i].add(axis)
 
+        # Reconciliation lays every operand out exactly per required[i].
+        chains = []
+        operand_types = []
+        for i, operand in enumerate(op.operands):
+            actual = operand_shardings[i]
+            local_type = operand.type.with_shape(
+                self._local_shape(operand, actual))
+            chain = self._chain(local_type, actual, required[i],
+                                allowed_pending[i])
+            chains.append(chain)
+            operand_types.append(
+                local_type if chain is None else chain.steps[-1][2])
+
         # Localize shape-carrying attrs against the explained result sharding.
         attrs = dict(op.attrs)
         result_shardings_local = []
@@ -700,74 +668,52 @@ class Lowerer:
                 op.results[0], result_shardings_local[0]
             )
         elif op.opcode == "slice":
-            # The reconciled operand's local shape: reconciliation lays the
-            # operand out exactly per required[0], dim by dim.
-            in_dims = tuple(
-                tuple(required[0].get(d, ()))
-                for d in range(op.operands[0].type.rank)
-            )
-            local_in = Sharding(in_dims).local_shape(
-                op.operands[0].type.shape, self.mesh
-            )
             starts = list(attrs["starts"])
             limits = list(attrs["limits"])
             for d, axes in enumerate(result_shardings_local[0].dim_axes):
                 if axes:
                     starts[d] = 0
-                    limits[d] = local_in[d]
+                    limits[d] = operand_types[0].shape[d]
             attrs["starts"] = tuple(starts)
             attrs["limits"] = tuple(limits)
 
-        expected_shapes: List[Tuple[int, ...]] = []
-        trailing: List[Optional[dict]] = []
-        for r, (result, local_sharding) in enumerate(
-            zip(op.results, result_shardings_local)
-        ):
-            expected_shapes.append(self._local_shape(result, local_sharding))
-            if unexplained[r]:
-                full_sharding = self.env.sharding(result)
-                slice_dims = tuple(
-                    tuple(unexplained[r].get(d, ()))
-                    for d in range(full_sharding.rank)
+        result_types = tuple(infer_types(op.opcode, operand_types, attrs))
+        trailing = []
+        for r, (result, result_type, local_sharding) in enumerate(
+                zip(op.results, result_types, result_shardings_local)):
+            expected = self._local_shape(result, local_sharding)
+            if result_type.shape != expected:
+                raise LoweringError(
+                    f"lowering {op.opcode}: local result shape "
+                    f"{result_type.shape} != expected {expected}"
                 )
-                trailing.append({
-                    "dims": slice_dims,
-                    "sizes": self._sizes(
-                        [a for s in slice_dims for a in s]
-                    ),
-                    "operand_dims": local_sharding.dim_axes,
-                    "result_dims": full_sharding.dim_axes,
-                })
-            else:
+            if not unexplained[r]:
                 trailing.append(None)
-
-        # What the estimator prices from: reconciliation lays every operand
-        # out exactly per required[i], so the local operand types (and
-        # hence the op's local FLOPs) are already determined here.
-        local_operand_types = []
-        for i, operand in enumerate(op.operands):
-            dims = tuple(
-                tuple(required[i].get(d, ()))
-                for d in range(operand.type.rank)
+                continue
+            full_sharding = self.env.sharding(result)
+            slice_dims = tuple(
+                tuple(unexplained[r].get(d, ()))
+                for d in range(full_sharding.rank)
             )
-            local_operand_types.append(operand.type.with_shape(
-                Sharding(dims).local_shape(operand.type.shape, self.mesh)
-            ))
-        result_types = tuple(
-            result.type.with_shape(shape)
-            for result, shape in zip(op.results, expected_shapes)
-        )
+            spec = {
+                "dims": slice_dims,
+                "sizes": self._sizes([a for s in slice_dims for a in s]),
+                "operand_dims": local_sharding.dim_axes,
+                "result_dims": full_sharding.dim_axes,
+            }
+            trailing.append((spec, tuple(
+                infer_types("all_slice", [result_type], spec))))
         opdef = opdefs.get(op.opcode)
-        flops = opdef.flops(local_operand_types, attrs) if opdef.flops else 0.0
+        flops = opdef.flops(operand_types, attrs) if opdef.flops else 0.0
 
         return _OpPlan(
             operand_shardings=operand_shardings,
             required=tuple(required),
             allowed_pending=tuple(allowed_pending),
+            chains=tuple(chains),
             attrs=attrs,
-            expected_shapes=tuple(expected_shapes),
-            trailing=tuple(trailing),
             result_types=result_types,
+            trailing=tuple(trailing),
             flops=flops,
         )
 

@@ -2,19 +2,22 @@
 
 ``reference_cost`` prices a canonical action set from scratch through the
 materializing pipeline — fresh env, one ``propagate`` per action,
-``lower``, ``fuse_collectives``, ``costmodel.estimate`` — sharing
-nothing with ``Evaluator`` beyond the action vocabulary, propagation and
-the function's lowering-plan and chain tables.  ``tests/test_plan_table.py``
-checks the plan key is complete (a served plan is the plan a fresh
-planner builds); ``tests/test_lower_templates.py`` checks the fused
-chains against ``unfused_lower``, which reads no chain table.
+``lower``, ``costmodel.estimate`` — sharing nothing with ``Evaluator``
+beyond the action vocabulary, propagation and the function's
+lowering-plan and chain tables.  ``tests/test_plan_table.py`` checks the
+plan key is complete (a served plan is the plan a fresh planner builds).
 ``Evaluator.evaluate(key) == reference_cost(key)``, bit for bit, is the
 one purity contract the suites and figure scripts pin.
 
-``unfused_lower`` is the emission ``lower`` instantiates from templates,
-done the long way: every op's plan executed in place, each reconcile
-chain emitted unfused into the function's own builder; ``fuse_collectives``
-over it must give ``lower``'s program op for op.
+``unfused_lower`` is the emission ``lower`` instantiates from plans, done
+the long way: every op's plan executed in place, each reconcile chain
+emitted unfused (``unfused_reconcile``) into the function's own builder.
+``reference_fuse`` is Section 6's fusion over a whole device-local
+function: each round fuses every producer/consumer pair it finds (they
+are disjoint), to a fixed point.
+``reference_fuse(unfused_lower(f, env))`` must be ``lower(f, env)`` op for
+op (``tests/test_lower_templates.py``), and ``reference_chain`` is the
+same statement for one chain (``tests/test_reconcile_chains.py``).
 
 ``reference_index`` is the structural order everything is addressed by
 (``Function.index``'s ops and values), written out independently.
@@ -28,11 +31,11 @@ from repro.auto.evaluator import try_apply_action
 from repro.auto.tree import canonical_key
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
-from repro.errors import LoweringError
 from repro.ir import opdefs
+from repro.ir.function import FunctionBuilder
 from repro.ir.values import canonical_attr
 from repro.sim import costmodel
-from repro.spmd import fuse_collectives, lower
+from repro.spmd import lower
 from repro.spmd.lower import LoweredModule, Lowerer
 
 
@@ -48,10 +51,61 @@ def assert_estimates_identical(got, want, context=None):
         assert getattr(got, field) == getattr(want, field), (context, field)
 
 
+def _sizes(mesh, axes):
+    return {a: mesh.size(a) for a in axes}
+
+
+def unfused_reconcile(builder, value, actual, required, allowed_pending,
+                      mesh):
+    """Emit, unfused, the collectives converting ``value`` (laid out per
+    ``actual``) to the ``required`` per-dim layout and return the converted
+    value: ``all_reduce`` the pending sums not in ``allowed_pending``,
+    then per dim keep the longest common prefix of the two layouts,
+    ``all_gather`` the rest of the actual one and ``all_slice`` in the
+    rest of the required one."""
+    rank = actual.rank
+    ar_axes = tuple(a for a in sorted(actual.sum_axes)
+                    if a not in allowed_pending)
+    if ar_axes:
+        value = builder.emit1("all_reduce", [value], {
+            "axes": ar_axes, "kind": "add", "sizes": _sizes(mesh, ar_axes)})
+    gather_dims, slice_dims, new_dims = [], [], []
+    for d in range(rank):
+        a_axes = list(actual.dim_axes[d])
+        r_axes = list(required.get(d, []))
+        prefix = 0
+        while (prefix < len(a_axes) and prefix < len(r_axes)
+               and a_axes[prefix] == r_axes[prefix]):
+            prefix += 1
+        gather_dims.append(tuple(a_axes[prefix:]))
+        slice_dims.append(tuple(r_axes[prefix:]))
+        new_dims.append(tuple(r_axes))
+    dim_axes = actual.dim_axes
+    if any(gather_dims):
+        mid_dims = tuple(
+            tuple(dim_axes[d][:len(dim_axes[d]) - len(gather_dims[d])])
+            for d in range(rank))
+        value = builder.emit1("all_gather", [value], {
+            "dims": tuple(gather_dims),
+            "sizes": _sizes(mesh, [a for g in gather_dims for a in g]),
+            "operand_dims": dim_axes,
+            "result_dims": mid_dims,
+        })
+        dim_axes = mid_dims
+    if any(slice_dims):
+        value = builder.emit1("all_slice", [value], {
+            "dims": tuple(slice_dims),
+            "sizes": _sizes(mesh, [a for s in slice_dims for a in s]),
+            "operand_dims": dim_axes,
+            "result_dims": tuple(new_dims),
+        })
+    return value
+
+
 class _UnfusedLowerer(Lowerer):
     """A lowerer that emits every op per its plan and every reconcile
-    chain by ``Lowerer._reconcile``, straight into the function's
-    builder: no templates, no chain table, no fusion."""
+    chain by :func:`unfused_reconcile`, straight into the function's
+    builder: no recorded chain steps, no fusion."""
 
     def _lower_op(self, op, builder, value_map):
         if op.opcode in opdefs.LOOP_OPS or (
@@ -70,8 +124,8 @@ class _UnfusedLowerer(Lowerer):
                 tuple(required.get(d, [])) for d in range(actual.rank)))
             if key in self._reduce_cache:
                 return self._reduce_cache[key]
-        value = self._reconcile(builder, value, actual, required,
-                                allowed_pending)
+        value = unfused_reconcile(builder, value, actual, required,
+                                  allowed_pending, self.mesh)
         if key is not None:
             self._reduce_cache[key] = value
         return value
@@ -89,14 +143,10 @@ class _UnfusedLowerer(Lowerer):
                                    plan.attrs).results
         for r, result in enumerate(op.results):
             new_value = new_results[r]
-            if new_value.type.shape != plan.expected_shapes[r]:
-                raise LoweringError(
-                    f"lowering {op.opcode}: local result shape "
-                    f"{new_value.type.shape} != expected "
-                    f"{plan.expected_shapes[r]}")
+            assert new_value.type == plan.result_types[r], op
             if plan.trailing[r] is not None:
                 new_value = builder.emit1("all_slice", [new_value],
-                                          plan.trailing[r])
+                                          plan.trailing[r][0])
             new_value.name = result.name
             value_map[result] = new_value
 
@@ -109,6 +159,112 @@ def unfused_lower(function, env):
     return LoweredModule(local, env.mesh,
                          [env.sharding(p) for p in function.params],
                          [s.without_sum(s.sum_axes) for s in outputs])
+
+
+def fusable_pairs(function):
+    """``{producer: all_slice}`` for every pair Section 6 fuses: the
+    producer's result is used once, by the slice, and is an
+    ``all_reduce`` over a superset of the slice axes, or an
+    ``all_gather`` the slice cancels or turns into an axis move.  A
+    producer is never an ``all_slice``, so the pairs are disjoint."""
+    uses = {}
+    for value in [o for op in function.ops for o in op.operands] + list(
+            function.results):
+        uses[value] = uses.get(value, 0) + 1
+    pairs = {}
+    for op in function.ops:
+        producer = op.operands[0].producer if op.operands else None
+        if (op.opcode != "all_slice" or producer is None
+                or uses[producer.results[0]] != 1):
+            continue
+        slice_axes = {a for axes in op.attrs["dims"] for a in axes}
+        if producer.opcode == "all_reduce" and slice_axes and (
+                slice_axes <= set(producer.attrs["axes"])):
+            pairs[producer] = op
+        elif producer.opcode == "all_gather" and (
+                producer.attrs["dims"] == op.attrs["dims"]
+                or _axis_move(producer.attrs["dims"], op.attrs["dims"])):
+            pairs[producer] = op
+    return pairs
+
+
+def _axis_move(gather_dims, slice_dims):
+    """``{gather_dim, slice_dim, axes}`` when the same axes are gathered
+    on one dim and sliced on another, else ``None``."""
+    gathered = [d for d, axes in enumerate(gather_dims) if axes]
+    sliced = [d for d, axes in enumerate(slice_dims) if axes]
+    if (len(gathered) != 1 or len(sliced) != 1 or gathered == sliced
+            or gather_dims[gathered[0]] != slice_dims[sliced[0]]):
+        return None
+    return {"gather_dim": gathered[0], "slice_dim": sliced[0],
+            "axes": gather_dims[gathered[0]]}
+
+
+def _emit_fused(builder, producer, consumer, value):
+    """What ``consumer(producer(value))`` fuses to, emitted on ``value``."""
+    sizes = producer.attrs["sizes"]
+    if producer.opcode == "all_reduce":
+        slice_axes = {a for axes in consumer.attrs["dims"] for a in axes}
+        residual = tuple(a for a in producer.attrs["axes"]
+                         if a not in slice_axes)
+        if residual:
+            value = builder.emit1("all_reduce", [value], {
+                "axes": residual, "kind": producer.attrs["kind"],
+                "sizes": {a: sizes[a] for a in residual}})
+        return builder.emit1("reduce_scatter", [value], {
+            **consumer.attrs, "kind": producer.attrs["kind"]})
+    move = _axis_move(producer.attrs["dims"], consumer.attrs["dims"])
+    if move is None:  # the slice undoes the gather
+        return value
+    return builder.emit1("all_to_all", [value], {
+        **move, "sizes": {a: sizes[a] for a in move["axes"]},
+        "operand_dims": producer.attrs["operand_dims"],
+        "result_dims": consumer.attrs["result_dims"]})
+
+
+def reference_fuse(function):
+    """Section 6's fusions over a device-local ``function`` to a fixed
+    point (regions first, replaced in place).  Each round rebuilds the
+    function once with every :func:`fusable_pairs` producer dropped and
+    its slice replaced by the fused collectives; the pairs are disjoint,
+    so that is fusing them one at a time."""
+    for op in function.ops:
+        op.regions = [reference_fuse(region) for region in op.regions]
+    while pairs := fusable_pairs(function):
+        fused = {consumer: producer for producer, consumer in pairs.items()}
+        builder = FunctionBuilder(function.name)
+        subst = {p: builder.function.add_param(p.type, name=p.name)
+                 for p in function.params}
+        builder.function.input_names = list(function.input_names)
+        for op in function.ops:
+            if op in pairs:
+                continue
+            if op in fused:
+                producer = fused[op]
+                subst[op.results[0]] = _emit_fused(
+                    builder, producer, op,
+                    subst.get(producer.operands[0], producer.operands[0]))
+                continue
+            emitted = builder.emit(
+                op.opcode, [subst.get(o, o) for o in op.operands],
+                dict(op.attrs), op.regions or None)
+            for old, new in zip(op.results, emitted.results):
+                new.name = old.name
+                subst[old] = new
+        function = builder.ret(*[subst.get(r, r) for r in function.results],
+                               names=function.output_names)
+    return function
+
+
+def reference_chain(mesh, local_type, actual, required, allowed_pending):
+    """The fused steps of one reconcile chain, the long way: emitted
+    unfused into a function of its own, then :func:`reference_fuse`-d."""
+    builder = FunctionBuilder("chain")
+    value = unfused_reconcile(builder, builder.function.add_param(local_type),
+                              actual, required, allowed_pending, mesh)
+    fused = reference_fuse(builder.ret(value))
+    return tuple((op.opcode, op.attrs, op.results[0].type)
+                 for op in fused.ops)
 
 
 def listing(function):
@@ -186,7 +342,7 @@ def reference_env(function, mesh, actions):
 
 
 def reference_estimate(function, env, device, memo=None):
-    """The materializing ``lower -> fuse_collectives -> estimate``.
+    """The materializing ``lower -> estimate``.
 
     The estimate is a pure function of the env's shardings, so a caller
     walking one function through checkpoint/rollback chains may pass a
@@ -195,9 +351,7 @@ def reference_estimate(function, env, device, memo=None):
     memo = {} if memo is None else memo
     key = env.portable_state(function)
     if key not in memo:
-        lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
-        memo[key] = costmodel.estimate(lowered, device)
+        memo[key] = costmodel.estimate(lower(function, env), device)
     return memo[key]
 
 

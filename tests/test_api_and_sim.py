@@ -18,7 +18,7 @@ from repro.ir import evaluate_function
 from repro.mesh import Mesh as MeshCls
 from repro.core import ShardingEnv, propagate, tile
 from repro.sim import TPU_V3, estimate, mfu, model_flops, peak_live_bytes
-from repro.spmd import fuse_collectives, lower
+from repro.spmd import lower
 from repro.trace import ops
 from tests.conftest import build_matmul_chain, random_args
 
@@ -208,7 +208,6 @@ class TestSimulator:
             tile(env, named[name], dim, axis)
             propagate(function, env)
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         return function, lowered
 
     def test_batch_sharding_divides_flops(self):

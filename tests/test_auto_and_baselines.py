@@ -9,7 +9,7 @@ from repro.auto.evaluator import candidate_actions
 from repro.auto.search import mcts_search
 from repro.baselines import SingleTactic, gspmd_partition
 from repro.sim import TPU_V3, DeviceSpec, estimate
-from repro.spmd import count_collectives, fuse_collectives, lower
+from repro.spmd import count_collectives, lower
 from repro.trace import ops
 
 # A device so small that replication does not fit: forces the search to
@@ -167,7 +167,6 @@ class TestSingleTactic:
 
         def peak(env):
             lowered = lower(tf.function, env)
-            lowered.function = fuse_collectives(lowered.function)
             return estimate(lowered, TPU_V3).peak_memory_bytes
 
         assert env_st.conflicts()

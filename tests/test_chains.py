@@ -8,7 +8,7 @@ included) and rollbacks to a random depth of its checkpoint stack.  Every
 ``STRIDE``-th step and the last (every step on seed 0) it asserts:
 
 1. the long-lived ``StreamingEstimator``, fed the env's write journal, is
-   field-exact against the materializing ``lower -> fuse -> estimate``
+   field-exact against the materializing ``lower -> estimate``
    reference (``oracle.reference_estimate``);
 2. an ``Evaluator`` driven through the same trajectory's search-action
    sets (shared, extended and abandoned prefixes) computes exactly
@@ -69,7 +69,7 @@ from repro.models.schedules import (
     zero3,
 )
 from repro.sim import TPU_V3, costmodel
-from repro.spmd import collective_sequence, fuse_collectives, lower
+from repro.spmd import collective_sequence, lower
 
 MESH = Mesh({"batch": 4, "model": 2})
 AXES = ("batch", "model")
@@ -179,8 +179,7 @@ def _conflicts(env):
 
 
 def _fused_sequence(function, env):
-    lowered = lower(function, env)
-    return collective_sequence(fuse_collectives(lowered.function))
+    return collective_sequence(lower(function, env).function)
 
 
 def _check(family, env, estimator, evaluator, steps, context):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ManualPartition, PipelinePartition
 from repro.errors import (
     ExecutionError,
     ShardingError,
@@ -16,7 +17,7 @@ from repro.ir import (
 )
 from repro.mesh import Mesh
 from repro.core import Sharding, ShardingEnv, propagate, tile
-from repro.spmd import count_collectives, fuse_collectives, lower
+from repro.spmd import count_collectives, lower
 from repro.trace import ShapeDtype, ops, trace
 from tests.conftest import build_matmul_chain
 
@@ -45,7 +46,6 @@ class TestMeshEdgeCases:
         tile(env, x, 0, "a")
         propagate(function, env)
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         args = random_args(function, rng)
         expected, = evaluate_function(function, args)
         actual, = MeshExecutor(lowered)(*args)
@@ -80,6 +80,31 @@ class TestShardingEdgeCases:
         tile(env, x, 0, "B")
         assert clone.sharding(x).is_fully_replicated()
         assert not env.sharding(x).is_fully_replicated()
+
+    @staticmethod
+    def _loop(x, w):
+        def body(i, acc):
+            return ((acc @ w) @ w,)
+        return ops.fori_loop(0, 4, body, (x,))[0]
+
+    @pytest.mark.parametrize("tactic, shape, named", [
+        (ManualPartition({"0": 5}, axis="d"), (8, 4), "'0'"),
+        (ManualPartition({"0": -1}, axis="d"), (8, 4), "'0'"),
+        (ManualPartition({"0": -1}, axis="d"), (8, 3), "'0'"),
+        (PipelinePartition(axis="d", loop_index=-5), (8, 4), "loop index -5"),
+    ], ids=["dim-5", "dim-minus-1-divisible", "dim-minus-1-indivisible",
+            "loop-index-minus-5"])
+    def test_out_of_range_tactic_index_is_a_sharding_error(
+            self, tactic, shape, named):
+        """A dim or loop index outside its input is rejected by name, not
+        raised as an IndexError, read from the end, or skipped because
+        the dim it wraps to does not divide."""
+        traced = trace(self._loop, ShapeDtype(shape),
+                       ShapeDtype((shape[1], shape[1])))
+        with pytest.raises(ShardingError) as caught:
+            tactic.apply(traced.function, ShardingEnv(Mesh({"d": 2})))
+        assert tactic.name in str(caught.value)
+        assert named in str(caught.value)
 
 
 class TestLoweringEdgeCases:
@@ -116,7 +141,6 @@ class TestLoweringEdgeCases:
         tile(env, tf.function.params[1], 0, "B")
         propagate(tf.function, env)
         lowered = lower(tf.function, env)
-        lowered.function = fuse_collectives(lowered.function)
         table = rng.randn(8, 4).astype(np.float32)
         ids = rng.randint(0, 8, 16).astype(np.int32)
         expected, = evaluate_function(tf.function, [table, ids])

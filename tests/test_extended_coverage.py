@@ -15,8 +15,9 @@ from repro.core import (
 )
 from repro.runtime import MeshExecutor
 from repro.sim import TPU_V3, costmodel, estimate
-from repro.spmd import count_collectives, fuse_collectives, lower
+from repro.spmd import count_collectives, lower
 from repro.trace import ShapeDtype, ops, trace
+from oracle import reference_fuse
 from tests.conftest import build_matmul_chain, random_args
 
 
@@ -35,7 +36,6 @@ class TestAppendixBMultiAxis:
         propagate(function, env)
         assert env.sharding(x).dim_axes[0] == ("a", "b")
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         assert lowered.function.params[0].type.shape == (64, 8)
         args = random_args(function, rng)
         expected, = evaluate_function(function, args)
@@ -60,7 +60,6 @@ class TestAppendixBMultiAxis:
         sharding = env.sharding(out)
         assert sharding.sum_axes == frozenset({"a", "b"})
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         args = random_args(function, rng)
         expected, = evaluate_function(function, args)
         actual, = MeshExecutor(lowered)(*args)
@@ -160,7 +159,6 @@ class TestCostModelFormulas:
         tile(env, values[1], 1, "M")
         propagate(function, env)
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         est = estimate(lowered, TPU_V3)
         assert est.comm_s > 0 and est.compute_s > 0
         assert est.runtime_s == max(est.compute_s, est.comm_s)
@@ -221,7 +219,6 @@ class TestScanCaptures:
         tile(env, tf.function.params[0], 0, "B")
         propagate(tf.function, env)
         lowered = lower(tf.function, env)
-        lowered.function = fuse_collectives(lowered.function)
         args = random_args(tf.function, rng)
         expected, = evaluate_function(tf.function, args)
         actual, = MeshExecutor(lowered)(*args)
@@ -229,6 +226,10 @@ class TestScanCaptures:
 
 
 class TestFusionEdgeCases:
+    """Section 6's fusion on hand-built programs, checked on the reference
+    ``oracle.reference_fuse`` (the residual and multi-use cases), and on
+    ``lower``'s own chains inside a scan body."""
+
     def test_partial_reduce_scatter_keeps_residual_ar(self):
         """Slicing over a subset of the reduced axes leaves an all_reduce
         over the remainder (Section 6's partial fusion)."""
@@ -242,7 +243,7 @@ class TestFusionEdgeCases:
                       "operand_dims": ((), ()),
                       "result_dims": (("a",), ())})
         function = b.ret(sl)
-        fused = fuse_collectives(function)
+        fused = reference_fuse(function)
         counts = count_collectives(fused)
         assert counts.reduce_scatter == 1
         assert counts.all_reduce == 1  # residual over "b"
@@ -258,7 +259,7 @@ class TestFusionEdgeCases:
                       "result_dims": (("a",), ())})
         keep = b.emit1("neg", [ar])  # second use of the all_reduce
         function = b.ret(sl, keep)
-        fused = fuse_collectives(function)
+        fused = reference_fuse(function)
         counts = count_collectives(fused)
         assert counts.all_reduce == 1
         assert counts.reduce_scatter == 0
@@ -279,7 +280,6 @@ class TestFusionEdgeCases:
         tile(env, tf.function.params[1], 0, "B")  # m sharded
         propagate(tf.function, env)
         lowered = lower(tf.function, env)
-        lowered.function = fuse_collectives(lowered.function)
         counts = count_collectives(lowered.function)
         # The partial-sum inside the body is reduce-scattered each step.
         assert counts.reduce_scatter == 2

@@ -21,7 +21,6 @@ Pins the loop/pipeline tentpole end to end:
   unpartitioned reference, numerically.
 """
 
-import dataclasses
 import re
 
 import numpy as np
@@ -52,8 +51,7 @@ from repro.models import pipeline as pm
 from repro.models import schedules as sched
 from repro.runtime import MeshExecutor
 from repro.sim import TPU_V3, costmodel
-from repro.spmd import (count_collectives, fuse_collectives, is_collective,
-                        lower)
+from repro.spmd import count_collectives, is_collective, lower
 from repro.trace import ShapeDtype, ops, pytree, trace
 
 
@@ -308,9 +306,6 @@ class TestGoldenCollectives:
         for tactic in tactics:
             tactic.apply(fn, env)
         lowered = lower(fn, env)
-        lowered = dataclasses.replace(
-            lowered, function=fuse_collectives(lowered.function)
-        )
         return count_collectives(lowered.function).as_dict()
 
     @pytest.mark.parametrize("tracer,golden", [
@@ -442,7 +437,6 @@ class TestRegionFold:
         fn = tracer()
         env = priced_like_reference(fn, Mesh(axes), tactics())
         lowered = lower(fn, env)
-        lowered.function = fuse_collectives(lowered.function)
         # Each case prices what its name says.
         assert self.region_collectives(lowered) == {
             "nested_scan": {"scan/body": [],
@@ -459,9 +453,6 @@ class TestExecutionEquivalence:
 
     def check(self, fn, env, atol=1e-4):
         lowered = lower(fn, env)
-        lowered = dataclasses.replace(
-            lowered, function=fuse_collectives(lowered.function)
-        )
         rng = np.random.RandomState(0)
         args = [rng.randn(*p.type.shape).astype(np.float32) * 0.1
                 for p in fn.params]
@@ -556,6 +547,5 @@ class TestIndivisibleOperandDim:
             if action[0] != 1 or action[3] != "batch":
                 continue
             lowered = lower(fn, reference_env(fn, self.MESH, (action,)))
-            lowered.function = fuse_collectives(lowered.function)
             for got, want in zip(MeshExecutor(lowered)(*args), expected):
                 np.testing.assert_allclose(got, want, atol=1e-3)

@@ -1,19 +1,19 @@
-"""``lower`` instantiates fused templates: it equals the unfused emission
-fused afterwards, and leaves nothing for ``fuse_collectives`` to do.
+"""``lower`` instantiates fused plans: it equals the unfused emission
+fused afterwards, and leaves no pair for Section 6's fusions.
 
-``spmd/lower.py`` records each reconcile chain once, fuses it alone and
-emits the fused chain wherever it recurs.  That is only sound while no
-fusable pair straddles two chains (say, a loop tail ending in
-``all_gather`` feeding a consumer's ``all_slice``).  So on every
-``tests/test_chains.py`` family and every manual model of the repo's
-end-to-end benchmark (``benchmarks/e2e/cases.py``), after each tactic of
-its schedule, this module checks that:
+``spmd/lower.py`` decides each reconcile chain once, fused in closed form,
+and emits it wherever it recurs.  That is only sound while no fusable
+pair straddles two chains (say, a loop tail ending in ``all_gather``
+feeding a consumer's ``all_slice``).  So on every ``tests/test_chains.py``
+family and every manual model of the repo's end-to-end benchmark
+(``benchmarks/e2e/cases.py``), after each tactic of its schedule, this
+module checks that:
 
-* ``lower(f, env)`` equals ``fuse_collectives(unfused_lower(f, env))``
-  op for op (``oracle.listing``: opcode, canonical attrs, operand
+* ``lower(f, env)`` equals ``oracle.reference_fuse(unfused_lower(f,
+  env))`` op for op (``oracle.listing``: opcode, canonical attrs, operand
   positions, types and names);
 * the two price bit-equal under ``costmodel.estimate``;
-* the fusion planner finds no pair in ``lower``'s program, regions
+* the reference finds no fusable pair in ``lower``'s program, regions
   included: a straddling pair fails here instead of going unfused.
 
 The benchmark's four ``t32x8`` schedules are prefixes of one another, so
@@ -27,12 +27,12 @@ import sys
 
 import pytest
 
-from oracle import assert_estimates_identical, listing, unfused_lower
+from oracle import (assert_estimates_identical, fusable_pairs, listing,
+                    reference_fuse, unfused_lower)
 from repro.core.sharding import ShardingEnv
 from repro.models.schedules import zero3
 from repro.sim import TPU_V3, costmodel
-from repro.spmd import fuse_collectives, lower
-from repro.spmd.fusion import _plan_fusions
+from repro.spmd import lower
 
 from test_chains import FAMILIES, MESH
 
@@ -72,9 +72,9 @@ def _check_after_each_tactic(function, mesh, schedule):
         context = (step, tactic.name)
         lowered = lower(function, env)
         for fn in _functions(lowered.function):
-            assert _plan_fusions(fn) == ({}, set()), context
+            assert not fusable_pairs(fn), context
         reference = unfused_lower(function, env)
-        reference.function = fuse_collectives(reference.function)
+        reference.function = reference_fuse(reference.function)
         assert listing(lowered.function) == listing(reference.function), \
             context
         assert lowered.input_shardings == reference.input_shardings

@@ -9,7 +9,7 @@ from repro.mesh import Mesh
 from repro.core import ShardingEnv
 from repro.nn import init_from_spec
 from repro.runtime import MeshExecutor
-from repro.spmd import count_collectives, fuse_collectives, lower
+from repro.spmd import count_collectives, lower
 from repro.trace import pytree
 from repro.models import gns, transformer, unet
 from repro.models.schedules import (
@@ -29,7 +29,6 @@ def apply_and_count(tf, schedule, mesh=MESH):
     for tactic in schedule:
         tactic.apply(tf.function, env)
     lowered = lower(tf.function, env)
-    lowered.function = fuse_collectives(lowered.function)
     return count_collectives(lowered.function), lowered, env
 
 

@@ -114,7 +114,7 @@ class TestAdam:
         from repro.api import ManualPartition, REPLICATED
         from repro.core import ShardingEnv
         from repro.mesh import Mesh
-        from repro.spmd import count_collectives, fuse_collectives, lower
+        from repro.spmd import count_collectives, lower
         from repro.trace import value_and_grad
 
         def train(state, x):
@@ -136,7 +136,6 @@ class TestAdam:
         ManualPartition({"opt_state": 0, "params": REPLICATED},
                         axis="batch").apply(tf.function, env)
         lowered = lower(tf.function, env)
-        lowered.function = fuse_collectives(lowered.function)
         counts = count_collectives(lowered.function)
         assert counts.reduce_scatter == 1   # the gradient
         assert counts.all_gather == 1       # the updated parameter

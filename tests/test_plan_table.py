@@ -9,13 +9,12 @@ keeps it an independent reference is that a plan served from the table is
 the plan a fresh planner builds.  On every model family in tier-1, under
 two schedules each, this module checks that:
 
-* every plan served from a warm table equals a freshly built one, and
-  so does every emission template (chains, attrs, types, trailing
-  slices) served from the warm template table;
+* every plan served from a warm table equals a freshly built one, field
+  for field (layouts, chains, attrs, types, trailing slices, FLOPs);
 * ``lower()`` under schedule B, after a ``lower()`` under schedule A on
   the same function, matches a cold ``lower()`` under B op for op, and
-  so does a second ``lower()`` under B, served wholly from warm
-  templates without building one;
+  so does a second ``lower()`` under B, served wholly from warm plans
+  without building one;
 * a function lowered under two meshes gets each mesh's own plans.
 
 It also pins what makes shared plans hard to corrupt (frozen plans; the
@@ -112,18 +111,20 @@ def _forget_plans(function):
     function.__dict__.pop("_derived", None)
 
 
-def _rendered(template):
-    """A template's fields, comparable with ``==``."""
+def _rendered(plan):
+    """A plan's fields, comparable with ``==`` (chains are shared by
+    identity, so a fresh planner's compare by their steps)."""
     def steps(chain):
         return None if chain is None else (
-            chain.reduced, chain.required,
+            chain.source, chain.reduced, chain.required,
             [(opcode, canonical_attr(attrs), type)
              for opcode, attrs, type in chain.steps])
 
-    return ([steps(chain) for chain in template.chains],
-            canonical_attr(template.attrs), template.result_types,
+    return (plan.operand_shardings, plan.required, plan.allowed_pending,
+            [steps(chain) for chain in plan.chains],
+            canonical_attr(plan.attrs), plan.result_types,
             [None if t is None else (canonical_attr(t[0]), t[1])
-             for t in template.trailing])
+             for t in plan.trailing], plan.flops)
 
 
 def _planned_ops(function, env):
@@ -147,26 +148,22 @@ def test_warm_table_serves_fresh_plans_and_lowers_as_cold(family):
     lower(function, env_a)
     warm = lower(function, env_b)
 
-    # Every plan and template the B lowering used is in its table and
-    # equals a fresh build; serving them all builds nothing.
+    # Every plan the B lowering used is in its table and equals a fresh
+    # build; serving them all builds nothing.
     served = Lowerer(env_b, function)
     fresh = Lowerer(env_b)
-    sizes = [len(served._plans), len(served._templates), len(served._chains)]
+    sizes = [len(served._plans), len(served._chains)]
     count = 0
     for op in _planned_ops(function, env_b):
-        plan = fresh._build_op_plan(op)
-        assert served._plan_op(op) == plan, op
-        assert (_rendered(served._template(op))
-                == _rendered(fresh._build_template(op, plan))), op
+        assert (_rendered(served._plan_op(op))
+                == _rendered(fresh._build_op_plan(op))), op
         count += 1
-    assert [len(served._plans), len(served._templates),
-            len(served._chains)] == sizes
+    assert [len(served._plans), len(served._chains)] == sizes
     assert sizes[0] < count  # the table shares plans between ops
 
     again = lower(function, env_b)
     assert listing(again.function) == listing(warm.function)
-    assert [len(served._plans), len(served._templates),
-            len(served._chains)] == sizes
+    assert [len(served._plans), len(served._chains)] == sizes
 
     _forget_plans(function)
     cold = lower(function, env_b)
@@ -214,9 +211,10 @@ def test_key_separates_scatter_add_rules():
         env.set_sharding(mine, env.sharding(theirs))
     lowerer = Lowerer(env, function)
     fresh = Lowerer(env)
-    plans = [lowerer._plan_op(op) for op in (zeros_scatter, scatter)]
+    plans = [_rendered(lowerer._plan_op(op))
+             for op in (zeros_scatter, scatter)]
     assert plans[0] != plans[1]
-    assert plans == [fresh._build_op_plan(op)
+    assert plans == [_rendered(fresh._build_op_plan(op))
                      for op in (zeros_scatter, scatter)]
 
 
@@ -256,6 +254,23 @@ def test_pickle_carries_no_plan_table_or_op_classes():
     assert not any(hasattr(op, "_op_class") for op in clone.walk())
     relowered = lower(clone, _env(clone, mesh, schedule_b))
     assert listing(relowered.function) == listing(lowered.function)
+
+
+def test_unpickled_function_plans_and_lowers_as_the_original():
+    """A function that rode a pickle (to a rollout worker or a plan
+    server) plans like the original: its dtypes load as the module's
+    instances, which type inference compares by identity (a ``select``
+    predicate must be ``dtypes.bool_``)."""
+    spec = ShapeDtype((8, 4))
+    traced = trace(ops.select, ShapeDtype((8, 4), dtypes.bool_), spec, spec)
+    lowered = []
+    for function in (traced.function,
+                     pickle.loads(pickle.dumps(traced.function))):
+        env = ShardingEnv(MESH)
+        ManualPartition({"0": 0, "1": 0, "2": 0}, axis="batch").apply(
+            function, env)
+        lowered.append(listing(lower(function, env).function))
+    assert lowered[0] == lowered[1]
 
 
 def test_manual_partir_jit_imports_nothing_from_repro_auto():

@@ -5,7 +5,6 @@ Loop programs extend the property with random PIPELINE actions, and pin the
 materializing / streaming / differential estimates field-exact along the way.
 """
 
-import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -18,7 +17,7 @@ from repro.core.pipeline import SCHEDULES, apply_pipeline, pipeline_legal
 from repro.errors import ShardingError
 from repro.runtime import MeshExecutor, shard_array, unshard_arrays
 from repro.sim import TPU_V3, costmodel
-from repro.spmd import fuse_collectives, lower
+from repro.spmd import lower
 from repro.trace import ShapeDtype, ops, trace
 
 MESH = Mesh({"a": 2, "b": 2})
@@ -93,7 +92,6 @@ def test_partitioned_equals_unpartitioned(program, seed):
             continue  # indivisible / axis reuse: skip the action
         propagate(function, env)
     lowered = lower(function, env)
-    lowered.function = fuse_collectives(lowered.function)
     rng = np.random.RandomState(seed % (2 ** 31))
     args = [rng.randn(*p.type.shape).astype(np.float32) * 0.5
             for p in function.params]
@@ -167,9 +165,6 @@ def test_loop_pipeline_partitioned_equals_unpartitioned(program, seed):
     propagate(function, env)
     fast = differential.estimate_incremental(env, env.drain_journal())
     lowered = lower(function, env)
-    lowered = dataclasses.replace(
-        lowered, function=fuse_collectives(lowered.function)
-    )
     materialized = costmodel.estimate(lowered, TPU_V3)
     assert_estimates_identical(fast, materialized)
     rng = np.random.RandomState(seed % (2 ** 31))

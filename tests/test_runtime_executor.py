@@ -8,7 +8,7 @@ from repro.ir import FunctionBuilder
 from repro.mesh import Mesh
 from repro.core import Sharding, ShardingEnv, propagate, tile
 from repro.runtime import MeshExecutor, shard_array, unshard_arrays
-from repro.spmd import fuse_collectives, lower
+from repro.spmd import lower
 from tests.conftest import build_matmul_chain, random_args
 
 
@@ -62,7 +62,6 @@ def _lower_chain(actions, mesh):
         tile(env, named[name], dim, axis)
         propagate(function, env)
     lowered = lower(function, env)
-    lowered.function = fuse_collectives(lowered.function)
     return function, lowered
 
 

@@ -271,15 +271,18 @@ class TestCanonicalWaveOrder:
         actions=[(0, 2, 0, "B"), (0, 2, 0, "M")],
         cost=0.00010652903225806452, evaluations=20, cache_hits=7,
         prefix_reuse_ratio=2 / 33, waves=24)
+    #: ``reconcile_chain_hits`` counts priced-chain memo hits and replayed
+    #: sites; an in-layout operand (a plan's ``None`` chain) is never
+    #: looked up in the memo.
     PARENT = {
         "serial": dict(
-            PARENT, estimate_ops_reused=71, reconcile_chain_hits=248,
+            PARENT, estimate_ops_reused=71, reconcile_chain_hits=181,
             propagate_calls=51, ops_processed=534),
         # One worker, waves of one: every evaluation happens in the worker
         # and every one of its counter deltas is folded into the counter
         # it is a delta of.
         "process": dict(
-            PARENT, estimate_ops_reused=64, reconcile_chain_hits=255,
+            PARENT, estimate_ops_reused=64, reconcile_chain_hits=181,
             propagate_calls=52, ops_processed=549),
     }
 

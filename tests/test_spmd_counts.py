@@ -1,4 +1,4 @@
-"""Golden collective-count tests for ``spmd/count.py`` and ``spmd/fusion.py``.
+"""Golden collective-count tests for ``spmd/count.py`` and ``lower``'s fusion.
 
 Exact per-schedule collective counts (bp / zero2 / zero3 on a 2-layer
 transformer, edge sharding on a small GNS, and the quickstart matmul chain)
@@ -16,7 +16,7 @@ from repro.mesh import Mesh
 from repro.models import gns as gns_mod
 from repro.models import transformer
 from repro.models.schedules import bp, megatron_mp, zero2, zero3, edge_sharding
-from repro.spmd import count_collectives, fuse_collectives, lower
+from repro.spmd import count_collectives, lower
 
 from conftest import build_matmul_chain
 from oracle import apply_with_full_sweep, unfused_lower
@@ -38,7 +38,6 @@ def _lower_counts(function, env):
     itself emits fused chains) and of the fused lowering."""
     unfused = count_collectives(unfused_lower(function, env).function)
     lowered = lower(function, env)
-    lowered.function = fuse_collectives(lowered.function)
     fused = count_collectives(lowered.function)
     return unfused, fused, lowered
 

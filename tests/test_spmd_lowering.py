@@ -1,5 +1,6 @@
 """SPMD lowering and fusion tests: collective insertion, localization,
-reduce_scatter / all_to_all fusion, counting."""
+reduce_scatter / all_to_all fusion (``lower``'s, and the multi-use and
+cancellation cases of the reference ``oracle.reference_fuse``), counting."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from repro.ir import FunctionBuilder, evaluate_function
 from repro.mesh import Mesh
 from repro.core import ShardingEnv, propagate, tile
 from repro.runtime import MeshExecutor
-from repro.spmd import count_collectives, fuse_collectives, lower
+from repro.spmd import count_collectives, lower
+from oracle import reference_fuse
 from tests.conftest import build_matmul_chain, random_args
 
 
@@ -31,7 +33,6 @@ class TestLoweringListing4:
         tile(env, w2, 1, "B")
         propagate(function, env)
         out = lower(function, env)
-        out.function = fuse_collectives(out.function)
         return out
 
     def test_device_local_param_shapes(self, lowered):
@@ -135,13 +136,13 @@ class TestFusion:
         tile(env, m, 0, "B")          # opt-state sharding
         propagate(function, env)
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         counts = count_collectives(lowered.function)
         assert counts.reduce_scatter == 1
         assert counts.all_reduce == 0
 
     def test_gather_slice_cancellation(self):
-        """all_slice(all_gather(x)) with identical dims disappears."""
+        """all_slice(all_gather(x)) with identical dims disappears under the
+        reference fusion (a lowering's chains never emit the pair)."""
         from repro.ir import FunctionBuilder
 
         b = FunctionBuilder()
@@ -155,7 +156,7 @@ class TestFusion:
             "operand_dims": ((), ()), "result_dims": (("B",), ()),
         })
         function = b.ret(s)
-        fused = fuse_collectives(function)
+        fused = reference_fuse(function)
         assert count_collectives(fused).total == 0
 
     def test_gather_slice_becomes_all_to_all(self, paper_mesh):
@@ -173,7 +174,6 @@ class TestFusion:
         )
         env.set_sharding(out, env.sharding(out).with_tile(0, "B"))
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         counts = count_collectives(lowered.function)
         assert counts.all_to_all == 1
         assert counts.all_gather == 0
@@ -197,7 +197,6 @@ class TestCounting:
         tile(env, tf.function.params[1], 0, "M")
         propagate(tf.function, env)
         lowered = lower(tf.function, env)
-        lowered.function = fuse_collectives(lowered.function)
         dynamic = count_collectives(lowered.function)
         static = count_collectives(lowered.function, static=True)
         assert dynamic.total == 5 * static.total
@@ -222,7 +221,6 @@ class TestEndToEndNumerics:
             tile(env, named[name], dim, axis)
             propagate(function, env)
         lowered = lower(function, env)
-        lowered.function = fuse_collectives(lowered.function)
         args = random_args(function, rng)
         expected, = evaluate_function(function, args)
         actual, = MeshExecutor(lowered)(*args)
