@@ -4,7 +4,7 @@ The paper shows search time growing with the number of mesh axes (more
 decisions), and search cost dominated by cheap cost-model evaluations.  We
 time the MCTS on one and two axes for UNet and GNS with a fixed simulation
 budget, and check the search's one evaluation path (undo-log env +
-propagation-delta replay + journal-driven streaming estimator) against
+propagation-delta replay + signature-memoized streaming estimator) against
 the from-scratch reference (``tests/oracle.py::reference_cost``: fresh
 env, one full-sweep ``propagate`` per action, ``lower`` — which emits
 its collectives fused — + ``costmodel.estimate``): every cost the search

@@ -9,9 +9,9 @@ over all D devices.  Three gates:
   estimated runtime is *strictly below* pure tensor's — tensor-parallel
   all_reduces grow with the model group while the pipeline's bubble
   ``(K-1)/(T+K-1)`` amortizes away with enough microbatches.
-* **Bit-identity**: on the hybrid lowering, the search's journal-driven
-  estimate agrees with the materializing ``lower -> fuse -> estimate``
-  reference field-exactly on every
+* **Bit-identity**: on the hybrid lowering, the search's memoized
+  streaming estimate agrees with the materializing
+  ``lower -> fuse -> estimate`` reference field-exactly on every
   :class:`~repro.sim.costmodel.CostEstimate` field.
 * **Determinism**: a fixed-seed automatic search over the pipelined model
   returns identical best actions and cost on every scheduler backend, and
@@ -147,11 +147,10 @@ def check_bit_identity(cfg):
     traced = pm.trace_pipeline_transformer(cfg)
     env = ShardingEnv(mesh)
     propagate(traced.function, env)
-    env.enable_journal()
     estimator = costmodel.StreamingEstimator(traced.function, mesh, TPU_V3)
     for tactic in (sched.pp("stage"), tensor_tactic("model")):
         tactic.apply(traced.function, env)
-    fast = estimator.estimate_incremental(env, env.drain_journal())
+    fast = estimator.estimate_incremental(env)
     materialized = reference_estimate(traced.function, env, TPU_V3)
     for field in FIELDS:
         assert getattr(fast, field) == getattr(materialized, field), field

@@ -1,4 +1,4 @@
-"""Scoring canonical action sets: the undo-log env + journal-driven
+"""Scoring canonical action sets: the undo-log env + memoized streaming
 estimator pipeline.
 
 The evaluator is the purity boundary the whole search subsystem leans on:
@@ -25,10 +25,11 @@ There is one evaluation path, checked against one reference:
   set and extends in place, one propagation fixed point per new action —
   or a replay of that prefix's memoized write delta.
 * **pricing**: ``StreamingEstimator.estimate_incremental``
-  (:mod:`repro.sim.costmodel`), driven by the env's write journal,
-  refreshes only the ops adjacent to a value that moved (O(dirty)) and
-  then sums in one fold: an ``fsum`` over every op's precompiled segment
-  plan, with the pricing formulas in :mod:`repro.sim.terms`.
+  (:mod:`repro.sim.costmodel`), a pure function of the env's shardings
+  memoized by signature: every call looks every op's priced segment up
+  on its adjacent shardings (resolving only unseen ones) and then sums
+  in one fold: an ``fsum`` over every op's precompiled segment plan,
+  with the pricing formulas in :mod:`repro.sim.terms`.
 * **reference**: a fresh env, one ``propagate`` per canonical action,
   then ``lower -> costmodel.estimate`` (``lower`` emits its reconcile
   chains fused) — the materializing pipeline ``partir_jit`` runs for the
@@ -221,8 +222,8 @@ class Evaluator:
     set and extends in place — zero env allocation per rollout.
     Re-extending a previously-propagated prefix replays its memoized write
     delta instead of re-running the propagation fixed point, and the
-    streaming estimator re-prices only ops adjacent to the env's write
-    journal
+    streaming estimator re-resolves only ops whose adjacent shardings it
+    has not seen
     (:meth:`~repro.sim.costmodel.StreamingEstimator.estimate_incremental`).
     Prefix env state is a pure function of the canonical prefix, so costs
     are bit-identical to the from-scratch reference pipeline (see the
@@ -268,9 +269,6 @@ class Evaluator:
         # previously-computed fixed points on re-extension.
         self._stack: List[Tuple[Tuple[int, int, int, str], object]] = []
         self._prop_memo: Dict[ActionKey, Tuple] = {}
-        # The journal tells the estimator which values moved between two
-        # evaluations of this one mutable env.
-        self.root.enable_journal()
 
     @property
     def cache_hits(self) -> int:
@@ -356,11 +354,7 @@ class Evaluator:
         env = self._env_for(key)
         t1 = time.perf_counter()
         self.propagate_time_s += t1 - t0
-        # The env's write journal bounds what moved since the last
-        # evaluation of this same mutable env, so the estimator refreshes
-        # only the adjacent ops' segments.
-        estimate = self._estimator.estimate_incremental(
-            env, env.drain_journal())
+        estimate = self._estimator.estimate_incremental(env)
         cost = costmodel.search_objective(estimate, self.device)
         self.last_estimate = estimate
         self.estimate_time_s += time.perf_counter() - t1

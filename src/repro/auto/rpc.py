@@ -310,22 +310,19 @@ def _answer(handler: Callable, message) -> dict:
 
 
 def serve_connection(sock: socket.socket, handler: Callable,
-                     answer: Callable = _answer,
                      stopping: Optional[threading.Event] = None,
                      backlog: tuple = ()) -> bool:
     """Answer framed requests on ``sock`` until the peer goes away.
 
-    Each message gets one reply, in order: ``answer(handler, message)``,
-    by default ``{"ok": True, "value": handler(message)}`` or, when the
-    handler raises, ``{"ok": False, "error": ...}``.  ``backlog`` holds
-    requests that reached this end by other means than the socket (the
-    ``eval_init`` a forked worker was handed at fork); they are answered
-    first.  The loop ends on EOF, on any transport error, after a reply
-    flagged ``"deadline"`` (its handler thread still owns the session
-    state) and once ``stopping`` is set; it returns True only when the
-    socket's own timeout ended it (an idle peer).  The plan daemon runs
-    this per accepted connection, a forked ``process`` worker on its end
-    of the socketpair."""
+    Each message gets one reply, in order: ``{"ok": True, "value":
+    handler(message)}`` or, when the handler raises, ``{"ok": False,
+    "error": ...}``.  ``backlog`` holds requests that reached this end by
+    other means than the socket (the ``eval_init`` a forked worker was
+    handed at fork); they are answered first.  The loop ends on EOF, on
+    any transport error and once ``stopping`` is set; it returns True
+    only when the socket's own timeout ended it (an idle peer).  The plan
+    daemon runs this per accepted connection, a forked ``process`` worker
+    on its end of the socketpair."""
     backlog = list(backlog)
     while stopping is None or not stopping.is_set():
         try:
@@ -334,12 +331,9 @@ def serve_connection(sock: socket.socket, handler: Callable,
             return True
         except (ConnectionError, OSError, EOFError, pickle.UnpicklingError):
             return False
-        reply = answer(handler, message)
         try:
-            send_msg(sock, reply)
+            send_msg(sock, _answer(handler, message))
         except (ConnectionError, OSError):
-            return False
-        if reply.get("deadline"):
             return False
     return False
 
@@ -357,17 +351,16 @@ class RpcServer:
     Hardening knobs: ``max_connections`` bounds concurrent connections
     (excess accepts are closed immediately and counted in
     ``connections_rejected``); ``idle_timeout_s`` reaps connections with
-    no request for that long (``connections_reaped``); a
-    ``request_deadline_s`` turns a wedged handler into a clean
-    ``{"ok": False}`` reply plus connection close (``deadlines_exceeded``)
-    instead of a silently hung client.
+    no request for that long (``connections_reaped``).  A wedged handler
+    is bounded by its client's own per-call deadline (``rpc_timeout_s``,
+    ``PLAN_REQUEST_TIMEOUT_S``), past which the client heals or falls
+    back to a local search.
     """
 
     def __init__(self, handler_factory: Callable[[], Callable],
                  host: str = "127.0.0.1", port: int = 0,
                  max_connections: int = 64,
-                 idle_timeout_s: Optional[float] = 300.0,
-                 request_deadline_s: Optional[float] = None):
+                 idle_timeout_s: Optional[float] = 300.0):
         self._handler_factory = handler_factory
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -376,10 +369,8 @@ class RpcServer:
         self.address: Tuple[str, int] = self._sock.getsockname()[:2]
         self.max_connections = max_connections
         self.idle_timeout_s = idle_timeout_s
-        self.request_deadline_s = request_deadline_s
         self.connections_rejected = 0
         self.connections_reaped = 0
-        self.deadlines_exceeded = 0
         self._active = 0
         self._active_lock = threading.Lock()
         self._threads = []
@@ -442,28 +433,6 @@ class RpcServer:
                 self._threads = [t for t in self._threads if t.is_alive()]
                 self._threads.append(thread)
 
-    def _handle_with_deadline(self, handler: Callable, message) -> dict:
-        """Run ``handler(message)``; past ``request_deadline_s`` give up
-        and report, leaving the wedged thread to die with the daemon."""
-        deadline = self.request_deadline_s
-        if deadline is None:
-            return _answer(handler, message)
-        box: dict = {}
-
-        def run() -> None:
-            box["reply"] = _answer(handler, message)
-
-        worker = threading.Thread(target=run, name="partir-rpc-req",
-                                  daemon=True)
-        worker.start()
-        worker.join(timeout=deadline)
-        if worker.is_alive():
-            self.deadlines_exceeded += 1
-            return {"ok": False, "deadline": True,
-                    "error": f"DeadlineExceeded: request exceeded "
-                             f"{deadline:g}s server deadline"}
-        return box["reply"]
-
     def _serve_connection(self, conn: socket.socket) -> None:
         handler = self._handler_factory()
         if self.idle_timeout_s is not None:
@@ -472,8 +441,7 @@ class RpcServer:
             except OSError:
                 pass
         try:
-            if serve_connection(conn, handler, self._handle_with_deadline,
-                                self._stopping):
+            if serve_connection(conn, handler, self._stopping):
                 self.connections_reaped += 1
         finally:
             with self._active_lock:

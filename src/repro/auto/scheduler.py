@@ -353,11 +353,11 @@ class _FanOutScheduler(RolloutScheduler):
                     results = self._collect(worker)
                 except (rpc.RemoteError, OSError) as exc:
                     # RemoteError included: a worker-side failure (an
-                    # evaluation raised, the server's request deadline
-                    # fired) leaves that session's state unknown, so
-                    # retire-and-re-init is the recovery either way — and
-                    # an evaluation that raises everywhere surfaces from
-                    # the in-process terminus with its own type.
+                    # evaluation raised) leaves that session's state
+                    # unknown, so retire-and-re-init is the recovery
+                    # either way — and an evaluation that raises
+                    # everywhere surfaces from the in-process terminus
+                    # with its own type.
                     failed.extend(worker_keys)
                     broken[worker] = exc
                     continue

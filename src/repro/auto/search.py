@@ -12,7 +12,7 @@ subsystem behind it has four seams:
 * :mod:`repro.auto.tree` — UCT node/selection policy with virtual loss (so
   several leaves can be in flight) and per-rollout RNG streams derived from
   ``(seed, node id)`` rather than one shared generator,
-* :mod:`repro.auto.evaluator` — the undo-log env + journal-driven
+* :mod:`repro.auto.evaluator` — the undo-log env + memoized streaming
   estimator evaluation pipeline; ``evaluate`` is a pure function of the canonical
   (sorted, deduped) action set,
 * :mod:`repro.auto.scheduler` — the rollout backends: ``serial`` (the
@@ -90,7 +90,7 @@ class SearchConfig:
       signatures persist with ``cache_dir``.
     * ``backend`` selects the rollout scheduler (``serial`` / ``batched``
       / ``process`` / ``remote``; :mod:`repro.auto.scheduler`), tuned by
-      ``workers`` and ``wave_size``.
+      ``workers`` and ``wave_size`` (positive; ``None`` is the default).
     * ``cache_dir`` persists the transposition table across calls
       (append-only, one log per program as written, up to tag names:
       :func:`~repro.auto.fingerprint.canonicalize`): a rerun
@@ -108,10 +108,10 @@ class SearchConfig:
     * ``restart_budget`` (worker re-forks / session reconnects per
       search; default 1, 0 = degrade on the first failure) and
       ``rpc_timeout_s`` (the deadline on one worker call,
-      ``process`` and ``remote`` alike; default 60) bound *recovery*,
-      never results: whatever fails, the search completes with the same
-      best actions/cost as the fault-free serial run at the same seed,
-      degrading to in-process evaluation in the limit
+      ``process`` and ``remote`` alike; positive, default 60) bound
+      *recovery*, never results: whatever fails, the search completes
+      with the same best actions/cost as the fault-free serial run at
+      the same seed, degrading to in-process evaluation in the limit
       (``SearchResult.degraded_to``).
 
     >>> SearchConfig.of(budget=8).plan_identity()["budget"]
@@ -158,6 +158,12 @@ class SearchConfig:
                     and name != "seed"):
                 raise ValueError(
                     f"search option {name}={value!r} must not be negative")
+        # Zero is no worker pool, wave or deadline (None is the default).
+        for name in ("workers", "wave_size", "rpc_timeout_s"):
+            if getattr(self, name) == 0:
+                raise ValueError(
+                    f"search option {name}=0 must be positive (None means "
+                    f"the default)")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
@@ -221,10 +227,11 @@ class SearchResult:
     propagate_calls: int = 0
     ops_processed: int = 0
     #: Per-op segments (an op's priced lowering plan) the streaming
-    #: estimator served from its per-signature memo instead of re-planning.
+    #: estimator served from its per-signature memo instead of re-planning;
+    #: every evaluation looks every op up, so this counts all hits.
     estimate_ops_reused: int = 0
     #: Wall-clock split: env extension (apply + propagate) vs cost
-    #: evaluation (``estimate_incremental``: the O(dirty) segment refresh,
+    #: evaluation (``estimate_incremental``: one signature lookup per op,
     #: cold plan/chain resolution included, plus the one whole-function
     #: fold over the segments' cost terms).
     propagate_time_s: float = 0.0
@@ -396,7 +403,7 @@ def mcts_search(
     both — an unknown keyword is a ``TypeError``.  Candidates are scored
     by one evaluation pipeline (:class:`~repro.auto.evaluator.Evaluator`:
     one mutable env moved by checkpoint/rollback, priced by the
-    journal-driven streaming estimator), bit-identical to the
+    signature-memoized streaming estimator), bit-identical to the
     materializing reference pipeline.
 
     >>> from repro import Mesh, ShapeDtype, trace

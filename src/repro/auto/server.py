@@ -126,9 +126,7 @@ class PlanServer:
     :class:`~repro.auto.rpc.RpcServer`): ``max_connections`` bounds
     concurrent clients, ``idle_timeout_s`` reaps connections with no
     request for that long (evaluator sessions included — the remote
-    backend reconnects and re-primes transparently), and
-    ``request_deadline_s`` turns a wedged request into a clean error
-    reply instead of a hung client.
+    backend reconnects and re-primes transparently).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -136,8 +134,7 @@ class PlanServer:
                  cache_dir: Optional[str] = None,
                  search_fn=None,
                  max_connections: int = 64,
-                 idle_timeout_s: Optional[float] = 300.0,
-                 request_deadline_s: Optional[float] = None):
+                 idle_timeout_s: Optional[float] = 300.0):
         self.store = PlanStore(max_entries)
         self._search_fn = search_fn if search_fn is not None else mcts_search
         self._base_config = SearchConfig.of(cache_dir=cache_dir)
@@ -150,8 +147,7 @@ class PlanServer:
         self._rpc = rpc.RpcServer(lambda: _ConnectionHandler(self),
                                   host=host, port=port,
                                   max_connections=max_connections,
-                                  idle_timeout_s=idle_timeout_s,
-                                  request_deadline_s=request_deadline_s)
+                                  idle_timeout_s=idle_timeout_s)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -191,7 +187,6 @@ class PlanServer:
         out["store"] = self.store.stats()
         out["connections_rejected"] = self._rpc.connections_rejected
         out["connections_reaped"] = self._rpc.connections_reaped
-        out["deadlines_exceeded"] = self._rpc.deadlines_exceeded
         return out
 
     # -- plan serving -------------------------------------------------------
@@ -309,17 +304,13 @@ def main(argv=None) -> int:
     parser.add_argument("--idle-timeout", type=float, default=300.0,
                         help="seconds of request silence before a "
                              "connection is reaped (0 disables)")
-    parser.add_argument("--request-deadline", type=float, default=None,
-                        help="per-request handler deadline in seconds "
-                             "(default: none)")
     args = parser.parse_args(argv)
 
     server = PlanServer(host=args.host, port=args.port,
                         max_entries=args.max_entries,
                         cache_dir=args.cache_dir,
                         max_connections=args.max_connections,
-                        idle_timeout_s=args.idle_timeout or None,
-                        request_deadline_s=args.request_deadline)
+                        idle_timeout_s=args.idle_timeout or None)
     host, port = server.address
     print(f"partir-plan-server listening on {host}:{port}", flush=True)
     try:

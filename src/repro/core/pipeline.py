@@ -15,11 +15,11 @@ state — no new IR, no schema changes:
   **marker pin** ``"pipe:<schedule>:<axis>"`` recording the schedule choice.
 
 Because pins ride :meth:`repro.core.sharding.Sharding.signature`,
-``portable_state``, the undo log, the write journal and both fingerprint
-tiers, the pipeline decision is checkpointable, undoable, shippable to
-search workers and cacheable exactly like every tensor action — which is
-what lets the MCTS treat :data:`repro.core.actions.PIPELINE` as just
-another action kind.
+``portable_state``, the undo log, the estimator's memo keys and both
+fingerprint tiers, the pipeline decision is checkpointable, undoable,
+shippable to search workers and cacheable exactly like every tensor
+action — which is what lets the MCTS treat
+:data:`repro.core.actions.PIPELINE` as just another action kind.
 
 Pricing inputs (stage split, bubble fraction, point-to-point bytes) are
 static functions of the body region, computed here and memoized as views
@@ -244,7 +244,7 @@ def apply_pipeline(env: ShardingEnv, op: Operation, axis: str,
     and record the marker pin on the anchor.
 
     All writes funnel through :meth:`ShardingEnv.set_sharding`, so the
-    decision is journaled, undo-logged and versioned like any tensor
+    decision is dirty-tracked, undo-logged and versioned like any tensor
     action.
     """
     if not pipeline_legal(env, op, axis, schedule):

@@ -27,10 +27,11 @@ Two memory-model properties carry the automatic-partitioning search:
   — the propagation kernel and the condenser's digest never call a
   method or format a string for it.
 * **Undo-log checkpoints** (:meth:`ShardingEnv.checkpoint` /
-  ``rollback`` / ``release``): O(writes) snapshot/rollback of the
-  mutable env — the zero-copy alternative to :meth:`ShardingEnv.copy` —
-  plus a write journal (:meth:`ShardingEnv.enable_journal`) that tells
-  incremental consumers exactly which values moved.
+  ``rollback``): O(writes) snapshot/rollback of the mutable env — the
+  zero-copy alternative to :meth:`ShardingEnv.copy`.  The search's
+  estimator needs no change record of its own: it prices an env from its
+  current shardings, memoized by signature
+  (:class:`repro.sim.costmodel.StreamingEstimator`).
 """
 
 from __future__ import annotations
@@ -357,8 +358,8 @@ class PropagationStats:
 @dataclasses.dataclass
 class EnvCheckpoint:
     """A point-in-time mark on one env's undo log (see
-    :meth:`ShardingEnv.checkpoint`).  Tokens are LIFO: consuming one (by
-    rollback or release) invalidates every token taken after it."""
+    :meth:`ShardingEnv.checkpoint`).  Tokens are LIFO: rolling back to one
+    invalidates it and every token taken after it."""
 
     env: "ShardingEnv"
     stack_index: int
@@ -391,22 +392,12 @@ class ShardingEnv:
         #: recorded only while at least one checkpoint is outstanding.
         self._undo: List[Tuple[Value, Sharding]] = []
         self._checkpoints: List[EnvCheckpoint] = []
-        #: Write journal (see :meth:`enable_journal`): every value whose
-        #: sharding changed — by forward mutation *or* rollback — since the
-        #: last :meth:`drain_journal`.  ``None`` when disabled.
-        self._journal: Optional[List[Value]] = None
         #: Strictly monotone write counter: every sharding change ever
         #: applied — including the restoring writes a rollback performs —
         #: so consumers can tell "the env is back in a state I saw" apart
         #: from "nothing happened".  Propagation's per-visit change test
-        #: and the incremental estimator's journal-coverage check
-        #: (:meth:`last_drain_window`) read it.
+        #: and ``partir_jit``'s snapshot check read it.
         self._write_serial: int = 0
-        #: Serial at which the open journal window began (None = disabled).
-        self._journal_from: Optional[int] = None
-        #: ``(window start serial, window end serial)`` of the most recent
-        #: :meth:`drain_journal`, or None if never drained.
-        self._last_drain: Optional[Tuple[int, int]] = None
 
     def sharding(self, value: Value) -> Sharding:
         existing = self._shardings.get(value)
@@ -434,8 +425,6 @@ class ShardingEnv:
             return
         if self._checkpoints:
             self._undo.append((value, previous))
-        if self._journal is not None:
-            self._journal.append(value)
         self._shardings[value] = sharding
         self._write_serial += 1
         self._dirty.add(value)
@@ -472,7 +461,7 @@ class ShardingEnv:
         event-log length all return to their recorded values.  The token
         (and any checkpoint taken after it) is consumed.
         """
-        self._pop_checkpoint(token)
+        del self._checkpoints[self._live_index(token):]
         undo = self._undo
         shardings = self._shardings
         restored = undo[token.undo_length:]
@@ -480,36 +469,22 @@ class ShardingEnv:
         for value, previous in restored:
             shardings[value] = previous
         self._write_serial += len(restored)
-        if self._journal is not None:
-            self._journal.extend(value for value, _ in restored)
         del undo[token.undo_length:]
         if not self._checkpoints:
             self._undo = []
         del self.events[token.events_length:]
         self._dirty = set(token.dirty)
 
-    def release(self, token: "EnvCheckpoint") -> None:
-        """Forget ``token`` (and checkpoints nested inside it), keeping all
-        writes — the commit dual of :meth:`rollback`.
-
-        Undo entries recorded under the released scope are kept whenever an
-        enclosing checkpoint is still outstanding: the outer token's
-        rollback must restore through them.  Only releasing the outermost
-        checkpoint discards the log."""
-        self._pop_checkpoint(token)
-        if not self._checkpoints:
-            self._undo = []
-
-    def _pop_checkpoint(self, token: "EnvCheckpoint") -> None:
+    def _live_index(self, token: "EnvCheckpoint") -> int:
+        """``token``'s position on the checkpoint stack; raises for a
+        foreign or already-consumed token."""
         if token.env is not self:
             raise ShardingError("checkpoint token belongs to another env")
         stack = self._checkpoints
         if (token.stack_index >= len(stack)
                 or stack[token.stack_index] is not token):
-            raise ShardingError(
-                "stale checkpoint token: already rolled back or released"
-            )
-        del stack[token.stack_index:]
+            raise ShardingError("stale checkpoint token: already rolled back")
+        return token.stack_index
 
     @property
     def checkpoint_depth(self) -> int:
@@ -528,19 +503,12 @@ class ShardingEnv:
         fixed point entirely.
 
         Raises the same stale-token error as :meth:`rollback` when
-        ``token`` has already been rolled back or released: its recorded
+        ``token`` has already been rolled back: its recorded
         ``undo_length`` then indexes a log epoch that no longer exists, and
         slicing from it would silently return writes belonging to other
         checkpoints (or nothing at all) instead of the token's true delta.
         """
-        if token.env is not self:
-            raise ShardingError("checkpoint token belongs to another env")
-        stack = self._checkpoints
-        if (token.stack_index >= len(stack)
-                or stack[token.stack_index] is not token):
-            raise ShardingError(
-                "stale checkpoint token: already rolled back or released"
-            )
+        self._live_index(token)
         # Every logged value was written, so it has an entry.
         shardings = self._shardings
         return [
@@ -549,52 +517,10 @@ class ShardingEnv:
                 value for value, _ in self._undo[token.undo_length:])
         ]
 
-    # -- write journal ------------------------------------------------------
-
-    def enable_journal(self) -> None:
-        """Start journaling every sharding change (including rollbacks).
-
-        The journal is how the undo-log rollout evaluator knows which
-        values moved between two cost evaluations of the *same* mutable
-        env: :meth:`drain_journal` returns the distinct changed values, so
-        the streaming estimator refreshes only the ops adjacent to them.
-        """
-        if self._journal is None:
-            self._journal = []
-            self._journal_from = self._write_serial
-
-    def drain_journal(self) -> List[Value]:
-        """Distinct values mutated since the last drain (order preserved).
-
-        Returns ``[]`` without recording a drain window when the journal
-        is disabled — a disabled journal yields no coverage claim, unlike
-        an enabled-but-empty one (which really does mean "nothing changed
-        since the last drain")."""
-        journal = self._journal
-        if journal is None:
-            return []
-        self._last_drain = (self._journal_from, self._write_serial)
-        self._journal_from = self._write_serial
-        if not journal:
-            return []
-        self._journal = []
-        return list(dict.fromkeys(journal))
-
     @property
     def write_serial(self) -> int:
         """The strictly monotone write counter (rollbacks count as writes)."""
         return self._write_serial
-
-    @property
-    def last_drain_window(self) -> Optional[Tuple[int, int]]:
-        """``(start, end)`` write serials covered by the most recent
-        :meth:`drain_journal`, or None if the journal has never been
-        drained (including: never enabled).  A consumer that synced its
-        state at serial ``s`` may trust a drained change-set iff
-        ``start <= s`` and ``end == write_serial`` — otherwise values
-        changed outside the drained window and the set is not exhaustive.
-        """
-        return self._last_drain
 
     def drain_dirty(self) -> Set[Value]:
         """Return the values written since the last drain and reset the
@@ -612,10 +538,9 @@ class ShardingEnv:
         starts the clone with an empty event log — for the search's
         evaluation env, which never reads the caller's history.
 
-        Clones never inherit undo state: outstanding checkpoints, the undo
-        log and the write journal stay with ``self`` (a clone starts with
-        none of the three), so copying between a checkpoint and its
-        rollback changes nothing."""
+        Clones never inherit undo state: outstanding checkpoints and the
+        undo log stay with ``self`` (a clone starts with neither), so
+        copying between a checkpoint and its rollback changes nothing."""
         clone = ShardingEnv(self.mesh)
         clone._shardings = self._shardings.copy()
         if with_events:

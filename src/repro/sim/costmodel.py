@@ -28,13 +28,37 @@ and append the same live-range records:
   reads and fills, so L identical layers are planned once and a final
   lowering re-plans nothing the search saw.  Per-op segments (an op's
   plan, priced) and whole reconcile-chain costs are memoized on sharding
-  signatures; an
-  evaluation of a mutated env *refreshes* only the ops whose neighborhood
-  changed (O(dirty)) and then *folds* the whole function once, replaying
-  each op's precompiled segment into a :class:`~repro.sim.terms.TermSum`
-  and a :class:`~repro.sim.memory.LiveRangeLog`; loop regions are priced
-  by the same refresh and fold, recursively.  A fresh estimator (or
-  ``changed_values=None``) refreshes every op.  This module emits
+  signatures, so an evaluation is a pure function of the env's current
+  shardings: every call *refreshes* every op — rebuilds its signature
+  and looks its segment up — and then *folds* the whole function once,
+  replaying each op's precompiled segment into a
+  :class:`~repro.sim.terms.TermSum` and a
+  :class:`~repro.sim.memory.LiveRangeLog`; loop regions are priced by the
+  same refresh and fold, recursively.  Segments key on sharding ids, not
+  on an env, so one estimator prices any env of its function and mesh::
+
+      >>> from repro import ManualPartition, ShapeDtype, trace
+      >>> from repro.core import ShardingEnv
+      >>> from repro.sim.devices import TPU_V3
+      >>> from repro.spmd.lower import lower
+      >>> from repro.trace import ops
+      >>> square = ShapeDtype((8, 8))
+      >>> function = trace(lambda x, w: ops.tanh(x @ w), square,
+      ...                  square).function
+      >>> mesh = Mesh({"batch": 2})
+      >>> replicated, tiled = ShardingEnv(mesh), ShardingEnv(mesh)
+      >>> _ = ManualPartition({"0": 0}, axis="batch").apply(function, tiled)
+      >>> estimator = StreamingEstimator(function, mesh, TPU_V3)
+      >>> def exact(env):
+      ...     return (estimator.estimate_incremental(env)
+      ...             == estimate(lower(function, env), TPU_V3))
+      >>> exact(replicated), exact(tiled)
+      (True, True)
+      >>> planned = estimator.ops_planned
+      >>> exact(replicated), estimator.ops_planned == planned  # all hits
+      (True, True)
+
+  This module emits
   nothing, infers no type and fuses nothing: a plan carries its
   operands' fused reconcile chains (decided by
   :meth:`~repro.spmd.lower.Lowerer._reconcile`, shared through the
@@ -52,8 +76,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.sharding import Sharding
 from repro.ir import opdefs
 from repro.ir.function import Function
 from repro.mesh import Mesh
@@ -145,20 +171,92 @@ class _ChainStep:
     terms: tuple
 
 
+class _UnitState:
+    """Per-op state: how to pick the op's signature out of its region's
+    sharding iids, the memo of resolved segments and, for a loop op, its
+    regions."""
+
+    __slots__ = ("op", "is_tag", "pick", "segments", "regions")
+
+    def __init__(self, op, position):
+        self.op = op
+        self.is_tag = op.opcode == "tag"
+        self.regions = tuple(_Region(region) for region in op.regions)
+        #: A loop's lowering reads the whole body (cond included), so its
+        #: segment keys on every subtree value (region ops read only
+        #: values their region defines; pipeline pins land on these too).
+        values = tuple(op.operands) + tuple(op.results) + tuple(
+            value for region in op.regions for value in region.index.values)
+        #: ``pick(iids)`` is the signature: the iids of ``values`` (one
+        #: value's alone for a one-value op), in order.
+        self.pick = operator.itemgetter(*map(position, values))
+        self.segments: Dict[object, tuple] = {}
+
+
+class _Region:
+    """One function the fold prices — the program or a loop region: a unit
+    per op, the values their signatures read and the memos of its boundary
+    segments (parameter records; result reconcile sites)."""
+
+    __slots__ = ("function", "units", "values", "params", "results")
+
+    def __init__(self, function: Function):
+        self.function = function
+        positions: Dict[object, int] = {}
+
+        def position(value) -> int:
+            return positions.setdefault(value, len(positions))
+
+        self.units = [_UnitState(op, position) for op in function.ops]
+        #: Each value with the iid of its replicated default — what an
+        #: env holds for a value it never stored.
+        self.values = tuple(
+            (value, Sharding.replicated(len(value.type.shape))._iid)
+            for value in positions)
+        self.params: Dict[tuple, tuple] = {}
+        self.results: Dict[tuple, tuple] = {}
+
+
 class StreamingEstimator:
     """``lower -> estimate``, priced from lowering *plans* without
     materializing the program.
 
-    Built for one mutable env evaluated thousands of times (the MCTS's):
-    per-op *segments* — the op's lowering plan, priced — are memoized on
-    the interned ids of the op's adjacent shardings while the estimator
-    stays bound to that env, and the device's terms of each reconcile
-    chain for its lifetime, so a state that differs from a seen one only
-    on part of the program re-prices only that part.  A segment miss takes
-    its plan, chains included, from the function's plan table, shared
-    with :func:`lower`.  ``ops_reused`` / ``ops_planned`` count segment
-    hits and misses, ``reconcile_hits`` / ``reconcile_misses`` the chain
-    memo's (plus, per fold, every reconcile site replayed).
+    Built for an env evaluated thousands of times (the MCTS's):
+    :meth:`estimate_incremental` is a pure function of the env's current
+    shardings, memoized per op.  Pricing a lowering spends its time
+    *resolving* — fetching plans, recomputing reconcile targets, pricing
+    chains — so each call splits into:
+
+    * **refresh** (every op): rebuild the op's signature — the interned
+      ids of its adjacent shardings — and look up its *segment*, the op's
+      replay plan (:meth:`_segment`): its operand reconcile sites (with
+      their pending-reduction dedup keys), its pre-split cost terms and
+      the live-range records it appends.  A miss takes the op's plan,
+      chains included, from the function's plan table, shared with
+      :func:`lower`; a hit re-resolves nothing, so a state that differs
+      from a seen one only on part of the program re-prices only that
+      part.
+    * **fold** (every op, in program order): extend a fresh
+      :class:`~repro.sim.terms.TermSum` and
+      :class:`~repro.sim.memory.LiveRangeLog` with each segment.  The term
+      multiset and the record sequence are those of walking the fused
+      lowering, so results are bit-identical.
+
+    Segments key on sharding iids, not on an env, so one estimator prices
+    any env of its function and mesh.  A loop op's segment comes from the
+    same two steps applied to its regions (:meth:`_price`, recursive for
+    nested loops) under the layouts
+    :meth:`~repro.spmd.lower.Lowerer._plan_loop` decides; region ops keep
+    their own per-signature segments, so a loop whose body changed in one
+    place re-resolves one body op.  Cross-op couplings are re-established
+    per fold, exactly as a lowering does per function: pending reductions
+    deduplicate through a fresh seen-map (first materializing site pays;
+    one scope per region), and peak memory comes from the freshly spliced
+    log.
+
+    ``ops_reused`` / ``ops_planned`` count segment hits and misses,
+    ``reconcile_hits`` / ``reconcile_misses`` the chain memo's (plus, per
+    fold, every reconcile site replayed).
     """
 
     def __init__(self, function: Function, mesh: Mesh, device: DeviceSpec):
@@ -172,206 +270,51 @@ class StreamingEstimator:
         #: The function's shared chains (spmd.lower._Chain), priced on
         #: this estimator's device: chain -> its _ChainSteps.
         self._chains: Dict[object, Tuple[_ChainStep, ...]] = {}
-        #: Incremental re-estimation state bound to one mutable env (the
-        #: undo-log rollout evaluator's); see :meth:`estimate_incremental`.
-        self._inc: Optional["_IncrementalEstimate"] = None
-
-    def estimate_incremental(self, env, changed_values=None) -> CostEstimate:
-        """Exact re-estimation of one *mutable* env: O(changed ops) to
-        refresh, one linear fold to sum.
-
-        Built for the undo-log rollout evaluator: the caller owns a single
-        env it extends and retracts in place (``checkpoint``/``rollback``)
-        and passes the env's drained write journal as ``changed_values``.
-        Only ops adjacent to a changed value refresh their cached *segment*
-        (reconcile sites + cost terms + live-range records, keyed by the
-        interned ids of the adjacent shardings); every op's current
-        segment is then replayed, in program order, into one
-        :class:`~repro.sim.terms.TermSum` and one live-range log — which
-        is bit-identical to the materializing ``lower -> estimate``
-        pipeline on every field, whatever the env's history.
-
-        ``changed_values=None`` refreshes every op (always the case on the
-        first call for an env).
-
-        A non-None ``changed_values`` is only trusted when the env's
-        journal actually covers every write since this estimator last
-        synced with the env (checked against the monotone
-        ``env.write_serial`` and the drain window): if the journal was
-        never enabled, was drained by another party mid-search, or the env
-        moved after the drain, units silently missing those writes would
-        keep stale segments — so the call falls back to refreshing every
-        op instead.
-        """
-        inc = self._inc
-        if inc is None or inc.env is not env:
-            inc = self._inc = _IncrementalEstimate(self, env)
-            changed_values = None
-        if changed_values is not None:
-            window = env.last_drain_window
-            if (window is None or window[1] != env.write_serial
-                    or window[0] > inc.synced_serial):
-                changed_values = None
-        result = inc.run(changed_values)
-        inc.synced_serial = env.write_serial
-        return result
-
-
-class _UnitState:
-    """Per-op state: the values whose shardings key the unit's behavior,
-    the memo of resolved segments and, for a loop op, its regions."""
-
-    __slots__ = ("op", "is_tag", "sig_values", "segments", "regions")
-
-    def __init__(self, op):
-        self.op = op
-        self.is_tag = op.opcode == "tag"
-        self.regions = tuple(_Region(region) for region in op.regions)
-        #: A loop's lowering reads the whole body (cond included), so its
-        #: segment keys on — and is invalidated by — every subtree value
-        #: (region ops read only values their region defines; pipeline
-        #: pins land on these too).
-        self.sig_values = tuple(op.operands) + tuple(op.results) + tuple(
-            value for region in op.regions for value in region.index.values)
-        self.segments: Dict[tuple, tuple] = {}
-
-
-class _Region:
-    """One function the fold prices — the program or a loop region: a unit
-    per op, the segment currently in force per unit (in program order —
-    the list the fold iterates; refresh rewrites entries) and the memos of
-    its boundary segments (parameter records; result reconcile sites)."""
-
-    __slots__ = ("function", "units", "current", "params", "results")
-
-    def __init__(self, function: Function):
-        self.function = function
-        self.units = [_UnitState(op) for op in function.ops]
-        self.current: List[Optional[tuple]] = [None] * len(self.units)
-        self.params: Dict[tuple, tuple] = {}
-        self.results: Dict[tuple, tuple] = {}
-
-
-class _IncrementalEstimate:
-    """Segment-cached resolve-and-fold of the estimate for one mutable env.
-
-    Pricing a lowering spends its time *resolving*: rebuilding per-op
-    signature keys, fetching plans, recomputing reconcile targets and
-    pricing chains.  For a single env mutated in place between
-    evaluations, almost none of that changes — so evaluation splits into:
-
-    * **refresh** (dirty ops only): recompute the op's interned-signature
-      key and look up / build its *segment* — the op's replay plan
-      (:meth:`_segment`): its operand reconcile sites (with their
-      pending-reduction dedup keys), its pre-split cost terms and the
-      live-range records it appends.  Segments are memoized per signature,
-      so toggling between explored search branches re-hits old segments
-      instead of re-resolving.
-    * **fold** (every op, in program order): extend a fresh
-      :class:`~repro.sim.terms.TermSum` and
-      :class:`~repro.sim.memory.LiveRangeLog` with each segment.  The term
-      multiset and the record sequence are those of walking the fused
-      lowering, so results are bit-identical.
-
-    A loop op's segment comes from the same two steps applied to its
-    regions (:meth:`_price`, recursive for nested loops) under the layouts
-    :meth:`~repro.spmd.lower.Lowerer._plan_loop` decides; region ops keep
-    their own per-signature segments, so a loop whose body changed in one
-    place re-resolves one body op.
-
-    Cross-op couplings are re-established per fold, exactly as a lowering
-    does per function: pending reductions deduplicate through a fresh
-    seen-map (first materializing site pays; one scope per region), and
-    peak memory comes from the freshly spliced log.
-    """
-
-    def __init__(self, estimator: StreamingEstimator, env):
-        self.estimator = estimator
-        self.env = env
-        self.mesh = estimator.mesh
-        self.device = estimator.device
-        #: Asked for plans only; it never emits.  It reads and fills the
-        #: function's plan table, shared with every lower() of it.
-        self._lowerer = Lowerer(env, estimator.function)
-        self._top = _Region(estimator.function)
-        #: value -> tuple of top-level unit indices to refresh when it
-        #: changes.
-        self._adjacent: Dict[object, tuple] = {}
-        for index, unit in enumerate(self._top.units):
-            for value in unit.sig_values:
-                existing = self._adjacent.get(value, ())
-                if not existing or existing[-1] != index:
-                    self._adjacent[value] = existing + (index,)
-        #: value -> sharding iid its adjacent units' segments reflect.  A
-        #: journaled write whose value is back on the recorded sharding
-        #: (rollback + re-extension along a shared prefix lands most
-        #: values exactly where they were) dirties nothing — the sig
-        #: rebuild over thousands of round-tripped units is the refresh
-        #: loop's dominant cost on deep rollouts.
-        self._seen_iids: Dict[object, int] = {}
+        #: Built on first use: a search replayed from its transposition
+        #: table never prices.
+        self._top: Optional[_Region] = None
         #: Source of the stable uids segments carry (see :meth:`_fold`).
         self._uid = itertools.count()
-        #: Env write serial the segments reflect (see
-        #: :meth:`StreamingEstimator.estimate_incremental`'s coverage gate).
-        self.synced_serial = -1
+        #: The env being priced and a lowerer over it, asked for plans
+        #: only (it never emits; it reads and fills the function's plan
+        #: table, shared with every lower() of it).  Set per call.
+        self._env = None
+        self._lowerer: Optional[Lowerer] = None
+
+    def estimate_incremental(self, env) -> CostEstimate:
+        """Exact estimate of ``env``: one signature lookup per op, one
+        linear fold to sum — bit-identical to the materializing
+        ``lower -> estimate`` pipeline on every field, whatever envs the
+        estimator priced before."""
+        self._env = env
+        self._lowerer = Lowerer(env, self.function)
+        top = self._top
+        if top is None:
+            top = self._top = _Region(self.function)
+        segments = self._refresh(top)
+        boundary = self._boundary(
+            top, [env.sharding(p) for p in top.function.params], None)
+        est, peak, site_hits = self._fold(boundary, segments)
+        est.peak_memory_bytes = peak
+        self.reconcile_hits += site_hits
+        return est
 
     # -- refresh ------------------------------------------------------------
 
-    def run(self, changed_values) -> CostEstimate:
-        sharding = self.env.sharding
-        top = self._top
-        if changed_values is None:
-            dirty = range(len(top.units))
-            self._seen_iids = {
-                value: sharding(value)._iid for value in self._adjacent
-            }
-        else:
-            # Direct probe of the env's store, with sharding() supplying
-            # the replicated default on a miss: this loop touches tens of
-            # thousands of values per evaluation, so the method-call frame
-            # is pure overhead on the hit path.
-            stored_get = self.env._shardings.get
-            dirty = set()
-            adjacent = self._adjacent
-            seen = self._seen_iids
-            for value in changed_values:
-                s = stored_get(value)
-                iid = s._iid if s is not None else sharding(value)._iid
-                if seen.get(value) == iid:
-                    # Round-trip write: the value is back on the sharding
-                    # every adjacent segment already reflects (all of them
-                    # were refreshed when it was recorded), so nothing
-                    # here can have moved.
-                    continue
-                seen[value] = iid
-                dirty.update(adjacent.get(value, ()))
-        self._refresh(top, dirty)
-        boundary = self._boundary(
-            top, [sharding(p) for p in top.function.params], None)
-        est, peak, site_hits = self._fold(boundary, top.current)
-        est.peak_memory_bytes = peak
-        self.estimator.reconcile_hits += site_hits
-        return est
-
-    def _refresh(self, region: _Region, indices) -> None:
-        """Bring ``region.current[i]`` up to the env for each ``i``."""
-        # Inline: this loop runs for every dirty op on every evaluation,
-        # so the common hit path (sig rebuild -> memo get) is kept free of
-        # method-call overhead.  Every env-stored sharding is the canonical
-        # interned instance (set_sharding interns; the replicated default
-        # is interned at construction), hence the direct _iid reads.
-        estimator = self.estimator
-        sharding = self.env.sharding
-        stored_get = self.env._shardings.get
-        units = region.units
-        current = region.current
-        for index in indices:
-            unit = units[index]
-            sig = tuple([
-                s._iid if (s := stored_get(v)) is not None
-                else sharding(v)._iid
-                for v in unit.sig_values
-            ])
+    def _refresh(self, region: _Region) -> List[tuple]:
+        """The segment in force for each of ``region``'s ops, in program
+        order, under the env being priced."""
+        # This runs for every op on every evaluation, so each value is
+        # probed once (a direct probe of the env's store; every stored
+        # sharding is the canonical interned instance, hence the direct
+        # _iid reads) and each op's signature is one C call on the result.
+        stored_get = self._env._shardings.get
+        iids = [s._iid if (s := stored_get(value)) is not None else default
+                for value, default in region.values]
+        segments = []
+        reused = 0
+        for unit in region.units:
+            sig = unit.pick(iids)
             segment = unit.segments.get(sig)
             if segment is None:
                 if unit.regions:
@@ -379,14 +322,16 @@ class _IncrementalEstimate:
                 elif unit.is_tag and sig[0] == sig[1]:
                     # Transparent tag marker: the same skip the lowerer
                     # applies — the result aliases the operand.
-                    segment = ("alias", unit.op.operands[0],
-                               unit.op.results[0])
+                    segment = ("alias", id(unit.op.operands[0]),
+                               id(unit.op.results[0]))
                 else:
                     segment = self._resolve_plain(unit.op)
                 unit.segments[sig] = segment
             else:
-                estimator.ops_reused += 1
-            current[index] = segment
+                reused += 1
+            segments.append(segment)
+        self.ops_reused += reused
+        return segments
 
     # -- fold ---------------------------------------------------------------
 
@@ -395,9 +340,9 @@ class _IncrementalEstimate:
         """``(estimate, peak bytes, parameter bytes)`` of one run of a
         loop region lowered under fixed parameter layouts and result
         targets — the same refresh and fold the program gets."""
-        self._refresh(region, range(len(region.units)))
+        segments = self._refresh(region)
         boundary = self._boundary(region, param_shardings, result_targets)
-        est, peak, _ = self._fold(boundary, region.current)
+        est, peak, _ = self._fold(boundary, segments)
         return est, peak, sum(nbytes for _, nbytes in boundary[0][0])
 
     def _fold(self, boundary: tuple,
@@ -412,23 +357,22 @@ class _IncrementalEstimate:
         sparse uids are safe: :meth:`LiveRangeLog.peak_bytes` keys every
         table by uid and never assumes density, and record *order* (which
         the peak walk does depend on) is byte-for-byte that of the fused
-        lowering's op list.
+        lowering's op list.  Segments name IR values by ``id()`` (values
+        live as long as the function; an int hashes in C, a
+        :class:`~repro.ir.values.Value` through its Python ``__hash__``).
         """
         acc = TermSum()
         add_parts = acc.extend
         log = LiveRangeLog()
         ops_append = log._ops.append
         ops_extend = log._ops.extend
-        value_uids: Dict[object, int] = {}
-        uid_get = value_uids.__getitem__
+        value_uids: Dict[int, int] = {}
         reduce_seen: Dict[tuple, int] = {}
         site_hits = 0
 
         def replay_site(site) -> int:
+            """Replay a reconcile site that has a chain; its export."""
             value, reduce_key, chain = site
-            if chain is None:
-                # In-layout operand: the producer's export is the handle.
-                return value_uids[value]
             if reduce_key is not None:
                 cached = reduce_seen.get(reduce_key)
                 if cached is not None:
@@ -449,30 +393,28 @@ class _IncrementalEstimate:
         log._params.extend(pairs)
         value_uids.update(items)
         for segment in segments:
-            kind = segment[0]
-            if kind == "op0":
-                # All operands already in layout, nothing chained after.
-                _, values, defs, alias, parts, result_items = segment
-                site_hits += len(values)
-                ops_append((tuple(map(uid_get, values)), defs, alias, 0))
-            elif kind == "op":
-                (_, op_sites, defs, alias, extra, parts, tail_records,
-                 result_items) = segment
-                site_hits += len(op_sites)
-                operand_uids = tuple([replay_site(s) for s in op_sites])
-                ops_append((operand_uids, defs, alias, extra))
-                if tail_records:
-                    ops_extend(tail_records)
-            else:
+            if segment[0] == "alias":
                 # Transparent tag marker: no cost, no live-range record.
                 value_uids[segment[2]] = value_uids[segment[1]]
                 continue
+            (_, op_sites, defs, alias, extra, parts, tail_records,
+             result_items) = segment
+            site_hits += len(op_sites)
+            # An in-layout operand (no chain): the producer's export is
+            # the handle.
+            operand_uids = tuple([
+                value_uids[s[0]] if s[2] is None else replay_site(s)
+                for s in op_sites])
+            ops_append((operand_uids, defs, alias, extra))
+            if tail_records:
+                ops_extend(tail_records)
             if parts:
                 add_parts(parts)
             for result, uid in result_items:
                 value_uids[result] = uid
         site_hits += len(sites)
-        result_uids = [replay_site(s) for s in sites]
+        result_uids = [value_uids[s[0]] if s[2] is None else replay_site(s)
+                       for s in sites]
         return acc.total(), log.peak_bytes(result_uids), site_hits
 
     def _boundary(self, region: _Region, param_shardings,
@@ -493,9 +435,9 @@ class _IncrementalEstimate:
                     for p, s, uid
                     in zip(function.params, param_shardings, uids)
                 ),
-                tuple(zip(function.params, uids)),
+                tuple(zip(map(id, function.params), uids)),
             )
-        sharding = self.env.sharding
+        sharding = self._env.sharding
         actuals = [sharding(r) for r in function.results]
         key = (tuple([s._iid for s in actuals]),
                None if result_targets is None
@@ -533,8 +475,7 @@ class _IncrementalEstimate:
         function instantiates), by the reference's
         :func:`~repro.sim.terms.collective_terms` (every step is a
         collective)."""
-        estimator = self.estimator
-        steps = estimator._chains.get(chain)
+        steps = self._chains.get(chain)
         if steps is None:
             priced = []
             nbytes = chain.source.nbytes
@@ -543,25 +484,25 @@ class _IncrementalEstimate:
                     opcode, attrs, nbytes, result_type.nbytes, self.mesh,
                     self.device)))
                 nbytes = result_type.nbytes
-            steps = estimator._chains[chain] = tuple(priced)
-            estimator.reconcile_misses += 1
+            steps = self._chains[chain] = tuple(priced)
+            self.reconcile_misses += 1
         else:
-            estimator.reconcile_hits += 1
+            self.reconcile_hits += 1
         return steps
 
     def _resolve_site(self, value, chain):
         """One operand-reconciliation site — ``value`` through ``chain``
-        — as its replay plan ``(value, pending-reduction dedup key or
+        — as its replay plan ``(id(value), pending-reduction dedup key or
         None, chain)``: ``chain`` is None for an in-layout operand, else
         the pre-built first-hop def, the static records past it, the
         chain's pre-split cost terms and its final (export) uid."""
         if chain is None:
-            return (value, None, None)
+            return (id(value), None, None)
         steps = self._priced(chain)
         # Same dedup contract as the lowerer's reduce cache: a pending
         # reduction of one value to one layout is materialized once per
         # function (one reduce_scatter per gradient).
-        reduce_key = ((value, chain.reduced, chain.required)
+        reduce_key = ((id(value), chain.reduced, chain.required)
                       if chain.reduced else None)
         records = []
         prev = -1
@@ -570,7 +511,7 @@ class _IncrementalEstimate:
             records.append(((prev,), ((uid, step.nbytes),), False, 0))
             prev = uid
         parts = split_terms(term for step in steps for term in step.terms)
-        return (value, reduce_key,
+        return (id(value), reduce_key,
                 (records[0][1], tuple(records[1:]), parts, prev))
 
     def _segment(self, sites, terms, def_nbytes, results, alias: bool,
@@ -591,21 +532,12 @@ class _IncrementalEstimate:
                 tail_records.append(
                     ((exports[index],), ((uid, nbytes),), False, 0))
                 exports[index] = uid
-        result_items = tuple(zip(results, exports))
-        if not tails and not extra and all(
-                chain is None and reduce_key is None
-                for _, reduce_key, chain in sites):
-            # Fast-replay form for the overwhelmingly common op: every
-            # operand already in the required layout (identity reconciles)
-            # — the fold needs only uid bookkeeping.
-            return ("op0", tuple(site[0] for site in sites), defs, alias,
-                    parts, result_items)
         return ("op", tuple(sites), defs, alias, extra, parts,
-                tuple(tail_records), result_items)
+                tuple(tail_records), tuple(zip(map(id, results), exports)))
 
     def _resolve_plain(self, op) -> tuple:
         plan = self._lowerer._plan_op(op)
-        self.estimator.ops_planned += 1
+        self.ops_planned += 1
         sites = tuple(self._resolve_site(operand, chain)
                       for operand, chain in zip(op.operands, plan.chains))
         terms = list(compute_terms(plan.flops, self.device))

@@ -7,9 +7,9 @@ tactics, search actions (the search's candidate tuples, pipeline splits
 included) and rollbacks to a random depth of its checkpoint stack.  Every
 ``STRIDE``-th step and the last (every step on seed 0) it asserts:
 
-1. the long-lived ``StreamingEstimator``, fed the env's write journal, is
-   field-exact against the materializing ``lower -> estimate``
-   reference (``oracle.reference_estimate``);
+1. the long-lived ``StreamingEstimator`` (memoized across every state
+   of the trajectory) is field-exact against the materializing
+   ``lower -> estimate`` reference (``oracle.reference_estimate``);
 2. an ``Evaluator`` driven through the same trajectory's search-action
    sets (shared, extended and abandoned prefixes) computes exactly
    ``oracle.reference_cost`` for each;
@@ -185,7 +185,7 @@ def _fused_sequence(function, env):
 def _check(family, env, estimator, evaluator, steps, context):
     function = FAMILIES[family].function
     memo = _REFERENCES[family]
-    fast = estimator.estimate_incremental(env, env.drain_journal())
+    fast = estimator.estimate_incremental(env)
     want = reference_estimate(function, env, DEVICE, memo)
     assert_estimates_identical(fast, want, context)
     assert dataclasses.asdict(fast) == dataclasses.asdict(want), context
@@ -211,7 +211,6 @@ def run_chain(family: str, seed: int) -> None:
     rng.shuffle(pool)
     stride = 1 if seed == 0 else STRIDE
     env = ShardingEnv(MESH)
-    env.enable_journal()
     estimator = costmodel.StreamingEstimator(function, MESH, DEVICE)
     evaluator = Evaluator(function, ShardingEnv(MESH), DEVICE)
     live = []  # (checkpoint token, step), oldest first

@@ -1,7 +1,7 @@
-"""The search's journal-driven estimate vs the materializing reference.
+"""The search's memoized estimate vs the materializing reference.
 
 The chains that check it live in ``test_chains.py``: one long-lived
-``StreamingEstimator`` fed the env's write journal through rollback-heavy
+``StreamingEstimator`` pricing one env through rollback-heavy
 trajectories, field-exact against ``oracle.reference_estimate`` at every
 checked step, and a fresh estimator equal to it at the end.  The ids
 below are entry points into those chains: each runs the chain of its

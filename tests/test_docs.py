@@ -3,10 +3,13 @@
 The public-API docstrings carry runnable examples (``partir_jit``,
 ``Tactic``, ``AutomaticPartition``, ``mcts_search``, ``SearchResult``,
 ``decode_action``, ``canonicalize``, the plan table and the fused
-emission of ``repro.spmd.lower``, ``Function.index``, the plan store's LRU and its ``exact``/``relaxed``
-label); this module runs them the same way the CI docs job does
-(``python -m doctest``), and checks that every relative link and repo
-path mentioned in ``README.md`` / ``docs/ARCHITECTURE.md`` exists.
+emission of ``repro.spmd.lower``, ``Function.index``, the plan store's
+LRU and its ``exact``/``relaxed`` label, the streaming estimator pricing
+two envs bit-equal to ``lower -> estimate``, the fault plan, the
+pipeline tactic and the cost terms); this module runs them the same way
+the CI docs job does (``python -m doctest``), and checks that every
+relative link and repo path mentioned in ``README.md`` /
+``docs/ARCHITECTURE.md`` exists.
 """
 
 import doctest
@@ -18,19 +21,28 @@ import sys
 import pytest
 
 import repro.api
+import repro.auto.faults
 import repro.auto.fingerprint
 import repro.auto.planstore
 import repro.auto.search
 import repro.core.actions
+import repro.core.pipeline
 import repro.ir.function
+import repro.models.pipeline
+import repro.sim.costmodel
+import repro.sim.memory
+import repro.sim.terms
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The documented modules the CI docs job doctests.  (``repro.spmd.lower``
 #: by import: the package re-exports the ``lower`` function under the
 #: module's name.)
-DOCTESTED_MODULES = [repro.api, repro.auto.fingerprint, repro.auto.planstore,
-                     repro.auto.search, repro.core.actions, repro.ir.function,
+DOCTESTED_MODULES = [repro.api, repro.auto.faults, repro.auto.fingerprint,
+                     repro.auto.planstore, repro.auto.search,
+                     repro.core.actions, repro.core.pipeline,
+                     repro.ir.function, repro.models.pipeline,
+                     repro.sim.costmodel, repro.sim.memory, repro.sim.terms,
                      importlib.import_module("repro.spmd.lower")]
 
 

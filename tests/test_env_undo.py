@@ -6,7 +6,7 @@ across arbitrary interleavings of actions, propagation fixed points and
 nested checkpoints.  The property tests here drive ≥50 seeded tactic
 chains over transformer/GNS/UNet traces, comparing every rollback against
 a ``copy()``-based reference fork; further tests pin nested unwinding,
-token discipline, dirty tracking, the write journal, and the interning
+token discipline, dirty tracking and the interning
 invariant ("one live object per signature") under concurrent readers.
 """
 
@@ -138,39 +138,6 @@ def test_stale_and_foreign_tokens_are_rejected():
         env.rollback(foreign)
 
 
-def test_release_inside_outer_checkpoint_keeps_outer_rollback_exact():
-    """Releasing an inner checkpoint must not strip the undo entries an
-    outstanding outer checkpoint still needs: the outer rollback restores
-    writes made under the released scope too."""
-    builder = FunctionBuilder("nested_release")
-    a = builder.param((8, 8), name="a")
-    b = builder.param((8, 8), name="b")
-    env = ShardingEnv(MESH)
-    outer = env.checkpoint()
-    env.set_sharding(a, Sharding.replicated(2).with_tile(0, "batch"))
-    inner = env.checkpoint()
-    env.set_sharding(b, Sharding.replicated(2).with_tile(1, "model"))
-    env.release(inner)  # commit the inner scope...
-    env.rollback(outer)  # ...but the outer rollback still undoes B
-    assert env.sharding(a).is_fully_replicated()
-    assert env.sharding(b).is_fully_replicated()
-    assert not env.drain_dirty()
-    assert env.checkpoint_depth == 0
-
-
-def test_release_keeps_writes_and_discards_log():
-    builder = FunctionBuilder("release")
-    value = builder.param((8, 8), name="v")
-    env = ShardingEnv(MESH)
-    token = env.checkpoint()
-    env.set_sharding(value, Sharding.replicated(2).with_tile(0, "batch"))
-    env.release(token)
-    assert env.sharding(value).dim_axes == (("batch",), ())
-    assert env.checkpoint_depth == 0
-    with pytest.raises(ShardingError):
-        env.rollback(token)
-
-
 def test_rollback_after_interleaved_copy():
     """copy() freezing the delta between checkpoint and rollback must not
     break restoration (restore shadows the frozen bases)."""
@@ -212,19 +179,6 @@ def test_writes_since_replays_to_identical_state():
     env.drain_dirty()
     assert _env_state(env, values) == after
     env.rollback(replay_token)
-
-
-def test_journal_reports_rollback_restorations_too():
-    builder = FunctionBuilder("journal")
-    value = builder.param((8, 8), name="v")
-    env = ShardingEnv(MESH)
-    env.enable_journal()
-    token = env.checkpoint()
-    env.set_sharding(value, Sharding.replicated(2).with_tile(0, "batch"))
-    assert env.drain_journal() == [value]
-    env.rollback(token)
-    assert env.drain_journal() == [value]  # the restoration is a change too
-    assert env.drain_journal() == []
 
 
 def test_dirty_set_seeds_propagation_and_is_drained_by_it():
@@ -332,14 +286,13 @@ def test_pickled_shardings_drop_process_local_caches():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_checkpoint_release_rollback_interleaving_property(seed):
-    """Random write/checkpoint/rollback/release interleavings against
-    shadow ``copy()`` snapshots: a rollback restores shardings bit-exactly
-    and a release keeps them, whatever was nested inside; every consumed
-    token — rolled back, released, or swallowed by an outer rollback or a
-    non-innermost release — raises the documented LIFO error from
-    ``rollback``, ``release`` *and* ``writes_since`` (a stale token's
-    recorded undo offset indexes a log epoch that no longer exists, so
-    slicing from it would silently return the wrong delta)."""
+    """Random write/checkpoint/rollback interleavings against shadow
+    ``copy()`` snapshots: a rollback restores shardings bit-exactly,
+    whatever was nested inside; every consumed token — rolled back or
+    swallowed by an outer rollback — raises the documented LIFO error from
+    ``rollback`` *and* ``writes_since`` (a stale token's recorded undo
+    offset indexes a log epoch that no longer exists, so slicing from it
+    would silently return the wrong delta)."""
     builder = FunctionBuilder("interleave_prop")
     params = [builder.param((8, 8), name=f"p{i}") for i in range(6)]
     env = ShardingEnv(MESH)
@@ -359,7 +312,7 @@ def test_checkpoint_release_rollback_interleaving_property(seed):
             env.set_sharding(rng.choice(params), rng.choice(pool))
         elif roll < 0.65 or not live:
             live.append((env.checkpoint(), env.copy(with_events=False)))
-        elif roll < 0.85:
+        else:
             index = rng.randrange(len(live))  # any depth, not just innermost
             token, shadow = live[index]
             env.writes_since(token)  # live tokens always have a delta view
@@ -368,23 +321,13 @@ def test_checkpoint_release_rollback_interleaving_property(seed):
             del live[index:]
             assert [env.sharding(p) for p in params] == \
                 [shadow.sharding(p) for p in params]
-        else:
-            index = rng.randrange(len(live))
-            token, _ = live[index]
-            before = [env.sharding(p) for p in params]
-            env.release(token)  # non-innermost: swallows nested tokens too
-            consumed.extend(t for t, _ in live[index:])
-            del live[index:]
-            assert [env.sharding(p) for p in params] == before
         assert env.checkpoint_depth == len(live)
         for stale in consumed:
             with pytest.raises(ShardingError):
                 env.rollback(stale)
             with pytest.raises(ShardingError):
-                env.release(stale)
-            with pytest.raises(ShardingError):
                 env.writes_since(stale)
-    # Outer tokens that survived every inner release/rollback still
+    # Outer tokens that survived every inner rollback still
     # restore the exact state their checkpoint captured.
     while live:
         token, shadow = live.pop(0)

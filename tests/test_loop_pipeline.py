@@ -136,16 +136,15 @@ def trace_shared_pending_sum():
 
 
 def priced_like_reference(fn, mesh, tactics):
-    """Apply ``tactics`` one by one; after each, the journal-driven
-    estimate of a long-lived estimator and a fresh estimator's both equal
-    the materializing reference on every field.  Returns the final env."""
+    """Apply ``tactics`` one by one; after each, the estimate of a
+    long-lived estimator and a fresh estimator's both equal the
+    materializing reference on every field.  Returns the final env."""
     env = ShardingEnv(mesh)
     propagate(fn, env)
-    env.enable_journal()
-    journaled = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
+    long_lived = costmodel.StreamingEstimator(fn, mesh, TPU_V3)
     for tactic in tactics:
         tactic.apply(fn, env)
-        fast = journaled.estimate_incremental(env, env.drain_journal())
+        fast = long_lived.estimate_incremental(env)
         fresh = costmodel.StreamingEstimator(
             fn, mesh, TPU_V3).estimate_incremental(env)
         full = reference_estimate(fn, env, TPU_V3)
@@ -395,7 +394,7 @@ class TestRegionFold:
     """Loop regions are priced by the program's own refresh-and-fold,
     recursively: a reconcile inside a cond region, a pending reduction
     deduplicated within (and only within) a pipelined body, and a loop
-    nested in a loop body — each journal-driven *and* from a fresh
+    nested in a loop body — each from a long-lived *and* from a fresh
     estimator, bit-identical to the materializing reference after every
     tactic, and executing to the interpreter's numerics."""
 

@@ -239,6 +239,50 @@ class TestPlanServing:
         assert stats["store"]["entries"] == 0
 
 
+class TestServerBounds:
+    """The bounds every daemon runs with (``max_connections`` 64,
+    ``idle_timeout_s`` 300 s by default), exercised on a bare
+    ``RpcServer``."""
+
+    def test_excess_connection_is_closed_at_accept(self):
+        server = rpc.RpcServer(lambda: (lambda message: "pong"),
+                               max_connections=1)
+        server.start()
+        try:
+            with rpc.connect(server.address, timeout=5.0) as first:
+                assert first.request({"kind": "ping"}) == "pong"
+                with rpc.connect(server.address, timeout=5.0) as second:
+                    with pytest.raises((ConnectionError, OSError,
+                                        EOFError)):
+                        second.request({"kind": "ping"})
+                assert server.connections_rejected == 1
+                # The admitted client is unaffected.
+                assert first.request({"kind": "ping"}) == "pong"
+        finally:
+            server.stop()
+
+    def test_silent_connection_is_reaped_and_its_handler_closed(self):
+        closed = threading.Event()
+
+        class Handler:
+            def __call__(self, message):
+                return "pong"
+
+            def close(self):
+                closed.set()
+
+        server = rpc.RpcServer(Handler, idle_timeout_s=0.2)
+        server.start()
+        try:
+            with rpc.connect(server.address, timeout=5.0) as silent:
+                assert closed.wait(timeout=5.0)
+                assert server.connections_reaped == 1
+                with pytest.raises((ConnectionError, OSError, EOFError)):
+                    silent.request({"kind": "ping"})
+        finally:
+            server.stop()
+
+
 class TestInFlightDedup:
     def test_concurrent_identical_requests_search_once(self):
         """The acceptance criterion: N concurrent identical requests

@@ -149,7 +149,6 @@ def test_loop_pipeline_partitioned_equals_unpartitioned(program, seed):
     function, tiles, pipeline = program
     mesh = Mesh({"a": 2, "b": 2})
     env = ShardingEnv(mesh)
-    env.enable_journal()
     differential = costmodel.StreamingEstimator(function, mesh, TPU_V3)
     if pipeline is not None:
         axis, schedule = pipeline
@@ -163,7 +162,7 @@ def test_loop_pipeline_partitioned_equals_unpartitioned(program, seed):
             continue
         propagate(function, env)
     propagate(function, env)
-    fast = differential.estimate_incremental(env, env.drain_journal())
+    fast = differential.estimate_incremental(env)
     lowered = lower(function, env)
     materialized = costmodel.estimate(lowered, TPU_V3)
     assert_estimates_identical(fast, materialized)

@@ -1,7 +1,7 @@
 """The search's one evaluation path vs the from-scratch reference.
 
 ``Evaluator`` (one mutable env + checkpoint/rollback + propagation-delta
-replay + journal-driven differential re-estimation) must price every
+replay + the signature-memoized streaming estimator) must price every
 canonical action set bit-identically to ``oracle.reference_cost``.  The
 reference comparisons live in ``test_chains.py`` (over rollback-heavy
 trajectories on every model family, over every key a fixed-seed search
@@ -10,18 +10,14 @@ entry points, each running the check that covers it once per session.
 The evaluator's and estimator's own mechanisms are tested here directly.
 """
 
-import dataclasses
 import functools
 
 import pytest
 
-from oracle import reference_estimate
-from repro.auto.evaluator import Evaluator, candidate_actions, \
-    try_apply_action
-from repro.core.propagate import propagate
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.core.sharding import ShardingEnv
 from repro.models import transformer
-from repro.sim import TPU_V3, costmodel
+from repro.sim import TPU_V3
 from test_chains import MESH, SEEDS, check_backend, check_search_table, \
     run_chain
 
@@ -53,65 +49,6 @@ def test_undo_identical_across_backends(backend):
 @pytest.mark.parametrize("case", CASES)
 def test_incremental_estimate_field_exact(case):
     run_chain(case, 1 % len(SEEDS))
-
-
-def test_incremental_falls_back_on_unreliable_journal():
-    """``estimate_incremental`` must not trust ``changed_values`` the
-    write journal cannot vouch for: a disabled journal, a third-party
-    drain mid-search, or rollback restorations the caller never drained
-    all force the exact full pass instead of silently reusing stale
-    segments."""
-    function = _transformer()
-    env = ShardingEnv(MESH)
-    inc = costmodel.StreamingEstimator(function, MESH, TPU_V3)
-    candidates = candidate_actions(function, env, ["batch", "model"], 8)
-    assert len(candidates) >= 4
-
-    def apply(index):
-        try_apply_action(function, env, candidates[index])
-        propagate(function, env)
-
-    def check(fast):
-        assert dataclasses.asdict(fast) == dataclasses.asdict(
-            reference_estimate(function, env, TPU_V3))
-
-    # Journal disabled: an (empty) changed-values claim is unverifiable,
-    # so it must not mask the writes that happened since the last run.
-    baseline = inc.estimate_incremental(env, None)
-    apply(0)
-    fast = inc.estimate_incremental(env, [])
-    check(fast)
-    assert dataclasses.asdict(fast) != dataclasses.asdict(baseline)
-
-    # In-protocol fast path: enabled journal, caller passes its own
-    # fresh drain — trusted, and exact.
-    env.enable_journal()
-    token = env.checkpoint()
-    apply(1)
-    check(inc.estimate_incremental(env, env.drain_journal()))
-
-    # Third-party drain mid-search: someone else consumes the journal, so
-    # the caller's next drain misses that window entirely.
-    apply(2)
-    stolen = env.drain_journal()
-    assert stolen
-    apply(3)
-    partial = env.drain_journal()  # covers candidates[3] only
-    check(inc.estimate_incremental(env, partial))
-
-    # ... and an *empty* post-theft drain is just as untrustworthy: the
-    # stolen window held real writes the caller never saw.
-    apply(len(candidates) - 1)
-    stolen = env.drain_journal()
-    assert stolen
-    check(inc.estimate_incremental(env, env.drain_journal()))
-
-    # Rollback restorations hidden by a third-party drain: the caller
-    # drains after the theft, sees nothing, and must still get the
-    # rolled-back state's exact estimate.
-    env.rollback(token)
-    assert env.drain_journal()  # third party consumes the restorations
-    check(inc.estimate_incremental(env, env.drain_journal()))
 
 
 def test_undo_evaluator_reuses_propagation_deltas():

@@ -273,16 +273,18 @@ class TestCanonicalWaveOrder:
         prefix_reuse_ratio=2 / 33, waves=24)
     #: ``reconcile_chain_hits`` counts priced-chain memo hits and replayed
     #: sites; an in-layout operand (a plan's ``None`` chain) is never
-    #: looked up in the memo.
+    #: looked up in the memo.  ``estimate_ops_reused`` counts every segment
+    #: served from the estimator's memo: every evaluation looks up every
+    #: op (71 and 64 when only ops next to a moved value were looked up).
     PARENT = {
         "serial": dict(
-            PARENT, estimate_ops_reused=71, reconcile_chain_hits=181,
+            PARENT, estimate_ops_reused=96, reconcile_chain_hits=181,
             propagate_calls=51, ops_processed=534),
         # One worker, waves of one: every evaluation happens in the worker
         # and every one of its counter deltas is folded into the counter
         # it is a delta of.
         "process": dict(
-            PARENT, estimate_ops_reused=64, reconcile_chain_hits=181,
+            PARENT, estimate_ops_reused=88, reconcile_chain_hits=181,
             propagate_calls=52, ops_processed=549),
     }
 

@@ -128,6 +128,18 @@ class TestBadOptionsFailAtConstruction:
         with pytest.raises(ValueError):
             AutomaticPartition(["d"], **keywords)
 
+    @pytest.mark.parametrize("name, zero", [
+        ("workers", 0), ("wave_size", 0), ("rpc_timeout_s", 0.0)])
+    def test_zero_execution_option_raises_naming_it(self, name, zero):
+        """Zero workers, an empty wave or a zero deadline is rejected, not
+        read as the default (nor, for the deadline, as a non-blocking
+        socket); ``None`` keeps meaning the default, and a restart budget
+        of zero stays legal."""
+        with pytest.raises(ValueError, match=name):
+            SearchConfig(**{name: zero})
+        assert getattr(SearchConfig(**{name: None}), name) is None
+        assert SearchConfig(restart_budget=0).restart_budget == 0
+
     def test_retired_action_space_is_an_unknown_option(self):
         """One action vocabulary: naming the deleted option is the usual
         unknown-option error, wherever it is passed.  So is the retired
