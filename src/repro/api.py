@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -248,11 +248,12 @@ class AutomaticPartition(Tactic):
 
     ``options`` holds :class:`repro.auto.SearchConfig` fields — what each
     one means is documented there, once — plus an optional ``"device"`` to
-    price on (default: the ``partir_jit`` call's); ``search_backend`` (the
-    ``backend`` field) and ``cache_dir`` are shorthands for those two.
-    All of it is validated here, at construction: a
-    misspelled or ill-typed option raises ``TypeError`` / ``ValueError``
-    naming the valid fields instead of silently searching with a default.
+    price on; ``search_backend`` (the ``backend`` field) and ``cache_dir``
+    are shorthands for those two.  All of it is validated here, at
+    construction: a misspelled or ill-typed option raises ``TypeError`` /
+    ``ValueError`` naming the valid fields instead of silently searching
+    with a default.  ``partir_jit`` passes its ``device`` and
+    ``plan_server`` to :meth:`apply` (``options`` win; nothing is written).
 
     Candidate shardings are scored through the streaming cost evaluator
     (``lower + estimate`` fused into one pass that never materializes
@@ -283,25 +284,31 @@ class AutomaticPartition(Tactic):
                  cache_dir: Optional[str] = None):
         # A repeated axis names no new action: ["b", "b"] searches ["b"].
         self.axes = list(dict.fromkeys(axes))
-        self.options = dict(options or {})
         shorthands = {"backend": search_backend, "cache_dir": cache_dir}
-        self.options.update(
-            (key, value) for key, value in shorthands.items()
-            if value is not None)
+        self.options = {**(options or {}), **{
+            key: value for key, value in shorthands.items()
+            if value is not None}}
         self._search_arguments()  # fail on a bad option now, not mid-schedule
         self.name = f"auto<{','.join(self.axes)}>"
         #: The SearchResult of the most recent apply() (None before).
         self.last_search = None
 
-    def _search_arguments(self) -> Dict[str, Any]:
-        """``options`` as validated ``run_automatic_partition`` keywords."""
+    def _search_arguments(self, device: DeviceSpec = TPU_V3,
+                          plan_server: Optional[str] = None
+                          ) -> Dict[str, Any]:
+        """``options`` over ``device`` / ``plan_server``, as validated
+        ``run_automatic_partition`` keywords."""
         from repro.auto.search import SearchConfig
 
         fields = dict(self.options)
-        device = fields.pop("device", TPU_V3)
+        device = fields.pop("device", device)
+        if plan_server is not None:
+            fields.setdefault("plan_server", plan_server)
         return {"device": device, "config": SearchConfig.of(**fields)}
 
-    def apply(self, function: Function, env: ShardingEnv) -> int:
+    def apply(self, function: Function, env: ShardingEnv,
+              device: DeviceSpec = TPU_V3,
+              plan_server: Optional[str] = None) -> int:
         """Search, then replay the winner with one propagation per action
         (the search scores plans that way, so they cannot be issued as one
         batch)."""
@@ -310,7 +317,7 @@ class AutomaticPartition(Tactic):
         results: list = []
         applied = run_automatic_partition(
             function, env, self.axes, result_sink=results,
-            **self._search_arguments()
+            **self._search_arguments(device, plan_server)
         )
         self.last_search = results[-1] if results else None
         return applied
@@ -391,7 +398,7 @@ def partir_jit(
     ``"device"`` option.
 
     ``plan_server="host:port"`` points every :class:`AutomaticPartition`
-    in the schedule (that does not already pin its own) at a
+    in the schedule (that does not pin its own) at a
     :mod:`repro.auto.server` daemon: searches are answered from the
     shared plan store when possible and fall back to local search when
     the server is unreachable.  A per-address circuit breaker
@@ -404,20 +411,6 @@ def partir_jit(
     env = ShardingEnv(mesh)
     reports: List[TacticReport] = []
     seen_conflicts = set()
-
-    # Every AutomaticPartition searches on this call's device (so the
-    # search prices candidates the way the final estimate prices the plan)
-    # and asks this call's plan server, unless it pins its own.
-    call_scoped = {"device": device}
-    if plan_server is not None:
-        call_scoped["plan_server"] = plan_server
-    injected: List[Tuple[AutomaticPartition, str]] = []
-    for tactic in schedule:
-        if isinstance(tactic, AutomaticPartition):
-            for name, value in call_scoped.items():
-                if name not in tactic.options:
-                    tactic.options[name] = value
-                    injected.append((tactic, name))
 
     def new_conflicts() -> List[str]:
         fresh = []
@@ -438,29 +431,28 @@ def partir_jit(
 
     start = time.perf_counter()
     snapshot = lower_time = snapshot_serial = None
-    try:
-        for tactic in schedule:
+    for tactic in schedule:
+        if isinstance(tactic, AutomaticPartition):
+            # Price candidates the way the final estimate prices the plan.
+            applied = tactic.apply(function, env, device=device,
+                                   plan_server=plan_server)
+        else:
             applied = tactic.apply(function, env)
-            report_estimate = None
-            counts = CollectiveCounts()
-            if estimate_per_tactic:
-                snapshot, lower_time, snapshot_serial = timed_lower()
-                counts = count_collectives(snapshot.function)
-                report_estimate = costmodel.estimate(snapshot, device)
-            reports.append(
-                TacticReport(
-                    tactic=tactic.name,
-                    counts=counts,
-                    estimate=report_estimate,
-                    conflicts=new_conflicts(),
-                    actions=applied,
-                )
+        report_estimate = None
+        counts = CollectiveCounts()
+        if estimate_per_tactic:
+            snapshot, lower_time, snapshot_serial = timed_lower()
+            counts = count_collectives(snapshot.function)
+            report_estimate = costmodel.estimate(snapshot, device)
+        reports.append(
+            TacticReport(
+                tactic=tactic.name,
+                counts=counts,
+                estimate=report_estimate,
+                conflicts=new_conflicts(),
+                actions=applied,
             )
-    finally:
-        # The injection is call-scoped: a tactic object reused in a later
-        # schedule must not remember this call's device or server.
-        for tactic, name in injected:
-            tactic.options.pop(name, None)
+        )
     partition_time = time.perf_counter() - start
 
     # The last tactic's snapshot is the final lowering unless the env has

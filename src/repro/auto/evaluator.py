@@ -1,5 +1,10 @@
-"""Scoring canonical action sets: the undo-log env + memoized streaming
-estimator pipeline.
+"""Scoring canonical action sets (the undo-log env + memoized streaming
+estimator pipeline) and enumerating the candidates they are drawn from.
+
+What an action kind means and how one is applied lives in
+:mod:`repro.core.actions` (:func:`~repro.core.actions.try_apply_action`);
+this module enumerates the legal actions (:func:`candidate_actions`) and
+scores sets of them.
 
 The evaluator is the purity boundary the whole search subsystem leans on:
 ``evaluate(actions)`` is a pure function of the canonical action set (given
@@ -42,14 +47,17 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import actions as actions_mod
 from repro.core import pipeline as pipeline_mod
 from repro.core.actions import (
     PIPELINE,
     SUM_TAGGED,
     TILE_INPUT,
     TILE_TAGGED,
+    ActionTuple,
+    reduce_factors,
+    sum_tagged_legal,
     tile_legal,
+    try_apply_action,
 )
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
@@ -67,7 +75,7 @@ def candidate_actions(function: Function, env: ShardingEnv,
                       max_inputs: int = 48,
                       max_tag_points: int = 16,
                       truncation: Optional[Dict[str, int]] = None
-                      ) -> List[Tuple[int, int, int, str]]:
+                      ) -> List[ActionTuple]:
     """Enumerate the legal actions of the search's one action space.
 
     Actions are uniform wire tuples ``(kind, index, dim, axis)`` — see the
@@ -82,8 +90,8 @@ def candidate_actions(function: Function, env: ShardingEnv,
     2. **Tag-point actions**: tag points
        by ``(tagged-value nbytes descending, tag-point index ascending)``,
        capped at ``max_tag_points``; per point by ``(axis in the caller's
-       given order)``, within an axis first ``TileTagged`` with dim
-       ascending, then ``SumTagged`` with reduce-factor index ascending.
+       given order)``, within an axis first ``TILE_TAGGED`` with dim
+       ascending, then ``SUM_TAGGED`` with reduce-factor index ascending.
        Tag points sharing one underlying value (e.g. a manual
        ``ops.tag`` stacked over the tracer's auto tag — same ``root``)
        are enumerated once, at the smallest tag-point index: the
@@ -151,10 +159,9 @@ def candidate_actions(function: Function, env: ShardingEnv,
                 if tile_legal(env, point.value, dim, axis):
                     actions.append((TILE_TAGGED, point.index, dim, axis))
             if point.source is not None:
-                factors = actions_mod.reduce_factors(point.source)
+                factors = reduce_factors(point.source)
                 for f, factor in enumerate(factors):
-                    if actions_mod.sum_tagged_legal(env, point.source,
-                                                    factor, axis):
+                    if sum_tagged_legal(env, point.source, factor, axis):
                         actions.append((SUM_TAGGED, point.index, f, axis))
     for loop_index, loop_op in enumerate(pipeline_mod.loop_ops(function)):
         for axis in axes:
@@ -162,49 +169,6 @@ def candidate_actions(function: Function, env: ShardingEnv,
                 if pipeline_mod.pipeline_legal(env, loop_op, axis, schedule):
                     actions.append((PIPELINE, loop_index, schedule_id, axis))
     return actions
-
-
-def try_apply_action(function: Function, env: ShardingEnv,
-                     action: Tuple[int, int, int, str]) -> bool:
-    """Apply one action if it is still legal under ``env``.
-
-    Dispatches on the action kind (see :mod:`repro.core.actions`);
-    returns False — leaving the env untouched — when the action is no
-    longer legal (an earlier action in the canonical set already consumed
-    the axis, or propagation already tiled the target).
-    """
-    kind, index, dim, axis = action
-    if kind == TILE_INPUT:
-        value = function.params[index]
-    elif kind == TILE_TAGGED:
-        points = tag_points(function)
-        if index >= len(points):
-            return False
-        value = points[index].value
-    elif kind == SUM_TAGGED:
-        target = actions_mod.sum_target(function, index, dim)
-        if target is None:
-            return False
-        op, factor = target
-        if not actions_mod.sum_tagged_legal(env, op, factor, axis):
-            return False
-        actions_mod.apply_sum_tagged(env, op, factor, axis)
-        return True
-    elif kind == PIPELINE:
-        loops = pipeline_mod.loop_ops(function)
-        if index >= len(loops) or dim >= len(pipeline_mod.SCHEDULES):
-            return False
-        schedule = pipeline_mod.SCHEDULES[dim]
-        if not pipeline_mod.pipeline_legal(env, loops[index], axis, schedule):
-            return False
-        pipeline_mod.apply_pipeline(env, loops[index], axis, schedule)
-        return True
-    else:
-        return False
-    if not tile_legal(env, value, dim, axis):
-        return False
-    env.set_sharding(value, env.sharding(value).with_tile(dim, axis))
-    return True
 
 
 class Evaluator:
@@ -267,7 +231,7 @@ class Evaluator:
         # The action stack mirrors the env's applied prefix (one checkpoint
         # per level), and the propagation-delta memo replays
         # previously-computed fixed points on re-extension.
-        self._stack: List[Tuple[Tuple[int, int, int, str], object]] = []
+        self._stack: List[Tuple[ActionTuple, object]] = []
         self._prop_memo: Dict[ActionKey, Tuple] = {}
 
     @property
@@ -339,7 +303,7 @@ class Evaluator:
             return None
         return len(self.root.writes_since(self._stack[-1][1]))
 
-    def evaluate(self, actions: Sequence[Tuple[int, int, int, str]]) -> float:
+    def evaluate(self, actions: Sequence[ActionTuple]) -> float:
         key = canonical_key(actions)
         cached = self.table.lookup(key)
         if cached is not None:

@@ -36,17 +36,13 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.actions import ActionTuple
 from repro.core.sharding import ShardingEnv
 from repro.ir.function import Function
 from repro.sim import costmodel
 from repro.sim.devices import TPU_V3, DeviceSpec
 
-from repro.auto import prune as prune_mod
-from repro.auto.cache import table_for
-from repro.auto.evaluator import Evaluator, candidate_actions
-from repro.auto.search import SearchConfig
-
-ActionTuple = Tuple[int, int, int, str]
+from repro.auto.search import SearchConfig, prepare_search
 
 
 class ExactBudgetExceeded(RuntimeError):
@@ -91,26 +87,18 @@ def exact_search(
     lexicographically smallest set — the same incumbent rule the MCTS
     uses, so `mcts best == exact best` is a meaningful equality.
 
-    Of ``config`` only the fields describing the candidate space are read
-    (``prune``, ``max_inputs``, ``max_tag_points``) and ``cache_dir``,
-    which reuses persisted condenser probe signatures and contributes
-    every scored subset back to the transposition log.
+    The set-up is the search's own
+    (:func:`repro.auto.search.prepare_search`), so of ``config`` only the
+    fields describing the candidate space are read (``prune``,
+    ``max_inputs``, ``max_tag_points``) and ``cache_dir``, which reuses
+    persisted condenser probe signatures and contributes every scored
+    subset back to the transposition log.  Enumeration caps that drop
+    candidates are not warned about here.
     """
-    config = config or SearchConfig()
-    table = table_for(config.cache_dir, function, env.mesh, device, env)
-    evaluator = Evaluator(function, env, device, table=table)
-    candidates = candidate_actions(function, env, axes, config.max_inputs,
-                                   max_tag_points=config.max_tag_points)
-    prune_classes = 0
-    if config.prune and candidates:
-        report = prune_mod.condense(
-            function, evaluator.root, candidates,
-            known_signatures=table.warm_probes(),
-        )
-        candidates = report.kept
-        prune_classes = report.classes
-        table.store_probes(report.signatures)
-    order = sorted(candidates)
+    setup = prepare_search(function, env, axes, device,
+                           config or SearchConfig())
+    table, evaluator = setup.table, setup.evaluator
+    order = sorted(setup.report.kept)
     # free parallelism of the suffix starting at j: the product of the
     # distinct mesh axes the remaining candidates could still introduce
     # (an axis divides an op's local FLOPs at most once, so this is the
@@ -183,5 +171,5 @@ def exact_search(
         nodes=counters["nodes"],
         bound_pruned=counters["bound"],
         noop_pruned=counters["noop"],
-        prune_classes=prune_classes,
+        prune_classes=setup.report.classes,
     )

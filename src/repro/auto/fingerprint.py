@@ -50,7 +50,7 @@ import dataclasses
 import hashlib
 from typing import Dict, List, Tuple
 
-from repro.core.actions import PIPELINE, TILE_INPUT
+from repro.core.actions import index_space
 from repro.core.pipeline import loop_ops
 from repro.ir.function import Function
 from repro.ir.tagpoints import tag_points
@@ -249,7 +249,8 @@ class CanonicalForm:
     parameter index to its canonical rank (``canon_to_param`` is the
     inverse); ``tag_to_canon``/``canon_to_tag`` and
     ``loop_to_canon``/``canon_to_loop`` do the same for tag-point and
-    loop-op indices (``PIPELINE`` actions address loops, not tags).
+    loop-op indices (which space an action addresses is its kind's
+    :func:`~repro.core.actions.index_space`).
     """
 
     digest: str
@@ -261,35 +262,31 @@ class CanonicalForm:
     loop_to_canon: Tuple[int, ...]
     canon_to_loop: Tuple[int, ...]
 
-    def _map_action(self, action, params, tags, loops):
-        kind, index, dim, axis = action
-        if kind == TILE_INPUT:
-            if index >= len(params):
-                raise IndexError(f"param index {index} out of range")
-            return (kind, params[index], dim, axis)
-        if kind == PIPELINE:
-            if index >= len(loops):
-                raise IndexError(f"loop index {index} out of range")
-            return (kind, loops[index], dim, axis)
-        if index >= len(tags):
-            raise IndexError(f"tag index {index} out of range")
-        return (kind, tags[index], dim, axis)
-
     def encode_key(self, key) -> ActionKey:
         """Local-space canonical action set -> canonical-space set."""
-        return canonical_key([
-            self._map_action(a, self.param_to_canon, self.tag_to_canon,
-                             self.loop_to_canon)
-            for a in key
-        ])
+        return _translate(key, {"param": self.param_to_canon,
+                                "tag": self.tag_to_canon,
+                                "loop": self.loop_to_canon})
 
     def decode_key(self, key) -> ActionKey:
         """Canonical-space action set -> this program's local space."""
-        return canonical_key([
-            self._map_action(a, self.canon_to_param, self.canon_to_tag,
-                             self.canon_to_loop)
-            for a in key
-        ])
+        return _translate(key, {"param": self.canon_to_param,
+                                "tag": self.canon_to_tag,
+                                "loop": self.canon_to_loop})
+
+
+def _translate(key, maps: Dict[str, Tuple[int, ...]]) -> ActionKey:
+    """``key`` with each index moved through its kind's space's map
+    (:func:`~repro.core.actions.index_space`); served plans are outside
+    input, so an index the map lacks is an ``IndexError``."""
+    translated = []
+    for kind, index, dim, axis in key:
+        space = index_space(kind)
+        mapping = maps[space]
+        if not 0 <= index < len(mapping):
+            raise IndexError(f"{space} index {index} out of range")
+        translated.append((kind, mapping[index], dim, axis))
+    return canonical_key(translated)
 
 
 def _permutation(ranks) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

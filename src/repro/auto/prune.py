@@ -1,9 +1,9 @@
 """The action-space condenser: propagation-probe equivalence pruning.
 
-PR 5's widened action space is redundant by construction: a ``TileTagged``
+The search's action space is redundant by construction: a ``TILE_TAGGED``
 on an interior value often propagates to exactly the fixed point an input
 tiling reaches (tiling a matmul output's free dim backward-propagates to
-the weight column it came from), and a ``SumTagged`` on a contracting
+the weight column it came from), and a ``SUM_TAGGED`` on a contracting
 factor writes precisely what tiling the factor's operand would have made
 propagation write.  Every such duplicate action burns rollout budget on a
 schedule the search has already scored.
@@ -43,12 +43,10 @@ import time
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.actions import ActionTuple, try_apply_action
 from repro.core.propagate import propagate
 from repro.core.sharding import Sharding, ShardingEnv
 from repro.ir.function import Function
-
-#: An action wire tuple ``(kind, index, dim, axis)``.
-ActionTuple = Tuple[int, int, int, str]
 
 
 @dataclasses.dataclass
@@ -124,10 +122,6 @@ def probe_action(function: Function, env: ShardingEnv,
     bit-identical afterwards (undo-log restoration), so probing the
     search's live mutable root between evaluations is safe.
     """
-    # Local import: evaluator imports prune's sibling helpers; keep the
-    # module graph acyclic at import time.
-    from repro.auto.evaluator import try_apply_action
-
     value_ids = function.index.value_ids
     token = env.checkpoint()
     try:

@@ -33,9 +33,8 @@ failures the breaker *opens* and callers skip the network entirely;
 after :data:`BREAKER_COOLDOWN_S` one half-open probe is let through and
 its outcome closes or re-opens the circuit.  A :class:`RemoteError`
 means the server is alive (it processed the request), so it counts as
-breaker *success*.  The two module constants are the defaults of every
-breaker :func:`breaker_for` creates; :class:`CircuitBreaker` takes
-its own ``threshold`` and ``cooldown_s``.
+breaker *success*.  Every breaker reads the two module constants when
+it is created.
 """
 
 from __future__ import annotations
@@ -227,12 +226,9 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(self, threshold: Optional[int] = None,
-                 cooldown_s: Optional[float] = None):
-        self.threshold = int(threshold if threshold is not None
-                             else BREAKER_THRESHOLD)
-        self.cooldown_s = (cooldown_s if cooldown_s is not None
-                           else BREAKER_COOLDOWN_S)
+    def __init__(self):
+        self.threshold = BREAKER_THRESHOLD
+        self.cooldown_s = BREAKER_COOLDOWN_S
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._failures = 0
@@ -440,12 +436,14 @@ class RpcServer:
                 conn.settimeout(self.idle_timeout_s)
             except OSError:
                 pass
+        reaped = False
         try:
-            if serve_connection(conn, handler, self._stopping):
-                self.connections_reaped += 1
+            reaped = serve_connection(conn, handler, self._stopping)
         finally:
             with self._active_lock:
                 self._active -= 1
+                if reaped:
+                    self.connections_reaped += 1
             close = getattr(handler, "close", None)
             if close is not None:
                 try:

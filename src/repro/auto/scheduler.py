@@ -2,7 +2,8 @@
 
 The tree policy proposes rollouts (canonical action sets); the evaluator
 scores them; the scheduler decides *how many are in flight at once* and
-*where they are scored*.  Four backend names, two scheduler classes:
+*where they are scored*, with every knob read from the search's
+:class:`repro.auto.SearchConfig`.  Four backend names, two classes:
 
 * ``serial`` / ``batched`` — :class:`RolloutScheduler` itself: a wave of
   leaves is collected under virtual loss, its distinct action sets are
@@ -58,11 +59,15 @@ import os
 import socket
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Set)
 
 from repro.auto import faults, rpc
 from repro.auto.evaluator import Evaluator, EvaluatorSession
 from repro.auto.tree import ActionKey, TreePolicy, _stable_hash
+
+if TYPE_CHECKING:
+    from repro.auto.search import SearchConfig
 
 #: Default worker count for the process and remote backends.
 DEFAULT_WORKERS = 2
@@ -94,30 +99,23 @@ class RolloutScheduler:
     ``on_result(key, cost)`` fires once per rollout in wave order (the
     deterministic record the caller tracks the incumbent best with);
     rewards are backed up through the leaf that proposed the rollout.
+    Knobs come from ``config`` (a ``None`` field is its ``DEFAULT_*``);
+    the ``serial`` backend is a wave of one whatever ``wave_size`` says.
     """
 
     name = "batched"
 
-    def __init__(self, name: Optional[str] = None,
-                 wave_size: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 plan_server=None,
-                 restart_budget: Optional[int] = None,
-                 rpc_timeout_s: Optional[float] = None,
-                 seed: int = 0):
+    def __init__(self, config: "SearchConfig", name: Optional[str] = None):
         if name is not None:
             self.name = name
-        self.wave_size = wave_size
-        self.workers = workers
-        self.seed = seed
-        #: Only the ``remote`` backend reads this one.
-        self.plan_server = plan_server
-        self.rpc_timeout_s = (rpc_timeout_s if rpc_timeout_s is not None
+        self.config = config
+        self.rpc_timeout_s = (config.rpc_timeout_s
+                              if config.rpc_timeout_s is not None
                               else DEFAULT_RPC_TIMEOUT_S)
-        self.restart_budget = int(
-            restart_budget if restart_budget is not None
-            else DEFAULT_RESTART_BUDGET
-        )
+        self.restart_budget = (config.restart_budget
+                               if config.restart_budget is not None
+                               else DEFAULT_RESTART_BUDGET)
+        self.workers = config.workers or DEFAULT_WORKERS
         self._started = False
         #: Evaluation waves formed (``SearchResult.waves``).
         self.waves = 0
@@ -179,7 +177,9 @@ class RolloutScheduler:
             self.shutdown()
 
     def _effective_wave_size(self, budget: int) -> int:
-        return self.wave_size or min(DEFAULT_WAVE, max(budget, 1))
+        if self.name == "serial":
+            return 1
+        return self.config.wave_size or min(DEFAULT_WAVE, max(budget, 1))
 
     def _start(self, evaluator: Evaluator) -> None:
         pass
@@ -224,8 +224,7 @@ class _FanOutScheduler(RolloutScheduler):
     is opened (:meth:`_open`)."""
 
     def _effective_wave_size(self, budget: int) -> int:
-        workers = self.workers or DEFAULT_WORKERS
-        return self.wave_size or min(max(budget, 1), 2 * workers)
+        return self.config.wave_size or min(max(budget, 1), 2 * self.workers)
 
     # -- worker sessions ----------------------------------------------------
 
@@ -245,7 +244,7 @@ class _FanOutScheduler(RolloutScheduler):
         self._priming.add(worker)
 
     def _start(self, evaluator: Evaluator) -> None:
-        workers = self.workers or DEFAULT_WORKERS
+        workers = self.workers
         # The evaluator's single env must be at the root (empty prefix)
         # state before its shardings are snapshotted for the workers'
         # baselines.
@@ -467,9 +466,9 @@ class RemoteScheduler(_FanOutScheduler):
 
     name = "remote"
 
-    def __init__(self, **knobs):
-        super().__init__(**knobs)
-        if self.plan_server is None:
+    def __init__(self, config: "SearchConfig"):
+        super().__init__(config)
+        if config.plan_server is None:
             raise ValueError(
                 "backend='remote' requires plan_server='host:port'"
             )
@@ -478,11 +477,12 @@ class RemoteScheduler(_FanOutScheduler):
         for attempt in range(RECONNECT_ATTEMPTS):
             if attempt:
                 jitter = _stable_hash(
-                    (self.seed, worker, attempt, self.workers_restarted)
+                    (self.config.seed, worker, attempt,
+                     self.workers_restarted)
                 ) % 1000 / 2000.0  # +0..50%
                 time.sleep(min(0.05 * 2 ** attempt, 1.0) * (1.0 + jitter))
             try:
-                connection = rpc.connect(self.plan_server,
+                connection = rpc.connect(self.config.plan_server,
                                          timeout=self.rpc_timeout_s)
             except OSError as exc:
                 error = exc
@@ -494,22 +494,20 @@ class RemoteScheduler(_FanOutScheduler):
                 connection.close()
                 error = exc
         raise ConnectionError(
-            f"plan server {self.plan_server!r} unreachable after "
+            f"plan server {self.config.plan_server!r} unreachable after "
             f"{RECONNECT_ATTEMPTS} attempts: {error}"
         ) from error
 
 
-def make_scheduler(backend: str, **knobs) -> RolloutScheduler:
-    """The ``backend`` scheduler; ``knobs`` are :class:`RolloutScheduler`'s
-    constructor keywords."""
-    if backend == "serial":
-        return RolloutScheduler("serial", **{**knobs, "wave_size": 1})
-    if backend == "batched":
-        return RolloutScheduler("batched", **knobs)
+def make_scheduler(backend: str, config: "SearchConfig") -> RolloutScheduler:
+    """The ``backend`` scheduler, tuned by ``config`` (whose own
+    ``backend`` is not read: a search falls back to ``"serial"``)."""
+    if backend in ("serial", "batched"):
+        return RolloutScheduler(config, backend)
     if backend == "process":
-        return ProcessScheduler(**knobs)
+        return ProcessScheduler(config)
     if backend == "remote":
-        return RemoteScheduler(**knobs)
+        return RemoteScheduler(config)
     raise ValueError(
         f"unknown search backend {backend!r}; expected one of {BACKENDS}"
     )

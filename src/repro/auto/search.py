@@ -27,7 +27,9 @@ subsystem behind it has four seams:
   (``cache_dir=``).
 
 Every search parameter is a field of :class:`SearchConfig`, declared and
-validated once.  The backends agree on the best actions/cost across the fixed-seed
+validated once and read where it is used (:func:`prepare_search`, the
+schedulers); what an action kind means lives in :mod:`repro.core.actions`
+alone.  The backends agree on the best actions/cost across the fixed-seed
 regression suite and the Fig 11 configs: evaluation purity makes every
 scored set backend-independent and the incumbent rule breaks exact cost
 ties deterministically, though a parallel wave does explore a different
@@ -41,9 +43,9 @@ import dataclasses
 import numbers
 import typing
 import warnings
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from repro.core import actions as core_actions
+from repro.core.actions import ActionTuple, describe, try_apply_action
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.ir.function import Function
@@ -51,12 +53,8 @@ from repro.sim.devices import TPU_V3, DeviceSpec
 
 from repro.auto import faults
 from repro.auto import prune as prune_mod
-from repro.auto.cache import table_for
-from repro.auto.evaluator import (
-    Evaluator,
-    candidate_actions,
-    try_apply_action,
-)
+from repro.auto.cache import TranspositionTable, table_for
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.scheduler import (
     BACKENDS,
     SchedulerUnavailable,
@@ -80,7 +78,7 @@ class SearchConfig:
       :data:`repro.auto.tree.EXPLORATION`).
     * The action space (:func:`~repro.auto.evaluator.candidate_actions`)
       is input tilings of the ``max_inputs`` largest parameters plus
-      mid-function ``TileTagged``/``SumTagged`` actions at up to
+      mid-function ``TILE_TAGGED``/``SUM_TAGGED`` actions at up to
       ``max_tag_points`` tag points (auto-emitted at matmul/scan/reduce
       outputs; :mod:`repro.ir.tagpoints`) and PIPELINE actions.
     * ``prune`` runs the action-space condenser (:mod:`repro.auto.prune`)
@@ -209,18 +207,18 @@ class SearchResult:
     """What one :func:`mcts_search` run found and how it found it.
 
     ``actions`` is the best canonical action set, as wire tuples
-    ``(kind, index, dim, axis)`` — decode with
-    :func:`repro.core.actions.decode_action`.  The counters after ``cost``
+    ``(kind, index, dim, axis)`` — read one with
+    :func:`repro.core.actions.describe`.  The counters after ``cost``
     are pure observability: none of them feeds back into the search.
 
-    >>> from repro.core.actions import decode_action
-    >>> decode_action((0, 2, 0, "batch"))  # tile input 2's dim 0
-    TileInput(index=2, dim=0, axis='batch')
-    >>> decode_action((1, 0, 1, "model"))  # tile tag point 0's dim 1
-    TileTagged(tag=0, dim=1, axis='model')
+    >>> from repro.core.actions import describe
+    >>> describe((0, 2, 0, "batch"))
+    'tile_input 2 dim 0 over batch'
+    >>> describe((1, 0, 1, "model"))
+    'tile_tagged 0 dim 1 over model'
     """
 
-    actions: List[Tuple[int, int, int, str]]
+    actions: List[ActionTuple]
     cost: float
     evaluations: int  # cost-model evaluations actually computed
     cache_hits: int = 0  # transposition-table hits
@@ -302,8 +300,7 @@ PLAN_REQUEST_TIMEOUT_S = 600.0
 _TRUNCATION_WARNED = False
 
 
-def _warn_truncation(truncation: dict, max_inputs: int,
-                     max_tag_points: int) -> int:
+def _warn_truncation(truncation: dict, config: SearchConfig) -> int:
     """Surface dropped candidates; returns the total drop count."""
     global _TRUNCATION_WARNED
     dropped = sum(truncation.values())
@@ -312,8 +309,9 @@ def _warn_truncation(truncation: dict, max_inputs: int,
         warnings.warn(
             f"candidate enumeration truncated: "
             f"{truncation.get('inputs', 0)} parameter(s) beyond "
-            f"max_inputs={max_inputs} and {truncation.get('tag_points', 0)} "
-            f"tag point(s) beyond max_tag_points={max_tag_points} were "
+            f"max_inputs={config.max_inputs} and "
+            f"{truncation.get('tag_points', 0)} tag point(s) beyond "
+            f"max_tag_points={config.max_tag_points} were "
             "dropped from the action space (largest-first ranking kept "
             "the biggest values); raise the caps to search them.  "
             "SearchResult.actions_truncated counts the drop per search; "
@@ -388,6 +386,44 @@ def _request_plan(function: Function, env: ShardingEnv,
         connection.close()
 
 
+class SearchSetup(NamedTuple):
+    """:func:`prepare_search`'s result.  ``report.kept`` are the
+    candidates; ``truncation`` counts what each enumeration cap dropped."""
+
+    table: TranspositionTable
+    evaluator: Evaluator
+    report: prune_mod.PruneReport
+    truncation: Dict[str, int]
+    stats_before: tuple
+
+
+def prepare_search(function: Function, env: ShardingEnv,
+                   axes: Sequence[str], device: DeviceSpec,
+                   config: SearchConfig) -> SearchSetup:
+    """The one set-up of :func:`mcts_search` and
+    :func:`repro.auto.exact.exact_search`: enumerate the candidates on
+    ``env`` (the caller's, not the evaluator's root), open
+    ``config.cache_dir``'s table, build the evaluator and, with
+    ``config.prune``, condense the candidates on the evaluator's root and
+    store the probe signatures.  Probes roll back, so the root is
+    bit-identical afterwards, and warm signatures never change what is
+    kept."""
+    truncation: Dict[str, int] = {}
+    candidates = candidate_actions(function, env, axes, config.max_inputs,
+                                   max_tag_points=config.max_tag_points,
+                                   truncation=truncation)
+    # Before Evaluator.__init__: its root fixed point counts too.
+    stats_before = env.stats.snapshot()
+    table = table_for(config.cache_dir, function, env.mesh, device, env)
+    evaluator = Evaluator(function, env, device, table=table)
+    report = prune_mod.PruneReport(kept=candidates, total=len(candidates))
+    if config.prune and candidates:
+        report = prune_mod.condense(function, evaluator.root, candidates,
+                                    known_signatures=table.warm_probes())
+        table.store_probes(report.signatures)
+    return SearchSetup(table, evaluator, report, truncation, stats_before)
+
+
 def mcts_search(
     function: Function,
     env: ShardingEnv,
@@ -441,41 +477,10 @@ def mcts_search(
                 plan_source=f"server:{served['tier']}",
                 faults_injected=faults.fired_count() - fired_before,
             )
-    truncation: dict = {}
-    candidates = candidate_actions(function, env, axes, config.max_inputs,
-                                   max_tag_points=config.max_tag_points,
-                                   truncation=truncation)
-    actions_truncated = _warn_truncation(truncation, config.max_inputs,
-                                         config.max_tag_points)
-    candidates_total = len(candidates)
-    # Snapshot before Evaluator.__init__: its root fixed point counts too.
-    stats_before = env.stats.snapshot()
-    table = table_for(config.cache_dir, function, env.mesh, device, env)
-    evaluator = Evaluator(function, env, device, table=table)
-    prune_report = None
-    if config.prune and candidates:
-        # Condense on the evaluator's root (the search's propagation fixed
-        # point): each probe checkpoints, applies + propagates, reads the
-        # write delta and rolls back — bit-identical env afterwards, so
-        # probing the live mutable env before scheduling is safe.  Warm
-        # probe signatures from the transposition log skip the probes; the
-        # result never depends on which signatures were warm.
-        prune_report = prune_mod.condense(
-            function, evaluator.root, candidates,
-            known_signatures=table.warm_probes(),
-        )
-        candidates = prune_report.kept
-        table.store_probes(prune_report.signatures)
-
-    def scheduler_for(name: str):
-        return make_scheduler(name, wave_size=config.wave_size,
-                              workers=config.workers,
-                              plan_server=config.plan_server,
-                              restart_budget=config.restart_budget,
-                              rpc_timeout_s=config.rpc_timeout_s,
-                              seed=config.seed)
-
-    scheduler = scheduler_for(backend)
+    setup = prepare_search(function, env, axes, device, config)
+    table, evaluator = setup.table, setup.evaluator
+    actions_truncated = _warn_truncation(setup.truncation, config)
+    scheduler = make_scheduler(backend, config)
     # Open the workers (a no-op for in-process backends) before the
     # baseline evaluation: worker cache-priming overlaps it.
     try:
@@ -485,7 +490,7 @@ def mcts_search(
             f"{backend} backend unavailable, falling back to serial: {exc}",
             RuntimeWarning,
         )
-        scheduler = scheduler_for("serial")
+        scheduler = make_scheduler("serial", config)
         backend = scheduler.name
         scheduler.prepare(evaluator)
     try:
@@ -536,7 +541,8 @@ def mcts_search(
                 key = trial
         return key
 
-    policy = TreePolicy(candidates, config.seed, config.rollout_depth)
+    report = setup.report
+    policy = TreePolicy(report.kept, config.seed, config.rollout_depth)
     try:
         scheduler.run(policy, evaluator, config.budget, baseline, on_result)
         # This run's witness first, the warm incumbent (under the same
@@ -555,6 +561,7 @@ def mcts_search(
         # durable, so the next run warm-starts past it.
         table.flush()
 
+    stats_before = setup.stats_before
     stats_after = evaluator.root.stats.snapshot()
     return SearchResult(
         actions=list(best_key),
@@ -572,13 +579,12 @@ def mcts_search(
         prefix_reuse_ratio=evaluator.prefix_reuse_ratio,
         waves=scheduler.waves,
         actions_truncated=actions_truncated,
-        candidates_total=candidates_total,
-        candidates_kept=len(candidates),
-        prune_classes=prune_report.classes if prune_report else 0,
-        prune_probes=prune_report.probes_run if prune_report else 0,
-        prune_probes_reused=(prune_report.probes_reused
-                             if prune_report else 0),
-        prune_time_s=prune_report.prune_time_s if prune_report else 0.0,
+        candidates_total=report.total,
+        candidates_kept=len(report.kept),
+        prune_classes=report.classes,
+        prune_probes=report.probes_run,
+        prune_probes_reused=report.probes_reused,
+        prune_time_s=report.prune_time_s,
         faults_injected=faults.fired_count() - fired_before,
         workers_restarted=scheduler.workers_restarted,
         waves_retried=scheduler.waves_retried,
@@ -621,8 +627,7 @@ def run_automatic_partition(
     applied = 0
     for action in canonical_key(result.actions):
         if try_apply_action(function, env, action):
-            env.record("tile", None, action[3],
-                       f"auto {core_actions.decode_action(action)}")
+            env.record("tile", None, action[3], ("auto {}", describe(action)))
             applied += 1
             # (A skipped action wrote nothing, so it has nothing to seed.)
             propagate(function, env)

@@ -29,17 +29,18 @@ import math
 import random
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-# An action wire tuple: (kind, index, dim, axis) — see repro.core.actions.
+from repro.core.actions import ActionTuple
+
 # None is STOP.
-Action = Optional[Tuple[int, int, int, str]]
-ActionKey = Tuple[Tuple[int, int, int, str], ...]
+Action = Optional[ActionTuple]
+ActionKey = Tuple[ActionTuple, ...]
 
 
 #: The UCT exploration constant.
 EXPLORATION = 0.5
 
 
-def canonical_key(actions: Sequence[Tuple[int, int, int, str]]) -> ActionKey:
+def canonical_key(actions: Sequence[ActionTuple]) -> ActionKey:
     """Canonical form of an action sequence: sorted, deduped tuple."""
     return tuple(sorted(set(actions)))
 
@@ -76,7 +77,7 @@ class Node:
             (self.depth, action, tuple(sorted(self.action_set)))
         )
 
-    def path(self) -> List[Tuple[int, int, int, str]]:
+    def path(self) -> List[ActionTuple]:
         node, actions = self, []
         while node.parent is not None:
             if node.action is not None:
@@ -134,7 +135,7 @@ class TreePolicy:
     evaluating anything.
     """
 
-    def __init__(self, candidates: Sequence[Tuple[int, int, int, str]],
+    def __init__(self, candidates: Sequence[ActionTuple],
                  seed: int, rollout_depth: int):
         self.candidates = list(candidates)
         self.seed = seed

@@ -4,25 +4,21 @@ Manual and automatic tactics both reduce to sequences of these actions plus
 ``propagate``; composability in the paper comes precisely from this shared
 action vocabulary.
 
-This module also defines the automatic search's **widened action space**:
-the uniform wire-form action tuples ``(kind, index, dim, axis)`` with
-kinds ``TILE_INPUT`` (the classic input tiling), ``TILE_TAGGED``
-(mid-function tiling of a tag point's value) and ``SUM_TAGGED``
-(contracting-factor tiling at a tag point's source op), their dataclass
-views (:class:`TileInput`, :class:`TileTagged`, :class:`SumTagged`,
-:func:`decode_action`), and the legality/application helpers the
-evaluator dispatches through.
+It is also the one home of the automatic search's action kinds (the
+wire-form tuples ``(kind, index, dim, axis)``): their legality and
+application (:func:`try_apply_action`), the index space each addresses
+(:func:`index_space`) and their text (:func:`describe`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ShardingError
 from repro.ir.function import Function
-from repro.ir.tagpoints import TagPoint, tag_points
+from repro.ir.tagpoints import tag_points
 from repro.ir.values import Operation, Value
+from repro.core import pipeline as pipeline_mod
 from repro.core import rules as rules_mod
 from repro.core.sharding import ShardingEnv
 
@@ -88,7 +84,7 @@ def first_divisible_dim(value: Value, axis_size: int,
 # kinds:
 #
 # * ``TILE_INPUT``  — tile function input ``index``'s ``dim`` along ``axis``
-#   (the classic input-tiling action; PR <= 4's whole action space).
+#   (the classic input-tiling action).
 # * ``TILE_TAGGED`` — tile the ``index``-th *tag point*'s value (see
 #   :mod:`repro.ir.tagpoints`) on ``dim`` along ``axis``: a mid-function
 #   tiling decision propagation then extends both ways.
@@ -105,7 +101,10 @@ def first_divisible_dim(value: Value, axis_size: int,
 #   :data:`repro.core.pipeline.SCHEDULES`: 0 = 1F1B, 1 = GPipe).
 #
 # Tuples of mixed kinds sort lexicographically (kind first), which is the
-# canonical-set order the evaluator scores and the replay applies.
+# canonical-set order the evaluator scores and the replay applies.  A new
+# kind is a constant here, a row of ``_KINDS``, a branch of
+# :func:`try_apply_action` and its enumeration in
+# :func:`repro.auto.evaluator.candidate_actions`.
 
 TILE_INPUT = 0
 TILE_TAGGED = 1
@@ -115,80 +114,36 @@ PIPELINE = 3
 #: The action wire form: ``(kind, index, dim, axis)``.
 ActionTuple = Tuple[int, int, int, str]
 
-
-@dataclasses.dataclass(frozen=True)
-class TileTagged:
-    """Mid-function tiling action on a tag point's value."""
-
-    tag: int  # tag-point index (canonical walk order)
-    dim: int
-    axis: str
-
-    def encode(self) -> ActionTuple:
-        return (TILE_TAGGED, self.tag, self.dim, self.axis)
+#: Per kind: its name, what its ``dim`` slot holds, and the index space
+#: its ``index`` addresses (``"param"``, ``"tag"`` point or ``"loop"``
+#: op).  Indexed by kind, so an unknown kind is an ``IndexError``.
+_KINDS = (
+    ("tile_input", "dim", "param"),
+    ("tile_tagged", "dim", "tag"),
+    ("sum_tagged", "factor", "tag"),
+    ("pipeline", "schedule", "loop"),
+)
 
 
-@dataclasses.dataclass(frozen=True)
-class SumTagged:
-    """Mid-function contracting-factor tiling at a tag point's source op."""
-
-    tag: int  # tag-point index (canonical walk order)
-    factor: int  # index into the source op rule's reduce factors
-    axis: str
-
-    def encode(self) -> ActionTuple:
-        return (SUM_TAGGED, self.tag, self.factor, self.axis)
+def index_space(kind: int) -> str:
+    """What a ``kind`` action's ``index`` addresses: ``"param"``, ``"tag"``
+    or ``"loop"`` (the spaces :mod:`repro.auto.fingerprint` permutes)."""
+    return _KINDS[kind][2]
 
 
-@dataclasses.dataclass(frozen=True)
-class TileInput:
-    """The classic input-tiling action, in the uniform wire form."""
+def describe(action: ActionTuple) -> str:
+    """A wire-form action as text.
 
-    index: int  # function input index
-    dim: int
-    axis: str
-
-    def encode(self) -> ActionTuple:
-        return (TILE_INPUT, self.index, self.dim, self.axis)
-
-
-@dataclasses.dataclass(frozen=True)
-class Pipeline:
-    """Pipeline a loop op's body over a mesh axis (the control-flow action:
-    stages instead of slices).  ``schedule`` indexes
-    :data:`repro.core.pipeline.SCHEDULES` and rides the wire tuple's
-    ``dim`` slot."""
-
-    loop: int  # loop-op index (canonical pre-order, see pipeline.loop_ops)
-    schedule: int  # 0 = 1f1b, 1 = gpipe
-    axis: str
-
-    def encode(self) -> ActionTuple:
-        return (PIPELINE, self.loop, self.schedule, self.axis)
-
-
-def decode_action(action: ActionTuple):
-    """The dataclass view of a wire-form action tuple.
-
-    >>> decode_action((0, 1, 0, "batch"))
-    TileInput(index=1, dim=0, axis='batch')
-    >>> decode_action((2, 3, 0, "model"))
-    SumTagged(tag=3, factor=0, axis='model')
-    >>> decode_action((2, 3, 0, "model")).encode()
-    (2, 3, 0, 'model')
-    >>> decode_action((3, 0, 1, "stage"))
-    Pipeline(loop=0, schedule=1, axis='stage')
+    >>> describe((1, 3, 1, "model"))
+    'tile_tagged 3 dim 1 over model'
+    >>> describe((2, 3, 0, "model"))
+    'sum_tagged 3 factor 0 over model'
+    >>> describe((3, 0, 1, "stage"))
+    'pipeline 0 schedule 1 over stage'
     """
     kind, index, dim, axis = action
-    if kind == TILE_INPUT:
-        return TileInput(index, dim, axis)
-    if kind == TILE_TAGGED:
-        return TileTagged(index, dim, axis)
-    if kind == SUM_TAGGED:
-        return SumTagged(index, dim, axis)
-    if kind == PIPELINE:
-        return Pipeline(index, dim, axis)
-    raise ValueError(f"unknown action kind {kind!r}")
+    name, slot, _ = _KINDS[kind]
+    return f"{name} {index} {slot} {dim} over {axis}"
 
 
 def tile_legal(env: ShardingEnv, value: Value, dim: int, axis: str) -> bool:
@@ -202,7 +157,7 @@ def tile_legal(env: ShardingEnv, value: Value, dim: int, axis: str) -> bool:
 
 def reduce_factors(op: Operation) -> List[rules_mod.Factor]:
     """The contracting (reduce) factors of ``op``'s sharding rule, in rule
-    order — the targets of ``SumTagged`` actions (empty for ops without a
+    order — the targets of ``SUM_TAGGED`` actions (empty for ops without a
     rule or without contracting dimensions)."""
     rule = rules_mod.rule_for(op)
     if rule is None:
@@ -211,7 +166,7 @@ def reduce_factors(op: Operation) -> List[rules_mod.Factor]:
 
 
 def sum_target(function: Function, tag: int, factor: int):
-    """Resolve a ``SumTagged`` action's ``(source op, reduce factor)``, or
+    """Resolve a ``SUM_TAGGED`` action's ``(source op, reduce factor)``, or
     ``None`` when the tag point has no source / no such factor."""
     points = tag_points(function)
     if tag >= len(points):
@@ -257,7 +212,7 @@ def sum_tagged_legal(env: ShardingEnv, op: Operation, factor,
 
 def apply_sum_tagged(env: ShardingEnv, op: Operation, factor,
                      axis: str) -> None:
-    """Apply a legal ``SumTagged`` action: tile the factor's operand
+    """Apply a legal ``SUM_TAGGED`` action: tile the factor's operand
     positions and mark every result pending — exactly the write set of
     propagation's ``_apply_factor`` on a contracting factor (including its
     per-write re-read guard, so duplicate positions over one value are
@@ -273,6 +228,43 @@ def apply_sum_tagged(env: ShardingEnv, op: Operation, factor,
         sharding = env.sharding(result)
         if axis not in sharding.sum_axes:
             env.set_sharding(result, sharding.with_sum(axis))
+
+
+def try_apply_action(function: Function, env: ShardingEnv,
+                     action: ActionTuple) -> bool:
+    """Apply one wire-form action if it is still legal under ``env``.
+
+    Returns False — leaving the env untouched — when the action is no
+    longer legal (an earlier action in the canonical set already consumed
+    the axis, or propagation already tiled the target) or addresses a tag
+    point, reduce factor, loop or schedule the function does not have.
+    """
+    kind, index, dim, axis = action
+    if kind == SUM_TAGGED:
+        target = sum_target(function, index, dim)
+        if target is None or not sum_tagged_legal(env, *target, axis):
+            return False
+        apply_sum_tagged(env, *target, axis)
+        return True
+    if kind == PIPELINE:
+        loops = pipeline_mod.loop_ops(function)
+        if index >= len(loops) or dim >= len(pipeline_mod.SCHEDULES):
+            return False
+        schedule = pipeline_mod.SCHEDULES[dim]
+        if not pipeline_mod.pipeline_legal(env, loops[index], axis, schedule):
+            return False
+        pipeline_mod.apply_pipeline(env, loops[index], axis, schedule)
+        return True
+    if kind == TILE_INPUT:
+        value = function.params[index]
+    elif kind == TILE_TAGGED and index < len(tag_points(function)):
+        value = tag_points(function)[index].value
+    else:
+        return False
+    if not tile_legal(env, value, dim, axis):
+        return False
+    env.set_sharding(value, env.sharding(value).with_tile(dim, axis))
+    return True
 
 
 def find_tagged(function: Function, name: str) -> Value:

@@ -142,7 +142,7 @@ def _dot_general_rule(op):
 def _tag_rule(op):
     """Tag markers are sharding-transparent: every dimension of the tagged
     value ties 1:1 to the same dimension of the result, so a mid-function
-    ``TileTagged`` action on the tag's value propagates backward to the
+    ``TILE_TAGGED`` action on the tag's value propagates backward to the
     producing op and forward to every consumer exactly as if the tiling had
     been written on the computation itself.  (Identical to the generic
     elementwise rule; registered explicitly because tag points are the

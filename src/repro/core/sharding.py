@@ -52,15 +52,7 @@ _REPLICATED: Dict[int, "Sharding"] = {}
 #: atomic dict reads (an entry, once published, never changes), so lookups
 #: on the hot path stay lock-free — the concurrency tests hammer this.
 _INTERN: Dict[Tuple, "Sharding"] = {}
-_INTERN_BY_IID: List["Sharding"] = []
 _INTERN_LOCK = threading.Lock()
-
-
-def sharding_from_iid(iid: int) -> "Sharding":
-    """The canonical instance for a process-local intern id (inverse of
-    :attr:`Sharding.iid`; used to translate local memo keys to portable
-    signatures for the cross-worker plan store)."""
-    return _INTERN_BY_IID[iid]
 
 
 def intern_sharding(sharding: "Sharding") -> "Sharding":
@@ -84,7 +76,6 @@ def intern_sharding(sharding: "Sharding") -> "Sharding":
             # Derived attributes first: lock-free readers must never see
             # a published canonical instance without them.
             sharding._make_canonical(len(_INTERN))
-            _INTERN_BY_IID.append(sharding)
             _INTERN[signature] = cached = sharding
     return cached
 
@@ -164,8 +155,8 @@ class Sharding:
 
         Equal shardings have equal signatures (frozensets are canonicalized
         by sorting), and the tuple hashes much faster than the dataclass's
-        generated ``__hash__`` over frozensets — it is the key the streaming
-        cost evaluator memoizes per-op lowering plans on.
+        generated ``__hash__`` over frozensets — it keys the intern table
+        (:func:`intern_sharding`); the streaming estimator keys on iids.
         """
         sig = getattr(self, "_signature", None)
         if sig is None:

@@ -67,7 +67,7 @@ class TagPoint:
             roots.
         source: the op producing the tagged computation (``root``'s
             producer), or ``None`` when the tag marks a function
-            parameter.  ``SumTagged`` actions tile a contracting factor
+            parameter.  ``SUM_TAGGED`` actions tile a contracting factor
             of this op.
         auto: whether the tracer emitted the tag.
     """

@@ -17,7 +17,7 @@ propagation has no evidence path to it.  With the batch ``B`` chosen
 smaller than the mesh axes, input-only schedules are stuck between
 replicated compute and weight-sharded (Megatron-style) schedules whose
 per-matmul collectives move ``[B, K, f]``-sized activations.  A
-mid-function ``TileTagged`` action on the matmul outputs' K dimension, by
+mid-function ``TILE_TAGGED`` action on the matmul outputs' K dimension, by
 contrast, parallelizes the whole interior compute with communication only
 at the final member reduction — a strictly cheaper schedule, reachable
 *only* through tag-point actions.  This is the "interior bottleneck"

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.ir import opdefs
+from repro.ir import interpreter, opdefs
 from repro.ir.function import Function
 from repro.ir.values import Operation, Value
 from repro.mesh import Mesh
@@ -172,7 +172,8 @@ class MeshExecutor:
 
         ``while_loop`` evaluates its (replicated) predicate region each
         iteration and follows device 0's verdict — the cond is reconciled
-        replicated at lowering, so all devices agree.
+        replicated at lowering, so all devices agree — capped like the
+        interpreter's (:data:`~repro.ir.interpreter.MAX_WHILE_ITERATIONS`).
         """
         body = op.regions[0]
         num_carries = op.attrs.get("num_carries", len(op.operands))
@@ -197,6 +198,11 @@ class MeshExecutor:
                 self._run(cond, cond_envs)
                 if not bool(cond_envs[0][cond.results[0]]):
                     break
+                if step >= interpreter.MAX_WHILE_ITERATIONS:
+                    raise ExecutionError(
+                        f"while_loop exceeded "
+                        f"{interpreter.MAX_WHILE_ITERATIONS} iterations"
+                    )
             elif step >= op.attrs["trip_count"]:
                 break
             body_envs: List[Dict[Value, np.ndarray]] = []

@@ -63,7 +63,7 @@ class Tracer:
     after every ``scan`` result: numerically the identity, zero cost in the
     simulator, dropped from device-local code at lowering — but an
     addressable interior program point (see :mod:`repro.ir.tagpoints`) the
-    search's ``TileTagged``/``SumTagged`` actions can target.  Because VJP
+    search's ``TILE_TAGGED``/``SUM_TAGGED`` actions can target.  Because VJP
     rules emit through the same tracer, backward-pass matmuls and reduces
     become tag points too.
     """

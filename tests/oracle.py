@@ -27,8 +27,8 @@ same statement for one chain (``tests/test_reconcile_chains.py``).
 of what "bit for bit" means for two ``CostEstimate`` objects.
 """
 
-from repro.auto.evaluator import try_apply_action
 from repro.auto.tree import canonical_key
+from repro.core.actions import try_apply_action
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.ir import opdefs

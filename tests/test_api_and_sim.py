@@ -198,6 +198,32 @@ class TestPartirJit:
         assert tactic.last_search.actions == []
         assert tactic.options["device"] is TPU_V3
 
+    def test_tactic_options_stay_unchanged_during_the_call(self,
+                                                           monkeypatch):
+        """``partir_jit`` hands its device and plan server to the search
+        instead of writing them into the tactic, so a tactic object shared
+        by concurrent calls never searches on another call's device."""
+        from repro import AutomaticPartition
+        from repro.auto import search
+        from repro.sim import DeviceSpec
+
+        tiny = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
+                          link_bandwidth=1e9)
+        tactic = AutomaticPartition(["B"], {"budget": 2})
+        before = dict(tactic.options)
+        seen = []
+
+        def stub_search(function, env, axes, result_sink, device, config):
+            seen.append((dict(tactic.options), device, config.plan_server))
+            return 0
+
+        monkeypatch.setattr(search, "run_automatic_partition", stub_search)
+        tf = trace(lambda x, w: x @ w, ShapeDtype((8, 4)), ShapeDtype((4, 4)))
+        partir_jit(tf, Mesh({"B": 2}), [tactic], device=tiny,
+                   estimate_per_tactic=False, plan_server="127.0.0.1:1")
+        assert seen == [(before, tiny, "127.0.0.1:1")]
+        assert tactic.options == before
+
 
 class TestSimulator:
     def _lowered(self, actions=()):

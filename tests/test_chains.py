@@ -46,10 +46,10 @@ from oracle import (
 )
 from repro.api import ManualPartition, Tactic
 from repro.auto.cache import table_for
-from repro.auto.evaluator import Evaluator, candidate_actions, \
-    try_apply_action
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.search import mcts_search
 from repro.auto.tree import canonical_key
+from repro.core.actions import try_apply_action
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.errors import ShardingError

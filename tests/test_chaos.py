@@ -34,7 +34,7 @@ from repro.auto import faults, rpc
 from repro.auto.cache import TranspositionTable
 from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.scheduler import make_scheduler
-from repro.auto.search import mcts_search
+from repro.auto.search import SearchConfig, mcts_search
 from repro.auto.server import PlanServer
 
 TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
@@ -374,8 +374,8 @@ class TestProcessChaos:
             function, evaluator.root, ["B", "M"])[:5]]
         # Every worker (re-forked ones too) dies handling its second key.
         faults.install(faults.FaultPlan({"worker.exit": [1]}))
-        scheduler = make_scheduler("process", workers=2, restart_budget=8,
-                                   rpc_timeout_s=60.0)
+        scheduler = make_scheduler("process", SearchConfig(
+            workers=2, restart_budget=8, rpc_timeout_s=60.0))
         scheduler.prepare(evaluator)
         try:
             # Wave 1: one key each.  Wave 2: a single key kills one worker,

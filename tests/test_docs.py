@@ -2,7 +2,7 @@
 
 The public-API docstrings carry runnable examples (``partir_jit``,
 ``Tactic``, ``AutomaticPartition``, ``mcts_search``, ``SearchResult``,
-``decode_action``, ``canonicalize``, the plan table and the fused
+``describe``, ``canonicalize``, the plan table and the fused
 emission of ``repro.spmd.lower``, ``Function.index``, the plan store's
 LRU and its ``exact``/``relaxed`` label, the streaming estimator pricing
 two envs bit-equal to ``lower -> estimate``, the fault plan, the
@@ -100,7 +100,7 @@ def test_public_api_docstrings_have_examples():
     runnable example (or, for SearchResult, its counters)."""
     for obj in (repro.api.partir_jit, repro.api.Tactic,
                 repro.api.AutomaticPartition, repro.auto.search.mcts_search,
-                repro.core.actions.decode_action):
+                repro.core.actions.describe):
         assert ">>>" in (obj.__doc__ or ""), obj
     result_doc = repro.auto.search.SearchResult.__doc__ or ""
     assert ">>>" in result_doc

@@ -24,6 +24,9 @@ from repro.sim import DeviceSpec
 from repro.trace import ops
 
 from repro.auto.fingerprint import CanonicalForm, canonicalize
+from repro.core.actions import PIPELINE, SUM_TAGGED, TILE_INPUT, TILE_TAGGED
+from repro.core.pipeline import loop_ops
+from repro.ir.tagpoints import tag_points
 from repro.auto.tree import canonical_key
 
 from conftest import build_matmul_chain
@@ -200,6 +203,66 @@ class TestIndexTranslation:
             encoded = canon_a.encode_key(((0, index, 0, "B"),))
             decoded = canon_b.decode_key(encoded)
             assert names_b[decoded[0][1]] == names_a[index]
+
+    def test_every_kind_meets_its_target_in_the_other_spelling(self):
+        """One action of each kind, encoded from one spelling and decoded
+        into the other, addresses the same named parameter, tag or loop:
+        params, tag points and loops are each permuted through the index
+        space their kind addresses."""
+        def spelled(order):
+            def fn(*args):
+                named = dict(zip(order, args))
+                total = {}
+                for branch in order:  # traced in the spelling's order
+                    x, w = named[branch]
+                    hidden = ops.tag(x @ w, f"h_{branch}")
+                    looped = ops.fori_loop(
+                        0, TRIPS[branch],
+                        lambda i, acc: (ops.tanh(acc @ w),), (hidden,))[0]
+                    total[branch] = ops.reduce_sum(looped)
+                return total["a"] + total["b"]
+
+            shapes = (ShapeDtype((8, 4)), ShapeDtype((4, 4)))
+            traced = trace(fn, *[shapes] * len(order))
+            # Parameter i is ``x`` or ``w`` of branch ``order[i // 2]``.
+            names = [f"{part}_{branch}" for branch in order
+                     for part in "xw"]
+            return traced.function, names
+
+        TRIPS = {"a": 2, "b": 3}
+        (fn_a, params_a), (fn_b, params_b) = spelled("ab"), spelled("ba")
+        canon_a = canonicalize(fn_a, MESH, TINY_DEVICE)
+        canon_b = canonicalize(fn_b, MESH, TINY_DEVICE)
+        assert canon_a.digest == canon_b.digest
+        assert canon_a.layout != canon_b.layout
+
+        def tag_index(function, name):
+            return next(point.index for point in tag_points(function)
+                        if point.name == name)
+
+        def target(function, params, action):
+            kind, index, _, _ = action
+            if kind == TILE_INPUT:
+                return params[index]
+            if kind == PIPELINE:
+                return loop_ops(function)[index].attrs["trip_count"]
+            return tag_points(function)[index].name
+
+        h_b = tag_index(fn_a, "h_b")
+        loop_b = next(i for i, op in enumerate(loop_ops(fn_a))
+                      if op.attrs["trip_count"] == TRIPS["b"])
+        plan = canonical_key([(TILE_INPUT, 2, 0, "B"),
+                              (TILE_TAGGED, h_b, 1, "M"),
+                              (SUM_TAGGED, h_b, 0, "M"),
+                              (PIPELINE, loop_b, 0, "B")])
+        moved = canon_b.decode_key(canon_a.encode_key(plan))
+        assert [a[0] for a in moved] == [a[0] for a in plan]
+        assert [target(fn_b, params_b, a) for a in moved] == [
+            target(fn_a, params_a, a) for a in plan]
+        # The spellings really differ in every index space.
+        assert [a[1] for a in moved] != [a[1] for a in plan]
+        assert params_b[2] != params_a[2]
+        assert tag_index(fn_b, "h_b") != h_b
 
     def test_out_of_range_index_raises(self):
         canon = canonicalize(chain(), MESH, TINY_DEVICE)

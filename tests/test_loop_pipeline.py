@@ -30,11 +30,10 @@ from oracle import (assert_estimates_identical, reference_cost,
                     reference_env, reference_estimate)
 from repro.api import UNKNOWN, AutomaticPartition, ManualPartition, \
     PipelinePartition, partir_jit
-from repro.auto.evaluator import Evaluator, candidate_actions, \
-    try_apply_action
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.search import mcts_search
 from repro.core import propagate, tile
-from repro.core.actions import PIPELINE, decode_action
+from repro.core.actions import PIPELINE, try_apply_action
 from repro.core.loopview import render_loop_view
 from repro.core.pipeline import (
     SCHEDULES,
@@ -43,7 +42,7 @@ from repro.core.pipeline import (
     pipeline_legal,
 )
 from repro.core.sharding import ShardingEnv
-from repro.errors import ShardingError
+from repro.errors import ExecutionError, ShardingError
 from repro.ir import evaluate_function
 from repro.ir.tagpoints import tag_points
 from repro.mesh import Mesh
@@ -274,10 +273,6 @@ class TestPipelineLegality:
         actions = candidate_actions(fn, env, ["stage", "model"])
         pipeline_actions = [a for a in actions if a[0] == PIPELINE]
         assert pipeline_actions, "PIPELINE missing from the action space"
-        for action in pipeline_actions:
-            decoded = decode_action(action)
-            assert decoded.axis == action[3]
-            assert decoded.encode() == action
         # Applying one pins the marker and survives propagation.
         assert try_apply_action(fn, env, pipeline_actions[0])
         propagate(fn, env)
@@ -483,6 +478,28 @@ class TestExecutionEquivalence:
         tile(env, fn.params[0], 0, "d")
         propagate(fn, env)
         self.check(fn, env)
+
+
+def test_runaway_while_loop_stops_on_both_paths(monkeypatch):
+    """A predicate that stays true raises after ``MAX_WHILE_ITERATIONS`` on
+    the reference interpreter and on the simulated mesh alike (the mesh
+    used to spin forever); one cap bounds both."""
+    from repro.ir import interpreter
+
+    monkeypatch.setattr(interpreter, "MAX_WHILE_ITERATIONS", 3)
+
+    def f(x, w):
+        return ops.while_loop(lambda i, acc: i >= 0,
+                              lambda i, acc: (acc @ w,), (x,))[0]
+
+    traced = trace(f, ShapeDtype((8, 4)), ShapeDtype((4, 4)))
+    args = [np.ones((8, 4), np.float32), np.eye(4, dtype=np.float32)]
+    with pytest.raises(ExecutionError, match="exceeded 3 iterations"):
+        evaluate_function(traced.function, args)
+    fn, _ = partir_jit(traced, Mesh({"d": 2}),
+                       [ManualPartition({"0": 0}, axis="d")])
+    with pytest.raises(ExecutionError, match="exceeded 3 iterations"):
+        fn(*args)
 
 
 class TestIndivisibleOperandDim:

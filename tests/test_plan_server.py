@@ -786,8 +786,10 @@ class TestCircuitBreaker:
         yield
         rpc.reset_breakers()
 
-    def test_state_machine_cycle(self):
-        breaker = rpc.CircuitBreaker(threshold=2, cooldown_s=0.15)
+    def test_state_machine_cycle(self, monkeypatch):
+        monkeypatch.setattr(rpc, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(rpc, "BREAKER_COOLDOWN_S", 0.15)
+        breaker = rpc.CircuitBreaker()
         assert breaker.state == rpc.CircuitBreaker.CLOSED
         breaker.record_failure()
         assert breaker.state == rpc.CircuitBreaker.CLOSED  # 1 < threshold

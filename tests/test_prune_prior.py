@@ -99,7 +99,7 @@ class TestCondenser:
             assert env.sharding(value) is sharding
 
     def test_probe_action_matches_manual_delta(self):
-        from repro.auto.evaluator import try_apply_action
+        from repro.core.actions import try_apply_action
         from repro.auto.prune import footprint_digest
         function, _ = build_matmul_chain()
         env, candidates = _prepared(function)

@@ -16,7 +16,7 @@ from repro import Mesh, ShapeDtype, trace
 from repro.core.sharding import ShardingEnv
 from repro.auto.evaluator import Evaluator
 from repro.auto.scheduler import ProcessScheduler, RolloutScheduler
-from repro.auto.search import mcts_search
+from repro.auto.search import SearchConfig, mcts_search
 from repro.auto.tree import Node
 from repro.sim import DeviceSpec, costmodel
 from repro.trace import ops
@@ -218,7 +218,7 @@ class TestCanonicalWaveOrder:
 
     def _placed(self, workers, wave, earlier=()):
         function, _ = build_matmul_chain()
-        scheduler = _UnforkedScheduler(workers=workers)
+        scheduler = _UnforkedScheduler(SearchConfig(workers=workers))
         scheduler.prepare(Evaluator(function, ShardingEnv(MESH), TINY_DEVICE))
         try:
             for other in earlier:
@@ -255,7 +255,7 @@ class TestCanonicalWaveOrder:
                     (second, (A, B))]
         evaluator = _RecordingEvaluator()
         results = []
-        scheduler = RolloutScheduler("batched", wave_size=4)
+        scheduler = RolloutScheduler(SearchConfig(wave_size=4), "batched")
         scheduler.run(_ScriptedPolicy(rollouts), evaluator, len(rollouts),
                       1.0, lambda key, cost: results.append(key))
         assert evaluator.calls == [(A,), (B,), (C, D),

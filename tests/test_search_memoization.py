@@ -11,10 +11,10 @@ import pytest
 from repro import ManualPartition, Mesh, ShapeDtype, trace
 from repro.core import ShardingEnv
 from oracle import full_sweep, reference_cost
-from repro.auto.evaluator import Evaluator, candidate_actions, \
-    try_apply_action
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.search import mcts_search
 from repro.auto.tree import canonical_key
+from repro.core.actions import try_apply_action
 from repro.sim import DeviceSpec
 from repro.trace import ops
 

@@ -21,10 +21,11 @@ import pytest
 from oracle import reference_cost
 from repro import Mesh, ShapeDtype, trace
 from repro.core import actions as actions_mod
+from repro.core.actions import try_apply_action
 from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.ir.tagpoints import tag_points
-from repro.auto.evaluator import candidate_actions, try_apply_action
+from repro.auto.evaluator import candidate_actions
 from repro.auto.search import mcts_search
 from repro.models import bottleneck
 from repro.sim import TPU_V3
