@@ -225,7 +225,7 @@ class Evaluator:
             function, env.mesh, device
         )
         # Root fixed point: search never mutates the caller's env.  The
-        # event log is dropped — the evaluation env never reads it.
+        # clone keeps no event log — the evaluation env never reads one.
         self.root = env.copy(with_events=False)
         propagate(function, self.root)
         # The action stack mirrors the env's applied prefix (one checkpoint

@@ -29,25 +29,48 @@ since the previous fixed point — a tactic's actions), and whenever a
 value's sharding changes, every op adjacent to it is re-enqueued.  Within
 a round, ops run in program (pre-order walk) order with changes visible
 immediately; an adjacent op at a *later* index joins the current round,
-one at an earlier-or-equal index is deferred to the next round.  The
-schedule is therefore a subsequence of the classic whole-function sweep
-restricted to ops that could fire: within one call the fixed point —
-shardings *and* recorded events, which are deduped per call — is the
-sweep's.  Across a chain of tactics the shardings and the *set* of
-distinct conflicts agree with re-sweeping after every tactic; a re-sweep
-would only re-report a conflict persisting from an earlier tactic.  A
-whole-function sweep is the special case where every value is dirty;
-``tests/oracle.py::full_sweep`` builds it that way, and
-``tests/test_chains.py`` checks the equivalence along mixed trajectories.
+one at an earlier index is deferred to the next round.  The op that just
+wrote is adjacent to its own writes; it is deferred too unless its visit
+was *settled* — a second visit with nothing changed in between would
+write and record nothing — and the schedule drops only those provably
+no-op self-revisits.  The schedule is therefore a subsequence of the
+classic whole-function sweep restricted to ops that could fire: within
+one call the fixed point — shardings *and* recorded events, which are
+deduped per call — is the sweep's.  Across a chain of tactics the
+shardings and the *set* of distinct conflicts agree with re-sweeping
+after every tactic; a re-sweep would only re-report a conflict persisting
+from an earlier tactic.  A whole-function sweep is the special case
+where every value is dirty; ``tests/oracle.py::full_sweep`` builds it
+that way, and ``tests/test_chains.py`` checks the equivalence along
+mixed trajectories.
+
+**The settled rule.**  A visit that wrote is settled unless (a) the op is
+a loop op (``_process_loop`` is not idempotent when one value sits in two
+carry groups), (b) one value sits at two of the op's adjacent positions
+(a write through one position is new evidence at the other), (c)
+``_match_axis`` found two or more extendable factors on some axis (a
+write on another axis can make all but one of them indivisible, and a
+revisit would then apply that one), or (d) ``_extendable`` rejected a
+factor at its reduce check, which reports nothing (a revisit may then
+hit, and report, a ``blocked`` entry the write created).  Otherwise a
+revisit is a no-op: evidence and pending sums are read up front and a
+write adds neither (it tiles positions of the factor just applied, which
+already had evidence, and sums only results); extendability can only
+fall, since every blocking test is monotone and an applied factor is
+fully applied; a factor rejected at an entry already reported
+``blocked`` for its ``(op, axis)``; and deferral is guarded by ``used``,
+which the deferred sum joins.  ``tests/test_settled_revisits.py`` checks
+the schedule against ``tests/oracle.py::RevisitingPropagator``, which
+always re-enqueues.
 
 **One compiled kernel.**  Every visit runs the same per-op transfer
 function (:meth:`Propagator._visit`), compiled per function into shared
 records (:class:`_Transfer`, :class:`_FunctionIndex`) so a visit indexes
 tuples and reads attributes of canonical shardings instead of calling
 into the rule registry.  Comparing against a sweep therefore cannot catch
-a kernel bug; `tests/test_propagation_golden.py` pins fixed points, event
-lists and visit counts to values generated before the kernel was
-compiled.
+a kernel bug; `tests/test_propagation_golden.py` pins fixed points and
+event lists to values generated before the kernel was compiled (and
+visit counts to the settled rule's).
 """
 
 from __future__ import annotations
@@ -154,7 +177,7 @@ class _FunctionIndex:
     view of it (:meth:`Function.derived`), so it is rebuilt when the
     function grows and never pickled."""
 
-    __slots__ = ("ops", "transfers", "adjacency")
+    __slots__ = ("ops", "transfers", "adjacency", "may_settle")
 
     def __init__(self, function: Function):
         self.ops: List[Operation] = function.index.ops
@@ -190,6 +213,14 @@ class _FunctionIndex:
         self.adjacency: Dict[Value, Tuple[int, ...]] = {
             value: tuple(indices) for value, indices in adjacency.items()
         }
+        #: Parallel to ``ops``: may a visit be settled (rules (a) and (b)
+        #: of the module docstring)?
+        self.may_settle: List[bool] = [
+            not transfer.loop
+            and len(set(op.operands + op.results))
+            == len(op.operands) + len(op.results)
+            for op, transfer in zip(self.ops, self.transfers)
+        ]
 
 
 def _function_index(function: Function) -> _FunctionIndex:
@@ -216,6 +247,9 @@ class Propagator:
         self._axis_names = env.mesh.axis_names
         self._reported: Set[Tuple[int, str, str]] = set()
         self._index = _function_index(function)
+        #: Cleared by the last visit's checks (c) and (d) of the settled
+        #: rule; only read after a visit that wrote.
+        self._settled = True
 
     # -- public -----------------------------------------------------------
 
@@ -238,6 +272,7 @@ class Propagator:
         ops = self._index.ops
         transfers = self._index.transfers
         adjacency = self._index.adjacency
+        may_settle = self._index.may_settle
         env = self.env
         stats = env.stats
         visit = self._visit
@@ -268,15 +303,17 @@ class Propagator:
                 if env._write_serial == before:
                     continue
                 # Re-enqueue every op adjacent to a value we just changed:
-                # later ops join this round (program order), earlier-or-
-                # equal ones wait for the next round — sweep semantics.
+                # later ops join this round (program order), earlier ones
+                # wait for the next round — sweep semantics — and so does
+                # this op, unless its visit was settled.
+                own = i if may_settle[i] and self._settled else -1
                 for value in env.drain_dirty():
                     for j in adjacency.get(value, ()):
                         if j > i:
                             if j not in in_current:
                                 heappush(current, j)
                                 in_current.add(j)
-                        else:
+                        elif j != own:
                             next_round.add(j)
         if not current and not next_round:
             return  # converged in exactly max_rounds rounds
@@ -345,6 +382,7 @@ class Propagator:
                     pending.setdefault(axis, []).append(k)
         if not evidence and not pending:
             return
+        self._settled = True  # (every visit that writes gets here)
         defer = bool(pending) and transfer.single_result
         stale = False  # did a write outdate ``shardings``?
         for axis in self._axis_names:
@@ -370,6 +408,8 @@ class Propagator:
                 extendable.append(fid)
         if not extendable:
             return False
+        if len(extendable) > 1:
+            self._settled = False  # rule (c)
         chosen = self._choose(op, axis, extendable)
         if chosen is None:
             return False
@@ -426,6 +466,7 @@ class Propagator:
                 if axis in sharding.sum_axes:
                     continue
                 if axis in sharding.used or axis in sharding.pinned:
+                    self._settled = False  # rule (d): rejected silently
                     return False
                 missing = True
         return missing

@@ -377,6 +377,9 @@ class ShardingEnv:
         #: Every sharding ever written (absent = replicated).
         self._shardings: Dict[Value, Sharding] = {}
         self.events: List[Event] = []
+        #: False on a search clone (``copy(with_events=False)``):
+        #: :meth:`record` then keeps nothing.
+        self.keeps_events = True
         self._dirty: Set[Value] = set()
         self.stats = PropagationStats()
         #: Undo log: ``(value, previous sharding)`` per effective write,
@@ -526,8 +529,10 @@ class ShardingEnv:
         The shardings are snapshotted with one ``dict.copy()`` — atomic
         under the GIL, so another thread may copy an env that is being
         written and still see a consistent map.  ``with_events=False``
-        starts the clone with an empty event log — for the search's
-        evaluation env, which never reads the caller's history.
+        gives a clone that keeps no event log at all — neither the
+        caller's history nor its own events (:meth:`record` does
+        nothing; checkpoints and rollbacks work as before) — for the
+        search's evaluation env, which never reads events.
 
         Clones never inherit undo state: outstanding checkpoints and the
         undo log stay with ``self`` (a clone starts with neither), so
@@ -536,6 +541,8 @@ class ShardingEnv:
         clone._shardings = self._shardings.copy()
         if with_events:
             clone.events = list(self.events)
+        else:
+            clone.keeps_events = False
         clone._dirty = set(self._dirty)
         clone.stats = self.stats  # shared tally (see PropagationStats)
         return clone
@@ -565,9 +572,10 @@ class ShardingEnv:
             self.set_sharding(values[index], Sharding.from_portable(portable))
 
     def record(self, kind: str, op, axis: str, detail="") -> None:
-        """Append an event; ``detail`` is a string or a lazy
-        ``(format, *args)`` payload (see :class:`Event`)."""
-        self.events.append(Event(kind, op, axis, detail))
+        """Append an event, unless the env keeps none; ``detail`` is a
+        string or a lazy ``(format, *args)`` payload (see :class:`Event`)."""
+        if self.keeps_events:
+            self.events.append(Event(kind, op, axis, detail))
 
     def conflicts(self) -> List[Event]:
         return [e for e in self.events if e.kind == "conflict"]

@@ -48,6 +48,12 @@ def canonical_attr(obj):
 class Value:
     """An SSA value with a static tensor type.
 
+    Identity is a value's equality and its hash (``object``'s, computed in
+    C): no two distinct values are interchangeable, and the dicts keyed
+    by values (the env's shardings, propagation's adjacency) probe
+    without a Python call.  ``uid`` is a stable integer name for printed
+    IR and live-range logs, not a hash.
+
     Attributes:
         type: the value's :class:`TensorType`.
         producer: the defining :class:`Operation`, or ``None`` for function
@@ -82,12 +88,6 @@ class Value:
     def __repr__(self) -> str:
         label = self.name or f"v{self.uid}"
         return f"%{label}: {self.type}"
-
-    def __hash__(self) -> int:
-        return self.uid
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
 
 class Operation:

@@ -51,7 +51,9 @@ def shard_array(array: np.ndarray, dim_axes, mesh: Mesh,
         slicer = [slice(None)] * out.ndim
         slicer[d] = slice(idx * block, (idx + 1) * block)
         out = out[tuple(slicer)]
-    return np.ascontiguousarray(out)
+    # Not ``ascontiguousarray``: it returns at least 1-d, so a 0-d
+    # parameter's chunk would come back with shape (1,).
+    return np.require(out, requirements="C")
 
 
 def unshard_arrays(chunks: List[np.ndarray], dim_axes, mesh: Mesh,

@@ -358,8 +358,8 @@ class StreamingEstimator:
         table by uid and never assumes density, and record *order* (which
         the peak walk does depend on) is byte-for-byte that of the fused
         lowering's op list.  Segments name IR values by ``id()`` (values
-        live as long as the function; an int hashes in C, a
-        :class:`~repro.ir.values.Value` through its Python ``__hash__``).
+        live as long as the function), so a segment is a tuple of plain
+        ints.
         """
         acc = TermSum()
         add_parts = acc.extend

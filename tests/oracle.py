@@ -23,13 +23,18 @@ same statement for one chain (``tests/test_reconcile_chains.py``).
 (``Function.index``'s ops and values), written out independently.
 ``full_sweep`` is propagation's reference: a fixed point seeded from
 *every* value, the whole-function sweep the library does not run.
+``RevisitingPropagator`` is the kernel's schedule before the settled rule:
+after every visit that writes, the visited op is re-enqueued too, so the
+kernel must reach its state and event list in no more visits.
 ``ESTIMATE_FIELDS`` / ``assert_estimates_identical`` are the one statement
 of what "bit for bit" means for two ``CostEstimate`` objects.
 """
 
+import heapq
+
 from repro.auto.tree import canonical_key
 from repro.core.actions import try_apply_action
-from repro.core.propagate import propagate
+from repro.core.propagate import Propagator, propagate
 from repro.core.sharding import ShardingEnv
 from repro.ir import opdefs
 from repro.ir.function import FunctionBuilder
@@ -329,6 +334,59 @@ def apply_with_full_sweep(tactic, function, env):
     applied = tactic.issue_actions(function, env)
     full_sweep(function, env)
     return applied
+
+
+class RevisitingSchedule:
+    """Mixin: a propagator's worklist without the settled rule.  Any op
+    adjacent to a value a visit wrote -- the visited op included -- is
+    re-enqueued: a later one joins the round, an earlier-or-equal one
+    waits for the next.  Mix it in front of a propagator class
+    (``revisiting(cls)``) to keep that class's transfer function and
+    conflict policy."""
+
+    def _fixed_point(self, seeds, max_rounds):
+        ops = self._index.ops
+        transfers = self._index.transfers
+        adjacency = self._index.adjacency
+        env = self.env
+        current = sorted(seeds)
+        next_round = set()
+        for _ in range(max_rounds):
+            if not current:
+                if not next_round:
+                    return
+                current = sorted(next_round)
+                next_round = set()
+            env.stats.rounds += 1
+            queued = set(current)
+            while current:
+                i = heapq.heappop(current)
+                env.stats.ops_processed += 1
+                before = env.write_serial
+                if transfers[i].loop:
+                    self._process_loop(ops[i])
+                else:
+                    self._visit(ops[i], transfers[i])
+                if env.write_serial == before:
+                    continue
+                for value in env.drain_dirty():
+                    for j in adjacency.get(value, ()):
+                        if j <= i:
+                            next_round.add(j)
+                        elif j not in queued:
+                            queued.add(j)
+                            heapq.heappush(current, j)
+        if current or next_round:
+            raise RuntimeError("propagation did not converge")
+
+
+def revisiting(propagator_class):
+    """``propagator_class`` on the :class:`RevisitingSchedule`."""
+    return type("Revisiting" + propagator_class.__name__,
+                (RevisitingSchedule, propagator_class), {})
+
+
+RevisitingPropagator = revisiting(Propagator)
 
 
 def reference_env(function, mesh, actions):

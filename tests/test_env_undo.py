@@ -100,6 +100,35 @@ def test_rollback_matches_copy_forks_over_tactic_chains(case, seed):
             assert restored is intern_sharding(expected)
 
 
+def test_search_clone_keeps_no_event_log():
+    """``copy(with_events=False)`` -- the search's env -- neither inherits
+    the caller's events nor records its own, and its checkpoints still
+    restore it exactly; a plain copy goes on logging."""
+    builder = FunctionBuilder("chain")
+    x = builder.param((8, 4), name="x")
+    w = builder.param((4, 4), name="w")
+    function = builder.ret(builder.emit1(
+        "dot_general", [x, w], {"lhs_contract": (1,), "rhs_contract": (0,)}))
+    env = ShardingEnv(MESH)
+    env.set_sharding(x, Sharding.replicated(2).with_tile(0, "batch"))
+    propagate(function, env)
+    assert env.events
+
+    clone = env.copy(with_events=False)
+    token = clone.checkpoint()
+    clone.set_sharding(w, Sharding.replicated(2).with_tile(1, "model"))
+    propagate(function, clone)
+    assert len(clone.writes_since(token)) > 1 and clone.events == []
+    clone.rollback(token)
+    assert [clone.sharding(v) for v in function.index.values] == \
+        [env.sharding(v) for v in function.index.values]
+
+    logged = env.copy()
+    logged.set_sharding(w, Sharding.replicated(2).with_tile(1, "model"))
+    propagate(function, logged)
+    assert len(logged.events) > len(env.events)
+
+
 def test_nested_checkpoints_unwind_correctly():
     builder = FunctionBuilder("nested")
     params = [builder.param((8, 8), name=f"p{i}") for i in range(4)]

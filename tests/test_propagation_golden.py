@@ -14,7 +14,10 @@ actions (``incremental``) and once with each followed by a full sweep
 (it shares the kernel and overrides its conflict policy), a hand-built
 footprint digest and the condenser's signatures on ``transformer.tiny``.
 The file's stats rows predate the removal of the per-mode call counter
-and still carry it at index 1; the comparison drops it.
+and still carry it at index 1; the comparison drops it.  Their visit
+counts (index 2) were re-pinned, alone, when a settled visit stopped
+re-enqueueing its own op (``tests/test_settled_revisits.py``); every
+other entry is as first written.
 Regenerate only for a change that is *meant* to move fixed points, events
 or visit counts, and say so in the PR.
 """

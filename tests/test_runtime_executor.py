@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import ManualPartition, ShapeDtype, partir_jit, trace
 from repro.errors import ExecutionError
 from repro.ir import FunctionBuilder
 from repro.mesh import Mesh
@@ -48,6 +49,11 @@ class TestShardUnshard:
         with pytest.raises(ExecutionError):
             unshard_arrays(chunks, ((),), mesh, coords)
 
+    def test_scalar_chunk_keeps_rank_zero(self):
+        mesh = Mesh({"a": 2})
+        chunk = shard_array(np.array(2.5, np.float32), (), mesh, {"a": 1})
+        assert chunk.shape == ()
+
     def test_indivisible_rejected(self):
         mesh = Mesh({"a": 4})
         with pytest.raises(ExecutionError):
@@ -89,6 +95,19 @@ class TestExecutor:
         arg = np.array([1, 5, 2, 3, 9, 0, 4, 4], dtype=np.float32)
         out_val, = MeshExecutor(lowered)(arg)
         np.testing.assert_array_equal(out_val, np.maximum(arg[:4], arg[4:]))
+
+    def test_scalar_parameter_runs(self, rng):
+        """A 0-d parameter is handed to every device as a 0-d chunk, with
+        or without a tactic tiling its neighbour; a 0-d result comes
+        back 0-d."""
+        traced = trace(lambda s, x: (x * s, s * s), ShapeDtype(()),
+                       ShapeDtype((8, 4)))
+        x = rng.randn(8, 4).astype(np.float32)
+        for tactics in ([], [ManualPartition({"1": 0}, axis="a")]):
+            run, _ = partir_jit(traced, Mesh({"a": 2, "b": 2}), tactics)
+            scaled, squared = run(np.float32(3.0), x)
+            np.testing.assert_allclose(scaled, x * 3.0, rtol=1e-6)
+            assert squared.shape == () and squared == 9.0
 
     def test_memory_tracking_smaller_when_sharded(self, paper_mesh, rng):
         function, lowered_bp = _lower_chain([("x", 0, "B")], paper_mesh)
