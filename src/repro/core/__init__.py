@@ -3,7 +3,7 @@ and the propagation pass."""
 
 from repro.core.loopview import render_loop_view
 from repro.core.actions import atomic, find_tagged, first_divisible_dim, tile
-from repro.core.propagate import Propagator, propagate
+from repro.core.propagate import Propagator
 from repro.core.rules import Factor, OpShardingRule, rule_for
 from repro.core.sharding import Event, PropagationStats, Sharding, ShardingEnv
 
@@ -14,7 +14,6 @@ __all__ = [
     "first_divisible_dim",
     "tile",
     "Propagator",
-    "propagate",
     "Factor",
     "OpShardingRule",
     "rule_for",

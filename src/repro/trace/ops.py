@@ -282,10 +282,6 @@ def downsample2d_sum(x: TracedArray, factor: int) -> TracedArray:
     return x.tracer.emit("downsample2d_sum", [x], {"factor": factor})
 
 
-def avg_pool2d(x: TracedArray, factor: int) -> TracedArray:
-    return downsample2d_sum(x, factor) * (1.0 / (factor * factor))
-
-
 # -- loops ------------------------------------------------------------------------
 
 def _trace_region(outer: Tracer, name: str, carries: Sequence[TracedArray],

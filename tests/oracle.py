@@ -28,10 +28,19 @@ after every visit that writes, the visited op is re-enqueued too, so the
 kernel must reach its state and event list in no more visits.
 ``ESTIMATE_FIELDS`` / ``assert_estimates_identical`` are the one statement
 of what "bit for bit" means for two ``CostEstimate`` objects.
+
+``FAMILIES`` is the suite's one table of small model programs (each
+family's unit-test config, mesh and manual schedule) and ``traced`` their
+one trace per session.  A test that edits a function or drops its
+``_derived`` memo, or that counts cold builds, traces its own copy with
+``FAMILIES[name].build()``.
 """
 
+import functools
 import heapq
+from typing import Callable, NamedTuple
 
+from repro.api import ManualPartition
 from repro.auto.tree import canonical_key
 from repro.core.actions import try_apply_action
 from repro.core.propagate import Propagator, propagate
@@ -39,9 +48,69 @@ from repro.core.sharding import ShardingEnv
 from repro.ir import opdefs
 from repro.ir.function import FunctionBuilder
 from repro.ir.values import canonical_attr
+from repro.mesh import Mesh
+from repro.models import bottleneck, gns, transformer, unet
+from repro.models import pipeline as pm
+from repro.models import schedules as sched
 from repro.sim import costmodel
 from repro.spmd import lower
 from repro.spmd.lower import LoweredModule, Lowerer
+
+MESH = Mesh({"batch": 4, "model": 2})
+PIPE_MESH = Mesh({"stage": 2, "model": 2})
+IT32 = transformer.it32(num_layers=2, d_model=16, num_heads=4, d_head=4,
+                        ffw_dim=32, vocab=32, batch=8, decode_steps=4)
+
+
+class Family(NamedTuple):
+    """``build()`` traces the program; ``schedule()`` is a fresh list of
+    its manual tactics for ``mesh``."""
+    build: Callable
+    mesh: Mesh
+    schedule: Callable
+
+
+def _pipe_mp():
+    return [sched.pp("stage"),
+            ManualPartition({"up_w": 1, "down_w": 0}, axis="model")]
+
+
+FAMILIES = {
+    "transformer.tiny": Family(
+        lambda: transformer.trace_training_step(transformer.tiny()), MESH,
+        lambda: [sched.bp({"tokens": 0, "targets": 0}), sched.megatron_mp(),
+                 sched.zero3(), sched.emb()]),
+    "it32.tiny": Family(
+        lambda: transformer.trace_inference(IT32), MESH,
+        lambda: sched.transformer_schedules(IT32, training=False)["BP+MP"]),
+    "unet.tiny": Family(
+        lambda: unet.trace_training_step(unet.tiny()), MESH,
+        lambda: [sched.bp({"image": 0, "timestep": 0, "noise": 0}),
+                 unet.megatron_mp(), sched.zero3(all_tensors=True)]),
+    "gns.tiny": Family(
+        lambda: gns.trace_training_step(gns.tiny()), MESH,
+        lambda: [sched.edge_sharding(), sched.zero3(all_tensors=True),
+                 ManualPartition({"nodes": 1}, axis="model")]),
+    "pm.tiny": Family(
+        lambda: pm.trace_pipeline_transformer(pm.tiny()), PIPE_MESH,
+        _pipe_mp),
+    "moe.8": Family(
+        lambda: pm.trace_pipeline_moe(pm.tiny(batch=16, num_experts=8)),
+        PIPE_MESH,
+        lambda: _pipe_mp() + [ManualPartition(
+            {"expert_up_w": 0, "expert_down_w": 0}, axis="model")]),
+    "bottleneck.ensemble": Family(
+        lambda: bottleneck.trace_training_step(bottleneck.ensemble()), MESH,
+        lambda: [ManualPartition({"w1": 1, "w2": 0}, axis="model"),
+                 sched.zero3(all_tensors=True)]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def traced(family):
+    """``FAMILIES[family]``'s program, traced once per session; callers
+    read it and may fill its memo, never edit it or drop the memo."""
+    return FAMILIES[family].build()
 
 
 #: Every field of a ``CostEstimate``; equality is exact on each.

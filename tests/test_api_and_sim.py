@@ -16,7 +16,8 @@ from repro.api import _name_matches
 from repro.errors import ShardingError
 from repro.ir import evaluate_function
 from repro.mesh import Mesh as MeshCls
-from repro.core import ShardingEnv, propagate, tile
+from repro.core import ShardingEnv, tile
+from repro.core.propagate import propagate
 from repro.sim import TPU_V3, estimate, mfu, model_flops, peak_live_bytes
 from repro.spmd import lower
 from repro.trace import ops

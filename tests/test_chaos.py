@@ -27,7 +27,6 @@ import pytest
 
 from repro import Mesh
 from repro.core.sharding import ShardingEnv
-from repro.ir.function import FunctionBuilder
 from repro.sim import DeviceSpec
 
 from repro.auto import faults, rpc
@@ -37,6 +36,8 @@ from repro.auto.scheduler import make_scheduler
 from repro.auto.search import SearchConfig, mcts_search
 from repro.auto.server import PlanServer
 
+from conftest import build_matmul_chain
+
 TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
                          link_bandwidth=1e9)
 MESH = Mesh({"B": 4, "M": 2})
@@ -44,21 +45,20 @@ SEARCH = dict(device=TINY_DEVICE, budget=8, seed=0)
 
 
 def chain():
-    builder = FunctionBuilder("main")
-    x = builder.param((256, 8), name="x")
-    w1 = builder.param((8, 16), name="w1")
-    w2 = builder.param((16, 8), name="w2")
-    hidden = builder.emit1("dot_general", [x, w1],
-                           {"lhs_contract": (1,), "rhs_contract": (0,)})
-    out = builder.emit1("dot_general", [hidden, w2],
-                        {"lhs_contract": (1,), "rhs_contract": (0,)})
-    return builder.ret(out)
+    return build_matmul_chain()[0]
 
 
-def search(**kw):
-    params = dict(SEARCH)
-    params.update(kw)
-    return mcts_search(chain(), ShardingEnv(MESH), ["B", "M"], **params)
+def search(plan=None, **kw):
+    """``mcts_search`` of :func:`chain` with ``SEARCH`` (``kw`` wins), under
+    the fault ``plan`` when one is given (uninstalled after)."""
+    if plan is not None:
+        faults.install(plan)
+    try:
+        return mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
+                           **{**SEARCH, **kw})
+    finally:
+        if plan is not None:
+            faults.uninstall()
 
 
 @pytest.fixture(autouse=True)
@@ -316,12 +316,9 @@ class TestProcessChaos:
         """Every worker dies on its second evaluation, repeatedly; the
         scheduler re-forks within the budget and re-routes the lost keys.
         Result: bit-identical to the fault-free serial run."""
-        faults.install(faults.FaultPlan({"worker.exit": [1]}))
-        try:
-            result = search(backend="process", workers=2, wave_size=2,
-                            restart_budget=16)
-        finally:
-            faults.uninstall()
+        result = search(faults.FaultPlan({"worker.exit": [1]}),
+                        backend="process", workers=2, wave_size=2,
+                        restart_budget=16)
         assert result.actions == reference.actions
         assert result.cost == reference.cost
         assert result.workers_restarted >= 1
@@ -332,11 +329,8 @@ class TestProcessChaos:
         (replacements die too), so past the default budget the search
         degrades to in-process serial evaluation and still completes
         bit-identically."""
-        faults.install(faults.FaultPlan({"worker.exit": [0]}))
-        try:
-            result = search(backend="process", workers=2, wave_size=2)
-        finally:
-            faults.uninstall()
+        result = search(faults.FaultPlan({"worker.exit": [0]}),
+                        backend="process", workers=2, wave_size=2)
         assert result.actions == reference.actions
         assert result.cost == reference.cost
         assert result.degraded_to == "serial"
@@ -345,13 +339,10 @@ class TestProcessChaos:
     def test_zero_restart_budget_degrades_on_first_failure(self, reference):
         """The ``restart_budget`` field is the one way to set the budget,
         and the degrade warning names it."""
-        faults.install(faults.FaultPlan({"worker.exit": [1]}))
-        try:
-            with pytest.warns(RuntimeWarning, match="restart_budget"):
-                result = search(backend="process", workers=2, wave_size=2,
-                                restart_budget=0)
-        finally:
-            faults.uninstall()
+        with pytest.warns(RuntimeWarning, match="restart_budget"):
+            result = search(faults.FaultPlan({"worker.exit": [1]}),
+                            backend="process", workers=2, wave_size=2,
+                            restart_budget=0)
         assert result.actions == reference.actions
         assert result.cost == reference.cost
         assert result.workers_restarted == 0
@@ -401,13 +392,9 @@ def check_connection_resets_heal(backend, reference, **kw):
     sides; either end of them may draw from the schedule) — sessions are
     re-opened, replay ``eval_init`` and re-route; the result matches the
     fault-free serial run bit for bit."""
-    faults.install(
-        faults.FaultPlan({"rpc.recv": [6, 9], "rpc.send": [12]}))
-    try:
-        result = search(backend=backend, workers=2, wave_size=2,
-                        restart_budget=16, rpc_timeout_s=10.0, **kw)
-    finally:
-        faults.uninstall()
+    result = search(faults.FaultPlan({"rpc.recv": [6, 9], "rpc.send": [12]}),
+                    backend=backend, workers=2, wave_size=2,
+                    restart_budget=16, rpc_timeout_s=10.0, **kw)
     assert result.actions == reference.actions
     assert result.cost == reference.cost
     assert result.faults_injected >= 1
@@ -453,11 +440,8 @@ class TestRemoteChaos:
     def test_server_search_crash_falls_back_to_local(self, reference):
         with PlanServer() as server:
             address = rpc.format_address(server.address)
-            faults.install(faults.FaultPlan({"server.search": [0]}))
-            try:
-                result = search(plan_server=address)
-            finally:
-                faults.uninstall()
+            result = search(faults.FaultPlan({"server.search": [0]}),
+                            plan_server=address)
             assert result.plan_source == "local"
             assert result.actions == reference.actions
             assert result.cost == reference.cost
@@ -471,13 +455,10 @@ class TestRemoteChaos:
         site at once — the 'any fault schedule' quantifier."""
         with PlanServer() as server:
             address = rpc.format_address(server.address)
-            faults.install(faults.FaultPlan.seeded(3, rate=0.06))
-            try:
-                result = search(backend="remote", workers=2, wave_size=2,
-                                plan_server=address, restart_budget=32,
-                                rpc_timeout_s=10.0)
-            finally:
-                faults.uninstall()
+            result = search(faults.FaultPlan.seeded(3, rate=0.06),
+                            backend="remote", workers=2, wave_size=2,
+                            plan_server=address, restart_budget=32,
+                            rpc_timeout_s=10.0)
         assert result.actions == reference.actions
         assert result.cost == reference.cost
 
@@ -489,12 +470,9 @@ class TestTornWritesDuringSearch:
         """A cache.append fault during a process-backend search with a
         persistent cache_dir: the search completes bit-identically, and
         the torn log still warm-starts a later run to the same answer."""
-        faults.install(faults.FaultPlan({"cache.append": [0]}))
-        try:
-            result = search(backend="process", workers=2, wave_size=2,
-                            cache_dir=str(tmp_path))
-        finally:
-            faults.uninstall()
+        result = search(faults.FaultPlan({"cache.append": [0]}),
+                        backend="process", workers=2, wave_size=2,
+                        cache_dir=str(tmp_path))
         assert result.actions == reference.actions
         assert result.cost == reference.cost
         warm = search(cache_dir=str(tmp_path))

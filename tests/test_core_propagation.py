@@ -10,14 +10,8 @@ import pytest
 from repro.errors import ShardingError
 from repro.ir import FunctionBuilder
 from repro.mesh import Mesh
-from repro.core import (
-    Sharding,
-    ShardingEnv,
-    atomic,
-    propagate,
-    rule_for,
-    tile,
-)
+from repro.core import Sharding, ShardingEnv, atomic, rule_for, tile
+from repro.core.propagate import propagate
 from tests.conftest import build_matmul_chain
 
 

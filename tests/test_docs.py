@@ -109,7 +109,8 @@ def test_public_api_docstrings_have_examples():
 def test_markdown_links_resolve():
     script = os.path.join(REPO_ROOT, "tools", "check_links.py")
     proc = subprocess.run(
-        [sys.executable, script, "README.md", "docs/ARCHITECTURE.md"],
+        [sys.executable, script, "README.md", "docs/ARCHITECTURE.md",
+         ".claude/skills/verify/SKILL.md"],
         cwd=REPO_ROOT, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

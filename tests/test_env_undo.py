@@ -25,47 +25,25 @@ from repro.core.sharding import (
 )
 from repro.errors import ShardingError
 from repro.ir.function import FunctionBuilder
-from repro.mesh import Mesh
-from repro.models import gns as gns_mod
-from repro.models import transformer
-from repro.models import unet as unet_mod
 
-MESH = Mesh({"batch": 4, "model": 2})
+from oracle import MESH, traced
 
 
-def _traced_cases():
-    tcfg = transformer.t32(num_layers=2, d_model=128, num_heads=4, d_head=32,
-                           ffw_dim=256, vocab=512, seq_len=32, batch=8)
-    gcfg = gns_mod.gns(num_nodes=64, num_edges=256, feature_dim=8,
-                       latent_dim=32, mlp_layers=2, message_steps=2,
-                       out_dim=8)
-    ucfg = unet_mod.unet(num_down=2, num_up=2, channels=8, in_channels=4,
-                         image_size=16, batch=4, attention_heads=2,
-                         temb_dim=8)
-    return [
-        ("transformer", transformer.trace_training_step(tcfg)),
-        ("gns", gns_mod.trace_training_step(gcfg)),
-        ("unet", unet_mod.trace_training_step(ucfg)),
-    ]
-
-
-CASES = _traced_cases()
+CASES = ("transformer", "gns", "unet")  # their ``oracle.traced`` programs
 
 
 def _env_state(env, values):
     return [env.sharding(v) for v in values]
 
 
-@pytest.mark.parametrize("case", range(len(CASES)),
-                         ids=[name for name, _ in CASES])
+@pytest.mark.parametrize("case", range(len(CASES)), ids=CASES)
 @pytest.mark.parametrize("seed", range(17))
 def test_rollback_matches_copy_forks_over_tactic_chains(case, seed):
     """≥50 seeded chains (17 seeds x 3 models): after any sequence of
     (checkpoint, action+propagate) steps, rolling back to each recorded
     token restores shardings bit-identical to the copy() fork taken at the
     same point."""
-    _, traced = CASES[case]
-    function = traced.function
+    function = traced(f"{CASES[case]}.tiny").function
     values = function.index.values
 
     env = ShardingEnv(MESH)
@@ -188,8 +166,7 @@ def test_rollback_after_interleaved_copy():
 
 
 def test_writes_since_replays_to_identical_state():
-    _, traced = CASES[0]
-    function = traced.function
+    function = traced("transformer.tiny").function
     env = ShardingEnv(MESH)
     propagate(function, env)
     candidates = candidate_actions(function, env, ["batch", "model"], 8)
@@ -213,8 +190,7 @@ def test_writes_since_replays_to_identical_state():
 def test_dirty_set_seeds_propagation_and_is_drained_by_it():
     from repro.core import tile
 
-    _, traced = CASES[0]
-    function = traced.function
+    function = traced("transformer.tiny").function
     env = ShardingEnv(MESH)
     assert not env._dirty
     param = function.params[0]

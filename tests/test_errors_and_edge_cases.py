@@ -16,7 +16,8 @@ from repro.ir import (
     evaluate_function,
 )
 from repro.mesh import Mesh
-from repro.core import Sharding, ShardingEnv, propagate, tile
+from repro.core import Sharding, ShardingEnv, tile
+from repro.core.propagate import propagate
 from repro.spmd import count_collectives, lower
 from repro.trace import ShapeDtype, ops, trace
 from tests.conftest import build_matmul_chain

@@ -7,12 +7,8 @@ import pytest
 
 from repro.ir import FunctionBuilder, dtypes, evaluate_function, verify_function
 from repro.mesh import Mesh
-from repro.core import (
-    ShardingEnv,
-    propagate,
-    render_loop_view,
-    tile,
-)
+from repro.core import ShardingEnv, render_loop_view, tile
+from repro.core.propagate import propagate
 from repro.runtime import MeshExecutor
 from repro.sim import TPU_V3, costmodel, estimate
 from repro.spmd import count_collectives, lower

@@ -16,15 +16,10 @@ from repro.core.sharding import ShardingEnv
 from repro.ir import FunctionBuilder, opdefs
 from repro.ir.tagpoints import tag_points
 from repro.mesh import Mesh
-from repro.models import bottleneck, gns, transformer, unet
-from repro.models import pipeline as pm
 from repro.spmd.lower import plan_table
 from repro.trace import ops
 
-from oracle import reference_index
-
-IT32 = transformer.it32(num_layers=2, d_model=16, num_heads=4, d_head=4,
-                        ffw_dim=32, vocab=32, batch=8, decode_steps=4)
+from oracle import reference_index, traced
 
 
 def _nested_loops():
@@ -42,16 +37,15 @@ def _nested_loops():
     return trace(fn, ShapeDtype((4,)), ShapeDtype((4,)))
 
 
+#: family -> its program: ``oracle.traced``'s, and the nested loops.
 FAMILIES = {
-    "transformer": lambda: transformer.trace_training_step(
-        transformer.tiny()),
-    "it32_scan": lambda: transformer.trace_inference(IT32),
-    "unet": lambda: unet.trace_training_step(unet.tiny()),
-    "gns": lambda: gns.trace_training_step(gns.tiny()),
-    "pipeline": lambda: pm.trace_pipeline_transformer(pm.tiny()),
-    "moe": lambda: pm.trace_pipeline_moe(pm.tiny(batch=16, num_experts=8)),
-    "bottleneck": lambda: bottleneck.trace_training_step(
-        bottleneck.ensemble()),
+    "transformer": lambda: traced("transformer.tiny"),
+    "it32_scan": lambda: traced("it32.tiny"),
+    "unet": lambda: traced("unet.tiny"),
+    "gns": lambda: traced("gns.tiny"),
+    "pipeline": lambda: traced("pm.tiny"),
+    "moe": lambda: traced("moe.8"),
+    "bottleneck": lambda: traced("bottleneck.ensemble"),
     "nested_loops": _nested_loops,
 }
 
@@ -85,7 +79,7 @@ def test_index_is_the_reference_order(family):
 
 
 def test_portable_state_addresses_values_by_index():
-    function = FAMILIES["nested_loops"]().function
+    function = _nested_loops().function
     env = ShardingEnv(Mesh({"d": 2}))
     x = function.params[0]
     env.set_sharding(x, env.sharding(x).with_tile(0, "d"))
@@ -138,6 +132,6 @@ def test_derived_builds_once_per_key_and_structure():
     assert function.derived("view", build) is view
     assert function.derived(("view", 2), build) is not view
     assert len(builds) == 2
-    function.ops.append(FAMILIES["nested_loops"]().function.ops[0])
+    function.ops.append(_nested_loops().function.ops[0])
     assert function.derived("view", build) is not view
     assert len(builds) == 3

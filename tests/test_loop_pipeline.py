@@ -32,7 +32,7 @@ from repro.api import UNKNOWN, AutomaticPartition, ManualPartition, \
     PipelinePartition, partir_jit
 from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.search import mcts_search
-from repro.core import propagate, tile
+from repro.core import tile
 from repro.core.actions import PIPELINE, try_apply_action
 from repro.core.loopview import render_loop_view
 from repro.core.pipeline import (
@@ -41,6 +41,7 @@ from repro.core.pipeline import (
     loop_ops,
     pipeline_legal,
 )
+from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.errors import ExecutionError, ShardingError
 from repro.ir import evaluate_function

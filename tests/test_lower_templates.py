@@ -5,9 +5,9 @@ fused afterwards, and leaves no pair for Section 6's fusions.
 and emits it wherever it recurs.  That is only sound while no fusable
 pair straddles two chains (say, a loop tail ending in ``all_gather``
 feeding a consumer's ``all_slice``).  So on every ``tests/test_chains.py``
-family and every manual model of the repo's end-to-end benchmark
-(``benchmarks/e2e/cases.py``), after each tactic of its schedule, this
-module checks that:
+family after each tactic of its schedule, and on every manual model of the
+repo's end-to-end benchmark (``benchmarks/e2e/cases.py``) under its full
+schedule, this module checks that:
 
 * ``lower(f, env)`` equals ``oracle.reference_fuse(unfused_lower(f,
   env))`` op for op (``oracle.listing``: opcode, canonical attrs, operand
@@ -17,7 +17,9 @@ module checks that:
   included: a straddling pair fails here instead of going unfused.
 
 The benchmark's four ``t32x8`` schedules are prefixes of one another, so
-the longest one covers them; the same holds per model.
+the longest one stands for them; the same holds per model.  The chain
+families already run the check after every tactic, so a paper-scale model
+is checked once, under its full schedule.
 """
 
 import dataclasses
@@ -65,34 +67,35 @@ def _functions(function):
             yield from _functions(region)
 
 
-def _check_after_each_tactic(function, mesh, schedule):
-    env = ShardingEnv(mesh)
-    for step, tactic in enumerate(schedule):
-        tactic.apply(function, env)
-        context = (step, tactic.name)
-        lowered = lower(function, env)
-        for fn in _functions(lowered.function):
-            assert not fusable_pairs(fn), context
-        reference = unfused_lower(function, env)
-        reference.function = reference_fuse(reference.function)
-        assert listing(lowered.function) == listing(reference.function), \
-            context
-        assert lowered.input_shardings == reference.input_shardings
-        assert lowered.output_shardings == reference.output_shardings
-        got = costmodel.estimate(lowered, TPU_V3)
-        want = costmodel.estimate(reference, TPU_V3)
-        assert_estimates_identical(got, want, context)
-        assert dataclasses.asdict(got) == dataclasses.asdict(want), context
+def _check(function, env, context):
+    lowered = lower(function, env)
+    for fn in _functions(lowered.function):
+        assert not fusable_pairs(fn), context
+    reference = unfused_lower(function, env)
+    reference.function = reference_fuse(reference.function)
+    assert listing(lowered.function) == listing(reference.function), context
+    assert lowered.input_shardings == reference.input_shardings
+    assert lowered.output_shardings == reference.output_shardings
+    got = costmodel.estimate(lowered, TPU_V3)
+    want = costmodel.estimate(reference, TPU_V3)
+    assert_estimates_identical(got, want, context)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want), context
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_chain_family_lowers_fused(family):
     spec = FAMILIES[family]
-    _check_after_each_tactic(spec.function, MESH, spec.pool(zero3))
+    env = ShardingEnv(MESH)
+    for step, tactic in enumerate(spec.pool(zero3)):
+        tactic.apply(spec.function, env)
+        _check(spec.function, env, (step, tactic.name))
 
 
 @pytest.mark.parametrize("model", sorted(E2E))
 def test_e2e_manual_model_lowers_fused(model):
     case = E2E[model]
-    _check_after_each_tactic(case.build().function, case.mesh,
-                             case.schedule())
+    function = case.build().function
+    env = ShardingEnv(case.mesh)
+    for tactic in case.schedule():
+        tactic.apply(function, env)
+    _check(function, env, case.id)

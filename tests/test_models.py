@@ -21,6 +21,8 @@ from repro.models.schedules import (
     zero3,
 )
 
+from oracle import traced
+
 MESH = Mesh({"batch": 4, "model": 2})
 
 
@@ -34,8 +36,7 @@ def apply_and_count(tf, schedule, mesh=MESH):
 
 @pytest.fixture(scope="module")
 def tiny_t():
-    cfg = transformer.tiny()
-    return cfg, transformer.trace_training_step(cfg)
+    return transformer.tiny(), traced("transformer.tiny")
 
 
 class TestTransformerCounts:
@@ -166,7 +167,7 @@ class TestInferenceServingLoop:
 class TestUNet:
     def test_bp_rule(self):
         cfg = unet.tiny()
-        tf = unet.trace_training_step(cfg)
+        tf = traced("unet.tiny")
         verify_function(tf.function)
         p = unet.num_param_tensors(cfg)
         data = {"image": 0, "timestep": 0, "noise": 0}
@@ -175,7 +176,7 @@ class TestUNet:
 
     def test_z2_converts_all_grads_to_rs(self):
         cfg = unet.tiny()
-        tf = unet.trace_training_step(cfg)
+        tf = traced("unet.tiny")
         p = unet.num_param_tensors(cfg)
         data = {"image": 0, "timestep": 0, "noise": 0}
         counts, _, _ = apply_and_count(
@@ -188,7 +189,7 @@ class TestUNet:
 
     def test_z3_gathers_more_than_z2(self):
         cfg = unet.tiny()
-        tf = unet.trace_training_step(cfg)
+        tf = traced("unet.tiny")
         data = {"image": 0, "timestep": 0, "noise": 0}
         z2_counts, _, _ = apply_and_count(
             tf, [bp(data), zero2(all_tensors=True)]
@@ -200,7 +201,7 @@ class TestUNet:
 
     def test_partitioned_numerics(self, rng):
         cfg = unet.tiny()
-        tf = unet.trace_training_step(cfg)
+        tf = traced("unet.tiny")
         data = {"image": 0, "timestep": 0, "noise": 0}
         _, lowered, _ = apply_and_count(tf, [bp(data)],
                                         Mesh({"batch": 2}))
@@ -235,7 +236,7 @@ class TestUNet:
 class TestGNS:
     def test_edge_sharding_structure(self):
         cfg = gns.tiny()
-        tf = gns.trace_training_step(cfg)
+        tf = traced("gns.tiny")
         verify_function(tf.function)
         counts, _, env = apply_and_count(tf, [edge_sharding()],
                                          Mesh({"batch": 4}))
@@ -252,13 +253,11 @@ class TestGNS:
         """One AR per edge->node aggregation per direction per step, plus
         one per edge-MLP parameter gradient (the paper's GNS accounting)."""
         base = gns.tiny(message_steps=1)
-        plus = gns.tiny(message_steps=2)
-        c1, _, _ = apply_and_count(
-            [t for t in [gns.trace_training_step(base)]][0],
-            [edge_sharding()], Mesh({"batch": 4}))
-        c2, _, _ = apply_and_count(
-            gns.trace_training_step(plus), [edge_sharding()],
-            Mesh({"batch": 4}))
+        assert gns.tiny().message_steps == 2
+        c1, _, _ = apply_and_count(gns.trace_training_step(base),
+                                   [edge_sharding()], Mesh({"batch": 4}))
+        c2, _, _ = apply_and_count(traced("gns.tiny"), [edge_sharding()],
+                                   Mesh({"batch": 4}))
         per_step = c2.all_reduce - c1.all_reduce
         # each extra step: fwd aggregation + 2 bwd gather-grads +
         # edge-MLP weight/bias grads (2 * mlp_layers).
@@ -266,7 +265,7 @@ class TestGNS:
 
     def test_partitioned_numerics(self, rng):
         cfg = gns.tiny()
-        tf = gns.trace_training_step(cfg)
+        tf = traced("gns.tiny")
         _, lowered, _ = apply_and_count(tf, [edge_sharding()],
                                         Mesh({"batch": 2}))
         pspec = gns.param_spec(cfg)

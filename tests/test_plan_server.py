@@ -55,6 +55,17 @@ def chain(order=("x", "w1", "w2")):
     return builder.ret(out)
 
 
+def _search(server=None, function=None, **options):
+    """``mcts_search`` of ``function`` (a fresh :func:`chain` by default)
+    on ``MESH`` with ``SEARCH``, through ``server`` (a ``PlanServer`` or
+    an address) when one is given."""
+    if server is not None:
+        options["plan_server"] = (server if isinstance(server, str)
+                                  else addr(server))
+    return mcts_search(chain() if function is None else function,
+                       ShardingEnv(MESH), ["B", "M"], **{**SEARCH, **options})
+
+
 @pytest.fixture
 def server():
     with PlanServer() as running:
@@ -70,15 +81,12 @@ class TestPlanServing:
         """First request searches on the server; a structurally identical
         second request hits the exact tier.  Both replies match the local
         serial result bit for bit (actions and cost)."""
-        reference = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                **SEARCH)
-        cold = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                           plan_server=addr(server), **SEARCH)
+        reference = _search()
+        cold = _search(server)
         assert cold.plan_source == "server:search"
         assert cold.actions == reference.actions
         assert cold.cost == reference.cost
-        warm = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                           plan_server=addr(server), **SEARCH)
+        warm = _search(server)
         assert warm.plan_source == "server:exact"
         assert warm.actions == reference.actions
         assert warm.cost == reference.cost
@@ -90,11 +98,9 @@ class TestPlanServing:
         """A permuted-parameter clone hits the relaxed tier; the reply's
         actions are translated into the clone's index space and evaluate
         to exactly the served cost there."""
-        first = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                            plan_server=addr(server), **SEARCH)
+        first = _search(server)
         clone = chain(order=("w2", "x", "w1"))
-        served = mcts_search(clone, ShardingEnv(MESH), ["B", "M"],
-                             plan_server=addr(server), **SEARCH)
+        served = _search(server, clone)
         assert served.plan_source == "server:relaxed"
         assert served.cost == first.cost
         evaluator = Evaluator(clone, ShardingEnv(MESH), TINY_DEVICE)
@@ -119,11 +125,9 @@ class TestPlanServing:
 
         monkeypatch.setattr(server_mod, "canonicalize", counting)
         monkeypatch.setattr(cache_mod, "canonicalize", counting)
-        cold = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                           plan_server=addr(server), **SEARCH)
+        cold = _search(server)
         assert len(calls) == 1
-        warm = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                           plan_server=addr(server), **SEARCH)
+        warm = _search(server)
         assert len(calls) == 2
         assert (cold.plan_source, warm.plan_source) == \
             ("server:search", "server:exact")
@@ -180,10 +184,8 @@ class TestPlanServing:
                 ShapeDtype((256, 8)), ShapeDtype((8, 16)),
                 ShapeDtype((16, 8))).function
 
-        first = mcts_search(tagged_chain("hidden"), ShardingEnv(MESH),
-                            ["B", "M"], plan_server=addr(server), **SEARCH)
-        renamed = mcts_search(tagged_chain("renamed"), ShardingEnv(MESH),
-                              ["B", "M"], plan_server=addr(server), **SEARCH)
+        first = _search(server, tagged_chain("hidden"))
+        renamed = _search(server, tagged_chain("renamed"))
         assert first.plan_source == "server:search"
         assert renamed.plan_source == "server:exact"
         assert renamed.actions == first.actions
@@ -194,12 +196,10 @@ class TestPlanServing:
         """A permuted clone's layout differs from the populating
         program's on every request — nothing is registered by a hit — and
         its translated actions price to the served cost."""
-        first = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                            plan_server=addr(server), **SEARCH)
+        first = _search(server)
         clone = chain(order=("w2", "x", "w1"))
         for _ in range(2):
-            served = mcts_search(clone, ShardingEnv(MESH), ["B", "M"],
-                                 plan_server=addr(server), **SEARCH)
+            served = _search(server, clone)
             assert served.plan_source == "server:relaxed"
             assert served.cost == first.cost
         evaluator = Evaluator(clone, ShardingEnv(MESH), TINY_DEVICE)
@@ -223,11 +223,8 @@ class TestPlanServing:
         assert len(server.store) == 1
 
     def test_different_search_params_do_not_share_plans(self, server):
-        mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                    plan_server=addr(server), **SEARCH)
-        other = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                            plan_server=addr(server), device=TINY_DEVICE,
-                            budget=8, seed=3)
+        _search(server)
+        other = _search(server, seed=3)
         assert other.plan_source == "server:search"
         assert server.searches_run == 2
 
@@ -299,9 +296,7 @@ class TestInFlightDedup:
             results = [None] * 4
 
             def request(i):
-                results[i] = mcts_search(
-                    chain(), ShardingEnv(MESH), ["B", "M"],
-                    plan_server=addr(server), **SEARCH)
+                results[i] = _search(server)
 
             threads = [threading.Thread(target=request, args=(i,))
                        for i in range(len(results))]
@@ -328,44 +323,35 @@ class TestInFlightDedup:
         with PlanServer(search_fn=flaky_search) as server:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                fallback = mcts_search(chain(), ShardingEnv(MESH),
-                                       ["B", "M"],
-                                       plan_server=addr(server), **SEARCH)
+                fallback = _search(server)
             # The client fell back to a local search on the server error.
             assert fallback.plan_source == "local"
             assert len(server.store) == 0
-            retry = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                plan_server=addr(server), **SEARCH)
+            retry = _search(server)
             assert retry.plan_source == "server:search"
             assert retry.actions == fallback.actions
 
 
 class TestFallbacks:
     def test_unreachable_server_warns_and_searches_locally(self):
-        reference = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                **SEARCH)
+        reference = _search()
         with pytest.warns(RuntimeWarning, match="unreachable"):
-            result = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                 plan_server="127.0.0.1:1", **SEARCH)
+            result = _search("127.0.0.1:1")
         assert result.plan_source == "local"
         assert result.actions == reference.actions
         assert result.cost == reference.cost
 
     def test_remote_backend_falls_back_to_serial(self):
-        reference = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                **SEARCH)
+        reference = _search()
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                 backend="remote",
-                                 plan_server="127.0.0.1:1", **SEARCH)
+            result = _search("127.0.0.1:1", backend="remote")
         assert result.backend == "serial"
         assert result.actions == reference.actions
         assert result.cost == reference.cost
 
     def test_remote_backend_requires_a_server_address(self):
         with pytest.raises(ValueError, match="plan_server"):
-            mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                        backend="remote", **SEARCH)
+            _search(backend="remote")
 
 
 class TestRemoteBackend:
@@ -373,12 +359,9 @@ class TestRemoteBackend:
         """The acceptance criterion: the ``remote`` scheduler (rollout
         waves fanned across the server's evaluator sessions) lands on the
         serial backend's best actions and cost for a fixed seed."""
-        serial = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                             device=TINY_DEVICE, budget=16, seed=7)
-        remote = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                             device=TINY_DEVICE, budget=16, seed=7,
-                             backend="remote", workers=2,
-                             plan_server=addr(server))
+        serial = _search(budget=16, seed=7)
+        remote = _search(server, budget=16, seed=7, backend="remote",
+                         workers=2)
         assert remote.backend == "remote"
         assert remote.actions == serial.actions
         assert remote.cost == serial.cost
@@ -485,8 +468,7 @@ class TestRestart:
                                                               tmp_path):
         cache_dir = str(tmp_path)
         with PlanServer(cache_dir=cache_dir) as first:
-            served = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                 plan_server=addr(first), **SEARCH)
+            served = _search(first)
         assert served.plan_source == "server:search"
         replays = []
 
@@ -495,8 +477,7 @@ class TestRestart:
             return replays[-1]
 
         with PlanServer(cache_dir=cache_dir, search_fn=spy) as second:
-            again = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                plan_server=addr(second), **SEARCH)
+            again = _search(second)
         assert again.plan_source == "server:search"
         (replay,) = replays
         assert (replay.evaluations, replay.prune_probes) == (0, 0)
@@ -520,10 +501,7 @@ class TestRestart:
         try:
             line = process.stdout.readline()
             assert "listening on " in line, line
-            result = mcts_search(
-                chain(), ShardingEnv(MESH), ["B", "M"],
-                plan_server=line.split("listening on ", 1)[1].strip(),
-                **SEARCH)
+            result = _search(line.split("listening on ", 1)[1].strip())
         finally:
             process.send_signal(signal.SIGINT)
             try:
@@ -584,71 +562,49 @@ class TestRpcProtocol:
                 with pytest.raises(rpc.RemoteError, match="protocol"):
                     connection.request({"kind": "ping", "protocol": theirs})
 
-    def test_request_carrying_the_retired_prior_option_is_served(self,
-                                                                  server):
-        """No ``PROTOCOL`` bump was needed: the server reads only its own
-        plan-identity names out of ``"search"``, so a client that still
-        sends ``"prior"`` gets — and shares — the plan a current client
-        gets, and the reply no longer carries ``"priors"``."""
-        search = dict(SearchConfig(budget=8, seed=0).plan_identity(),
-                      prior="group")
-        with rpc.connect(addr(server)) as connection:
-            reply = connection.request({
+    @staticmethod
+    def _retired_option(server, option, refused, served):
+        """A client still naming a retired search option is served — and
+        shares the plan a current client gets — when it names the one
+        value left, and is refused (a ``RemoteError``, so it searches
+        locally) when it names ``refused``.  No ``PROTOCOL`` bump: the
+        reply carries exactly what clients read."""
+        identity = SearchConfig(budget=8, seed=0).plan_identity()
+
+        def request(value):
+            return connection.request({
                 "kind": "plan", "function": chain(), "mesh": MESH,
                 "env": (), "device": TINY_DEVICE, "axes": ["B", "M"],
-                "search": search,
+                "search": dict(identity, **{option: value}),
             })
-        assert reply["tier"] == "search" and "priors" not in reply
-        current = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                              plan_server=addr(server), **SEARCH)
+
+        with rpc.connect(addr(server)) as connection:
+            if refused is not None:
+                with pytest.raises(rpc.RemoteError, match="is served"):
+                    request(refused)
+            reply = request(served)
+        assert set(reply) == {"tier", "actions", "cost"}
+        assert reply["tier"] == "search"
+        current = _search(server)
         assert current.plan_source == "server:exact"
         assert current.actions == [tuple(a) for a in reply["actions"]]
         assert current.cost == reply["cost"]
+        assert server.searches_run == 1
+
+    def test_request_carrying_the_retired_prior_option_is_served(self,
+                                                                  server):
+        """The server reads only its own plan-identity names out of
+        ``"search"``: any prior is served, and no reply says
+        ``"priors"``."""
+        self._retired_option(server, "prior", None, "group")
 
     def test_retired_action_space_in_a_request(self, server):
-        """A client that still names the action space is served when it
-        names the one space left, and refused (a ``RemoteError``, so it
-        searches locally) when it names the deleted input-only space.
-        The reply carries exactly what clients read."""
-        identity = SearchConfig(budget=8, seed=0).plan_identity()
-
-        def request(space):
-            return connection.request({
-                "kind": "plan", "function": chain(), "mesh": MESH,
-                "env": (), "device": TINY_DEVICE, "axes": ["B", "M"],
-                "search": dict(identity, action_space=space),
-            })
-
-        with rpc.connect(addr(server)) as connection:
-            with pytest.raises(rpc.RemoteError, match="tagged"):
-                request("inputs")
-            reply = request("tagged")
-        assert set(reply) == {"tier", "actions", "cost"}
-        assert reply["tier"] == "search"
-        assert server.searches_run == 1
+        """The deleted input-only space is refused."""
+        self._retired_option(server, "action_space", "inputs", "tagged")
 
     def test_retired_exploration_in_a_request(self, server):
-        """The UCT constant left the plan identity: a request still naming
-        the one value left is served (and shares the current clients'
-        plan), one naming another is refused."""
-        identity = SearchConfig(budget=8, seed=0).plan_identity()
-
-        def request(exploration):
-            return connection.request({
-                "kind": "plan", "function": chain(), "mesh": MESH,
-                "env": (), "device": TINY_DEVICE, "axes": ["B", "M"],
-                "search": dict(identity, exploration=exploration),
-            })
-
-        with rpc.connect(addr(server)) as connection:
-            with pytest.raises(rpc.RemoteError, match="exploration"):
-                request(1.0)
-            reply = request(0.5)
-        assert reply["tier"] == "search"
-        current = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                              plan_server=addr(server), **SEARCH)
-        assert current.plan_source == "server:exact"
-        assert server.searches_run == 1
+        """The UCT constant left the plan identity: only 0.5 is served."""
+        self._retired_option(server, "exploration", 1.0, 0.5)
 
     def test_stop_never_joins_an_unstarted_connection_thread(
             self, monkeypatch):
@@ -689,16 +645,12 @@ class TestRpcProtocol:
 
         monkeypatch.setattr(server_mod._ConnectionHandler, "__call__",
                             old_daemon)
-        reference = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                **SEARCH)
+        reference = _search()
         with pytest.warns(RuntimeWarning, match="protocol mismatch"):
-            served = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                 plan_server=addr(server), **SEARCH)
+            served = _search(server)
         assert served.plan_source == "local"
         with pytest.warns(RuntimeWarning, match="protocol mismatch"):
-            fanned = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                 backend="remote", workers=2,
-                                 plan_server=addr(server), **SEARCH)
+            fanned = _search(server, backend="remote", workers=2)
         assert fanned.degraded_to == "serial"
         for result in (served, fanned):
             assert result.actions == reference.actions
@@ -745,12 +697,9 @@ class TestMidStreamResets:
         listener, thread = self._half_frame_server()
         try:
             address = rpc.format_address(listener.getsockname())
-            reference = mcts_search(chain(), ShardingEnv(MESH),
-                                    ["B", "M"], **SEARCH)
+            reference = _search()
             with pytest.warns(RuntimeWarning, match="searching locally"):
-                result = mcts_search(chain(), ShardingEnv(MESH),
-                                     ["B", "M"], plan_server=address,
-                                     **SEARCH)
+                result = _search(address)
             assert result.plan_source == "local"
             assert result.actions == reference.actions
             assert result.cost == reference.cost
@@ -818,8 +767,7 @@ class TestCircuitBreaker:
             with rpc.connect(addr(server)) as connection:
                 with pytest.raises(rpc.RemoteError):
                     connection.request({"kind": "nonsense"})
-            mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                        plan_server=addr(server), **SEARCH)
+            _search(server)
         assert breaker.state == rpc.CircuitBreaker.CLOSED
 
     def test_opens_after_threshold_and_skips_the_network(self, monkeypatch):
@@ -827,21 +775,17 @@ class TestCircuitBreaker:
         monkeypatch.setattr(rpc, "BREAKER_COOLDOWN_S", 3600.0)
         rpc.reset_breakers()
         dead = "127.0.0.1:1"
-        reference = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                **SEARCH)
+        reference = _search()
         with pytest.warns(RuntimeWarning, match="unreachable"):
-            first = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                plan_server=dead, **SEARCH)
+            first = _search(dead)
         assert first.server_circuit_open is False  # 1 failure < threshold
         with pytest.warns(RuntimeWarning, match="unreachable"):
-            second = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                 plan_server=dead, **SEARCH)
+            second = _search(dead)
         assert second.server_circuit_open is True  # threshold reached
         # Third call: breaker open -> no connection attempt, distinct
         # warning, still the bit-identical local result.
         with pytest.warns(RuntimeWarning, match="circuit open"):
-            third = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                plan_server=dead, **SEARCH)
+            third = _search(dead)
         assert third.server_circuit_open is True
         assert third.plan_source == "local"
         assert third.actions == reference.actions
@@ -860,13 +804,11 @@ class TestCircuitBreaker:
         probe.stop()
         dead = f"{host}:{port}"
         with pytest.warns(RuntimeWarning, match="unreachable"):
-            result = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                 plan_server=dead, **SEARCH)
+            result = _search(dead)
         assert result.server_circuit_open is True
         with PlanServer(host=host, port=port) as revived:
             time.sleep(0.25)  # past the cooldown: next call is the probe
-            recovered = mcts_search(chain(), ShardingEnv(MESH), ["B", "M"],
-                                    plan_server=addr(revived), **SEARCH)
+            recovered = _search(revived)
             assert recovered.plan_source == "server:search"
             assert recovered.server_circuit_open is False
             assert rpc.breaker_for(dead).state == rpc.CircuitBreaker.CLOSED

@@ -37,66 +37,41 @@ from repro.core.sharding import ShardingEnv
 from repro.ir import dtypes, opdefs
 from repro.ir.values import canonical_attr
 from repro.mesh import Mesh
-from repro.models import bottleneck, gns, transformer, unet
-from repro.models import pipeline as pm
+from repro.models import transformer
 from repro.models import schedules as sched
 from repro.spmd.lower import Lowerer, lower, plan_table
 from repro.trace import ops
 
-from oracle import listing
+from oracle import FAMILIES, IT32, MESH, PIPE_MESH, listing, traced
 
-MESH = Mesh({"batch": 4, "model": 2})
-PIPE_MESH = Mesh({"stage": 2, "model": 2})
 #: Same axis names, other sizes: a plan keyed on the names alone would
 #: carry the first mesh's local shapes and collective group sizes.
 OTHER_MESH = {MESH: Mesh({"batch": 2, "model": 4}),
               PIPE_MESH: Mesh({"stage": 2, "model": 1})}
 
-IT32 = transformer.it32(num_layers=2, d_model=16, num_heads=4, d_head=4,
-                        ffw_dim=32, vocab=32, batch=8, decode_steps=4)
-
-
-def _pipe_mp():
-    return [sched.pp("stage"),
-            ManualPartition({"up_w": 1, "down_w": 0}, axis="model")]
-
-
-#: family -> (trace, mesh, schedule A, schedule B); fresh tactics per call.
-FAMILIES = {
-    "transformer": (
-        lambda: transformer.trace_training_step(transformer.tiny()), MESH,
-        lambda: [sched.bp({"tokens": 0, "targets": 0})],
-        lambda: [sched.bp({"tokens": 0, "targets": 0}), sched.megatron_mp(),
-                 sched.zero3(), sched.emb()]),
-    "it32_scan": (
-        lambda: transformer.trace_inference(IT32), MESH,
-        lambda: sched.transformer_schedules(IT32, training=False)["BP"],
-        lambda: sched.transformer_schedules(IT32, training=False)["BP+MP"]),
-    "unet": (
-        lambda: unet.trace_training_step(unet.tiny()), MESH,
-        lambda: [sched.bp({"image": 0, "timestep": 0, "noise": 0})],
-        lambda: [sched.bp({"image": 0, "timestep": 0, "noise": 0}),
-                 unet.megatron_mp(), sched.zero3(all_tensors=True)]),
-    "gns": (
-        lambda: gns.trace_training_step(gns.tiny()), MESH,
-        lambda: [sched.edge_sharding()],
-        lambda: [sched.edge_sharding(), sched.zero3(all_tensors=True),
-                 ManualPartition({"nodes": 1}, axis="model")]),
-    "pipeline": (
-        lambda: pm.trace_pipeline_transformer(pm.tiny()), PIPE_MESH,
-        lambda: [sched.pp("stage")], _pipe_mp),
-    "moe": (
-        lambda: pm.trace_pipeline_moe(pm.tiny(batch=16, num_experts=8)),
-        PIPE_MESH,
-        lambda: [sched.pp("stage")],
-        lambda: _pipe_mp() + [ManualPartition(
-            {"expert_up_w": 0, "expert_down_w": 0}, axis="model")]),
-    "bottleneck": (
-        lambda: bottleneck.trace_training_step(bottleneck.ensemble()), MESH,
-        lambda: [ManualPartition({"w1": 1, "w2": 0}, axis="model")],
-        lambda: [ManualPartition({"w1": 1, "w2": 0}, axis="model"),
-                 sched.zero3(all_tensors=True)]),
+#: case -> (``oracle.FAMILIES`` program, schedule A); schedule B is the
+#: program's own schedule, and A a prefix of it.
+CASES = {
+    "transformer": ("transformer.tiny",
+                    lambda: [sched.bp({"tokens": 0, "targets": 0})]),
+    "it32_scan": ("it32.tiny", lambda: sched.transformer_schedules(
+        IT32, training=False)["BP"]),
+    "unet": ("unet.tiny",
+             lambda: [sched.bp({"image": 0, "timestep": 0, "noise": 0})]),
+    "gns": ("gns.tiny", lambda: [sched.edge_sharding()]),
+    "pipeline": ("pm.tiny", lambda: [sched.pp("stage")]),
+    "moe": ("moe.8", lambda: [sched.pp("stage")]),
+    "bottleneck": ("bottleneck.ensemble", lambda: [ManualPartition(
+        {"w1": 1, "w2": 0}, axis="model")]),
 }
+
+
+def _family(family):
+    """``(program, mesh, schedule A, schedule B)``; the program is a fresh
+    trace, since these tests drop its plans to lower cold."""
+    name, schedule_a = CASES[family]
+    spec = FAMILIES[name]
+    return spec.build().function, spec.mesh, schedule_a, spec.schedule
 
 
 def _env(function, mesh, schedule):
@@ -139,10 +114,9 @@ def _planned_ops(function, env):
         yield op
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(CASES))
 def test_warm_table_serves_fresh_plans_and_lowers_as_cold(family):
-    build, mesh, schedule_a, schedule_b = FAMILIES[family]
-    function = build().function
+    function, mesh, schedule_a, schedule_b = _family(family)
     env_a = _env(function, mesh, schedule_a)
     env_b = _env(function, mesh, schedule_b)
     lower(function, env_a)
@@ -172,11 +146,10 @@ def test_warm_table_serves_fresh_plans_and_lowers_as_cold(family):
     assert warm.output_shardings == cold.output_shardings
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family", sorted(CASES))
 def test_each_mesh_gets_its_own_plans(family):
-    build, mesh, _, schedule_b = FAMILIES[family]
+    function, mesh, _, schedule_b = _family(family)
     other = OTHER_MESH[mesh]
-    function = build().function
     lower(function, _env(function, mesh, schedule_b))
     env = _env(function, other, schedule_b)
     warm = lower(function, env)
@@ -233,9 +206,8 @@ def test_identical_layers_are_planned_once():
 
 
 def test_plans_are_frozen():
-    build, mesh, _, schedule_b = FAMILIES["transformer"]
-    function = build().function
-    env = _env(function, mesh, schedule_b)
+    function = traced("transformer.tiny").function
+    env = _env(function, MESH, FAMILIES["transformer.tiny"].schedule)
     op = next(_planned_ops(function, env))
     plan = Lowerer(env, function)._plan_op(op)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -243,8 +215,7 @@ def test_plans_are_frozen():
 
 
 def test_pickle_carries_no_plan_table_or_op_classes():
-    build, mesh, _, schedule_b = FAMILIES["it32_scan"]
-    function = build().function
+    function, mesh, _, schedule_b = _family("it32_scan")
     lowered = lower(function, _env(function, mesh, schedule_b))
     assert plan_table(function, mesh)
     assert any(hasattr(op, "_op_class") for op in function.walk())

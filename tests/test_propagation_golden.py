@@ -21,6 +21,7 @@ other entry is as first written.
 Regenerate only for a change that is *meant* to move fixed points, events
 or visit counts, and say so in the PR.
 """
+import functools
 import hashlib
 import json
 import os
@@ -30,62 +31,20 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import ManualPartition
 from repro.auto.evaluator import candidate_actions
 from repro.auto.prune import condense, footprint_digest
 from repro.baselines.gspmd import gspmd_partition
 from repro.core.propagate import propagate
 from repro.core.sharding import Sharding, ShardingEnv
-from repro.mesh import Mesh
-from repro.models import bottleneck, gns, transformer, unet
-from repro.models import pipeline as pm
-from repro.models import schedules as sched
 
-from oracle import apply_with_full_sweep, reference_index
+from oracle import (FAMILIES, MESH, apply_with_full_sweep, reference_index,
+                    traced)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "propagation.json")
-MESH = Mesh({"batch": 4, "model": 2})
-PIPE_MESH = Mesh({"stage": 2, "model": 2})
-
-
-def _pipe_schedule():
-    return [sched.pp("stage"),
-            ManualPartition({"up_w": 1, "down_w": 0}, axis="model")]
-
-
-def _moe_schedule():
-    return _pipe_schedule() + [
-        ManualPartition({"expert_up_w": 0, "expert_down_w": 0},
-                        axis="model"),
-    ]
-
-
-#: family -> (trace, mesh, schedule); a fresh tactic list per run.
-CASES = {
-    "transformer.tiny": (
-        lambda: transformer.trace_training_step(transformer.tiny()), MESH,
-        lambda: [sched.bp({"tokens": 0, "targets": 0}), sched.megatron_mp(),
-                 sched.zero3(), sched.emb()]),
-    "unet.tiny": (
-        lambda: unet.trace_training_step(unet.tiny()), MESH,
-        lambda: [sched.bp({"image": 0, "timestep": 0, "noise": 0}),
-                 unet.megatron_mp(), sched.zero3(all_tensors=True)]),
-    "gns.tiny": (
-        lambda: gns.trace_training_step(gns.tiny()), MESH,
-        lambda: [sched.edge_sharding(), sched.zero3(all_tensors=True),
-                 ManualPartition({"nodes": 1}, axis="model")]),
-    "pm.tiny": (
-        lambda: pm.trace_pipeline_transformer(pm.tiny()), PIPE_MESH,
-        _pipe_schedule),
-    "moe.8": (
-        lambda: pm.trace_pipeline_moe(pm.tiny(batch=16, num_experts=8)),
-        PIPE_MESH, _moe_schedule),
-    "bottleneck.ensemble": (
-        lambda: bottleneck.trace_training_step(bottleneck.ensemble()), MESH,
-        lambda: [ManualPartition({"w1": 1, "w2": 0}, axis="model"),
-                 sched.zero3(all_tensors=True)]),
-}
+#: The pinned families of ``oracle.FAMILIES``.
+CASES = ("transformer.tiny", "unet.tiny", "gns.tiny", "pm.tiny", "moe.8",
+         "bottleneck.ensemble")
 
 
 def _digest(obj) -> str:
@@ -124,16 +83,28 @@ def _pinned(pins: dict) -> dict:
     return dict(pins, stats=stats)
 
 
-def _run(family: str, sweep: bool) -> dict:
-    build, mesh, schedule = CASES[family]
-    function = build().function
-    env = ShardingEnv(mesh)
-    for tactic in schedule():
+def run_schedule(family: str, sweep: bool):
+    """``family``'s schedule on a fresh env over its shared trace, each
+    tactic propagated from its writes or, with ``sweep``, by a
+    whole-function sweep: ``(function, env)``."""
+    spec = FAMILIES[family]
+    function = traced(family).function
+    env = ShardingEnv(spec.mesh)
+    for tactic in spec.schedule():
         if sweep:
             apply_with_full_sweep(tactic, function, env)
         else:
             tactic.apply(function, env)
-    return _pins(function, env)
+    return function, env
+
+
+#: The kernel's run of each schedule, once per session: pinned here and
+#: compared with the revisiting oracle in ``test_settled_revisits.py``.
+kernel_schedule = functools.lru_cache(maxsize=None)(run_schedule)
+
+
+def _run(family: str, sweep: bool) -> dict:
+    return _pins(*kernel_schedule(family, sweep))
 
 
 #: Annotations that race in GSPMD's single shot: 10 greedy resolutions.
@@ -144,9 +115,16 @@ GSPMD_ANNOTATIONS = {
 }
 
 
+def run_gspmd():
+    function = traced("transformer.tiny").function
+    return function, gspmd_partition(function, MESH, GSPMD_ANNOTATIONS)
+
+
+kernel_gspmd = functools.lru_cache(maxsize=None)(run_gspmd)
+
+
 def _gspmd_run() -> dict:
-    function = transformer.trace_training_step(transformer.tiny()).function
-    env = gspmd_partition(function, MESH, GSPMD_ANNOTATIONS)
+    function, env = kernel_gspmd()
     pins = _pins(function, env)
     pins["conflicts"] = len(env.conflicts())
     return pins
@@ -162,7 +140,7 @@ HAND_DELTA = [
 
 
 def _condenser_signatures() -> dict:
-    function = transformer.trace_training_step(transformer.tiny()).function
+    function = traced("transformer.tiny").function
     env = ShardingEnv(MESH)
     propagate(function, env)
     candidates = candidate_actions(function, env, ["batch", "model"], 48)

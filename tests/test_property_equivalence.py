@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from oracle import assert_estimates_identical
 from repro.ir import FunctionBuilder, evaluate_function
 from repro.mesh import Mesh
-from repro.core import Sharding, ShardingEnv, propagate, tile
+from repro.core import Sharding, ShardingEnv, tile
+from repro.core.propagate import propagate
 from repro.core.pipeline import SCHEDULES, apply_pipeline, pipeline_legal
 from repro.errors import ShardingError
 from repro.runtime import MeshExecutor, shard_array, unshard_arrays

@@ -10,25 +10,15 @@ entry points, each running the check that covers it once per session.
 The evaluator's and estimator's own mechanisms are tested here directly.
 """
 
-import functools
-
 import pytest
 
+from oracle import MESH, traced
 from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.core.sharding import ShardingEnv
-from repro.models import transformer
 from repro.sim import TPU_V3
-from test_chains import MESH, SEEDS, check_backend, check_search_table, \
-    run_chain
+from test_chains import check_backend, check_search_table, run_chain
 
 CASES = ["transformer", "it32_scan", "gns", "unet"]
-
-
-@functools.lru_cache(maxsize=None)
-def _transformer():
-    return transformer.trace_training_step(transformer.t32(
-        num_layers=2, d_model=128, num_heads=4, d_head=32, ffw_dim=256,
-        vocab=512, seq_len=32, batch=8)).function
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -48,13 +38,13 @@ def test_undo_identical_across_backends(backend):
 
 @pytest.mark.parametrize("case", CASES)
 def test_incremental_estimate_field_exact(case):
-    run_chain(case, 1 % len(SEEDS))
+    run_chain(case, 1)
 
 
 def test_undo_evaluator_reuses_propagation_deltas():
     """Re-extending a rolled-back prefix must replay the memoized write
     delta instead of re-running propagation."""
-    function = _transformer()
+    function = traced("transformer.tiny").function
     env = ShardingEnv(MESH)
     evaluator = Evaluator(function, env, TPU_V3)
     candidates = candidate_actions(function, evaluator.root,

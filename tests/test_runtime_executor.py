@@ -7,7 +7,8 @@ from repro import ManualPartition, ShapeDtype, partir_jit, trace
 from repro.errors import ExecutionError
 from repro.ir import FunctionBuilder
 from repro.mesh import Mesh
-from repro.core import Sharding, ShardingEnv, propagate, tile
+from repro.core import Sharding, ShardingEnv, tile
+from repro.core.propagate import propagate
 from repro.runtime import MeshExecutor, shard_array, unshard_arrays
 from repro.spmd import lower
 from tests.conftest import build_matmul_chain, random_args

@@ -6,30 +6,35 @@ when the visit was not *settled*.  ``tests/oracle.py::RevisitingPropagator``
 always re-enqueues it.  For every scenario below, both schedules run on
 one function: the final shardings and the ``(kind, op, axis, detail)``
 event list must be equal, and the kernel may not visit more.  Covered:
-every golden family under its schedule (seeded and full-sweep), the GSPMD
-baseline (its greedy conflict policy), every condenser candidate's probe
+every golden family under its schedule (seeded and full-sweep) and the
+GSPMD baseline (its greedy conflict policy), each against the kernel run
+``test_propagation_golden.py`` pins, every condenser candidate's probe
 on ``transformer.tiny`` and on ``pm.tiny`` (loops), and one hand-built
 program per shape the rule must not call settled.
 """
-import importlib
+import types
 
 import pytest
 
 from repro import ShapeDtype, trace
 from repro.auto.evaluator import candidate_actions
 from repro.baselines import gspmd
+from repro.core import propagate as propagate_mod
 from repro.core.actions import try_apply_action
 from repro.core.propagate import propagate
 from repro.core.sharding import Sharding, ShardingEnv
 from repro.mesh import Mesh
-from repro.models import transformer
 from repro.trace import ops
 
-from oracle import RevisitingPropagator, apply_with_full_sweep, revisiting
-from test_propagation_golden import CASES, GSPMD_ANNOTATIONS, MESH
+from oracle import FAMILIES, RevisitingPropagator, revisiting, traced
+from test_propagation_golden import (CASES, kernel_gspmd, kernel_schedule,
+                                     run_gspmd, run_schedule)
 
-# (``repro.core.propagate`` the attribute is the function.)
-propagate_mod = importlib.import_module("repro.core.propagate")
+
+def test_core_propagate_is_the_module():
+    """``repro.core`` does not shadow its submodule with the function, so
+    the kernel's class can be patched through the package attribute."""
+    assert isinstance(propagate_mod, types.ModuleType)
 
 
 def _events(env, since=0):
@@ -38,66 +43,65 @@ def _events(env, since=0):
 
 
 def _outcome(function, env):
-    return env.portable_state(function), _events(env)
+    """``(final state and events, visits)`` of a propagated env."""
+    return ((env.portable_state(function), _events(env)),
+            env.stats.ops_processed)
 
 
-def _both(monkeypatch, scenario):
-    """``scenario()`` -> ``(outcome, visits)``, run on the kernel and then
-    on the revisiting oracle; asserts equal outcomes and no extra visits,
-    and returns both visit counts."""
-    kernel, kernel_visits = scenario()
+def _on_oracle(monkeypatch, scenario):
+    """``scenario()`` with the revisiting schedule in the kernel's place."""
     with monkeypatch.context() as patch:
         patch.setattr(propagate_mod, "Propagator", RevisitingPropagator)
         patch.setattr(gspmd, "_GspmdPropagator",
                       revisiting(gspmd._GspmdPropagator))
-        oracle, oracle_visits = scenario()
+        return scenario()
+
+
+def _agree(kernel, oracle):
+    """Equal outcomes and no extra kernel visits; returns both visit
+    counts."""
+    (kernel, kernel_visits), (oracle, oracle_visits) = kernel, oracle
     assert kernel == oracle
     assert kernel_visits <= oracle_visits
     return kernel_visits, oracle_visits
+
+
+def _both(monkeypatch, scenario):
+    """``scenario()`` -> ``(outcome, visits)`` on the kernel and on the
+    oracle, through :func:`_agree`."""
+    return _agree(scenario(), _on_oracle(monkeypatch, scenario))
 
 
 @pytest.mark.parametrize("sweep", [True, False],
                          ids=["scratch", "incremental"])
 @pytest.mark.parametrize("family", sorted(CASES))
 def test_golden_schedules(monkeypatch, family, sweep):
-    build, mesh, schedule = CASES[family]
-    function = build().function
-
-    def scenario():
-        env = ShardingEnv(mesh)
-        for tactic in schedule():
-            if sweep:
-                apply_with_full_sweep(tactic, function, env)
-            else:
-                tactic.apply(function, env)
-        return _outcome(function, env), env.stats.ops_processed
-
-    kernel, oracle = _both(monkeypatch, scenario)
+    """The oracle against the kernel run ``test_propagation_golden.py``
+    pins (run once, shared)."""
+    kernel, oracle = _agree(
+        _outcome(*kernel_schedule(family, sweep)),
+        _on_oracle(monkeypatch,
+                   lambda: _outcome(*run_schedule(family, sweep))))
     assert kernel < oracle
 
 
 def test_gspmd_baseline(monkeypatch):
     """Greedy resolution applies one of several extendable factors; a
     revisit may apply another, so such a visit is never settled."""
-    function = transformer.trace_training_step(transformer.tiny()).function
-
-    def scenario():
-        env = gspmd.gspmd_partition(function, MESH, GSPMD_ANNOTATIONS)
-        return _outcome(function, env), env.stats.ops_processed
-
-    _both(monkeypatch, scenario)
+    _agree(_outcome(*kernel_gspmd()),
+           _on_oracle(monkeypatch, lambda: _outcome(*run_gspmd())))
 
 
 @pytest.mark.parametrize("family", ["transformer.tiny", "pm.tiny"])
 def test_condenser_probes(monkeypatch, family):
-    build, mesh, _ = CASES[family]
-    function = build().function
+    mesh = FAMILIES[family].mesh
+    function = traced(family).function
 
     def scenario():
         """The condenser's probe, with its event list kept."""
         root = ShardingEnv(mesh)
         propagate(function, root)
-        outcomes = [_outcome(function, root)]
+        outcomes = [_outcome(function, root)[0]]
         for action in candidate_actions(function, root, mesh.axis_names):
             token = root.checkpoint()
             if try_apply_action(function, root, action):
@@ -124,7 +128,7 @@ def _hand_built(monkeypatch, fn, specs, mesh, shardings):
             env.set_sharding(pick(function), sharding)
         propagate(function, env)
         envs.append(env)
-        return _outcome(function, env), env.stats.ops_processed
+        return _outcome(function, env)
 
     _both(monkeypatch, scenario)
     return function, envs[0]

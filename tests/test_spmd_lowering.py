@@ -7,7 +7,8 @@ import pytest
 
 from repro.ir import FunctionBuilder, evaluate_function
 from repro.mesh import Mesh
-from repro.core import ShardingEnv, propagate, tile
+from repro.core import ShardingEnv, tile
+from repro.core.propagate import propagate
 from repro.runtime import MeshExecutor
 from repro.spmd import count_collectives, lower
 from oracle import reference_fuse

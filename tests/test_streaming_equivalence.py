@@ -21,17 +21,17 @@ from test_chains import FAMILIES, MESH, SEEDS, run_chain
 
 @pytest.mark.parametrize("seed", range(17))
 def test_transformer_chain_streaming_identical(seed):
-    run_chain("transformer", seed % len(SEEDS))
+    run_chain("transformer", seed % SEEDS["transformer"])
 
 
 @pytest.mark.parametrize("seed", range(17))
 def test_gns_chain_streaming_identical(seed):
-    run_chain("gns", seed % len(SEEDS))
+    run_chain("gns", seed % SEEDS["gns"])
 
 
 @pytest.mark.parametrize("seed", range(17))
 def test_unet_chain_streaming_identical(seed):
-    run_chain("unet", seed % len(SEEDS))
+    run_chain("unet", seed % SEEDS["unet"])
 
 
 def test_scan_body_streaming_identical():
