@@ -138,7 +138,6 @@ class ManualPartition(Tactic):
         return spec
 
     def issue_actions(self, function: Function, env: ShardingEnv) -> int:
-        axis_size = env.mesh.size(self.axis)
         applied = 0
         for key, spec in self.inputs.items():
             targets = [
@@ -160,7 +159,7 @@ class ManualPartition(Tactic):
                 if resolved is UNKNOWN or resolved is None:
                     continue
                 if resolved is REPLICATED:
-                    if not env.sharding(value).uses(self.axis):
+                    if self.axis not in env.sharding(value).used:
                         core_actions.atomic(env, value, self.axis)
                         applied += 1
                     continue
@@ -174,16 +173,14 @@ class ManualPartition(Tactic):
                 sharding = env.sharding(value)
                 if resolved is FIRST_DIVISIBLE_DIM:
                     resolved = core_actions.first_divisible_dim(
-                        value, axis_size, sharding, env.mesh
-                    )
+                        value, self.axis, sharding, env.mesh)
                     if resolved is None:
                         continue
-                if sharding.uses(self.axis):
-                    continue  # never undo/duplicate earlier decisions
-                if value.type.shape[resolved] % (
-                    env.mesh.group_size(sharding.dim_axes[resolved])
-                    * axis_size
-                ):
+                # Never undo/duplicate earlier decisions; a pinned axis
+                # raises in tile().
+                if sharding.tile_refusal(
+                        resolved, self.axis, value.type.shape[resolved],
+                        env.mesh) in ("taken", "indivisible"):
                     continue
                 core_actions.tile(env, value, resolved, self.axis)
                 applied += 1

@@ -72,7 +72,7 @@ def _type_key(env, value) -> tuple:
     if env is not None:
         sharding = env.sharding(value)
         if sharding.pinned or not sharding.is_fully_replicated():
-            portable = sharding.to_portable()
+            portable = sharding.portable
     return (value.type.shape, str(value.type.dtype), portable)
 
 

@@ -91,14 +91,14 @@ def footprint_digest(delta: Sequence[Tuple[int, Tuple]]) -> str:
 
 
 def delta_digest(delta: Sequence[Tuple[int, Sharding]]) -> str:
-    """:func:`footprint_digest` of ``[(i, s.to_portable()), ...]`` for
-    *canonical* shardings at distinct value indices (what a probe's
+    """:func:`footprint_digest` of ``[(i, s.portable), ...]`` for
+    shardings at distinct value indices (what a probe's
     :meth:`ShardingEnv.writes_since` yields), without building or
     formatting a portable tuple per write: ``repr((i, portable))`` is
-    ``"(i, " + repr(portable) + ")"``, and every canonical sharding
-    carries ``repr(portable)`` as :attr:`Sharding.portable_repr`.  The
-    bytes hashed are the same, so the digests are — they have to be:
-    digests persist as ``"pa"`` records in transposition logs.
+    ``"(i, " + repr(portable) + ")"``, and every sharding carries
+    ``repr(portable)`` as :attr:`Sharding.portable_repr`.  The bytes
+    hashed are the same, so the digests are — they have to be: digests
+    persist as ``"pa"`` records in transposition logs.
     """
     if not delta:
         return NOOP_SIGNATURE

@@ -43,6 +43,7 @@ unchanged).
 from __future__ import annotations
 
 import argparse
+import signal
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -312,8 +313,14 @@ def main(argv=None) -> int:
                         max_connections=args.max_connections,
                         idle_timeout_s=args.idle_timeout or None)
     host, port = server.address
-    print(f"partir-plan-server listening on {host}:{port}", flush=True)
+    # SIGINT and SIGTERM both leave the accept loop the way Ctrl-C does,
+    # also in a background job (``cmd &``), which inherits SIGINT ignored.
+    # Installed before the address is printed: a client may signal as
+    # soon as it reads it.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     try:
+        print(f"partir-plan-server listening on {host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -69,10 +69,8 @@ def gspmd_partition(
                 continue
             for dim, axis in specs:
                 sharding = env.sharding(value)
-                if sharding.uses(axis):
-                    continue
-                denom = env.mesh.group_size(sharding.dim_axes[dim])
-                if value.type.shape[dim] % (denom * mesh.size(axis)):
+                if sharding.tile_refusal(dim, axis, value.type.shape[dim],
+                                         mesh):
                     continue
                 env.set_sharding(value, sharding.with_tile(dim, axis))
     if use_internal_constraints and internal_constraints:
@@ -82,7 +80,7 @@ def gspmd_partition(
             except KeyError:
                 continue
             sharding = env.sharding(value)
-            if not sharding.uses(axis):
+            if axis not in sharding.used:
                 env.set_sharding(value, sharding.with_tile(dim, axis))
     # Single shot: every annotation races in one fixed-point propagation.
     _GspmdPropagator(function, env).run()

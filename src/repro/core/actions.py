@@ -20,7 +20,8 @@ from repro.ir.tagpoints import tag_points
 from repro.ir.values import Operation, Value
 from repro.core import pipeline as pipeline_mod
 from repro.core import rules as rules_mod
-from repro.core.sharding import ShardingEnv
+from repro.core.sharding import Sharding, ShardingEnv
+from repro.mesh import Mesh
 
 
 def tile(env: ShardingEnv, value: Value, dim: int, axis: str) -> None:
@@ -31,18 +32,20 @@ def tile(env: ShardingEnv, value: Value, dim: int, axis: str) -> None:
         raise ShardingError(
             f"tile: dim {dim} out of range for rank-{rank} value"
         )
-    if sharding.uses(axis):
+    size = value.type.shape[dim]
+    refusal = sharding.tile_refusal(dim, axis, size, env.mesh)
+    if refusal == "taken":
         raise ShardingError(
             f"tile: axis {axis!r} already used by {value!r} "
             f"({sharding.spec()}); an axis cannot be introduced twice"
         )
-    if sharding.is_pinned(axis):
+    if refusal == "pinned":
         raise ShardingError(f"tile: axis {axis!r} is pinned on {value!r}")
-    axis_size = env.mesh.size(axis)
-    denom = env.mesh.group_size(sharding.dim_axes[dim]) * axis_size
-    if value.type.shape[dim] % denom:
+    if refusal == "indivisible":
+        denom = (env.mesh.group_size(sharding.dim_axes[dim])
+                 * env.mesh.size(axis))
         raise ShardingError(
-            f"tile: dim {dim} of size {value.type.shape[dim]} not divisible "
+            f"tile: dim {dim} of size {size} not divisible "
             f"by {denom} (axis {axis!r})"
         )
     env.set_sharding(value, sharding.with_tile(dim, axis))
@@ -53,7 +56,7 @@ def atomic(env: ShardingEnv, value: Value, axis: str) -> None:
     """Replication pin ``atomic<value, axis>`` (Section 8): keeps the value
     replicated along ``axis`` and blocks propagation through it."""
     sharding = env.sharding(value)
-    if sharding.uses(axis):
+    if axis in sharding.used:
         raise ShardingError(
             f"atomic: axis {axis!r} already used by {value!r}"
         )
@@ -61,15 +64,16 @@ def atomic(env: ShardingEnv, value: Value, axis: str) -> None:
     env.record("pin", None, axis, f"atomic on {value!r}")
 
 
-def first_divisible_dim(value: Value, axis_size: int,
-                        sharding=None, mesh=None) -> Optional[int]:
-    """The paper's FIRST_DIVISIBLE_DIM spec: first dim divisible by the axis
-    size, accounting for tiling already present on the dim."""
+def first_divisible_dim(value: Value, axis: str, sharding: Sharding,
+                        mesh: Mesh) -> Optional[int]:
+    """The paper's FIRST_DIVISIBLE_DIM spec: the first non-empty dim the
+    tiling rule does not refuse as indivisible by ``axis``, accounting for
+    tiling already present on the dim.  Pins and pending sums are left to
+    the caller, as is an axis the value already tiles."""
+    bare = Sharding(sharding.dim_axes)
     for dim, size in enumerate(value.type.shape):
-        denom = axis_size
-        if sharding is not None and mesh is not None:
-            denom *= mesh.group_size(sharding.dim_axes[dim])
-        if size >= denom and size % denom == 0:
+        if size and bare.tile_refusal(dim, axis, size,
+                                      mesh) != "indivisible":
             return dim
     return None
 
@@ -148,11 +152,8 @@ def describe(action: ActionTuple) -> str:
 
 def tile_legal(env: ShardingEnv, value: Value, dim: int, axis: str) -> bool:
     """May ``value``'s ``dim`` still be tiled along ``axis`` under ``env``?"""
-    sharding = env.sharding(value)
-    if sharding.uses(axis) or sharding.is_pinned(axis):
-        return False
-    denom = env.mesh.group_size(sharding.dim_axes[dim])
-    return value.type.shape[dim] % (denom * env.mesh.size(axis)) == 0
+    return env.sharding(value).tile_refusal(
+        dim, axis, value.type.shape[dim], env.mesh) is None
 
 
 def reduce_factors(op: Operation) -> List[rules_mod.Factor]:
@@ -203,11 +204,8 @@ def sum_tagged_legal(env: ShardingEnv, op: Operation, factor,
         required_dims[value] = dim
         if not tile_legal(env, value, dim, axis):
             return False
-    for result in op.results:
-        sharding = env.sharding(result)
-        if sharding.uses(axis) or sharding.is_pinned(axis):
-            return False
-    return True
+    return not any(axis in env.sharding(result).taken
+                   for result in op.results)
 
 
 def apply_sum_tagged(env: ShardingEnv, op: Operation, factor,

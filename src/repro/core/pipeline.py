@@ -232,8 +232,7 @@ def pipeline_legal(env: ShardingEnv, op: Operation, axis: str,
     if pipeline_marker(env, op) is not None:
         return False
     for value in _subtree_values(op):
-        sharding = env.sharding(value)
-        if sharding.uses(axis) or sharding.is_pinned(axis):
+        if axis in env.sharding(value).taken:
             return False
     return True
 

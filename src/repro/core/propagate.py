@@ -58,7 +58,7 @@ write adds neither (it tiles positions of the factor just applied, which
 already had evidence, and sums only results); extendability can only
 fall, since every blocking test is monotone and an applied factor is
 fully applied; a factor rejected at an entry already reported
-``blocked`` for its ``(op, axis)``; and deferral is guarded by ``used``,
+``blocked`` for its ``(op, axis)``; and deferral is guarded by ``taken``,
 which the deferred sum joins.  ``tests/test_settled_revisits.py`` checks
 the schedule against ``tests/oracle.py::RevisitingPropagator``, which
 always re-enqueues.
@@ -66,8 +66,8 @@ always re-enqueues.
 **One compiled kernel.**  Every visit runs the same per-op transfer
 function (:meth:`Propagator._visit`), compiled per function into shared
 records (:class:`_Transfer`, :class:`_FunctionIndex`) so a visit indexes
-tuples and reads attributes of canonical shardings instead of calling
-into the rule registry.  Comparing against a sweep therefore cannot catch
+tuples and reads sharding attributes instead of calling into the rule
+registry.  Comparing against a sweep therefore cannot catch
 a kernel bug; `tests/test_propagation_golden.py` pins fixed points and
 event lists to values generated before the kernel was compiled (and
 visit counts to the settled rule's).
@@ -155,7 +155,7 @@ class _Transfer:
 
 
 #: (rule, operand ranks, result ranks, is loop) -> the shared record.
-#: Process-local (records hold canonical shardings): never pickled.
+#: Process-local (records hold shardings): never pickled.
 _TRANSFERS: Dict[tuple, _Transfer] = {}
 
 
@@ -232,11 +232,11 @@ class Propagator:
     """Runs tiling/pending propagation over one function (and regions).
 
     A visit (:meth:`_visit`) touches no rule object and calls no sharding
-    method: it reads each adjacent value's canonical sharding straight
-    out of the env's dict (an absent entry is the transfer record's
+    method: it reads each adjacent value's sharding straight out of the
+    env's dict (an absent entry is the transfer record's
     replicated default), finds the factor a tiled dim belongs to by
     indexing the record's ``dim -> factor id`` tuples, and reads
-    ``used`` / ``tile_dims`` / ``sum_axes`` / ``pinned`` as attributes.
+    ``used`` / ``taken`` / ``tile_dims`` / ``sum_axes`` as attributes.
     Events carry unformatted payloads (:class:`repro.core.sharding.Event`).
     """
 
@@ -448,7 +448,7 @@ class Propagator:
                 # A pending operand is reconciled at lowering (AR/RS);
                 # it neither blocks nor needs the tile.
                 continue
-            if axis in sharding.used or axis in sharding.pinned:
+            if axis in sharding.taken:
                 self._report_once(
                     op, axis, "blocked",
                     "{}: value already uses axis {!r}", op.opcode, axis)
@@ -465,7 +465,7 @@ class Propagator:
             for sharding in shardings[len(op.operands):]:
                 if axis in sharding.sum_axes:
                     continue
-                if axis in sharding.used or axis in sharding.pinned:
+                if axis in sharding.taken:
                     self._settled = False  # rule (d): rejected silently
                     return False
                 missing = True
@@ -502,7 +502,7 @@ class Propagator:
                        result_sharding: Sharding) -> bool:
         """Pass a pending #sum over ``axis`` on the ``pending`` operands
         through a single-result op that may defer it."""
-        if axis in result_sharding.used or axis in result_sharding.pinned:
+        if axis in result_sharding.taken:
             return False
         if not may_defer(op, axis, pending):
             return False
@@ -544,14 +544,8 @@ class Propagator:
                 (dim,) = dims
                 for value in group:
                     sharding = self.env.sharding(value)
-                    if axis in sharding.dim_axes[dim]:
-                        continue
-                    if sharding.uses(axis) or sharding.is_pinned(axis):
-                        continue
-                    if value.type.shape[dim] % (
-                        self.mesh.group_size(sharding.dim_axes[dim])
-                        * self.mesh.size(axis)
-                    ):
+                    if sharding.tile_refusal(dim, axis, value.type.shape[dim],
+                                             self.mesh):
                         continue
                     self.env.set_sharding(value, sharding.with_tile(dim, axis))
                     self.env.record("tile", op, axis,

@@ -18,14 +18,15 @@ Sharding"; all mutation helpers enforce it.
 
 Two memory-model properties carry the automatic-partitioning search:
 
-* **Interning** (:func:`intern_sharding`): one canonical immutable
-  :class:`Sharding` per signature, process-wide.  Env writes compare by
-  pointer, memo keys hash small ints (:attr:`Sharding.iid`), and derived
-  data (``used``, ``tile_dims``, ``portable``, ``portable_repr``, the
+* **One instance per signature**: ``Sharding(...)`` returns the one
+  immutable instance for its fields, process-wide (an unpickled one
+  included).  Env writes compare by pointer, memo keys hash small ints
+  (:attr:`Sharding.iid`), and derived data (``used``, ``taken``,
+  ``tile_dims``, ``portable``, ``portable_repr``, the
   ``with_tile``/``with_sum`` transitions) is computed once per *distinct*
-  sharding, when it is interned, and read afterwards as plain attributes
-  — the propagation kernel and the condenser's digest never call a
-  method or format a string for it.
+  sharding and read afterwards as plain attributes — the propagation
+  kernel and the condenser's digest never call a method or format a
+  string for it.
 * **Undo-log checkpoints** (:meth:`ShardingEnv.checkpoint` /
   ``rollback``): O(writes) snapshot/rollback of the mutable env — the
   zero-copy alternative to :meth:`ShardingEnv.copy`.  The search's
@@ -45,230 +46,142 @@ from repro.ir.values import Value
 from repro.mesh import Mesh
 
 
-_REPLICATED: Dict[int, "Sharding"] = {}
-
-#: The global intern table: one canonical immutable :class:`Sharding` per
-#: signature.  Writes happen under the lock; readers rely on the GIL's
-#: atomic dict reads (an entry, once published, never changes), so lookups
-#: on the hot path stay lock-free — the concurrency tests hammer this.
+#: The intern table: the one :class:`Sharding` per signature (its
+#: ``portable`` form).  Writes happen under the lock; readers rely on the
+#: GIL's atomic dict reads (an entry, once published, never changes), so
+#: lookups on the hot path stay lock-free — the concurrency tests hammer
+#: this.
 _INTERN: Dict[Tuple, "Sharding"] = {}
 _INTERN_LOCK = threading.Lock()
+_REPLICATED: Dict[int, "Sharding"] = {}
 
 
-def intern_sharding(sharding: "Sharding") -> "Sharding":
-    """The canonical shared instance for ``sharding``'s signature.
-
-    The interning invariant — **one live canonical object per signature** —
-    turns env writes into pointer comparisons, per-instance derived caches
-    (``used_axes``, ``tile_dim_of``) into globally amortized ones, and the
-    streaming evaluator's plan-memo keys into tuples of small ints
-    (:attr:`Sharding.iid`).  Idempotent; safe under concurrent readers.
-    """
-    if hasattr(sharding, "_iid"):
-        return sharding  # already the canonical instance (never pickled)
-    signature = sharding.signature()
-    cached = _INTERN.get(signature)
-    if cached is not None:
-        return cached
-    with _INTERN_LOCK:
-        cached = _INTERN.get(signature)
-        if cached is None:
-            # Derived attributes first: lock-free readers must never see
-            # a published canonical instance without them.
-            sharding._make_canonical(len(_INTERN))
-            _INTERN[signature] = cached = sharding
-    return cached
-
-
-@dataclasses.dataclass(frozen=True)
 class Sharding:
-    """Sharding of one value (see module docstring)."""
+    """Sharding of one value (see module docstring).
 
-    dim_axes: Tuple[Tuple[str, ...], ...]
-    sum_axes: FrozenSet[str] = frozenset()
-    pinned: FrozenSet[str] = frozenset()
+    The constructor returns the one instance for its signature, so equal
+    shardings are the same object — also across a pickle round trip:
 
-    # Derived data lives in instance attributes outside the dataclass
-    # fields (so it is neither compared, hashed nor pickled).  A canonical
-    # interned instance carries all of it from the moment it is published
-    # — ``used`` (:meth:`used_axes`), ``tile_dims`` (``axis -> tiled dim``,
-    # :meth:`tile_dim_of`), ``portable`` (:meth:`to_portable`) and
-    # ``portable_repr`` (its ``repr``: what footprint digests hash) — so
-    # hot readers that only ever see canonical instances (everything
-    # stored in a ShardingEnv is one) read the attributes directly.  Any
-    # other instance has none of them until a method fills one in.
+    >>> import pickle
+    >>> s = Sharding((("batch",), ()))
+    >>> s is Sharding([["batch"], []])
+    True
+    >>> pickle.loads(pickle.dumps(s)) is s
+    True
+    >>> s.with_sum("model").spec()
+    '[{batch}, {}] sum{model}'
+
+    Everything derived is computed once, when a signature is first seen,
+    and read as a plain attribute afterwards: ``iid`` (a small int,
+    process-local), ``used`` (tiled and summed axes), ``taken`` (``used``
+    and the pins: the axes the nest can no longer take), ``tile_dims``
+    (``axis -> tiled dim``), ``portable`` (plain nested tuples, the
+    process-independent form) and ``portable_repr`` (its ``repr``, what
+    footprint digests hash).
+    """
+
+    __slots__ = ("dim_axes", "sum_axes", "pinned", "iid", "used", "taken",
+                 "tile_dims", "portable", "portable_repr", "_transitions")
+
+    def __new__(cls, dim_axes, sum_axes=(), pinned=()):
+        dim_axes = tuple(map(tuple, dim_axes))
+        portable = (dim_axes, tuple(sorted(sum_axes)), tuple(sorted(pinned)))
+        self = _INTERN.get(portable)
+        if self is not None:
+            return self
+        with _INTERN_LOCK:
+            self = _INTERN.get(portable)
+            if self is None:
+                self = object.__new__(cls)
+                sums, pins = frozenset(portable[1]), frozenset(portable[2])
+                used = sums.union(*dim_axes)
+                for name, value in (
+                        ("dim_axes", dim_axes), ("sum_axes", sums),
+                        ("pinned", pins), ("iid", len(_INTERN)),
+                        ("used", used), ("taken", used | pins),
+                        ("tile_dims", {a: dim for dim, axes
+                                       in enumerate(dim_axes) for a in axes}),
+                        ("portable", portable),
+                        ("portable_repr", repr(portable)),
+                        ("_transitions", {})):
+                    object.__setattr__(self, name, value)
+                # Published complete: lock-free readers never see a
+                # half-built instance.
+                _INTERN[portable] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Sharding is immutable")
+
+    def __reduce__(self):
+        # The receiver rebuilds through the constructor, so an unpickled
+        # sharding is the receiver's canonical instance.
+        return Sharding, self.portable
+
+    def __repr__(self) -> str:
+        return f"Sharding({self.spec()})"
 
     @staticmethod
     def replicated(rank: int) -> "Sharding":
-        # Interned: fully-replicated shardings are requested for every value
-        # an env has never seen, so sharing one immutable instance per rank
-        # keeps the default path allocation-free.
+        # Requested for every value an env has never seen: one dict probe.
         cached = _REPLICATED.get(rank)
         if cached is None:
-            cached = _REPLICATED[rank] = intern_sharding(
-                Sharding(tuple(() for _ in range(rank)))
-            )
+            cached = _REPLICATED[rank] = Sharding(((),) * rank)
         return cached
-
-    def interned(self) -> "Sharding":
-        """Canonical shared instance (see :func:`intern_sharding`)."""
-        return intern_sharding(self)
-
-    def _make_canonical(self, iid: int) -> None:
-        self.used_axes()  # fills ``used`` ...
-        self.tile_dim_of("")  # ... and ``tile_dims``
-        portable = self.to_portable()
-        object.__setattr__(self, "portable", portable)
-        object.__setattr__(self, "portable_repr", repr(portable))
-        object.__setattr__(self, "_derive_memo", {})
-        object.__setattr__(self, "_iid", iid)
-
-    @property
-    def iid(self) -> int:
-        """Small-int identity of the canonical instance for this signature.
-
-        Stable for the lifetime of the process (but *process-local*: cross-
-        process keys use :meth:`signature`/:meth:`to_portable`, which are
-        equal exactly when iids are).  The streaming evaluator keys its
-        per-op segment memos on tuples of iids instead of nested signature
-        tuples — hashing a few ints instead of re-hashing axis strings.
-        """
-        try:
-            return self._iid
-        except AttributeError:
-            return intern_sharding(self)._iid
-
-    def __getstate__(self):
-        # Derived caches (_iid, _signature, used, tile_dims, ...) are
-        # process-local; shipping them would let a stale _iid masquerade as
-        # interned in the receiving process.  Pickle only the defining
-        # fields.
-        return (self.dim_axes, self.sum_axes, self.pinned)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "dim_axes", state[0])
-        object.__setattr__(self, "sum_axes", state[1])
-        object.__setattr__(self, "pinned", state[2])
-
-    def signature(self) -> Tuple:
-        """Cached hashable signature.
-
-        Equal shardings have equal signatures (frozensets are canonicalized
-        by sorting), and the tuple hashes much faster than the dataclass's
-        generated ``__hash__`` over frozensets — it keys the intern table
-        (:func:`intern_sharding`); the streaming estimator keys on iids.
-        """
-        sig = getattr(self, "_signature", None)
-        if sig is None:
-            sig = (
-                self.dim_axes,
-                tuple(sorted(self.sum_axes)),
-                tuple(sorted(self.pinned)),
-            )
-            object.__setattr__(self, "_signature", sig)
-        return sig
 
     @property
     def rank(self) -> int:
         return len(self.dim_axes)
 
-    def tiled_axes(self) -> FrozenSet[str]:
-        cached = getattr(self, "_tiled", None)
-        if cached is None:
-            cached = frozenset(a for axes in self.dim_axes for a in axes)
-            object.__setattr__(self, "_tiled", cached)
-        return cached
-
-    def used_axes(self) -> FrozenSet[str]:
-        """Axes this value's loop nest already involves (tile or sum).
-
-        Cached per instance (:attr:`used`): interning means one instance
-        per signature, so it is computed once per *distinct* sharding
-        process-wide.
-        """
-        try:
-            return self.used
-        except AttributeError:
-            used = self.tiled_axes() | self.sum_axes
-            object.__setattr__(self, "used", used)
-            return used
-
     def tile_dim_of(self, axis: str) -> Optional[int]:
-        try:
-            return self.tile_dims.get(axis)
-        except AttributeError:
-            tile_dims = {
-                a: dim for dim, axes in enumerate(self.dim_axes)
-                for a in axes
-            }
-            object.__setattr__(self, "tile_dims", tile_dims)
-            return tile_dims.get(axis)
-
-    def uses(self, axis: str) -> bool:
-        return axis in self.used_axes()
+        return self.tile_dims.get(axis)
 
     def is_pinned(self, axis: str) -> bool:
         return axis in self.pinned
 
-    def _derive(self, key, axis: str, **changes) -> "Sharding":
-        """The interned result of one ``with_tile``/``with_sum`` step,
-        remembered on canonical instances: each distinct transition is
-        computed (and checked) once process-wide."""
-        if self.uses(axis):
+    def tile_refusal(self, dim: int, axis: str, size: int,
+                     mesh: Mesh) -> Optional[str]:
+        """The tiling rule: why ``dim`` (of ``size`` elements) of a value
+        with this sharding may not take ``axis`` — ``"taken"`` (the nest
+        already tiles or sums over it), ``"pinned"`` or ``"indivisible"``
+        — or None when it may."""
+        if axis in self.taken:
+            return "taken" if axis in self.used else "pinned"
+        if size % (mesh.group_size(self.dim_axes[dim]) * mesh.size(axis)):
+            return "indivisible"
+        return None
+
+    def _step(self, key, axis: str, dim_axes, sum_axes) -> "Sharding":
+        """One ``with_tile``/``with_sum`` transition, checked and then
+        remembered: each distinct one is computed once process-wide."""
+        if axis in self.used:
             raise ShardingError(
                 f"axis {axis!r} already used by this value's loop nest"
             )
-        result = intern_sharding(dataclasses.replace(self, **changes))
-        memo = getattr(self, "_derive_memo", None)
-        if memo is not None:
-            memo[key] = result
+        result = self._transitions[key] = Sharding(dim_axes, sum_axes,
+                                                   self.pinned)
         return result
 
     def with_tile(self, dim: int, axis: str) -> "Sharding":
-        try:
-            return self._derive_memo[dim, axis]
-        except (AttributeError, KeyError):
-            pass
-        new_dims = list(self.dim_axes)
-        new_dims[dim] = new_dims[dim] + (axis,)
-        return self._derive((dim, axis), axis, dim_axes=tuple(new_dims))
+        result = self._transitions.get((dim, axis))
+        if result is None:
+            dims = list(self.dim_axes)
+            dims[dim] += (axis,)
+            result = self._step((dim, axis), axis, dims, self.sum_axes)
+        return result
 
     def with_sum(self, axis: str) -> "Sharding":
-        try:
-            return self._derive_memo[axis]
-        except (AttributeError, KeyError):
-            pass
-        return self._derive(axis, axis, sum_axes=self.sum_axes | {axis})
+        result = self._transitions.get(axis)
+        if result is None:
+            result = self._step(axis, axis, self.dim_axes,
+                                self.sum_axes | {axis})
+        return result
 
     def without_sum(self, axes: FrozenSet[str]) -> "Sharding":
-        return dataclasses.replace(self, sum_axes=self.sum_axes - axes)
+        return Sharding(self.dim_axes, self.sum_axes - axes, self.pinned)
 
     def with_pin(self, axis: str) -> "Sharding":
-        return dataclasses.replace(self, pinned=self.pinned | {axis})
-
-    def to_portable(self) -> Tuple:
-        """Process-independent encoding (plain nested tuples of str/int).
-
-        Used for worker transport in the parallel search and as the
-        canonical form hashed into persistent-cache fingerprints.  Equal
-        shardings have equal portable forms (sets are sorted)."""
-        try:
-            return self.portable
-        except AttributeError:
-            return (
-                tuple(tuple(axes) for axes in self.dim_axes),
-                tuple(sorted(self.sum_axes)),
-                tuple(sorted(self.pinned)),
-            )
-
-    @staticmethod
-    def from_portable(portable: Tuple) -> "Sharding":
-        dim_axes, sum_axes, pinned = portable
-        return intern_sharding(Sharding(
-            tuple(tuple(axes) for axes in dim_axes),
-            frozenset(sum_axes),
-            frozenset(pinned),
-        ))
+        return Sharding(self.dim_axes, self.sum_axes, self.pinned | {axis})
 
     def local_shape(self, shape: Tuple[int, ...], mesh: Mesh) -> Tuple[int, ...]:
         """Device-local shape of a value with this sharding."""
@@ -283,7 +196,7 @@ class Sharding:
         return tuple(out)
 
     def is_fully_replicated(self) -> bool:
-        return not self.tiled_axes() and not self.sum_axes
+        return not self.used
 
     def spec(self) -> str:
         """Human-readable spec, e.g. ``[{B}, {}] sum{M}``."""
@@ -409,11 +322,6 @@ class ShardingEnv:
                 f"sharding rank {sharding.rank} != value rank "
                 f"{len(value.type.shape)}"
             )
-        # Every stored sharding is the canonical interned instance, so the
-        # no-change test is a pointer comparison (writes of an equal-but-
-        # distinct object intern to the same instance first).
-        if not hasattr(sharding, "_iid"):
-            sharding = intern_sharding(sharding)
         previous = self.sharding(value)
         if previous is sharding:
             return
@@ -559,7 +467,7 @@ class ShardingEnv:
         for index, value in enumerate(function.index.values):
             sharding = self.sharding(value)
             if not sharding.is_fully_replicated() or sharding.pinned:
-                items.append((index, sharding.to_portable()))
+                items.append((index, sharding.portable))
         return tuple(items)
 
     def apply_portable_state(
@@ -569,7 +477,7 @@ class ShardingEnv:
         function (values resolved by canonical index)."""
         values = function.index.values
         for index, portable in state:
-            self.set_sharding(values[index], Sharding.from_portable(portable))
+            self.set_sharding(values[index], Sharding(*portable))
 
     def record(self, kind: str, op, axis: str, detail="") -> None:
         """Append an event, unless the env keeps none; ``detail`` is a

@@ -29,8 +29,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from repro.nn import adam_state_spec, adam_update
-from repro.trace import ShapeDtype, ops, trace, value_and_grad
+from repro.nn import trace_adam_step
+from repro.trace import ShapeDtype, ops, trace
 from repro.trace.tracer import TracedFunction, broadcast_to
 
 
@@ -102,19 +102,5 @@ def trace_training_step(cfg: BottleneckConfig) -> TracedFunction:
     """One training step (forward + backward + Adam), like the paper's
     benchmark models — the backward pass doubles the interior matmuls, so
     the bottleneck dominates end to end."""
-    pspec = param_spec(cfg)
-
-    def step(state, x):
-        loss, grads = value_and_grad(
-            lambda p: loss_fn(cfg, p, x)
-        )(state["params"])
-        new_params, new_opt = adam_update(state["params"], grads,
-                                          state["opt_state"])
-        return {"loss": loss, "params": new_params, "opt_state": new_opt}
-
-    return trace(
-        step,
-        {"params": pspec, "opt_state": adam_state_spec(pspec)},
-        ShapeDtype((cfg.batch, cfg.d_model)),
-        name=cfg.name,
-    )
+    return trace_adam_step(lambda p, x: loss_fn(cfg, p, x), param_spec(cfg),
+                           ShapeDtype((cfg.batch, cfg.d_model)), cfg.name)

@@ -20,8 +20,8 @@ import dataclasses
 from typing import Dict, List
 
 from repro.ir import dtypes
-from repro.nn import adam_state_spec, adam_update, mlp
-from repro.trace import ShapeDtype, ops, trace, value_and_grad
+from repro.nn import mlp, trace_adam_step
+from repro.trace import ShapeDtype, ops
 from repro.trace.tracer import TracedFunction
 
 
@@ -115,21 +115,11 @@ def loss_fn(cfg: GNSConfig, params, nodes, edges, senders, receivers,
 
 
 def trace_training_step(cfg: GNSConfig) -> TracedFunction:
-    pspec = param_spec(cfg)
-
-    def step(state, batch):
-        loss, grads = value_and_grad(
-            lambda p: loss_fn(cfg, p, batch["nodes"], batch["edges"],
-                              batch["senders"], batch["receivers"],
-                              batch["targets"])
-        )(state["params"])
-        new_params, new_opt = adam_update(state["params"], grads,
-                                          state["opt_state"])
-        return {"loss": loss, "params": new_params, "opt_state": new_opt}
-
-    return trace(
-        step,
-        {"params": pspec, "opt_state": adam_state_spec(pspec)},
+    return trace_adam_step(
+        lambda p, batch: loss_fn(cfg, p, batch["nodes"], batch["edges"],
+                                 batch["senders"], batch["receivers"],
+                                 batch["targets"]),
+        param_spec(cfg),
         {
             "nodes": ShapeDtype((cfg.num_nodes, cfg.feature_dim)),
             "edges": ShapeDtype((cfg.num_edges, cfg.feature_dim)),

@@ -20,13 +20,12 @@ from typing import Dict, List, Optional
 
 from repro.ir import dtypes
 from repro.nn import (
-    adam_state_spec,
-    adam_update,
     causal_mask_bias,
     rms_norm,
     softmax_cross_entropy,
+    trace_adam_step,
 )
-from repro.trace import ShapeDtype, ops, trace, value_and_grad
+from repro.trace import ShapeDtype, ops, trace
 from repro.trace.tracer import TracedFunction
 
 
@@ -173,23 +172,11 @@ def loss_fn(cfg: TransformerConfig, params, tokens, targets):
 
 def trace_training_step(cfg: TransformerConfig) -> TracedFunction:
     """Trace one full training step: forward + backward + Adam."""
-    pspec = param_spec(cfg)
-
-    def step(state, batch):
-        loss, grads = value_and_grad(
-            lambda p: loss_fn(cfg, p, batch["tokens"], batch["targets"])
-        )(state["params"])
-        new_params, new_opt = adam_update(state["params"], grads,
-                                          state["opt_state"])
-        return {"loss": loss, "params": new_params, "opt_state": new_opt}
-
     token_spec = ShapeDtype((cfg.batch, cfg.seq_len), dtypes.i32)
-    return trace(
-        step,
-        {"params": pspec, "opt_state": adam_state_spec(pspec)},
-        {"tokens": token_spec, "targets": token_spec},
-        name=cfg.name,
-    )
+    return trace_adam_step(
+        lambda p, batch: loss_fn(cfg, p, batch["tokens"], batch["targets"]),
+        param_spec(cfg), {"tokens": token_spec, "targets": token_spec},
+        cfg.name)
 
 
 # -- inference (serving loop) ---------------------------------------------------------

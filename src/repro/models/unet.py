@@ -16,8 +16,8 @@ import dataclasses
 from typing import Dict, List
 
 from repro.ir import dtypes
-from repro.nn import adam_state_spec, adam_update
-from repro.trace import ShapeDtype, ops, trace, value_and_grad
+from repro.nn import trace_adam_step
+from repro.trace import ShapeDtype, ops
 from repro.trace.tracer import TracedFunction
 
 
@@ -196,26 +196,15 @@ def loss_fn(cfg: UNetConfig, params, x, t, noise):
 
 
 def trace_training_step(cfg: UNetConfig) -> TracedFunction:
-    pspec = param_spec(cfg)
-
-    def step(state, batch):
-        loss, grads = value_and_grad(
-            lambda p: loss_fn(cfg, p, batch["image"], batch["timestep"],
-                              batch["noise"])
-        )(state["params"])
-        new_params, new_opt = adam_update(state["params"], grads,
-                                          state["opt_state"])
-        return {"loss": loss, "params": new_params, "opt_state": new_opt}
-
     image = ShapeDtype((cfg.batch, cfg.in_channels, cfg.image_size,
                         cfg.image_size))
-    return trace(
-        step,
-        {"params": pspec, "opt_state": adam_state_spec(pspec)},
+    return trace_adam_step(
+        lambda p, batch: loss_fn(cfg, p, batch["image"], batch["timestep"],
+                                 batch["noise"]),
+        param_spec(cfg),
         {"image": image, "timestep": ShapeDtype((cfg.batch, cfg.temb_dim)),
          "noise": image},
-        name=cfg.name,
-    )
+        cfg.name)
 
 
 def megatron_mp(axis: str = "model"):

@@ -10,7 +10,7 @@ from repro.nn.layers import (
     rms_norm,
     softmax_cross_entropy,
 )
-from repro.nn.optimizer import adam_state_spec, adam_update
+from repro.nn.optimizer import adam_state_spec, adam_update, trace_adam_step
 
 __all__ = [
     "causal_mask_bias",
@@ -23,4 +23,5 @@ __all__ = [
     "softmax_cross_entropy",
     "adam_state_spec",
     "adam_update",
+    "trace_adam_step",
 ]

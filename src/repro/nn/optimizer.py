@@ -8,10 +8,10 @@ on updated parameters).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
-from repro.trace import ops, pytree
-from repro.trace.tracer import ShapeDtype
+from repro.trace import ops, pytree, trace, value_and_grad
+from repro.trace.tracer import TracedFunction
 
 
 def adam_state_spec(param_spec) -> Dict[str, Any]:
@@ -51,3 +51,24 @@ def adam_update(
 
     new_params = pytree.tree_map(update_param, params, new_m, new_v)
     return new_params, {"m": new_m, "v": new_v}
+
+
+def trace_adam_step(loss_fn: Callable, param_spec, batch_spec,
+                    name: str) -> TracedFunction:
+    """Trace one training step: ``loss_fn(params, batch)`` and its
+    gradients, then one Adam update — the step every model family
+    trains with, traced over ``{"params", "opt_state"}`` and the batch."""
+
+    def step(state, batch):
+        loss, grads = value_and_grad(
+            lambda p: loss_fn(p, batch))(state["params"])
+        new_params, new_opt = adam_update(state["params"], grads,
+                                          state["opt_state"])
+        return {"loss": loss, "params": new_params, "opt_state": new_opt}
+
+    return trace(
+        step,
+        {"params": param_spec, "opt_state": adam_state_spec(param_spec)},
+        batch_spec,
+        name=name,
+    )

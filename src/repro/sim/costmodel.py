@@ -211,7 +211,7 @@ class _Region:
         #: Each value with the iid of its replicated default — what an
         #: env holds for a value it never stored.
         self.values = tuple(
-            (value, Sharding.replicated(len(value.type.shape))._iid)
+            (value, Sharding.replicated(len(value.type.shape)).iid)
             for value in positions)
         self.params: Dict[tuple, tuple] = {}
         self.results: Dict[tuple, tuple] = {}
@@ -305,11 +305,10 @@ class StreamingEstimator:
         """The segment in force for each of ``region``'s ops, in program
         order, under the env being priced."""
         # This runs for every op on every evaluation, so each value is
-        # probed once (a direct probe of the env's store; every stored
-        # sharding is the canonical interned instance, hence the direct
-        # _iid reads) and each op's signature is one C call on the result.
+        # probed once (a direct probe of the env's store) and each op's
+        # signature is one C call on the result.
         stored_get = self._env._shardings.get
-        iids = [s._iid if (s := stored_get(value)) is not None else default
+        iids = [s.iid if (s := stored_get(value)) is not None else default
                 for value, default in region.values]
         segments = []
         reused = 0
@@ -439,7 +438,7 @@ class StreamingEstimator:
             )
         sharding = self._env.sharding
         actuals = [sharding(r) for r in function.results]
-        key = (tuple([s._iid for s in actuals]),
+        key = (tuple([s.iid for s in actuals]),
                None if result_targets is None
                else tuple([s.iid for s in result_targets]))
         sites = region.results.get(key)

@@ -522,14 +522,12 @@ class Lowerer:
         cls = op_class(op)
         if cls is None:
             return None
-        # Every env-stored sharding is the canonical interned instance
-        # (set_sharding interns; the replicated default is interned).  The
-        # store is probed directly, sharding() supplying the default on a
-        # miss: this runs for every op of every lowering.
+        # The store is probed directly, sharding() supplying the default
+        # on a miss: this runs for every op of every lowering.
         stored = self.env._shardings.get
         sharding = self.env.sharding
-        return (cls, *[s._iid if (s := stored(v)) is not None
-                       else sharding(v)._iid
+        return (cls, *[s.iid if (s := stored(v)) is not None
+                       else sharding(v).iid
                        for v in (*op.operands, *op.results)])
 
     def _plan_op(self, op: Operation, key: Optional[tuple] = None
@@ -660,8 +658,7 @@ class Lowerer:
                 for d, axes in enumerate(sharding.dim_axes)
             )
             result_shardings_local.append(
-                dataclasses.replace(sharding, dim_axes=dims)
-            )
+                Sharding(dims, sharding.sum_axes, sharding.pinned))
         if op.opcode in _RESULT_SHAPE_ATTR:
             key = _RESULT_SHAPE_ATTR[op.opcode]
             attrs[key] = self._local_shape(
@@ -753,7 +750,7 @@ class Lowerer:
         for carry, result in zip(carry_shardings, op.results):
             target = self.env.sharding(result)
             tails.append(None if target.dim_axes == carry.dim_axes else (
-                dataclasses.replace(carry, sum_axes=frozenset()),
+                carry.without_sum(carry.sum_axes),
                 required_of(target),
             ))
         return _LoopPlan(

@@ -18,11 +18,7 @@ import pytest
 from repro.auto.evaluator import candidate_actions
 from repro.core.actions import try_apply_action
 from repro.core.propagate import propagate
-from repro.core.sharding import (
-    Sharding,
-    ShardingEnv,
-    intern_sharding,
-)
+from repro.core.sharding import Sharding, ShardingEnv
 from repro.errors import ShardingError
 from repro.ir.function import FunctionBuilder
 
@@ -73,9 +69,7 @@ def test_rollback_matches_copy_forks_over_tactic_chains(case, seed):
         for value in values:
             restored = env.sharding(value)
             expected = reference.sharding(value)
-            assert restored == expected
-            # Interning: equal shardings are the same object.
-            assert restored is intern_sharding(expected)
+            assert restored is expected  # one object per signature
 
 
 def test_search_clone_keeps_no_event_log():
@@ -206,12 +200,12 @@ def test_dirty_set_seeds_propagation_and_is_drained_by_it():
 
 
 def test_intern_table_single_object_per_signature():
-    a = Sharding((("batch",), ())).interned()
-    b = Sharding((("batch",), ())).interned()
+    a = Sharding((("batch",), ()))
+    b = Sharding([["batch"], []])
     assert a is b
     assert a.iid == b.iid
     # Distinct signatures, distinct objects/ids.
-    c = Sharding(((), ("batch",))).interned()
+    c = Sharding(((), ("batch",)))
     assert c is not a and c.iid != a.iid
     # Derivation helpers hand out interned instances.
     assert a.with_sum("model") is a.with_sum("model")
@@ -219,22 +213,19 @@ def test_intern_table_single_object_per_signature():
 
 
 def test_intern_table_safe_under_concurrent_readers():
-    """Writer threads interning fresh shardings while reader threads
-    re-intern existing signatures: readers must never see a torn table (a
+    """Writer threads building fresh shardings while reader threads
+    rebuild existing signatures: readers must never see a torn table (a
     lookup returning a different object than the canonical one)."""
     base = Sharding.replicated(2)
-    seeded = [base.with_tile(0, "batch").interned(),
-              base.with_tile(1, "model").interned()]
+    seeded = [base.with_tile(0, "batch"), base.with_tile(1, "model")]
     errors = []
     stop = threading.Event()
 
     def reader():
         while not stop.is_set():
             for sharding in seeded:
-                again = intern_sharding(
-                    Sharding(sharding.dim_axes, sharding.sum_axes,
-                             sharding.pinned)
-                )
+                again = Sharding(sharding.dim_axes, sharding.sum_axes,
+                                 sharding.pinned)
                 if again is not sharding:
                     errors.append((sharding, again))
                     return
@@ -252,8 +243,8 @@ def test_intern_table_safe_under_concurrent_readers():
                 axis for axis in ("batch", "model")
                 if axis not in used and rng.random() < 0.3
             )
-            first = intern_sharding(Sharding(dims, sums))
-            second = intern_sharding(Sharding(dims, sums))
+            first = Sharding(dims, sums)
+            second = Sharding(dims, sums)
             if first is not second:
                 errors.append((first, second))
                 return
@@ -274,14 +265,52 @@ def test_intern_table_safe_under_concurrent_readers():
 def test_pickled_shardings_drop_process_local_caches():
     import pickle
 
-    original = Sharding((("batch",), ())).interned()
-    _ = original.iid, original.used_axes(), original.tile_dim_of("batch")
-    clone = pickle.loads(pickle.dumps(original))
-    assert clone == original
-    assert not hasattr(clone, "_iid")
-    assert not hasattr(clone, "_used")
-    # Interning the unpickled clone resolves to the canonical instance.
-    assert intern_sharding(clone) is original
+    # The pickle carries the fields alone; the receiver's constructor
+    # resolves them to its canonical instance.
+    for original in (Sharding((("batch",), ())),
+                     Sharding(((), ("batch",)), {"model"}, {"stage"})):
+        assert pickle.loads(pickle.dumps(original)) is original
+
+
+def test_concurrent_reads_during_forks_and_writes():
+    """Threaded readers hammering a child env while the parent writes and
+    copies never observe a torn or stale sharding: ``copy()`` snapshots
+    the store with one ``dict.copy()`` (atomic under the GIL) and the
+    child owns its snapshot outright."""
+    builder = FunctionBuilder("forks")
+    values = [builder.param((8, 8), name=f"v{i}") for i in range(32)]
+    parent = ShardingEnv(MESH)
+    expected = {}
+    for i, value in enumerate(values):
+        sharding = Sharding.replicated(2).with_tile(
+            i % 2, ("batch", "model")[i % 3 % 2])
+        parent.set_sharding(value, sharding)
+        expected[value] = sharding
+    child = parent.copy()
+    errors = []
+    stop = threading.Event()
+
+    def read_loop():
+        while not stop.is_set():
+            for value in values:
+                observed = child.sharding(value)
+                if observed is not expected[value]:
+                    errors.append((value, observed))
+                    return
+
+    readers = [threading.Thread(target=read_loop) for _ in range(4)]
+    for thread in readers:
+        thread.start()
+    # Parent churn: writes + copies after the child took its snapshot.
+    for _ in range(200):
+        for value in values[:4]:
+            parent.set_sharding(value, Sharding.replicated(2))
+            parent.set_sharding(value, expected[values[-1]])
+        parent.copy()
+    stop.set()
+    for thread in readers:
+        thread.join()
+    assert not errors
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -37,6 +37,9 @@ from repro.auto.tree import canonical_key
 
 from conftest import build_matmul_chain
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
 TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
                          link_bandwidth=1e9)
 MESH = Mesh({"B": 4, "M": 2})
@@ -489,10 +492,8 @@ class TestRestart:
         """``python -m repro.auto.server`` on ``cache_dir``: answer one
         request, then stop the daemon the way Ctrl-C does."""
         env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH", "")) if p)
+            p for p in (SRC, env.get("PYTHONPATH", "")) if p)
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.auto.server", "--port", "0",
              "--cache-dir", cache_dir],
@@ -519,6 +520,27 @@ class TestRestart:
             with open(os.path.join(cache_dir, name), "rb") as handle:
                 logs[name] = handle.read()
         return logs
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_cli_daemon_stops_on_signal_despite_ignored_sigint(self, signum):
+        """A daemon started as a background job (SIGINT inherited
+        ignored) still stops cleanly on SIGINT and on SIGTERM."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH", "")) if p)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.auto.server", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                                      signal.SIG_IGN))
+        try:
+            assert "listening on " in process.stdout.readline()
+            process.send_signal(signum)
+            assert process.wait(timeout=10) == 0
+        finally:
+            process.kill()
+            process.stdout.close()
 
     def test_cli_daemon_restarted_on_its_cache_dir_serves_the_same_plan(
             self, tmp_path):

@@ -217,17 +217,15 @@ def _shardings(draw):
 @given(st.lists(st.tuples(st.integers(0, 5000), _shardings()),
                 max_size=8, unique_by=lambda pair: pair[0]))
 def test_cached_repr_digest_equals_footprint_digest(delta):
-    """The probe path digests from the repr cached on each canonical
-    sharding; the persisted ``"pa"`` records were written by
-    ``footprint_digest`` over ``to_portable()`` tuples.  Same bytes."""
+    """The probe path digests from the repr cached on each sharding; the
+    persisted ``"pa"`` records were written by
+    ``footprint_digest`` over portable tuples.  Same bytes."""
     from repro.auto.prune import delta_digest
 
     expected = footprint_digest(
-        [(index, sharding.to_portable()) for index, sharding in delta])
-    interned = [(index, sharding.interned()) for index, sharding in delta]
-    assert delta_digest(interned) == expected
-    for _, sharding in interned:
-        assert sharding.portable_repr == repr(sharding.to_portable())
+        [(index, (s.dim_axes, tuple(sorted(s.sum_axes)),
+                  tuple(sorted(s.pinned)))) for index, s in delta])
+    assert delta_digest(delta) == expected
 
 
 if __name__ == "__main__":

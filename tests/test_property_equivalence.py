@@ -196,7 +196,7 @@ def test_shard_unshard_roundtrip(case, seed):
     sharding = Sharding.replicated(len(shape))
     for dim, axis in tiles:
         denom = MESH.group_size(sharding.dim_axes[dim]) * MESH.size(axis)
-        if axis in sharding.used_axes() or shape[dim] % denom:
+        if axis in sharding.used or shape[dim] % denom:
             continue
         sharding = sharding.with_tile(dim, axis)
     coords = list(MESH.device_coords())
@@ -218,7 +218,7 @@ def test_local_shape_times_group_is_global(data):
         size = data.draw(st.sampled_from([4, 8, 16]))
         shape.append(size)
         for axis in axes:
-            if axis in sharding.used_axes():
+            if axis in sharding.used:
                 continue
             sharding = sharding.with_tile(d, axis)
     local = sharding.local_shape(tuple(shape), MESH)

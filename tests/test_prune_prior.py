@@ -114,7 +114,7 @@ class TestCondenser:
         env.rollback(token)
         assert delta  # candidate 0 is no propagation no-op on this model
         expected = footprint_digest(
-            [(value_index[value], sharding.to_portable())
+            [(value_index[value], sharding.portable)
              for value, sharding in delta]
         )
         assert signature == expected
