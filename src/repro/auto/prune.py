@@ -94,22 +94,46 @@ def delta_digest(delta: Sequence[Tuple[int, Sharding]]) -> str:
     """:func:`footprint_digest` of ``[(i, s.portable), ...]`` for
     shardings at distinct value indices (what a probe's
     :meth:`ShardingEnv.writes_since` yields), without building or
-    formatting a portable tuple per write: ``repr((i, portable))`` is
-    ``"(i, " + repr(portable) + ")"``, and every sharding carries
-    ``repr(portable)`` as :attr:`Sharding.portable_repr`.  The bytes
-    hashed are the same, so the digests are — they have to be: digests
-    persist as ``"pa"`` records in transposition logs.
+    formatting a portable tuple or a line per write:
+    ``repr((i, portable))`` is ``"(i, " + repr(portable) + ")"``, so each
+    line is a cached head per index and a cached tail per sharding (from
+    :attr:`Sharding.portable_repr`).  The bytes hashed are the same, so
+    the digests are — they have to be: digests persist as ``"pa"``
+    records in transposition logs.
     """
     if not delta:
         return NOOP_SIGNATURE
-    return _hash_lines(
-        f"({index}, {sharding.portable_repr})"
-        for index, sharding in sorted(delta, key=itemgetter(0)))
+    delta = sorted(delta, key=itemgetter(0))
+    return _digest(b"".join([_HEADS[index] + _TAILS[sharding]
+                             for index, sharding in delta]))
+
+
+class _Heads(dict):
+    """``index -> b"(index, "``, filled on first use."""
+
+    def __missing__(self, index: int) -> bytes:
+        head = self[index] = f"({index}, ".encode()
+        return head
+
+
+class _Tails(dict):
+    """``sharding -> repr(portable) + ")" + NUL``, filled on first use
+    (shardings are canonical, so this is one entry per signature)."""
+
+    def __missing__(self, sharding: Sharding) -> bytes:
+        tail = self[sharding] = f"{sharding.portable_repr})\x00".encode()
+        return tail
+
+
+_HEADS, _TAILS = _Heads(), _Tails()
 
 
 def _hash_lines(lines: Iterable[str]) -> str:
     # Each line is followed by a NUL (which encodes to the one byte).
-    data = "".join(f"{line}\x00" for line in lines).encode()
+    return _digest("".join(f"{line}\x00" for line in lines).encode())
+
+
+def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=12).hexdigest()
 
 

@@ -63,14 +63,48 @@ which the deferred sum joins.  ``tests/test_settled_revisits.py`` checks
 the schedule against ``tests/oracle.py::RevisitingPropagator``, which
 always re-enqueues.
 
-**One compiled kernel.**  Every visit runs the same per-op transfer
-function (:meth:`Propagator._visit`), compiled per function into shared
-records (:class:`_Transfer`, :class:`_FunctionIndex`) so a visit indexes
-tuples and reads sharding attributes instead of calling into the rule
-registry.  Comparing against a sweep therefore cannot catch
-a kernel bug; `tests/test_propagation_golden.py` pins fixed points and
-event lists to values generated before the kernel was compiled (and
-visit counts to the settled rule's).
+**One compiled kernel, one memo.**  Every visit runs the same per-op
+transfer function (:meth:`Propagator._decide`), compiled per function
+into shared records (:class:`_Transfer`, :class:`_FunctionIndex`) so a
+visit indexes tuples and reads sharding attributes instead of calling
+into the rule registry.  A non-loop visit's outcome — the shardings it
+writes, the events it records and whether it settled, by adjacent
+position — depends only on the op's *signature* (its transfer record,
+opcode, adjacent shapes and which adjacent positions hold the same
+value) and on the adjacent values' shardings.  So it is decided once per
+``(signature, adjacent shardings)`` and replayed afterwards
+(:meth:`Propagator._replay`, the one write path, which a fresh decision
+goes through too): identical ops in different layers, and the same op
+in different probes of the search's condenser, share one entry.  The
+memo lives in the function's propagation view, one per (propagator
+class, mesh) — the class because a subclass may change the conflict
+policy, the mesh because divisibility reads axis sizes — so it dies
+with the function, is never pickled and is rebuilt when the function
+grows.  Loop ops are never memoized.  Two identical ``tanh(x @ w)``
+layers: layer 2's visits replay layer 1's decisions, with layer 2's
+values in the events::
+
+    >>> from repro import Mesh, ShapeDtype, trace
+    >>> from repro.trace import ops
+    >>> spec = ShapeDtype((8, 8))
+    >>> function = trace(lambda x, w1, w2: ops.tanh(ops.tanh(x @ w1) @ w2),
+    ...                  spec, spec, spec, tag_points=False).function
+    >>> env = ShardingEnv(Mesh({"batch": 2}))
+    >>> x = function.params[0]
+    >>> env.set_sharding(x, env.sharding(x).with_tile(0, "batch"))
+    >>> propagate(function, env)
+    >>> env.stats.ops_processed, env.stats.visits_replayed
+    (4, 2)
+    >>> dot = function.index.ops[2]  # layer 2's matmul
+    >>> [e.detail for e in env.events if e.op is dot] == [
+    ...     f"dim 0 of {dot.results[0]!r}"]
+    True
+
+Comparing against a sweep cannot catch a kernel bug;
+``tests/test_propagation_golden.py`` pins fixed points and event lists to
+values generated before the kernel was compiled (and visit counts to the
+settled rule's), and ``tests/oracle.py::RevisitingSchedule`` decides
+every visit afresh.
 """
 
 from __future__ import annotations
@@ -114,20 +148,19 @@ def may_defer(op: Operation, axis: str, pending: List[int]) -> bool:
 
 
 class _Transfer:
-    """What a visit needs to know about an op besides its values: shared
-    by every op with the same sharding rule and operand/result ranks.
+    """What a visit needs to know about a non-loop op besides its values:
+    shared by every op with the same sharding rule and operand/result
+    ranks.
 
     Adjacent values are numbered operands first, then results; ``k``
     below is that number.
     """
 
-    __slots__ = ("loop", "single_result", "num_operands", "defaults",
-                 "dim_factors", "factors")
+    __slots__ = ("single_result", "num_operands", "defaults", "dim_factors",
+                 "factors")
 
     def __init__(self, rule, operand_ranks: Tuple[int, ...],
-                 result_ranks: Tuple[int, ...], loop: bool):
-        #: Loop ops unify carries (``_process_loop``); nothing below applies.
-        self.loop = loop
+                 result_ranks: Tuple[int, ...]):
         self.single_result = len(result_ranks) == 1
         self.num_operands = n = len(operand_ranks)
         #: The replicated sharding an absent env entry stands for, per k.
@@ -137,7 +170,7 @@ class _Transfer:
         self.dim_factors = None
         #: Per factor id: ``(((k, dim, is_operand), ...), reduce)``.
         self.factors = ()
-        if rule is None or loop:
+        if rule is None:
             return
         sides = [("in", i, rank) for i, rank in enumerate(operand_ranks)]
         sides += [("out", r, rank) for r, rank in enumerate(result_ranks)]
@@ -154,36 +187,111 @@ class _Transfer:
         )
 
 
-#: (rule, operand ranks, result ranks, is loop) -> the shared record.
+#: (rule, operand ranks, result ranks) -> the shared record.
 #: Process-local (records hold shardings): never pickled.
 _TRANSFERS: Dict[tuple, _Transfer] = {}
 
 
 def _transfer_for(op: Operation) -> _Transfer:
-    loop = op.opcode in opdefs.LOOP_OPS
-    key = (None if loop else rules_mod.rule_for(op),
+    key = (rules_mod.rule_for(op),
            tuple(len(v.type.shape) for v in op.operands),
-           tuple(len(v.type.shape) for v in op.results),
-           loop)
+           tuple(len(v.type.shape) for v in op.results))
     transfer = _TRANSFERS.get(key)
     if transfer is None:
         transfer = _TRANSFERS.setdefault(key, _Transfer(*key))
     return transfer
 
 
-class _FunctionIndex:
-    """Per-op transfer records (parallel to ``function.index.ops``, the
-    worklist's numbering) and value->op adjacency for one function: a
-    view of it (:meth:`Function.derived`), so it is rebuilt when the
-    function grows and never pickled."""
+class _Signature:
+    """Everything a non-loop op's visit depends on besides the shardings
+    of its adjacent values: its transfer record and opcode, the shapes
+    of its adjacent values and which of them are the same value.
+    Structurally identical ops (the same layer repeated) share one
+    signature object, so they share memo entries."""
 
-    __slots__ = ("ops", "transfers", "adjacency", "may_settle")
+    __slots__ = ("transfer", "shapes", "distinct", "aliases")
+
+    def __init__(self, transfer: _Transfer, shapes: tuple,
+                 pattern: Optional[Tuple[int, ...]]):
+        self.transfer = transfer
+        #: ``shapes[k]``: the shape of adjacent value ``k``.
+        self.shapes = shapes
+        #: No value sits at two adjacent positions (``pattern``, each
+        #: position's first position holding the same value, is None).
+        self.distinct = pattern is None
+        if pattern is None:
+            pattern = range(len(shapes))
+        #: ``aliases[k]``: the positions holding the same value as ``k``.
+        self.aliases = tuple(
+            tuple(j for j, first in enumerate(pattern) if first == pattern[k])
+            for k in range(len(shapes)))
+
+
+class _Outcome:
+    """What one visit did, by adjacent position, so that any visit with
+    the same signature and the same adjacent shardings can replay it.
+
+    ``writes``: ``(k, new sharding, starting sharding)`` per written
+    value, in first-write order.  ``events``: ``(kind, axis, payload,
+    at)`` in recording order, where ``at`` is the position whose value
+    ends a ``tile`` payload (None for the other kinds).  ``settled``:
+    may the visited op skip its own revisit (module docstring)?
+    """
+
+    __slots__ = ("writes", "events", "settled")
+
+    def __init__(self, writes: tuple, events: tuple, settled: bool):
+        self.writes = writes
+        self.events = events
+        self.settled = settled
+
+
+#: The outcome of a visit that writes and records nothing.
+_NOTHING = _Outcome((), (), True)
+
+#: Event kinds recorded once per ``(op, axis)`` per run.
+_REPORTS = frozenset({"conflict", "blocked"})
+
+
+#: (rule, opcode, adjacent shapes, value pattern) -> the shared
+#: signature.  Process-local, like ``_TRANSFERS``: never pickled.
+_SIGNATURES: Dict[tuple, _Signature] = {}
+
+
+def _signature_for(op: Operation,
+                   values: Tuple[Value, ...]) -> _Signature:
+    """The signature of a non-loop ``op`` with adjacent ``values``."""
+    shapes = tuple([value.type.shape for value in values])
+    pattern = (None if len(set(values)) == len(values)
+               else tuple(map(values.index, values)))
+    key = (rules_mod.rule_for(op), op.opcode, shapes, pattern)
+    signature = _SIGNATURES.get(key)
+    if signature is None:
+        signature = _SIGNATURES.setdefault(
+            key, _Signature(_transfer_for(op), shapes, pattern))
+    return signature
+
+
+class _FunctionIndex:
+    """Per-op signatures (parallel to ``function.index.ops``, the
+    worklist's numbering), value->op adjacency and the visit memos for
+    one function: a view of it (:meth:`Function.derived`), so it is
+    rebuilt when the function grows and never pickled."""
+
+    __slots__ = ("ops", "values", "signatures", "adjacency", "memos")
 
     def __init__(self, function: Function):
         self.ops: List[Operation] = function.index.ops
-        #: Parallel to ``ops``: one reference into the shared records.
-        self.transfers: List[_Transfer] = [
-            _transfer_for(op) for op in self.ops
+        #: Parallel to ``ops``: the adjacent values (operands, then
+        #: results) and the signature, one reference into the shared
+        #: records (None for a loop op, which ``_process_loop`` visits).
+        self.values: List[Tuple[Value, ...]] = [
+            (*op.operands, *op.results) for op in self.ops
+        ]
+        self.signatures: List[Optional[_Signature]] = [
+            None if op.opcode in opdefs.LOOP_OPS
+            else _signature_for(op, values)
+            for op, values in zip(self.ops, self.values)
         ]
         # adjacency[value] = sorted walk indices of ops whose transfer reads
         # that value's sharding.
@@ -195,11 +303,9 @@ class _FunctionIndex:
                 indices.append(index)
 
         for index, op in enumerate(self.ops):
-            for value in op.operands:
+            for value in self.values[index]:
                 link(value, index)
-            for value in op.results:
-                link(value, index)
-            if op.opcode in opdefs.LOOP_OPS:
+            if self.signatures[index] is None:
                 # _process_loop also reads the body's params and results
                 # (and, for while_loop, the predicate's carry params).
                 body = op.regions[0]
@@ -213,14 +319,19 @@ class _FunctionIndex:
         self.adjacency: Dict[Value, Tuple[int, ...]] = {
             value: tuple(indices) for value, indices in adjacency.items()
         }
-        #: Parallel to ``ops``: may a visit be settled (rules (a) and (b)
-        #: of the module docstring)?
-        self.may_settle: List[bool] = [
-            not transfer.loop
-            and len(set(op.operands + op.results))
-            == len(op.operands) + len(op.results)
-            for op, transfer in zip(self.ops, self.transfers)
-        ]
+        #: ``(propagator class, mesh axes) -> {(signature, *adjacent
+        #: env entries): outcome}``.  The class is part of the scope
+        #: because a subclass may change the conflict policy; the mesh
+        #: because divisibility reads axis sizes (and axes are visited in
+        #: mesh order).
+        self.memos: Dict[tuple, Dict[tuple, _Outcome]] = {}
+
+    def memo(self, propagator_class: type, mesh) -> Dict[tuple, _Outcome]:
+        scope = (propagator_class, tuple(mesh.axes.items()))
+        memo = self.memos.get(scope)
+        if memo is None:
+            memo = self.memos.setdefault(scope, {})
+        return memo
 
 
 def _function_index(function: Function) -> _FunctionIndex:
@@ -231,12 +342,12 @@ def _function_index(function: Function) -> _FunctionIndex:
 class Propagator:
     """Runs tiling/pending propagation over one function (and regions).
 
-    A visit (:meth:`_visit`) touches no rule object and calls no sharding
-    method: it reads each adjacent value's sharding straight out of the
-    env's dict (an absent entry is the transfer record's
-    replicated default), finds the factor a tiled dim belongs to by
-    indexing the record's ``dim -> factor id`` tuples, and reads
-    ``used`` / ``taken`` / ``tile_dims`` / ``sum_axes`` as attributes.
+    A visit is decided (:meth:`_decide`) without touching the env or any
+    rule object: it reads the adjacent values' shardings as attributes
+    (an absent env entry is the transfer record's replicated default),
+    finds the factor a tiled dim belongs to by indexing the record's
+    ``dim -> factor id`` tuples, and returns an :class:`_Outcome`.  The
+    outcome is then applied by :meth:`_replay`, the one write path.
     Events carry unformatted payloads (:class:`repro.core.sharding.Event`).
     """
 
@@ -247,8 +358,9 @@ class Propagator:
         self._axis_names = env.mesh.axis_names
         self._reported: Set[Tuple[int, str, str]] = set()
         self._index = _function_index(function)
-        #: Cleared by the last visit's checks (c) and (d) of the settled
-        #: rule; only read after a visit that wrote.
+        self._memo = self._index.memo(type(self), env.mesh)
+        # Scratch of the visit being decided (see :meth:`_decide`).
+        self._events: List[tuple] = []
         self._settled = True
 
     # -- public -----------------------------------------------------------
@@ -270,12 +382,14 @@ class Propagator:
 
     def _fixed_point(self, seeds: Set[int], max_rounds: int) -> None:
         ops = self._index.ops
-        transfers = self._index.transfers
+        signatures = self._index.signatures
+        adjacent = self._index.values
         adjacency = self._index.adjacency
-        may_settle = self._index.may_settle
+        memo = self._memo
         env = self.env
+        get = env._shardings.get
         stats = env.stats
-        visit = self._visit
+        decide, replay = self._decide, self._replay
         heappop, heappush = heapq.heappop, heapq.heappush
         # An ascending sorted list already satisfies the min-heap invariant,
         # so heappush/heappop work on it directly — no heapify needed.
@@ -294,19 +408,31 @@ class Propagator:
                 i = heappop(current)
                 in_current.discard(i)
                 stats.ops_processed += 1
-                before = env._write_serial
-                transfer = transfers[i]
-                if transfer.loop:
+                signature = signatures[i]
+                if signature is None:  # a loop op
+                    before = env._write_serial
                     self._process_loop(ops[i])
+                    if env._write_serial == before:
+                        continue
+                    own = -1
                 else:
-                    visit(ops[i], transfer)
-                if env._write_serial == before:
-                    continue
+                    values = adjacent[i]
+                    key = (signature, *map(get, values))
+                    outcome = memo.get(key)
+                    if outcome is None:
+                        outcome = memo[key] = decide(ops[i], signature, key)
+                    else:
+                        stats.visits_replayed += 1
+                    if outcome is _NOTHING:
+                        continue
+                    replay(ops[i], values, outcome)
+                    if not outcome.writes:
+                        continue
+                    own = i if outcome.settled else -1
                 # Re-enqueue every op adjacent to a value we just changed:
                 # later ops join this round (program order), earlier ones
                 # wait for the next round — sweep semantics — and so does
                 # this op, unless its visit was settled.
-                own = i if may_settle[i] and self._settled else -1
                 for value in env.drain_dirty():
                     for j in adjacency.get(value, ()):
                         if j > i:
@@ -319,51 +445,77 @@ class Propagator:
             return  # converged in exactly max_rounds rounds
         raise RuntimeError("propagation did not converge")
 
-    # -- helpers ------------------------------------------------------------
+    # -- the one write path ---------------------------------------------------
 
-    def _report_once(self, op: Operation, axis: str, kind: str,
-                     *detail) -> None:
-        """Record ``kind`` for ``(op, axis)`` once per run; ``detail`` is
-        a lazy ``(format, *args)`` payload."""
+    def _replay(self, op: Operation, values: Tuple[Value, ...],
+                outcome: _Outcome) -> None:
+        """Apply ``outcome`` to ``op``'s adjacent ``values``: what
+        :meth:`ShardingEnv.set_sharding` and :meth:`ShardingEnv.record`
+        would do for the writes and events of the visit, with one write
+        and one undo entry per written value."""
+        env = self.env
+        shardings = env._shardings
+        dirty = env._dirty
+        undo = env._undo if env._checkpoints else None
+        for k, sharding, start in outcome.writes:
+            value = values[k]
+            if undo is not None:
+                undo.append((value, start))
+            shardings[value] = sharding
+            dirty.add(value)
+        env._write_serial += len(outcome.writes)
+        if not env.keeps_events:
+            return
+        for kind, axis, payload, at in outcome.events:
+            if at is not None:
+                payload += (values[at],)
+            if kind in _REPORTS:
+                self._record_once(op, axis, kind, payload)
+            else:
+                env.record(kind, op, axis, payload)
+
+    def _record_once(self, op: Operation, axis: str, kind: str,
+                     payload: tuple) -> None:
+        """Record ``kind`` for ``(op, axis)`` once per run."""
         key = (id(op), axis, kind)
         if key not in self._reported:
             self._reported.add(key)
-            self.env.record(kind, op, axis, detail)
+            self.env.record(kind, op, axis, payload)
 
-    def _adjacent(self, values: List[Value],
-                  defaults: Tuple[Sharding, ...]) -> List[Sharding]:
-        """Current shardings of an op's ``values`` (operands, then
-        results)."""
-        return [
-            default if sharding is None else sharding
-            for sharding, default in zip(
-                map(self.env._shardings.get, values), defaults)
-        ]
+    def _report_once(self, op: Operation, axis: str, kind: str,
+                     *detail) -> None:
+        """Report ``kind`` for ``(op, axis)`` from the visit being
+        decided: replaying it records the report once per run.
+        ``detail`` is a lazy ``(format, *args)`` payload."""
+        self._events.append((kind, axis, detail, None))
 
     # -- the per-op transfer function ------------------------------------------
 
-    def _visit(self, op: Operation, transfer: _Transfer) -> None:
-        """Match, extend and defer on every mesh axis, in mesh-axis order.
+    def _decide(self, op: Operation, signature: _Signature,
+                key: tuple) -> _Outcome:
+        """Match, extend and defer on every mesh axis, in mesh-axis order,
+        given the adjacent values' env entries ``key[1:]``; the env is
+        only read, through ``key``.
 
         Which factors have evidence on an axis (a value tiled on one of
         the factor's positions) and which operands carry a pending sum
         over it are read once, up front: a write made while handling one
         axis only ever adds *that* axis to a sharding, so it cannot change
         either answer for a later axis.  Everything a decision on the
-        current axis reads is re-read after each write.
+        current axis reads sees every earlier write of the visit.
         """
-        values = op.operands + op.results
-        shardings = list(map(self.env._shardings.get, values))
-        if not any(shardings):  # (a Sharding is always truthy)
-            return  # every neighbour replicated: nothing to match or defer
+        start = key[1:]
+        if not any(start):  # (a Sharding is always truthy)
+            return _NOTHING  # every neighbour replicated
+        transfer = signature.transfer
         dim_factors = transfer.dim_factors
         num_operands = transfer.num_operands
-        defaults = transfer.defaults
+        shardings = list(start)
         evidence: Dict[str, Set[int]] = {}
         pending: Dict[str, List[int]] = {}
-        for k, sharding in enumerate(shardings):
+        for k, sharding in enumerate(start):
             if sharding is None:
-                shardings[k] = defaults[k]
+                shardings[k] = transfer.defaults[k]
                 continue
             if not sharding.used:
                 continue
@@ -381,40 +533,50 @@ class Propagator:
                 for axis in sharding.sum_axes:
                     pending.setdefault(axis, []).append(k)
         if not evidence and not pending:
-            return
-        self._settled = True  # (every visit that writes gets here)
+            return _NOTHING
+        starting = tuple(shardings)
+        # Rule (b) of the settled rule; (c) and (d) clear it below.
+        self._settled = signature.distinct
+        self._events = events = []
+        written: Dict[int, None] = {}  # first positions, first-write order
+
+        def write(k: int, sharding: Sharding) -> None:
+            aliases = signature.aliases[k]
+            for j in aliases:
+                shardings[j] = sharding
+            written.setdefault(aliases[0])
+
         defer = bool(pending) and transfer.single_result
-        stale = False  # did a write outdate ``shardings``?
         for axis in self._axis_names:
             fids = evidence.get(axis)
             if fids is not None:
-                if stale:
-                    shardings = self._adjacent(values, defaults)
-                stale = self._match_axis(op, transfer, axis, fids, values,
-                                         shardings)
+                self._match_axis(op, signature, axis, fids, shardings,
+                                 write)
             if defer and axis in pending:
-                if stale:
-                    shardings = self._adjacent(values, defaults)
-                stale = self._defer_pending(op, axis, pending[axis],
-                                            shardings[num_operands])
+                self._defer_pending(op, axis, pending[axis], shardings,
+                                    write)
+        if not written and not events:
+            return _NOTHING
+        return _Outcome(
+            tuple((k, shardings[k], starting[k]) for k in written),
+            tuple(events), self._settled)
 
-    def _match_axis(self, op: Operation, transfer: _Transfer, axis: str,
-                    evidence: Set[int], values: List[Value],
-                    shardings: List[Sharding]) -> bool:
-        factors = transfer.factors
+    def _match_axis(self, op: Operation, signature: _Signature, axis: str,
+                    evidence: Set[int], shardings: List[Sharding],
+                    write) -> None:
+        factors = signature.transfer.factors
         extendable = []
         for fid in evidence:
-            if self._extendable(op, factors[fid], axis, values, shardings):
+            if self._extendable(op, factors[fid], axis, signature.shapes,
+                                shardings):
                 extendable.append(fid)
         if not extendable:
-            return False
+            return
         if len(extendable) > 1:
             self._settled = False  # rule (c)
         chosen = self._choose(op, axis, extendable)
-        if chosen is None:
-            return False
-        return self._apply_factor(op, factors[chosen], axis, values,
-                                  transfer.defaults)
+        if chosen is not None:
+            self._apply_factor(op, factors[chosen], axis, shardings, write)
 
     def _choose(self, op: Operation, axis: str,
                 extendable: List[int]) -> Optional[int]:
@@ -431,8 +593,8 @@ class Propagator:
             return None
         return extendable[0]
 
-    def _extendable(self, op: Operation, factor, axis: str,
-                    values: List[Value], shardings: List[Sharding]) -> bool:
+    def _extendable(self, op: Operation, factor, axis: str, shapes: tuple,
+                    shardings: List[Sharding]) -> bool:
         """Would applying ``factor`` on ``axis`` tile or mark something
         new, with nothing in the way?  (False both for a factor already
         fully applied and for a blocked one.)"""
@@ -453,8 +615,7 @@ class Propagator:
                     op, axis, "blocked",
                     "{}: value already uses axis {!r}", op.opcode, axis)
                 return False
-            if values[k].type.shape[dim] % (mesh.group_size(axes)
-                                            * mesh.size(axis)):
+            if shapes[k][dim] % (mesh.group_size(axes) * mesh.size(axis)):
                 self._report_once(
                     op, axis, "blocked",
                     "{}: dim {} not divisible by axis {!r}",
@@ -472,55 +633,50 @@ class Propagator:
         return missing
 
     def _apply_factor(self, op: Operation, factor, axis: str,
-                      values: List[Value],
-                      defaults: Tuple[Sharding, ...]) -> bool:
+                      shardings: List[Sharding], write) -> None:
         entries, reduce = factor
-        env = self.env
-        get = env._shardings.get
-        changed = False
+        events = self._events
         for k, dim, _ in entries:
-            value = values[k]
-            # Re-read per write: one value may sit at two positions.
-            sharding = get(value) or defaults[k]
+            # Read per write: one value may sit at two positions.
+            sharding = shardings[k]
             if axis in sharding.dim_axes[dim] or axis in sharding.sum_axes:
                 continue
-            env.set_sharding(value, sharding.with_tile(dim, axis))
-            env.record("tile", op, axis, ("dim {} of {!r}", dim, value))
-            changed = True
+            write(k, sharding.with_tile(dim, axis))
+            events.append(("tile", axis, ("dim {} of {!r}", dim), k))
         if reduce:
-            for k in range(len(op.operands), len(values)):
-                sharding = get(values[k]) or defaults[k]
+            for k in range(len(op.operands), len(shardings)):
+                sharding = shardings[k]
                 if axis not in sharding.sum_axes:
-                    env.set_sharding(values[k], sharding.with_sum(axis))
-                    env.record("sum", op, axis, ("{} result", op.opcode))
-                    changed = True
-        return changed
+                    write(k, sharding.with_sum(axis))
+                    events.append(
+                        ("sum", axis, ("{} result", op.opcode), None))
 
     # -- pending-sum deferral -------------------------------------------------
 
     def _defer_pending(self, op: Operation, axis: str, pending: List[int],
-                       result_sharding: Sharding) -> bool:
+                       shardings: List[Sharding], write) -> None:
         """Pass a pending #sum over ``axis`` on the ``pending`` operands
         through a single-result op that may defer it."""
-        if axis in result_sharding.taken:
-            return False
+        result = len(op.operands)
+        if axis in shardings[result].taken:
+            return
         if not may_defer(op, axis, pending):
-            return False
-        self.env.set_sharding(op.results[0], result_sharding.with_sum(axis))
-        self.env.record("sum", op, axis,
-                        ("deferred through {}", op.opcode))
-        return True
+            return
+        write(result, shardings[result].with_sum(axis))
+        self._events.append(
+            ("sum", axis, ("deferred through {}", op.opcode), None))
 
     # -- loops -------------------------------------------------------------------
 
-    def _process_loop(self, op: Operation) -> bool:
+    def _process_loop(self, op: Operation) -> None:
         """Unify carry shardings through any loop op: operand_i, body param
         i+1, body result i and op result i must agree (the loop state keeps
         one layout across iterations).  ``while_loop``'s predicate reads the
-        same carries, so its param i+1 joins carry i's group."""
+        same carries, so its param i+1 joins carry i's group.  Loop visits
+        are not memoized: they read the body's values too."""
         body = op.regions[0]
         cond = op.regions[1] if op.opcode == "while_loop" else None
-        changed = False
+        env = self.env
         num_carries = op.attrs.get("num_carries", len(op.operands))
         for i in range(len(op.operands)):
             group = [op.operands[i], body.params[i + 1]]
@@ -531,27 +687,24 @@ class Propagator:
             for axis in self._axis_names:
                 dims = set()
                 for value in group:
-                    dim = self.env.sharding(value).tile_dim_of(axis)
+                    dim = env.sharding(value).tile_dim_of(axis)
                     if dim is not None:
                         dims.add(dim)
                 if len(dims) != 1:
                     if len(dims) > 1:
-                        self._report_once(
-                            op, axis, "conflict",
+                        self._record_once(op, axis, "conflict", (
                             "{} carry {} tiled on dims {}",
-                            op.opcode, i, sorted(dims))
+                            op.opcode, i, sorted(dims)))
                     continue
                 (dim,) = dims
                 for value in group:
-                    sharding = self.env.sharding(value)
+                    sharding = env.sharding(value)
                     if sharding.tile_refusal(dim, axis, value.type.shape[dim],
                                              self.mesh):
                         continue
-                    self.env.set_sharding(value, sharding.with_tile(dim, axis))
-                    self.env.record("tile", op, axis,
-                                    ("{} carry {}", op.opcode, i))
-                    changed = True
-        return changed
+                    env.set_sharding(value, sharding.with_tile(dim, axis))
+                    env.record("tile", op, axis,
+                               ("{} carry {}", op.opcode, i))
 
 
 def propagate(function: Function, env: ShardingEnv) -> None:

@@ -254,6 +254,9 @@ class PropagationStats:
     propagate_calls: int = 0
     ops_processed: int = 0
     rounds: int = 0
+    #: Visits (of ``ops_processed``) that replayed a memoized outcome
+    #: instead of deciding it (:mod:`repro.core.propagate`).
+    visits_replayed: int = 0
 
     def snapshot(self) -> Tuple[int, int, int]:
         return (self.propagate_calls, self.ops_processed, self.rounds)
@@ -340,10 +343,12 @@ class ShardingEnv:
         everything after it, including un-rolled-back inner checkpoints.
         Recording costs O(1) per checkpoint plus one ``(value, previous)``
         log entry per effective write while any checkpoint is outstanding —
-        the zero-copy alternative to :meth:`copy`.  All mutation
-        paths (``Tactic.apply``, ``propagate``, the raw actions) funnel
-        through :meth:`set_sharding`, so they append to the active log
-        transparently.
+        the zero-copy alternative to :meth:`copy`.  Every mutation path
+        (``Tactic.apply``, the raw actions) funnels through
+        :meth:`set_sharding`, except propagation's replay of a memoized
+        visit (``Propagator._replay``), which writes each changed value
+        once and logs ``(value, sharding before the visit)`` the same
+        way, so they append to the active log transparently.
         """
         token = EnvCheckpoint(
             env=self,

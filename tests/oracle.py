@@ -409,13 +409,12 @@ class RevisitingSchedule:
     """Mixin: a propagator's worklist without the settled rule.  Any op
     adjacent to a value a visit wrote -- the visited op included -- is
     re-enqueued: a later one joins the round, an earlier-or-equal one
-    waits for the next.  Mix it in front of a propagator class
-    (``revisiting(cls)``) to keep that class's transfer function and
-    conflict policy."""
+    waits for the next.  Every visit is decided afresh (:meth:`_visit`):
+    the schedule never reads the kernel's visit memo.  Mix it in front of
+    a propagator class (``revisiting(cls)``) to keep that class's
+    transfer function and conflict policy."""
 
     def _fixed_point(self, seeds, max_rounds):
-        ops = self._index.ops
-        transfers = self._index.transfers
         adjacency = self._index.adjacency
         env = self.env
         current = sorted(seeds)
@@ -432,10 +431,7 @@ class RevisitingSchedule:
                 i = heapq.heappop(current)
                 env.stats.ops_processed += 1
                 before = env.write_serial
-                if transfers[i].loop:
-                    self._process_loop(ops[i])
-                else:
-                    self._visit(ops[i], transfers[i])
+                self._visit(i)
                 if env.write_serial == before:
                     continue
                 for value in env.drain_dirty():
@@ -447,6 +443,19 @@ class RevisitingSchedule:
                             heapq.heappush(current, j)
         if current or next_round:
             raise RuntimeError("propagation did not converge")
+
+    def _visit(self, i):
+        """Visit the op at walk index ``i``: a loop op through
+        ``_process_loop``, any other by a fresh decision applied through
+        the kernel's one write path."""
+        op = self._index.ops[i]
+        signature = self._index.signatures[i]
+        if signature is None:
+            self._process_loop(op)
+            return
+        values = self._index.values[i]
+        key = (signature, *map(self.env._shardings.get, values))
+        self._replay(op, values, self._decide(op, signature, key))
 
 
 def revisiting(propagator_class):

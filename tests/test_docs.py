@@ -27,6 +27,7 @@ import repro.auto.planstore
 import repro.auto.search
 import repro.core.actions
 import repro.core.pipeline
+import repro.core.propagate
 import repro.core.sharding
 import repro.ir.function
 import repro.models.pipeline
@@ -42,7 +43,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCTESTED_MODULES = [repro.api, repro.auto.faults, repro.auto.fingerprint,
                      repro.auto.planstore, repro.auto.search,
                      repro.core.actions, repro.core.pipeline,
-                     repro.core.sharding, repro.ir.function, repro.models.pipeline,
+                     repro.core.propagate, repro.core.sharding,
+                     repro.ir.function, repro.models.pipeline,
                      repro.sim.costmodel, repro.sim.memory, repro.sim.terms,
                      importlib.import_module("repro.spmd.lower")]
 

@@ -53,13 +53,21 @@ def _digest(obj) -> str:
 
 def _events(function, env):
     """``(kind, axis, detail)`` per event, with the process-global value
-    uids in details (``%v123``) replaced by canonical value indices."""
+    uids in details (``%v123``) replaced by canonical value indices.
+    Details are rendered here, not through ``Event.detail``, which keeps
+    the text in place of the payload: the kernel runs are shared with
+    ``test_settled_revisits.py``, which compares unrendered payloads."""
     index = {value.uid: i
              for i, value in enumerate(reference_index(function)[1])}
+
+    def text(detail):
+        return (detail[0].format(*detail[1:]) if isinstance(detail, tuple)
+                else detail)
+
     return [
         (event.kind, event.axis,
          re.sub(r"%v(\d+)", lambda m: f"%#{index[int(m.group(1))]}",
-                event.detail))
+                text(event._detail)))
         for event in env.events
     ]
 

@@ -7,26 +7,34 @@
   unpropagated one, and the peer rebuilds rule references and the index
   against *its own* canonical shardings;
 * the per-function index is rebuilt, not trusted, after the function grew;
-* event details are rendered on first read and read as they always did.
+* event details are rendered on first read and read as they always did;
+* a visit is decided once per (signature, adjacent shardings) and then
+  replayed, from one memo per (function, mesh, propagator class): every
+  scenario sharing a memo ends where a fresh trace (an empty memo) does.
 """
 
 import pickle
 
+import pytest
+
 from repro.api import ManualPartition
+from repro.auto.search import mcts_search
 from repro.baselines.gspmd import _GspmdPropagator
 from repro.core.pipeline import stage_split
+from repro.core import propagate as propagate_mod
 from repro.core.propagate import Propagator, _function_index, propagate
 from repro.core.rules import rule_for
 from repro.core.sharding import Event, Sharding, ShardingEnv
 from repro.ir import FunctionBuilder
 from repro.ir.tagpoints import tag_points
+from repro.ir.values import Value
 from repro.mesh import Mesh
 from repro.models import pipeline as pm
 from repro.models import schedules as sched
 from repro.models import transformer
 
 from conftest import build_matmul_chain
-from oracle import full_sweep
+from oracle import FAMILIES, full_sweep
 
 MESH = Mesh({"batch": 4, "model": 2})
 
@@ -87,12 +95,15 @@ class TestSharedRules:
         traced = transformer.trace_training_step(transformer.tiny())
         index = _function_index(traced.function)
         assert index.ops == traced.function.index.ops
-        assert len(index.transfers) == len(index.ops)
-        distinct = {id(t) for t in index.transfers}
-        assert len(distinct) * 10 < len(index.ops)
+        assert len(index.signatures) == len(index.ops)
+        transfers = [(op, signature.transfer) for op, signature
+                     in zip(index.ops, index.signatures)
+                     if signature is not None]
+        distinct = {id(t) for _, t in transfers}
+        assert len(distinct) * 10 < len(transfers)
         by_key = {}
-        for op, transfer in zip(index.ops, index.transfers):
-            key = (id(rule_for(op)) if not transfer.loop else None,
+        for op, transfer in transfers:
+            key = (id(rule_for(op)),
                    tuple(len(v.type.shape) for v in op.operands),
                    tuple(len(v.type.shape) for v in op.results))
             assert by_key.setdefault(key, transfer) is transfer
@@ -180,7 +191,7 @@ class TestIndexGuard:
         full_sweep(function, env)  # nothing is dirty: seed every op
         rebuilt = _function_index(function)
         assert rebuilt is not stale
-        assert len(rebuilt.ops) == len(rebuilt.transfers) == 2
+        assert len(rebuilt.ops) == len(rebuilt.signatures) == 2
         # The new op was indexed and visited, not skipped or misread
         # through the one-op table.
         assert env.sharding(out).tile_dim_of("batch") == 0
@@ -241,3 +252,183 @@ class TestConflictPolicyHook:
             if callable(member)
         }
         assert overridden == {"_choose"}
+
+
+# -- the visit memo -----------------------------------------------------------
+
+def _canonical(function, env):
+    """``env``'s final state, events and visit count over ``function``,
+    with values and ops named by position: runs over two traces of one
+    program compare equal.  Payloads are compared unrendered."""
+    value_ids = function.index.value_ids
+    op_ids = {op: i for i, op in enumerate(function.index.ops)}
+
+    def name(arg):
+        return ("value", value_ids[arg]) if isinstance(arg, Value) else arg
+
+    events = [(e.kind, op_ids[e.op], e.axis, tuple(map(name, e._detail)))
+              for e in env.events]
+    return env.portable_state(function), events, env.stats.ops_processed
+
+
+def _seeded(function, mesh, seeds, propagator=Propagator):
+    """Propagate ``seeds`` (``(value picker, dim, axis)``) over
+    ``function`` on a fresh env; returns the env."""
+    env = ShardingEnv(mesh)
+    for pick, dim, axis in seeds:
+        value = pick(function)
+        env.set_sharding(value, env.sharding(value).with_tile(dim, axis))
+    propagator(function, env).run()
+    return env
+
+
+def _shared_equals_fresh(build, shared, mesh, seeds,
+                         propagator=Propagator):
+    """Run ``seeds`` over the ``shared`` function (whose memo earlier
+    runs filled) and over a fresh ``build()``: the same canonical
+    outcome.  Returns it."""
+    outcome = _canonical(shared, _seeded(shared, mesh, seeds, propagator))
+    fresh = build()
+    assert outcome == _canonical(fresh,
+                                 _seeded(fresh, mesh, seeds, propagator))
+    return outcome
+
+
+def _param(i):
+    return lambda function: function.params[i]
+
+
+def _result(i):
+    return lambda function: function.results[i]
+
+
+def _chain():
+    return build_matmul_chain()[0]
+
+
+def _reshape():
+    b = FunctionBuilder("main")
+    x = b.param((8,), name="x")
+    return b.ret(b.emit1("reshape", [x], {"new_shape": (2, 4)}))
+
+
+def _squares():
+    """``x * x`` beside ``x * y``, at equal shapes."""
+    b = FunctionBuilder("main")
+    x = b.param((4, 4), name="x")
+    y = b.param((4, 4), name="y")
+    return b.ret(b.emit1("mul", [x, x]), b.emit1("mul", [x, y]))
+
+
+def _layers():
+    """Two identical ``tanh(x @ w)`` layers."""
+    b = FunctionBuilder("main")
+    x = b.param((8, 8), name="x")
+    w1 = b.param((8, 8), name="w1")
+    w2 = b.param((8, 8), name="w2")
+    h = b.emit1("tanh", [b.emit1("dot_general", [x, w1], DOT)])
+    return b.ret(b.emit1("tanh", [b.emit1("dot_general", [h, w2], DOT)]))
+
+
+class TestVisitMemo:
+    def test_gspmd_and_kernel_runs_keep_their_own_memo(self):
+        """Greedy resolution applies a factor where the kernel records a
+        conflict, on the same function, mesh and adjacent shardings."""
+        mesh = Mesh({"B": 4, "M": 2})
+        seeds = [(_param(0), 0, "B"), (_param(1), 1, "B")]
+        shared = _chain()
+        greedy = _shared_equals_fresh(_chain, shared, mesh, seeds,
+                                      _GspmdPropagator)
+        blocking = _shared_equals_fresh(_chain, shared, mesh, seeds)
+        assert greedy != blocking
+        assert [kind for kind, *_ in blocking[1]] == ["conflict"]
+
+    def test_each_mesh_keeps_its_own_memo(self):
+        """Tiling ``x`` over ``a`` reaches the reshape's 2-row result on
+        ``{a: 2}`` and is blocked there on ``{a: 4}``."""
+        seeds = [(_param(0), 0, "a")]
+        shared = _reshape()
+        two = _shared_equals_fresh(_reshape, shared, Mesh({"a": 2}), seeds)
+        four = _shared_equals_fresh(_reshape, shared, Mesh({"a": 4}), seeds)
+        assert [kind for kind, *_ in two[1]] == ["tile"]
+        assert [kind for kind, *_ in four[1]] == ["blocked"]
+
+    def test_a_repeated_operand_is_part_of_the_signature(self):
+        """Backward from tiled results, ``x * x`` writes one value and
+        ``x * y`` two: with the adjacent shardings equal, only the value
+        pattern tells the visits apart."""
+        mesh = Mesh({"a": 2})
+        shared = _squares()
+        index = _function_index(shared)
+        assert index.signatures[0] is not index.signatures[1]
+        _shared_equals_fresh(_squares, shared, mesh, [(_result(0), 0, "a")])
+        state, _, _ = _shared_equals_fresh(_squares, shared, mesh,
+                                           [(_result(1), 0, "a")])
+        tiled = {i for i, (dims, _, _) in state if dims[0] == ("a",)}
+        value_ids = shared.index.value_ids
+        assert {value_ids[v] for v in shared.params} <= tiled
+
+    def test_replayed_events_name_the_replaying_ops_values(self):
+        mesh = Mesh({"a": 2})
+        seeds = [(_param(0), 0, "a")]
+        shared = _layers()
+        first = _seeded(shared, mesh, seeds)
+        # Layer 2 replays layer 1; a second run replays everything.
+        assert first.stats.visits_replayed == 2
+        second = _seeded(shared, mesh, seeds)
+        assert second.stats.visits_replayed == second.stats.ops_processed
+        _shared_equals_fresh(_layers, shared, mesh, seeds)
+        for env in (first, second):
+            assert env.keeps_events
+            tiles = [e for e in env.events if e.kind == "tile"]
+            assert len(tiles) == 4
+            for event in tiles:
+                assert event._detail[-1] is event.op.results[0]
+
+    def test_a_pickle_round_trip_carries_no_memo(self):
+        mesh = Mesh({"a": 2})
+        seeds = [(_param(0), 0, "a")]
+        function = _layers()
+        _seeded(function, mesh, seeds)
+        assert _function_index(function).memos
+        clone = pickle.loads(pickle.dumps(function))
+        assert "_derived" not in vars(clone)
+        env = _seeded(clone, mesh, seeds)
+        assert _function_index(clone).memos is not \
+            _function_index(function).memos
+        # A cold memo: only layer 2 replays, as on a fresh trace.
+        assert env.stats.visits_replayed == 2
+        fresh = _layers()
+        assert _canonical(clone, env) == _canonical(
+            fresh, _seeded(fresh, mesh, seeds))
+
+
+class _Forgetful(dict):
+    """A memo that never remembers: every visit is decided afresh."""
+
+    def __setitem__(self, key, outcome):
+        pass
+
+
+def test_cold_search_replays_most_visits(monkeypatch):
+    """A cold search on the transformer replays at least 90% of its
+    visits, and visits exactly the ops a memo-free kernel does, to the
+    same result."""
+    family = FAMILIES["transformer.tiny"]
+
+    def search():
+        env = ShardingEnv(family.mesh)
+        result = mcts_search(family.build().function, env,
+                             family.mesh.axis_names, budget=8, seed=0)
+        return env.stats, (result.actions, result.cost, result.evaluations,
+                           result.propagate_calls, result.ops_processed)
+
+    stats, result = search()
+    assert stats.visits_replayed >= 0.9 * stats.ops_processed
+    with monkeypatch.context() as patch:
+        patch.setattr(propagate_mod._FunctionIndex, "memo",
+                      lambda self, cls, mesh: _Forgetful())
+        forgetful_stats, forgetful_result = search()
+    assert forgetful_stats.visits_replayed == 0
+    assert forgetful_result == result
+    assert forgetful_stats.ops_processed == stats.ops_processed

@@ -35,7 +35,7 @@ from repro.sim import DeviceSpec
 from repro.trace import ops
 
 from conftest import build_matmul_chain
-from oracle import reference_index
+from oracle import FAMILIES, reference_index, traced
 
 TINY_DEVICE = DeviceSpec("tiny", peak_flops=1e9, hbm_bytes=200_000,
                          link_bandwidth=1e9)
@@ -118,6 +118,32 @@ class TestCondenser:
              for value, sharding in delta]
         )
         assert signature == expected
+
+    @pytest.mark.parametrize("family", ["transformer.tiny", "pm.tiny"])
+    def test_every_probe_digest_hashes_the_portable_delta(self, family):
+        """Probe digests persist as ``"pa"`` records, which
+        ``footprint_digest`` over portable tuples defined: the probe's
+        cached-bytes digest must equal it for every candidate."""
+        from repro.core.actions import try_apply_action
+        from repro.auto.prune import footprint_digest
+        mesh = FAMILIES[family].mesh
+        function = traced(family).function
+        env = ShardingEnv(mesh).copy(with_events=False)  # the search's
+        propagate(function, env)
+        value_index = {value: i for i, value in
+                       enumerate(reference_index(function)[1])}
+        signatures = set()
+        for action in candidate_actions(function, env, mesh.axis_names):
+            signature = probe_action(function, env, action)
+            signatures.add(signature)
+            token = env.checkpoint()
+            if try_apply_action(function, env, action):
+                propagate(function, env)
+            delta = [(value_index[value], sharding.portable)
+                     for value, sharding in env.writes_since(token)]
+            env.rollback(token)
+            assert signature == footprint_digest(delta)
+        assert len(signatures - {NOOP_SIGNATURE}) > 10
 
     def test_warm_signatures_skip_probes_and_change_nothing(self):
         function, _ = build_matmul_chain()

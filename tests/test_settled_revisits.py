@@ -38,7 +38,10 @@ def test_core_propagate_is_the_module():
 
 
 def _events(env, since=0):
-    return [(event.kind, id(event.op), event.axis, event.detail)
+    """``(kind, op, axis, payload)`` per event, with the unrendered
+    ``(format, *args)`` payload: equal payloads render equal text, and
+    the values in them must be the same objects, not just print alike."""
+    return [(event.kind, id(event.op), event.axis, event._detail)
             for event in env.events[since:]]
 
 
