@@ -30,7 +30,7 @@ from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.exact import ExactBudgetExceeded, ExactResult, exact_search
 from repro.auto.fingerprint import CanonicalForm, canonicalize
 from repro.auto.planstore import PlanRecord, PlanStore
-from repro.auto.prune import PruneReport, condense, probe_action
+from repro.auto.prune import PruneReport, condense
 from repro.auto.scheduler import (
     BACKENDS,
     RolloutScheduler,
@@ -67,6 +67,5 @@ __all__ = [
     "exact_search",
     "make_scheduler",
     "mcts_search",
-    "probe_action",
     "run_automatic_partition",
 ]

@@ -27,8 +27,10 @@ There is one evaluation path, checked against one reference:
 
 * **env**: one mutable :class:`ShardingEnv` moved by checkpoint/rollback.
   Scoring a set retracts to the longest common prefix with the previous
-  set and extends in place, one propagation fixed point per new action —
-  or a replay of that prefix's memoized write delta.
+  set and extends in place, one propagation fixed point per new action.
+  An action applied at the root has its fixed point computed once: the
+  evaluator's table of root deltas, which the condenser's probes
+  (:mod:`repro.auto.prune`) read as well, replays it after that.
 * **pricing**: ``StreamingEstimator.estimate_incremental``
   (:mod:`repro.sim.costmodel`), a pure function of the env's shardings
   memoized by signature: every call looks every op's priced segment up
@@ -184,10 +186,11 @@ class Evaluator:
     (:meth:`~repro.core.sharding.ShardingEnv.checkpoint` / ``rollback``).
     Scoring a set retracts to the longest common prefix with the previous
     set and extends in place — zero env allocation per rollout.
-    Re-extending a previously-propagated prefix replays its memoized write
-    delta instead of re-running the propagation fixed point, and the
-    streaming estimator re-resolves only ops whose adjacent shardings it
-    has not seen
+    Extending the root by an action replays that action's root delta
+    (:meth:`root_delta`, the condenser's probe) instead of re-running the
+    propagation fixed point; a deeper extension applies and propagates.
+    The streaming estimator re-resolves only ops whose adjacent shardings
+    it has not seen
     (:meth:`~repro.sim.costmodel.StreamingEstimator.estimate_incremental`).
     Prefix env state is a pure function of the canonical prefix, so costs
     are bit-identical to the from-scratch reference pipeline (see the
@@ -206,9 +209,9 @@ class Evaluator:
         #: stand applied (summed |key| over ``_env_for`` calls), how many
         #: were already in place on the action stack and
         #: survived (no rollback, no re-apply)?  Surfaced as
-        #: ``SearchResult.prefix_reuse_ratio``.  (The fan-out scheduler
-        #: folds worker-side counter deltas into the counters they are
-        #: deltas of — these two included.)
+        #: ``SearchResult.prefix_reuse_ratio``.  (:meth:`fold_reply` adds
+        #: worker-side counter deltas to the counters they are deltas
+        #: of — these two included.)
         self.prefix_actions_total = 0
         self.prefix_actions_reused = 0
         self.table = table if table is not None else TranspositionTable()
@@ -229,10 +232,9 @@ class Evaluator:
         self.root = env.copy(with_events=False)
         propagate(function, self.root)
         # The action stack mirrors the env's applied prefix (one checkpoint
-        # per level), and the propagation-delta memo replays
-        # previously-computed fixed points on re-extension.
+        # per level); ``_root_deltas`` is :meth:`root_delta`'s table.
         self._stack: List[Tuple[ActionTuple, object]] = []
-        self._prop_memo: Dict[ActionKey, Tuple] = {}
+        self._root_deltas: Dict[ActionTuple, Tuple] = {}
 
     @property
     def cache_hits(self) -> int:
@@ -257,14 +259,8 @@ class Evaluator:
     def _env_for(self, key: ActionKey) -> ShardingEnv:
         """Move the single mutable env to the state of canonical prefix
         ``key``: roll back to the longest common prefix with the current
-        action stack, then extend one action at a time.
-
-        Each extension replays the prefix's memoized propagation delta
-        when available (O(writes), no rule evaluation) and otherwise runs
-        the real apply + propagation fixed point, memoizing the resulting
-        write delta.
+        action stack, then extend one action at a time (:meth:`_extend`).
         """
-        env = self.root
         stack = self._stack
         lcp = 0
         limit = min(len(stack), len(key))
@@ -273,23 +269,45 @@ class Evaluator:
         self.prefix_actions_total += len(key)
         self.prefix_actions_reused += lcp
         if lcp < len(stack):
-            env.rollback(stack[lcp][1])
+            self.root.rollback(stack[lcp][1])
             del stack[lcp:]
         for action in key[lcp:]:
-            prefix = key[:len(stack) + 1]
-            token = env.checkpoint()
-            delta = self._prop_memo.get(prefix)
-            if delta is not None:
-                set_sharding = env.set_sharding
-                for value, sharding in delta:
-                    set_sharding(value, sharding)
-                env.drain_dirty()
-            else:
-                try_apply_action(self.function, env, action)
+            self._extend(action)
+        return self.root
+
+    def _extend(self, action: ActionTuple) -> None:
+        """Apply ``action`` on top of the stack and propagate; at the root,
+        replay the action's delta from ``_root_deltas`` or record it."""
+        env = self.root
+        at_root = not self._stack
+        token = env.checkpoint()
+        delta = self._root_deltas.get(action) if at_root else None
+        if delta is not None:
+            for value, sharding in delta:
+                env.set_sharding(value, sharding)
+            env.drain_dirty()
+        else:
+            if try_apply_action(self.function, env, action):
                 propagate(self.function, env)
-                self._prop_memo[prefix] = tuple(env.writes_since(token))
-            stack.append((action, token))
-        return env
+            if at_root:
+                self._root_deltas[action] = tuple(env.writes_since(token))
+        self._stack.append((action, token))
+
+    def root_delta(self, action: ActionTuple) -> Tuple:
+        """The ``(value, sharding)`` writes of applying ``action`` at the
+        root and propagating — the condenser's probe, and what every
+        depth-1 extension by ``action`` replays (computed once).  Not
+        rollout work: the prefix accounting and timers do not see it."""
+        if action not in self._root_deltas:
+            self._env_for(())
+            self._extend(action)
+            self._env_for(())
+        return self._root_deltas[action]
+
+    def forget_root_delta(self, action: ActionTuple) -> None:
+        """Free ``action``'s root delta (an extension by it records it
+        again)."""
+        self._root_deltas.pop(action, None)
 
     def last_extension_writes(self) -> Optional[int]:
         """Env writes the most recently applied action (top of the undo
@@ -324,6 +342,23 @@ class Evaluator:
         self.estimate_time_s += time.perf_counter() - t1
         self.evaluations += 1
         return cost
+
+    def fold_reply(self, reply: tuple) -> None:
+        """Fold one worker reply (:func:`evaluate_with_deltas`) into this
+        evaluator: each counter delta into its counter, the cost into the
+        table."""
+        (key, cost, prop_dt, est_dt, ops, prop_calls, ops_reused,
+         chain_hits, prefix_total, prefix_reused) = reply
+        self.evaluations += 1
+        self.propagate_time_s += prop_dt
+        self.estimate_time_s += est_dt
+        self.root.stats.ops_processed += ops
+        self.root.stats.propagate_calls += prop_calls
+        self._estimator.ops_reused += ops_reused
+        self._estimator.reconcile_hits += chain_hits
+        self.prefix_actions_total += prefix_total
+        self.prefix_actions_reused += prefix_reused
+        self.table.store(tuple(map(tuple, key)), cost)
 
 
 def _counters(evaluator: Evaluator) -> tuple:

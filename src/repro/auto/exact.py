@@ -13,8 +13,9 @@ its children extend it with candidates strictly greater (wire-tuple
 order) than its largest member, so every subset is visited exactly once
 and the DFS path *is* the canonical sorted order.  That makes the undo
 rollout engine the perfect substrate: moving from one DFS node to the
-next is one rollback + one extension, and the memoized propagation
-deltas replay on backtrack.  Two prunes keep the tree tractable:
+next is one rollback + one extension (a first action's extension replays
+its root delta, which the condenser already computed).  Two prunes keep
+the tree tractable:
 
 * **bound prune** — :func:`repro.sim.costmodel.objective_lower_bound`
   with the free parallelism still available to the subtree (the distinct

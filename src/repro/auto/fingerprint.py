@@ -326,7 +326,7 @@ def canonicalize(function: Function, mesh, device=None,
     canon = _canonicalize_fn(function, env, [
         ("param",) + _type_key(env, p) for p in function.params])
     hasher = hashlib.blake2b(canon.digest, digest_size=16)
-    hasher.update(repr(tuple(sorted(mesh.axes.items()))).encode())
+    hasher.update(repr(tuple(mesh.axes.items())).encode())
     if device is not None:
         if dataclasses.is_dataclass(device):
             device = dataclasses.asdict(device)

@@ -1,22 +1,23 @@
 """The action-space condenser: propagation-probe equivalence pruning.
 
 The search's action space is redundant by construction: a ``TILE_TAGGED``
-on an interior value often propagates to exactly the fixed point an input
-tiling reaches (tiling a matmul output's free dim backward-propagates to
-the weight column it came from), and a ``SUM_TAGGED`` on a contracting
-factor writes precisely what tiling the factor's operand would have made
-propagation write.  Every such duplicate action burns rollout budget on a
-schedule the search has already scored.
+on an interior value often leads to exactly the fixed point an input
+tiling reaches (backward propagation carries a matmul output's free-dim
+tiling to the weight column it came from), and a ``SUM_TAGGED`` on a
+contracting factor writes precisely what tiling the factor's operand
+would have made propagation write.  Every such duplicate action burns
+rollout budget on a schedule the search has already scored.
 
 The condenser runs once per search, between candidate enumeration and the
 first rollout:
 
-1. **probe** — for each candidate, checkpoint the evaluator's mutable root
-   env, apply the action, run one incremental-propagation fixed point,
-   collect the forward write delta (:meth:`ShardingEnv.writes_since`), and
-   roll back.  The env funnels every write through a pointer-comparing
-   ``set_sharding``, so the delta is exactly the set of values whose fixed
-   point differs from the root's — the action's *semantic footprint*.
+1. **probe** — for each candidate, read the write delta of applying it
+   at the search's root and propagating to the fixed point
+   (:meth:`repro.auto.evaluator.Evaluator.root_delta`).  The env funnels
+   every write through a pointer-comparing ``set_sharding``, so the delta
+   is exactly the set of values whose fixed point differs from the
+   root's — the action's *semantic footprint*.  The rollouts' depth-1
+   extensions replay the same deltas instead of propagating again.
 2. **bucket** — actions whose footprints digest identically (value index +
    interned portable sharding, order-independent) are propagation
    equivalent: every canonical set extending one of them scores the same
@@ -26,7 +27,9 @@ first rollout:
    and unpruned searches converging on an equivalent best report the same
    wire tuples); an action whose probe is a no-op (empty delta — it was
    enumerated as root-legal but propagation already subsumes it) is
-   dominated by not acting at all and is dropped outright.
+   dominated by not acting at all and is dropped outright.  Only a
+   representative can start a rollout, so the evaluator forgets every
+   other action's root delta.
 
 Probe digests persist in the transposition log (one record per action; see
 :meth:`repro.auto.cache.TranspositionTable.store_probes`), so a warm run —
@@ -41,12 +44,12 @@ import dataclasses
 import hashlib
 import time
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.actions import ActionTuple, try_apply_action
-from repro.core.propagate import propagate
-from repro.core.sharding import Sharding, ShardingEnv
-from repro.ir.function import Function
+from repro.core.actions import ActionTuple
+from repro.core.sharding import Sharding
+
+from repro.auto.evaluator import Evaluator
 
 
 @dataclasses.dataclass
@@ -87,14 +90,15 @@ def footprint_digest(delta: Sequence[Tuple[int, Tuple]]) -> str:
     """
     if not delta:
         return NOOP_SIGNATURE
-    return _hash_lines(repr(pair) for pair in sorted(delta))
+    # Each line is followed by a NUL (which encodes to the one byte).
+    return _digest("".join(f"{pair!r}\x00" for pair in sorted(delta))
+                   .encode())
 
 
 def delta_digest(delta: Sequence[Tuple[int, Sharding]]) -> str:
     """:func:`footprint_digest` of ``[(i, s.portable), ...]`` for
-    shardings at distinct value indices (what a probe's
-    :meth:`ShardingEnv.writes_since` yields), without building or
-    formatting a portable tuple or a line per write:
+    shardings at distinct value indices (what a root delta holds), without
+    building or formatting a portable tuple or a line per write:
     ``repr((i, portable))`` is ``"(i, " + repr(portable) + ")"``, so each
     line is a cached head per index and a cached tail per sharding (from
     :attr:`Sharding.portable_repr`).  The bytes hashed are the same, so
@@ -128,46 +132,18 @@ class _Tails(dict):
 _HEADS, _TAILS = _Heads(), _Tails()
 
 
-def _hash_lines(lines: Iterable[str]) -> str:
-    # Each line is followed by a NUL (which encodes to the one byte).
-    return _digest("".join(f"{line}\x00" for line in lines).encode())
-
-
 def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=12).hexdigest()
 
 
-def probe_action(function: Function, env: ShardingEnv,
-                 action: ActionTuple) -> str:
-    """One propagation probe: the action's fixed-point footprint digest.
-
-    Checkpoints ``env``, applies the action, propagates to the fixed
-    point, reads the forward write delta and rolls back — the env is
-    bit-identical afterwards (undo-log restoration), so probing the
-    search's live mutable root between evaluations is safe.
-    """
-    value_ids = function.index.value_ids
-    token = env.checkpoint()
-    try:
-        if try_apply_action(function, env, action):
-            propagate(function, env)
-        delta = [
-            (value_ids[value], sharding)
-            for value, sharding in env.writes_since(token)
-        ]
-    finally:
-        env.rollback(token)
-    return delta_digest(delta)
-
-
-def condense(function: Function, env: ShardingEnv,
-             candidates: Sequence[ActionTuple], *,
+def condense(evaluator: Evaluator, candidates: Sequence[ActionTuple], *,
              known_signatures: Optional[Dict[ActionTuple, str]] = None
              ) -> PruneReport:
     """Condense ``candidates`` to one representative per equivalence class.
 
-    ``env`` must be at its propagation fixed point (the evaluator's root
-    is).  ``known_signatures`` supplies persisted probe digests (from
+    A probe is the digest of ``evaluator``'s root delta for the action
+    (:func:`delta_digest`).  ``known_signatures`` supplies persisted probe
+    digests (from
     :meth:`repro.auto.cache.TranspositionTable.warm_probes`); any action
     covered there skips its probe.  The output order is the input order
     with non-representatives removed, and the choice of representative —
@@ -179,29 +155,31 @@ def condense(function: Function, env: ShardingEnv,
     report = PruneReport(kept=[], total=len(candidates))
     known = known_signatures or {}
     buckets: Dict[str, ActionTuple] = {}
-    signatures: Dict[ActionTuple, str] = {}
+    value_ids = evaluator.function.index.value_ids
     for action in candidates:
         signature = known.get(action)
         if signature is not None:
             report.probes_reused += 1
         else:
-            signature = probe_action(function, env, action)
+            signature = delta_digest([
+                (value_ids[value], sharding)
+                for value, sharding in evaluator.root_delta(action)])
             report.probes_run += 1
-        signatures[action] = signature
+        report.signatures[action] = signature
         if signature == NOOP_SIGNATURE:
+            report.dropped_noop += 1
             continue
-        representative = buckets.get(signature)
-        if representative is None or action < representative:
+        # Only a representative starts a rollout: forget other deltas.
+        representative = buckets.setdefault(signature, action)
+        if action < representative:
             buckets[signature] = action
+            evaluator.forget_root_delta(representative)
+        elif action != representative:
+            evaluator.forget_root_delta(action)
     keep = set(buckets.values())
     report.kept = [action for action in candidates if action in keep]
     report.classes = len(buckets)
-    report.dropped_noop = sum(
-        1 for action in candidates
-        if signatures[action] == NOOP_SIGNATURE
-    )
     report.dropped_equivalent = (report.total - len(report.kept)
                                  - report.dropped_noop)
-    report.signatures = signatures
     report.prune_time_s = time.perf_counter() - t0
     return report

@@ -199,24 +199,6 @@ class RolloutScheduler:
 # -- fan-out backends --------------------------------------------------------------
 
 
-def _fold_delta(evaluator: Evaluator, result) -> None:
-    """Fold one worker reply's counter deltas (the 10-tuple of
-    :func:`repro.auto.evaluator.evaluate_with_deltas`) into the main
-    evaluator and memoize its cost."""
-    (key, cost, prop_dt, est_dt, ops, prop_calls, ops_reused,
-     chain_hits, prefix_total, prefix_reused) = result
-    evaluator.evaluations += 1
-    evaluator.propagate_time_s += prop_dt
-    evaluator.estimate_time_s += est_dt
-    evaluator.root.stats.ops_processed += ops
-    evaluator.root.stats.propagate_calls += prop_calls
-    evaluator._estimator.ops_reused += ops_reused
-    evaluator._estimator.reconcile_hits += chain_hits
-    evaluator.prefix_actions_total += prefix_total
-    evaluator.prefix_actions_reused += prefix_reused
-    evaluator.table.store(tuple(map(tuple, key)), cost)
-
-
 class _FanOutScheduler(RolloutScheduler):
     """Waves fanned across evaluator-owning workers: table-hit filtering,
     contiguous slices of the sorted misses, and the one self-healing
@@ -362,7 +344,7 @@ class _FanOutScheduler(RolloutScheduler):
                     continue
                 for result in results:
                     costs[tuple(map(tuple, result[0]))] = result[1]
-                    _fold_delta(evaluator, result)
+                    evaluator.fold_reply(result)
             if not failed:
                 break
             self.waves_retried += 1

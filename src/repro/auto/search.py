@@ -404,10 +404,9 @@ def prepare_search(function: Function, env: ShardingEnv,
     :func:`repro.auto.exact.exact_search`: enumerate the candidates on
     ``env`` (the caller's, not the evaluator's root), open
     ``config.cache_dir``'s table, build the evaluator and, with
-    ``config.prune``, condense the candidates on the evaluator's root and
-    store the probe signatures.  Probes roll back, so the root is
-    bit-identical afterwards, and warm signatures never change what is
-    kept."""
+    ``config.prune``, condense the candidates on the evaluator's root
+    deltas and store the probe signatures.  The env is back at the root
+    afterwards, and warm signatures never change what is kept."""
     truncation: Dict[str, int] = {}
     candidates = candidate_actions(function, env, axes, config.max_inputs,
                                    max_tag_points=config.max_tag_points,
@@ -418,7 +417,7 @@ def prepare_search(function: Function, env: ShardingEnv,
     evaluator = Evaluator(function, env, device, table=table)
     report = prune_mod.PruneReport(kept=candidates, total=len(candidates))
     if config.prune and candidates:
-        report = prune_mod.condense(function, evaluator.root, candidates,
+        report = prune_mod.condense(evaluator, candidates,
                                     known_signatures=table.warm_probes())
         table.store_probes(report.signatures)
     return SearchSetup(table, evaluator, report, truncation, stats_before)

@@ -319,7 +319,7 @@ class _FunctionIndex:
         self.adjacency: Dict[Value, Tuple[int, ...]] = {
             value: tuple(indices) for value, indices in adjacency.items()
         }
-        #: ``(propagator class, mesh axes) -> {(signature, *adjacent
+        #: ``(propagator class, mesh) -> {(signature, *adjacent
         #: env entries): outcome}``.  The class is part of the scope
         #: because a subclass may change the conflict policy; the mesh
         #: because divisibility reads axis sizes (and axes are visited in
@@ -327,7 +327,7 @@ class _FunctionIndex:
         self.memos: Dict[tuple, Dict[tuple, _Outcome]] = {}
 
     def memo(self, propagator_class: type, mesh) -> Dict[tuple, _Outcome]:
-        scope = (propagator_class, tuple(mesh.axes.items()))
+        scope = (propagator_class, mesh)
         memo = self.memos.get(scope)
         if memo is None:
             memo = self.memos.setdefault(scope, {})

@@ -404,10 +404,10 @@ class ShardingEnv:
 
         This is the replayable *forward* delta of everything between the
         checkpoint and now: re-applying the pairs to an env in the token's
-        state reproduces the current shardings exactly — the undo-log
-        rollout evaluator memoizes one such delta per search prefix so
-        re-extending a previously-propagated prefix skips the propagation
-        fixed point entirely.
+        state reproduces the current shardings exactly — the search's
+        evaluator keeps one such delta per action applied at its root
+        (the condenser hashes it as the action's probe), so extending the
+        root by that action again skips the propagation fixed point.
 
         Raises the same stale-token error as :meth:`rollback` when
         ``token`` has already been rolled back: its recorded

@@ -62,7 +62,13 @@ class Mesh:
         return f"Mesh({{{body}}})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mesh) and self.axes == other.axes
+        """Axes compare in order (propagation visits them in mesh order).
+
+        >>> Mesh({"a": 2, "b": 4}) == Mesh({"b": 4, "a": 2})
+        False
+        """
+        return (isinstance(other, Mesh)
+                and tuple(self.axes.items()) == tuple(other.axes.items()))
 
     def __hash__(self) -> int:
         return hash(tuple(self.axes.items()))

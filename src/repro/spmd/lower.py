@@ -254,8 +254,7 @@ def op_class(op: Operation) -> Optional[int]:
 
 
 def _table(kind: str, function: Function, mesh: Mesh) -> dict:
-    return function.derived((kind, tuple(sorted(mesh.axes.items()))),
-                            lambda _: {})
+    return function.derived((kind, mesh), lambda _: {})
 
 
 def plan_table(function: Function, mesh: Mesh) -> Dict[tuple, _OpPlan]:
@@ -459,8 +458,9 @@ class Lowerer:
 
         A gather and slice that cancel exactly cannot arise: a dim's
         gathered and sliced axes both start past the common prefix, so
-        their first axes differ (nor, for that reason, can an axis "move"
-        within one dim)."""
+        their first axes differ.  An axis may be gathered and sliced in
+        again on one dim, when the required layout nests it at another
+        depth."""
         steps = []
 
         def emit(opcode: str, attrs: dict) -> None:
@@ -565,16 +565,18 @@ class Lowerer:
         def require(i: int, dim: int, axis: str,
                     template_sharding: Sharding, template_dim: int):
             """Append axis to required[i][dim], ordering by the template
-            (the operand's own env layout first, then appended)."""
+            (then by the operand's own env layout)."""
             axes = required[i].setdefault(dim, [])
             if axis in axes:
                 return
             template = list(template_sharding.dim_axes[template_dim])
             env_layout = list(operand_shardings[i].dim_axes[dim])
-            # Build the union order: operand env layout first (max prefix
-            # overlap with the actual layout), then template order.
-            desired = [a for a in env_layout if a == axis or a in axes]
-            for a in template:
+            # The template's order comes first: the operand's tile must
+            # nest its axes as the result's does (an operand laid out
+            # [{b}] sum{a} feeding a result [{a,b}] is gathered and
+            # re-sliced, not scattered into [{b,a}]).
+            desired = [a for a in template if a == axis or a in axes]
+            for a in env_layout:
                 if (a == axis or a in axes) and a not in desired:
                     desired.append(a)
             required[i][dim] = desired

@@ -30,6 +30,7 @@ import repro.core.pipeline
 import repro.core.propagate
 import repro.core.sharding
 import repro.ir.function
+import repro.mesh
 import repro.models.pipeline
 import repro.sim.costmodel
 import repro.sim.memory
@@ -44,7 +45,7 @@ DOCTESTED_MODULES = [repro.api, repro.auto.faults, repro.auto.fingerprint,
                      repro.auto.planstore, repro.auto.search,
                      repro.core.actions, repro.core.pipeline,
                      repro.core.propagate, repro.core.sharding,
-                     repro.ir.function, repro.models.pipeline,
+                     repro.ir.function, repro.mesh, repro.models.pipeline,
                      repro.sim.costmodel, repro.sim.memory, repro.sim.terms,
                      importlib.import_module("repro.spmd.lower")]
 

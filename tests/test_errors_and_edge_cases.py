@@ -148,6 +148,31 @@ class TestLoweringEdgeCases:
         actual, = MeshExecutor(lowered)(table, ids)
         np.testing.assert_array_equal(actual, expected)
 
+    def test_operand_nests_its_axes_as_the_result_does(self, rng):
+        """``w + x @ w`` with ``x`` tiled ``[{b}, {a}]``: the product is
+        ``[{b}, {}] sum{a}`` and the sum, like ``w``, ``[{a,b}, {}]``.
+        The product must reach the sum nested ``a`` outside ``b``, not
+        scattered into ``[{b,a}, {}]`` beside ``w``."""
+        from repro.runtime import MeshExecutor
+
+        b = FunctionBuilder()
+        x = b.param((4, 4), name="x")
+        w = b.param((4, 2), name="w")
+        product = b.emit1("dot_general", [x, w],
+                          {"lhs_contract": (1,), "rhs_contract": (0,)})
+        function = b.ret(b.emit1("add", [w, product]))
+        env = ShardingEnv(Mesh({"a": 2, "b": 2}))
+        for dim, axis in ((1, "a"), (0, "b")):
+            tile(env, x, dim, axis)
+            propagate(function, env)
+        assert env.sharding(product).dim_axes == (("b",), ())
+        assert env.sharding(w).dim_axes == (("a", "b"), ())
+        args = [rng.randn(4, 4).astype(np.float32),
+                rng.randn(4, 2).astype(np.float32)]
+        expected, = evaluate_function(function, args)
+        actual, = MeshExecutor(lower(function, env))(*args)
+        np.testing.assert_allclose(actual, expected, atol=1e-5)
+
 
 class TestModulePrinter:
     def test_scan_region_printed_nested(self):

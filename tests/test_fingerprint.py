@@ -18,6 +18,7 @@ import sys
 import pytest
 
 from repro import Mesh, ShapeDtype, trace
+from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.ir.function import FunctionBuilder
 from repro.sim import DeviceSpec
@@ -143,6 +144,28 @@ class TestDifferentProgramsStayApart:
         env.set_sharding(function.params[0],
                          env.sharding(function.params[0]).with_tile(0, "B"))
         assert identity(function, env=env)[0] != blank[0]
+
+    def test_mesh_axis_order_enters_the_relaxed_key(self):
+        """Propagation visits axes in mesh order, so ``{a: 2, b: 2}`` and
+        ``{b: 2, a: 2}`` tile ``x + z`` differently: they are two meshes
+        and two digests.  A sorted mesh hashes as it always has, so
+        existing logs keep their names."""
+        function = trace(lambda x, z, w: ops.reduce_sum((x + z) @ w),
+                         *[ShapeDtype((8, 8))] * 3,
+                         tag_points=False).function
+        x, z, _ = function.params
+        total = next(op for op in function.walk() if op.opcode == "add")
+        meshes = Mesh({"a": 2, "b": 2}), Mesh({"b": 2, "a": 2})
+        for mesh, order in zip(meshes, (("a", "b"), ("b", "a"))):
+            env = ShardingEnv(mesh)
+            env.set_sharding(x, env.sharding(x).with_tile(0, "a"))
+            env.set_sharding(z, env.sharding(z).with_tile(0, "b"))
+            propagate(function, env)
+            assert env.sharding(total.results[0]).dim_axes == (order, ())
+        assert meshes[0] != meshes[1]
+        digests = [canonicalize(function, mesh).digest for mesh in meshes]
+        assert digests[0] != digests[1]
+        assert digests[0] == "71356742ba26257289ea816bef3a5424"
 
     def test_device_enters_the_relaxed_key(self):
         function, _ = build_matmul_chain()

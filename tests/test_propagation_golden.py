@@ -31,11 +31,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.auto.evaluator import candidate_actions
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.prune import condense, footprint_digest
 from repro.baselines.gspmd import gspmd_partition
 from repro.core.propagate import propagate
 from repro.core.sharding import Sharding, ShardingEnv
+from repro.sim.devices import TPU_V3
 
 from oracle import (FAMILIES, MESH, apply_with_full_sweep, reference_index,
                     traced)
@@ -149,10 +150,10 @@ HAND_DELTA = [
 
 def _condenser_signatures() -> dict:
     function = traced("transformer.tiny").function
-    env = ShardingEnv(MESH)
-    propagate(function, env)
-    candidates = candidate_actions(function, env, ["batch", "model"], 48)
-    report = condense(function, env, candidates)
+    evaluator = Evaluator(function, ShardingEnv(MESH), TPU_V3)
+    candidates = candidate_actions(function, evaluator.root,
+                                   ["batch", "model"], 48)
+    report = condense(evaluator, candidates)
     return {json.dumps(list(action)): signature
             for action, signature in report.signatures.items()}
 

@@ -5,9 +5,10 @@ a fixed seed means*:
 
 * :mod:`repro.auto.prune` — one propagation probe per candidate buckets
   actions by their fixed point; one (lexicographically smallest)
-  representative per bucket survives.  Probing checkpoints and rolls back
-  the search's live env, so it must be bit-invisible; signatures persist
-  in the transposition log so warm runs never probe.
+  representative per bucket survives.  A probe is the evaluator's root
+  delta for the action, computed on the search's live env and rolled
+  back, so it must be bit-invisible; signatures persist in the
+  transposition log so warm runs never probe.
 * :mod:`repro.auto.tree` — expansion is uniform and fed by nothing but
   ``(candidates, seed)``: cold rollout sequences are pinned draw for draw,
   and a warm run replays them identically in every backend.
@@ -27,9 +28,9 @@ from repro.core.propagate import propagate
 from repro.core.sharding import ShardingEnv
 from repro.auto import search as search_mod
 from repro.auto import tree as tree_mod
-from repro.auto.evaluator import candidate_actions
+from repro.auto.evaluator import Evaluator, candidate_actions
 from repro.auto.exact import ExactBudgetExceeded, exact_search
-from repro.auto.prune import NOOP_SIGNATURE, condense, probe_action
+from repro.auto.prune import NOOP_SIGNATURE, condense
 from repro.auto.search import SearchConfig, mcts_search
 from repro.sim import DeviceSpec
 from repro.trace import ops
@@ -55,17 +56,16 @@ def _search(function, **kwargs):
 
 
 def _prepared(function):
-    """(env at the search's root fixed point, candidate list)."""
-    env = ShardingEnv(MESH)
-    propagate(function, env)
-    return env, candidate_actions(function, env, AXES, 48)
+    """(the search's evaluator, candidate list at its root)."""
+    evaluator = Evaluator(function, ShardingEnv(MESH), TINY_DEVICE)
+    return evaluator, candidate_actions(function, evaluator.root, AXES, 48)
 
 
 class TestCondenser:
     def test_condense_cuts_without_losing_classes(self):
         function, _ = build_matmul_chain()
-        env, candidates = _prepared(function)
-        report = condense(function, env, candidates)
+        evaluator, candidates = _prepared(function)
+        report = condense(evaluator, candidates)
         assert 0 < len(report.kept) < len(candidates)
         assert report.total == len(candidates)
         assert set(report.kept) <= set(candidates)
@@ -76,11 +76,14 @@ class TestCondenser:
         assert (len(report.kept) + report.dropped_equivalent
                 + report.dropped_noop == len(candidates))
         assert report.classes == len(report.kept)
+        # Only a representative starts a rollout; no other delta is kept.
+        assert {action for action, delta in evaluator._root_deltas.items()
+                if delta} == set(report.kept)
 
     def test_representative_is_lex_min_of_its_class(self):
         function, _ = build_matmul_chain()
-        env, candidates = _prepared(function)
-        report = condense(function, env, candidates)
+        evaluator, candidates = _prepared(function)
+        report = condense(evaluator, candidates)
         by_signature = {}
         for action, signature in report.signatures.items():
             by_signature.setdefault(signature, []).append(action)
@@ -91,20 +94,23 @@ class TestCondenser:
 
     def test_probe_leaves_env_bit_identical(self):
         function, values = build_matmul_chain()
-        env, candidates = _prepared(function)
+        evaluator, candidates = _prepared(function)
+        env = evaluator.root
         before = {value: env.sharding(value) for value in values}
-        condense(function, env, candidates)
+        condense(evaluator, candidates)
         for value, sharding in before.items():
             # Interned shardings: pointer identity is the strong check.
             assert env.sharding(value) is sharding
 
-    def test_probe_action_matches_manual_delta(self):
+    def test_root_delta_matches_manual_delta(self):
         from repro.core.actions import try_apply_action
         from repro.auto.prune import footprint_digest
         function, _ = build_matmul_chain()
-        env, candidates = _prepared(function)
+        evaluator, candidates = _prepared(function)
         action = candidates[0]
-        signature = probe_action(function, env, action)
+        signature = condense(evaluator, [action]).signatures[action]
+        env = ShardingEnv(MESH)
+        propagate(function, env)
         value_index = {value: i for i, value in
                        enumerate(reference_index(function)[1])}
         token = env.checkpoint()
@@ -132,9 +138,12 @@ class TestCondenser:
         propagate(function, env)
         value_index = {value: i for i, value in
                        enumerate(reference_index(function)[1])}
+        candidates = candidate_actions(function, env, mesh.axis_names)
+        probed = condense(Evaluator(function, ShardingEnv(mesh),
+                                    TINY_DEVICE), candidates).signatures
         signatures = set()
-        for action in candidate_actions(function, env, mesh.axis_names):
-            signature = probe_action(function, env, action)
+        for action in candidates:
+            signature = probed[action]
             signatures.add(signature)
             token = env.checkpoint()
             if try_apply_action(function, env, action):
@@ -147,14 +156,61 @@ class TestCondenser:
 
     def test_warm_signatures_skip_probes_and_change_nothing(self):
         function, _ = build_matmul_chain()
-        env, candidates = _prepared(function)
-        cold = condense(function, env, candidates)
-        warm = condense(function, env, candidates,
+        evaluator, candidates = _prepared(function)
+        cold = condense(evaluator, candidates)
+        warm = condense(evaluator, candidates,
                         known_signatures=cold.signatures)
         assert warm.probes_run == 0
         assert warm.probes_reused == len(candidates)
         assert warm.kept == cold.kept
         assert warm.signatures == cold.signatures
+
+    def test_rollouts_replay_the_probes(self, monkeypatch):
+        """In a cold search, extending the root by a candidate the
+        condenser probed replays the probe's delta: no rollout propagates
+        at depth 1."""
+        from repro.auto import evaluator as evaluator_mod
+        from repro.auto import prune as prune_mod
+        probed, keys, root_propagations = set(), [], []
+        rollout = {}
+
+        def condense(*args, **kwargs):
+            report = real_condense(*args, **kwargs)
+            probed.update(report.signatures)
+            return report
+
+        def compute(self, key):
+            keys.append(key)
+            rollout["evaluator"] = self
+            try:
+                return real_compute(self, key)
+            finally:
+                del rollout["evaluator"]
+
+        def try_apply_action(function, env, action):
+            rollout["action"] = action
+            return real_apply(function, env, action)
+
+        def propagate(function, env):
+            evaluator = rollout.get("evaluator")
+            if evaluator is not None and not evaluator._stack:
+                root_propagations.append(rollout["action"])
+            return real_propagate(function, env)
+
+        real_condense = prune_mod.condense
+        real_compute = Evaluator.compute
+        real_apply = evaluator_mod.try_apply_action
+        real_propagate = evaluator_mod.propagate
+        monkeypatch.setattr(prune_mod, "condense", condense)
+        monkeypatch.setattr(Evaluator, "compute", compute)
+        monkeypatch.setattr(evaluator_mod, "try_apply_action",
+                            try_apply_action)
+        monkeypatch.setattr(evaluator_mod, "propagate", propagate)
+        mesh = FAMILIES["transformer.tiny"].mesh
+        mcts_search(traced("transformer.tiny").function, ShardingEnv(mesh),
+                    mesh.axis_names, budget=8, seed=0)
+        assert probed and any(keys)
+        assert [a for a in root_propagations if a in probed] == []
 
     def test_search_prune_flag_reports_condenser_counters(self):
         function, _ = build_matmul_chain()

@@ -277,17 +277,21 @@ class TestCanonicalWaveOrder:
     #: served from the estimator's memo: every evaluation looks up every
     #: op (71 and 64 when only ops next to a moved value were looked up).
     #: ``ops_processed`` counts visits after the settled rule (534 and 549
-    #: when every writing visit re-enqueued its own op).
+    #: when every writing visit re-enqueued its own op).  A depth-1
+    #: extension replays the action's root delta, serial's from the
+    #: condenser's probe, and an action that does not apply is not
+    #: propagated (51/291 and 52/299 calls/visits when every prefix had
+    #: its own memo and every extension propagated).
     PARENT = {
         "serial": dict(
             PARENT, estimate_ops_reused=96, reconcile_chain_hits=181,
-            propagate_calls=51, ops_processed=291),
+            propagate_calls=41, ops_processed=245),
         # One worker, waves of one: every evaluation happens in the worker
         # and every one of its counter deltas is folded into the counter
         # it is a delta of.
         "process": dict(
             PARENT, estimate_ops_reused=88, reconcile_chain_hits=181,
-            propagate_calls=52, ops_processed=299),
+            propagate_calls=49, ops_processed=291),
     }
 
     @pytest.mark.parametrize("backend", ["serial", "process"])

@@ -101,7 +101,11 @@ def test_condenser_probes(monkeypatch, family):
     function = traced(family).function
 
     def scenario():
-        """The condenser's probe, with its event list kept."""
+        """The condenser's probe, with its event list kept: what
+        ``Evaluator.root_delta`` does at the search's root (apply, and
+        propagate only if the action applied, then read the writes since
+        the checkpoint and roll back), on an env that records events —
+        the evaluator's root records none."""
         root = ShardingEnv(mesh)
         propagate(function, root)
         outcomes = [_outcome(function, root)[0]]
