@@ -33,10 +33,10 @@ There is one evaluation path, checked against one reference:
   (:mod:`repro.auto.prune`) read as well, replays it after that.
 * **pricing**: ``StreamingEstimator.estimate_incremental``
   (:mod:`repro.sim.costmodel`), a pure function of the env's shardings
-  memoized by signature: every call looks every op's priced segment up
-  on its adjacent shardings (resolving only unseen ones) and then sums
-  in one fold: an ``fsum`` over every op's precompiled segment plan,
-  with the pricing formulas in :mod:`repro.sim.terms`.
+  memoized by signature: one pass looks every op's instance up on its
+  adjacent shardings (binding the template of its plan-table key only
+  on an unseen one) and folds the instances' pre-built records and
+  pre-split terms, with the pricing formulas in :mod:`repro.sim.terms`.
 * **reference**: a fresh env, one ``propagate`` per canonical action,
   then ``lower -> costmodel.estimate`` (``lower`` emits its reconcile
   chains fused) — the materializing pipeline ``partir_jit`` runs for the
@@ -220,10 +220,10 @@ class Evaluator:
         #: (:mod:`repro.auto.exact`) reads its compute/peak-memory terms
         #: for admissible subtree bounds; the search itself never does.
         self.last_estimate = None
-        # One streaming estimator for the whole search: its per-op segment
-        # and reconcile-chain memos are what let an evaluation reuse the
-        # lowering decisions of every previously-scored state that agrees
-        # on an op's neighborhood.
+        # One streaming estimator for the whole search: its template,
+        # instance and reconcile-chain memos are what let an evaluation
+        # reuse the lowering decisions of every previously-scored state
+        # that agrees on an op's neighborhood.
         self._estimator = costmodel.StreamingEstimator(
             function, env.mesh, device
         )
@@ -397,7 +397,7 @@ class EvaluatorSession:
     connection handler (``remote`` backend) and the forked child of the
     ``process`` backend — so a worker behaves the same wherever it runs:
     ``eval_init`` rebuilds the search's root env from ``(function, mesh,
-    portable env state, device)`` and primes the segment/chain memos with
+    portable env state, device)`` and primes the estimator's memos with
     the root evaluation; ``eval`` scores a slice of canonical keys and
     answers one :func:`evaluate_with_deltas` tuple per key."""
 

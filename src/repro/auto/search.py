@@ -224,14 +224,15 @@ class SearchResult:
     cache_hits: int = 0  # transposition-table hits
     propagate_calls: int = 0
     ops_processed: int = 0
-    #: Per-op segments (an op's priced lowering plan) the streaming
-    #: estimator served from its per-signature memo instead of re-planning;
-    #: every evaluation looks every op up, so this counts all hits.
+    #: Per-op instances (an op's priced segment template bound to its
+    #: values) the streaming estimator served from its per-signature memo
+    #: instead of re-instantiating; every evaluation looks every op up, so
+    #: this counts all hits.
     estimate_ops_reused: int = 0
     #: Wall-clock split: env extension (apply + propagate) vs cost
     #: evaluation (``estimate_incremental``: one signature lookup per op,
     #: cold plan/chain resolution included, plus the one whole-function
-    #: fold over the segments' cost terms).
+    #: fold over the instances' records and cost terms).
     propagate_time_s: float = 0.0
     estimate_time_s: float = 0.0
     #: Which rollout scheduler ran the search.

@@ -25,26 +25,29 @@ and append the same live-range records:
   (:meth:`~repro.spmd.lower.Lowerer._plan_op` / ``_plan_loop``) without
   lowering the program.  Op plans come from the function's plan table
   (:func:`~repro.spmd.lower.plan_table`), the one :func:`lower` also
-  reads and fills, so L identical layers are planned once and a final
-  lowering re-plans nothing the search saw.  Per-op segments (an op's
-  plan, priced) and whole reconcile-chain costs are memoized on sharding
-  signatures, so an evaluation is a pure function of the env's current
-  shardings: every call *refreshes* every op — rebuilds its signature
-  and looks its segment up — and then *folds* the whole function once,
-  replaying each op's precompiled segment into a
+  reads and fills, and the estimator prices each plan-table key once, as
+  a *template* (an op's plan priced, with no value in it): L identical
+  layers build one template per key and bind it L times, and a final
+  lowering re-plans nothing the search saw.  Each op keeps the
+  *instances* it was bound to, memoized on its sharding signature, so an
+  evaluation is a pure function of the env's current shardings: one pass
+  over the ops *refreshes* each op — rebuilds its signature and looks
+  its instance up, *instantiating* its template on a miss — and *folds*
+  the instance's pre-built records and terms into a
   :class:`~repro.sim.terms.TermSum` and a
   :class:`~repro.sim.memory.LiveRangeLog`; loop regions are priced by the
-  same refresh and fold, recursively.  Segments key on sharding ids, not
-  on an env, so one estimator prices any env of its function and mesh::
+  same pass, recursively.  Instances key on sharding ids, not on an env,
+  so one estimator prices any env of its function and mesh::
 
       >>> from repro import ManualPartition, ShapeDtype, trace
       >>> from repro.core import ShardingEnv
       >>> from repro.sim.devices import TPU_V3
       >>> from repro.spmd.lower import lower
       >>> from repro.trace import ops
+      >>> def mlp(x, w1, w2):  # two layers of one shape
+      ...     return ops.tanh(ops.tanh(x @ w1) @ w2)
       >>> square = ShapeDtype((8, 8))
-      >>> function = trace(lambda x, w: ops.tanh(x @ w), square,
-      ...                  square).function
+      >>> function = trace(mlp, square, square, square).function
       >>> mesh = Mesh({"batch": 2})
       >>> replicated, tiled = ShardingEnv(mesh), ShardingEnv(mesh)
       >>> _ = ManualPartition({"0": 0}, axis="batch").apply(function, tiled)
@@ -52,11 +55,16 @@ and append the same live-range records:
       >>> def exact(env):
       ...     return (estimator.estimate_incremental(env)
       ...             == estimate(lower(function, env), TPU_V3))
-      >>> exact(replicated), exact(tiled)
-      (True, True)
-      >>> planned = estimator.ops_planned
-      >>> exact(replicated), estimator.ops_planned == planned  # all hits
-      (True, True)
+      >>> exact(tiled)
+      True
+      >>> [op.opcode for op in function.ops]  # tags are auto tag points
+      ['dot_general', 'tag', 'tanh', 'dot_general', 'tag', 'tanh']
+      >>> estimator.ops_planned  # one template per key: a dot, a tanh
+      2
+      >>> exact(replicated), estimator.ops_planned  # two more keys
+      (True, 4)
+      >>> exact(tiled), estimator.ops_planned  # all hits
+      (True, 4)
 
   This module emits
   nothing, infers no type and fuses nothing: a plan carries its
@@ -89,7 +97,7 @@ from repro.sim.memory import LiveRangeLog, peak_live_bytes
 from repro.sim.terms import (CostEstimate, TermSum, collective_terms,
                              compute_terms, loop_cost_terms, op_terms,
                              split_terms)
-from repro.spmd.lower import LoweredModule, Lowerer, required_of
+from repro.spmd.lower import LoweredModule, Lowerer, op_class, required_of
 
 
 def _estimate_function(function: Function, mesh: Mesh,
@@ -171,50 +179,111 @@ class _ChainStep:
     terms: tuple
 
 
+class _Template:
+    """The value-free part of a segment, shared by every op with one
+    plan-table key (a loop op's is built per resolution).
+
+    ``sites`` holds per operand ``None`` (in layout) or ``(dedup suffix,
+    step sizes, parts)`` for its reconcile chain: the suffix is the
+    chain's ``(reduced, required)`` when it materializes a pending
+    reduction — which the fold deduplicates per function, so those terms
+    ride in the site's own ``parts`` — and ``None`` otherwise, the chain's
+    terms then being in the template's.  ``parts`` are the pre-split
+    terms every instance adds (the op's, its tails', its undeduplicated
+    chains'); ``defs`` the local bytes of each result's def record, which
+    carries ``alias`` and ``extra``; ``tails`` per result the sizes of
+    the records chained after its def (a trailing ``all_slice``, a loop
+    result's reconcile chain)."""
+
+    __slots__ = ("sites", "parts", "defs", "tails", "alias", "extra",
+                 "plain")
+
+    def __init__(self, sites: tuple, terms: list, defs: Tuple[int, ...],
+                 tails: Tuple[Tuple[int, ...], ...], alias: bool,
+                 extra: int):
+        self.sites = sites
+        self.parts = split_terms(terms)
+        self.defs = defs
+        self.tails = tails
+        self.alias = alias
+        self.extra = extra
+        #: No chain and no tail: an instance is the def record alone.
+        self.plain = not any(sites) and not any(tails)
+
+
 class _UnitState:
     """Per-op state: how to pick the op's signature out of its region's
-    sharding iids, the memo of resolved segments and, for a loop op, its
-    regions."""
+    sharding iids, its template key, the stable uids of its values, the
+    memo of its instances and, for a loop op, its regions."""
 
-    __slots__ = ("op", "is_tag", "pick", "segments", "regions")
+    __slots__ = ("op", "is_tag", "cls", "pick", "instances", "regions",
+                 "operands", "results")
 
-    def __init__(self, op, position):
+    def __init__(self, op, position, uid):
         self.op = op
         self.is_tag = op.opcode == "tag"
-        self.regions = tuple(_Region(region) for region in op.regions)
+        self.regions = tuple(_Region(region, uid) for region in op.regions)
+        #: The template key's first half, set on the first template
+        #: lookup: the op's class, or the op itself for an op without one
+        #: (a large constant).
+        self.cls = None
         #: A loop's lowering reads the whole body (cond included), so its
-        #: segment keys on every subtree value (region ops read only
+        #: signature keys on every subtree value (region ops read only
         #: values their region defines; pipeline pins land on these too).
         values = tuple(op.operands) + tuple(op.results) + tuple(
             value for region in op.regions for value in region.index.values)
         #: ``pick(iids)`` is the signature: the iids of ``values`` (one
         #: value's alone for a one-value op), in order.
         self.pick = operator.itemgetter(*map(position, values))
-        self.segments: Dict[object, tuple] = {}
+        self.instances: Dict[object, tuple] = {}
+        self.operands: Tuple[int, ...] = ()
+        self.results: Tuple[int, ...] = ()
 
 
 class _Region:
     """One function the fold prices — the program or a loop region: a unit
-    per op, the values their signatures read and the memos of its boundary
-    segments (parameter records; result reconcile sites)."""
+    per op, the values their signatures read, the stable export uid of
+    each value and the memos of its boundary (a parameter's records per
+    iid; a result's reconcile site per actual and target iid)."""
 
-    __slots__ = ("function", "units", "values", "params", "results")
+    __slots__ = ("function", "units", "values", "params", "results",
+                 "sites")
 
-    def __init__(self, function: Function):
+    def __init__(self, function: Function, uid):
         self.function = function
         positions: Dict[object, int] = {}
 
         def position(value) -> int:
             return positions.setdefault(value, len(positions))
 
-        self.units = [_UnitState(op, position) for op in function.ops]
+        for value in (*function.params, *function.results):
+            position(value)
+        self.units = [_UnitState(op, position, uid) for op in function.ops]
         #: Each value with the iid of its replicated default — what an
         #: env holds for a value it never stored.
         self.values = tuple(
             (value, Sharding.replicated(len(value.type.shape)).iid)
             for value in positions)
-        self.params: Dict[tuple, tuple] = {}
-        self.results: Dict[tuple, tuple] = {}
+        # One export uid per value this function defines or reads: the
+        # uid its def record (or last tail record) defines and its
+        # consumers read, whichever instance produced it.
+        uids: Dict[object, int] = {}
+        for value in function.params:
+            uids[value] = next(uid)
+        for unit in self.units:
+            for value in (*unit.op.operands, *unit.op.results):
+                if value not in uids:
+                    uids[value] = next(uid)
+            unit.operands = tuple(uids[v] for v in unit.op.operands)
+            unit.results = tuple(uids[v] for v in unit.op.results)
+        for value in function.results:
+            if value not in uids:
+                uids[value] = next(uid)
+        self.params = [(uids[p], {}) for p in function.params]
+        self.results = [(positions[r], uids[r], {}) for r in function.results]
+        #: Reconcile sites per fold, before transparent tags drop theirs.
+        self.sites = sum(len(unit.op.operands) for unit in self.units) + len(
+            function.results)
 
 
 class StreamingEstimator:
@@ -225,36 +294,49 @@ class StreamingEstimator:
     :meth:`estimate_incremental` is a pure function of the env's current
     shardings, memoized per op.  Pricing a lowering spends its time
     *resolving* — fetching plans, recomputing reconcile targets, pricing
-    chains — so each call splits into:
+    chains — so resolution is shared as far as the plans are, and one
+    pass over the ops does three things per op:
 
-    * **refresh** (every op): rebuild the op's signature — the interned
-      ids of its adjacent shardings — and look up its *segment*, the op's
-      replay plan (:meth:`_segment`): its operand reconcile sites (with
-      their pending-reduction dedup keys), its pre-split cost terms and
-      the live-range records it appends.  A miss takes the op's plan,
-      chains included, from the function's plan table, shared with
-      :func:`lower`; a hit re-resolves nothing, so a state that differs
-      from a seen one only on part of the program re-prices only that
-      part.
-    * **fold** (every op, in program order): extend a fresh
-      :class:`~repro.sim.terms.TermSum` and
-      :class:`~repro.sim.memory.LiveRangeLog` with each segment.  The term
-      multiset and the record sequence are those of walking the fused
-      lowering, so results are bit-identical.
+    * **refresh**: rebuild the op's signature — the interned ids of its
+      adjacent shardings — and look its *instance* up in the op's memo.
+    * **instantiate** (a miss): take the *template* of the op's plan-table
+      key ``(op class, adjacent iids)`` — its plan, chains included,
+      priced once (:class:`_Template`): operand reconcile sites with
+      their pending-reduction dedup suffixes, pre-split cost terms, def
+      sizes, alias flag and trailing sizes — and bind it to the op's
+      values.  L identical layers build one template and L instances; a
+      state that differs from a seen one only on part of the program
+      instantiates only that part.
+    * **fold**: append the instance's pre-built live-range records to a
+      fresh :class:`~repro.sim.memory.LiveRangeLog` with one ``extend``
+      and its pre-split terms to a :class:`~repro.sim.terms.TermSum` with
+      one ``append``.  The term multiset and the record sequence are
+      those of walking the fused lowering, so results are bit-identical.
 
-    Segments key on sharding iids, not on an env, so one estimator prices
-    any env of its function and mesh.  A loop op's segment comes from the
-    same two steps applied to its regions (:meth:`_price`, recursive for
-    nested loops) under the layouts
+    Records name values by *stable export uids*, one per IR value of a
+    region, so an instance does not depend on which instances produced
+    its operands: only the chain, trailing and def uids internal to an
+    instance are fresh per instance.  A transparent ``tag`` (operand and
+    result agree, the lowerer drops it) is a uid alias the log resolves,
+    so its consumers' uses land where the reference lowering puts them.
+    Cross-op couplings are re-established per fold, exactly as a lowering
+    does per function: a chain that materializes a pending reduction is
+    deduplicated through a fresh seen-map keyed on the (alias-resolved)
+    value and the chain's ``(reduced, required)`` — the first site pays;
+    one scope per region — and peak memory comes from the fresh log.
+    The function's boundary is memoized per value: a parameter's record
+    per ``(index, iid)``, a result's site per ``(index, actual iid,
+    target iid)``.
+
+    Instances and templates key on sharding iids, not on an env, so one
+    estimator prices any env of its function and mesh.  A loop op's
+    template comes from the same pass applied to its regions
+    (:meth:`_fold`, recursive for nested loops) under the layouts
     :meth:`~repro.spmd.lower.Lowerer._plan_loop` decides; region ops keep
-    their own per-signature segments, so a loop whose body changed in one
-    place re-resolves one body op.  Cross-op couplings are re-established
-    per fold, exactly as a lowering does per function: pending reductions
-    deduplicate through a fresh seen-map (first materializing site pays;
-    one scope per region), and peak memory comes from the freshly spliced
-    log.
+    their own instances, so a loop whose body changed in one place
+    re-instantiates one body op.
 
-    ``ops_reused`` / ``ops_planned`` count segment hits and misses,
+    ``ops_reused`` counts instance hits, ``ops_planned`` template builds,
     ``reconcile_hits`` / ``reconcile_misses`` the chain memo's (plus, per
     fold, every reconcile site replayed).
     """
@@ -270,10 +352,12 @@ class StreamingEstimator:
         #: The function's shared chains (spmd.lower._Chain), priced on
         #: this estimator's device: chain -> its _ChainSteps.
         self._chains: Dict[object, Tuple[_ChainStep, ...]] = {}
+        #: ``(op class, signature) -> _Template``.
+        self._templates: Dict[tuple, _Template] = {}
         #: Built on first use: a search replayed from its transposition
         #: table never prices.
         self._top: Optional[_Region] = None
-        #: Source of the stable uids segments carry (see :meth:`_fold`).
+        #: Source of every uid records carry (see :meth:`_fold`).
         self._uid = itertools.count()
         #: The env being priced and a lowerer over it, asked for plans
         #: only (it never emits; it reads and fills the function's plan
@@ -290,170 +374,188 @@ class StreamingEstimator:
         self._lowerer = Lowerer(env, self.function)
         top = self._top
         if top is None:
-            top = self._top = _Region(self.function)
-        segments = self._refresh(top)
-        boundary = self._boundary(
+            top = self._top = _Region(self.function, self._uid)
+        est, peak, _, site_hits = self._fold(
             top, [env.sharding(p) for p in top.function.params], None)
-        est, peak, site_hits = self._fold(boundary, segments)
         est.peak_memory_bytes = peak
         self.reconcile_hits += site_hits
         return est
 
-    # -- refresh ------------------------------------------------------------
+    # -- fold ---------------------------------------------------------------
 
-    def _refresh(self, region: _Region) -> List[tuple]:
-        """The segment in force for each of ``region``'s ops, in program
-        order, under the env being priced."""
-        # This runs for every op on every evaluation, so each value is
-        # probed once (a direct probe of the env's store) and each op's
-        # signature is one C call on the result.
+    def _fold(self, region: _Region, param_shardings,
+              result_targets) -> Tuple[CostEstimate, int, int, int]:
+        """The one pass: refresh, instantiate and fold ``region``'s ops,
+        then its results — the program under the env, or one run of a
+        loop region under fixed parameter layouts and result targets;
+        ``(estimate, peak bytes, parameter bytes, reconcile sites
+        replayed)``.
+
+        An instance is ``(records, parts, None)`` — its whole record run,
+        replayed with one ``extend`` — unless one of its sites may be
+        deduplicated: then ``((), parts, (sites, def head, tail records))``
+        and its operand uids are decided here.  A transparent tag's is
+        ``(None, None, (result uid, operand uid))``.  Sparse uids are
+        safe: :meth:`LiveRangeLog.peak_bytes` keys every table by uid and
+        never assumes density, and record *order* (which the peak walk
+        does depend on) is byte-for-byte that of the fused lowering's op
+        list.
+        """
         stored_get = self._env._shardings.get
         iids = [s.iid if (s := stored_get(value)) is not None else default
                 for value, default in region.values]
-        segments = []
-        reused = 0
+        acc = TermSum()
+        add = acc.parts.append
+        log = LiveRangeLog()
+        extend = log._ops.extend
+        aliases = log._aliases
+        alias_get = aliases.get
+        reduce_seen: Dict[tuple, int] = {}
+
+        def replay(sites) -> List[int]:
+            """Replay bound reconcile sites; the uid each one exports."""
+            exports = []
+            for suffix, value, records, parts, export in sites:
+                if suffix is not None:
+                    key = (alias_get(value, value), suffix)
+                    seen = reduce_seen.get(key)
+                    if seen is not None:
+                        exports.append(seen)
+                        continue
+                    reduce_seen[key] = export
+                if records:
+                    extend(records)
+                if parts is not None:
+                    add(parts)
+                exports.append(export)
+            return exports
+
+        params = self._params(region, param_shardings)
+        log._params.extend(params)
+        misses = transparent = 0
         for unit in region.units:
             sig = unit.pick(iids)
-            segment = unit.segments.get(sig)
-            if segment is None:
-                if unit.regions:
-                    segment = self._resolve_loop(unit)
-                elif unit.is_tag and sig[0] == sig[1]:
-                    # Transparent tag marker: the same skip the lowerer
-                    # applies — the result aliases the operand.
-                    segment = ("alias", id(unit.op.operands[0]),
-                               id(unit.op.results[0]))
-                else:
-                    segment = self._resolve_plain(unit.op)
-                unit.segments[sig] = segment
-            else:
-                reused += 1
-            segments.append(segment)
-        self.ops_reused += reused
-        return segments
-
-    # -- fold ---------------------------------------------------------------
-
-    def _price(self, region: _Region, param_shardings,
-               result_targets) -> Tuple[CostEstimate, int, int]:
-        """``(estimate, peak bytes, parameter bytes)`` of one run of a
-        loop region lowered under fixed parameter layouts and result
-        targets — the same refresh and fold the program gets."""
-        segments = self._refresh(region)
-        boundary = self._boundary(region, param_shardings, result_targets)
-        est, peak, _ = self._fold(boundary, segments)
-        return est, peak, sum(nbytes for _, nbytes in boundary[0][0])
-
-    def _fold(self, boundary: tuple,
-              segments) -> Tuple[CostEstimate, int, int]:
-        """The one fold: replay a function's boundary and op segments.
-
-        Segments carry *stable* uids: def pairs, chain records past the
-        first hop, trailing records and the pre-split cost terms are
-        pre-built tuples, so a fold is mostly ``list.extend`` calls —
-        only the operand-uid tuples (which depend on which segments
-        produced the operands *this* evaluation) are rebuilt.  Stable,
-        sparse uids are safe: :meth:`LiveRangeLog.peak_bytes` keys every
-        table by uid and never assumes density, and record *order* (which
-        the peak walk does depend on) is byte-for-byte that of the fused
-        lowering's op list.  Segments name IR values by ``id()`` (values
-        live as long as the function), so a segment is a tuple of plain
-        ints.
-        """
-        acc = TermSum()
-        add_parts = acc.extend
-        log = LiveRangeLog()
-        ops_append = log._ops.append
-        ops_extend = log._ops.extend
-        value_uids: Dict[int, int] = {}
-        reduce_seen: Dict[tuple, int] = {}
-        site_hits = 0
-
-        def replay_site(site) -> int:
-            """Replay a reconcile site that has a chain; its export."""
-            value, reduce_key, chain = site
-            if reduce_key is not None:
-                cached = reduce_seen.get(reduce_key)
-                if cached is not None:
-                    return cached
-            first_def, statics, parts, final = chain
-            # Only the first hop's operand is dynamic; the rest of the
-            # chain consumes its own stable uids and is replayed verbatim.
-            ops_append(((value_uids[value],), first_def, False, 0))
-            if statics:
-                ops_extend(statics)
-            if parts:
-                add_parts(parts)
-            if reduce_key is not None:
-                reduce_seen[reduce_key] = final
-            return final
-
-        (pairs, items), sites = boundary
-        log._params.extend(pairs)
-        value_uids.update(items)
-        for segment in segments:
-            if segment[0] == "alias":
-                # Transparent tag marker: no cost, no live-range record.
-                value_uids[segment[2]] = value_uids[segment[1]]
+            instance = unit.instances.get(sig)
+            if instance is None:
+                instance = unit.instances[sig] = self._instance(unit, sig)
+                misses += 1
+            records, parts, dynamic = instance
+            if dynamic is None:
+                extend(records)
+            elif records is None:
+                result, operand = dynamic
+                aliases[result] = alias_get(operand, operand)
+                transparent += 1
                 continue
-            (_, op_sites, defs, alias, extra, parts, tail_records,
-             result_items) = segment
-            site_hits += len(op_sites)
-            # An in-layout operand (no chain): the producer's export is
-            # the handle.
-            operand_uids = tuple([
-                value_uids[s[0]] if s[2] is None else replay_site(s)
-                for s in op_sites])
-            ops_append((operand_uids, defs, alias, extra))
-            if tail_records:
-                ops_extend(tail_records)
-            if parts:
-                add_parts(parts)
-            for result, uid in result_items:
-                value_uids[result] = uid
-        site_hits += len(sites)
-        result_uids = [value_uids[s[0]] if s[2] is None else replay_site(s)
-                       for s in sites]
-        return acc.total(), log.peak_bytes(result_uids), site_hits
+            else:
+                sites, head, tail = dynamic
+                log._ops.append((tuple(replay(sites)), *head))
+                extend(tail)
+            if parts is not None:
+                add(parts)
+        self.ops_reused += len(region.units) - misses
+        exports = replay(self._results(region, iids, result_targets))
+        return (acc.total(), log.peak_bytes(exports),
+                sum(nbytes for _, nbytes in params),
+                region.sites - transparent)
 
-    def _boundary(self, region: _Region, param_shardings,
-                  result_targets) -> tuple:
-        """A function's two boundary segments, each memoized on its own
-        signature: ``(parameter log records, value -> uid exports of the
-        params)`` under ``param_shardings``, and one reconcile site per
-        result (to ``result_targets``, or by default to the env sharding
-        with every pending sum materialized — outputs are never partial)."""
-        function = region.function
-        key = tuple([s.iid for s in param_shardings])
-        params = region.params.get(key)
-        if params is None:
-            uids = [next(self._uid) for _ in function.params]
-            params = region.params[key] = (
-                tuple(
-                    (uid, self._local_type(p, s).nbytes)
-                    for p, s, uid
-                    in zip(function.params, param_shardings, uids)
-                ),
-                tuple(zip(map(id, function.params), uids)),
-            )
-        sharding = self._env.sharding
-        actuals = [sharding(r) for r in function.results]
-        key = (tuple([s.iid for s in actuals]),
-               None if result_targets is None
-               else tuple([s.iid for s in result_targets]))
-        sites = region.results.get(key)
-        if sites is None:
-            if result_targets is None:
-                result_targets = [a.without_sum(a.sum_axes) for a in actuals]
-            sites = region.results[key] = tuple(
-                self._resolve_site(result, self._chain(
-                    result, actual, required_of(target)))
-                for result, actual, target
-                in zip(function.results, actuals, result_targets)
-            )
-        return params, sites
+    def _params(self, region: _Region, shardings) -> List[tuple]:
+        """The parameters' ``(uid, local bytes)`` records under
+        ``shardings``, memoized per parameter and iid."""
+        pairs = []
+        for (uid, memo), param, sharding in zip(
+                region.params, region.function.params, shardings):
+            pair = memo.get(sharding.iid)
+            if pair is None:
+                pair = memo[sharding.iid] = (
+                    uid, self._local_type(param, sharding).nbytes)
+            pairs.append(pair)
+        return pairs
 
-    # -- resolution ---------------------------------------------------------
+    def _results(self, region: _Region, iids, targets) -> List[tuple]:
+        """One bound reconcile site per result — to ``targets``, or by
+        default to the env sharding with every pending sum materialized
+        (outputs are never partial) — memoized per result and ``(actual
+        iid, target iid)``.  Per result, not per value: a value returned
+        twice binds two sets of chain uids."""
+        sites = []
+        for i, (position, uid, memo) in enumerate(region.results):
+            target = None if targets is None else targets[i]
+            key = (iids[position], None if target is None else target.iid)
+            site = memo.get(key)
+            if site is None:
+                actual = self._env.sharding(region.function.results[i])
+                if target is None:
+                    target = actual.without_sum(actual.sum_axes)
+                site = memo[key] = self._bind(
+                    self._site(self._chain(region.function.results[i],
+                                           actual, required_of(target))),
+                    uid)
+            sites.append(site)
+        return sites
+
+    # -- instantiation ------------------------------------------------------
+
+    def _instance(self, unit: _UnitState, sig) -> tuple:
+        """``unit``'s instance under signature ``sig`` (see :meth:`_fold`),
+        from its key's template (built on first use)."""
+        if unit.regions:
+            template = self._loop_template(unit)
+        elif unit.is_tag and sig[0] == sig[1]:
+            # Transparent tag marker: the same skip the lowerer applies —
+            # the result aliases the operand.
+            return (None, None, (unit.results[0], unit.operands[0]))
+        else:
+            if unit.cls is None:
+                cls = op_class(unit.op)
+                unit.cls = unit.op if cls is None else cls
+            key = (unit.cls, sig)
+            template = self._templates.get(key)
+            if template is None:
+                template = self._templates[key] = self._template(unit.op)
+        if template.plain:
+            return (((unit.operands, tuple(zip(unit.results, template.defs)),
+                      template.alias, template.extra),), template.parts, None)
+        sites = [self._bind(site, value)
+                 for site, value in zip(template.sites, unit.operands)]
+        defs, tail = [], []
+        for value, nbytes, sizes in zip(unit.results, template.defs,
+                                        template.tails):
+            if not sizes:
+                defs.append((value, nbytes))
+                continue
+            # The def record gets a fresh uid; the last tail record
+            # defines the value's export.
+            prev = next(self._uid)
+            defs.append((prev, nbytes))
+            for k, size in enumerate(sizes, 1):
+                uid = value if k == len(sizes) else next(self._uid)
+                tail.append(((prev,), ((uid, size),), False, 0))
+                prev = uid
+        head = (tuple(defs), template.alias, template.extra)
+        if any(site[0] is not None for site in sites):
+            return ((), template.parts, (tuple(sites), head, tuple(tail)))
+        records = [record for site in sites for record in site[2]]
+        records.append((tuple([site[4] for site in sites]), *head))
+        records += tail
+        return (tuple(records), template.parts, None)
+
+    def _bind(self, site, value: int) -> tuple:
+        """A site template bound to the uid of the value it reconciles:
+        ``(dedup suffix, value, chain records, parts, export uid)`` with
+        fresh uids for the chain's steps."""
+        if site is None:
+            return (None, value, (), None, value)
+        suffix, sizes, parts = site
+        records = []
+        prev = value
+        for nbytes in sizes:
+            uid = next(self._uid)
+            records.append(((prev,), ((uid, nbytes),), False, 0))
+            prev = uid
+        return (suffix, value, tuple(records), parts, prev)
+
+    # -- templates ----------------------------------------------------------
 
     def _local_type(self, value, sharding):
         return value.type.with_shape(
@@ -489,103 +591,80 @@ class StreamingEstimator:
             self.reconcile_hits += 1
         return steps
 
-    def _resolve_site(self, value, chain):
-        """One operand-reconciliation site — ``value`` through ``chain``
-        — as its replay plan ``(id(value), pending-reduction dedup key or
-        None, chain)``: ``chain`` is None for an in-layout operand, else
-        the pre-built first-hop def, the static records past it, the
-        chain's pre-split cost terms and its final (export) uid."""
+    def _site(self, chain, terms: Optional[list] = None):
+        """The template of a reconcile site through ``chain`` (``None``
+        for an in-layout value).  Same dedup contract as the lowerer's
+        reduce cache: a pending reduction of one value to one layout is
+        materialized once per function (one reduce_scatter per gradient),
+        so such a site keeps its own terms; any other site's terms go to
+        ``terms`` when given."""
         if chain is None:
-            return (id(value), None, None)
+            return None
         steps = self._priced(chain)
-        # Same dedup contract as the lowerer's reduce cache: a pending
-        # reduction of one value to one layout is materialized once per
-        # function (one reduce_scatter per gradient).
-        reduce_key = ((id(value), chain.reduced, chain.required)
-                      if chain.reduced else None)
-        records = []
-        prev = -1
-        for step in steps:
-            uid = next(self._uid)
-            records.append(((prev,), ((uid, step.nbytes),), False, 0))
-            prev = uid
-        parts = split_terms(term for step in steps for term in step.terms)
-        return (id(value), reduce_key,
-                (records[0][1], tuple(records[1:]), parts, prev))
+        chain_terms = [term for step in steps for term in step.terms]
+        sizes = tuple(step.nbytes for step in steps)
+        if chain.reduced:
+            return ((chain.reduced, chain.required), sizes,
+                    split_terms(chain_terms))
+        if terms is None:
+            return (None, sizes, split_terms(chain_terms))
+        terms += chain_terms
+        return (None, sizes, None)
 
-    def _segment(self, sites, terms, def_nbytes, results, alias: bool,
-                 extra: int, tails) -> tuple:
-        """One op's replay plan: its reconcile ``sites``, its own cost
-        ``terms`` (pre-split), the record defining one handle per entry of
-        ``results`` (``def_nbytes``, ``alias`` flag, transient ``extra``)
-        and, per ``(result index, sizes)`` of ``tails``, the records
-        chained after that result — a trailing ``all_slice``, or a loop
-        result's reconcile chain."""
-        parts = split_terms(terms)
-        defs = tuple((next(self._uid), nbytes) for nbytes in def_nbytes)
-        exports = [uid for uid, _ in defs]
-        tail_records = []
-        for index, sizes in tails:
-            for nbytes in sizes:
-                uid = next(self._uid)
-                tail_records.append(
-                    ((exports[index],), ((uid, nbytes),), False, 0))
-                exports[index] = uid
-        return ("op", tuple(sites), defs, alias, extra, parts,
-                tuple(tail_records), tuple(zip(map(id, results), exports)))
-
-    def _resolve_plain(self, op) -> tuple:
+    def _template(self, op) -> _Template:
         plan = self._lowerer._plan_op(op)
         self.ops_planned += 1
-        sites = tuple(self._resolve_site(operand, chain)
-                      for operand, chain in zip(op.operands, plan.chains))
         terms = list(compute_terms(plan.flops, self.device))
+        sites = tuple(self._site(chain, terms) for chain in plan.chains)
         tails = []
-        for r, (full, trailing) in enumerate(
-                zip(plan.result_types, plan.trailing)):
-            if trailing is not None:
-                spec, (sliced,) = trailing
-                terms += collective_terms("all_slice", spec, full.nbytes,
-                                          sliced.nbytes, self.mesh,
-                                          self.device)
-                tails.append((r, (sliced.nbytes,)))
-        return self._segment(sites, terms,
-                             [t.nbytes for t in plan.result_types],
-                             op.results,
-                             op.opcode in memory_mod.ALIASING_OPS, 0, tails)
+        for full, trailing in zip(plan.result_types, plan.trailing):
+            if trailing is None:
+                tails.append(())
+                continue
+            spec, (sliced,) = trailing
+            terms += collective_terms("all_slice", spec, full.nbytes,
+                                      sliced.nbytes, self.mesh, self.device)
+            tails.append((sliced.nbytes,))
+        return _Template(sites, terms,
+                         tuple(t.nbytes for t in plan.result_types),
+                         tuple(tails),
+                         op.opcode in memory_mod.ALIASING_OPS, 0)
 
-    def _resolve_loop(self, unit: _UnitState) -> tuple:
+    def _loop_template(self, unit: _UnitState) -> _Template:
         op = unit.op
         plan = self._lowerer._plan_loop(op)
+        terms = []
         sites = tuple(
-            self._resolve_site(operand, self._chain(
-                operand, plan.operand_shardings[i], plan.required[i]))
+            self._site(self._chain(operand, plan.operand_shardings[i],
+                                   plan.required[i]), terms)
             for i, operand in enumerate(op.operands)
         )
-        (body, body_peak, body_params_bytes), *conds = [
-            self._price(region, params, targets)
+        # One run of each region under the layouts the plan fixed.
+        (body, body_peak, body_params_bytes, _), *conds = [
+            self._fold(region, params, targets)
             for region, (params, targets) in zip(unit.regions, plan.regions)
         ]
-        terms = loop_cost_terms(plan.attrs, body, self.device,
-                                conds[0][0] if conds else None)
+        terms += loop_cost_terms(plan.attrs, body, self.device,
+                                 conds[0][0] if conds else None)
         extra = memory_mod.loop_extra_bytes(plan.attrs, body_peak,
                                             body_params_bytes)
-        for _, peak, params_bytes in conds:
+        for _, peak, params_bytes, _ in conds:
             extra += memory_mod.scan_body_extra_bytes(peak, params_bytes)
         # The loop's result handles are its reconciled carry operands'.
         carry_params, _ = plan.regions[0]
-        carry_nbytes = []
-        tails = []
+        defs, tails = [], []
         for i, tail in enumerate(plan.tails):
-            carry_nbytes.append(
+            defs.append(
                 self._local_type(op.operands[i], carry_params[i + 1]).nbytes)
-            if tail is not None:
-                steps = self._priced(self._chain(op.operands[i], *tail))
-                for step in steps:
-                    terms += step.terms
-                tails.append((i, tuple(step.nbytes for step in steps)))
-        return self._segment(sites, terms, carry_nbytes, op.results, False,
-                             extra, tails)
+            if tail is None:
+                tails.append(())
+                continue
+            steps = self._priced(self._chain(op.operands[i], *tail))
+            for step in steps:
+                terms += step.terms
+            tails.append(tuple(step.nbytes for step in steps))
+        return _Template(sites, terms, tuple(defs), tuple(tails), False,
+                         extra)
 
 
 def model_flops(function: Function) -> float:

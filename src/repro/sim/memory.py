@@ -11,15 +11,17 @@ The analysis runs over a :class:`LiveRangeLog` — a compact stream of
 records.  :func:`peak_live_bytes` builds the log by walking a materialized
 :class:`~repro.ir.function.Function`; the search's estimator
 (:class:`repro.sim.costmodel.StreamingEstimator`) appends the identical
-records as it folds its per-op segments — per function, loop regions
+records as it folds its per-op instances — per function, loop regions
 included — so both paths share one peak-memory algorithm —
-:meth:`LiveRangeLog.peak_bytes`, a linear walk — without the search ever
-allocating IR objects.
+:meth:`LiveRangeLog.peak_bytes`, one live interval per alias-class root
+and a prefix sum — without the search ever allocating IR objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from itertools import accumulate, compress, count
+from operator import itemgetter, not_
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ir import opdefs
 from repro.ir.function import Function
@@ -39,13 +41,18 @@ class LiveRangeLog:
     One record per executed op: which uids it reads, which (uid, nbytes)
     it defines, whether it aliases its operand instead of allocating, and
     any transient bytes (a scan body's extra) that spike only during the op.
+    An *alias* names a uid no record defines by the uid it stands for (a
+    dropped transparent ``tag``'s result, in the search's estimator): a
+    use of it is a use of its target, at the user's position.
     """
 
-    __slots__ = ("_params", "_ops")
+    __slots__ = ("_params", "_ops", "_aliases")
 
     def __init__(self):
         self._params: List[Tuple[int, int]] = []
         self._ops: List[tuple] = []
+        #: uid -> the uid it stands for.
+        self._aliases: Dict[int, int] = {}
 
     def add_param(self, uid: int, nbytes: int) -> None:
         self._params.append((uid, nbytes))
@@ -59,75 +66,63 @@ class LiveRangeLog:
     def peak_bytes(self, result_uids: Sequence[int]) -> int:
         """Peak sum of live tensor bytes across the logged execution.
 
-        Two passes: the first resolves alias classes and folds every uid's
-        last operand use onto its class root, producing one free event per
-        root; the second walks the records accumulating allocations and
-        applying the precomputed frees.  Equivalent to checking every
-        touched uid per record (a root's folded last use is exactly the
-        index at which the old per-record scan would have freed it), with
-        O(1) work per record plus O(1) per free.
+        A tensor is live from its def record through the last record that
+        uses any uid of its alias class (an aliasing record's result, an
+        alias of :attr:`_aliases`, recursively), read after that record's
+        allocations; a record-defined tensor nothing uses dies with its
+        def, an output never dies and an unused parameter lives
+        throughout.  So each class root contributes one interval, and the
+        live bytes at every record are one prefix sum over the intervals'
+        end points: O(1) work per use, per defined uid and per alias.
         """
         ops = self._ops
-        alias_of: Dict[int, int] = {}
-        last_use: Dict[int, int] = {}
-        for index, (operands, results, alias, _) in enumerate(ops):
-            if alias:
-                alias_of[results[0][0]] = operands[0]
-            for uid in operands:
-                last_use[uid] = index
+        # Each uid's last operand use: a later record overwrites.
+        last_use: Dict[int, int] = {
+            uid: index for index, record in enumerate(ops)
+            for uid in record[0]}
+        alias_of: Dict[int, int] = dict(self._aliases)
+        flags = list(map(itemgetter(2), ops))
+        for record in compress(ops, flags):
+            alias_of[record[1][0][0]] = record[0][0]
 
         def root(uid: int) -> int:
             while uid in alias_of:
                 uid = alias_of[uid]
             return uid
 
-        out_roots: Set[int] = {root(uid) for uid in result_uids}
-        # One free event per alias-class root: the class's maximum operand
-        # use (aliases extend the root's lifetime).
-        root_lu: Dict[int, int] = {}
-        for uid, index in last_use.items():
-            root_uid = root(uid)
-            if root_uid not in out_roots:
-                existing = root_lu.get(root_uid, -1)
-                if index > existing:
-                    root_lu[root_uid] = index
-        freed_at: Dict[int, List[int]] = {}
-        for root_uid, index in root_lu.items():
-            freed_at.setdefault(index, []).append(root_uid)
-
-        nbytes = dict(self._params)
-        live = 0
-        # Parameters are live from the start.
-        for _, size in self._params:
-            live += size
-        peak = live
-        freed_at_get = freed_at.get
-        for index, (operands, results, alias, extra) in enumerate(ops):
-            if alias:
-                nbytes[results[0][0]] = results[0][1]
-            else:
-                for uid, size in results:
-                    nbytes[uid] = size
-                    live += size
-                if extra:
-                    # A scan body's transient peak rides on top of the
-                    # carries for the duration of the op.
-                    transient = live + extra
-                    if transient > peak:
-                        peak = transient
-            if live > peak:
-                peak = live
-            frees = freed_at_get(index)
-            if frees is not None:
-                for root_uid in frees:
-                    live -= nbytes[root_uid]
-            # A result never consumed downstream (and not an output) dies
-            # with its defining record, exactly like the old per-record
-            # scan's last_use default of -1.
-            if not alias:
-                for uid, size in results:
-                    if uid not in last_use and uid not in out_roots:
-                        live -= size
+        # One end per alias-class root: the class's last use, or past the
+        # last record for an output.
+        end_of = dict(last_use)
+        for uid in alias_of:
+            index = end_of.pop(uid, None)
+            if index is not None:
+                root_uid = root(uid)
+                if index > end_of.get(root_uid, -1):
+                    end_of[root_uid] = index
+        for uid in result_uids:
+            end_of[root(uid)] = len(ops)
+        end_get = end_of.get
+        # delta[i]: bytes allocated at record i minus bytes freed after
+        # record i - 1.
+        delta = [0] * (len(ops) + 2)
+        start = 0
+        for uid, size in self._params:
+            start += size
+            delta[end_get(uid, len(ops)) + 1] -= size
+        defining = compress(zip(count(), map(itemgetter(1), ops)),
+                            map(not_, flags))
+        for index, results in defining:
+            for uid, size in results:
+                delta[index] += size
+                delta[end_get(uid, index) + 1] -= size
+        live = list(accumulate(delta, initial=start))
+        peak = max(live)
+        # A loop's transient extra rides on top of the carries for the
+        # duration of its record.
+        for index in compress(count(), map(itemgetter(3), ops)):
+            transient = live[index + 1] + ops[index][3]
+            if transient > peak:
+                peak = transient
         return peak
 
 

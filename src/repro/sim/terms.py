@@ -15,14 +15,16 @@ and this module is the only place terms are made or summed:
 :class:`TermSum` collects terms append-only and finalises each field with
 :func:`math.fsum`, the correctly-rounded sum of the term multiset — so a
 total depends on *which* terms were added, never on the order, and the
-materializing walk and the search's segment fold agree bit for bit as
+materializing walk and the search's instance fold agree bit for bit as
 long as they add the same terms.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ir import opdefs
@@ -217,10 +219,12 @@ def loop_cost_terms(attrs: dict, body: CostEstimate, device: DeviceSpec,
 class TermSum:
     """Append-only accumulator of cost terms, one list per estimate field.
 
-    :meth:`add` files tagged terms; :func:`split_terms` / :meth:`extend`
-    let a caller that replays the same terms many times (the search's
-    segment replay) pay the tag dispatch once and ``list.extend``
-    afterwards.
+    :meth:`add` files tagged terms.  A caller that replays the same terms
+    many times (the search's instance fold) pays the tag dispatch once, in
+    :func:`split_terms`, and then appends each pre-split tuple to
+    :attr:`parts`; :meth:`total` flattens every field once.
+    ``math.fsum`` is order-free, so where a term was filed never changes
+    a total.
 
     >>> acc = TermSum()
     >>> acc.add([("cs", 0.1), ("cs", 0.2), ("co", "all_reduce", 0.3),
@@ -232,7 +236,7 @@ class TermSum:
     {'all_reduce': 0.3, 'all_slice': 0.0}
     """
 
-    __slots__ = ("fl", "cp", "cb", "cs", "co")
+    __slots__ = ("fl", "cp", "cb", "cs", "co", "parts")
 
     def __init__(self):
         self.fl: List[float] = []
@@ -240,6 +244,8 @@ class TermSum:
         self.cb: List[float] = []
         self.cs: List[float] = []
         self.co: List[Tuple[str, float]] = []
+        #: Pre-split term tuples (see :func:`split_terms`), in any order.
+        self.parts: List[tuple] = []
 
     def add(self, terms: Iterable[tuple]) -> None:
         for term in terms:
@@ -255,35 +261,32 @@ class TermSum:
             else:  # ("co", opcode, seconds)
                 self.co.append((term[1], term[2]))
 
-    def extend(self, parts: tuple) -> None:
-        """Add terms pre-split by :func:`split_terms`."""
-        fl, cp, cb, cs, co = parts
-        self.fl.extend(fl)
-        self.cp.extend(cp)
-        self.cb.extend(cb)
-        self.cs.extend(cs)
-        self.co.extend(co)
-
     def total(self) -> CostEstimate:
         """Finalise into a :class:`CostEstimate`: step time is
         ``max(compute, comm)`` — collectives overlap compute — and peak
         memory is the caller's to fill in.  A ``collective_time_s`` key
         exists iff a ``"co"`` term named it."""
+        parts = self.parts
+
+        def field(own: list, index: int):
+            return itertools.chain(own, itertools.chain.from_iterable(
+                map(operator.itemgetter(index), parts)))
+
         coll: Dict[str, list] = {}
-        for opcode, seconds in self.co:
+        for opcode, seconds in field(self.co, 4):
             coll.setdefault(opcode, []).append(seconds)
-        compute_s = math.fsum(self.cp)
-        comm_s = math.fsum(self.cs)
+        compute_s = math.fsum(field(self.cp, 1))
+        comm_s = math.fsum(field(self.cs, 3))
         runtime_s = max(compute_s, comm_s)
         return CostEstimate(
-            runtime_s, compute_s, comm_s, math.fsum(self.fl),
-            math.fsum(self.cb), 0.0,
+            runtime_s, compute_s, comm_s, math.fsum(field(self.fl, 0)),
+            math.fsum(field(self.cb, 2)), 0.0,
             {opcode: math.fsum(times) for opcode, times in coll.items()},
         )
 
 
 def split_terms(terms: Iterable[tuple]) -> Optional[tuple]:
-    """``terms`` pre-split by field for :meth:`TermSum.extend` (``None``
+    """``terms`` pre-split by field for :attr:`TermSum.parts` (``None``
     when there are none)."""
     acc = TermSum()
     acc.add(terms)

@@ -28,6 +28,10 @@ after every visit that writes, the visited op is re-enqueued too, so the
 kernel must reach its state and event list in no more visits.
 ``ESTIMATE_FIELDS`` / ``assert_estimates_identical`` are the one statement
 of what "bit for bit" means for two ``CostEstimate`` objects.
+``reference_peak_bytes`` is the live-range peak by its definition, one
+scan of every live tensor after every record — what
+``LiveRangeLog.peak_bytes``'s interval sums must equal, since the
+materializing estimate and the search's fold both go through it.
 
 ``FAMILIES`` is the suite's one table of small model programs (each
 family's unit-test config, mesh and manual schedule) and ``traced`` their
@@ -475,6 +479,45 @@ def reference_env(function, mesh, actions):
         try_apply_action(function, env, action)
         propagate(function, env)
     return env
+
+
+def reference_peak_bytes(log, result_uids):
+    """Peak live bytes of a ``LiveRangeLog``, by the definition: after
+    each record's allocations, sum every live tensor, then free each
+    tensor whose alias class has no use past this record.  A tensor is
+    a class root; an aliasing record's result and an entry of the log's
+    alias table join their operand's (target's) class.  Outputs never
+    die, a record-defined tensor nothing uses dies with its def and an
+    unused parameter lives throughout."""
+    alias_of = dict(log._aliases)
+    for operands, results, alias, _ in log._ops:
+        if alias:
+            alias_of[results[0][0]] = operands[0]
+
+    def root(uid):
+        while uid in alias_of:
+            uid = alias_of[uid]
+        return uid
+
+    last = {}
+    for index, (operands, _, _, _) in enumerate(log._ops):
+        for uid in operands:
+            last[root(uid)] = index
+    outputs = {root(uid) for uid in result_uids}
+    params = {uid for uid, _ in log._params}
+    live = dict(log._params)
+    peak = sum(live.values())
+    for index, (_, results, alias, extra) in enumerate(log._ops):
+        if not alias:
+            live.update(results)
+        peak = max(peak, sum(live.values()) + extra)
+        for uid in list(live):
+            end = last.get(uid)
+            if uid in outputs or (end is None and uid in params):
+                continue
+            if end is None or end <= index:
+                del live[uid]
+    return peak
 
 
 def reference_estimate(function, env, device, memo=None):
