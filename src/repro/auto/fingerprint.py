@@ -51,20 +51,13 @@ import hashlib
 from typing import Dict, List, Tuple
 
 from repro.core.actions import index_space
+from repro.core.opclass import structural_attrs
 from repro.core.pipeline import loop_ops
 from repro.ir.function import Function
 from repro.ir.tagpoints import tag_points
 from repro.ir.values import canonical_attr
 
 from repro.auto.tree import ActionKey, canonical_key
-
-#: Attr keys stripped per opcode before hashing: pure identity labels with
-#: no effect on lowering or cost.  ``tag`` markers are the only labelled
-#: op today; extend this table if more appear.
-COST_IRRELEVANT_ATTRS = {
-    "tag": frozenset({"name", "auto"}),
-}
-
 
 def _type_key(env, value) -> tuple:
     """A value's static type and initial sharding (None when replicated)."""
@@ -143,10 +136,7 @@ def _canonicalize_fn(fn: Function, env, param_labels: List[tuple]) -> _FnCanon:
         if len(by_depth) < d:
             by_depth.append([])
         by_depth[d - 1].append(k)
-        attrs = op.attrs
-        drop = COST_IRRELEVANT_ATTRS.get(op.opcode)
-        if drop:
-            attrs = {key: v for key, v in attrs.items() if key not in drop}
+        attrs = structural_attrs(op)
         label = ("op", op.opcode, canonical_attr(attrs) if attrs else (),
                  tuple(_type_key(env, r) for r in op.results),
                  tuple(c.digest for c in canons))

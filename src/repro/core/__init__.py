@@ -4,7 +4,8 @@ and the propagation pass."""
 from repro.core.loopview import render_loop_view
 from repro.core.actions import atomic, find_tagged, first_divisible_dim, tile
 from repro.core.propagate import Propagator
-from repro.core.rules import Factor, OpShardingRule, rule_for
+from repro.core.opclass import rule_for
+from repro.core.rules import Factor, OpShardingRule
 from repro.core.sharding import Event, PropagationStats, Sharding, ShardingEnv
 
 __all__ = [

@@ -20,6 +20,7 @@ from repro.ir.tagpoints import tag_points
 from repro.ir.values import Operation, Value
 from repro.core import pipeline as pipeline_mod
 from repro.core import rules as rules_mod
+from repro.core.opclass import rule_for
 from repro.core.sharding import Sharding, ShardingEnv
 from repro.mesh import Mesh
 
@@ -160,7 +161,7 @@ def reduce_factors(op: Operation) -> List[rules_mod.Factor]:
     """The contracting (reduce) factors of ``op``'s sharding rule, in rule
     order — the targets of ``SUM_TAGGED`` actions (empty for ops without a
     rule or without contracting dimensions)."""
-    rule = rules_mod.rule_for(op)
+    rule = rule_for(op)
     if rule is None:
         return []
     return [factor for factor in rule.factors if factor.reduce]

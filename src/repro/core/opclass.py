@@ -1,0 +1,168 @@
+"""One structural class per op, shared by propagation, lowering and pricing.
+
+A propagation visit is decided once per (class, adjacent shardings), a
+lowering plan built once per (class, adjacent sharding iids) and a
+pricing template once per plan-table key: :func:`op_class` is the one
+answer to "what is this op, structurally", an interned :class:`OpClass`
+keyed on the opcode, the rendered attrs without identity labels
+(:data:`COST_IRRELEVANT_ATTRS`), the operand and result types, the
+sharding rule (``scatter_add``'s reads its operand's producer) and the
+value pattern, so ``x * x`` and ``x * y`` stay apart.  The class is
+cached on the op, dropped when the op is pickled and re-interned on
+first use.  Two identical layers share their matmuls' class, and their
+tags share one whatever their names (lowering emits each op's own):
+
+>>> from repro import ShapeDtype, trace
+>>> from repro.trace import ops
+>>> spec = ShapeDtype((8, 8))
+>>> def layers(x, w1, w2):
+...     h = ops.tag(ops.tanh(x @ w1), "layer1")
+...     return ops.tag(ops.tanh(h @ w2), "layer2")
+>>> function = trace(layers, spec, spec, spec, tag_points=False).function
+>>> dot1, _, tag1, dot2, _, tag2 = function.ops
+>>> op_class(dot1) is op_class(dot2), op_class(tag1) is op_class(tag2)
+(True, True)
+>>> tag1.attrs, tag2.attrs
+({'name': 'layer1'}, {'name': 'layer2'})
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Optional, Tuple
+
+from repro.core import rules as rules_mod
+from repro.core.sharding import Sharding
+from repro.ir.values import Operation, canonical_attr
+
+#: Identity labels per opcode, stripped before an op is classed or
+#: hashed: they change no propagation, lowering or cost.
+COST_IRRELEVANT_ATTRS = {"tag": frozenset({"name", "auto"})}
+
+#: A constant whose payload is larger than this gets a class of its own,
+#: not interned: its key would keep a copy of the payload.
+_KEYED_PAYLOAD_BYTES = 256
+
+
+def structural_attrs(op: Operation) -> dict:
+    """``op``'s attrs without its identity attrs (``op.attrs`` itself for
+    an op that has none)."""
+    drop = COST_IRRELEVANT_ATTRS.get(op.opcode)
+    if not drop:
+        return op.attrs
+    return {key: v for key, v in op.attrs.items() if key not in drop}
+
+
+class _Transfer:
+    """What a propagation visit needs to know about a non-loop op besides
+    its values, shared per (rule, operand ranks, result ranks).  Adjacent
+    values are numbered operands first, then results: ``k`` below."""
+
+    __slots__ = ("single_result", "num_operands", "defaults", "dim_factors",
+                 "factors")
+
+    def __init__(self, rule, operand_ranks: Tuple[int, ...],
+                 result_ranks: Tuple[int, ...]):
+        self.single_result = len(result_ranks) == 1
+        self.num_operands = n = len(operand_ranks)
+        #: The replicated sharding an absent env entry stands for, per k.
+        self.defaults = tuple(Sharding.replicated(rank)
+                              for rank in operand_ranks + result_ranks)
+        #: ``dim_factors[k][dim]`` -> factor id or None (None: no rule).
+        self.dim_factors = None
+        #: Per factor id: ``(((k, dim, is_operand), ...), reduce)``.
+        self.factors = ()
+        if rule is None:
+            return
+        sides = [("in", i, rank) for i, rank in enumerate(operand_ranks)]
+        sides += [("out", r, rank) for r, rank in enumerate(result_ranks)]
+        self.dim_factors = tuple(
+            tuple(rule.by_position.get((side, index, dim))
+                  for dim in range(rank))
+            for side, index, rank in sides
+        )
+        self.factors = tuple(
+            (tuple((index if side == "in" else n + index, dim, side == "in")
+                   for side, index, dim in factor.entries),
+             factor.reduce)
+            for factor in rule.factors
+        )
+
+
+#: (rule, operand ranks, result ranks) -> the shared record.
+#: Process-local (records hold shardings): never pickled.
+_TRANSFERS: Dict[tuple, _Transfer] = {}
+
+
+class OpClass:
+    """Everything a visit, a plan or a template reads about an op besides
+    its adjacent shardings and the mesh.  One instance per key, compared
+    by identity."""
+
+    __slots__ = ("rule", "transfer", "shapes", "distinct", "aliases")
+
+    def __init__(self, rule, transfer: _Transfer, shapes: tuple,
+                 pattern: Optional[Tuple[int, ...]]):
+        #: The one shared :class:`OpShardingRule` for the op's factor
+        #: table, or None for a fully blocked op.
+        self.rule = rule
+        self.transfer = transfer
+        #: ``shapes[k]``: the shape of adjacent value ``k``.
+        self.shapes = shapes
+        #: No value sits at two adjacent positions (``pattern``, each
+        #: position's first position holding the same value, is None).
+        self.distinct = pattern is None
+        if pattern is None:
+            pattern = range(len(shapes))
+        #: ``aliases[k]``: the positions holding the same value as ``k``.
+        self.aliases = tuple(
+            tuple(j for j, first in enumerate(pattern) if first == pattern[k])
+            for k in range(len(shapes)))
+
+
+#: The structural key (module docstring) -> the shared class.
+#: Process-local, like ``_TRANSFERS``: never pickled.
+_CLASSES: Dict[tuple, OpClass] = {}
+
+
+def op_class(op: Operation) -> OpClass:
+    """``op``'s structural class, cached on the op.  A constant's payload
+    enters the key by its bytes (traced constants are scalars; hashing
+    would cost more than planning).  A constant past
+    ``_KEYED_PAYLOAD_BYTES`` and a loop op (no key renders its regions)
+    get a class of their own, not interned."""
+    try:
+        return op._op_class
+    except AttributeError:
+        pass
+    values = (*op.operands, *op.results)
+    shapes = tuple([value.type.shape for value in values])
+    pattern = (None if len(set(values)) == len(values)
+               else tuple(map(values.index, values)))
+    rule = rules_mod.build_rule(op)
+    shared = (rule, tuple(len(v.type.shape) for v in op.operands),
+              tuple(len(v.type.shape) for v in op.results))
+    transfer = (_TRANSFERS.get(shared)
+                or _TRANSFERS.setdefault(shared, _Transfer(*shared)))
+    attrs = structural_attrs(op)
+    if op.opcode == "constant":
+        attrs = dict(attrs)
+        payload = attrs.pop("value")
+        rendered = (None if payload.nbytes > _KEYED_PAYLOAD_BYTES
+                    else (payload.tobytes(), canonical_attr(attrs)))
+    else:
+        rendered = None if op.regions else canonical_attr(attrs)
+    if rendered is None:
+        cls = OpClass(rule, transfer, shapes, pattern)
+    else:
+        key = (op.opcode, rendered, tuple([v.type for v in op.operands]),
+               tuple([r.type for r in op.results]), rule, pattern)
+        cls = _CLASSES.get(key) or _CLASSES.setdefault(
+            key, OpClass(rule, transfer, shapes, pattern))
+    op._op_class = cls
+    return cls
+
+
+def rule_for(op: Operation) -> Optional[rules_mod.OpShardingRule]:
+    """``op``'s sharding rule (None if fully blocked): the one shared
+    :class:`OpShardingRule` for its factor table, held by its class."""
+    return op_class(op).rule

@@ -65,14 +65,15 @@ always re-enqueues.
 
 **One compiled kernel, one memo.**  Every visit runs the same per-op
 transfer function (:meth:`Propagator._decide`), compiled per function
-into shared records (:class:`_Transfer`, :class:`_FunctionIndex`) so a
-visit indexes tuples and reads sharding attributes instead of calling
-into the rule registry.  A non-loop visit's outcome — the shardings it
-writes, the events it records and whether it settled, by adjacent
-position — depends only on the op's *signature* (its transfer record,
-opcode, adjacent shapes and which adjacent positions hold the same
-value) and on the adjacent values' shardings.  So it is decided once per
-``(signature, adjacent shardings)`` and replayed afterwards
+into shared records (each op's :class:`repro.core.opclass.OpClass`
+with its transfer record, and the :class:`_FunctionIndex`) so a visit
+indexes tuples and reads sharding attributes instead of calling into the
+rule registry.  A non-loop visit's outcome — the shardings it writes,
+the events it records and whether it settled, by adjacent position —
+depends only on the op's structural *class* (:func:`op_class`: opcode,
+attrs, types, rule and which adjacent positions hold the same value) and
+on the adjacent values' shardings.  So it is decided once per ``(class,
+adjacent shardings)`` and replayed afterwards
 (:meth:`Propagator._replay`, the one write path, which a fresh decision
 goes through too): identical ops in different layers, and the same op
 in different probes of the search's condenser, share one entry.  The
@@ -115,7 +116,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.ir import opdefs
 from repro.ir.function import Function
 from repro.ir.values import Operation, Value
-from repro.core import rules as rules_mod
+from repro.core.opclass import OpClass, op_class
 from repro.core.sharding import Sharding, ShardingEnv
 
 # Single-operand (or all-operand) linear ops always defer.
@@ -147,89 +148,9 @@ def may_defer(op: Operation, axis: str, pending: List[int]) -> bool:
     return False
 
 
-class _Transfer:
-    """What a visit needs to know about a non-loop op besides its values:
-    shared by every op with the same sharding rule and operand/result
-    ranks.
-
-    Adjacent values are numbered operands first, then results; ``k``
-    below is that number.
-    """
-
-    __slots__ = ("single_result", "num_operands", "defaults", "dim_factors",
-                 "factors")
-
-    def __init__(self, rule, operand_ranks: Tuple[int, ...],
-                 result_ranks: Tuple[int, ...]):
-        self.single_result = len(result_ranks) == 1
-        self.num_operands = n = len(operand_ranks)
-        #: The replicated sharding an absent env entry stands for, per k.
-        self.defaults = tuple(Sharding.replicated(rank)
-                              for rank in operand_ranks + result_ranks)
-        #: ``dim_factors[k][dim]`` -> factor id or None (None: no rule).
-        self.dim_factors = None
-        #: Per factor id: ``(((k, dim, is_operand), ...), reduce)``.
-        self.factors = ()
-        if rule is None:
-            return
-        sides = [("in", i, rank) for i, rank in enumerate(operand_ranks)]
-        sides += [("out", r, rank) for r, rank in enumerate(result_ranks)]
-        self.dim_factors = tuple(
-            tuple(rule.by_position.get((side, index, dim))
-                  for dim in range(rank))
-            for side, index, rank in sides
-        )
-        self.factors = tuple(
-            (tuple((index if side == "in" else n + index, dim, side == "in")
-                   for side, index, dim in factor.entries),
-             factor.reduce)
-            for factor in rule.factors
-        )
-
-
-#: (rule, operand ranks, result ranks) -> the shared record.
-#: Process-local (records hold shardings): never pickled.
-_TRANSFERS: Dict[tuple, _Transfer] = {}
-
-
-def _transfer_for(op: Operation) -> _Transfer:
-    key = (rules_mod.rule_for(op),
-           tuple(len(v.type.shape) for v in op.operands),
-           tuple(len(v.type.shape) for v in op.results))
-    transfer = _TRANSFERS.get(key)
-    if transfer is None:
-        transfer = _TRANSFERS.setdefault(key, _Transfer(*key))
-    return transfer
-
-
-class _Signature:
-    """Everything a non-loop op's visit depends on besides the shardings
-    of its adjacent values: its transfer record and opcode, the shapes
-    of its adjacent values and which of them are the same value.
-    Structurally identical ops (the same layer repeated) share one
-    signature object, so they share memo entries."""
-
-    __slots__ = ("transfer", "shapes", "distinct", "aliases")
-
-    def __init__(self, transfer: _Transfer, shapes: tuple,
-                 pattern: Optional[Tuple[int, ...]]):
-        self.transfer = transfer
-        #: ``shapes[k]``: the shape of adjacent value ``k``.
-        self.shapes = shapes
-        #: No value sits at two adjacent positions (``pattern``, each
-        #: position's first position holding the same value, is None).
-        self.distinct = pattern is None
-        if pattern is None:
-            pattern = range(len(shapes))
-        #: ``aliases[k]``: the positions holding the same value as ``k``.
-        self.aliases = tuple(
-            tuple(j for j, first in enumerate(pattern) if first == pattern[k])
-            for k in range(len(shapes)))
-
-
 class _Outcome:
     """What one visit did, by adjacent position, so that any visit with
-    the same signature and the same adjacent shardings can replay it.
+    the same class and the same adjacent shardings can replay it.
 
     ``writes``: ``(k, new sharding, starting sharding)`` per written
     value, in first-write order.  ``events``: ``(kind, axis, payload,
@@ -253,45 +174,25 @@ _NOTHING = _Outcome((), (), True)
 _REPORTS = frozenset({"conflict", "blocked"})
 
 
-#: (rule, opcode, adjacent shapes, value pattern) -> the shared
-#: signature.  Process-local, like ``_TRANSFERS``: never pickled.
-_SIGNATURES: Dict[tuple, _Signature] = {}
-
-
-def _signature_for(op: Operation,
-                   values: Tuple[Value, ...]) -> _Signature:
-    """The signature of a non-loop ``op`` with adjacent ``values``."""
-    shapes = tuple([value.type.shape for value in values])
-    pattern = (None if len(set(values)) == len(values)
-               else tuple(map(values.index, values)))
-    key = (rules_mod.rule_for(op), op.opcode, shapes, pattern)
-    signature = _SIGNATURES.get(key)
-    if signature is None:
-        signature = _SIGNATURES.setdefault(
-            key, _Signature(_transfer_for(op), shapes, pattern))
-    return signature
-
-
 class _FunctionIndex:
-    """Per-op signatures (parallel to ``function.index.ops``, the
+    """Per-op classes (parallel to ``function.index.ops``, the
     worklist's numbering), value->op adjacency and the visit memos for
     one function: a view of it (:meth:`Function.derived`), so it is
     rebuilt when the function grows and never pickled."""
 
-    __slots__ = ("ops", "values", "signatures", "adjacency", "memos")
+    __slots__ = ("ops", "values", "classes", "adjacency", "memos")
 
     def __init__(self, function: Function):
         self.ops: List[Operation] = function.index.ops
         #: Parallel to ``ops``: the adjacent values (operands, then
-        #: results) and the signature, one reference into the shared
-        #: records (None for a loop op, which ``_process_loop`` visits).
+        #: results) and the op's class (None for a loop op, which
+        #: ``_process_loop`` visits).
         self.values: List[Tuple[Value, ...]] = [
             (*op.operands, *op.results) for op in self.ops
         ]
-        self.signatures: List[Optional[_Signature]] = [
-            None if op.opcode in opdefs.LOOP_OPS
-            else _signature_for(op, values)
-            for op, values in zip(self.ops, self.values)
+        self.classes: List[Optional[OpClass]] = [
+            None if op.opcode in opdefs.LOOP_OPS else op_class(op)
+            for op in self.ops
         ]
         # adjacency[value] = sorted walk indices of ops whose transfer reads
         # that value's sharding.
@@ -305,7 +206,7 @@ class _FunctionIndex:
         for index, op in enumerate(self.ops):
             for value in self.values[index]:
                 link(value, index)
-            if self.signatures[index] is None:
+            if self.classes[index] is None:
                 # _process_loop also reads the body's params and results
                 # (and, for while_loop, the predicate's carry params).
                 body = op.regions[0]
@@ -319,7 +220,7 @@ class _FunctionIndex:
         self.adjacency: Dict[Value, Tuple[int, ...]] = {
             value: tuple(indices) for value, indices in adjacency.items()
         }
-        #: ``(propagator class, mesh) -> {(signature, *adjacent
+        #: ``(propagator class, mesh) -> {(op class, *adjacent
         #: env entries): outcome}``.  The class is part of the scope
         #: because a subclass may change the conflict policy; the mesh
         #: because divisibility reads axis sizes (and axes are visited in
@@ -327,11 +228,7 @@ class _FunctionIndex:
         self.memos: Dict[tuple, Dict[tuple, _Outcome]] = {}
 
     def memo(self, propagator_class: type, mesh) -> Dict[tuple, _Outcome]:
-        scope = (propagator_class, mesh)
-        memo = self.memos.get(scope)
-        if memo is None:
-            memo = self.memos.setdefault(scope, {})
-        return memo
+        return self.memos.setdefault((propagator_class, mesh), {})
 
 
 def _function_index(function: Function) -> _FunctionIndex:
@@ -382,7 +279,7 @@ class Propagator:
 
     def _fixed_point(self, seeds: Set[int], max_rounds: int) -> None:
         ops = self._index.ops
-        signatures = self._index.signatures
+        classes = self._index.classes
         adjacent = self._index.values
         adjacency = self._index.adjacency
         memo = self._memo
@@ -408,8 +305,8 @@ class Propagator:
                 i = heappop(current)
                 in_current.discard(i)
                 stats.ops_processed += 1
-                signature = signatures[i]
-                if signature is None:  # a loop op
+                cls = classes[i]
+                if cls is None:  # a loop op
                     before = env._write_serial
                     self._process_loop(ops[i])
                     if env._write_serial == before:
@@ -417,10 +314,10 @@ class Propagator:
                     own = -1
                 else:
                     values = adjacent[i]
-                    key = (signature, *map(get, values))
+                    key = (cls, *map(get, values))
                     outcome = memo.get(key)
                     if outcome is None:
-                        outcome = memo[key] = decide(ops[i], signature, key)
+                        outcome = memo[key] = decide(ops[i], cls, key)
                     else:
                         stats.visits_replayed += 1
                     if outcome is _NOTHING:
@@ -491,8 +388,7 @@ class Propagator:
 
     # -- the per-op transfer function ------------------------------------------
 
-    def _decide(self, op: Operation, signature: _Signature,
-                key: tuple) -> _Outcome:
+    def _decide(self, op: Operation, cls: OpClass, key: tuple) -> _Outcome:
         """Match, extend and defer on every mesh axis, in mesh-axis order,
         given the adjacent values' env entries ``key[1:]``; the env is
         only read, through ``key``.
@@ -507,7 +403,7 @@ class Propagator:
         start = key[1:]
         if not any(start):  # (a Sharding is always truthy)
             return _NOTHING  # every neighbour replicated
-        transfer = signature.transfer
+        transfer = cls.transfer
         dim_factors = transfer.dim_factors
         num_operands = transfer.num_operands
         shardings = list(start)
@@ -536,12 +432,12 @@ class Propagator:
             return _NOTHING
         starting = tuple(shardings)
         # Rule (b) of the settled rule; (c) and (d) clear it below.
-        self._settled = signature.distinct
+        self._settled = cls.distinct
         self._events = events = []
         written: Dict[int, None] = {}  # first positions, first-write order
 
         def write(k: int, sharding: Sharding) -> None:
-            aliases = signature.aliases[k]
+            aliases = cls.aliases[k]
             for j in aliases:
                 shardings[j] = sharding
             written.setdefault(aliases[0])
@@ -550,8 +446,7 @@ class Propagator:
         for axis in self._axis_names:
             fids = evidence.get(axis)
             if fids is not None:
-                self._match_axis(op, signature, axis, fids, shardings,
-                                 write)
+                self._match_axis(op, cls, axis, fids, shardings, write)
             if defer and axis in pending:
                 self._defer_pending(op, axis, pending[axis], shardings,
                                     write)
@@ -561,13 +456,13 @@ class Propagator:
             tuple((k, shardings[k], starting[k]) for k in written),
             tuple(events), self._settled)
 
-    def _match_axis(self, op: Operation, signature: _Signature, axis: str,
+    def _match_axis(self, op: Operation, cls: OpClass, axis: str,
                     evidence: Set[int], shardings: List[Sharding],
                     write) -> None:
-        factors = signature.transfer.factors
+        factors = cls.transfer.factors
         extendable = []
         for fid in evidence:
-            if self._extendable(op, factors[fid], axis, signature.shapes,
+            if self._extendable(op, factors[fid], axis, cls.shapes,
                                 shardings):
                 extendable.append(fid)
         if not extendable:

@@ -39,7 +39,7 @@ class Factor:
 
 @dataclasses.dataclass(eq=False)
 class OpShardingRule:
-    """One factor table.  :func:`rule_for` hands out a single shared
+    """One factor table.  :func:`build_rule` hands out a single shared
     instance per distinct table, so rules compare and hash by identity
     and must never be mutated."""
 
@@ -73,20 +73,11 @@ def rule(opcode: str):
     return register
 
 
-def rule_for(op: Operation) -> Optional[OpShardingRule]:
-    """The sharding rule for an op, or None if the op is fully blocked.
-
-    Cached on the op (ops are structurally frozen after construction, so
-    the rule — a pure function of opcode/attrs/operand types — never
-    changes) as a reference to the one shared :class:`OpShardingRule` for
-    its factor table: structurally identical ops hold the same object.
-    The reference is dropped when an op is pickled and rebuilt — to the
-    receiving process's shared instance — on first use.
-    """
-    try:
-        return op._sharding_rule
-    except AttributeError:
-        pass
+def build_rule(op: Operation) -> Optional[OpShardingRule]:
+    """The sharding rule for an op, or None if the op is fully blocked:
+    the one shared :class:`OpShardingRule` for its factor table, built
+    afresh.  Callers read it through ``repro.core.opclass.rule_for``,
+    which caches it on the op's class."""
     builder = _BUILDERS.get(op.opcode)
     if builder is not None:
         rule = builder(op)
@@ -95,7 +86,6 @@ def rule_for(op: Operation) -> Optional[OpShardingRule]:
         rule = _elementwise_rule(op) if opdef.elementwise else None
     if rule is not None:
         rule = _SHARED.setdefault(rule.factors, rule)
-    op._sharding_rule = rule
     return rule
 
 
@@ -328,8 +318,6 @@ def _is_zeros(value) -> bool:
     seen = 0
     while producer is not None and seen < 4:
         if producer.opcode == "constant":
-            import numpy as np
-
             return bool((producer.attrs["value"] == 0).all())
         if producer.opcode in ("broadcast_in_dim", "reshape"):
             value = producer.operands[0]

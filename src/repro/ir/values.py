@@ -101,14 +101,13 @@ class Operation:
         regions: nested function bodies (``scan`` has one).
     """
 
-    # Derived caches, both pure functions of the op's structure (frozen
-    # after construction) and both process-local:
-    # _sharding_rule caches repro.core.rules.rule_for(op), a reference to
-    # the process-wide shared rule for the op's factor table; _op_class
-    # caches repro.spmd.lower.op_class(op), the interned id of the op's
-    # structural class that keys its lowering plans.
+    # One derived cache, a pure function of the op's structure (frozen
+    # after construction) and process-local: _op_class caches
+    # repro.core.opclass.op_class(op), a reference to the process-wide
+    # interned class (sharding rule included) that keys the op's
+    # propagation visits, lowering plans and pricing templates.
     __slots__ = ("opcode", "operands", "attrs", "results", "regions",
-                 "_sharding_rule", "_op_class")
+                 "_op_class")
 
     def __init__(
         self,
@@ -127,9 +126,9 @@ class Operation:
         ]
 
     def __getstate__(self):
-        # The cached sharding rule and structural class are derived state:
-        # re-resolved on demand (to the receiving process's shared rule and
-        # interned class ids), never shipped.
+        # The cached structural class is derived state: re-resolved on
+        # demand (to the receiving process's interned class), never
+        # shipped.
         return (self.opcode, self.operands, self.attrs, self.results,
                 self.regions)
 

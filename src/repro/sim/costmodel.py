@@ -87,6 +87,7 @@ import itertools
 import operator
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.opclass import op_class
 from repro.core.sharding import Sharding
 from repro.ir import opdefs
 from repro.ir.function import Function
@@ -97,7 +98,7 @@ from repro.sim.memory import LiveRangeLog, peak_live_bytes
 from repro.sim.terms import (CostEstimate, TermSum, collective_terms,
                              compute_terms, loop_cost_terms, op_terms,
                              split_terms)
-from repro.spmd.lower import LoweredModule, Lowerer, op_class, required_of
+from repro.spmd.lower import LoweredModule, Lowerer, required_of
 
 
 def _estimate_function(function: Function, mesh: Mesh,
@@ -213,20 +214,16 @@ class _Template:
 
 class _UnitState:
     """Per-op state: how to pick the op's signature out of its region's
-    sharding iids, its template key, the stable uids of its values, the
-    memo of its instances and, for a loop op, its regions."""
+    sharding iids, the stable uids of its values, the memo of its
+    instances and, for a loop op, its regions."""
 
-    __slots__ = ("op", "is_tag", "cls", "pick", "instances", "regions",
+    __slots__ = ("op", "is_tag", "pick", "instances", "regions",
                  "operands", "results")
 
     def __init__(self, op, position, uid):
         self.op = op
         self.is_tag = op.opcode == "tag"
         self.regions = tuple(_Region(region, uid) for region in op.regions)
-        #: The template key's first half, set on the first template
-        #: lookup: the op's class, or the op itself for an op without one
-        #: (a large constant).
-        self.cls = None
         #: A loop's lowering reads the whole body (cond included), so its
         #: signature keys on every subtree value (region ops read only
         #: values their region defines; pipeline pins land on these too).
@@ -337,8 +334,10 @@ class StreamingEstimator:
     re-instantiates one body op.
 
     ``ops_reused`` counts instance hits, ``ops_planned`` template builds,
-    ``reconcile_hits`` / ``reconcile_misses`` the chain memo's (plus, per
-    fold, every reconcile site replayed).
+    ``reconcile_misses`` chains priced, and ``reconcile_hits`` reconcile
+    sites served without pricing one: every site each fold replays, plus
+    each template build that found its chain priced (nearly all hits are
+    replayed sites, so they grow with folds, not with chain reuse).
     """
 
     def __init__(self, function: Function, mesh: Mesh, device: DeviceSpec):
@@ -506,10 +505,7 @@ class StreamingEstimator:
             # the result aliases the operand.
             return (None, None, (unit.results[0], unit.operands[0]))
         else:
-            if unit.cls is None:
-                cls = op_class(unit.op)
-                unit.cls = unit.op if cls is None else cls
-            key = (unit.cls, sig)
+            key = (op_class(unit.op), sig)
             template = self._templates.get(key)
             if template is None:
                 template = self._templates[key] = self._template(unit.op)

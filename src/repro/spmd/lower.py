@@ -52,12 +52,13 @@ whole-program reference fusion of the unfused emission
 (``tests/oracle.py``) on every model family.
 
 **One plan per structural class.**  An op's plan is a pure function of
-its structural class (:func:`op_class`: opcode, attrs, operand and result
-types, sharding rule), its adjacent shardings and the mesh; it holds no
-:class:`Value`, and emission copies the attrs.  So plans are shared: a
-function carries one plan table per mesh (:func:`plan_table`, a view of
-the function that never rides a pickle), keyed ``(class, operand sharding
-iids, result sharding iids)``, and every lowerer built for the function —
+its class (:func:`repro.core.opclass.op_class`, which propagation keys
+on too), its adjacent shardings and the mesh; it holds no :class:`Value`
+and no identity label, and emission copies the attrs and adds the op's
+own labels (a tag's ``name``).  So plans are shared: a function carries
+one plan table per mesh (:func:`plan_table`, a view of the function that
+never rides a pickle), keyed ``(class, operand sharding iids, result
+sharding iids)``, and every lowerer built for the function —
 each :func:`lower` call and the estimator's — reads and fills it.  L
 identical layers are planned once, and so is the unchanged rest of a
 program re-lowered after each tactic.  What keeps the materializing
@@ -107,17 +108,17 @@ which ``lower`` emits as one ``all_to_all``.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import LoweringError
 from repro.ir import opdefs
 from repro.ir.function import Function, FunctionBuilder, infer_types
 from repro.ir.types import TensorType
-from repro.ir.values import Operation, Value, canonical_attr
+from repro.ir.values import Operation, Value
 from repro.mesh import Mesh
 from repro.core import pipeline as pipeline_mod
-from repro.core import rules as rules_mod
+from repro.core.opclass import (COST_IRRELEVANT_ATTRS, op_class, rule_for,
+                                structural_attrs)
 from repro.core.propagate import may_defer
 from repro.core.sharding import Sharding, ShardingEnv
 
@@ -177,10 +178,10 @@ class _OpPlan:
     and every lowering with that key.  Per operand: its actual layout,
     the layout the op requires, the pending axes it may keep, and its
     reconcile chain (``None`` when already in layout).  Then the op's
-    localized attrs, its inferred local result types, per result the
-    trailing ``all_slice`` as ``(attrs, result types)`` or ``None``, and
-    its local FLOPs.  Lowering instantiates a plan and the estimator
-    prices it; nothing may write to one.
+    localized attrs (without identity labels), its inferred local result
+    types, per result the trailing ``all_slice`` as ``(attrs, result
+    types)`` or ``None``, and its local FLOPs.  Lowering instantiates a
+    plan and the estimator prices it; nothing may write to one.
     """
 
     operand_shardings: Tuple[Sharding, ...]
@@ -210,47 +211,6 @@ class _LoopPlan:
     regions: Tuple[Tuple[List[Sharding], List[Sharding]], ...]
     attrs: dict
     tails: Tuple[Optional[Tuple[Sharding, Dict[int, List[str]]]], ...]
-
-
-#: Structural key -> interned class id, process-wide (see :func:`op_class`).
-_OP_CLASSES: Dict[tuple, int] = {}
-_class_ids = itertools.count()
-#: A constant whose payload is larger than this has no class (is planned
-#: afresh at every lowering): its key would keep a copy of the payload.
-_KEYED_PAYLOAD_BYTES = 256
-
-
-def op_class(op: Operation) -> Optional[int]:
-    """The interned id of ``op``'s structural class: everything its plan
-    reads besides its adjacent shardings and the mesh — opcode, attrs,
-    operand and result types, and its sharding rule (which follows from
-    the rest except for ``scatter_add``, whose rule asks whether its
-    operand is produced as zeros).  A constant's payload enters by its
-    bytes, not by a digest: traced constants are scalars, and hashing
-    would cost more than planning.  ``None`` for a constant past
-    ``_KEYED_PAYLOAD_BYTES``.  Loop ops are planned by
-    :meth:`Lowerer._plan_loop` and never keyed.  Cached on the op."""
-    try:
-        return op._op_class
-    except AttributeError:
-        pass
-    if op.opcode == "constant":
-        attrs = dict(op.attrs)
-        payload = attrs.pop("value")
-        if payload.nbytes > _KEYED_PAYLOAD_BYTES:
-            op._op_class = None
-            return None
-        rendered = (payload.tobytes(), canonical_attr(attrs))
-        rule = None
-    else:
-        rendered = canonical_attr(op.attrs)
-        rule = rules_mod.rule_for(op)
-    key = (op.opcode, rendered, tuple([v.type for v in op.operands]),
-           tuple([r.type for r in op.results]), rule)
-    # next() on a count is atomic, so racing first sightings of one key
-    # agree on the id setdefault keeps.
-    op._op_class = _OP_CLASSES.setdefault(key, next(_class_ids))
-    return op._op_class
 
 
 def _table(kind: str, function: Function, mesh: Mesh) -> dict:
@@ -373,7 +333,12 @@ class Lowerer:
         plan = self._plan_op(op)
         operands = [self._instantiate(builder, value_map[operand], chain)
                     for operand, chain in zip(op.operands, plan.chains)]
-        emitted = builder.emit_typed(op.opcode, operands, plan.attrs,
+        attrs = plan.attrs
+        labels = COST_IRRELEVANT_ATTRS.get(op.opcode)
+        if labels:  # the plan is the class's; the labels are the op's
+            attrs = {**attrs, **{key: v for key, v in op.attrs.items()
+                                 if key in labels}}
+        emitted = builder.emit_typed(op.opcode, operands, attrs,
                                      plan.result_types)
         for result, value, trailing in zip(op.results, emitted.results,
                                            plan.trailing):
@@ -516,27 +481,16 @@ class Lowerer:
 
     # -- per-op planning ---------------------------------------------------------
 
-    def _plan_key(self, op: Operation) -> Optional[tuple]:
-        """The op's key in the plan table, or ``None`` for an op without
-        a class (planned afresh every time)."""
-        cls = op_class(op)
-        if cls is None:
-            return None
+    def _plan_op(self, op: Operation) -> _OpPlan:
+        """The op's lowering plan, keyed ``(op class, *adjacent sharding
+        iids)`` in the plan table: looked up there, or built and entered."""
         # The store is probed directly, sharding() supplying the default
         # on a miss: this runs for every op of every lowering.
         stored = self.env._shardings.get
         sharding = self.env.sharding
-        return (cls, *[s.iid if (s := stored(v)) is not None
-                       else sharding(v).iid
-                       for v in (*op.operands, *op.results)])
-
-    def _plan_op(self, op: Operation, key: Optional[tuple] = None
-                 ) -> _OpPlan:
-        """The op's lowering plan: looked up in the plan table, or built
-        and entered there.  ``key`` saves recomputing :meth:`_plan_key`."""
-        key = key or self._plan_key(op)
-        if key is None:
-            return self._build_op_plan(op)
+        key = (op_class(op), *[s.iid if (s := stored(v)) is not None
+                               else sharding(v).iid
+                               for v in (*op.operands, *op.results)])
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._build_op_plan(op)
@@ -548,9 +502,7 @@ class Lowerer:
         attrs, and infer the op's local result types from the reconciled
         operand types, raising :class:`LoweringError` when one disagrees
         with the shape its result layout implies."""
-        rule = None
-        if op.opcode != "constant":
-            rule = rules_mod.rule_for(op)
+        rule = None if op.opcode == "constant" else rule_for(op)
 
         n_in = len(op.operands)
         operand_shardings = tuple(
@@ -649,8 +601,10 @@ class Lowerer:
             operand_types.append(
                 local_type if chain is None else chain.steps[-1][2])
 
-        # Localize shape-carrying attrs against the explained result sharding.
-        attrs = dict(op.attrs)
+        # Localize shape-carrying attrs against the explained result
+        # sharding.  Identity attrs stay out: every op of the class shares
+        # the plan, and emission gives each op its own.
+        attrs = dict(structural_attrs(op))
         result_shardings_local = []
         for r, result in enumerate(op.results):
             sharding = self.env.sharding(result)

@@ -217,8 +217,10 @@ class _UnfusedLowerer(Lowerer):
                              plan.allowed_pending[i])
             for i, operand in enumerate(op.operands)
         ]
-        new_results = builder.emit(op.opcode, new_operands,
-                                   plan.attrs).results
+        # A plan holds no identity labels (a tag's name): the op's own.
+        attrs = {**plan.attrs, **{key: v for key, v in op.attrs.items()
+                                  if key not in plan.attrs}}
+        new_results = builder.emit(op.opcode, new_operands, attrs).results
         for r, result in enumerate(op.results):
             new_value = new_results[r]
             assert new_value.type == plan.result_types[r], op
@@ -453,13 +455,13 @@ class RevisitingSchedule:
         ``_process_loop``, any other by a fresh decision applied through
         the kernel's one write path."""
         op = self._index.ops[i]
-        signature = self._index.signatures[i]
-        if signature is None:
+        cls = self._index.classes[i]
+        if cls is None:
             self._process_loop(op)
             return
         values = self._index.values[i]
-        key = (signature, *map(self.env._shardings.get, values))
-        self._replay(op, values, self._decide(op, signature, key))
+        key = (cls, *map(self.env._shardings.get, values))
+        self._replay(op, values, self._decide(op, cls, key))
 
 
 def revisiting(propagator_class):

@@ -27,6 +27,7 @@ import repro.auto.planstore
 import repro.auto.search
 import repro.core.actions
 import repro.core.pipeline
+import repro.core.opclass
 import repro.core.propagate
 import repro.core.sharding
 import repro.ir.function
@@ -43,8 +44,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: module's name.)
 DOCTESTED_MODULES = [repro.api, repro.auto.faults, repro.auto.fingerprint,
                      repro.auto.planstore, repro.auto.search,
-                     repro.core.actions, repro.core.pipeline,
-                     repro.core.propagate, repro.core.sharding,
+                     repro.core.actions, repro.core.opclass,
+                     repro.core.pipeline, repro.core.propagate,
+                     repro.core.sharding,
                      repro.ir.function, repro.mesh, repro.models.pipeline,
                      repro.sim.costmodel, repro.sim.memory, repro.sim.terms,
                      importlib.import_module("repro.spmd.lower")]

@@ -19,8 +19,8 @@ two schedules each, this module checks that:
 
 It also pins what makes shared plans hard to corrupt (frozen plans; the
 table and op classes never ride a pickle), that L identical layers are
-planned once, and that a manual-only ``partir_jit`` imports nothing from
-``repro.auto``.
+planned once, that their tags share a plan yet keep their own names, and
+that a manual-only ``partir_jit`` imports nothing from ``repro.auto``.
 """
 
 import dataclasses
@@ -33,6 +33,8 @@ import pytest
 
 from repro import ShapeDtype, trace
 from repro.api import ManualPartition
+from repro.core import tile
+from repro.core.opclass import op_class
 from repro.core.sharding import ShardingEnv
 from repro.ir import dtypes, opdefs
 from repro.ir.values import canonical_attr
@@ -203,6 +205,35 @@ def test_identical_layers_are_planned_once():
         lower(function, env)
         sizes.append(len(plan_table(function, MESH)))
     assert sizes[0] == sizes[1]
+
+
+def test_identical_layers_tags_share_a_class_and_a_plan():
+    """A tag's name is a label, not structure: two identical layers'
+    tags share one op class and, tiled so that they are not transparent,
+    one plan-table entry; each emitted tag keeps its own name."""
+    square = ShapeDtype((8, 8))
+
+    def layers(x, w1, w2):
+        h = ops.tag(ops.tanh(x @ w1), "layer1")
+        return ops.tag(ops.tanh(h @ w2), "layer2")
+
+    function = trace(layers, square, square, square,
+                     tag_points=False).function
+    tags = [op for op in function.ops if op.opcode == "tag"]
+    assert op_class(tags[0]) is op_class(tags[1])
+    env = ShardingEnv(MESH)
+    for tag in tags:  # operand tiled on dim 1, result on dim 0
+        tile(env, tag.operands[0], 1, "batch")
+        tile(env, tag.results[0], 0, "batch")
+    lowered = lower(function, env)
+    assert sum(key[0] is op_class(tags[0])
+               for key in plan_table(function, MESH)) == 1
+    emitted = [op for op in lowered.function.ops if op.opcode == "tag"]
+    assert [op.attrs for op in emitted] == [tag.attrs for tag in tags] \
+        == [{"name": "layer1"}, {"name": "layer2"}]
+    _forget_plans(function)
+    assert listing(lower(function, env).function) \
+        == listing(lowered.function)
 
 
 def test_plans_are_frozen():

@@ -23,7 +23,7 @@ from repro.baselines.gspmd import _GspmdPropagator
 from repro.core.pipeline import stage_split
 from repro.core import propagate as propagate_mod
 from repro.core.propagate import Propagator, _function_index, propagate
-from repro.core.rules import rule_for
+from repro.core.opclass import op_class, rule_for
 from repro.core.sharding import Event, Sharding, ShardingEnv
 from repro.ir import FunctionBuilder
 from repro.ir.tagpoints import tag_points
@@ -87,18 +87,18 @@ class TestSharedRules:
         first, _ = _two_dots(DOT)
         shared = rule_for(first)
         clone = pickle.loads(pickle.dumps(first))
-        assert not hasattr(clone, "_sharding_rule")
+        assert not hasattr(clone, "_op_class")
         assert rule_for(clone) is shared
-        assert clone._sharding_rule is shared
+        assert clone._op_class.rule is shared
 
     def test_same_rule_and_ranks_share_one_transfer_record(self):
         traced = transformer.trace_training_step(transformer.tiny())
         index = _function_index(traced.function)
         assert index.ops == traced.function.index.ops
-        assert len(index.signatures) == len(index.ops)
-        transfers = [(op, signature.transfer) for op, signature
-                     in zip(index.ops, index.signatures)
-                     if signature is not None]
+        assert len(index.classes) == len(index.ops)
+        transfers = [(op, cls.transfer) for op, cls
+                     in zip(index.ops, index.classes)
+                     if cls is not None]
         distinct = {id(t) for _, t in transfers}
         assert len(distinct) * 10 < len(transfers)
         by_key = {}
@@ -191,7 +191,7 @@ class TestIndexGuard:
         full_sweep(function, env)  # nothing is dirty: seed every op
         rebuilt = _function_index(function)
         assert rebuilt is not stale
-        assert len(rebuilt.ops) == len(rebuilt.signatures) == 2
+        assert len(rebuilt.ops) == len(rebuilt.classes) == 2
         # The new op was indexed and visited, not skipped or misread
         # through the one-op table.
         assert env.sharding(out).tile_dim_of("batch") == 0
@@ -360,7 +360,7 @@ class TestVisitMemo:
         mesh = Mesh({"a": 2})
         shared = _squares()
         index = _function_index(shared)
-        assert index.signatures[0] is not index.signatures[1]
+        assert index.classes[0] is not index.classes[1]
         _shared_equals_fresh(_squares, shared, mesh, [(_result(0), 0, "a")])
         state, _, _ = _shared_equals_fresh(_squares, shared, mesh,
                                            [(_result(1), 0, "a")])

@@ -310,8 +310,10 @@ class TestReconcileChainCache:
     def test_chain_cache_is_exact_and_hits(self):
         """Whole reconcile-chain costs are a pure function of (value type,
         source layout, target layout): replaying them changes nothing
-        against the chain-free materializing reference, and repeated
-        evaluations reuse chains."""
+        against the chain-free materializing reference.  The hits counted
+        are reconcile sites served without pricing a chain; on this
+        search every one is a site replayed by a later estimate, none a
+        priced-chain memo hit."""
         traced = _mlp_traced()
         cached = _search(traced.function, seed=3)
         assert cached.cost == reference_cost(traced.function, MESH,

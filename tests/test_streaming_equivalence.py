@@ -16,11 +16,12 @@ import oracle
 from oracle import assert_estimates_identical, reference_estimate
 from repro import Mesh, ShapeDtype, trace
 from repro.core import tile
+from repro.core.opclass import op_class
 from repro.core.propagate import propagate
 from repro.core.sharding import Sharding, ShardingEnv
 from repro.models.schedules import edge_sharding, zero2, zero3
 from repro.sim import TPU_V3, costmodel, memory
-from repro.spmd.lower import lower, op_class
+from repro.spmd.lower import lower
 from repro.trace import ops
 from test_chains import FAMILIES, MESH, SEEDS, run_chain
 
@@ -99,8 +100,7 @@ class TestEstimatorMemoization:
             if operand is not None and (env.sharding(operand)
                                         is env.sharding(op.results[0])):
                 continue
-            cls = op_class(op)
-            keys.append((op if cls is None else cls, tuple(
+            keys.append((op_class(op), tuple(
                 env.sharding(v).iid for v in (*op.operands, *op.results))))
         estimator = costmodel.StreamingEstimator(function, mesh, TPU_V3)
         assert_estimates_identical(estimator.estimate_incremental(env),
