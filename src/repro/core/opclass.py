@@ -5,12 +5,16 @@ lowering plan built once per (class, adjacent sharding iids) and a
 pricing template once per plan-table key: :func:`op_class` is the one
 answer to "what is this op, structurally", an interned :class:`OpClass`
 keyed on the opcode, the rendered attrs without identity labels
-(:data:`COST_IRRELEVANT_ATTRS`), the operand and result types, the
-sharding rule (``scatter_add``'s reads its operand's producer) and the
-value pattern, so ``x * x`` and ``x * y`` stay apart.  The class is
-cached on the op, dropped when the op is pickled and re-interned on
-first use.  Two identical layers share their matmuls' class, and their
-tags share one whatever their names (lowering emits each op's own):
+(:data:`COST_IRRELEVANT_ATTRS`), the operand and result types (interned,
+so they hash by identity) and the value pattern, so ``x * x`` and
+``x * y`` stay apart.  A rule builder that reads past attrs and types
+adds what it reads (:data:`repro.core.rules.RULE_CONTEXT`:
+``scatter_add``'s rule reads whether its operand is zeros).  The sharding
+rule is not in the key: it is a function of it, built once per class,
+when the class is first seen.  The class is cached on the op, dropped
+when the op is pickled and re-interned on first use.  Two identical
+layers share their matmuls' class, and their tags share one whatever
+their names (lowering emits each op's own):
 
 >>> from repro import ShapeDtype, trace
 >>> from repro.trace import ops
@@ -28,6 +32,7 @@ tags share one whatever their names (lowering emits each op's own):
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Optional, Tuple
 
 from repro.core import rules as rules_mod
@@ -41,6 +46,10 @@ COST_IRRELEVANT_ATTRS = {"tag": frozenset({"name", "auto"})}
 #: A constant whose payload is larger than this gets a class of its own,
 #: not interned: its key would keep a copy of the payload.
 _KEYED_PAYLOAD_BYTES = 256
+
+#: The rendering of an op without attrs (``canonical_attr({})``).
+_NO_ATTRS = canonical_attr({})
+_TYPE = operator.attrgetter("type")
 
 
 def structural_attrs(op: Operation) -> dict:
@@ -129,37 +138,51 @@ def op_class(op: Operation) -> OpClass:
     enters the key by its bytes (traced constants are scalars; hashing
     would cost more than planning).  A constant past
     ``_KEYED_PAYLOAD_BYTES`` and a loop op (no key renders its regions)
-    get a class of their own, not interned."""
-    try:
-        return op._op_class
-    except AttributeError:
-        pass
-    values = (*op.operands, *op.results)
-    shapes = tuple([value.type.shape for value in values])
+    get a class of their own, not interned.  The sharding rule and the
+    transfer record are built only when a class is first seen."""
+    cls = op._op_class
+    if cls is not None:
+        return cls
+    operands, results = op.operands, op.results
+    values = (*operands, *results)
     pattern = (None if len(set(values)) == len(values)
                else tuple(map(values.index, values)))
-    rule = rules_mod.build_rule(op)
-    shared = (rule, tuple(len(v.type.shape) for v in op.operands),
-              tuple(len(v.type.shape) for v in op.results))
-    transfer = (_TRANSFERS.get(shared)
-                or _TRANSFERS.setdefault(shared, _Transfer(*shared)))
-    attrs = structural_attrs(op)
-    if op.opcode == "constant":
-        attrs = dict(attrs)
+    opcode = op.opcode
+    if opcode == "constant":
+        attrs = dict(op.attrs)
         payload = attrs.pop("value")
         rendered = (None if payload.nbytes > _KEYED_PAYLOAD_BYTES
                     else (payload.tobytes(), canonical_attr(attrs)))
+    elif op.regions:
+        rendered = None
+    elif not op.attrs:
+        rendered = _NO_ATTRS
     else:
-        rendered = None if op.regions else canonical_attr(attrs)
+        rendered = canonical_attr(structural_attrs(op))
     if rendered is None:
-        cls = OpClass(rule, transfer, shapes, pattern)
+        cls = _new_class(op, values, pattern)
     else:
-        key = (op.opcode, rendered, tuple([v.type for v in op.operands]),
-               tuple([r.type for r in op.results]), rule, pattern)
-        cls = _CLASSES.get(key) or _CLASSES.setdefault(
-            key, OpClass(rule, transfer, shapes, pattern))
+        key = (opcode, rendered, tuple(map(_TYPE, operands)),
+               tuple(map(_TYPE, results)), pattern)
+        context = rules_mod.RULE_CONTEXT.get(opcode)
+        if context is not None:
+            key += (context(op),)
+        cls = _CLASSES.get(key)
+        if cls is None:
+            cls = _CLASSES.setdefault(key, _new_class(op, values, pattern))
     op._op_class = cls
     return cls
+
+
+def _new_class(op: Operation, values: tuple,
+               pattern: Optional[Tuple[int, ...]]) -> OpClass:
+    rule = rules_mod.build_rule(op)
+    shared = (rule, tuple([v.type.rank for v in op.operands]),
+              tuple([v.type.rank for v in op.results]))
+    transfer = (_TRANSFERS.get(shared)
+                or _TRANSFERS.setdefault(shared, _Transfer(*shared)))
+    return OpClass(rule, transfer,
+                   tuple([value.type.shape for value in values]), pattern)
 
 
 def rule_for(op: Operation) -> Optional[rules_mod.OpShardingRule]:

@@ -63,6 +63,11 @@ _BUILDERS: Dict[str, RuleBuilder] = {}
 #: One shared rule per distinct factor table, process-wide: a model has
 #: thousands of ops and a few dozen tables.
 _SHARED: Dict[Tuple[Factor, ...], OpShardingRule] = {}
+#: Per opcode whose builder reads past the op's attrs and operand and
+#: result types: a hashable rendering of what else it reads.  It enters
+#: the op's class key (``repro.core.opclass``), so a rule is built once
+#: per class, not once per op.
+RULE_CONTEXT: Dict[str, Callable[[Operation], object]] = {}
 
 
 def rule(opcode: str):
@@ -76,8 +81,8 @@ def rule(opcode: str):
 def build_rule(op: Operation) -> Optional[OpShardingRule]:
     """The sharding rule for an op, or None if the op is fully blocked:
     the one shared :class:`OpShardingRule` for its factor table, built
-    afresh.  Callers read it through ``repro.core.opclass.rule_for``,
-    which caches it on the op's class."""
+    afresh.  ``repro.core.opclass`` calls it once per class, and callers
+    read it through ``repro.core.opclass.rule_for``."""
     builder = _BUILDERS.get(op.opcode)
     if builder is not None:
         rule = builder(op)
@@ -347,6 +352,9 @@ def _scatter_add_rule(op):
     if _is_zeros(operand):
         factors.append(Factor((("in", 1, 0), ("in", 2, 0)), reduce=True))
     return OpShardingRule(factors)
+
+
+RULE_CONTEXT["scatter_add"] = lambda op: _is_zeros(op.operands[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ import dataclasses
 import numpy as np
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DType:
     """An element type.
+
+    The instances are this module's singletons, compared and hashed by
+    identity (a pickled dtype loads as the module's instance).
 
     Attributes:
         name: short IR name, e.g. ``"f32"``.

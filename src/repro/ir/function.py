@@ -175,7 +175,11 @@ class FunctionBuilder:
     def param(self, shape, dtype=None, name: Optional[str] = None) -> Value:
         from repro.ir import dtypes
 
-        type = TensorType(tuple(shape), dtype or dtypes.f32)
+        if dtype is None:
+            dtype = dtypes.f32
+        elif not isinstance(dtype, dtypes.DType):
+            dtype = dtypes.from_numpy(dtype)
+        type = TensorType(tuple(shape), dtype)
         return self.function.add_param(type, name)
 
     def emit(

@@ -26,13 +26,12 @@ def canonical_attr(obj):
     if kind in _SCALARS:
         return repr(obj)
     if kind is tuple or kind is list:
-        for value in obj:
-            if type(value) not in _SCALARS:
-                return ("seq",) + tuple(map(canonical_attr, obj))
-        return ("seq", repr(tuple(obj)))
+        if all(map(_SCALARS.__contains__, map(type, obj))):
+            return ("seq", repr(tuple(obj)))
+        return ("seq",) + tuple(map(canonical_attr, obj))
     if isinstance(obj, dict):
-        return ("dict",) + tuple(
-            (repr(k), canonical_attr(obj[k])) for k in sorted(obj, key=repr))
+        return ("dict",) + tuple([
+            (repr(k), canonical_attr(obj[k])) for k in sorted(obj, key=repr)])
     if isinstance(obj, (set, frozenset)):
         return ("set",) + tuple(sorted(repr(v) for v in obj))
     if hasattr(obj, "tobytes") and hasattr(obj, "shape"):  # ndarray-like
@@ -102,9 +101,10 @@ class Operation:
     """
 
     # One derived cache, a pure function of the op's structure (frozen
-    # after construction) and process-local: _op_class caches
-    # repro.core.opclass.op_class(op), a reference to the process-wide
-    # interned class (sharding rule included) that keys the op's
+    # after construction) and process-local: _op_class is None until
+    # repro.core.opclass.op_class(op) first classes the op, then a
+    # reference to the process-wide interned class (which holds the
+    # sharding rule, built once per class) that keys the op's
     # propagation visits, lowering plans and pricing templates.
     __slots__ = ("opcode", "operands", "attrs", "results", "regions",
                  "_op_class")
@@ -124,6 +124,7 @@ class Operation:
         self.results = [
             Value(t, producer=self, index=i) for i, t in enumerate(result_types)
         ]
+        self._op_class = None
 
     def __getstate__(self):
         # The cached structural class is derived state: re-resolved on
@@ -135,6 +136,7 @@ class Operation:
     def __setstate__(self, state):
         (self.opcode, self.operands, self.attrs, self.results,
          self.regions) = state
+        self._op_class = None
 
     @property
     def result(self) -> Value:

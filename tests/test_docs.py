@@ -6,7 +6,7 @@ The public-API docstrings carry runnable examples (``partir_jit``,
 emission of ``repro.spmd.lower``, ``Function.index``, the plan store's
 LRU and its ``exact``/``relaxed`` label, the streaming estimator pricing
 two envs bit-equal to ``lower -> estimate``, the fault plan, the
-pipeline tactic and the cost terms); this module runs them the same way
+pipeline tactic, the cost terms and the tensor-type intern); this module runs them the same way
 the CI docs job does (``python -m doctest``), and checks that every
 relative link and repo path mentioned in ``README.md`` /
 ``docs/ARCHITECTURE.md`` exists.
@@ -31,6 +31,7 @@ import repro.core.opclass
 import repro.core.propagate
 import repro.core.sharding
 import repro.ir.function
+import repro.ir.types
 import repro.mesh
 import repro.models.pipeline
 import repro.sim.costmodel
@@ -47,7 +48,8 @@ DOCTESTED_MODULES = [repro.api, repro.auto.faults, repro.auto.fingerprint,
                      repro.core.actions, repro.core.opclass,
                      repro.core.pipeline, repro.core.propagate,
                      repro.core.sharding,
-                     repro.ir.function, repro.mesh, repro.models.pipeline,
+                     repro.ir.function, repro.ir.types, repro.mesh,
+                     repro.models.pipeline,
                      repro.sim.costmodel, repro.sim.memory, repro.sim.terms,
                      importlib.import_module("repro.spmd.lower")]
 

@@ -1,5 +1,8 @@
 """Unit tests for the array IR: types, values, builder, verifier, printer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,11 @@ from repro.ir import (
     scalar,
     verify_function,
 )
+from repro.core.sharding import ShardingEnv
 from repro.ir.values import Operation, Value
+from repro.mesh import Mesh
+from repro.sim import TPU_V3, costmodel
+from repro.spmd import lower
 
 
 class TestTensorType:
@@ -37,6 +44,33 @@ class TestTensorType:
     def test_with_shape(self):
         t = TensorType((2, 3), dtypes.f16)
         assert t.with_shape((6,)) == TensorType((6,), dtypes.f16)
+
+    def test_concurrent_constructors_get_one_complete_instance(self):
+        """Threads racing to build the same fresh types all get the one
+        published instance, never a half-built one."""
+        shapes = [(7919, i) for i in range(10000)]
+        barrier = threading.Barrier(4)
+        got = []
+
+        def build():
+            barrier.wait(timeout=10)
+            got.append([TensorType(shape, dtypes.i64) for shape in shapes])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 4
+        for types in zip(*got):
+            assert all(t is types[0] for t in types)
+            assert types[0].nbytes == 8 * types[0].num_elements
 
 
 class TestDtypes:
@@ -81,6 +115,18 @@ class TestBuilder:
         x = b.param((2, 3))
         out = b.emit1("neg", [x])
         assert out.type.shape == (2, 3)
+
+    def test_param_maps_a_numpy_dtype_to_the_ir_dtype(self):
+        """A param declared with a numpy dtype name gets the IR dtype, so
+        the function it is in can be priced."""
+        b = FunctionBuilder()
+        x = b.param((4, 2), dtype="float64", name="x")
+        assert x.type.dtype is dtypes.f64
+        assert b.param((4, 2), dtype=np.int32).type.dtype is dtypes.i32
+        function = b.ret(b.emit1("neg", [x]))
+        estimate = costmodel.estimate(
+            lower(function, ShardingEnv(Mesh({"batch": 2}))), TPU_V3)
+        assert estimate.peak_memory_bytes >= 2 * x.type.nbytes == 128
 
 
 class TestVerifier:

@@ -23,15 +23,17 @@ from repro.baselines.gspmd import _GspmdPropagator
 from repro.core.pipeline import stage_split
 from repro.core import propagate as propagate_mod
 from repro.core.propagate import Propagator, _function_index, propagate
+from repro.core import opclass as opclass_mod
+from repro.core import rules as rules_mod
 from repro.core.opclass import op_class, rule_for
 from repro.core.sharding import Event, Sharding, ShardingEnv
 from repro.ir import FunctionBuilder
 from repro.ir.tagpoints import tag_points
 from repro.ir.values import Value
 from repro.mesh import Mesh
+from repro.models import bottleneck, gns, transformer, unet
 from repro.models import pipeline as pm
 from repro.models import schedules as sched
-from repro.models import transformer
 
 from conftest import build_matmul_chain
 from oracle import FAMILIES, full_sweep
@@ -87,7 +89,7 @@ class TestSharedRules:
         first, _ = _two_dots(DOT)
         shared = rule_for(first)
         clone = pickle.loads(pickle.dumps(first))
-        assert not hasattr(clone, "_op_class")
+        assert clone._op_class is None
         assert rule_for(clone) is shared
         assert clone._op_class.rule is shared
 
@@ -107,6 +109,47 @@ class TestSharedRules:
                    tuple(len(v.type.shape) for v in op.operands),
                    tuple(len(v.type.shape) for v in op.results))
             assert by_key.setdefault(key, transfer) is transfer
+
+    def test_a_fresh_trace_builds_one_rule_per_new_class(self, monkeypatch):
+        """The rule is built when a class is first seen, not per op."""
+        builds = []
+        build_rule = rules_mod.build_rule
+        monkeypatch.setattr(rules_mod, "build_rule",
+                            lambda op: builds.append(op) or build_rule(op))
+        # An empty intern table: every class of the trace is new.
+        monkeypatch.setattr(opclass_mod, "_CLASSES", {})
+        ops = FAMILIES["transformer.tiny"].build().function.ops
+        classes = {op_class(op) for op in ops}
+        assert len(builds) == len(classes) < len(ops)
+
+    @pytest.mark.parametrize("family,count", [
+        ("t4.auto", 181), ("unet_tiny", 209), ("gns_tiny", 170),
+        ("pipe_tiny", 35), ("moe_tiny8", 63), ("bottleneck", 47),
+        ("gns.es", 173)])
+    def test_classes_per_family(self, family, count):
+        """The interned classes of each benchmark program's non-loop ops
+        (a loop op gets a class of its own)."""
+        function = CLASS_FAMILIES[family]().function
+        assert len({op_class(op) for op in function.walk()
+                    if not op.regions}) == count
+
+
+#: The benchmark programs whose class counts are pinned.
+CLASS_FAMILIES = {
+    "t4.auto": lambda: transformer.trace_training_step(transformer.t32(
+        num_layers=4, d_model=256, num_heads=4, d_head=64, ffw_dim=1024,
+        vocab=1024, seq_len=64, batch=16)),
+    "unet_tiny": lambda: unet.trace_training_step(unet.tiny()),
+    "gns_tiny": lambda: gns.trace_training_step(gns.tiny()),
+    "pipe_tiny": lambda: pm.trace_pipeline_transformer(pm.tiny()),
+    "moe_tiny8": lambda: pm.trace_pipeline_moe(
+        pm.tiny(batch=16, num_experts=8)),
+    "bottleneck": lambda: bottleneck.trace_training_step(
+        bottleneck.ensemble()),
+    "gns.es": lambda: gns.trace_training_step(gns.gns(
+        num_nodes=2048, num_edges=16384, feature_dim=64, latent_dim=512,
+        mlp_layers=5, message_steps=24, out_dim=64)),
+}
 
 
 def _derived_slots(fn):
