@@ -5,16 +5,17 @@ lowering plan built once per (class, adjacent sharding iids) and a
 pricing template once per plan-table key: :func:`op_class` is the one
 answer to "what is this op, structurally", an interned :class:`OpClass`
 keyed on the opcode, the rendered attrs without identity labels
-(:data:`COST_IRRELEVANT_ATTRS`), the operand and result types (interned,
-so they hash by identity) and the value pattern, so ``x * x`` and
-``x * y`` stay apart.  A rule builder that reads past attrs and types
-adds what it reads (:data:`repro.core.rules.RULE_CONTEXT`:
-``scatter_add``'s rule reads whether its operand is zeros).  The sharding
-rule is not in the key: it is a function of it, built once per class,
-when the class is first seen.  The class is cached on the op, dropped
-when the op is pickled and re-interned on first use.  Two identical
-layers share their matmuls' class, and their tags share one whatever
-their names (lowering emits each op's own):
+(:data:`COST_IRRELEVANT_ATTRS`) and the operand and result types
+(interned, so they hash by identity).  A rule builder that reads past
+attrs and types adds what it reads (:data:`repro.core.rules.RULE_CONTEXT`:
+``scatter_add``'s rule reads whether its operand is zeros).  The class
+holds the sharding rule and the rule's factor tables (the paper's TMR,
+Section 5.2) compiled for the op's types; neither is in the key, both
+are functions of it, built once per class, when the class is first
+seen.  The class is cached on the op, dropped when the op is pickled and
+re-interned on first use.  Two identical layers share their matmuls'
+class, and their tags share one whatever their names (lowering emits
+each op's own):
 
 >>> from repro import ShapeDtype, trace
 >>> from repro.trace import ops
@@ -28,12 +29,23 @@ their names (lowering emits each op's own):
 (True, True)
 >>> tag1.attrs, tag2.attrs
 ({'name': 'layer1'}, {'name': 'layer2'})
+
+Which adjacent positions hold the same value is a fact of the op's
+values, not of its class: ``x * x`` and ``x * y`` share one class, and so
+one lowering plan and one pricing template per adjacent shardings.
+Propagation, the one pass that reads the pattern, keeps it in its
+per-function index (:mod:`repro.core.propagate`):
+
+>>> square, product = trace(lambda x, y: (x * x, x * y), spec, spec,
+...                         tag_points=False).function.ops
+>>> op_class(square) is op_class(product)
+True
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core import rules as rules_mod
 from repro.core.sharding import Sharding
@@ -61,75 +73,47 @@ def structural_attrs(op: Operation) -> dict:
     return {key: v for key, v in op.attrs.items() if key not in drop}
 
 
-class _Transfer:
-    """What a propagation visit needs to know about a non-loop op besides
-    its values, shared per (rule, operand ranks, result ranks).  Adjacent
-    values are numbered operands first, then results: ``k`` below."""
+class OpClass:
+    """Everything a visit, a plan or a template reads about an op besides
+    its values, their shardings and the mesh.  One instance per key,
+    compared by identity.  Adjacent values are numbered operands first,
+    then results: ``k`` below."""
 
-    __slots__ = ("single_result", "num_operands", "defaults", "dim_factors",
-                 "factors")
+    __slots__ = ("rule", "shapes", "single_result", "num_operands",
+                 "defaults", "dim_factors", "factors")
 
-    def __init__(self, rule, operand_ranks: Tuple[int, ...],
-                 result_ranks: Tuple[int, ...]):
-        self.single_result = len(result_ranks) == 1
-        self.num_operands = n = len(operand_ranks)
+    def __init__(self, op: Operation):
+        #: The one shared :class:`OpShardingRule` for the op's factor
+        #: table, or None for a fully blocked op.
+        self.rule = rule = rules_mod.build_rule(op)
+        types = [value.type for value in (*op.operands, *op.results)]
+        #: ``shapes[k]``: the shape of adjacent value ``k``.
+        self.shapes = tuple([t.shape for t in types])
+        self.single_result = len(op.results) == 1
+        self.num_operands = n = len(op.operands)
         #: The replicated sharding an absent env entry stands for, per k.
-        self.defaults = tuple(Sharding.replicated(rank)
-                              for rank in operand_ranks + result_ranks)
+        self.defaults = tuple([Sharding.replicated(t.rank) for t in types])
         #: ``dim_factors[k][dim]`` -> factor id or None (None: no rule).
         self.dim_factors = None
         #: Per factor id: ``(((k, dim, is_operand), ...), reduce)``.
         self.factors = ()
         if rule is None:
             return
-        sides = [("in", i, rank) for i, rank in enumerate(operand_ranks)]
-        sides += [("out", r, rank) for r, rank in enumerate(result_ranks)]
+        sides = [("in", i) for i in range(n)]
+        sides += [("out", r) for r in range(len(op.results))]
         self.dim_factors = tuple(
             tuple(rule.by_position.get((side, index, dim))
-                  for dim in range(rank))
-            for side, index, rank in sides
-        )
+                  for dim in range(t.rank))
+            for (side, index), t in zip(sides, types))
         self.factors = tuple(
             (tuple((index if side == "in" else n + index, dim, side == "in")
                    for side, index, dim in factor.entries),
              factor.reduce)
-            for factor in rule.factors
-        )
-
-
-#: (rule, operand ranks, result ranks) -> the shared record.
-#: Process-local (records hold shardings): never pickled.
-_TRANSFERS: Dict[tuple, _Transfer] = {}
-
-
-class OpClass:
-    """Everything a visit, a plan or a template reads about an op besides
-    its adjacent shardings and the mesh.  One instance per key, compared
-    by identity."""
-
-    __slots__ = ("rule", "transfer", "shapes", "distinct", "aliases")
-
-    def __init__(self, rule, transfer: _Transfer, shapes: tuple,
-                 pattern: Optional[Tuple[int, ...]]):
-        #: The one shared :class:`OpShardingRule` for the op's factor
-        #: table, or None for a fully blocked op.
-        self.rule = rule
-        self.transfer = transfer
-        #: ``shapes[k]``: the shape of adjacent value ``k``.
-        self.shapes = shapes
-        #: No value sits at two adjacent positions (``pattern``, each
-        #: position's first position holding the same value, is None).
-        self.distinct = pattern is None
-        if pattern is None:
-            pattern = range(len(shapes))
-        #: ``aliases[k]``: the positions holding the same value as ``k``.
-        self.aliases = tuple(
-            tuple(j for j, first in enumerate(pattern) if first == pattern[k])
-            for k in range(len(shapes)))
+            for factor in rule.factors)
 
 
 #: The structural key (module docstring) -> the shared class.
-#: Process-local, like ``_TRANSFERS``: never pickled.
+#: Process-local (classes hold shardings): never pickled.
 _CLASSES: Dict[tuple, OpClass] = {}
 
 
@@ -139,14 +123,10 @@ def op_class(op: Operation) -> OpClass:
     would cost more than planning).  A constant past
     ``_KEYED_PAYLOAD_BYTES`` and a loop op (no key renders its regions)
     get a class of their own, not interned.  The sharding rule and the
-    transfer record are built only when a class is first seen."""
+    factor tables are built only when a class is first seen."""
     cls = op._op_class
     if cls is not None:
         return cls
-    operands, results = op.operands, op.results
-    values = (*operands, *results)
-    pattern = (None if len(set(values)) == len(values)
-               else tuple(map(values.index, values)))
     opcode = op.opcode
     if opcode == "constant":
         attrs = dict(op.attrs)
@@ -160,29 +140,18 @@ def op_class(op: Operation) -> OpClass:
     else:
         rendered = canonical_attr(structural_attrs(op))
     if rendered is None:
-        cls = _new_class(op, values, pattern)
+        cls = OpClass(op)
     else:
-        key = (opcode, rendered, tuple(map(_TYPE, operands)),
-               tuple(map(_TYPE, results)), pattern)
+        key = (opcode, rendered, tuple(map(_TYPE, op.operands)),
+               tuple(map(_TYPE, op.results)))
         context = rules_mod.RULE_CONTEXT.get(opcode)
         if context is not None:
             key += (context(op),)
         cls = _CLASSES.get(key)
         if cls is None:
-            cls = _CLASSES.setdefault(key, _new_class(op, values, pattern))
+            cls = _CLASSES.setdefault(key, OpClass(op))
     op._op_class = cls
     return cls
-
-
-def _new_class(op: Operation, values: tuple,
-               pattern: Optional[Tuple[int, ...]]) -> OpClass:
-    rule = rules_mod.build_rule(op)
-    shared = (rule, tuple([v.type.rank for v in op.operands]),
-              tuple([v.type.rank for v in op.results]))
-    transfer = (_TRANSFERS.get(shared)
-                or _TRANSFERS.setdefault(shared, _Transfer(*shared)))
-    return OpClass(rule, transfer,
-                   tuple([value.type.shape for value in values]), pattern)
 
 
 def rule_for(op: Operation) -> Optional[rules_mod.OpShardingRule]:

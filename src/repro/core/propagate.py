@@ -65,15 +65,18 @@ always re-enqueues.
 
 **One compiled kernel, one memo.**  Every visit runs the same per-op
 transfer function (:meth:`Propagator._decide`), compiled per function
-into shared records (each op's :class:`repro.core.opclass.OpClass`
-with its transfer record, and the :class:`_FunctionIndex`) so a visit
-indexes tuples and reads sharding attributes instead of calling into the
-rule registry.  A non-loop visit's outcome — the shardings it writes,
-the events it records and whether it settled, by adjacent position —
-depends only on the op's structural *class* (:func:`op_class`: opcode,
-attrs, types, rule and which adjacent positions hold the same value) and
-on the adjacent values' shardings.  So it is decided once per ``(class,
-adjacent shardings)`` and replayed afterwards
+into shared records (each op's :class:`repro.core.opclass.OpClass`,
+which holds the op's factor tables, and the :class:`_FunctionIndex`) so
+a visit indexes tuples and reads sharding attributes instead of calling
+into the rule registry.  A non-loop visit's outcome — the shardings it
+writes, the events it records and whether it settled, by adjacent
+position — depends only on the op's structural *class* (:func:`op_class`:
+opcode, attrs and types), on which adjacent positions hold the same
+value (the index's ``aliases``: ``x * x`` writes one value where ``x *
+y`` writes two) and on the adjacent values' shardings.  So it is
+decided once per ``(head, adjacent shardings)`` — the head is the class,
+or ``(class, aliases)`` for the few ops with a repeated value — and
+replayed afterwards
 (:meth:`Propagator._replay`, the one write path, which a fresh decision
 goes through too): identical ops in different layers, and the same op
 in different probes of the search's condenser, share one entry.  The
@@ -175,53 +178,60 @@ _REPORTS = frozenset({"conflict", "blocked"})
 
 
 class _FunctionIndex:
-    """Per-op classes (parallel to ``function.index.ops``, the
-    worklist's numbering), value->op adjacency and the visit memos for
-    one function: a view of it (:meth:`Function.derived`), so it is
-    rebuilt when the function grows and never pickled."""
+    """Per-op classes, value patterns and memo heads (parallel to
+    ``function.index.ops``, the worklist's numbering), value->op
+    adjacency and the visit memos for one function: a view of it
+    (:meth:`Function.derived`), so it is rebuilt when the function grows
+    and never pickled."""
 
-    __slots__ = ("ops", "values", "classes", "adjacency", "memos")
+    __slots__ = ("ops", "values", "classes", "aliases", "heads",
+                 "adjacency", "memos")
 
     def __init__(self, function: Function):
         self.ops: List[Operation] = function.index.ops
         #: Parallel to ``ops``: the adjacent values (operands, then
-        #: results) and the op's class (None for a loop op, which
-        #: ``_process_loop`` visits).
+        #: results); the op's class (None for a loop op, which
+        #: ``_process_loop`` visits); per adjacent position the positions
+        #: holding the same value (None when all values are distinct);
+        #: and the head of the op's memo keys, the class or ``(class,
+        #: aliases)`` for an op with a repeated value.
         self.values: List[Tuple[Value, ...]] = [
-            (*op.operands, *op.results) for op in self.ops
-        ]
+            (*op.operands, *op.results) for op in self.ops]
         self.classes: List[Optional[OpClass]] = [
             None if op.opcode in opdefs.LOOP_OPS else op_class(op)
-            for op in self.ops
-        ]
-        # adjacency[value] = sorted walk indices of ops whose transfer reads
-        # that value's sharding.
-        adjacency: Dict[Value, List[int]] = {}
-
-        def link(value: Value, index: int) -> None:
-            indices = adjacency.setdefault(value, [])
-            if not indices or indices[-1] != index:
-                indices.append(index)
-
-        for index, op in enumerate(self.ops):
-            for value in self.values[index]:
-                link(value, index)
-            if self.classes[index] is None:
+            for op in self.ops]
+        self.aliases: List[Optional[tuple]] = [None] * len(self.ops)
+        self.heads: list = list(self.classes)
+        #: ``adjacency[value]``: the ascending walk indices of the ops
+        #: whose transfer reads the value's sharding (lists: a tuple per
+        #: value would need one more pass over the table).
+        self.adjacency: Dict[Value, List[int]] = {}
+        adjacency, classes = self.adjacency, self.classes
+        get = adjacency.get
+        for index, values in enumerate(self.values):
+            cls = classes[index]
+            if cls is None:
                 # _process_loop also reads the body's params and results
                 # (and, for while_loop, the predicate's carry params).
+                op = self.ops[index]
                 body = op.regions[0]
-                for value in body.params:
-                    link(value, index)
-                for value in body.results:
-                    link(value, index)
+                values = (*values, *body.params, *body.results)
                 if op.opcode == "while_loop":
-                    for value in op.regions[1].params:
-                        link(value, index)
-        self.adjacency: Dict[Value, Tuple[int, ...]] = {
-            value: tuple(indices) for value, indices in adjacency.items()
-        }
-        #: ``(propagator class, mesh) -> {(op class, *adjacent
-        #: env entries): outcome}``.  The class is part of the scope
+                    values += tuple(op.regions[1].params)
+            for value in values:
+                indices = get(value)
+                if indices is None:
+                    adjacency[value] = [index]
+                elif indices[-1] != index:
+                    indices.append(index)
+                elif cls is not None:  # a value at two positions
+                    aliases = tuple(
+                        tuple(j for j, w in enumerate(values) if w is v)
+                        for v in values)
+                    self.aliases[index] = aliases
+                    self.heads[index] = (cls, aliases)
+        #: ``(propagator class, mesh) -> {(memo head, *adjacent env
+        #: entries): outcome}``.  The class is part of the scope
         #: because a subclass may change the conflict policy; the mesh
         #: because divisibility reads axis sizes (and axes are visited in
         #: mesh order).
@@ -241,9 +251,9 @@ class Propagator:
 
     A visit is decided (:meth:`_decide`) without touching the env or any
     rule object: it reads the adjacent values' shardings as attributes
-    (an absent env entry is the transfer record's replicated default),
-    finds the factor a tiled dim belongs to by indexing the record's
-    ``dim -> factor id`` tuples, and returns an :class:`_Outcome`.  The
+    (an absent env entry is the class's replicated default), finds the
+    factor a tiled dim belongs to by indexing the class's ``dim -> factor
+    id`` tuples, and returns an :class:`_Outcome`.  The
     outcome is then applied by :meth:`_replay`, the one write path.
     Events carry unformatted payloads (:class:`repro.core.sharding.Event`).
     """
@@ -280,6 +290,8 @@ class Propagator:
     def _fixed_point(self, seeds: Set[int], max_rounds: int) -> None:
         ops = self._index.ops
         classes = self._index.classes
+        aliases = self._index.aliases
+        heads = self._index.heads
         adjacent = self._index.values
         adjacency = self._index.adjacency
         memo = self._memo
@@ -305,8 +317,8 @@ class Propagator:
                 i = heappop(current)
                 in_current.discard(i)
                 stats.ops_processed += 1
-                cls = classes[i]
-                if cls is None:  # a loop op
+                head = heads[i]
+                if head is None:  # a loop op
                     before = env._write_serial
                     self._process_loop(ops[i])
                     if env._write_serial == before:
@@ -314,10 +326,11 @@ class Propagator:
                     own = -1
                 else:
                     values = adjacent[i]
-                    key = (cls, *map(get, values))
+                    key = (head, *map(get, values))
                     outcome = memo.get(key)
                     if outcome is None:
-                        outcome = memo[key] = decide(ops[i], cls, key)
+                        outcome = memo[key] = decide(ops[i], classes[i],
+                                                     aliases[i], key)
                     else:
                         stats.visits_replayed += 1
                     if outcome is _NOTHING:
@@ -388,10 +401,12 @@ class Propagator:
 
     # -- the per-op transfer function ------------------------------------------
 
-    def _decide(self, op: Operation, cls: OpClass, key: tuple) -> _Outcome:
+    def _decide(self, op: Operation, cls: OpClass,
+                aliases: Optional[tuple], key: tuple) -> _Outcome:
         """Match, extend and defer on every mesh axis, in mesh-axis order,
-        given the adjacent values' env entries ``key[1:]``; the env is
-        only read, through ``key``.
+        given the adjacent values' env entries ``key[1:]`` and which
+        positions hold the same value (``aliases``, as the index keeps
+        it); the env is only read, through ``key``.
 
         Which factors have evidence on an axis (a value tiled on one of
         the factor's positions) and which operands carry a pending sum
@@ -403,15 +418,14 @@ class Propagator:
         start = key[1:]
         if not any(start):  # (a Sharding is always truthy)
             return _NOTHING  # every neighbour replicated
-        transfer = cls.transfer
-        dim_factors = transfer.dim_factors
-        num_operands = transfer.num_operands
+        dim_factors = cls.dim_factors
+        num_operands = cls.num_operands
         shardings = list(start)
         evidence: Dict[str, Set[int]] = {}
         pending: Dict[str, List[int]] = {}
         for k, sharding in enumerate(start):
             if sharding is None:
-                shardings[k] = transfer.defaults[k]
+                shardings[k] = cls.defaults[k]
                 continue
             if not sharding.used:
                 continue
@@ -432,17 +446,17 @@ class Propagator:
             return _NOTHING
         starting = tuple(shardings)
         # Rule (b) of the settled rule; (c) and (d) clear it below.
-        self._settled = cls.distinct
+        self._settled = aliases is None
         self._events = events = []
         written: Dict[int, None] = {}  # first positions, first-write order
 
         def write(k: int, sharding: Sharding) -> None:
-            aliases = cls.aliases[k]
-            for j in aliases:
+            same = (k,) if aliases is None else aliases[k]
+            for j in same:
                 shardings[j] = sharding
-            written.setdefault(aliases[0])
+            written.setdefault(same[0])
 
-        defer = bool(pending) and transfer.single_result
+        defer = bool(pending) and cls.single_result
         for axis in self._axis_names:
             fids = evidence.get(axis)
             if fids is not None:
@@ -459,7 +473,7 @@ class Propagator:
     def _match_axis(self, op: Operation, cls: OpClass, axis: str,
                     evidence: Set[int], shardings: List[Sharding],
                     write) -> None:
-        factors = cls.transfer.factors
+        factors = cls.factors
         extendable = []
         for fid in evidence:
             if self._extendable(op, factors[fid], axis, cls.shapes,

@@ -231,8 +231,9 @@ rule("reduce_sum")(_reduce_rule)
 
 @rule("reduce_max")
 def _reduce_max_rule(op):
-    # Max over a tiled dim would need a max-all_reduce; supported as a
-    # reduce factor with kind recorded on the op during lowering.
+    # Max over a tiled dim needs a max all_reduce, but the reduce factor
+    # carries no kind: lowering materializes the pending sum with an
+    # all_reduce of kind "add" (wrong numbers; ROADMAP 17(1)(a)).
     return _reduce_rule(op)
 
 

@@ -19,8 +19,8 @@ class Function:
     ``name`` is conventionally ``"body"``.
 
     Everything derived from the structure -- :attr:`index`, propagation's
-    transfer records, the lowering-plan tables, a pipelined body's stage
-    split -- lives in one memo, :meth:`derived`, which never rides a
+    index and visit memos, the lowering-plan tables, a pipelined body's
+    stage split -- lives in one memo, :meth:`derived`, which never rides a
     pickle: a used function pickles to the bytes of a fresh one.
     """
 

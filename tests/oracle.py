@@ -454,14 +454,16 @@ class RevisitingSchedule:
         """Visit the op at walk index ``i``: a loop op through
         ``_process_loop``, any other by a fresh decision applied through
         the kernel's one write path."""
-        op = self._index.ops[i]
-        cls = self._index.classes[i]
-        if cls is None:
+        index = self._index
+        op = index.ops[i]
+        head = index.heads[i]
+        if head is None:
             self._process_loop(op)
             return
-        values = self._index.values[i]
-        key = (cls, *map(self.env._shardings.get, values))
-        self._replay(op, values, self._decide(op, cls, key))
+        values = index.values[i]
+        key = (head, *map(self.env._shardings.get, values))
+        self._replay(op, values, self._decide(
+            op, index.classes[i], index.aliases[i], key))
 
 
 def revisiting(propagator_class):

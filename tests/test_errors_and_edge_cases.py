@@ -174,6 +174,26 @@ class TestLoweringEdgeCases:
         np.testing.assert_allclose(actual, expected, atol=1e-5)
 
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 17(1)(a): a reduce_max over a tiled dim lowers to an "
+        "all_reduce of kind add, not max"))
+    def test_reduce_max_over_a_tiled_dim_is_a_max(self):
+        """``reduce_max`` over dim 0 of an ``(8, 4)`` value tiled on
+        ``a``: each device's partial maxima must be combined by a max."""
+        from repro.runtime import MeshExecutor
+
+        b = FunctionBuilder()
+        x = b.param((8, 4), name="x")
+        function = b.ret(b.emit1("reduce_max", [x], {"dims": (0,)}))
+        env = ShardingEnv(Mesh({"a": 2, "b": 2}))
+        tile(env, x, 0, "a")
+        propagate(function, env)
+        arg = np.random.default_rng(0).normal(size=(8, 4)).astype(
+            np.float32)
+        expected, = evaluate_function(function, [arg])
+        actual, = MeshExecutor(lower(function, env))(arg)
+        np.testing.assert_allclose(actual, expected, atol=1e-5)
+
 class TestModulePrinter:
     def test_scan_region_printed_nested(self):
         def loop(x):

@@ -19,8 +19,9 @@ two schedules each, this module checks that:
 
 It also pins what makes shared plans hard to corrupt (frozen plans; the
 table and op classes never ride a pickle), that L identical layers are
-planned once, that their tags share a plan yet keep their own names, and
-that a manual-only ``partir_jit`` imports nothing from ``repro.auto``.
+planned once, that their tags share a plan yet keep their own names, that
+``x * x`` shares ``x * y``'s class, plan and pricing template, and that a
+manual-only ``partir_jit`` imports nothing from ``repro.auto``.
 """
 
 import dataclasses
@@ -41,10 +42,13 @@ from repro.ir.values import canonical_attr
 from repro.mesh import Mesh
 from repro.models import transformer
 from repro.models import schedules as sched
+from repro.sim import TPU_V3, costmodel
 from repro.spmd.lower import Lowerer, lower, plan_table
 from repro.trace import ops
 
-from oracle import FAMILIES, IT32, MESH, PIPE_MESH, listing, traced
+from oracle import (FAMILIES, IT32, MESH, PIPE_MESH,
+                    assert_estimates_identical, listing,
+                    reference_estimate, traced)
 
 #: Same axis names, other sizes: a plan keyed on the names alone would
 #: carry the first mesh's local shapes and collective group sizes.
@@ -231,6 +235,35 @@ def test_identical_layers_tags_share_a_class_and_a_plan():
     emitted = [op for op in lowered.function.ops if op.opcode == "tag"]
     assert [op.attrs for op in emitted] == [tag.attrs for tag in tags] \
         == [{"name": "layer1"}, {"name": "layer2"}]
+    _forget_plans(function)
+    assert listing(lower(function, env).function) \
+        == listing(lowered.function)
+
+
+def test_a_repeated_operand_shares_the_class_plan_and_template():
+    """Which positions hold the same value is not structure: ``x * x``
+    beside ``x * y`` at one type, under equal adjacent shardings, share
+    one op class, one plan-table entry and one pricing template, and the
+    shared plan lowers and prices both as a cold lowering does."""
+    square = ShapeDtype((8, 8))
+    function = trace(lambda x, y: (x * x, x * y), square, square,
+                     tag_points=False).function
+    env = ShardingEnv(MESH)
+    for value in function.params:  # operands tiled on dim 0 ...
+        tile(env, value, 0, "batch")
+    for op in function.ops:  # ... results on dim 1: operands reconcile
+        tile(env, op.results[0], 1, "batch")
+    twice, once = function.ops
+    assert op_class(twice) is op_class(once)
+    lowered = lower(function, env)
+    (plan,) = plan_table(function, MESH).values()
+    fresh = Lowerer(env)
+    for op in (twice, once):
+        assert _rendered(fresh._build_op_plan(op)) == _rendered(plan)
+    estimator = costmodel.StreamingEstimator(function, MESH, TPU_V3)
+    assert_estimates_identical(estimator.estimate_incremental(env),
+                               reference_estimate(function, env, TPU_V3))
+    assert estimator.ops_planned == 1
     _forget_plans(function)
     assert listing(lower(function, env).function) \
         == listing(lowered.function)
