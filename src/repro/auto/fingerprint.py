@@ -325,15 +325,15 @@ def canonicalize(function: Function, mesh, device=None,
     position = {id(op): i for i, op in enumerate(canon.op_walk)}
     op_to_canon = tuple(position[id(op)] for op in function.index.ops)
 
-    def by_position(found) -> List[int]:
+    def in_walk_order(found) -> List[int]:
         return sorted(range(len(found)),
                       key=lambda i: position[id(found[i])])
 
     param_to_canon, canon_to_param = _permutation(canon.param_order)
     tag_to_canon, canon_to_tag = _permutation(
-        by_position([point.op for point in tag_points(function)]))
+        in_walk_order([point.op for point in tag_points(function)]))
     loop_to_canon, canon_to_loop = _permutation(
-        by_position(loop_ops(function)))
+        in_walk_order(loop_ops(function)))
     layout = hashlib.blake2b(repr((
         param_to_canon, tag_to_canon, loop_to_canon, op_to_canon,
     )).encode(), digest_size=16)

@@ -5,7 +5,7 @@ from repro.core.loopview import render_loop_view
 from repro.core.actions import atomic, find_tagged, first_divisible_dim, tile
 from repro.core.propagate import Propagator
 from repro.core.opclass import rule_for
-from repro.core.rules import Factor, OpShardingRule
+from repro.core.rules import OpShardingRule
 from repro.core.sharding import Event, PropagationStats, Sharding, ShardingEnv
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "first_divisible_dim",
     "tile",
     "Propagator",
-    "Factor",
     "OpShardingRule",
     "rule_for",
     "Event",

@@ -19,7 +19,6 @@ from repro.ir.function import Function
 from repro.ir.tagpoints import tag_points
 from repro.ir.values import Operation, Value
 from repro.core import pipeline as pipeline_mod
-from repro.core import rules as rules_mod
 from repro.core.opclass import rule_for
 from repro.core.sharding import Sharding, ShardingEnv
 from repro.mesh import Mesh
@@ -157,14 +156,11 @@ def tile_legal(env: ShardingEnv, value: Value, dim: int, axis: str) -> bool:
         dim, axis, value.type.shape[dim], env.mesh) is None
 
 
-def reduce_factors(op: Operation) -> List[rules_mod.Factor]:
-    """The contracting (reduce) factors of ``op``'s sharding rule, in rule
-    order — the targets of ``SUM_TAGGED`` actions (empty for ops without a
-    rule or without contracting dimensions)."""
-    rule = rule_for(op)
-    if rule is None:
-        return []
-    return [factor for factor in rule.factors if factor.reduce]
+def reduce_factors(op: Operation) -> List[tuple]:
+    """The contracting (reduce) factors of ``op``'s compiled rule, in rule
+    order — the targets of ``SUM_TAGGED`` actions (empty for ops without
+    contracting dimensions)."""
+    return [factor for factor in rule_for(op).factors if factor[1]]
 
 
 def sum_target(function: Function, tag: int, factor: int):
@@ -195,8 +191,8 @@ def sum_tagged_legal(env: ShardingEnv, op: Operation, factor,
     carry the axis on both dims.
     """
     required_dims: Dict[Value, int] = {}
-    for _, i, dim in factor.entries:
-        value = op.operands[i]
+    for k, dim, _ in factor[0]:
+        value = op.operands[k]
         seen = required_dims.get(value)
         if seen is not None:
             if seen != dim:
@@ -217,8 +213,8 @@ def apply_sum_tagged(env: ShardingEnv, op: Operation, factor,
     per-write re-read guard, so duplicate positions over one value are
     idempotent), so the subsequent propagation fixed point is the one the
     factor rules imply."""
-    for _, i, dim in factor.entries:
-        value = op.operands[i]
+    for k, dim, _ in factor[0]:
+        value = op.operands[k]
         sharding = env.sharding(value)
         if axis in sharding.dim_axes[dim] or axis in sharding.sum_axes:
             continue

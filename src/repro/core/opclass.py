@@ -9,11 +9,13 @@ keyed on the opcode, the rendered attrs without identity labels
 (interned, so they hash by identity).  A rule builder that reads past
 attrs and types adds what it reads (:data:`repro.core.rules.RULE_CONTEXT`:
 ``scatter_add``'s rule reads whether its operand is zeros).  The class
-holds the sharding rule and the rule's factor tables (the paper's TMR,
-Section 5.2) compiled for the op's types; neither is in the key, both
-are functions of it, built once per class, when the class is first
-seen.  The class is cached on the op, dropped when the op is pickled and
-re-interned on first use.  Two identical layers share their matmuls'
+holds the op's adjacent shapes and its sharding rule: the compiled
+factor table (the paper's TMR, Section 5.2), which
+:mod:`repro.core.rules` shares among every class with the same factors,
+adjacent ranks and arity.  The rule is not in the key but a function of
+it, looked up once per class, when the class is first seen.  The class
+is cached on the op, dropped when the op is pickled and re-interned on
+first use.  Two identical layers share their matmuls'
 class, and their tags share one whatever their names (lowering emits
 each op's own):
 
@@ -45,10 +47,9 @@ True
 from __future__ import annotations
 
 import operator
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core import rules as rules_mod
-from repro.core.sharding import Sharding
 from repro.ir.values import Operation, canonical_attr
 
 #: Identity labels per opcode, stripped before an op is classed or
@@ -79,37 +80,15 @@ class OpClass:
     compared by identity.  Adjacent values are numbered operands first,
     then results: ``k`` below."""
 
-    __slots__ = ("rule", "shapes", "single_result", "num_operands",
-                 "defaults", "dim_factors", "factors")
+    __slots__ = ("rule", "shapes")
 
     def __init__(self, op: Operation):
-        #: The one shared :class:`OpShardingRule` for the op's factor
-        #: table, or None for a fully blocked op.
-        self.rule = rule = rules_mod.build_rule(op)
-        types = [value.type for value in (*op.operands, *op.results)]
+        #: The op's compiled factor table, shared by every class with the
+        #: same factors, ranks and arity (:mod:`repro.core.rules`).
+        self.rule = rules_mod.build_rule(op)
         #: ``shapes[k]``: the shape of adjacent value ``k``.
-        self.shapes = tuple([t.shape for t in types])
-        self.single_result = len(op.results) == 1
-        self.num_operands = n = len(op.operands)
-        #: The replicated sharding an absent env entry stands for, per k.
-        self.defaults = tuple([Sharding.replicated(t.rank) for t in types])
-        #: ``dim_factors[k][dim]`` -> factor id or None (None: no rule).
-        self.dim_factors = None
-        #: Per factor id: ``(((k, dim, is_operand), ...), reduce)``.
-        self.factors = ()
-        if rule is None:
-            return
-        sides = [("in", i) for i in range(n)]
-        sides += [("out", r) for r in range(len(op.results))]
-        self.dim_factors = tuple(
-            tuple(rule.by_position.get((side, index, dim))
-                  for dim in range(t.rank))
-            for (side, index), t in zip(sides, types))
-        self.factors = tuple(
-            (tuple((index if side == "in" else n + index, dim, side == "in")
-                   for side, index, dim in factor.entries),
-             factor.reduce)
-            for factor in rule.factors)
+        self.shapes = tuple([value.type.shape
+                             for value in (*op.operands, *op.results)])
 
 
 #: The structural key (module docstring) -> the shared class.
@@ -122,8 +101,8 @@ def op_class(op: Operation) -> OpClass:
     enters the key by its bytes (traced constants are scalars; hashing
     would cost more than planning).  A constant past
     ``_KEYED_PAYLOAD_BYTES`` and a loop op (no key renders its regions)
-    get a class of their own, not interned.  The sharding rule and the
-    factor tables are built only when a class is first seen."""
+    get a class of their own, not interned.  The sharding rule is looked
+    up only when a class is first seen."""
     cls = op._op_class
     if cls is not None:
         return cls
@@ -154,7 +133,6 @@ def op_class(op: Operation) -> OpClass:
     return cls
 
 
-def rule_for(op: Operation) -> Optional[rules_mod.OpShardingRule]:
-    """``op``'s sharding rule (None if fully blocked): the one shared
-    :class:`OpShardingRule` for its factor table, held by its class."""
+def rule_for(op: Operation) -> rules_mod.OpShardingRule:
+    """``op``'s compiled factor table, held by its class."""
     return op_class(op).rule

@@ -64,13 +64,14 @@ the schedule against ``tests/oracle.py::RevisitingPropagator``, which
 always re-enqueues.
 
 **One compiled kernel, one memo.**  Every visit runs the same per-op
-transfer function (:meth:`Propagator._decide`), compiled per function
-into shared records (each op's :class:`repro.core.opclass.OpClass`,
-which holds the op's factor tables, and the :class:`_FunctionIndex`) so
-a visit indexes tuples and reads sharding attributes instead of calling
-into the rule registry.  A non-loop visit's outcome — the shardings it
-writes, the events it records and whether it settled, by adjacent
-position — depends only on the op's structural *class* (:func:`op_class`:
+transfer function (:meth:`Propagator._decide`) over shared records: each
+op's :class:`repro.core.opclass.OpClass`, whose rule is the op's
+compiled factor table (an empty one for a fully blocked op), and the
+function's :class:`_FunctionIndex`.  So a visit indexes tuples and reads
+sharding attributes instead of calling into the rule registry.  A
+non-loop visit's outcome — the shardings it writes, the events it
+records and whether it settled, by adjacent position — depends only on
+the op's structural *class* (:func:`op_class`:
 opcode, attrs and types), on which adjacent positions hold the same
 value (the index's ``aliases``: ``x * x`` writes one value where ``x *
 y`` writes two) and on the adjacent values' shardings.  So it is
@@ -251,8 +252,8 @@ class Propagator:
 
     A visit is decided (:meth:`_decide`) without touching the env or any
     rule object: it reads the adjacent values' shardings as attributes
-    (an absent env entry is the class's replicated default), finds the
-    factor a tiled dim belongs to by indexing the class's ``dim -> factor
+    (an absent env entry is the rule's replicated default), finds the
+    factor a tiled dim belongs to by indexing the rule's ``dim -> factor
     id`` tuples, and returns an :class:`_Outcome`.  The
     outcome is then applied by :meth:`_replay`, the one write path.
     Events carry unformatted payloads (:class:`repro.core.sharding.Event`).
@@ -418,27 +419,27 @@ class Propagator:
         start = key[1:]
         if not any(start):  # (a Sharding is always truthy)
             return _NOTHING  # every neighbour replicated
-        dim_factors = cls.dim_factors
-        num_operands = cls.num_operands
+        rule = cls.rule
+        dim_factors = rule.dim_factors
+        num_operands = rule.num_operands
         shardings = list(start)
         evidence: Dict[str, Set[int]] = {}
         pending: Dict[str, List[int]] = {}
         for k, sharding in enumerate(start):
             if sharding is None:
-                shardings[k] = cls.defaults[k]
+                shardings[k] = rule.defaults[k]
                 continue
             if not sharding.used:
                 continue
-            if dim_factors is not None:
-                row = dim_factors[k]
-                for axis, dim in sharding.tile_dims.items():
-                    fid = row[dim]
-                    if fid is not None:
-                        fids = evidence.get(axis)
-                        if fids is None:
-                            evidence[axis] = {fid}
-                        else:
-                            fids.add(fid)
+            row = dim_factors[k]
+            for axis, dim in sharding.tile_dims.items():
+                fid = row[dim]
+                if fid is not None:
+                    fids = evidence.get(axis)
+                    if fids is None:
+                        evidence[axis] = {fid}
+                    else:
+                        fids.add(fid)
             if k < num_operands and sharding.sum_axes:
                 for axis in sharding.sum_axes:
                     pending.setdefault(axis, []).append(k)
@@ -456,7 +457,7 @@ class Propagator:
                 shardings[j] = sharding
             written.setdefault(same[0])
 
-        defer = bool(pending) and cls.single_result
+        defer = bool(pending) and rule.single_result
         for axis in self._axis_names:
             fids = evidence.get(axis)
             if fids is not None:
@@ -473,7 +474,7 @@ class Propagator:
     def _match_axis(self, op: Operation, cls: OpClass, axis: str,
                     evidence: Set[int], shardings: List[Sharding],
                     write) -> None:
-        factors = cls.factors
+        factors = cls.rule.factors
         extendable = []
         for fid in evidence:
             if self._extendable(op, factors[fid], axis, cls.shapes,

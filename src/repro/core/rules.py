@@ -13,56 +13,96 @@ not covered by any factor are *blocked* (e.g. conv spatial dims, the iota
 dimension): propagation never tiles them, and a value arriving sharded on a
 blocked dimension is gathered at the use site during lowering — the same
 behaviour the paper describes for reshape/spatial limitations (Section 8).
+
+Every op has a rule.  An op that no builder covers and that is not
+elementwise (a loop op, a collective lowering emits) is fully blocked: it
+gets the empty table for its ranks.  :func:`build_rule` compiles a table
+once per (factors, adjacent ranks, arity), and every op class with that
+key shares it; propagation, lowering and the ``SUM_TAGGED`` actions read
+only the compiled form.  It numbers an op's adjacent values operands
+first, then results (``k``).  A matmul has one contracting factor, and
+``dim_factors[k][dim]`` names the factor of each position:
+
+>>> from repro import ShapeDtype, trace
+>>> from repro.core.opclass import rule_for
+>>> (dot,) = trace(lambda x, w: x @ w, ShapeDtype((8, 4)), ShapeDtype((4, 2)),
+...                tag_points=False).function.ops
+>>> rule = rule_for(dot)
+>>> [(entries, reduce) for entries, reduce in rule.factors if reduce]
+[(((0, 1, True), (1, 0, True)), True)]
+>>> rule.dim_factors
+((0, 2), (2, 1), (0, 1))
+
+Elementwise ops of one arity and rank share one rule, whatever their
+opcode and shapes:
+
+>>> add, mul = trace(lambda a, b, c, d: (a + b, c * d),
+...                  ShapeDtype((4, 8)), ShapeDtype((4, 8)),
+...                  ShapeDtype((8, 8)), ShapeDtype((8, 8)),
+...                  tag_points=False).function.ops
+>>> rule_for(add) is rule_for(mul)
+True
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
+from repro.core.sharding import Sharding
 from repro.ir import opdefs
 from repro.ir.ops_linalg import dot_general_dims
 from repro.ir.values import Operation
 
-# A position is (side, index, dim) with side "in" or "out".
+# A builder's position is (side, index, dim) with side "in" or "out".
 Position = Tuple[str, int, int]
 
 
 @dataclasses.dataclass(frozen=True)
 class Factor:
+    """A factor as builders write it; :class:`OpShardingRule` compiles it."""
+
     entries: Tuple[Position, ...]
     reduce: bool = False  # contracting factor: tiling it makes results pending
 
-    def in_entries(self):
-        return [e for e in self.entries if e[0] == "in"]
 
-
-@dataclasses.dataclass(eq=False)
 class OpShardingRule:
-    """One factor table.  :func:`build_rule` hands out a single shared
-    instance per distinct table, so rules compare and hash by identity
-    and must never be mutated."""
+    """One compiled factor table.  :func:`build_rule` hands out a single
+    shared instance per (factors, adjacent ranks, arity), so rules compare
+    and hash by identity and must never be mutated."""
 
-    factors: Tuple[Factor, ...]
+    __slots__ = ("factors", "dim_factors", "defaults", "num_operands",
+                 "single_result")
 
-    def __post_init__(self):
-        self.factors = tuple(self.factors)
-        self.by_position: Dict[Position, int] = {}
-        for fid, factor in enumerate(self.factors):
-            for pos in factor.entries:
-                if pos in self.by_position:
-                    raise ValueError(f"position {pos} in two factors")
-                self.by_position[pos] = fid
+    def __init__(self, factors: Sequence[Factor], ranks: Tuple[int, ...],
+                 num_operands: int):
+        dim_factors = [[None] * rank for rank in ranks]
+        compiled = []
+        for fid, factor in enumerate(factors):
+            entries = []
+            for side, index, dim in factor.entries:
+                k = index if side == "in" else num_operands + index
+                if dim_factors[k][dim] is not None:
+                    raise ValueError(
+                        f"position {(side, index, dim)} in two factors")
+                dim_factors[k][dim] = fid
+                entries.append((k, dim, side == "in"))
+            compiled.append((tuple(entries), factor.reduce))
+        #: Per factor id: ``(((k, dim, is_operand), ...), reduce)``.
+        self.factors = tuple(compiled)
+        #: ``dim_factors[k][dim]`` -> factor id, or None for a blocked dim.
+        self.dim_factors = tuple(map(tuple, dim_factors))
+        #: The replicated sharding an absent env entry stands for, per k.
+        self.defaults = tuple([Sharding.replicated(rank) for rank in ranks])
+        self.num_operands = num_operands
+        self.single_result = len(ranks) == num_operands + 1
 
-    def factor_of(self, side: str, index: int, dim: int) -> Optional[int]:
-        return self.by_position.get((side, index, dim))
 
-
-RuleBuilder = Callable[[Operation], Optional[OpShardingRule]]
+RuleBuilder = Callable[[Operation], Sequence[Factor]]
 _BUILDERS: Dict[str, RuleBuilder] = {}
-#: One shared rule per distinct factor table, process-wide: a model has
-#: thousands of ops and a few dozen tables.
-_SHARED: Dict[Tuple[Factor, ...], OpShardingRule] = {}
+#: One shared rule per (factors, adjacent ranks, arity), process-wide: a
+#: model has thousands of ops and about a hundred tables.
+_SHARED: Dict[tuple, OpShardingRule] = {}
 #: Per opcode whose builder reads past the op's attrs and operand and
 #: result types: a hashable rendering of what else it reads.  It enters
 #: the op's class key (``repro.core.opclass``), so a rule is built once
@@ -78,32 +118,33 @@ def rule(opcode: str):
     return register
 
 
-def build_rule(op: Operation) -> Optional[OpShardingRule]:
-    """The sharding rule for an op, or None if the op is fully blocked:
-    the one shared :class:`OpShardingRule` for its factor table, built
-    afresh.  ``repro.core.opclass`` calls it once per class, and callers
-    read it through ``repro.core.opclass.rule_for``."""
+def build_rule(op: Operation) -> OpShardingRule:
+    """The op's compiled rule: the one shared :class:`OpShardingRule` for
+    its factors, adjacent ranks and arity, compiled when that key is first
+    seen (the empty table for a fully blocked op).  ``repro.core.opclass``
+    calls it once per class, and callers read it through
+    ``repro.core.opclass.rule_for``."""
     builder = _BUILDERS.get(op.opcode)
     if builder is not None:
-        rule = builder(op)
+        factors = tuple(builder(op))
+    elif opdefs.get(op.opcode).elementwise:
+        factors = tuple(_elementwise_rule(op))
     else:
-        opdef = opdefs.get(op.opcode)
-        rule = _elementwise_rule(op) if opdef.elementwise else None
-    if rule is not None:
-        rule = _SHARED.setdefault(rule.factors, rule)
-    return rule
+        factors = ()
+    key = (factors, tuple([value.type.rank
+                           for value in (*op.operands, *op.results)]),
+           len(op.operands))
+    shared = _SHARED.get(key)
+    if shared is None:
+        shared = _SHARED.setdefault(key, OpShardingRule(*key))
+    return shared
 
 
-def _elementwise_rule(op: Operation) -> OpShardingRule:
+def _elementwise_rule(op: Operation) -> Sequence[Factor]:
     rank = len(op.result.type.shape)
     n = len(op.operands)
-    factors = [
-        Factor(
-            tuple(("in", i, d) for i in range(n)) + (("out", 0, d),)
-        )
-        for d in range(rank)
-    ]
-    return OpShardingRule(factors)
+    return [Factor(tuple(("in", i, d) for i in range(n)) + (("out", 0, d),))
+            for d in range(rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +162,6 @@ def _dot_general_rule(op):
     for dl, dr in zip(lb, rb):
         factors.append(Factor((("in", 0, dl), ("in", 1, dr), ("out", 0, out))))
         out += 1
-    lf_out = out
     for d in lf:
         factors.append(Factor((("in", 0, d), ("out", 0, out))))
         out += 1
@@ -130,7 +170,7 @@ def _dot_general_rule(op):
         out += 1
     for dl, dr in zip(lc, rc):
         factors.append(Factor((("in", 0, dl), ("in", 1, dr)), reduce=True))
-    return OpShardingRule(factors)
+    return factors
 
 
 @rule("tag")
@@ -144,19 +184,16 @@ def _tag_rule(op):
     anchors of the widened action space, and their transparency is a
     documented contract rather than an elementwise coincidence.)"""
     rank = len(op.result.type.shape)
-    return OpShardingRule([
-        Factor((("in", 0, d), ("out", 0, d))) for d in range(rank)
-    ])
+    return [Factor((("in", 0, d), ("out", 0, d))) for d in range(rank)]
 
 
 @rule("transpose")
 def _transpose_rule(op):
     perm = tuple(op.attrs["permutation"])
-    factors = [
+    return [
         Factor((("in", 0, operand_dim), ("out", 0, out_dim)))
         for out_dim, operand_dim in enumerate(perm)
     ]
-    return OpShardingRule(factors)
 
 
 @rule("reshape")
@@ -173,12 +210,12 @@ def _reshape_rule(op):
         while in_prod != out_prod:
             if in_prod < out_prod:
                 if i_end >= len(in_shape):
-                    return OpShardingRule(factors)
+                    return factors
                 in_prod *= in_shape[i_end]
                 i_end += 1
             else:
                 if j_end >= len(out_shape):
-                    return OpShardingRule(factors)
+                    return factors
                 out_prod *= out_shape[j_end]
                 j_end += 1
         # Group [i, i_end) <-> [j, j_end): tie the first *non-degenerate*
@@ -189,7 +226,7 @@ def _reshape_rule(op):
         if i0 is not None and j0 is not None:
             factors.append(Factor((("in", 0, i0), ("out", 0, j0))))
         i, j = i_end, j_end
-    return OpShardingRule(factors)
+    return factors
 
 
 @rule("broadcast_in_dim")
@@ -209,7 +246,7 @@ def _broadcast_rule(op):
     for out_dim in range(len(out_shape)):
         if out_dim not in covered:
             factors.append(Factor((("out", 0, out_dim),)))
-    return OpShardingRule(factors)
+    return factors
 
 
 def _reduce_rule(op):
@@ -223,7 +260,7 @@ def _reduce_rule(op):
         else:
             factors.append(Factor((("in", 0, d), ("out", 0, out))))
             out += 1
-    return OpShardingRule(factors)
+    return factors
 
 
 rule("reduce_sum")(_reduce_rule)
@@ -242,14 +279,8 @@ def _concatenate_rule(op):
     dim = op.attrs["dim"]
     rank = len(op.result.type.shape)
     n = len(op.operands)
-    factors = []
-    for d in range(rank):
-        if d == dim:
-            continue  # blocked
-        factors.append(
-            Factor(tuple(("in", i, d) for i in range(n)) + (("out", 0, d),))
-        )
-    return OpShardingRule(factors)
+    return [Factor(tuple(("in", i, d) for i in range(n)) + (("out", 0, d),))
+            for d in range(rank) if d != dim]  # the joined dim is blocked
 
 
 @rule("slice")
@@ -258,42 +289,30 @@ def _slice_rule(op):
     limits = tuple(op.attrs["limits"])
     strides = tuple(op.attrs.get("strides") or (1,) * len(starts))
     in_shape = op.operands[0].type.shape
-    factors = []
-    for d in range(len(in_shape)):
-        untouched = (
-            starts[d] == 0 and limits[d] == in_shape[d] and strides[d] == 1
-        )
-        if untouched:
-            factors.append(Factor((("in", 0, d), ("out", 0, d))))
-    return OpShardingRule(factors)
+    return [Factor((("in", 0, d), ("out", 0, d)))  # untouched dims only
+            for d in range(len(in_shape))
+            if starts[d] == 0 and limits[d] == in_shape[d] and strides[d] == 1]
 
 
 @rule("pad")
 def _pad_rule(op):
     low = tuple(op.attrs["low"])
     high = tuple(op.attrs["high"])
-    factors = []
-    for d in range(len(low)):
-        if low[d] == 0 and high[d] == 0:
-            factors.append(Factor((("in", 0, d), ("out", 0, d))))
-    return OpShardingRule(factors)
+    return [Factor((("in", 0, d), ("out", 0, d)))
+            for d in range(len(low)) if low[d] == 0 and high[d] == 0]
 
 
 @rule("constant")
 def _constant_rule(op):
     rank = len(op.result.type.shape)
-    return OpShardingRule(
-        [Factor((("out", 0, d),)) for d in range(rank)]
-    )
+    return [Factor((("out", 0, d),)) for d in range(rank)]
 
 
 @rule("iota")
 def _iota_rule(op):
     rank = len(op.result.type.shape)
     iota_dim = op.attrs["dim"]
-    return OpShardingRule(
-        [Factor((("out", 0, d),)) for d in range(rank) if d != iota_dim]
-    )
+    return [Factor((("out", 0, d),)) for d in range(rank) if d != iota_dim]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +334,7 @@ def _take_rule(op):
         factors.append(
             Factor((("in", 0, 1 + t), ("out", 0, n_index_dims + t)))
         )
-    return OpShardingRule(factors)
+    return factors
 
 
 def _is_zeros(value) -> bool:
@@ -352,7 +371,7 @@ def _scatter_add_rule(op):
     # full result. This is exactly the GNS edge-sharding entry.
     if _is_zeros(operand):
         factors.append(Factor((("in", 1, 0), ("in", 2, 0)), reduce=True))
-    return OpShardingRule(factors)
+    return factors
 
 
 RULE_CONTEXT["scatter_add"] = lambda op: _is_zeros(op.operands[0])
@@ -366,24 +385,16 @@ RULE_CONTEXT["scatter_add"] = lambda op: _is_zeros(op.operands[0])
 def _dynamic_slice_rule(op):
     dim = op.attrs["dim"]
     rank = len(op.operands[0].type.shape)
-    factors = [
-        Factor((("in", 0, d), ("out", 0, d)))
-        for d in range(rank)
-        if d != dim
-    ]
-    return OpShardingRule(factors)
+    return [Factor((("in", 0, d), ("out", 0, d)))
+            for d in range(rank) if d != dim]
 
 
 @rule("dynamic_update_slice_in_dim")
 def _dynamic_update_slice_rule(op):
     dim = op.attrs["dim"]
     rank = len(op.operands[0].type.shape)
-    factors = [
-        Factor((("in", 0, d), ("in", 1, d), ("out", 0, d)))
-        for d in range(rank)
-        if d != dim
-    ]
-    return OpShardingRule(factors)
+    return [Factor((("in", 0, d), ("in", 1, d), ("out", 0, d)))
+            for d in range(rank) if d != dim]
 
 
 # ---------------------------------------------------------------------------
@@ -392,44 +403,36 @@ def _dynamic_update_slice_rule(op):
 
 @rule("conv2d")
 def _conv2d_rule(op):
-    return OpShardingRule(
-        [
-            Factor((("in", 0, 0), ("out", 0, 0))),  # batch
-            Factor((("in", 1, 0), ("out", 0, 1))),  # out channels
-            Factor((("in", 0, 1), ("in", 1, 1)), reduce=True),  # in channels
-        ]
-    )
+    return [
+        Factor((("in", 0, 0), ("out", 0, 0))),  # batch
+        Factor((("in", 1, 0), ("out", 0, 1))),  # out channels
+        Factor((("in", 0, 1), ("in", 1, 1)), reduce=True),  # in channels
+    ]
 
 
 @rule("conv2d_input_grad")
 def _conv2d_input_grad_rule(op):
-    return OpShardingRule(
-        [
-            Factor((("in", 0, 0), ("out", 0, 0))),  # batch
-            Factor((("in", 1, 1), ("out", 0, 1))),  # in channels
-            Factor((("in", 0, 1), ("in", 1, 0)), reduce=True),  # out channels
-        ]
-    )
+    return [
+        Factor((("in", 0, 0), ("out", 0, 0))),  # batch
+        Factor((("in", 1, 1), ("out", 0, 1))),  # in channels
+        Factor((("in", 0, 1), ("in", 1, 0)), reduce=True),  # out channels
+    ]
 
 
 @rule("conv2d_kernel_grad")
 def _conv2d_kernel_grad_rule(op):
-    return OpShardingRule(
-        [
-            Factor((("in", 1, 1), ("out", 0, 0))),  # out channels
-            Factor((("in", 0, 1), ("out", 0, 1))),  # in channels
-            Factor((("in", 0, 0), ("in", 1, 0)), reduce=True),  # batch
-        ]
-    )
+    return [
+        Factor((("in", 1, 1), ("out", 0, 0))),  # out channels
+        Factor((("in", 0, 1), ("out", 0, 1))),  # in channels
+        Factor((("in", 0, 0), ("in", 1, 0)), reduce=True),  # batch
+    ]
 
 
 def _resample_rule(op):
-    return OpShardingRule(
-        [
-            Factor((("in", 0, 0), ("out", 0, 0))),
-            Factor((("in", 0, 1), ("out", 0, 1))),
-        ]
-    )
+    return [
+        Factor((("in", 0, 0), ("out", 0, 0))),
+        Factor((("in", 0, 1), ("out", 0, 1))),
+    ]
 
 
 rule("upsample2d")(_resample_rule)

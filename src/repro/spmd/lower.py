@@ -502,7 +502,10 @@ class Lowerer:
         attrs, and infer the op's local result types from the reconciled
         operand types, raising :class:`LoweringError` when one disagrees
         with the shape its result layout implies."""
-        rule = None if op.opcode == "constant" else rule_for(op)
+        rule = rule_for(op)
+        # A constant's payload is global: it is computed whole and then
+        # sliced, so no factor explains a constant's result tiling.
+        explains = op.opcode != "constant"
 
         n_in = len(op.operands)
         operand_shardings = tuple(
@@ -538,10 +541,10 @@ class Lowerer:
             result_sharding = self.env.sharding(result)
             for d, axes in enumerate(result_sharding.dim_axes):
                 for axis in axes:
-                    fid = rule.factor_of("out", r, d) if rule else None
+                    fid = rule.dim_factors[n_in + r][d] if explains else None
                     entries = [] if fid is None else [
-                        (i, dd) for side, i, dd in rule.factors[fid].entries
-                        if side == "in"
+                        (i, dd) for i, dd, is_operand in rule.factors[fid][0]
+                        if is_operand
                     ]
                     # An operand dim the accumulated axes do not divide
                     # (reshape (2,2)->(4,) tiled 4-way) cannot carry the
@@ -569,19 +572,17 @@ class Lowerer:
                         allowed_pending[i].add(axis)
                     continue
                 applied = False
-                if rule is not None:
-                    for factor in rule.factors:
-                        if not factor.reduce:
-                            continue
-                        entries = factor.in_entries()
-                        if all(
-                            operand_shardings[i].tile_dim_of(axis) == dd
-                            for _, i, dd in entries
-                        ):
-                            for _, i, dd in entries:
-                                require(i, dd, axis, operand_shardings[i], dd)
-                            applied = True
-                            break
+                for entries, reduce in rule.factors:
+                    if not reduce:
+                        continue
+                    operand_dims = [(i, dd) for i, dd, is_operand in entries
+                                    if is_operand]
+                    if all(operand_shardings[i].tile_dim_of(axis) == dd
+                           for i, dd in operand_dims):
+                        for i, dd in operand_dims:
+                            require(i, dd, axis, operand_shardings[i], dd)
+                        applied = True
+                        break
                 if not applied and pending_idx:
                     # Fall back to passing partials through (still linear in
                     # the pending operand by propagation's construction).

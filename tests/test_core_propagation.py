@@ -56,12 +56,13 @@ class TestFactorRules:
         function, (_, _, _, x1, _) = matmul_chain
         op = function.ops[0]
         rule = rule_for(op)
+        lhs, _, out = rule.dim_factors
         # batch-free matmul: lhs free, rhs free, one contracting factor.
         assert len(rule.factors) == 3
-        reduce_factors = [f for f in rule.factors if f.reduce]
+        reduce_factors = [f for f in rule.factors if f[1]]
         assert len(reduce_factors) == 1
-        assert rule.factor_of("in", 0, 0) is not None
-        assert rule.factor_of("out", 0, 0) == rule.factor_of("in", 0, 0)
+        assert lhs[0] is not None
+        assert out[0] == lhs[0]
 
     def test_elementwise_autogenerated(self):
         b = FunctionBuilder()
@@ -70,32 +71,32 @@ class TestFactorRules:
         op = b.emit("add", [x, y])
         rule = rule_for(op)
         assert len(rule.factors) == 2
-        assert all(len(f.entries) == 3 for f in rule.factors)
+        assert all(len(entries) == 3 for entries, _ in rule.factors)
 
     def test_reshape_merge_ties_leading_dim(self):
         b = FunctionBuilder()
         x = b.param((4, 6))
         op = b.emit("reshape", [x], {"new_shape": (24,)})
-        rule = rule_for(op)
-        assert rule.factor_of("in", 0, 0) == rule.factor_of("out", 0, 0)
-        assert rule.factor_of("in", 0, 1) is None  # inner dim blocked
+        operand, result = rule_for(op).dim_factors
+        assert operand[0] == result[0]
+        assert operand[1] is None  # inner dim blocked
 
     def test_reshape_squeeze_skips_degenerate(self):
         b = FunctionBuilder()
         x = b.param((2, 1, 8, 4))
         op = b.emit("reshape", [x], {"new_shape": (2, 8, 4)})
-        rule = rule_for(op)
-        assert rule.factor_of("in", 0, 2) == rule.factor_of("out", 0, 1)
+        operand, result = rule_for(op).dim_factors
+        assert operand[2] == result[1]
 
     def test_conv_spatial_dims_blocked(self):
         b = FunctionBuilder()
         x = b.param((2, 3, 8, 8))
         k = b.param((4, 3, 3, 3))
         op = b.emit("conv2d", [x, k], {"stride": 1, "pad": 1})
-        rule = rule_for(op)
-        assert rule.factor_of("in", 0, 2) is None
-        assert rule.factor_of("in", 0, 3) is None
-        assert rule.factor_of("out", 0, 1) is not None  # out channels
+        image, _, result = rule_for(op).dim_factors
+        assert image[2] is None
+        assert image[3] is None
+        assert result[1] is not None  # out channels
 
     def test_scatter_add_edge_factor_requires_zeros(self):
         from repro.ir import dtypes
@@ -109,7 +110,7 @@ class TestFactorRules:
         scatter = [op for op in tf.function.ops
                    if op.opcode == "scatter_add"][0]
         rule = rule_for(scatter)
-        assert any(f.reduce for f in rule.factors)
+        assert any(reduce for _, reduce in rule.factors)
 
         def with_nonzero(operand, updates, ids):
             return ops.scatter_add(operand, ids, updates)
@@ -118,7 +119,7 @@ class TestFactorRules:
                     ShapeDtype((16,), dtypes.i32))
         scatter2 = [op for op in tf2.function.ops
                     if op.opcode == "scatter_add"][0]
-        assert not any(f.reduce for f in rule_for(scatter2).factors)
+        assert not any(reduce for _, reduce in rule_for(scatter2).factors)
 
 
 class TestActions:

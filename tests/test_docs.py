@@ -29,6 +29,7 @@ import repro.core.actions
 import repro.core.pipeline
 import repro.core.opclass
 import repro.core.propagate
+import repro.core.rules
 import repro.core.sharding
 import repro.ir.function
 import repro.ir.types
@@ -47,7 +48,7 @@ DOCTESTED_MODULES = [repro.api, repro.auto.faults, repro.auto.fingerprint,
                      repro.auto.planstore, repro.auto.search,
                      repro.core.actions, repro.core.opclass,
                      repro.core.pipeline, repro.core.propagate,
-                     repro.core.sharding,
+                     repro.core.rules, repro.core.sharding,
                      repro.ir.function, repro.ir.types, repro.mesh,
                      repro.models.pipeline,
                      repro.sim.costmodel, repro.sim.memory, repro.sim.terms,

@@ -149,29 +149,48 @@ class TestLoweringEdgeCases:
         np.testing.assert_array_equal(actual, expected)
 
     def test_operand_nests_its_axes_as_the_result_does(self, rng):
-        """``w + x @ w`` with ``x`` tiled ``[{b}, {a}]``: the product is
-        ``[{b}, {}] sum{a}`` and the sum, like ``w``, ``[{a,b}, {}]``.
-        The product must reach the sum nested ``a`` outside ``b``, not
-        scattered into ``[{b,a}, {}]`` beside ``w``."""
+        """A pending product ``[{b}, {}] sum{a}`` meets an add whose
+        result nests ``a`` outside ``b``; the product must reach the add
+        nested the same way, not scattered into ``[{b,a}, {}]``.
+
+        * ``w + x @ w`` with ``x`` tiled ``[{b}, {a}]``: the sum, like
+          ``w``, is ``[{a,b}, {}]``.
+        * ``x + w @ x`` with ``x`` tiled on ``a`` then ``w`` on ``b``:
+          ``x`` ends ``[{a,b}, {}]`` and ``w`` ``[{b}, {a}]``, because the
+          add writes ``b`` onto the dot's contracting dim.
+        """
         from repro.runtime import MeshExecutor
 
-        b = FunctionBuilder()
-        x = b.param((4, 4), name="x")
-        w = b.param((4, 2), name="w")
-        product = b.emit1("dot_general", [x, w],
-                          {"lhs_contract": (1,), "rhs_contract": (0,)})
-        function = b.ret(b.emit1("add", [w, product]))
-        env = ShardingEnv(Mesh({"a": 2, "b": 2}))
-        for dim, axis in ((1, "a"), (0, "b")):
-            tile(env, x, dim, axis)
-            propagate(function, env)
-        assert env.sharding(product).dim_axes == (("b",), ())
-        assert env.sharding(w).dim_axes == (("a", "b"), ())
-        args = [rng.randn(4, 4).astype(np.float32),
-                rng.randn(4, 2).astype(np.float32)]
-        expected, = evaluate_function(function, args)
-        actual, = MeshExecutor(lower(function, env))(*args)
-        np.testing.assert_allclose(actual, expected, atol=1e-5)
+        matmul = {"lhs_contract": (1,), "rhs_contract": (0,)}
+
+        def program(x_shape, w_shape, x_first):
+            b = FunctionBuilder()
+            x = b.param(x_shape, name="x")
+            w = b.param(w_shape, name="w")
+            lhs, rhs, addend = (x, w, w) if x_first else (w, x, x)
+            product = b.emit1("dot_general", [lhs, rhs], matmul)
+            return b.ret(b.emit1("add", [addend, product])), x, w, product
+
+        function, x, w, product = program((4, 4), (4, 2), True)
+        cases = [(function, product, [(x, 1, "a"), (x, 0, "b")],
+                  {product: (("b",), ()), w: (("a", "b"), ())})]
+        function, x, w, product = program((4, 2), (4, 4), False)
+        cases.append((function, product, [(x, 0, "a"), (w, 0, "b")],
+                      {product: (("b",), ()), x: (("a", "b"), ()),
+                       w: (("b",), ("a",))}))
+        for function, product, tiles, layouts in cases:
+            env = ShardingEnv(Mesh({"a": 2, "b": 2}))
+            for value, dim, axis in tiles:
+                tile(env, value, dim, axis)
+                propagate(function, env)
+            assert {value: env.sharding(value).dim_axes
+                    for value in layouts} == layouts
+            assert env.sharding(product).sum_axes == {"a"}
+            args = [rng.randn(*param.type.shape).astype(np.float32)
+                    for param in function.params]
+            expected, = evaluate_function(function, args)
+            actual, = MeshExecutor(lower(function, env))(*args)
+            np.testing.assert_allclose(actual, expected, atol=1e-5)
 
 
     @pytest.mark.xfail(strict=True, reason=(

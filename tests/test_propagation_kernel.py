@@ -1,7 +1,8 @@
 """The compiled propagation kernel's sharing and caching contracts.
 
-* one shared :class:`OpShardingRule` per distinct factor table, held by
-  one interned op class per structure;
+* one compiled :class:`OpShardingRule` per (factors, adjacent ranks,
+  arity), shared by the interned op classes (one per structure) with
+  that key, and every op has one;
 * nothing derived rides a pickle: every view of a function lives in its
   one ``_derived`` slot, a propagated function pickles to the bytes of an
   unpropagated one, and the peer rebuilds rule references and the index
@@ -29,7 +30,8 @@ from repro.core.opclass import op_class, rule_for
 from repro.core.sharding import Event, Sharding, ShardingEnv
 from repro.ir import FunctionBuilder
 from repro.ir.tagpoints import tag_points
-from repro.ir.values import Value
+from repro.ir import opdefs
+from repro.ir.values import Operation, Value
 from repro.mesh import Mesh
 from repro.models import bottleneck, gns, transformer, unet
 from repro.models import pipeline as pm
@@ -84,6 +86,47 @@ class TestSharedRules:
         neg = b.emit("neg", [x])
         assert rule_for(add) is rule_for(mul)
         assert rule_for(add) is not rule_for(neg)
+
+    def test_classes_of_one_rank_and_arity_share_one_table(self):
+        b = FunctionBuilder("main")
+        x, y = b.param((4, 8), name="x"), b.param((4, 8), name="y")
+        u, v = b.param((8, 8), name="u"), b.param((8, 8), name="v")
+        add = b.emit("add", [x, y])
+        mul = b.emit("mul", [u, v])
+        assert op_class(add) is not op_class(mul)
+        assert op_class(add).rule.dim_factors is \
+            op_class(mul).rule.dim_factors
+
+    def test_ranks_key_the_rule(self):
+        """Equal factors over different ranks are different tables."""
+        b = FunctionBuilder("main")
+        x = b.param((4, 8), name="x")
+        y = b.param((4, 8, 2), name="y")
+        narrow = b.emit("slice", [x], {"starts": (0, 0), "limits": (4, 4)})
+        narrower = b.emit("slice", [y], {"starts": (0, 0, 0),
+                                         "limits": (4, 4, 1)})
+        assert rule_for(narrow) is not rule_for(narrower)
+        assert rule_for(narrow).dim_factors == ((0, None), (0, None))
+        assert rule_for(narrower).dim_factors == ((0, None, None),
+                                                  (0, None, None))
+
+    def test_every_non_loop_opcode_has_a_rule(self):
+        """An opcode without a builder is elementwise or fully blocked
+        (the collectives lowering emits): the empty table for its ranks."""
+        b = FunctionBuilder("main")
+        x = b.param((4, 8), name="x")
+        bare = sorted(set(opdefs._REGISTRY) - opdefs.LOOP_OPS
+                      - set(rules_mod._BUILDERS))
+        assert {"all_gather", "all_reduce", "all_to_all"} <= set(bare)
+        for opcode in bare:
+            rule = rule_for(Operation(opcode, [x], {}, [x.type]))
+            assert rule.num_operands == 1 and rule.single_result
+            assert rule.defaults == (Sharding.replicated(2),) * 2
+            if opdefs.get(opcode).elementwise:
+                assert rule.dim_factors == ((0, 1), (0, 1)), opcode
+            else:
+                assert rule.factors == (), opcode
+                assert rule.dim_factors == ((None, None),) * 2, opcode
 
     def test_rule_reference_is_dropped_by_pickle_and_rebuilt(self):
         first, _ = _two_dots(DOT)
